@@ -40,6 +40,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 
 #include "bench/common.h"
@@ -618,10 +619,15 @@ int recordJson(const JsonOptions& jopt) {
     std::fprintf(stderr, "fig14: cannot open %s\n", jopt.path);
     return 1;
   }
+  // Detected, not assumed: shard speedups only mean something next to the
+  // cores the workers and the in-process clients had to share.
+  const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   out << "{\n  \"bench\": \"fig14_coordination_data_path\",\n"
       << "  \"rounds\": " << rounds << ",\n  \"coflows\": 100,\n"
       << "  \"changed_per_round\": 5,\n"
-      << "  \"single_core_host\": true,\n"
+      << "  \"host_cores\": " << host_cores << ",\n"
+      << "  \"single_core_host\": " << (host_cores == 1 ? "true" : "false")
+      << ",\n"
       << "  \"mux_note\": \"logical daemons share TCP connections above "
       << kMaxConnections
       << " (RLIMIT_NOFILE; both socket ends in-process); fan-out timing "

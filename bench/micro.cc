@@ -5,6 +5,8 @@
 
 #include <sys/socket.h>
 
+#include <cmath>
+
 #include "bench/common.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
@@ -128,40 +130,72 @@ void BM_EncodeScheduleDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeScheduleDelta)->Arg(5)->Arg(100);
 
-// One report landing in the incrementally maintained ScheduleState: 5
-// changed coflows folded in (O(log n) queue moves) and the round's delta
-// drained — the coordinator's per-report hot path, vs. the legacy
-// rebuild which re-sorted all registered coflows every round.
+// One report frame landing in the incrementally maintained ScheduleState,
+// then the round's delta drained — the coordinator's per-report hot path,
+// vs. the legacy rebuild which re-sorted all registered coflows every
+// round. Args: {coflows, daemons}. Each coflow has one reporting daemon,
+// as on coord_10k's multiplexed connections. A frame re-reports 20
+// coflows in a fixed shuffled order and one entry in 14 has grown by
+// 4 MB (~7% changed, like coord_10k), so most entries take the
+// unchanged-size exit. 100 and 1000 coflows fit in cache; 100000 over 4
+// daemons is coord_10k's scale, where every entry's lookup misses.
 void BM_ReportApply(benchmark::State& state) {
-  const int num_coflows = static_cast<int>(state.range(0));
+  const std::int64_t num_coflows = state.range(0);
+  const auto daemons = static_cast<std::uint64_t>(state.range(1));
+  constexpr int kFrame = 20;
   const sched::DClasConfig dclas;
   runtime::ScheduleState sstate(dclas.thresholds(), 0);
   util::Rng rng(23);
   std::vector<coflow::CoflowId> ids;
   std::vector<double> sizes;
-  for (int c = 0; c < num_coflows; ++c) {
+  std::vector<std::size_t> order;
+  for (std::int64_t c = 0; c < num_coflows; ++c) {
     const coflow::CoflowId id{c, 0};
     sstate.registerCoflow(id);
     ids.push_back(id);
     sizes.push_back(rng.uniform(0, 100) * util::kMB);
-    sstate.applySize(0, id, sizes.back());
+    sstate.applySize(static_cast<std::uint64_t>(c) % daemons, id, sizes.back());
+    order.push_back(static_cast<std::size_t>(c));
   }
+  rng.shuffle(order);
   std::vector<net::ScheduleEntry> entries;
   std::vector<coflow::CoflowId> removals;
   sstate.buildDelta(entries, removals);  // Drain the warm-up churn.
   std::size_t next = 0;
   for (auto _ : state) {
-    for (int i = 0; i < 5; ++i) {
-      const std::size_t pick = next++ % ids.size();
-      sizes[pick] += 4 * util::kMB;
-      sstate.applySize(0, ids[pick], sizes[pick]);
+    for (int i = 0; i < kFrame; ++i) {
+      const std::size_t pick = order[next % order.size()];
+      if (++next % 14 == 0) sizes[pick] += 4 * util::kMB;
+      sstate.applySize(pick % daemons, ids[pick], sizes[pick]);
     }
     sstate.buildDelta(entries, removals);
     benchmark::DoNotOptimize(entries.data());
   }
-  state.SetItemsProcessed(state.iterations() * 5);
+  state.SetItemsProcessed(state.iterations() * kFrame);
 }
-BENCHMARK(BM_ReportApply)->Arg(100)->Arg(1000);
+BENCHMARK(BM_ReportApply)->Args({100, 1})->Args({1000, 1})->Args({100000, 4});
+
+// The full schedule a snapshot frame carries, at coord_10k's scale: sizes
+// log-uniform from 1 MB to 10 GB, so the coflows spread over the queues.
+void BM_SnapshotEntries(benchmark::State& state) {
+  const std::int64_t num_coflows = state.range(0);
+  const sched::DClasConfig dclas;
+  runtime::ScheduleState sstate(dclas.thresholds(), 0);
+  util::Rng rng(29);
+  for (std::int64_t c = 0; c < num_coflows; ++c) {
+    const coflow::CoflowId id{c, 0};
+    sstate.registerCoflow(id);
+    sstate.applySize(static_cast<std::uint64_t>(c % 4), id,
+                     std::exp(rng.uniform(std::log(1e6), std::log(1e10))));
+  }
+  std::vector<net::ScheduleEntry> out;
+  for (auto _ : state) {
+    sstate.snapshotEntries(out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * num_coflows);
+}
+BENCHMARK(BM_SnapshotEntries)->Arg(100000)->Unit(benchmark::kMicrosecond);
 
 // Encode-once shared-buffer fan-out: one 100-coflow schedule frame sent
 // to N peers over loopback socketpairs. The payload bytes are queued by

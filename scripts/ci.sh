@@ -5,8 +5,9 @@
 #
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
 #   scripts/ci.sh default    # just the default preset, full suite
-#   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched suites
+#   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
+#                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
 #                            # + sharded-vs-single fig14 round-time gate
 #   scripts/ci.sh coverage   # gcovr line-coverage report (if installed)
@@ -27,7 +28,11 @@
 # estimate convergence, dcoflow admission soundness, LP-bound soundness
 # on fuzzed traces) carry the "sched" label and run under both
 # sanitizers; run_default additionally replays a tiny deadlined trace
-# through aalo_sim --lp-check as an end-to-end LP-bound gate.
+# through aalo_sim --lp-check as an end-to-end LP-bound gate. The
+# coordinator-state pins (tests/schedule_state_test.cc: golden delta /
+# snapshot transcript, legacySchedule differential, checkpoint round-trip
+# of one seeded op stream) carry the "state" label and run under both
+# sanitizers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,14 +81,14 @@ assert d['metrics'], 'empty metrics dump'
 }
 
 run_asan() {
-  echo "=== asan: engine equivalence + chaos + metrics + ha + sched suites ==="
+  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state suites ==="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
              coordination_equivalence_test shard_barrier_test \
              obs_test obs_invariant_test \
              obs_concurrency_test trace_fuzz_test golden_trace_test \
-             ha_test checkpoint_test sched_property_test
+             ha_test checkpoint_test sched_property_test schedule_state_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
     -R 'EngineEquivalence|EngineFuzz|EventCalendarProperty|DClasQueueOracle' \
@@ -94,16 +99,20 @@ run_asan() {
   # Scheduler-zoo invariants (sampling convergence, dcoflow admission
   # soundness, LP bound <= every scheduler on 200 fuzzed traces).
   (cd build-asan && ctest -L '^sched$' --output-on-failure -j "$(nproc)")
+  # Coordinator-state pins: golden transcript, oracle differential and
+  # checkpoint round-trip of one seeded op stream.
+  (cd build-asan && ctest -L '^state$' --output-on-failure -j "$(nproc)")
 }
 
 run_tsan() {
-  echo "=== tsan: BatchRunner + engine-equivalence + obs gates + chaos + ha + sched ==="
+  echo "=== tsan: BatchRunner + engine-equivalence + obs gates + chaos + ha + sched + state ==="
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$(nproc)"
   ctest --preset tsan
   ctest --preset tsan-chaos
   ctest --preset tsan-ha
   ctest --preset tsan-sched
+  ctest --preset tsan-state
 }
 
 run_perf() {

@@ -6,6 +6,7 @@
 namespace aalo::net {
 
 void Buffer::append(const void* data, std::size_t len) {
+  if (len == 0) return;  // memcpy with an empty buffer's null data() is UB.
   std::memcpy(writableArea(len), data, len);
   commitWrite(len);
 }

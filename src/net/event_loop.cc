@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <system_error>
 
@@ -15,6 +16,28 @@ namespace {
 
 [[noreturn]] void throwErrno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
+}
+
+/// epoll wait with sub-millisecond precision; returns epoll's count.
+int waitForEvents(int epoll_fd, epoll_event* events, int max_events,
+                  std::chrono::nanoseconds wait) {
+  // epoll_pwait2 takes a timespec, so a timer due in 0.4 ms is waited for
+  // instead of being polled for (epoll_wait's whole-ms timeout truncates
+  // it to 0 and the loop spins until the deadline passes).
+  static std::atomic<bool> have_pwait2{true};
+  if (have_pwait2.load(std::memory_order_relaxed)) {
+    const timespec timeout{
+        .tv_sec = static_cast<time_t>(wait.count() / 1'000'000'000),
+        .tv_nsec = static_cast<long>(wait.count() % 1'000'000'000)};
+    const int n =
+        ::epoll_pwait2(epoll_fd, events, max_events, &timeout, nullptr);
+    if (n >= 0 || errno != ENOSYS) return n;
+    have_pwait2.store(false, std::memory_order_relaxed);
+  }
+  // Kernels before 5.11: round up, so a timer is never polled for early.
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(wait);
+  return ::epoll_wait(epoll_fd, events, max_events,
+                      static_cast<int>(ms.count()));
 }
 
 }  // namespace
@@ -105,20 +128,16 @@ int EventLoop::dispatchTimers() {
 }
 
 int EventLoop::runOnce(std::chrono::milliseconds max_wait) {
-  using std::chrono::duration_cast;
-  using std::chrono::milliseconds;
-
-  auto wait = max_wait;
+  std::chrono::nanoseconds wait = max_wait;
   if (!timers_.empty()) {
-    const auto until_timer =
-        duration_cast<milliseconds>(timers_.top().deadline - Clock::now());
-    wait = std::clamp(until_timer, milliseconds(0), max_wait);
+    wait = std::clamp<std::chrono::nanoseconds>(
+        timers_.top().deadline - Clock::now(), std::chrono::nanoseconds(0),
+        max_wait);
   }
 
   std::array<epoll_event, 256> events;
-  const int n = ::epoll_wait(epoll_fd_.get(), events.data(),
-                             static_cast<int>(events.size()),
-                             static_cast<int>(wait.count()));
+  const int n = waitForEvents(epoll_fd_.get(), events.data(),
+                              static_cast<int>(events.size()), wait);
   if (n < 0 && errno != EINTR) throwErrno("epoll_wait");
 
   int dispatched = 0;
@@ -137,8 +156,9 @@ int EventLoop::runOnce(std::chrono::milliseconds max_wait) {
 }
 
 void EventLoop::run() {
-  stop_.store(false, std::memory_order_relaxed);
-  while (!stop_.load(std::memory_order_relaxed)) {
+  // The stop request is consumed on the way out, never cleared on the way
+  // in: a stop() that lands before this thread gets here still ends it.
+  while (!stop_.exchange(false, std::memory_order_relaxed)) {
     runOnce(std::chrono::milliseconds(100));
   }
 }

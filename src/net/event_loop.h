@@ -51,7 +51,8 @@ class EventLoop {
   /// `max_wait`. Returns the number of callbacks dispatched.
   int runOnce(std::chrono::milliseconds max_wait);
 
-  /// Loops until stop() is called (from a callback or another thread).
+  /// Loops until stop() is called (from a callback or another thread),
+  /// including a stop() that came before run() started.
   void run();
   void stop();
 

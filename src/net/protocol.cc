@@ -18,6 +18,23 @@ coflow::CoflowId getCoflowId(Buffer& in) {
   return id;
 }
 
+// Smallest wire encodings of the repeated elements.
+constexpr std::size_t kIdBytes = 12;
+constexpr std::size_t kSizeBytes = kIdBytes + 8;
+constexpr std::size_t kEntryBytes = kIdBytes + 8 + 4 + 1;
+
+/// Reads an element count and rejects it unless that many elements of at
+/// least `min_bytes` each fit in the rest of the frame, so a corrupt count
+/// cannot make the decoder reserve() gigabytes.
+std::uint32_t getCount(Buffer& in, std::size_t min_bytes) {
+  const std::uint32_t n = in.getU32();
+  if (n > in.readableBytes() / min_bytes) {
+    throw std::runtime_error("decodeMessage: element count " +
+                             std::to_string(n) + " overruns the frame");
+  }
+  return n;
+}
+
 }  // namespace
 
 void encodeMessage(const Message& message, Buffer& out) {
@@ -98,7 +115,7 @@ Message decodeMessage(Buffer& in) {
       break;
     case MessageType::kRegisterCoflow: {
       message.request_id = in.getU64();
-      const std::uint32_t n = in.getU32();
+      const std::uint32_t n = getCount(in, kIdBytes);
       message.parents.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) message.parents.push_back(getCoflowId(in));
       break;
@@ -113,7 +130,7 @@ Message decodeMessage(Buffer& in) {
     case MessageType::kSizeReport: {
       message.daemon_id = in.getU64();
       message.epoch = in.getU64();
-      const std::uint32_t n = in.getU32();
+      const std::uint32_t n = getCount(in, kSizeBytes);
       message.sizes.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         CoflowSize s;
@@ -126,7 +143,7 @@ Message decodeMessage(Buffer& in) {
     case MessageType::kScheduleUpdate: {
       message.epoch = in.getU64();
       message.fence = in.getU64();
-      const std::uint32_t n = in.getU32();
+      const std::uint32_t n = getCount(in, kEntryBytes);
       message.schedule.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         ScheduleEntry e;
@@ -142,7 +159,7 @@ Message decodeMessage(Buffer& in) {
       message.epoch = in.getU64();
       message.base_epoch = in.getU64();
       message.fence = in.getU64();
-      const std::uint32_t n = in.getU32();
+      const std::uint32_t n = getCount(in, kEntryBytes);
       message.schedule.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
         ScheduleEntry e;
@@ -152,7 +169,7 @@ Message decodeMessage(Buffer& in) {
         e.on = in.getU8() != 0;
         message.schedule.push_back(e);
       }
-      const std::uint32_t r = in.getU32();
+      const std::uint32_t r = getCount(in, kIdBytes);
       message.removals.reserve(r);
       for (std::uint32_t i = 0; i < r; ++i) {
         message.removals.push_back(getCoflowId(in));

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -128,38 +129,32 @@ bool Checkpoint::writeSnapshot(const std::vector<const ScheduleState*>& states,
   out.putU64(static_cast<std::uint64_t>(max_on));
   std::size_t n_registered = 0;
   for (const ScheduleState* state : states) {
-    n_registered += state->registeredIds().size();
+    n_registered += state->registeredCount();
   }
   out.putU32(static_cast<std::uint32_t>(n_registered));
   for (const ScheduleState* state : states) {
-    for (const auto& id : state->registeredIds()) putId(out, id);
+    state->forEachRegistered([&](const coflow::CoflowId& id) { putId(out, id); });
   }
   out.putU32(static_cast<std::uint32_t>(tombstones.size()));
   for (const auto& id : tombstones) putId(out, id);
-  // A daemon's reports are spread across shards (its coflows hash
-  // anywhere); the format keys by daemon, so merge per daemon. A coflow
-  // lives in exactly one shard, so concatenating the per-shard maps of
-  // one daemon is a disjoint union.
+  // The format keys reports by daemon; the states keep them per coflow
+  // (and a daemon's coflows hash to any shard), so regroup.
   std::unordered_map<std::uint64_t,
-                     std::vector<const std::unordered_map<coflow::CoflowId,
-                                                          double>*>>
+                     std::vector<std::pair<coflow::CoflowId, double>>>
       by_daemon;
   for (const ScheduleState* state : states) {
-    for (const auto& [daemon_id, sizes] : state->reportedSizes()) {
-      if (!sizes.empty()) by_daemon[daemon_id].push_back(&sizes);
-    }
+    state->forEachReport(
+        [&](std::uint64_t daemon_id, const coflow::CoflowId& id, double bytes) {
+          by_daemon[daemon_id].emplace_back(id, bytes);
+        });
   }
   out.putU32(static_cast<std::uint32_t>(by_daemon.size()));
-  for (const auto& [daemon_id, maps] : by_daemon) {
+  for (const auto& [daemon_id, sizes] : by_daemon) {
     out.putU64(daemon_id);
-    std::size_t n_sizes = 0;
-    for (const auto* sizes : maps) n_sizes += sizes->size();
-    out.putU32(static_cast<std::uint32_t>(n_sizes));
-    for (const auto* sizes : maps) {
-      for (const auto& [id, bytes] : *sizes) {
-        putId(out, id);
-        out.putDouble(bytes);
-      }
+    out.putU32(static_cast<std::uint32_t>(sizes.size()));
+    for (const auto& [id, bytes] : sizes) {
+      putId(out, id);
+      out.putDouble(bytes);
     }
   }
   const std::uint64_t checksum = fnv1a(out.readable());

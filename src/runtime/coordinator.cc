@@ -211,8 +211,8 @@ void Coordinator::restoreFromCheckpoint() {
                std::memory_order_relaxed);
   id_generator_.advanceTo(restored->next_external);
   const TimePoint now = net::EventLoop::Clock::now();
-  for (const auto& id : restored->tombstones) unregistered_[id] = now;
-  tombstone_count_.store(unregistered_.size(), std::memory_order_relaxed);
+  for (const auto& id : restored->tombstones) state_.tombstone(id, now);
+  tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
   registered_count_.store(state_.registeredCount(), std::memory_order_relaxed);
   stats_.checkpoint_restores.fetch_add(1, std::memory_order_relaxed);
   AALO_LOG_INFO << "coordinator: restored " << state_.scheduledCount()
@@ -225,8 +225,9 @@ void Coordinator::restoreFromCheckpoint() {
 void Coordinator::writeCheckpointSnapshot(TimePoint now) {
   if (!checkpoint_) return;
   std::vector<coflow::CoflowId> tombstones;
-  tombstones.reserve(unregistered_.size());
-  for (const auto& [id, mentioned] : unregistered_) tombstones.push_back(id);
+  tombstones.reserve(state_.tombstoneCount());
+  state_.forEachTombstone(
+      [&](const coflow::CoflowId& id) { tombstones.push_back(id); });
   if (checkpoint_->writeSnapshot(state_, tombstones,
                                  fence_.load(std::memory_order_relaxed),
                                  epoch_.load(std::memory_order_relaxed),
@@ -401,11 +402,11 @@ void Coordinator::promote() {
   }
   for (const auto& id : follower_removed_) {
     state_.unregisterCoflow(id);
-    unregistered_[id] = now;
+    state_.tombstone(id, now);
     next_external = std::max(next_external, id.external + 1);
   }
   id_generator_.advanceTo(next_external);
-  tombstone_count_.store(unregistered_.size(), std::memory_order_relaxed);
+  tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
   registered_count_.store(state_.registeredCount(), std::memory_order_relaxed);
   // Every already-connected peer must see a full snapshot under the new
   // fence before any delta can compose.
@@ -498,18 +499,12 @@ void Coordinator::evictStalePeers(TimePoint now) {
 }
 
 void Coordinator::collectTombstones(TimePoint now) {
-  if (config_.tombstone_gc_intervals <= 0 || unregistered_.empty()) return;
+  if (config_.tombstone_gc_intervals <= 0) return;
   const auto budget =
       toNanos(config_.sync_interval * config_.tombstone_gc_intervals);
-  for (auto it = unregistered_.begin(); it != unregistered_.end();) {
-    if (now - it->second > budget) {
-      stats_.tombstones_collected.fetch_add(1, std::memory_order_relaxed);
-      it = unregistered_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  tombstone_count_.store(unregistered_.size(), std::memory_order_relaxed);
+  stats_.tombstones_collected.fetch_add(state_.collectTombstones(now - budget),
+                                        std::memory_order_relaxed);
+  tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
 }
 
 void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
@@ -554,14 +549,9 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
           journaled.sizes.clear();
         }
         for (const auto& s : message.sizes) {
-          // Completed coflows must not resurface (tombstone); remember the
-          // mention so the tombstone outlives every daemon still reporting.
-          const auto tomb = unregistered_.find(s.id);
-          if (tomb != unregistered_.end()) {
-            tomb->second = now;
-            continue;
-          }
-          state_.applySize(peer.daemon_id, s.id, s.bytes);
+          // Completed coflows must not resurface (tombstone); a filtered
+          // mention keeps the tombstone alive while any daemon reports it.
+          if (!state_.applyReport(peer.daemon_id, s.id, s.bytes, now)) continue;
           if (journal) journaled.sizes.push_back(s);
         }
         if (journal && !journaled.sizes.empty()) {
@@ -611,8 +601,8 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
     }
     case net::MessageType::kUnregisterCoflow:
       state_.unregisterCoflow(message.coflow);
-      unregistered_[message.coflow] = now;
-      tombstone_count_.store(unregistered_.size(), std::memory_order_relaxed);
+      state_.tombstone(message.coflow, now);
+      tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
       registered_count_.store(state_.registeredCount(),
                               std::memory_order_relaxed);
       if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
@@ -663,7 +653,7 @@ void Coordinator::broadcastFull(std::uint64_t epoch) {
   update.fence = fence_.load(std::memory_order_relaxed);
   update.schedule.swap(entries_scratch_);
   state_.legacySchedule(
-      [this](const coflow::CoflowId& id) { return unregistered_.contains(id); },
+      [this](const coflow::CoflowId& id) { return state_.isTombstoned(id); },
       update.schedule);
 
   net::Buffer& out = takeShared(snapshot_scratch_, *scratch_reuse_, *scratch_alloc_);

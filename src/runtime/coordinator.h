@@ -221,13 +221,12 @@ class Coordinator {
   std::uint64_t next_peer_key_ = 1;
   /// Incrementally maintained global sizes + queue assignments + sorted
   /// schedule; also stores the raw per-daemon reports (the legacy oracle
-  /// rebuilds from those in full_broadcasts mode).
+  /// rebuilds from those in full_broadcasts mode) and the tombstones of
+  /// explicit unregisters: daemons keep reporting absolute local sizes for
+  /// completed coflows, and those must not resurface in schedules. A
+  /// tombstone is GC'd by collectTombstones once every live daemon has
+  /// stopped mentioning the coflow.
   ScheduleState state_;
-  /// Tombstones for explicit unregisters: daemons keep reporting absolute
-  /// local sizes for completed coflows, and those must not resurface in
-  /// schedules. Value = when a report last mentioned the coflow; GC'd by
-  /// collectTombstones once every live daemon has pruned it.
-  std::unordered_map<coflow::CoflowId, TimePoint> unregistered_;
   coflow::CoflowIdGenerator id_generator_;
   /// Broadcast scratch: schedule vectors and encode buffers reused across
   /// rounds. The buffers are shared_ptr so N peers write the same bytes

@@ -15,125 +15,374 @@ bool entryLess(const net::ScheduleEntry& a, const net::ScheduleEntry& b) {
   return coflow::CoflowIdFifoLess{}(a.id, b.id);
 }
 
+/// Coflows whose buckets snapshotEntries() prefetches ahead of the one it
+/// reads.
+constexpr int kPrefetchAhead = 8;
+
 }  // namespace
 
 ScheduleState::ScheduleState(std::vector<util::Bytes> thresholds,
                              std::size_t max_on_coflows)
     : thresholds_(std::move(thresholds)), max_on_(max_on_coflows) {}
 
-ScheduleState::Entry& ScheduleState::ensureEntry(const coflow::CoflowId& id) {
-  auto [it, inserted] = global_.try_emplace(id);
-  if (inserted) {
-    // Starts OFF under a finite ON budget; refreshOnSet() flips it on if
-    // it fits — the appearance itself already marks it dirty.
-    it->second.on = max_on_ == 0;
-    order_.emplace(it->second.queue, id);
-    dirty_.insert(id);
-  }
-  return it->second;
+// --- the flat table ---------------------------------------------------------
+
+std::size_t ScheduleState::homeOf(const coflow::CoflowId& id) const {
+  // murmur3's 64-bit finalizer over both key halves.
+  std::uint64_t h = static_cast<std::uint64_t>(id.external) *
+                        0x9e3779b97f4a7c15ULL ^
+                    static_cast<std::uint32_t>(id.internal);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h) & (table_.size() - 1);
 }
 
-void ScheduleState::moveToQueue(const coflow::CoflowId& id, Entry& entry,
-                                int queue) {
-  if (queue == entry.queue) return;
-  order_.erase({entry.queue, id});
-  entry.queue = queue;
+std::size_t ScheduleState::find(const coflow::CoflowId& id) const {
+  if (table_.empty()) return kNone;
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = homeOf(id);; i = (i + 1) & mask) {
+    const Bucket& b = table_[i];
+    if (b.flags == 0) return kNone;
+    if (b.external == id.external && b.internal == id.internal) return i;
+  }
+}
+
+std::size_t ScheduleState::findOrInsert(const coflow::CoflowId& id) {
+  if (2 * (used_ + 1) > table_.size()) grow();
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = homeOf(id);
+  for (;; i = (i + 1) & mask) {
+    const Bucket& b = table_[i];
+    if (b.flags == 0) break;
+    if (b.external == id.external && b.internal == id.internal) return i;
+  }
+  Bucket& b = table_[i];
+  b.external = id.external;
+  b.internal = id.internal;
+  b.flags = kUsed;
+  ++used_;
+  return i;
+}
+
+void ScheduleState::grow() {
+  std::vector<Bucket> old = std::move(table_);
+  table_.assign(std::max<std::size_t>(16, 2 * old.size()), Bucket{});
+  const std::size_t mask = table_.size() - 1;
+  for (const Bucket& b : old) {
+    if (b.flags == 0) continue;
+    std::size_t i = homeOf(keyOf(b));
+    while (table_[i].flags != 0) i = (i + 1) & mask;
+    table_[i] = b;
+  }
+}
+
+void ScheduleState::eraseAt(std::size_t slot) {
+  // Backward-shift deletion: pull each later member of the run into the
+  // hole unless its home lies cyclically in (hole, member].
+  const std::size_t mask = table_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t j = (slot + 1) & mask; table_[j].flags != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = homeOf(keyOf(table_[j]));
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (stays) continue;
+    table_[hole] = table_[j];
+    hole = j;
+  }
+  table_[hole] = Bucket{};
+  --used_;
+}
+
+// --- reporters ---------------------------------------------------------------
+
+double& ScheduleState::reportOf(Bucket& b, std::uint64_t daemon_id) {
+  if (!(b.flags & kReported)) {
+    b.flags |= kReported;
+    b.daemon = daemon_id;
+    b.reported = 0;
+    noteReporter(daemon_id, keyOf(b));
+    return b.reported;
+  }
+  if (b.daemon == daemon_id) return b.reported;
+  for (std::uint32_t r = b.more; r != 0; r = reporters_[r - 1].next) {
+    if (reporters_[r - 1].daemon == daemon_id) return reporters_[r - 1].bytes;
+  }
+  std::uint32_t r = free_reporter_;
+  if (r != 0) {
+    free_reporter_ = reporters_[r - 1].next;
+  } else {
+    reporters_.emplace_back();
+    r = static_cast<std::uint32_t>(reporters_.size());
+  }
+  reporters_[r - 1] = Reporter{.daemon = daemon_id, .bytes = 0, .next = b.more};
+  b.more = r;
+  noteReporter(daemon_id, keyOf(b));
+  return reporters_[r - 1].bytes;
+}
+
+bool ScheduleState::takeReport(Bucket& b, std::uint64_t daemon_id,
+                               double& bytes) {
+  if (!(b.flags & kReported)) return false;
+  if (b.daemon == daemon_id) {
+    bytes = b.reported;
+    if (b.more == 0) {
+      b.flags &= ~kReported;
+      return true;
+    }
+    // Promote the first side-list reporter inline.
+    const std::uint32_t r = b.more;
+    b.daemon = reporters_[r - 1].daemon;
+    b.reported = reporters_[r - 1].bytes;
+    b.more = reporters_[r - 1].next;
+    reporters_[r - 1].next = free_reporter_;
+    free_reporter_ = r;
+    return true;
+  }
+  for (std::uint32_t* link = &b.more; *link != 0;
+       link = &reporters_[*link - 1].next) {
+    const std::uint32_t r = *link;
+    if (reporters_[r - 1].daemon != daemon_id) continue;
+    bytes = reporters_[r - 1].bytes;
+    *link = reporters_[r - 1].next;
+    reporters_[r - 1].next = free_reporter_;
+    free_reporter_ = r;
+    return true;
+  }
+  return false;
+}
+
+void ScheduleState::releaseReporters(Bucket& b) {
+  while (b.more != 0) {
+    const std::uint32_t r = b.more;
+    b.more = reporters_[r - 1].next;
+    reporters_[r - 1].next = free_reporter_;
+    free_reporter_ = r;
+  }
+  b.flags &= ~kReported;
+}
+
+void ScheduleState::noteReporter(std::uint64_t daemon_id,
+                                 const coflow::CoflowId& id) {
+  DaemonSlots& slots = daemons_[daemon_id];
+  slots.ids.push_back(id);
+  if (slots.ids.size() < slots.compact_at) return;
+  // Keep only coflows this daemon still has a report on, once each.
+  std::sort(slots.ids.begin(), slots.ids.end());
+  slots.ids.erase(std::unique(slots.ids.begin(), slots.ids.end()),
+                  slots.ids.end());
+  std::erase_if(slots.ids, [&](const coflow::CoflowId& cid) {
+    const std::size_t i = find(cid);
+    if (i == kNone) return true;
+    const Bucket& b = table_[i];
+    if (!(b.flags & kReported)) return true;
+    if (b.daemon == daemon_id) return false;
+    for (std::uint32_t r = b.more; r != 0; r = reporters_[r - 1].next) {
+      if (reporters_[r - 1].daemon == daemon_id) return false;
+    }
+    return true;
+  });
+  slots.compact_at = std::max<std::size_t>(64, 2 * slots.ids.size());
+}
+
+// --- schedule upkeep -------------------------------------------------------
+
+void ScheduleState::markDirty(Bucket& b) {
+  if (b.flags & kDirty) return;
+  b.flags |= kDirty;
+  dirty_.push_back(keyOf(b));
+}
+
+void ScheduleState::makeLive(Bucket& b) {
+  // Starts OFF under a finite ON budget; refreshOnSet() flips it on if it
+  // fits — the appearance itself already marks it dirty.
+  b.flags = static_cast<std::uint16_t>(
+      (b.flags & ~(kOn | kSent | kSentOn)) | kLive | (max_on_ == 0 ? kOn : 0));
+  b.bytes = 0;
+  b.queue = 0;
+  b.sent_queue = 0;
+  order_.emplace(0, keyOf(b));
+  markDirty(b);
+}
+
+void ScheduleState::moveToQueue(Bucket& b, int queue) {
+  if (queue == b.queue) return;
+  const coflow::CoflowId id = keyOf(b);
+  order_.erase({b.queue, id});
+  b.queue = queue;
   order_.emplace(queue, id);
-  dirty_.insert(id);
+  markDirty(b);
 }
 
 void ScheduleState::registerCoflow(const coflow::CoflowId& id) {
-  registered_.insert(id);
-  ensureEntry(id);
+  Bucket& b = table_[findOrInsert(id)];
+  if (!(b.flags & kRegistered)) {
+    b.flags |= kRegistered;
+    ++registered_;
+  }
+  if (!(b.flags & kLive)) makeLive(b);
 }
 
 void ScheduleState::unregisterCoflow(const coflow::CoflowId& id) {
-  registered_.erase(id);
-  auto it = global_.find(id);
-  if (it != global_.end()) {
-    order_.erase({it->second.queue, id});
-    if (it->second.sent) removed_.push_back(id);
-    dirty_.erase(id);
-    on_ids_.erase(id);
-    global_.erase(it);
+  const std::size_t i = find(id);
+  if (i == kNone) return;
+  Bucket& b = table_[i];
+  if (b.flags & kRegistered) --registered_;
+  if (b.flags & kLive) {
+    order_.erase({b.queue, id});
+    if (b.flags & kSent) removed_.push_back(id);
   }
-  for (auto& [daemon, sizes] : reported_) sizes.erase(id);
+  releaseReporters(b);
+  b.flags &= kUsed | kTombstoned;
+  if (!(b.flags & kTombstoned)) eraseAt(i);
+}
+
+void ScheduleState::applyAt(Bucket& b, std::uint64_t daemon_id, double bytes) {
+  if (!(b.flags & kLive)) makeLive(b);
+  double& stored = reportOf(b, daemon_id);
+  const double diff = bytes - stored;
+  stored = bytes;
+  if (diff == 0) return;
+  b.bytes += diff;
+  moveToQueue(b, sched::queueForSize(thresholds_,
+                                     static_cast<util::Bytes>(b.bytes)));
 }
 
 void ScheduleState::applySize(std::uint64_t daemon_id,
                               const coflow::CoflowId& id, double bytes) {
-  double& stored = reported_[daemon_id][id];
-  const double diff = bytes - stored;
-  stored = bytes;
-  Entry& entry = ensureEntry(id);
-  if (diff == 0) return;
-  entry.bytes += diff;
-  moveToQueue(id, entry,
-              sched::queueForSize(thresholds_,
-                                  static_cast<util::Bytes>(entry.bytes)));
+  applyAt(table_[findOrInsert(id)], daemon_id, bytes);
+}
+
+bool ScheduleState::applyReport(std::uint64_t daemon_id,
+                                const coflow::CoflowId& id, double bytes,
+                                TimePoint now) {
+  Bucket& b = table_[findOrInsert(id)];
+  if (b.flags & kTombstoned) {
+    b.mention = now;
+    return false;
+  }
+  applyAt(b, daemon_id, bytes);
+  return true;
 }
 
 void ScheduleState::dropDaemon(std::uint64_t daemon_id) {
-  auto it = reported_.find(daemon_id);
-  if (it == reported_.end()) return;
-  for (const auto& [id, bytes] : it->second) {
-    auto git = global_.find(id);
-    if (git == global_.end()) continue;
-    Entry& entry = git->second;
-    entry.bytes -= bytes;
-    if (entry.bytes < 0) entry.bytes = 0;
-    moveToQueue(id, entry,
-                sched::queueForSize(thresholds_,
-                                    static_cast<util::Bytes>(entry.bytes)));
+  auto it = daemons_.find(daemon_id);
+  if (it == daemons_.end()) return;
+  for (const coflow::CoflowId& id : it->second.ids) {
+    const std::size_t i = find(id);
+    if (i == kNone) continue;
+    Bucket& b = table_[i];
+    double bytes = 0;
+    if (!takeReport(b, daemon_id, bytes)) continue;  // Stale or duplicate.
+    b.bytes -= bytes;
+    if (b.bytes < 0) b.bytes = 0;
+    moveToQueue(b, sched::queueForSize(thresholds_,
+                                       static_cast<util::Bytes>(b.bytes)));
   }
-  reported_.erase(it);
+  daemons_.erase(it);
+}
+
+// --- tombstones ------------------------------------------------------------
+
+void ScheduleState::tombstone(const coflow::CoflowId& id, TimePoint now) {
+  Bucket& b = table_[findOrInsert(id)];
+  b.mention = now;
+  if (b.flags & kTombstoned) return;
+  b.flags |= kTombstoned;
+  ++tombstones_;
+  expiry_.emplace(now, id);
+}
+
+bool ScheduleState::isTombstoned(const coflow::CoflowId& id) const {
+  const std::size_t i = find(id);
+  return i != kNone && (table_[i].flags & kTombstoned);
+}
+
+std::size_t ScheduleState::collectTombstones(TimePoint cutoff) {
+  std::size_t collected = 0;
+  while (!expiry_.empty() && expiry_.top().first < cutoff) {
+    const coflow::CoflowId id = expiry_.top().second;
+    expiry_.pop();
+    const std::size_t i = find(id);
+    if (i == kNone || !(table_[i].flags & kTombstoned)) continue;
+    Bucket& b = table_[i];
+    if (b.mention >= cutoff) {  // Mentioned since it was queued.
+      expiry_.emplace(b.mention, id);
+      continue;
+    }
+    b.flags &= ~kTombstoned;
+    --tombstones_;
+    ++collected;
+    if (!(b.flags & kLive)) eraseAt(i);
+  }
+  return collected;
+}
+
+// --- read side -------------------------------------------------------------
+
+bool ScheduleState::isRegistered(const coflow::CoflowId& id) const {
+  const std::size_t i = find(id);
+  return i != kNone && (table_[i].flags & kRegistered);
 }
 
 double ScheduleState::globalBytes(const coflow::CoflowId& id) const {
-  auto it = global_.find(id);
-  return it == global_.end() ? 0.0 : it->second.bytes;
+  const std::size_t i = find(id);
+  return i != kNone && (table_[i].flags & kLive) ? table_[i].bytes : 0.0;
 }
 
 std::optional<net::ScheduleEntry> ScheduleState::entryFor(
     const coflow::CoflowId& id) const {
-  auto it = global_.find(id);
-  if (it == global_.end()) return std::nullopt;
+  const std::size_t i = find(id);
+  if (i == kNone || !(table_[i].flags & kLive)) return std::nullopt;
+  const Bucket& b = table_[i];
   return net::ScheduleEntry{.id = id,
-                            .global_bytes = it->second.bytes,
-                            .queue = it->second.queue,
-                            .on = it->second.on};
+                            .global_bytes = b.bytes,
+                            .queue = b.queue,
+                            .on = (b.flags & kOn) != 0};
 }
 
 std::unordered_map<coflow::CoflowId, double> ScheduleState::globalSizes()
     const {
   std::unordered_map<coflow::CoflowId, double> out;
-  out.reserve(global_.size());
-  for (const auto& [id, entry] : global_) out.emplace(id, entry.bytes);
+  out.reserve(order_.size());
+  for (const Bucket& b : table_) {
+    if (b.flags & kLive) out.emplace(keyOf(b), b.bytes);
+  }
   return out;
 }
 
 void ScheduleState::refreshOnSet() {
   if (max_on_ == 0) return;
-  std::unordered_set<coflow::CoflowId> now_on;
+  // No insert or erase happens below, so slots stay valid throughout.
+  std::vector<std::size_t> now_on;
   now_on.reserve(max_on_);
-  std::size_t taken = 0;
   for (const auto& [queue, id] : order_) {
-    if (taken++ == max_on_) break;
-    now_on.insert(id);
+    if (now_on.size() == max_on_) break;
+    const std::size_t i = find(id);
+    table_[i].flags |= kOnNext;
+    now_on.push_back(i);
   }
   for (const auto& id : on_ids_) {
-    if (now_on.contains(id)) continue;
-    auto it = global_.find(id);
-    if (it == global_.end()) continue;
-    it->second.on = false;
-    dirty_.insert(id);
+    const std::size_t i = find(id);
+    if (i == kNone) continue;
+    Bucket& b = table_[i];
+    if ((b.flags & kOnNext) || !(b.flags & kOn)) continue;
+    b.flags &= ~kOn;
+    markDirty(b);
   }
-  for (const auto& id : now_on) {
-    if (on_ids_.contains(id)) continue;
-    global_.at(id).on = true;
-    dirty_.insert(id);
+  on_ids_.clear();
+  for (const std::size_t i : now_on) {
+    Bucket& b = table_[i];
+    b.flags &= ~kOnNext;
+    if (!(b.flags & kOn)) {
+      b.flags |= kOn;
+      markDirty(b);
+    }
+    on_ids_.push_back(keyOf(b));
   }
-  on_ids_ = std::move(now_on);
 }
 
 bool ScheduleState::buildDelta(std::vector<net::ScheduleEntry>& entries,
@@ -142,22 +391,23 @@ bool ScheduleState::buildDelta(std::vector<net::ScheduleEntry>& entries,
   removals.clear();
   refreshOnSet();
   for (const auto& id : dirty_) {
-    auto it = global_.find(id);
-    if (it == global_.end()) continue;  // Unregistered since it dirtied.
-    Entry& entry = it->second;
+    const std::size_t i = find(id);
+    if (i == kNone) continue;  // Unregistered since it dirtied.
+    Bucket& b = table_[i];
+    if (!(b.flags & kDirty)) continue;  // Re-created: listed twice.
+    b.flags &= ~kDirty;
+    const bool on = (b.flags & kOn) != 0;
     // Net no-op (e.g. demoted then dropped-daemon promoted back): the
     // delta chain already announced this exact state, skip it.
-    if (entry.sent && entry.queue == entry.sent_queue &&
-        entry.on == entry.sent_on) {
+    if ((b.flags & kSent) && b.queue == b.sent_queue &&
+        on == ((b.flags & kSentOn) != 0)) {
       continue;
     }
-    entries.push_back(net::ScheduleEntry{.id = id,
-                                         .global_bytes = entry.bytes,
-                                         .queue = entry.queue,
-                                         .on = entry.on});
-    entry.sent = true;
-    entry.sent_queue = entry.queue;
-    entry.sent_on = entry.on;
+    entries.push_back(net::ScheduleEntry{
+        .id = id, .global_bytes = b.bytes, .queue = b.queue, .on = on});
+    b.flags = static_cast<std::uint16_t>((b.flags & ~kSentOn) | kSent |
+                                         (on ? kSentOn : 0));
+    b.sent_queue = b.queue;
   }
   dirty_.clear();
   std::sort(entries.begin(), entries.end(), entryLess);
@@ -171,12 +421,21 @@ void ScheduleState::snapshotEntries(std::vector<net::ScheduleEntry>& out)
     const {
   out.clear();
   out.reserve(order_.size());
+  // The walk is a chain of cache misses (tree node, then bucket); a
+  // second iterator a few coflows ahead starts the bucket loads early.
+  auto ahead = order_.begin();
+  for (int k = 0; k < kPrefetchAhead && ahead != order_.end(); ++k, ++ahead) {
+    __builtin_prefetch(&table_[homeOf(ahead->second)]);
+  }
   std::size_t position = 0;
   for (const auto& [queue, id] : order_) {
-    const Entry& entry = global_.at(id);
+    if (ahead != order_.end()) {
+      __builtin_prefetch(&table_[homeOf(ahead->second)]);
+      ++ahead;
+    }
     out.push_back(net::ScheduleEntry{
         .id = id,
-        .global_bytes = entry.bytes,
+        .global_bytes = table_[find(id)].bytes,
         .queue = queue,
         .on = max_on_ == 0 || position < max_on_});
     ++position;
@@ -186,17 +445,21 @@ void ScheduleState::snapshotEntries(std::vector<net::ScheduleEntry>& out)
 void ScheduleState::legacySchedule(const TombstoneFilter& tombstoned,
                                    std::vector<net::ScheduleEntry>& out)
     const {
-  std::unordered_map<coflow::CoflowId, double> global;
-  for (const auto& id : registered_) global[id] = 0.0;
-  for (const auto& [daemon, sizes] : reported_) {
-    for (const auto& [id, bytes] : sizes) {
-      if (tombstoned && tombstoned(id)) continue;
-      global[id] += bytes;
-    }
-  }
+  // Global size = sum of the stored per-daemon reports; registered
+  // coflows appear even before anyone reported them.
   out.clear();
-  out.reserve(global.size());
-  for (const auto& [id, bytes] : global) {
+  for (const Bucket& b : table_) {
+    const coflow::CoflowId id = keyOf(b);
+    bool listed = (b.flags & kRegistered) != 0;
+    double bytes = 0;
+    if ((b.flags & kReported) && !(tombstoned && tombstoned(id))) {
+      listed = true;
+      bytes += b.reported;
+      for (std::uint32_t r = b.more; r != 0; r = reporters_[r - 1].next) {
+        bytes += reporters_[r - 1].bytes;
+      }
+    }
+    if (!listed) continue;
     out.push_back(net::ScheduleEntry{
         .id = id,
         .global_bytes = bytes,

@@ -13,21 +13,45 @@
 //  * The schedule is a std::set keyed by (queue, CoflowIdFifoLess), i.e.
 //    permanently sorted; there is no per-broadcast sort.
 //  * Coflows whose queue moved, whose ON/OFF gate toggled, or that
-//    appeared/vanished since the last broadcast accumulate in a dirty set;
-//    buildDelta() drains it into a kScheduleDelta payload (empty when the
-//    schedule is unchanged — the broadcast is suppressed to a heartbeat).
+//    appeared/vanished since the last broadcast are marked dirty;
+//    buildDelta() drains them into a kScheduleDelta payload (empty when
+//    the schedule is unchanged — the broadcast is suppressed to a
+//    heartbeat).
+//
+// Everything else the report path touches lives in one flat coflow table:
+//
+//  * Open addressing with linear probing over a power-of-two array of
+//    64-byte buckets (one cache line each). The home slot is a murmur-style
+//    64-bit mix of the CoflowId: std::hash<CoflowId> is near-identity on
+//    sequential external ids, which would cluster under linear probing.
+//  * A bucket holds the key, the global bytes and queue, the ON / sent /
+//    dirty bits and the last announced queue, the registered and
+//    tombstone bits with the tombstone's last-mention time, and the first
+//    reporter's (daemon, absolute bytes) pair inline. Further reporters of
+//    the same coflow go in a side list chained from the bucket; a
+//    per-daemon list of the coflows it reported serves dropDaemon().
+//  * So a report entry costs one probe sequence: tombstone filter, then
+//    bytes += new − stored, then re-discretize.
+//  * The table doubles when it would pass half full and never shrinks.
+//    Erasure shifts the following run back (no deleted markers), so probe
+//    sequences stay as short as the load alone makes them.
+//  * Tombstones (explicit unregisters whose late reports must stay
+//    filtered) expire through a queue ordered by last-mention time: a
+//    collection pops only entries older than the cutoff and re-queues
+//    those mentioned since, so it costs O(expired), not O(tombstones).
 //
 // legacySchedule() reproduces the original rebuild-the-world path verbatim
 // and serves both as the full-broadcast oracle mode and as the reference
 // in equivalence tests (same pattern as fabric::maxMinAllocateReference).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <queue>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,6 +63,8 @@ namespace aalo::runtime {
 
 class ScheduleState {
  public:
+  using TimePoint = std::chrono::steady_clock::time_point;
+
   /// `thresholds`: ascending D-CLAS upper bounds (one fewer than the
   /// number of queues). `max_on_coflows`: §6.2 ON/OFF budget, 0 = all ON.
   ScheduleState(std::vector<util::Bytes> thresholds,
@@ -54,19 +80,40 @@ class ScheduleState {
   void unregisterCoflow(const coflow::CoflowId& id);
 
   /// One reported observation: daemon `daemon_id` has seen `bytes` total
-  /// (absolute, monotone per daemon) for `id`. The caller must have
-  /// tombstone-filtered `id` already. Creates the coflow if unknown —
-  /// that is how a restarted coordinator re-learns state (§3.2).
+  /// (absolute, monotone per daemon) for `id`. No tombstone filter (see
+  /// applyReport). Creates the coflow if unknown — that is how a
+  /// restarted coordinator re-learns state (§3.2).
   void applySize(std::uint64_t daemon_id, const coflow::CoflowId& id,
                  double bytes);
+
+  /// The coordinator's report path: applySize() unless `id` is
+  /// tombstoned, in which case only its last mention moves to `now`.
+  /// Returns whether the size was applied.
+  bool applyReport(std::uint64_t daemon_id, const coflow::CoflowId& id,
+                   double bytes, TimePoint now);
 
   /// The daemon disconnected or was evicted: subtract everything it
   /// reported from the global sizes (exactly what the legacy rebuild did
   /// by dropping its report map).
   void dropDaemon(std::uint64_t daemon_id);
+  /// Whether `daemon_id` reported anything since it was last dropped.
+  bool hasReportsFrom(std::uint64_t daemon_id) const {
+    return daemons_.contains(daemon_id);
+  }
 
-  std::size_t registeredCount() const { return registered_.size(); }
-  std::size_t scheduledCount() const { return global_.size(); }
+  /// Tombstones `id` (completed coflows must not resurface from daemons
+  /// still reporting them) with its last mention at `now`. Independent of
+  /// the schedule: callers unregister the coflow as well.
+  void tombstone(const coflow::CoflowId& id, TimePoint now);
+  bool isTombstoned(const coflow::CoflowId& id) const;
+  /// Drops every tombstone last mentioned before `cutoff`; returns how
+  /// many were collected.
+  std::size_t collectTombstones(TimePoint cutoff);
+  std::size_t tombstoneCount() const { return tombstones_; }
+
+  std::size_t registeredCount() const { return registered_; }
+  std::size_t scheduledCount() const { return order_.size(); }
+  bool isRegistered(const coflow::CoflowId& id) const;
 
   /// Global size of `id` (0 when unknown). Test/diagnostic accessor.
   double globalBytes(const coflow::CoflowId& id) const;
@@ -86,19 +133,34 @@ class ScheduleState {
   /// positionally — what a snapshot (kScheduleUpdate) carries.
   void snapshotEntries(std::vector<net::ScheduleEntry>& out) const;
 
-  /// Serialization accessors (checkpointing): the raw per-daemon absolute
+  /// Serialization visitors (checkpointing): the raw per-daemon absolute
   /// reports and the registered set are the whole ground truth — replaying
   /// them through registerCoflow()/applySize() on a freshly constructed
-  /// state reproduces global_/order_ exactly (the schedule is a sorted
-  /// set, so snapshotEntries() is bit-identical regardless of replay
-  /// order).
-  const std::unordered_map<std::uint64_t,
-                           std::unordered_map<coflow::CoflowId, double>>&
-  reportedSizes() const {
-    return reported_;
+  /// state reproduces the schedule exactly (it is a sorted set, so
+  /// snapshotEntries() is bit-identical regardless of replay order).
+  /// Visit order is unspecified.
+  template <typename F>  // F(const coflow::CoflowId&)
+  void forEachRegistered(F&& visit) const {
+    for (const Bucket& b : table_) {
+      if (b.flags & kRegistered) visit(keyOf(b));
+    }
   }
-  const std::unordered_set<coflow::CoflowId>& registeredIds() const {
-    return registered_;
+  template <typename F>  // F(std::uint64_t daemon, const CoflowId&, double)
+  void forEachReport(F&& visit) const {
+    for (const Bucket& b : table_) {
+      if (!(b.flags & kReported)) continue;
+      const coflow::CoflowId id = keyOf(b);
+      visit(b.daemon, id, b.reported);
+      for (std::uint32_t r = b.more; r != 0; r = reporters_[r - 1].next) {
+        visit(reporters_[r - 1].daemon, id, reporters_[r - 1].bytes);
+      }
+    }
+  }
+  template <typename F>  // F(const coflow::CoflowId&)
+  void forEachTombstone(F&& visit) const {
+    for (const Bucket& b : table_) {
+      if (b.flags & kTombstoned) visit(keyOf(b));
+    }
   }
 
   struct OrderLess {
@@ -130,41 +192,95 @@ class ScheduleState {
                       std::vector<net::ScheduleEntry>& out) const;
 
  private:
-  struct Entry {
-    double bytes = 0;
-    int queue = 0;
-    bool on = true;
-    /// What the delta chain last announced for this coflow; a dirty
-    /// coflow whose net (queue, on) is unchanged is dropped from the
-    /// delta again.
-    bool sent = false;
-    int sent_queue = 0;
-    bool sent_on = true;
+  enum Flag : std::uint16_t {
+    kUsed = 1 << 0,        ///< Bucket holds a key (0 flags = empty slot).
+    kLive = 1 << 1,        ///< In the schedule (order_ holds it).
+    kRegistered = 1 << 2,
+    kTombstoned = 1 << 3,
+    kReported = 1 << 4,    ///< The inline first reporter is valid.
+    kOn = 1 << 5,
+    kDirty = 1 << 6,       ///< Queued in dirty_ since the last buildDelta().
+    kSent = 1 << 7,        ///< The delta chain has announced it.
+    kSentOn = 1 << 8,      ///< ON bit the delta chain last announced.
+    kOnNext = 1 << 9,      ///< Temporary mark inside refreshOnSet().
   };
 
-  Entry& ensureEntry(const coflow::CoflowId& id);
-  void moveToQueue(const coflow::CoflowId& id, Entry& entry, int queue);
+  struct alignas(64) Bucket {
+    std::int64_t external = 0;  ///< Key (CoflowId, split to pack `queue`).
+    std::int32_t internal = 0;
+    std::int32_t queue = 0;
+    double bytes = 0;            ///< Global size: sum over reporters.
+    std::uint64_t daemon = 0;    ///< First reporter...
+    double reported = 0;         ///< ...and its last absolute report.
+    TimePoint mention{};         ///< Tombstone: last report naming it.
+    std::int32_t sent_queue = 0; ///< Queue the delta chain last announced.
+    std::uint32_t more = 0;      ///< Further reporters: reporters_ index + 1.
+    std::uint16_t flags = 0;
+  };
+  static_assert(sizeof(Bucket) == 64);
+
+  /// A reporter beyond a bucket's inline first one (side list node).
+  struct Reporter {
+    std::uint64_t daemon = 0;
+    double bytes = 0;
+    std::uint32_t next = 0;  ///< Next node: index + 1, 0 = end.
+  };
+
+  /// Coflows a daemon has reported. May hold stale ids (unregistered
+  /// since) and duplicates; compacted whenever it doubles.
+  struct DaemonSlots {
+    std::vector<coflow::CoflowId> ids;
+    std::size_t compact_at = 64;
+  };
+
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  static coflow::CoflowId keyOf(const Bucket& b) {
+    return {b.external, b.internal};
+  }
+  std::size_t homeOf(const coflow::CoflowId& id) const;
+  std::size_t find(const coflow::CoflowId& id) const;
+  std::size_t findOrInsert(const coflow::CoflowId& id);
+  void eraseAt(std::size_t slot);
+  void grow();
+
+  void applyAt(Bucket& b, std::uint64_t daemon_id, double bytes);
+  void makeLive(Bucket& b);
+  /// The stored absolute report of `daemon_id` in `b`, created at 0.
+  double& reportOf(Bucket& b, std::uint64_t daemon_id);
+  /// Unlinks `daemon_id`'s report from `b`; false when it has none.
+  bool takeReport(Bucket& b, std::uint64_t daemon_id, double& bytes);
+  void releaseReporters(Bucket& b);
+  void noteReporter(std::uint64_t daemon_id, const coflow::CoflowId& id);
+  void markDirty(Bucket& b);
+  void moveToQueue(Bucket& b, int queue);
   /// Recomputes the §6.2 ON set (first max_on_ coflows in schedule
-  /// order); every toggled coflow joins the dirty set.
+  /// order); every toggled coflow is marked dirty.
   void refreshOnSet();
 
   std::vector<util::Bytes> thresholds_;
   std::size_t max_on_ = 0;
 
-  /// daemon_id -> coflow -> last reported absolute local bytes.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<coflow::CoflowId, double>>
-      reported_;
-  std::unordered_set<coflow::CoflowId> registered_;
-  std::unordered_map<coflow::CoflowId, Entry> global_;
+  std::vector<Bucket> table_;
+  std::size_t used_ = 0;
+  std::size_t registered_ = 0;
+  std::size_t tombstones_ = 0;
+  std::vector<Reporter> reporters_;
+  std::uint32_t free_reporter_ = 0;  ///< Free-list head: index + 1.
+  std::unordered_map<std::uint64_t, DaemonSlots> daemons_;
+
   /// The schedule itself: (queue, id) kept permanently sorted.
   OrderSet order_;
-  /// Coflows whose entry changed since the last buildDelta().
-  std::unordered_set<coflow::CoflowId> dirty_;
+  /// Coflows marked dirty since the last buildDelta().
+  std::vector<coflow::CoflowId> dirty_;
   /// Announced coflows unregistered since the last buildDelta().
   std::vector<coflow::CoflowId> removed_;
-  /// Currently-ON coflows (maintained only when max_on_ > 0).
-  std::unordered_set<coflow::CoflowId> on_ids_;
+  /// The ON set refreshOnSet() last computed (maintained when max_on_ > 0).
+  std::vector<coflow::CoflowId> on_ids_;
+  /// Tombstone expiry queue: (last mention when queued, id), oldest first.
+  std::priority_queue<std::pair<TimePoint, coflow::CoflowId>,
+                      std::vector<std::pair<TimePoint, coflow::CoflowId>>,
+                      std::greater<>>
+      expiry_;
 };
 
 }  // namespace aalo::runtime

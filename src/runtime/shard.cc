@@ -121,6 +121,12 @@ std::size_t ShardSet::scheduledCount() const {
   return n;
 }
 
+std::size_t ShardSet::tombstoneCount() const {
+  std::size_t n = 0;
+  for (const auto& s : shards_) n += s.state.tombstoneCount();
+  return n;
+}
+
 std::unordered_map<coflow::CoflowId, double> ShardSet::globalSizes() const {
   std::unordered_map<coflow::CoflowId, double> out;
   for (const auto& s : shards_) {
@@ -427,17 +433,19 @@ void ShardedCoordinator::restoreFromCheckpoint() {
   // Redistribute the restored single state across the shards. Placement
   // is the stable CoflowId hash, so a checkpoint written at any shard
   // count restores at any other — including the --shards 1 oracle's.
-  for (const auto& id : fresh.registeredIds()) state_.registerCoflow(id);
-  for (const auto& [daemon_id, sizes] : fresh.reportedSizes()) {
-    for (const auto& [id, bytes] : sizes) state_.applySize(daemon_id, id, bytes);
-  }
+  fresh.forEachRegistered(
+      [&](const coflow::CoflowId& id) { state_.registerCoflow(id); });
+  fresh.forEachReport(
+      [&](std::uint64_t daemon_id, const coflow::CoflowId& id, double bytes) {
+        state_.applySize(daemon_id, id, bytes);
+      });
   epoch_.store(restored->epoch, std::memory_order_relaxed);
   fence_.store(std::max<std::uint64_t>(restored->fence, 1),
                std::memory_order_relaxed);
   id_generator_.advanceTo(restored->next_external);
   const TimePoint now = net::EventLoop::Clock::now();
   for (const auto& id : restored->tombstones) {
-    workers_[state_.shardFor(id)]->tombstones[id] = now;
+    state_.shard(state_.shardFor(id)).tombstone(id, now);
   }
   tombstone_count_.store(restored->tombstones.size(), std::memory_order_relaxed);
   registered_count_.store(state_.registeredCount(), std::memory_order_relaxed);
@@ -453,8 +461,10 @@ void ShardedCoordinator::restoreFromCheckpoint() {
 void ShardedCoordinator::writeCheckpointSnapshot(TimePoint now) {
   if (!checkpoint_) return;
   std::vector<coflow::CoflowId> tombstones;
-  for (const auto& w : workers_) {
-    for (const auto& [id, mentioned] : w->tombstones) tombstones.push_back(id);
+  tombstones.reserve(state_.tombstoneCount());
+  for (std::size_t s = 0; s < num_shards_; ++s) {
+    state_.shard(s).forEachTombstone(
+        [&](const coflow::CoflowId& id) { tombstones.push_back(id); });
   }
   std::int64_t next_external = 0;
   {
@@ -593,9 +603,7 @@ void ShardedCoordinator::onBarrierComplete() {
 
   // Cross-shard gauges, refreshed once per round under quiescence
   // instead of locking the hot path.
-  std::size_t tombstones = 0;
-  for (const auto& w : workers_) tombstones += w->tombstones.size();
-  tombstone_count_.store(tombstones, std::memory_order_relaxed);
+  tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
   registered_count_.store(state_.registeredCount(), std::memory_order_relaxed);
   round_duration_->observe(elapsedSeconds(round_start_));
 }
@@ -706,7 +714,7 @@ void ShardedCoordinator::dropPeer(std::size_t shard, std::uint64_t peer_key) {
 void ShardedCoordinator::applyDropDaemon(std::size_t shard,
                                          std::uint64_t daemon_id) {
   ScheduleState& st = state_.shard(shard);
-  if (!st.reportedSizes().contains(daemon_id)) return;
+  if (!st.hasReportsFrom(daemon_id)) return;
   st.dropDaemon(daemon_id);
   if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
     workers_[shard]->journal.dropDaemon(daemon_id);
@@ -749,18 +757,12 @@ void ShardedCoordinator::evictStalePeers(std::size_t shard, TimePoint now) {
 }
 
 void ShardedCoordinator::collectTombstones(std::size_t shard, TimePoint now) {
-  Worker& w = *workers_[shard];
-  if (config_.tombstone_gc_intervals <= 0 || w.tombstones.empty()) return;
+  if (config_.tombstone_gc_intervals <= 0) return;
   const auto budget =
       toNanos(config_.sync_interval * config_.tombstone_gc_intervals);
-  for (auto it = w.tombstones.begin(); it != w.tombstones.end();) {
-    if (now - it->second > budget) {
-      stats_.tombstones_collected.fetch_add(1, std::memory_order_relaxed);
-      it = w.tombstones.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  stats_.tombstones_collected.fetch_add(
+      state_.shard(shard).collectTombstones(now - budget),
+      std::memory_order_relaxed);
 }
 
 // --- message handling ------------------------------------------------------
@@ -882,12 +884,7 @@ void ShardedCoordinator::applyRoutedSizes(std::size_t shard,
   }
   std::uint64_t applied = 0;
   for (const auto& size : sizes) {
-    const auto tomb = w.tombstones.find(size.id);
-    if (tomb != w.tombstones.end()) {
-      tomb->second = now;
-      continue;
-    }
-    st.applySize(daemon_id, size.id, size.bytes);
+    if (!st.applyReport(daemon_id, size.id, size.bytes, now)) continue;
     ++applied;
     if (journal) journaled.sizes.push_back(size);
   }
@@ -942,11 +939,12 @@ void ShardedCoordinator::applyRegister(std::size_t shard,
                                        const coflow::CoflowId& id,
                                        std::int64_t next_external) {
   Worker& w = *workers_[shard];
+  ScheduleState& st = state_.shard(shard);
   // The register/unregister pair for one coflow may arrive via different
   // workers and race through their posts; the tombstone check makes the
   // two orders converge (registered-then-unregistered == never visible).
-  if (w.tombstones.contains(id)) return;
-  state_.shard(shard).registerCoflow(id);
+  if (st.isTombstoned(id)) return;
+  st.registerCoflow(id);
   registered_count_.fetch_add(1, std::memory_order_relaxed);
   if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
     w.journal.registerCoflow(id, next_external);
@@ -958,10 +956,10 @@ void ShardedCoordinator::applyUnregister(std::size_t shard,
                                          TimePoint now) {
   Worker& w = *workers_[shard];
   ScheduleState& st = state_.shard(shard);
-  const bool was_registered = st.registeredIds().contains(id);
+  const bool was_registered = st.isRegistered(id);
   st.unregisterCoflow(id);
   if (was_registered) registered_count_.fetch_sub(1, std::memory_order_relaxed);
-  w.tombstones[id] = now;
+  st.tombstone(id, now);
   if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
     w.journal.unregisterCoflow(id);
   }
@@ -1106,7 +1104,7 @@ void ShardedCoordinator::promote() {
     const std::size_t t = state_.shardFor(id);
     const auto seed = [this, t, id, now] {
       state_.shard(t).unregisterCoflow(id);
-      workers_[t]->tombstones[id] = now;
+      state_.shard(t).tombstone(id, now);
     };
     if (t == 0) {
       seed();

@@ -100,6 +100,7 @@ class ShardSet {
 
   std::size_t registeredCount() const;
   std::size_t scheduledCount() const;
+  std::size_t tombstoneCount() const;
   std::unordered_map<coflow::CoflowId, double> globalSizes() const;
 
   /// Stage shard `s`'s sorted sub-delta (safe to call concurrently for
@@ -189,17 +190,15 @@ class ShardedCoordinator {
     int frames_since_snapshot = 0;
   };
 
-  /// One worker: an event loop + thread owning one shard's connections,
-  /// tombstones, and journal staging. Worker 0 is the leader: it also
-  /// owns the listener, the tick timer, the checkpoint, and (in standby
-  /// mode) the upstream mirror.
+  /// One worker: an event loop + thread owning one shard (its schedule
+  /// state and tombstones), its connections, and journal staging. Worker 0
+  /// is the leader: it also owns the listener, the tick timer, the
+  /// checkpoint, and (in standby mode) the upstream mirror.
   struct Worker {
     net::EventLoop loop;
     std::thread thread;
     std::unordered_map<std::uint64_t, Peer> peers;
     std::uint64_t next_peer_key = 1;
-    /// Unregister tombstones for coflows this worker's shard owns.
-    std::unordered_map<coflow::CoflowId, TimePoint> tombstones;
     /// Journal records staged at apply time, absorbed at the barrier.
     JournalBatch journal;
     /// Per-target batches for routing report sizes to owning shards.

@@ -277,6 +277,38 @@ TEST(EventLoop, PostRunsOnLoopAndWakes) {
   EXPECT_TRUE(ran);
 }
 
+TEST(EventLoop, TimerWaitIsPreciseWithoutSpinning) {
+  // The wait for a timer must neither end early (the timer is never
+  // dispatched before its deadline) nor poll: a whole-ms wait would spin
+  // through the last partial millisecond in zero-timeout epoll calls.
+  EventLoop loop;
+  const auto start = EventLoop::Clock::now();
+  EventLoop::Clock::time_point fired_at{};
+  loop.callAfter(std::chrono::milliseconds(20),
+                 [&] { fired_at = EventLoop::Clock::now(); });
+  int calls = 0;
+  while (fired_at == EventLoop::Clock::time_point{} &&
+         EventLoop::Clock::now() - start < std::chrono::seconds(2)) {
+    loop.runOnce(std::chrono::milliseconds(100));
+    ++calls;
+  }
+  ASSERT_NE(fired_at, EventLoop::Clock::time_point{});
+  EXPECT_GE(fired_at - start, std::chrono::milliseconds(20));
+  EXPECT_LE(calls, 4);
+}
+
+TEST(EventLoop, StopBeforeRunIsNotLost) {
+  EventLoop loop;
+  bool backstop = false;
+  loop.callAfter(std::chrono::seconds(2), [&] {
+    backstop = true;
+    loop.stop();
+  });
+  loop.stop();
+  loop.run();  // Must return at once: the stop came first.
+  EXPECT_FALSE(backstop);
+}
+
 TEST(Sockets, ListenConnectAccept) {
   auto [listener, port] = listenTcp(0);
   ASSERT_TRUE(listener.valid());

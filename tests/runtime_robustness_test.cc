@@ -194,6 +194,78 @@ TEST(RuntimeRobustness, StopIsIdempotentUnderConcurrentCallers) {
   coordinator.stop();
 }
 
+TEST(RuntimeRobustness, ImmediateStopAfterStartNeverHangs) {
+  // stop() may land before the loop thread has entered its loop; the stop
+  // must still end it (it used to be cleared on loop entry and lost).
+  for (int i = 0; i < 200; ++i) {
+    Coordinator coordinator(fastCoordinator());
+    coordinator.start();
+    coordinator.stop();
+  }
+  Coordinator coordinator(fastCoordinator());
+  coordinator.start();
+  for (int i = 0; i < 200; ++i) {
+    DaemonConfig dcfg;
+    dcfg.coordinator_port = coordinator.port();
+    dcfg.daemon_id = static_cast<std::uint64_t>(i + 1);
+    dcfg.sync_interval = 0.005;
+    Daemon daemon(dcfg);
+    daemon.start();
+    daemon.stop();
+  }
+  coordinator.stop();
+}
+
+// A frame whose element count claims 0xFFFFFFFF entries but carries only a
+// few bytes, for every message kind with a count (and both counts of a
+// delta). The decoder must reject each from the frame length alone,
+// before reserving anything.
+std::vector<net::Buffer> countBombs() {
+  const auto frame = [](net::MessageType type, int header_u64s,
+                        bool empty_entries_first) {
+    net::Buffer b;
+    b.putU8(static_cast<std::uint8_t>(type));
+    for (int i = 0; i < header_u64s; ++i) b.putU64(7);
+    if (empty_entries_first) b.putU32(0);
+    b.putU32(0xFFFFFFFFu);
+    while (b.readableBytes() < 40) b.putU8(0);
+    return b;
+  };
+  std::vector<net::Buffer> bombs;
+  bombs.push_back(frame(net::MessageType::kRegisterCoflow, 1, false));
+  bombs.push_back(frame(net::MessageType::kSizeReport, 2, false));
+  bombs.push_back(frame(net::MessageType::kScheduleUpdate, 2, false));
+  bombs.push_back(frame(net::MessageType::kScheduleDelta, 3, false));
+  bombs.push_back(frame(net::MessageType::kScheduleDelta, 3, true));
+  return bombs;
+}
+
+TEST(RuntimeRobustness, DecoderRejectsCountsBeyondTheFrame) {
+  for (net::Buffer& bomb : countBombs()) {
+    ASSERT_LE(bomb.readableBytes(), 48u);
+    const int type = *bomb.peek();
+    // std::runtime_error, not std::bad_alloc: rejected before reserve().
+    EXPECT_THROW(net::decodeMessage(bomb), std::runtime_error) << "type " << type;
+  }
+}
+
+TEST(RuntimeRobustness, CoordinatorCountsOversizedCountFrames) {
+  Coordinator coordinator(fastCoordinator());
+  coordinator.start();
+  net::EventLoop loop;
+  net::Connection conn(loop, net::connectTcp(coordinator.port()), {}, {});
+  auto bombs = countBombs();
+  for (const net::Buffer& bomb : bombs) conn.sendFrame(bomb);
+  waitFor([&] {
+    loop.runOnce(std::chrono::milliseconds(5));
+    return coordinator.stats().malformed_frames.load(
+               std::memory_order_relaxed) >= bombs.size();
+  });
+  AaloClient client(coordinator.port());
+  EXPECT_EQ(client.registerCoflow().internal, 0);  // Still serving.
+  coordinator.stop();
+}
+
 TEST(RuntimeRobustness, TombstonesAreCollectedOnceReportsPrune) {
   CoordinatorConfig ccfg = fastCoordinator();
   ccfg.tombstone_gc_intervals = 10;

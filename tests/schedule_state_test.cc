@@ -1,0 +1,433 @@
+// ScheduleState pinned by one seeded op stream, from three sides:
+//
+//  * Golden transcript: a digest of every buildDelta() output and of every
+//    20th snapshotEntries() — the exact bytes the coordinator would put on
+//    the wire — pinned as constants. Any change to the delta chain, the
+//    snapshot order, the ON gate or the size arithmetic moves the digest.
+//  * Differential: after every round, snapshotEntries() against the
+//    legacySchedule() rebuild oracle, entry for entry.
+//  * Checkpoint: snapshot write -> restore into a fresh state -> the same
+//    snapshotEntries(), entry for entry.
+//
+// The stream mixes registrations, absolute reports from five daemons,
+// unregistrations, late mentions of unregistered coflows (filtered while
+// their tombstone lives, resurrecting them after it is collected), daemon
+// drops and tombstone GC — everything the coordinator's report path does.
+// Sizes are whole kB, so every sum is exact in any order and the oracle
+// comparisons can demand equality.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <bit>
+#include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "runtime/checkpoint.h"
+#include "runtime/schedule_state.h"
+#include "util/rng.h"
+#include "util/units.h"
+
+namespace aalo::runtime {
+namespace {
+
+const std::vector<util::Bytes> kThresholds{1.0 * util::kMB, 10.0 * util::kMB,
+                                           100.0 * util::kMB};
+constexpr int kRounds = 400;
+constexpr int kDaemons = 5;
+/// A tombstone unmentioned for more than this many rounds is collected.
+constexpr int kGcRounds = 6;
+constexpr int kSnapshotEvery = 20;
+
+struct Op {
+  enum Kind { kRegister, kUnregister, kReport, kDrop, kEndRound } kind;
+  coflow::CoflowId id{};
+  std::uint64_t daemon = 0;
+  std::vector<std::pair<coflow::CoflowId, double>> sizes{};
+};
+
+/// The seeded stream. Absolute sizes are monotone per (daemon, coflow)
+/// and survive a daemon drop, as a reconnecting daemon's would.
+std::vector<Op> makeStream(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Op> ops;
+  std::vector<coflow::CoflowId> live;
+  std::vector<coflow::CoflowId> retired;
+  std::unordered_map<std::uint64_t,
+                     std::unordered_map<coflow::CoflowId, double>>
+      absolute;
+  std::int64_t next_external = 1;
+  const auto pickFrom = [&](const std::vector<coflow::CoflowId>& v) {
+    return v[static_cast<std::size_t>(
+        rng.uniformInt(0, static_cast<std::int64_t>(v.size()) - 1))];
+  };
+  for (int round = 0; round < kRounds; ++round) {
+    const auto n = rng.uniformInt(1, 6);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const auto roll = rng.uniformInt(0, 99);
+      if (roll < 15 || live.size() < 3) {
+        const coflow::CoflowId id{next_external++,
+                                  static_cast<std::int32_t>(rng.uniformInt(0, 2))};
+        live.push_back(id);
+        ops.push_back({.kind = Op::kRegister, .id = id});
+      } else if (roll < 23) {
+        const auto idx = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
+        const coflow::CoflowId id = live[idx];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+        retired.push_back(id);
+        ops.push_back({.kind = Op::kUnregister, .id = id});
+      } else if (roll < 94) {
+        Op op{.kind = Op::kReport,
+              .daemon = static_cast<std::uint64_t>(rng.uniformInt(0, kDaemons - 1))};
+        const auto sizes = rng.uniformInt(1, 4);
+        for (std::int64_t s = 0; s < sizes; ++s) {
+          const bool late = !retired.empty() && rng.chance(0.15);
+          const coflow::CoflowId id = late ? pickFrom(retired) : pickFrom(live);
+          double& bytes = absolute[op.daemon][id];
+          // A third of the mentions re-report an unchanged size.
+          if (!rng.chance(0.33)) {
+            bytes += util::kKB * static_cast<double>(rng.uniformInt(1, 1 << 14));
+          }
+          op.sizes.emplace_back(id, bytes);
+        }
+        ops.push_back(std::move(op));
+      } else {
+        ops.push_back({.kind = Op::kDrop,
+                       .daemon = static_cast<std::uint64_t>(
+                           rng.uniformInt(0, kDaemons - 1))});
+      }
+    }
+    ops.push_back({.kind = Op::kEndRound});
+  }
+  return ops;
+}
+
+/// FNV-1a over the wire-relevant fields of schedule frames.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(const coflow::CoflowId& id) {
+    add(static_cast<std::uint64_t>(id.external));
+    add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.internal)));
+  }
+  void add(const std::vector<net::ScheduleEntry>& entries) {
+    add(entries.size());
+    for (const auto& e : entries) {
+      add(e.id);
+      add(std::bit_cast<std::uint64_t>(e.global_bytes));
+      add(static_cast<std::uint64_t>(e.queue));
+      add(e.on ? 1 : 0);
+    }
+  }
+};
+
+/// Where the replay keeps its tombstones: in front of applySize, as the
+/// coordinator once did, or in ScheduleState itself (applyReport).
+enum class Tombstones { kExternal, kInState };
+
+/// Replays a stream the way the coordinator drives ScheduleState: the
+/// tombstone filter sits in front of the size update, and a tombstone is
+/// collected once no report mentioned it for more than kGcRounds.
+/// Also keeps the applied reports, to tell which coflows the oracles can
+/// see (see withoutOrphans).
+class Replayer {
+ public:
+  explicit Replayer(std::size_t max_on,
+                    Tombstones where = Tombstones::kExternal)
+      : state(kThresholds, max_on), in_state(where == Tombstones::kInState) {}
+
+  /// Round `r` on a steady clock ticking 10 ms per round.
+  static ScheduleState::TimePoint at(int r) {
+    return ScheduleState::TimePoint{} + std::chrono::milliseconds(10 * r);
+  }
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case Op::kRegister:
+        state.registerCoflow(op.id);
+        registered.insert(op.id);
+        break;
+      case Op::kUnregister:
+        state.unregisterCoflow(op.id);
+        registered.erase(op.id);
+        for (auto& [daemon, sizes] : applied) sizes.erase(op.id);
+        if (in_state) {
+          state.tombstone(op.id, at(round));
+        } else {
+          tombstones[op.id] = round;
+        }
+        break;
+      case Op::kReport:
+        for (const auto& [id, bytes] : op.sizes) {
+          if (in_state) {
+            if (!state.applyReport(op.daemon, id, bytes, at(round))) continue;
+          } else {
+            const auto tomb = tombstones.find(id);
+            if (tomb != tombstones.end()) {
+              tomb->second = round;
+              continue;
+            }
+            state.applySize(op.daemon, id, bytes);
+          }
+          applied[op.daemon][id] = bytes;
+        }
+        break;
+      case Op::kDrop:
+        state.dropDaemon(op.daemon);
+        applied.erase(op.daemon);
+        break;
+      case Op::kEndRound:
+        if (in_state) {
+          state.collectTombstones(at(round - kGcRounds));
+        }
+        for (auto it = tombstones.begin(); it != tombstones.end();) {
+          it = round - it->second > kGcRounds ? tombstones.erase(it)
+                                              : std::next(it);
+        }
+        ++round;
+        break;
+    }
+  }
+
+  bool tombstoned(const coflow::CoflowId& id) const {
+    return in_state ? state.isTombstoned(id) : tombstones.contains(id);
+  }
+
+  std::vector<coflow::CoflowId> tombstoneIds() const {
+    std::vector<coflow::CoflowId> out;
+    if (in_state) {
+      state.forEachTombstone(
+          [&](const coflow::CoflowId& id) { out.push_back(id); });
+    }
+    for (const auto& [id, mentioned] : tombstones) out.push_back(id);
+    return out;
+  }
+
+  /// The incremental state keeps a coflow whose last reporter dropped even
+  /// if nobody registered it; the rebuild oracle and the checkpoint (which
+  /// hold only registrations and reports) do not. Removes such orphans
+  /// from `entries` and re-applies the positional ON gate.
+  std::vector<net::ScheduleEntry> withoutOrphans(
+      const std::vector<net::ScheduleEntry>& entries, std::size_t max_on) const {
+    std::unordered_set<coflow::CoflowId> reported;
+    for (const auto& [daemon, sizes] : applied) {
+      for (const auto& [id, bytes] : sizes) reported.insert(id);
+    }
+    std::vector<net::ScheduleEntry> out;
+    for (const auto& e : entries) {
+      if (registered.contains(e.id) || reported.contains(e.id)) out.push_back(e);
+    }
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].on = max_on == 0 || i < max_on;
+    }
+    return out;
+  }
+
+  ScheduleState state;
+  const bool in_state;
+  int round = 0;
+  std::unordered_set<coflow::CoflowId> registered;
+  std::unordered_map<coflow::CoflowId, int> tombstones;
+  std::unordered_map<std::uint64_t,
+                     std::unordered_map<coflow::CoflowId, double>>
+      applied;
+};
+
+void expectSameEntries(const std::vector<net::ScheduleEntry>& want,
+                       const std::vector<net::ScheduleEntry>& got,
+                       const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].id, got[i].id) << what << " entry " << i;
+    EXPECT_EQ(want[i].global_bytes, got[i].global_bytes) << what << " entry " << i;
+    EXPECT_EQ(want[i].queue, got[i].queue) << what << " entry " << i;
+    EXPECT_EQ(want[i].on, got[i].on) << what << " entry " << i;
+  }
+}
+
+struct Transcript {
+  std::uint64_t digest = 0;
+  std::size_t delta_entries = 0;
+  std::size_t removals = 0;
+  std::size_t final_scheduled = 0;
+};
+
+Transcript transcriptOf(std::uint64_t seed, std::size_t max_on,
+                        Tombstones where = Tombstones::kExternal) {
+  Replayer replay(max_on, where);
+  Digest digest;
+  Transcript t;
+  std::vector<net::ScheduleEntry> entries;
+  std::vector<coflow::CoflowId> removals;
+  for (const Op& op : makeStream(seed)) {
+    replay.apply(op);
+    if (op.kind != Op::kEndRound) continue;
+    digest.add(replay.state.buildDelta(entries, removals) ? 1 : 0);
+    digest.add(entries);
+    digest.add(removals.size());
+    for (const auto& id : removals) digest.add(id);
+    t.delta_entries += entries.size();
+    t.removals += removals.size();
+    if (replay.round % kSnapshotEvery == 0) {
+      replay.state.snapshotEntries(entries);
+      digest.add(entries);
+    }
+  }
+  t.digest = digest.h;
+  t.final_scheduled = replay.state.scheduledCount();
+  return t;
+}
+
+TEST(ScheduleStateGolden, TranscriptAllOn) {
+  const Transcript t = transcriptOf(101, 0);
+  EXPECT_EQ(t.delta_entries, 1885u);
+  EXPECT_EQ(t.removals, 104u);
+  EXPECT_EQ(t.final_scheduled, 195u);
+  EXPECT_EQ(t.digest, 5387070885171972778ULL);
+}
+
+TEST(ScheduleStateGolden, TranscriptWithOnBudget) {
+  const Transcript t = transcriptOf(202, 4);
+  EXPECT_EQ(t.delta_entries, 1660u);
+  EXPECT_EQ(t.removals, 111u);
+  EXPECT_EQ(t.final_scheduled, 186u);
+  EXPECT_EQ(t.digest, 16587784345317529758ULL);
+}
+
+void differential(std::uint64_t seed, std::size_t max_on,
+                  Tombstones where = Tombstones::kExternal) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " max_on=" + std::to_string(max_on));
+  Replayer replay(max_on, where);
+  std::vector<net::ScheduleEntry> delta, snapshot, legacy;
+  std::vector<coflow::CoflowId> removals;
+  std::size_t orphaned_rounds = 0;
+  for (const Op& op : makeStream(seed)) {
+    replay.apply(op);
+    if (op.kind != Op::kEndRound) continue;
+    replay.state.buildDelta(delta, removals);
+    replay.state.snapshotEntries(snapshot);
+    replay.state.legacySchedule(
+        [&](const coflow::CoflowId& id) { return replay.tombstoned(id); },
+        legacy);
+    const auto visible = replay.withoutOrphans(snapshot, max_on);
+    orphaned_rounds += visible.size() != snapshot.size() ? 1 : 0;
+    expectSameEntries(legacy, visible, "round " + std::to_string(replay.round));
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The stream must reach the orphan edge, or the filter above is moot.
+  EXPECT_GT(orphaned_rounds, 0u);
+}
+
+TEST(ScheduleStateDifferential, MatchesLegacyOracleAllOn) { differential(101, 0); }
+TEST(ScheduleStateDifferential, MatchesLegacyOracleWithOnBudget) {
+  differential(202, 4);
+}
+
+void checkpointRoundTrip(std::uint64_t seed, std::size_t max_on,
+                         Tombstones where = Tombstones::kExternal) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " max_on=" + std::to_string(max_on));
+  const auto dir = std::filesystem::path(testing::TempDir()) /
+                   ("aalo_state_ckpt_" + std::to_string(seed) + "_" +
+                    std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  Replayer replay(max_on, where);
+  std::vector<net::ScheduleEntry> live, restored_entries;
+  for (const Op& op : makeStream(seed)) {
+    replay.apply(op);
+    if (op.kind != Op::kEndRound || replay.round % 10 != 0) continue;
+    const auto tombstones = replay.tombstoneIds();
+    Checkpoint writer(dir.string());
+    ASSERT_TRUE(writer.writeSnapshot(replay.state, tombstones, 1,
+                                     static_cast<std::uint64_t>(replay.round),
+                                     0, kThresholds, max_on));
+    Checkpoint reader(dir.string());
+    ScheduleState restored(kThresholds, max_on);
+    const auto result = reader.restore(restored, kThresholds, max_on);
+    ASSERT_TRUE(result.has_value()) << "round " << replay.round;
+    EXPECT_EQ(std::unordered_set<coflow::CoflowId>(result->tombstones.begin(),
+                                                   result->tombstones.end()),
+              std::unordered_set<coflow::CoflowId>(tombstones.begin(),
+                                                   tombstones.end()));
+    replay.state.snapshotEntries(live);
+    restored.snapshotEntries(restored_entries);
+    expectSameEntries(replay.withoutOrphans(live, max_on), restored_entries,
+                      "round " + std::to_string(replay.round));
+    if (::testing::Test::HasFailure()) return;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScheduleStateCheckpoint, RestoreReproducesSnapshotAllOn) {
+  checkpointRoundTrip(101, 0);
+}
+TEST(ScheduleStateCheckpoint, RestoreReproducesSnapshotWithOnBudget) {
+  checkpointRoundTrip(202, 4);
+}
+
+// The same streams with the tombstones kept inside ScheduleState
+// (applyReport / tombstone / collectTombstones) must give the transcripts
+// pinned above bit for bit.
+TEST(ScheduleStateGolden, InStateTombstonesGiveTheSameTranscript) {
+  for (const auto& [seed, max_on] :
+       {std::pair<std::uint64_t, std::size_t>{101, 0}, {202, 4}}) {
+    const Transcript want = transcriptOf(seed, max_on);
+    const Transcript got = transcriptOf(seed, max_on, Tombstones::kInState);
+    EXPECT_EQ(got.digest, want.digest) << "seed " << seed;
+    EXPECT_EQ(got.delta_entries, want.delta_entries) << "seed " << seed;
+    EXPECT_EQ(got.removals, want.removals) << "seed " << seed;
+    EXPECT_EQ(got.final_scheduled, want.final_scheduled) << "seed " << seed;
+  }
+}
+
+TEST(ScheduleStateDifferential, InStateTombstonesMatchLegacyOracle) {
+  differential(101, 0, Tombstones::kInState);
+  differential(202, 4, Tombstones::kInState);
+}
+
+TEST(ScheduleStateCheckpoint, InStateTombstonesRoundTrip) {
+  checkpointRoundTrip(101, 0, Tombstones::kInState);
+  checkpointRoundTrip(202, 4, Tombstones::kInState);
+}
+
+TEST(ScheduleStateTombstones, ExpireExactlyAfterTheirLastMention) {
+  using std::chrono::milliseconds;
+  const ScheduleState::TimePoint t0{};
+  ScheduleState state(kThresholds, 0);
+  const coflow::CoflowId a{1, 0}, b{2, 0}, c{3, 0};
+  state.registerCoflow(c);
+  state.tombstone(a, t0);
+  state.tombstone(b, t0 + milliseconds(5));
+  EXPECT_EQ(state.tombstoneCount(), 2u);
+  // A late report of `a` is filtered and keeps its tombstone alive.
+  EXPECT_FALSE(state.applyReport(7, a, 1e6, t0 + milliseconds(30)));
+  EXPECT_EQ(state.scheduledCount(), 1u);
+  EXPECT_TRUE(state.applyReport(7, c, 1e6, t0 + milliseconds(30)));
+  // Cutoffs are exclusive: last mentioned at the cutoff = still held.
+  EXPECT_EQ(state.collectTombstones(t0 + milliseconds(5)), 0u);
+  EXPECT_EQ(state.collectTombstones(t0 + milliseconds(6)), 1u);  // b
+  EXPECT_FALSE(state.isTombstoned(b));
+  EXPECT_TRUE(state.isTombstoned(a));
+  EXPECT_EQ(state.collectTombstones(t0 + milliseconds(30)), 0u);
+  EXPECT_EQ(state.collectTombstones(t0 + milliseconds(31)), 1u);  // a
+  EXPECT_EQ(state.tombstoneCount(), 0u);
+  // Collected: a later report re-creates the coflow.
+  EXPECT_TRUE(state.applyReport(7, a, 2e6, t0 + milliseconds(40)));
+  EXPECT_EQ(state.globalBytes(a), 2e6);
+  EXPECT_EQ(state.globalBytes(c), 1e6);
+}
+
+}  // namespace
+}  // namespace aalo::runtime
