@@ -13,7 +13,6 @@
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "runtime/schedule_state.h"
-#include "sim/calendar.h"
 
 using namespace aalo;
 
@@ -325,45 +324,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsOverhead)->DenseRange(0, 4);
 
-// Raw event-calendar churn: one membership-change round's worth of
-// invalidate + re-push against a standing population of range(0) keyed
-// flows, followed by the round's peek / drain / compaction hooks. This is
-// the fixed per-round calendar overhead the event-driven engine pays in
-// exchange for dropping the O(active) completion scan; items processed
-// counts re-keyed flows, so the ns/item rate is the marginal re-key cost.
-void BM_EventHeap(benchmark::State& state) {
-  const auto flows = static_cast<std::size_t>(state.range(0));
-  sim::EventCalendar calendar;
-  calendar.reset(flows);
-  // Deterministic key stream (no RNG in the timed loop): keys land in
-  // [1, 2) so pushes interleave instead of appending in sorted order.
-  std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
-  const auto next_key = [&lcg]() {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return 1.0 + static_cast<double>(lcg >> 11) * 0x1.0p-53;
-  };
-  for (std::size_t fi = 0; fi < flows; ++fi) {
-    calendar.pushCompletion(fi, next_key());
-    calendar.pushSnap(fi, next_key());
-  }
-  std::vector<std::uint32_t> due;
-  const std::size_t burst = std::max<std::size_t>(1, flows / 8);
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < burst; ++i) {
-      const std::size_t fi = cursor++ % flows;
-      calendar.invalidate(fi);
-      calendar.pushCompletion(fi, next_key());
-      calendar.pushSnap(fi, next_key());
-    }
-    benchmark::DoNotOptimize(calendar.nextCompletion());
-    calendar.drainSnapDue(0.5, due);  // Below every key: the common no-op gate.
-    calendar.compactIfBloated();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(burst));
-}
-BENCHMARK(BM_EventHeap)->Arg(64)->Arg(512)->Arg(4096);
-
 // The engine's integration sweep in isolation: pass 1 is the vectorizable
 // min/add over the slot-packed SoA columns, pass 2 scatters the deltas
 // into per-coflow totals — byte-for-byte the loop in executeIncremental.
@@ -422,7 +382,7 @@ void BM_TraceReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceReplay)->Arg(0)->Arg(100)->Unit(benchmark::kMillisecond);
 
-// Scale stressor for the event calendar: a 100k-coflow Facebook-shaped
+// Scale stressor for the incremental engine: a 100k-coflow Facebook-shaped
 // trace (same generator as tools/aalo_tracegen --kind fb --coflows
 // 100000) replayed end to end under Aalo with Δ = 100 ms. Width is
 // capped at 6x6 senders/receivers — the fb shape keeps its size and

@@ -6,6 +6,7 @@
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
+#                            # + engine pins + net + maxmin
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
@@ -81,18 +82,23 @@ assert d['metrics'], 'empty metrics dump'
 }
 
 run_asan() {
-  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state suites ==="
+  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + maxmin suites ==="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
              coordination_equivalence_test shard_barrier_test \
              obs_test obs_invariant_test \
              obs_concurrency_test trace_fuzz_test golden_trace_test \
-             ha_test checkpoint_test sched_property_test schedule_state_test
+             ha_test checkpoint_test sched_property_test schedule_state_test \
+             net_test maxmin_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
-    -R 'EngineEquivalence|EngineFuzz|EventCalendarProperty|DClasQueueOracle' \
+    -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
     --output-on-failure -j "$(nproc)")
+  # Wire codec (frame decode bounds, zero-length appends) and the max-min
+  # allocator against its reference oracle, whole binaries.
+  ./build-asan/tests/net_test
+  ./build-asan/tests/maxmin_test
   (cd build-asan && ctest -L metrics --output-on-failure -j "$(nproc)")
   # '^ha$' because -L is a regex and a bare "ha" also matches "chaos".
   (cd build-asan && ctest -L '^ha$' --output-on-failure -j "$(nproc)")

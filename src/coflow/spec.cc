@@ -1,6 +1,7 @@
 #include "coflow/spec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <unordered_set>
@@ -51,8 +52,10 @@ void Workload::validate() const {
     if (!seen_jobs.insert(job.id).second) {
       throw std::invalid_argument("Workload: duplicate job id " + std::to_string(job.id));
     }
-    if (job.arrival < 0 || job.compute_time < 0) {
-      throw std::invalid_argument("Workload: negative job arrival/compute time");
+    if (!std::isfinite(job.arrival) || !std::isfinite(job.compute_time) ||
+        job.arrival < 0 || job.compute_time < 0) {
+      throw std::invalid_argument(
+          "Workload: negative or non-finite job arrival/compute time");
     }
     for (const CoflowSpec& c : job.coflows) {
       if (!seen_coflows.insert(c.id).second) {
@@ -61,25 +64,28 @@ void Workload::validate() const {
       if (c.flows.empty()) {
         throw std::invalid_argument("Workload: coflow " + c.id.toString() + " has no flows");
       }
-      if (c.arrival_offset < 0) {
-        throw std::invalid_argument("Workload: negative coflow arrival offset");
+      if (!std::isfinite(c.arrival_offset) || c.arrival_offset < 0) {
+        throw std::invalid_argument(
+            "Workload: negative or non-finite coflow arrival offset");
       }
-      if (c.deadline < 0) {
-        throw std::invalid_argument("Workload: negative deadline in coflow " +
-                                    c.id.toString());
+      if (!std::isfinite(c.deadline) || c.deadline < 0) {
+        throw std::invalid_argument(
+            "Workload: negative or non-finite deadline in coflow " + c.id.toString());
       }
       for (const FlowSpec& f : c.flows) {
         if (f.src < 0 || f.src >= num_ports || f.dst < 0 || f.dst >= num_ports) {
           throw std::invalid_argument("Workload: flow port out of range in coflow " +
                                       c.id.toString());
         }
-        if (f.bytes <= 0) {
-          throw std::invalid_argument("Workload: non-positive flow size in coflow " +
-                                      c.id.toString());
+        if (!std::isfinite(f.bytes) || f.bytes <= 0) {
+          throw std::invalid_argument(
+              "Workload: non-positive or non-finite flow size in coflow " +
+              c.id.toString());
         }
-        if (f.start_offset < 0) {
-          throw std::invalid_argument("Workload: negative flow start offset in coflow " +
-                                      c.id.toString());
+        if (!std::isfinite(f.start_offset) || f.start_offset < 0) {
+          throw std::invalid_argument(
+              "Workload: negative or non-finite flow start offset in coflow " +
+              c.id.toString());
         }
       }
     }

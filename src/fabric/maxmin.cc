@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define AALO_MAXMIN_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace aalo::fabric {
 
@@ -29,11 +25,11 @@ constexpr double kLevelSlack = 1e-9;
 // original left-to-right chain. The compiler may not reassociate FP math
 // itself, so the reassociation is spelled out to break the serial min
 // dependency and let lanes pipeline.
-double levelSweepScalar(std::size_t count, const std::uint32_t* src_col,
-                        const std::uint32_t* dst_col, const std::uint32_t* up_col,
-                        const std::uint32_t* down_col, const double* cap_col,
-                        const double* lvl_in, const double* lvl_out,
-                        const double* lvl_up, const double* lvl_down, double* lvl) {
+double levelSweep(std::size_t count, const std::uint32_t* src_col,
+                  const std::uint32_t* dst_col, const std::uint32_t* up_col,
+                  const std::uint32_t* down_col, const double* cap_col,
+                  const double* lvl_in, const double* lvl_out, const double* lvl_up,
+                  const double* lvl_down, double* lvl) {
   const auto laneLevel = [&](std::size_t k) {
     const double ab = std::min(lvl_in[src_col[k]], lvl_out[dst_col[k]]);
     const double cd = std::min(lvl_up[up_col[k]], lvl_down[down_col[k]]);
@@ -62,70 +58,6 @@ double levelSweepScalar(std::size_t count, const std::uint32_t* src_col,
     m0 = std::min(m0, l);
   }
   return std::min(std::min(m0, m1), std::min(m2, m3));
-}
-
-#if AALO_MAXMIN_AVX2
-// GCC's gather intrinsics read an undefined pass-through operand by
-// design (the all-ones mask makes it dead), which trips
-// -Wmaybe-uninitialized inside avx2intrin.h.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-// Four lanes per step with hardware gathers (vgatherdpd) and packed mins
-// (vminpd). minpd(a, b) differs from std::min only for NaN operands and
-// for -0.0 vs +0.0 ordering, neither of which can appear here (see the
-// scalar sweep's comment), so this path is bit-identical too. Runtime
-// dispatched — the repo's baseline codegen stays plain x86-64.
-__attribute__((target("avx2"))) double levelSweepAvx2(
-    std::size_t count, const std::uint32_t* src_col, const std::uint32_t* dst_col,
-    const std::uint32_t* up_col, const std::uint32_t* down_col,
-    const double* cap_col, const double* lvl_in, const double* lvl_out,
-    const double* lvl_up, const double* lvl_down, double* lvl) {
-  __m256d vmin = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d in = _mm256_i32gather_pd(
-        lvl_in, _mm_loadu_si128(reinterpret_cast<const __m128i*>(src_col + k)), 8);
-    const __m256d out = _mm256_i32gather_pd(
-        lvl_out, _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst_col + k)), 8);
-    const __m256d up = _mm256_i32gather_pd(
-        lvl_up, _mm_loadu_si128(reinterpret_cast<const __m128i*>(up_col + k)), 8);
-    const __m256d down = _mm256_i32gather_pd(
-        lvl_down, _mm_loadu_si128(reinterpret_cast<const __m128i*>(down_col + k)), 8);
-    const __m256d cap = _mm256_loadu_pd(cap_col + k);
-    const __m256d level = _mm256_min_pd(_mm256_min_pd(in, out),
-                                        _mm256_min_pd(_mm256_min_pd(up, down), cap));
-    _mm256_storeu_pd(lvl + k, level);
-    vmin = _mm256_min_pd(vmin, level);
-  }
-  alignas(32) double m[4];
-  _mm256_store_pd(m, vmin);
-  double min_level = std::min(std::min(m[0], m[1]), std::min(m[2], m[3]));
-  for (; k < count; ++k) {
-    const double ab = std::min(lvl_in[src_col[k]], lvl_out[dst_col[k]]);
-    const double cd = std::min(lvl_up[up_col[k]], lvl_down[down_col[k]]);
-    const double l = std::min(ab, std::min(cd, cap_col[k]));
-    lvl[k] = l;
-    min_level = std::min(min_level, l);
-  }
-  return min_level;
-}
-#pragma GCC diagnostic pop
-#endif
-
-double levelSweep(std::size_t count, const std::uint32_t* src_col,
-                  const std::uint32_t* dst_col, const std::uint32_t* up_col,
-                  const std::uint32_t* down_col, const double* cap_col,
-                  const double* lvl_in, const double* lvl_out, const double* lvl_up,
-                  const double* lvl_down, double* lvl) {
-#if AALO_MAXMIN_AVX2
-  static const bool kHaveAvx2 = __builtin_cpu_supports("avx2") != 0;
-  if (kHaveAvx2) {
-    return levelSweepAvx2(count, src_col, dst_col, up_col, down_col, cap_col,
-                          lvl_in, lvl_out, lvl_up, lvl_down, lvl);
-  }
-#endif
-  return levelSweepScalar(count, src_col, dst_col, up_col, down_col, cap_col,
-                          lvl_in, lvl_out, lvl_up, lvl_down, lvl);
 }
 
 }  // namespace
@@ -291,7 +223,7 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
 
     // The water level each live lane could rise to right now, plus the
     // global minimum — one dense gather/min/scatter sweep over the SoA
-    // columns (AVX2 when the CPU has it; see levelSweep).
+    // columns (see levelSweep).
     double min_level = levelSweep(
         lanes, scratch.soa_src.data(), scratch.soa_dst.data(),
         scratch.soa_up.data(), scratch.soa_down.data(), scratch.soa_cap.data(),

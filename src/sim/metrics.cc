@@ -18,7 +18,7 @@ void recordSimResult(obs::Registry& registry, const SimResult& result) {
       .fetch_add(result.reused_allocations);
   registry
       .counter("aalo_sim_heap_rebuilds_total",
-               "Completion-predictor rebuilds (one per allocation install)", labels)
+               "Allocation installs by the incremental engine", labels)
       .fetch_add(result.heap_rebuilds);
   registry
       .counter("aalo_sim_coflows_total", "Coflows completed", labels)

@@ -71,17 +71,15 @@ struct SimResult {
   /// handshake (allocation_rounds = allocate_calls + reused_allocations
   /// under the incremental engine; reuse is 0 under the legacy engine).
   std::size_t reused_allocations = 0;
-  /// Times the completion predictor (sweep gate + per-coflow aggregate
-  /// rates) was rebuilt — one per allocation install under the
-  /// incremental engine, 0 under the legacy engine.
+  /// The next three counters keep names from an earlier heap-based
+  /// engine; all three are 0 under the legacy engine.
+  /// Allocation installs by the incremental engine (equal to
+  /// allocate_calls there).
   std::size_t heap_rebuilds = 0;
-  /// Calendar events consumed by the event-driven engine: completion
-  /// predictions the clock landed on plus snap-gate firings. 0 under the
-  /// legacy engine.
+  /// Flow completions swept by the incremental engine.
   std::size_t events_processed = 0;
-  /// Per-flow timing predictions (re)pushed onto the event calendar.
-  /// Allocation reuse keeps this near the number of genuine rate changes
-  /// rather than rounds x active flows. 0 under the legacy engine.
+  /// Per-flow rate changes installed by the incremental engine: flows
+  /// whose installed rate differs from the previous install's.
   std::size_t heap_rekeys = 0;
 
   /// Sum of CCTs — the unit-weighted "weighted CCT" objective the

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/calendar.h"
 #include "sim/metrics.h"
 #include "util/units.h"
 
@@ -61,7 +60,6 @@ class Run {
   SimResult executeLegacy();
   SimResult executeIncremental();
   void installAllocation(const SimView& view);
-  void rekeyFlow(std::size_t fi, util::Bytes remaining, util::Bytes slack);
   void sweepCompletions();
 
   static util::Bytes slackFor(util::Bytes size) {
@@ -96,8 +94,6 @@ class Run {
   // --- Incremental-engine state --------------------------------------
   // Per-coflow aggregate installed rate (SimView::coflow_rates).
   std::vector<util::Rate> coflow_rate_;
-  // Flow-completion / snap-eligibility predictions (see calendar.h).
-  EventCalendar calendar_;
   // Slot-packed mirrors of the active flows, aligned with active_flows_
   // (slot k describes flow active_flows_[k]; swap-removed in lockstep).
   // Between installs slot_sent_ is the *canonical* attained service of
@@ -110,16 +106,13 @@ class Run {
   std::vector<util::Bytes> slot_size_;
   std::vector<util::Bytes> slot_delta_;
   std::vector<std::uint32_t> slot_coflow_;
-  std::vector<std::size_t> slot_of_;     ///< flow index -> current slot.
-  std::vector<std::uint32_t> snap_due_;  ///< drainSnapDue scratch.
-  std::vector<std::uint32_t> completion_due_;  ///< collectCompletionsNear scratch.
-  std::vector<std::uint32_t> changed_slots_;   ///< installAllocation scratch.
   bool installed_ = false;
   std::uint64_t installed_index_epoch_ = 0;
   std::uint64_t installed_sched_epoch_ = 0;
   std::size_t allocate_calls_ = 0;
   std::size_t reused_allocations_ = 0;
-  std::size_t heap_rebuilds_ = 0;
+  std::size_t rate_changes_ = 0;      ///< Per-flow rate changes installed.
+  std::size_t flow_completions_ = 0;
 };
 
 void Run::buildState() {
@@ -219,17 +212,11 @@ void Run::releaseFlow(std::size_t fi) {
                         flows_.dst_port[fi]);
   coflows_[flows_.coflow_of[fi]].size_released += flows_.size_bytes[fi];
   if (incremental_) {
-    slot_of_[fi] = slot_rate_.size();
     slot_rate_.push_back(flows_.rate[fi]);
     slot_sent_.push_back(flows_.sent_bytes[fi]);
     slot_size_.push_back(flows_.size_bytes[fi]);
     slot_delta_.push_back(0.0);
     slot_coflow_.push_back(flows_.coflow_of[fi]);
-    // Flows born inside the completion slack (zero/dust sizes) never get
-    // a rate change to re-key them — arm the sweep gate here, exactly as
-    // the legacy engine's unconditional sweep would catch them.
-    const util::Bytes remaining = flows_.size_bytes[fi] - flows_.sent_bytes[fi];
-    if (remaining <= slackFor(flows_.size_bytes[fi])) calendar_.pushSnap(fi, now_);
     scheduler_.onFlowStarted(makeView(), fi);
   }
 }
@@ -401,58 +388,33 @@ SimResult Run::executeLegacy() {
   return buildResult();
 }
 
-// --- Incremental (event-driven) engine -------------------------------
+// --- Incremental engine ----------------------------------------------
 //
-// Produces trajectories equivalent to executeLegacy() to 1e-9 on every
-// finish time with identical round counts
-// (tests/engine_equivalence_test.cc holds every scheduler to that bar).
-// The per-round integration arithmetic — expression, order, and the
-// completion-sweep scan order — is kept exactly the legacy loop's:
-// schedulers that compare exact attained service (continuous CLAS's
-// sort, D-CLAS threshold back-dating) amplify drift into different
-// scheduling decisions. The engine's savings:
+// Produces trajectories equivalent to executeLegacy() — bit-identical
+// finish times and identical round counts (tests/engine_equivalence_test.cc
+// holds every scheduler to that bar). Every per-round expression — the
+// t_next minimum, the integration step, the completion condition and the
+// completion-sweep scan order — is the legacy loop's, evaluated over the
+// slot columns: schedulers that compare exact attained service
+// (continuous CLAS's sort, D-CLAS threshold back-dating) amplify any
+// drift into different scheduling decisions. The engine's savings:
 //
-//  1. Allocation reuse (PR 3). Every membership change bumps the
-//     active-index epoch, and schedulers opt in via scheduleEpoch().
-//     When both epochs match the installed pair, the round skips rate
-//     zeroing, allocate(), the rate copy, and verification outright.
+//  1. Allocation reuse. Every membership change bumps the active-index
+//     epoch, and schedulers opt in via scheduleEpoch(). When both epochs
+//     match the installed pair, the round skips rate zeroing,
+//     allocate(), the rate copy, and verification outright.
 //  2. Per-coflow aggregate rates (SimView::coflow_rates), rebuilt once
 //     per install by summing flow rates in group flow-index order —
 //     bitwise equal to the per-flow fallback sum in
 //     coflowAggregateRate().
-//  3. The event calendar (calendar.h). The legacy loop's two O(active)
-//     scans per round — the t_next division scan and the completion
-//     sweep — become a heap peek and a heap-gated sweep: per-flow
-//     completion/snap predictions are computed once per rate change
-//     (lazily invalidated, so reused rounds re-key nothing) and the
-//     sweep only runs on rounds where some flow is predicted
-//     snap-eligible. Cached predictions drift from the legacy per-round
-//     recomputations by accumulated-rounding ulps; the completion slack
-//     (1e-3 bytes) and the gate's grace window absorb that drift, which
-//     is what keeps the round structure identical.
-//  4. Slot-packed SoA integration. Active flows' (rate, sent, size) live
-//     in dense arrays aligned with active_flows_, so the one remaining
-//     per-round O(active) pass — rate integration — is a contiguous,
-//     branch-light loop (min/add; rate-0 flows contribute an exact +0.0,
-//     bitwise identical to the legacy skip), followed by a scalar
-//     scatter of the deltas into per-coflow totals in the same order the
-//     legacy loop accumulates them.
-
-void Run::rekeyFlow(std::size_t fi, util::Bytes remaining, util::Bytes slack) {
-  calendar_.invalidate(fi);
-  const util::Rate rate = flows_.rate[fi];
-  if (rate > util::kEps) {
-    calendar_.pushCompletion(fi, now_ + remaining / rate);
-  }
-  // `rate > 0` (not > kEps) so dust-rate flows that creep into the slack
-  // window over a long horizon still open the gate when legacy would
-  // snap them.
-  if (rate > 0) {
-    calendar_.pushSnap(fi, now_ + (remaining - slack) / rate);
-  } else if (remaining <= slack) {
-    calendar_.pushSnap(fi, now_);  // Zero-rate but already snap-eligible.
-  }
-}
+//  3. Slot-packed SoA state. Active flows' (rate, sent, size) live in
+//     dense arrays aligned with active_flows_, so the per-round
+//     O(active) passes — the t_next minimum, integration and the
+//     completion sweep — are contiguous loops instead of scattered
+//     arena reads. Integration is branch-light (min/add; rate-0 flows
+//     contribute an exact +0.0, bitwise identical to the legacy skip),
+//     followed by a scalar scatter of the deltas into per-coflow totals
+//     in the same order the legacy loop accumulates them.
 
 void Run::installAllocation(const SimView& view) {
   ++allocate_calls_;
@@ -464,49 +426,18 @@ void Run::installAllocation(const SimView& view) {
     flows_.sent_bytes[active_flows_[k]] = slot_sent_[k];
   }
   scheduler_.allocate(view, rates_);
-  changed_slots_.clear();
   for (std::size_t k = 0; k < active_flows_.size(); ++k) {
     const std::size_t fi = active_flows_[k];
     const util::Rate rate = std::max(0.0, rates_[fi]);
     // Re-zero in the same pass (the entry is already in cache) so the
     // next install skips a second scattered sweep over rates_.
     rates_[fi] = 0.0;
+    // slot_rate_[k] always mirrors flows_.rate[fi], so the dense slot
+    // read stands in for the scattered arena read.
     if (rate != slot_rate_[k]) {
-      // Only flows whose installed rate actually changed get re-keyed;
-      // everything else keeps its calendar entries (lazy invalidation).
-      // slot_rate_[k] always mirrors flows_.rate[fi], so the dense slot
-      // read stands in for the scattered arena read.
       flows_.rate[fi] = rate;
       slot_rate_[k] = rate;
-      changed_slots_.push_back(static_cast<std::uint32_t>(k));
-    }
-  }
-  if (2 * changed_slots_.size() > active_flows_.size()) {
-    // Most rates moved (the common case right after a membership change:
-    // water-filling redistributes globally). Re-keying those one sift-up
-    // at a time costs O(changed log heap) and buries the heaps in stale
-    // entries; one contiguous heapify over *all* active flows is cheaper
-    // and leaves both heaps fully valid. Recomputing an unchanged flow's
-    // keys from current canonical state is safe — keys only nominate,
-    // and the refreshed key equals this round's legacy expression.
-    calendar_.beginRebuild();
-    for (std::size_t k = 0; k < active_flows_.size(); ++k) {
-      const std::size_t fi = active_flows_[k];
-      const util::Rate rate = slot_rate_[k];
-      const util::Bytes remaining = slot_size_[k] - slot_sent_[k];
-      const util::Bytes slack = slackFor(slot_size_[k]);
-      if (rate > util::kEps) calendar_.stageCompletion(fi, now_ + remaining / rate);
-      if (rate > 0) {
-        calendar_.stageSnap(fi, now_ + (remaining - slack) / rate);
-      } else if (remaining <= slack) {
-        calendar_.stageSnap(fi, now_);
-      }
-    }
-    calendar_.finishRebuild();
-  } else {
-    for (const std::uint32_t k : changed_slots_) {
-      rekeyFlow(active_flows_[k], slot_size_[k] - slot_sent_[k],
-                slackFor(slot_size_[k]));
+      ++rate_changes_;
     }
   }
   if (options_.verify_allocations) verifyAllocation();
@@ -520,7 +451,6 @@ void Run::installAllocation(const SimView& view) {
     for (const std::size_t fi : g.flow_indices) total += flows_.rate[fi];
     coflow_rate_[g.coflow_index] = total;
   }
-  ++heap_rebuilds_;
 
   installed_ = true;
   installed_index_epoch_ = active_index_.epoch();
@@ -544,7 +474,7 @@ void Run::sweepCompletions() {
       flows_.sent_bytes[fi] = flows_.size_bytes[fi];
       flows_.done[fi] = 1;
       flows_.rate[fi] = 0;
-      calendar_.invalidate(fi);
+      ++flow_completions_;
       active_flows_[k] = active_flows_.back();
       active_flows_.pop_back();
       slot_rate_[k] = slot_rate_.back();
@@ -556,7 +486,6 @@ void Run::sweepCompletions() {
       slot_coflow_[k] = slot_coflow_.back();
       slot_coflow_.pop_back();
       slot_delta_.pop_back();
-      if (k < active_flows_.size()) slot_of_[active_flows_[k]] = k;
       active_index_.removeFlow(ci, fi);
       scheduler_.onFlowCompleted(makeView(), fi);
       CoflowState& c = coflows_[ci];
@@ -572,8 +501,6 @@ void Run::sweepCompletions() {
 SimResult Run::executeIncremental() {
   scheduler_.reset(fabric_);
   coflow_rate_.assign(coflows_.size(), 0.0);
-  calendar_.reset(flows_.size());
-  slot_of_.assign(flows_.size(), 0);
   processDueEvents();  // Releases everything due at t = 0.
 
   while (true) {
@@ -603,35 +530,20 @@ SimResult Run::executeIncremental() {
       ++reused_allocations_;
     } else {
       installAllocation(view);
-      calendar_.compactIfBloated();
     }
 
     // Earliest next state change: timeline arrival, flow completion, or
-    // scheduler wake-up. The calendar replaces the legacy engine's
-    // O(active) division scan with a heap peek — but cached keys drift
-    // from the legacy per-round recomputation by accumulated-rounding
-    // ulps, and schedulers that sort on exact attained service
-    // (continuous CLAS) amplify a one-ulp t_next difference into
-    // different decisions. So the cached keys only *nominate*: every
-    // candidate within a drift-covering window of the cached minimum
-    // gets the exact legacy expression recomputed from canonical state,
-    // and t_next takes the exact minimum. The window (1e-9 absolute +
-    // 1e-9 relative) is orders of magnitude above the observed drift
-    // (~1e-10 s over thousands of rounds) yet admits only near-
-    // simultaneous completions, so the recomputation stays O(ties).
-    const util::Seconds cached_min = calendar_.nextCompletion();
-    util::Seconds next_completion = kInfTime;
-    if (cached_min < kInfTime) {
-      const util::Seconds window = 1e-9 + 1e-9 * std::abs(cached_min);
-      calendar_.collectCompletionsNear(cached_min + window, completion_due_);
-      for (const std::uint32_t fi : completion_due_) {
-        const std::size_t k = slot_of_[fi];
-        next_completion = std::min(
-            next_completion, now_ + (slot_size_[k] - slot_sent_[k]) / slot_rate_[k]);
+    // scheduler wake-up — the legacy expression over the slot columns.
+    const std::size_t n = active_flows_.size();
+    const util::Rate* __restrict rate = slot_rate_.data();
+    const util::Bytes* __restrict size = slot_size_.data();
+    util::Bytes* __restrict sent = slot_sent_.data();
+    util::Seconds t_next = timeline_.empty() ? kInfTime : timeline_.top().time;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (rate[k] > util::kEps) {
+        t_next = std::min(t_next, now_ + (size[k] - sent[k]) / rate[k]);
       }
     }
-    util::Seconds t_next = timeline_.empty() ? kInfTime : timeline_.top().time;
-    t_next = std::min(t_next, next_completion);
     const util::Seconds wake = scheduler_.nextWakeup(view);
     if (wake > now_) t_next = std::min(t_next, wake);
 
@@ -640,7 +552,6 @@ SimResult Run::executeIncremental() {
                                scheduler_.name());
     }
     t_next = std::max(t_next, now_);  // Guard against wake-ups in the past.
-    if (t_next == next_completion) calendar_.noteEventProcessed();
 
     // Integrate: contiguous passes over the slot-packed state. Pass 1 is
     // the vectorizable min/add; pass 2 scatters deltas into per-coflow
@@ -648,10 +559,6 @@ SimResult Run::executeIncremental() {
     // exact +0.0 — bitwise identical to the legacy `continue`.
     const util::Seconds dt = t_next - now_;
     if (dt > 0) {
-      const std::size_t n = active_flows_.size();
-      const util::Rate* __restrict rate = slot_rate_.data();
-      const util::Bytes* __restrict size = slot_size_.data();
-      util::Bytes* __restrict sent = slot_sent_.data();
       util::Bytes* __restrict delta = slot_delta_.data();
       for (std::size_t k = 0; k < n; ++k) {
         const util::Bytes d = std::min(rate[k] * dt, size[k] - sent[k]);
@@ -664,27 +571,7 @@ SimResult Run::executeIncremental() {
     }
     now_ = t_next;
 
-    // The relative term covers rounding in the predictions at large
-    // now_, where one ulp can exceed the absolute kEps grace.
-    const util::Seconds gate = now_ * (1.0 + 1e-12) + util::kEps;
-    if (calendar_.drainSnapDue(gate, snap_due_)) {
-      sweepCompletions();
-      // Drained flows the sweep did not complete (the cached prediction
-      // landed a hair early): refresh both keys from current canonical
-      // state — exactly the legacy per-round recomputation — so the gate
-      // re-arms at the right time instead of re-firing every round.
-      for (const std::uint32_t fi : snap_due_) {
-        if (flows_.done[fi] != 0) continue;
-        const std::size_t k = slot_of_[fi];
-        const util::Bytes remaining = slot_size_[k] - slot_sent_[k];
-        const util::Bytes slack = slackFor(slot_size_[k]);
-        calendar_.invalidate(fi);
-        const util::Rate rate = slot_rate_[k];
-        if (rate > util::kEps) calendar_.pushCompletion(fi, now_ + remaining / rate);
-        if (rate > 0) calendar_.pushSnap(fi, now_ + (remaining - slack) / rate);
-      }
-    }
-
+    sweepCompletions();
     processDueEvents();
   }
 
@@ -700,9 +587,10 @@ SimResult Run::buildResult() {
   result.allocation_rounds = rounds_;
   result.allocate_calls = allocate_calls_;
   result.reused_allocations = reused_allocations_;
-  result.heap_rebuilds = heap_rebuilds_;
-  result.events_processed = calendar_.eventsProcessed();
-  result.heap_rekeys = calendar_.rekeys();
+  // Field names predate the engine's current counters; see records.h.
+  result.heap_rebuilds = incremental_ ? allocate_calls_ : 0;
+  result.events_processed = flow_completions_;
+  result.heap_rekeys = rate_changes_;
   result.makespan = now_;
   result.rejected_coflows = scheduler_.rejectedCoflows();
 

@@ -1,5 +1,7 @@
 #include "workload/trace_io.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -88,14 +90,40 @@ coflow::Workload readTrace(std::istream& is) {
   bool header_seen = false;
   coflow::JobSpec* job = nullptr;
   coflow::CoflowSpec* cf = nullptr;
+  // A declared record count sizes a reserve() only up to the records the
+  // rest of the input could hold, so a few bytes cannot demand an
+  // arbitrarily large allocation. Unseekable streams reserve nothing.
+  std::streamoff input_bytes = -1;
+  std::streamoff consumed = 0;
+  if (const std::streampos start = is.tellg(); start != std::streampos(-1)) {
+    if (is.seekg(0, std::ios::end)) input_bytes = is.tellg() - start;
+    is.clear();
+    is.seekg(start);
+  }
+  auto reserveBound = [&](std::size_t declared) -> std::size_t {
+    constexpr std::streamoff kMinRecordBytes = 12;  // "flow 0 0 1 0"
+    // The last line may lack its '\n', so `consumed` can overshoot by one.
+    const std::streamoff left = input_bytes - consumed;
+    if (left <= 0) return 0;
+    return std::min(declared, static_cast<std::size_t>(left / kMinRecordBytes));
+  };
+  std::size_t coflows_expected = 0;
+  std::size_t job_line = 0;
   std::size_t flows_expected = 0;
 
   auto fail = [&](const std::string& why) -> void {
     throw std::runtime_error("trace line " + std::to_string(line_no) + ": " + why);
   };
+  auto checkJobComplete = [&]() {
+    if (job != nullptr && job->coflows.size() != coflows_expected) {
+      throw std::runtime_error("trace line " + std::to_string(job_line) +
+                               ": job has missing coflows");
+    }
+  };
 
   while (std::getline(is, line)) {
     ++line_no;
+    consumed += static_cast<std::streamoff>(line.size()) + 1;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ss(line);
@@ -119,15 +147,19 @@ coflow::Workload readTrace(std::istream& is) {
       if (cf != nullptr && flows_expected != cf->flows.size()) {
         fail("previous coflow has missing flows");
       }
+      checkJobComplete();
       wl.jobs.push_back(std::move(j));
       job = &wl.jobs.back();
-      job->coflows.reserve(num_coflows);
+      job_line = line_no;
+      coflows_expected = num_coflows;
+      job->coflows.reserve(reserveBound(num_coflows));
       cf = nullptr;
     } else if (kind == "coflow") {
       if (job == nullptr) fail("coflow before any job");
       if (cf != nullptr && flows_expected != cf->flows.size()) {
         fail("previous coflow has missing flows");
       }
+      if (job->coflows.size() >= coflows_expected) fail("more coflows than declared");
       std::string id_token;
       coflow::CoflowSpec c;
       if (!(ss >> id_token >> c.arrival_offset >> flows_expected)) {
@@ -150,7 +182,7 @@ coflow::Workload readTrace(std::istream& is) {
           fail("unknown coflow attribute '" + extra + "'");
         }
       }
-      c.flows.reserve(flows_expected);
+      c.flows.reserve(reserveBound(flows_expected));
       job->coflows.push_back(std::move(c));
       cf = &job->coflows.back();
     } else if (kind == "flow") {
@@ -166,6 +198,7 @@ coflow::Workload readTrace(std::istream& is) {
   if (cf != nullptr && flows_expected != cf->flows.size()) {
     throw std::runtime_error("trace: last coflow has missing flows");
   }
+  checkJobComplete();
   wl.validate();
   return wl;
 }
@@ -225,9 +258,11 @@ coflow::Workload readCoflowBenchmarkTrace(std::istream& is) {
                                  token + "'");
       }
       const auto reducer = parsePort(std::stol(token.substr(0, colon)), "reducer");
+      // std::stod accepts "nan" and "inf"; neither is a shuffle size.
       const double total_mb = std::stod(token.substr(colon + 1));
-      if (total_mb <= 0) {
-        throw std::runtime_error("coflow-benchmark trace: non-positive shuffle size");
+      if (!std::isfinite(total_mb) || total_mb <= 0) {
+        throw std::runtime_error(
+            "coflow-benchmark trace: non-positive or non-finite shuffle size");
       }
       // Every mapper contributes an equal share of this reducer's input.
       const util::Bytes per_mapper =

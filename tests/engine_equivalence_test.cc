@@ -1,8 +1,9 @@
 // Golden tests for the incremental simulator engine:
 //  - legacy (re-allocate every round) vs incremental (allocation reuse,
-//    next-completion heap, fused integration) engines must produce the
-//    same SimResult for every scheduler, on randomized workloads with
-//    racks, multi-wave flows, and Starts-After/Finishes-Before DAGs;
+//    slot-packed integration) engines must produce the same SimResult for
+//    every scheduler, on randomized workloads with racks, multi-wave
+//    flows, and Starts-After/Finishes-Before DAGs — and bit-identical
+//    finish times on Facebook-shaped inputs and the golden trace;
 //  - D-CLAS's incrementally maintained queue state must match the
 //    retained full-rebuild oracle after arbitrary arrival / demotion /
 //    completion sequences;
@@ -27,12 +28,16 @@
 #include "sched/sampling.h"
 #include "sched/uncoordinated.h"
 #include "sched/varys.h"
-#include "sim/calendar.h"
 #include "sim/simulator.h"
 #include "tests/helpers.h"
 #include "util/rng.h"
 #include "workload/deadlines.h"
 #include "workload/facebook.h"
+#include "workload/trace_io.h"
+
+#ifndef AALO_TEST_DATA_DIR
+#error "AALO_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace aalo {
 namespace {
@@ -79,12 +84,16 @@ coflow::Workload dagWorkload(std::uint64_t seed, int ports, int jobs) {
 
 /// Every scheduler in src/sched/, configured so queue transitions, sync
 /// boundaries, refits, and quanta all fire within the short runs.
+/// `byte_scale` multiplies the byte thresholds and tie windows (1 suits
+/// the unit-fabric workloads, whose flows are a few bytes); `delta` is
+/// the sync interval of the D-CLAS configurations not explicitly delayed.
 std::vector<std::unique_ptr<sim::Scheduler>> allSchedulers(
-    const coflow::Workload& wl) {
+    const coflow::Workload& wl, double byte_scale = 1.0, util::Seconds delta = 0.0) {
   sched::DClasConfig dcfg;
-  dcfg.first_threshold = 8;
+  dcfg.first_threshold = 8 * byte_scale;
   dcfg.exp_factor = 4;
   dcfg.num_queues = 4;
+  dcfg.sync_interval = delta;
   sched::DClasConfig strict = dcfg;
   strict.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
   sched::DClasConfig delayed = dcfg;
@@ -93,13 +102,13 @@ std::vector<std::unique_ptr<sim::Scheduler>> allSchedulers(
   delayed_strict.sync_interval = 0.4;
   sched::LasConfig las_cfg;
   las_cfg.quantum = 0.5;
-  las_cfg.tie_window = 0.05;
+  las_cfg.tie_window = 0.05 * byte_scale;
   sched::FifoLmConfig lm_cfg;
-  lm_cfg.heavy_threshold = 20;
+  lm_cfg.heavy_threshold = 20 * byte_scale;
   lm_cfg.quantum = 0.5;
   sched::ClasConfig clas_cfg;
   clas_cfg.quantum = 0.5;
-  clas_cfg.tie_window = 0.05;
+  clas_cfg.tie_window = 0.05 * byte_scale;
   sched::AdaptiveConfig acfg;
   acfg.dclas = dcfg;
   acfg.min_samples = 5;
@@ -447,95 +456,76 @@ TEST(EngineFuzz, SubUlpRemainingCompletesInsteadOfSpinning) {
 }
 
 // ---------------------------------------------------------------------------
-// EventCalendar heap-invariant property test
+// Exact pin: incremental engine bit-identical to legacy
 // ---------------------------------------------------------------------------
 
-// Random churn against a naive shadow model: after every operation both
-// binary heaps must satisfy the ordering invariant, and every query
-// (nextCompletion, drainSnapDue, collectCompletionsNear) must agree with
-// the model's notion of the valid entry set.
-TEST(EventCalendarProperty, HeapInvariantUnderRandomChurn) {
-  util::Rng rng(901);
-  sim::EventCalendar cal;
-  constexpr std::size_t kFlows = 160;
-  cal.reset(kFlows);
-  std::vector<char> has_c(kFlows, 0), has_s(kFlows, 0);
-  std::vector<double> key_c(kFlows, 0.0), key_s(kFlows, 0.0);
-  std::vector<std::uint32_t> due;
-  double now = 0.0;
+// The incremental engine evaluates the legacy loop's own expressions over
+// its slot columns (t_next minimum, integration, completion condition,
+// sweep order), so on realistic inputs it must reproduce the legacy
+// trajectory to the bit, not merely to expectSameResult's 1e-9. One test
+// instance per (input, scheduler) keeps each run short under ctest -j.
+constexpr std::size_t kPinnedSchedulers = 20;  ///< allSchedulers().size()
 
-  const auto model_min_completion = [&]() {
-    double best = sim::kInfTime;
-    for (std::size_t i = 0; i < kFlows; ++i) {
-      if (has_c[i]) best = std::min(best, key_c[i]);
-    }
-    return best;
-  };
-
-  for (int step = 0; step < 6000; ++step) {
-    const auto fi = static_cast<std::size_t>(
-        rng.uniformInt(0, static_cast<int>(kFlows) - 1));
-    switch (rng.uniformInt(0, 5)) {
-      case 0:  // Re-key one flow (rate change at install).
-        cal.invalidate(fi);
-        key_c[fi] = now + rng.uniform(0.0, 10.0);
-        key_s[fi] = now + rng.uniform(0.0, 10.0);
-        cal.pushCompletion(fi, key_c[fi]);
-        cal.pushSnap(fi, key_s[fi]);
-        has_c[fi] = 1;
-        has_s[fi] = 1;
-        break;
-      case 1:  // Completion: drop both entries.
-        cal.invalidate(fi);
-        has_c[fi] = 0;
-        has_s[fi] = 0;
-        break;
-      case 2:  // Peek must match the model's minimum exactly.
-        EXPECT_EQ(cal.nextCompletion(), model_min_completion()) << "step " << step;
-        break;
-      case 3: {  // Drain snaps due by an advancing clock.
-        now += rng.uniform(0.0, 1.5);
-        cal.drainSnapDue(now, due);
-        std::vector<std::uint32_t> expected;
-        for (std::size_t i = 0; i < kFlows; ++i) {
-          if (has_s[i] && key_s[i] <= now) {
-            expected.push_back(static_cast<std::uint32_t>(i));
-            has_s[i] = 0;
-          }
-        }
-        std::sort(due.begin(), due.end());
-        EXPECT_EQ(due, expected) << "step " << step;
-        break;
-      }
-      case 4:  // Round-boundary compaction.
-        cal.compactIfBloated();
-        break;
-      default: {  // Wholesale rebuild from the model's valid set.
-        cal.beginRebuild();
-        for (std::size_t i = 0; i < kFlows; ++i) {
-          if (has_c[i]) cal.stageCompletion(i, key_c[i]);
-          if (has_s[i]) cal.stageSnap(i, key_s[i]);
-        }
-        cal.finishRebuild();
-        break;
-      }
-    }
-    ASSERT_TRUE(cal.checkHeapInvariant()) << "step " << step;
+void expectBitIdentical(const coflow::Workload& wl, util::Seconds delta,
+                        std::size_t index, const std::string& input) {
+  const fabric::FabricConfig fc{wl.num_ports, util::kGbps};
+  constexpr double kMegabyte = 1e6;
+  const auto legacy_scheds = allSchedulers(wl, kMegabyte, delta);
+  const auto incr_scheds = allSchedulers(wl, kMegabyte, delta);
+  ASSERT_EQ(legacy_scheds.size(), kPinnedSchedulers);
+  const std::string label = input + " / " + legacy_scheds[index]->name();
+  const auto legacy = runEngine(wl, fc, *legacy_scheds[index], false);
+  const auto incr = runEngine(wl, fc, *incr_scheds[index], true);
+  EXPECT_EQ(legacy.allocation_rounds, incr.allocation_rounds) << label;
+  EXPECT_EQ(legacy.makespan, incr.makespan) << label;
+  EXPECT_EQ(legacy.rejected_coflows, incr.rejected_coflows) << label;
+  ASSERT_EQ(legacy.coflows.size(), incr.coflows.size()) << label;
+  for (std::size_t i = 0; i < legacy.coflows.size(); ++i) {
+    EXPECT_EQ(legacy.coflows[i].id, incr.coflows[i].id) << label;
+    EXPECT_EQ(legacy.coflows[i].release, incr.coflows[i].release)
+        << label << " coflow " << i;
+    EXPECT_EQ(legacy.coflows[i].finish_own, incr.coflows[i].finish_own)
+        << label << " coflow " << i;
+    EXPECT_EQ(legacy.coflows[i].finish, incr.coflows[i].finish)
+        << label << " coflow " << i;
   }
-
-  // Final cross-check: nomination window collection vs the model.
-  const double bound = now + 5.0;
-  std::vector<std::uint32_t> out;
-  cal.collectCompletionsNear(bound, out);
-  std::vector<std::uint32_t> expected;
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    if (has_c[i] && key_c[i] <= bound) {
-      expected.push_back(static_cast<std::uint32_t>(i));
-    }
+  ASSERT_EQ(legacy.jobs.size(), incr.jobs.size()) << label;
+  for (std::size_t i = 0; i < legacy.jobs.size(); ++i) {
+    EXPECT_EQ(legacy.jobs[i].comm_finish, incr.jobs[i].comm_finish)
+        << label << " job " << i;
   }
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, expected);
 }
+
+coflow::Workload facebookPinWorkload() {
+  workload::FacebookConfig cfg;
+  cfg.num_jobs = 60;
+  cfg.num_ports = 20;
+  cfg.seed = 11;
+  cfg.mean_interarrival = 0.3;
+  cfg.sender_cap = 8;
+  cfg.receiver_cap = 8;
+  return workload::generateFacebookWorkload(cfg);
+}
+
+class EngineExactPin : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EngineExactPin, FacebookDeltaZero) {
+  expectBitIdentical(facebookPinWorkload(), 0.0, GetParam(), "fb delta=0");
+}
+
+TEST_P(EngineExactPin, FacebookDeltaHalfSecond) {
+  expectBitIdentical(facebookPinWorkload(), 0.5, GetParam(), "fb delta=0.5");
+}
+
+TEST_P(EngineExactPin, GoldenTrace) {
+  const coflow::Workload wl = workload::readTraceFile(
+      std::string(AALO_TEST_DATA_DIR) + "/golden_200.trace");
+  ASSERT_EQ(wl.coflowCount(), 200u);
+  expectBitIdentical(wl, 0.0, GetParam(), "golden_200");
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryScheduler, EngineExactPin,
+                         ::testing::Range<std::size_t>(0, kPinnedSchedulers));
 
 // ---------------------------------------------------------------------------
 // D-CLAS incremental queue state vs full-rebuild oracle

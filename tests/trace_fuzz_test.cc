@@ -4,11 +4,14 @@
 // (writeTrace emits full round-trip precision, so parse ∘ format is the
 // identity on the second pass), and the parsed workload must survive
 // validation. Zero/negative-byte flows stay rejected: serializing one and
-// reading it back throws, consistent with Workload::validate().
+// reading it back throws, consistent with Workload::validate(). Hostile
+// inputs — huge declared record counts, NaN and infinite values — end in
+// a clean exception, never an allocation sized by the input.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "coflow/spec.h"
@@ -190,6 +193,71 @@ TEST(TraceFuzz, ZeroByteFlowsStayRejected) {
   workload::writeTrace(os, wl);
   std::istringstream is(os.str());
   EXPECT_ANY_THROW(workload::readTrace(is));
+}
+
+TEST(TraceFuzz, HugeDeclaredCountsFailWithLineNumber) {
+  // A few bytes declaring ~1e14 coflows (or flows) must be a parse error
+  // pointing at the offending line, not a std::bad_alloc from reserving
+  // what the input claims.
+  const auto expectLineError = [](const std::string& text, const std::string& where) {
+    std::istringstream is(text);
+    try {
+      workload::readTrace(is);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+    }
+  };
+  expectLineError("aalo-trace 1\nports 4\njob 1 0 0 99999999999999\n", "trace line 3");
+  expectLineError("aalo-trace 1\nports 4\njob 1 0 0 99999999999999", "trace line 3");
+  expectLineError("aalo-trace 1\nports 4\njob 1 0 0 1\ncoflow 1.0 0 99999999999999\n"
+                  "flow 0 1 5 0\n",
+                  "trace");
+  // Extra records past a declared count are rejected where they appear.
+  expectLineError("aalo-trace 1\nports 4\njob 1 0 0 1\ncoflow 1.0 0 1\nflow 0 1 5 0\n"
+                  "coflow 1.1 0 1\nflow 0 1 5 0\n",
+                  "trace line 6");
+}
+
+TEST(TraceFuzz, NonFiniteValuesAreRejected) {
+  // std::stod (deadlines, coflow-benchmark sizes) accepts "nan" and "inf".
+  {
+    std::istringstream is("2 1\n1 0 1 1 1 2:nan\n");
+    EXPECT_ANY_THROW(workload::readCoflowBenchmarkTrace(is));
+  }
+  {
+    std::istringstream is("2 1\n1 0 1 1 1 2:inf\n");
+    EXPECT_ANY_THROW(workload::readCoflowBenchmarkTrace(is));
+  }
+  for (const char* dl : {"nan", "inf"}) {
+    std::istringstream is(std::string("aalo-trace 1\nports 2\njob 0 0 0 1\n"
+                                      "coflow 0.0 0 1 dl=") +
+                          dl + "\nflow 0 1 5 0\n");
+    EXPECT_ANY_THROW(workload::readTrace(is)) << dl;
+  }
+  // Workloads built in code go through the same validation.
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const double bad : {nan, inf}) {
+    coflow::Workload wl = randomWorkload(11);
+    wl.jobs.front().coflows.front().flows.front().bytes = bad;
+    EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
+    wl = randomWorkload(11);
+    wl.jobs.front().coflows.front().flows.front().start_offset = bad;
+    EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
+    wl = randomWorkload(11);
+    wl.jobs.front().coflows.front().arrival_offset = bad;
+    EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
+    wl = randomWorkload(11);
+    wl.jobs.front().coflows.front().deadline = bad;
+    EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
+    wl = randomWorkload(11);
+    wl.jobs.front().arrival = bad;
+    EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
+    wl = randomWorkload(11);
+    wl.jobs.front().compute_time = bad;
+    EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
+  }
 }
 
 }  // namespace

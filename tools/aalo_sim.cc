@@ -33,13 +33,12 @@
 //
 // --stats adds the incremental-engine counters to the summary table:
 // allocate calls, reused allocations (rounds served from the installed
-// rates via the scheduleEpoch handshake), completion-predictor rebuilds,
-// calendar events processed (heap-predicted completions and sweep gates
-// consumed), and heap re-keys (calendar entries pushed on rate changes).
+// rates via the scheduleEpoch handshake), rebuilds (allocation installs),
+// events (flow completions) and rekeys (per-flow rate changes installed).
 //
 // --metrics-dump writes the per-scheduler observability registry
 // (Prometheus text, plus JSON at PATH.json) after the batch completes:
-// rounds, allocation reuse, heap rebuilds, CCT histograms, and — for the
+// rounds, allocation reuse, installs, CCT histograms, and — for the
 // D-CLAS schedulers — per-queue occupancy sampled at every allocation
 // round.
 #include <cmath>
