@@ -8,27 +8,28 @@
 //      measured side by side: the rebuild-the-world oracle (full
 //      broadcasts + full reports) and the default delta-coded path
 //      (kScheduleDelta heartbeats, changed-coflows-only reports), with
-//      bytes-on-wire per round recorded for each. A daemons x shards
-//      sweep measures the multi-threaded sharded coordinator against the
-//      single-threaded oracle (--shards 1) at up to 100k daemons and
-//      >= 1M live coflows.
+//      bytes-on-wire per round recorded for each. A daemons sweep runs
+//      the coordinator's single loop at up to 100k daemons, and one point
+//      holds >= 1M live coflows.
 //  (b) Simulation: the price of stale coordination — Aalo's improvement
 //      over per-flow fairness as Δ grows.
 //
 // `--json PATH` skips panel (b) and records panel (a) as machine-readable
 // JSON (see tools/bench_net_record.sh): the full/delta A/B at
-// N ∈ {100, 1000}, the shard sweep, HA drills, and the live-coflow point.
-// `--daemons`/`--shards` (comma lists) override the sweep grid;
-// `--sweep-only` records just the shard sweep (the CI perf gate's mode).
+// N ∈ {100, 1000}, the daemons sweep, HA drills, and the live-coflow
+// point. `--daemons` (a comma list) overrides the sweep grid;
+// `--sweep-only` records just the sweep (the CI perf gate's mode). A
+// point that times no round at all makes the run exit non-zero instead of
+// recording it.
 //
-// Host constraints, disclosed in the JSON: this box has one CPU core, so
-// the sharded coordinator's worker threads time-slice it — shard counts
-// > 1 measure the coordination-plane overhead and correctness at scale,
-// not a parallel speedup. RLIMIT_NOFILE (20000, with both ends of every
-// loopback socket in this process) caps physical connections at 2500;
-// above that, logical daemons are multiplexed over shared connections
-// (`mux_factor` per sweep point) — valid because the coordinator keys
-// size reports by the message's daemon_id, not by connection.
+// Host constraints, disclosed in the JSON: the coordinator's loop thread
+// and the emulated daemons share the host's cores, whose count is
+// detected and recorded (`host_cores`). RLIMIT_NOFILE (20000, with both
+// ends of every loopback socket in this process) caps physical
+// connections at 2500; above that, logical daemons are multiplexed over
+// shared connections (`mux_factor` per sweep point) — valid because the
+// coordinator keys size reports by the message's daemon_id, not by
+// connection.
 #include <sys/epoll.h>
 #include <unistd.h>
 
@@ -39,6 +40,7 @@
 #include <limits>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -69,9 +71,10 @@ struct RoundOptions {
   /// blackholed machine); the coordinator's backpressure must park it
   /// without slowing the healthy fan-out.
   bool blackhole_peer = false;
-  /// Disables the liveness/one-way watchdogs so the blackholed peer is
-  /// isolated by backpressure, not evicted (set for both sides of the
-  /// isolation A/B so the configs match).
+  /// Disables the liveness/one-way watchdogs. The isolation A/B sets it
+  /// on both sides so the blackholed peer is isolated by backpressure, not
+  /// evicted; the full/delta A/B sets it on both sides so a slow full
+  /// round cannot evict emulated daemons and shrink the measured fleet.
   bool disable_watchdogs = false;
 };
 
@@ -82,7 +85,6 @@ struct RoundSetup {
   /// `daemons`, each connection multiplexes daemons/connections logical
   /// daemons (Hello once, reports under each logical daemon_id).
   std::size_t connections = 0;
-  std::size_t shards = 1;       ///< CoordinatorConfig::shards.
   /// Coflow population. <= 1000 keeps the legacy shared model (every
   /// daemon reports against the same 100 coflows); above that the
   /// population is partitioned into disjoint per-daemon slices and seeded
@@ -121,7 +123,6 @@ RoundCost measureRounds(const RoundSetup& s) {
           ? s.interval
           : std::max(0.050, static_cast<double>(s.daemons) * 100e-6);
   ccfg.full_broadcasts = s.full_mode;
-  ccfg.shards = s.shards;
   if (s.snapshot_every >= 0) ccfg.snapshot_every = s.snapshot_every;
   if (s.opt.disable_watchdogs || mux > 1) {
     // Multiplexed logical daemons report only when they have traffic; the
@@ -380,7 +381,7 @@ RoundCost measureRounds(const RoundSetup& s) {
 }
 
 /// Legacy entry point (the full/delta A/B, the isolation drill, table
-/// mode): one connection per daemon, 100 shared coflows, single shard.
+/// mode): one connection per daemon, 100 shared coflows.
 RoundCost measureRounds(std::size_t num_daemons, int rounds, bool full_mode,
                         RoundOptions opt = {}) {
   RoundSetup s;
@@ -522,15 +523,10 @@ std::string formatBytes(double bytes) {
   return buf;
 }
 
-// --- daemons x shards sweep -----------------------------------------------
-
-struct SweepPoint {
-  std::size_t daemons = 0;
-  std::size_t shards = 1;
-};
+// --- daemons sweep ---------------------------------------------------------
 
 struct SweepResult {
-  SweepPoint point;
+  std::size_t daemons = 0;
   std::size_t connections = 0;
   std::size_t mux = 1;
   int rounds = 0;
@@ -538,68 +534,51 @@ struct SweepResult {
   RoundCost cost;
 };
 
-/// Builds the shard-sweep grid: explicit --daemons/--shards lists cross
-/// producted, or the default grid — every shard count at 1000 daemons,
-/// the 1-vs-8 A/B at 10k and 100k.
-std::vector<SweepPoint> sweepGrid(const std::vector<std::size_t>& daemons_list,
-                                  const std::vector<std::size_t>& shards_list) {
-  std::vector<SweepPoint> grid;
-  if (!daemons_list.empty()) {
-    const std::vector<std::size_t> shards =
-        shards_list.empty() ? std::vector<std::size_t>{1, 8} : shards_list;
-    for (const std::size_t d : daemons_list) {
-      for (const std::size_t sh : shards) grid.push_back({d, sh});
-    }
-    return grid;
-  }
-  for (const std::size_t sh : {1ul, 2ul, 4ul, 8ul}) grid.push_back({1000, sh});
-  for (const std::size_t d : {10000ul, 100000ul}) {
-    for (const std::size_t sh : {1ul, 8ul}) grid.push_back({d, sh});
-  }
-  return grid;
-}
-
-SweepResult runSweepPoint(const SweepPoint& p, int rounds_override) {
+SweepResult runSweepPoint(std::size_t daemons, int rounds_override) {
   SweepResult r;
-  r.point = p;
+  r.daemons = daemons;
   // Smallest mux factor that fits the connection ceiling and divides the
   // daemon count evenly (logical daemons per connection must be uniform).
-  std::size_t mux = (p.daemons + kMaxConnections - 1) / kMaxConnections;
-  while (p.daemons % mux != 0) ++mux;
+  std::size_t mux = (daemons + kMaxConnections - 1) / kMaxConnections;
+  while (daemons % mux != 0) ++mux;
   r.mux = mux;
-  r.connections = p.daemons / mux;
+  r.connections = daemons / mux;
   r.rounds = rounds_override > 0 ? rounds_override
-             : p.daemons <= 1000 ? 15
-             : p.daemons <= 10000 ? 10
-                                  : 5;
-  // Identical Δ across shard counts at a given size so the fan-out A/B
-  // compares like with like; grows with N per §7.6.
-  r.interval = std::max(0.050, static_cast<double>(p.daemons) * 20e-6);
+             : daemons <= 1000   ? 15
+             : daemons <= 10000  ? 10
+                                 : 5;
+  // Δ grows with N per §7.6.
+  r.interval = std::max(0.050, static_cast<double>(daemons) * 20e-6);
 
   RoundSetup s;
-  s.daemons = p.daemons;
+  s.daemons = daemons;
   s.connections = r.connections;
-  s.shards = p.shards;
   s.rounds = r.rounds;
   s.interval = r.interval;
   s.snapshot_every = 0;  // Periodic snapshot refreshes off the timed path.
   r.cost = measureRounds(s);
   std::fprintf(stderr,
-               "  [sweep %6zu daemons x %zu shards, %4zu conns] round %s, "
-               "down %s, up %s\n",
-               p.daemons, p.shards, r.connections,
+               "  [sweep %6zu daemons, %4zu conns] round %s, down %s, up %s\n",
+               daemons, r.connections,
                util::formatSeconds(r.cost.avg_fanout_seconds).c_str(),
                formatBytes(r.cost.down_bytes_per_round).c_str(),
                formatBytes(r.cost.up_bytes_per_round).c_str());
   return r;
 }
 
+/// A point that timed no round (every epoch incomplete before the
+/// deadline) has nothing to record; a ratio built from it would be noise.
+bool timedRounds(const RoundCost& cost, const std::string& what) {
+  if (cost.avg_fanout_seconds > 0) return true;
+  std::fprintf(stderr, "fig14: %s timed no coordination round\n", what.c_str());
+  return false;
+}
+
 struct JsonOptions {
   const char* path = nullptr;
   std::vector<std::size_t> daemons_list;
-  std::vector<std::size_t> shards_list;
   int rounds_override = -1;
-  /// Record only the shard sweep (skips the full/delta A/B, the HA
+  /// Record only the daemons sweep (skips the full/delta A/B, the HA
   /// drills, and the live-coflow point) — the CI perf gate's mode.
   bool sweep_only = false;
   /// Coflow population for the high-cardinality point; 0 skips it.
@@ -610,17 +589,14 @@ struct JsonOptions {
 };
 
 /// `--json PATH` mode: the record the acceptance criteria cite
-/// (BENCH_net.json) — the full/delta A/B at N ∈ {100, 1000}, the
-/// daemons x shards sweep, HA drills, and the >= 1M live-coflow point.
+/// (BENCH_net.json) — the full/delta A/B at N ∈ {100, 1000}, the daemons
+/// sweep, HA drills, and the >= 1M live-coflow point. The file is written
+/// only once every point has timed rounds.
 int recordJson(const JsonOptions& jopt) {
   const int rounds = 15;
-  std::ofstream out(jopt.path);
-  if (!out) {
-    std::fprintf(stderr, "fig14: cannot open %s\n", jopt.path);
-    return 1;
-  }
-  // Detected, not assumed: shard speedups only mean something next to the
-  // cores the workers and the in-process clients had to share.
+  std::ostringstream out;
+  // Detected, not assumed: round times only mean something next to the
+  // cores the coordinator and the in-process daemons had to share.
   const unsigned host_cores = std::max(1u, std::thread::hardware_concurrency());
   out << "{\n  \"bench\": \"fig14_coordination_data_path\",\n"
       << "  \"rounds\": " << rounds << ",\n  \"coflows\": 100,\n"
@@ -636,10 +612,13 @@ int recordJson(const JsonOptions& jopt) {
   bool first = true;
   std::unordered_map<std::string, RoundCost> by_key;
   if (!jopt.sweep_only) {
+    RoundOptions ab;
+    ab.disable_watchdogs = true;
     for (const std::size_t n : {100ul, 1000ul}) {
       for (const bool full : {true, false}) {
-        const RoundCost cost = measureRounds(n, rounds, full);
+        const RoundCost cost = measureRounds(n, rounds, full, ab);
         const std::string mode = full ? "full" : "delta";
+        if (!timedRounds(cost, mode + " @" + std::to_string(n))) return 1;
         by_key[mode + std::to_string(n)] = cost;
         out << (first ? "" : ",") << "\n    {\"daemons\": " << n
             << ", \"mode\": \"" << mode
@@ -657,19 +636,16 @@ int recordJson(const JsonOptions& jopt) {
   }
   out << "\n  ],";
 
-  // The daemons x shards sweep: the multi-threaded sharded coordinator
-  // against the single-threaded oracle at matched Δ.
-  const auto grid = sweepGrid(jopt.daemons_list, jopt.shards_list);
-  std::vector<SweepResult> sweep;
-  sweep.reserve(grid.size());
-  for (const auto& p : grid) {
-    sweep.push_back(runSweepPoint(p, jopt.rounds_override));
-  }
-  out << "\n  \"shard_sweep\": [";
+  // The daemons sweep, multiplexed above the connection ceiling.
+  const std::vector<std::size_t> grid =
+      jopt.daemons_list.empty() ? std::vector<std::size_t>{1000, 10000, 100000}
+                                : jopt.daemons_list;
+  out << "\n  \"daemons_sweep\": [";
   first = true;
-  for (const auto& r : sweep) {
-    out << (first ? "" : ",") << "\n    {\"daemons\": " << r.point.daemons
-        << ", \"shards\": " << r.point.shards
+  for (const std::size_t daemons : grid) {
+    const SweepResult r = runSweepPoint(daemons, jopt.rounds_override);
+    if (!timedRounds(r.cost, "sweep @" + std::to_string(daemons))) return 1;
+    out << (first ? "" : ",") << "\n    {\"daemons\": " << r.daemons
         << ", \"connections\": " << r.connections
         << ", \"mux_factor\": " << r.mux << ", \"rounds\": " << r.rounds
         << ", \"interval_s\": " << r.interval
@@ -678,52 +654,28 @@ int recordJson(const JsonOptions& jopt) {
         << ", \"up_bytes_per_round\": " << r.cost.up_bytes_per_round << "}";
     first = false;
   }
-  out << "\n  ],";
-  // Per-size speedup of the highest shard count over --shards 1. On this
-  // one-core host the workers time-slice, so ~1.0 is the honest expected
-  // value; the record exists so multi-core runs can diff against it.
-  out << "\n  \"shard_speedups\": [";
-  first = true;
-  for (const auto& r : sweep) {
-    if (r.point.shards == 1) continue;
-    const SweepResult* base = nullptr;
-    for (const auto& b : sweep) {
-      if (b.point.daemons == r.point.daemons && b.point.shards == 1) base = &b;
-    }
-    if (base == nullptr || r.cost.avg_fanout_seconds <= 0) continue;
-    const double speedup =
-        base->cost.avg_fanout_seconds / r.cost.avg_fanout_seconds;
-    out << (first ? "" : ",") << "\n    {\"daemons\": " << r.point.daemons
-        << ", \"shards\": " << r.point.shards
-        << ", \"round_time_speedup_vs_1shard\": " << speedup << "}";
-    first = false;
-    std::fprintf(stderr,
-                 "  [sweep %6zu daemons] %zu shards vs 1: %.2fx round time\n",
-                 r.point.daemons, r.point.shards, speedup);
-  }
   out << "\n  ]";
 
   if ((!jopt.sweep_only || jopt.live_coflows_explicit) &&
       jopt.live_coflows > 0) {
-    // High-cardinality point: a >= 1M live-coflow schedule state under
-    // the sharded coordinator. Few connections by design — the cost being
-    // measured is the coordination tick against a huge standing
-    // population, not fan-out width.
+    // High-cardinality point: a >= 1M live-coflow schedule state. Few
+    // connections by design — the cost being measured is the coordination
+    // tick against a huge standing population, not fan-out width.
     RoundSetup lc;
     lc.daemons = 256;
     lc.connections = 8;
-    lc.shards = 8;
     lc.coflows = jopt.live_coflows;
     lc.rounds = 10;
     lc.interval = 0.050;
     lc.snapshot_every = 0;
     const RoundCost lcost = measureRounds(lc);
+    if (!timedRounds(lcost, "live-coflows point")) return 1;
     std::fprintf(stderr,
-                 "  [live-coflows %zu, 256 daemons x 8 shards] round %s\n",
+                 "  [live-coflows %zu, 256 daemons] round %s\n",
                  lcost.live_coflows,
                  util::formatSeconds(lcost.avg_fanout_seconds).c_str());
     out << ",\n  \"live_coflows\": {\"coflows\": " << lcost.live_coflows
-        << ", \"daemons\": 256, \"connections\": 8, \"shards\": 8"
+        << ", \"daemons\": 256, \"connections\": 8"
         << ", \"rounds\": " << lc.rounds
         << ", \"avg_round_s\": " << lcost.avg_fanout_seconds
         << ", \"down_bytes_per_round\": " << lcost.down_bytes_per_round
@@ -734,9 +686,7 @@ int recordJson(const JsonOptions& jopt) {
     const auto& full1k = by_key["full1000"];
     const auto& delta1k = by_key["delta1000"];
     const double speedup =
-        delta1k.avg_fanout_seconds > 0
-            ? full1k.avg_fanout_seconds / delta1k.avg_fanout_seconds
-            : -1;
+        full1k.avg_fanout_seconds / delta1k.avg_fanout_seconds;
     const double wire_total_full =
         full1k.down_bytes_per_round + full1k.up_bytes_per_round;
     const double wire_total_delta =
@@ -756,10 +706,12 @@ int recordJson(const JsonOptions& jopt) {
     const RoundCost iso_healthy = measureRounds(1000, rounds, false, iso);
     iso.blackhole_peer = true;
     const RoundCost iso_degraded = measureRounds(1000, rounds, false, iso);
+    if (!timedRounds(iso_healthy, "isolation healthy @1000") ||
+        !timedRounds(iso_degraded, "isolation blackholed @1000")) {
+      return 1;
+    }
     const double iso_ratio =
-        iso_healthy.avg_fanout_seconds > 0
-            ? iso_degraded.avg_fanout_seconds / iso_healthy.avg_fanout_seconds
-            : -1;
+        iso_degraded.avg_fanout_seconds / iso_healthy.avg_fanout_seconds;
     std::fprintf(stderr,
                  "  [isolation 1000 daemons] healthy round %s, with blackholed "
                  "peer %s (ratio %.2f)\n",
@@ -783,6 +735,12 @@ int recordJson(const JsonOptions& jopt) {
                  speedup, wire_ratio);
   }
   out << "\n}\n";
+  std::ofstream file(jopt.path);
+  file << out.str();
+  if (!file.flush()) {
+    std::fprintf(stderr, "fig14: cannot write %s\n", jopt.path);
+    return 1;
+  }
   std::fprintf(stderr, "wrote %s\n", jopt.path);
   return 0;
 }
@@ -819,8 +777,6 @@ int main(int argc, char** argv) {
       jopt.path = needsValue("--json");
     } else if (std::strcmp(argv[i], "--daemons") == 0) {
       jopt.daemons_list = parseSizeList(needsValue("--daemons"));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      jopt.shards_list = parseSizeList(needsValue("--shards"));
     } else if (std::strcmp(argv[i], "--rounds") == 0) {
       jopt.rounds_override = std::atoi(needsValue("--rounds"));
     } else if (std::strcmp(argv[i], "--sweep-only") == 0) {
@@ -832,8 +788,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json PATH] [--daemons N,N,...] "
-                   "[--shards K,K,...] [--rounds R] [--sweep-only] "
-                   "[--live-coflows M]\n",
+                   "[--rounds R] [--sweep-only] [--live-coflows M]\n",
                    argv[0]);
       return 2;
     }
@@ -851,9 +806,11 @@ int main(int argc, char** argv) {
               "(100 coflows, 5 changing per Δ), full vs delta data path:\n");
   util::Table rounds_table({"# emulated daemons", "full round", "full wire/round",
                             "delta round", "delta wire/round"});
+  RoundOptions ab;
+  ab.disable_watchdogs = true;
   for (const std::size_t n : {100ul, 500ul, 1000ul, 2500ul, 5000ul}) {
-    const RoundCost full = measureRounds(n, 15, true);
-    const RoundCost delta = measureRounds(n, 15, false);
+    const RoundCost full = measureRounds(n, 15, true, ab);
+    const RoundCost delta = measureRounds(n, 15, false, ab);
     rounds_table.addRow(
         {std::to_string(n),
          full.avg_fanout_seconds < 0 ? "timeout"
@@ -866,21 +823,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  [fanout %5zu daemons] done\n", n);
   }
   rounds_table.print(std::cout);
-
-  std::printf("\nSharded coordinator fan-out at 1000 daemons "
-              "(delta path, matched Δ; one-core host — workers time-slice):\n");
-  util::Table shard_table({"shards", "round", "wire/round"});
-  for (const std::size_t sh : {1ul, 2ul, 4ul, 8ul}) {
-    const SweepResult r = runSweepPoint({1000, sh}, 10);
-    shard_table.addRow(
-        {std::to_string(sh),
-         r.cost.avg_fanout_seconds < 0
-             ? "timeout"
-             : util::formatSeconds(r.cost.avg_fanout_seconds),
-         formatBytes(r.cost.down_bytes_per_round +
-                     r.cost.up_bytes_per_round)});
-  }
-  shard_table.print(std::cout);
 
   std::printf("\nHigh availability at 1000 daemons (warm standby, "
               "takeover after 5Δ):\n");

@@ -10,16 +10,15 @@
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
-#                            # + sharded-vs-single fig14 round-time gate
+#                            # + fig14 1000-daemon round-time gate
 #   scripts/ci.sh coverage   # gcovr line-coverage report (if installed)
 #
 # The chaos suites (tests/chaos_test.cc, tests/runtime_robustness_test.cc,
-# tests/coordination_equivalence_test.cc, tests/shard_barrier_test.cc)
-# carry the "chaos" ctest label; they exercise the fault-tolerance paths
-# (reconnects, eviction, mangled frames, delta/full data-path and
-# sharded-vs-single-thread schedule equivalence) where sanitizers earn
-# their keep — the shard-barrier race suite additionally runs under tsan
-# by test-name filter. The observability suites (tests/obs_*.cc, trace_fuzz_test.cc,
+# tests/coordination_equivalence_test.cc) carry the "chaos" ctest label;
+# they exercise the fault-tolerance paths (reconnects, eviction, mangled
+# frames and sizes, delta/full data-path equivalence, the pinned wire
+# transcript, and the coordinator's threads under churn) where
+# sanitizers earn their keep. The observability suites (tests/obs_*.cc, trace_fuzz_test.cc,
 # golden_trace_test.cc) carry the "metrics" label; the registry
 # concurrency gate additionally runs under tsan by test-name filter.
 # The high-availability drills (tests/ha_test.cc: failover, checkpoint
@@ -40,8 +39,9 @@ cd "$(dirname "$0")/.."
 # Minimum acceptable line coverage for the coverage step (percent).
 COVERAGE_FAIL_UNDER=70
 
-# Allowed slowdown of BM_SimulatorEndToEnd/50 relative to the recorded
-# baseline median in BENCH_micro.json before the perf-smoke step fails.
+# Allowed slowdown of BM_SimulatorEndToEnd/50 (and of fig14's 1000-daemon
+# coordination round) relative to the recorded baseline in
+# BENCH_micro.json (BENCH_net.json) before the perf-smoke step fails.
 PERF_SMOKE_TOLERANCE=1.5
 
 run_default() {
@@ -86,7 +86,7 @@ run_asan() {
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
-             coordination_equivalence_test shard_barrier_test \
+             coordination_equivalence_test \
              obs_test obs_invariant_test \
              obs_concurrency_test trace_fuzz_test golden_trace_test \
              ha_test checkpoint_test sched_property_test schedule_state_test \
@@ -156,34 +156,34 @@ print(f"perf-smoke: median {cur / 1e6:.1f} ms vs baseline {base / 1e6:.1f} ms "
 if ratio > tolerance:
     raise SystemExit("perf-smoke: FAIL — end-to-end benchmark regressed")
 EOF
-  echo "=== perf-smoke: sharded vs single-thread fan-out @1000 daemons ==="
-  # The sharded coordinator must not cost round time against the
-  # single-threaded oracle at the same Δ. On this one-core host the
-  # worker threads time-slice, so parity (ratio ~1) is the expectation
-  # and the tolerance absorbs scheduler noise; a structural regression in
-  # the barrier/merge path shows up well past it.
+  echo "=== perf-smoke: fig14 round time @1000 daemons vs recorded baseline ==="
+  # The coordinator's round at 1000 daemons (delta path, the sweep's Δ)
+  # must time rounds at all and stay within PERF_SMOKE_TOLERANCE x the
+  # 1000-daemon sweep point recorded in BENCH_net.json.
   cmake --build --preset release -j "$(nproc)" --target bench_fig14_scalability
   ./build-release/bench/bench_fig14_scalability \
-    --json build-release/perf_shard.json \
-    --daemons 1000 --shards 1,8 --rounds 10 --sweep-only
+    --json build-release/perf_fig14.json \
+    --sweep-only --daemons 1000 --rounds 10
   python3 - "$PERF_SMOKE_TOLERANCE" <<'EOF'
 import json, sys
 
-doc = json.load(open("build-release/perf_shard.json"))
-by = {e["shards"]: e["avg_round_s"]
-      for e in doc["shard_sweep"] if e["daemons"] == 1000}
-single, sharded = by.get(1, -1), by.get(8, -1)
-if single <= 0 or sharded <= 0:
-    raise SystemExit("perf-smoke: FAIL — fig14 shard gate produced no timed rounds")
-ratio = sharded / single
+def round_1000(path):
+    doc = json.load(open(path))
+    for e in doc["daemons_sweep"]:
+        if e["daemons"] == 1000:
+            return e["avg_round_s"]
+    raise SystemExit(f"perf-smoke: no 1000-daemon sweep point in {path}")
+
+base = round_1000("BENCH_net.json")
+cur = round_1000("build-release/perf_fig14.json")
+if base <= 0 or cur <= 0:
+    raise SystemExit("perf-smoke: FAIL — fig14 gate produced no timed rounds")
+ratio = cur / base
 tolerance = float(sys.argv[1])
-print(f"perf-smoke: fig14 @1000 daemons round {sharded * 1e3:.2f} ms sharded "
-      f"vs {single * 1e3:.2f} ms single-thread (ratio {ratio:.2f}, "
-      f"limit {tolerance:.2f})")
+print(f"perf-smoke: fig14 @1000 daemons round {cur * 1e3:.2f} ms vs baseline "
+      f"{base * 1e3:.2f} ms (ratio {ratio:.2f}, limit {tolerance:.2f})")
 if ratio > tolerance:
-    raise SystemExit(
-        "perf-smoke: FAIL — sharded coordinator round time regressed "
-        "past the single-threaded oracle")
+    raise SystemExit("perf-smoke: FAIL — coordinator round time regressed")
 EOF
 }
 

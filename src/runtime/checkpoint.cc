@@ -42,38 +42,6 @@ coflow::CoflowId getId(net::Buffer& in) {
   return id;
 }
 
-/// Frames one journal record ([u32 len][type+body][u64 checksum]) into
-/// `out` — the one encoding shared by Checkpoint::pending_ and the
-/// shard-side JournalBatch buffers.
-void frameRecord(net::Buffer& out, std::uint8_t type, const net::Buffer& body) {
-  net::Buffer payload;
-  payload.putU8(type);
-  payload.append(body.readable());
-  out.putU32(static_cast<std::uint32_t>(payload.readableBytes()));
-  out.append(payload.readable());
-  out.putU64(fnv1a(payload.readable()));
-}
-
-void encodeReportRecord(net::Buffer& body, const net::Message& report) {
-  net::encodeMessage(report, body);
-}
-
-void encodeRegisterRecord(net::Buffer& body, const coflow::CoflowId& id,
-                          std::int64_t next_external) {
-  net::Message m;
-  m.type = net::MessageType::kRegisterReply;
-  m.coflow = id;
-  m.request_id = static_cast<std::uint64_t>(next_external);
-  net::encodeMessage(m, body);
-}
-
-void encodeUnregisterRecord(net::Buffer& body, const coflow::CoflowId& id) {
-  net::Message m;
-  m.type = net::MessageType::kUnregisterCoflow;
-  m.coflow = id;
-  net::encodeMessage(m, body);
-}
-
 bool readFile(const std::string& path, std::vector<std::uint8_t>& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -108,16 +76,6 @@ bool Checkpoint::writeSnapshot(const ScheduleState& state,
                                std::int64_t next_external,
                                const std::vector<util::Bytes>& thresholds,
                                std::size_t max_on) {
-  return writeSnapshot(std::vector<const ScheduleState*>{&state}, tombstones,
-                       fence, epoch, next_external, thresholds, max_on);
-}
-
-bool Checkpoint::writeSnapshot(const std::vector<const ScheduleState*>& states,
-                               const std::vector<coflow::CoflowId>& tombstones,
-                               std::uint64_t fence, std::uint64_t epoch,
-                               std::int64_t next_external,
-                               const std::vector<util::Bytes>& thresholds,
-                               std::size_t max_on) {
   net::Buffer out;
   out.append(kMagic, sizeof(kMagic));
   out.putU32(kVersion);
@@ -127,27 +85,19 @@ bool Checkpoint::writeSnapshot(const std::vector<const ScheduleState*>& states,
   out.putU32(static_cast<std::uint32_t>(thresholds.size()));
   for (util::Bytes t : thresholds) out.putDouble(t);
   out.putU64(static_cast<std::uint64_t>(max_on));
-  std::size_t n_registered = 0;
-  for (const ScheduleState* state : states) {
-    n_registered += state->registeredCount();
-  }
-  out.putU32(static_cast<std::uint32_t>(n_registered));
-  for (const ScheduleState* state : states) {
-    state->forEachRegistered([&](const coflow::CoflowId& id) { putId(out, id); });
-  }
+  out.putU32(static_cast<std::uint32_t>(state.registeredCount()));
+  state.forEachRegistered([&](const coflow::CoflowId& id) { putId(out, id); });
   out.putU32(static_cast<std::uint32_t>(tombstones.size()));
   for (const auto& id : tombstones) putId(out, id);
-  // The format keys reports by daemon; the states keep them per coflow
-  // (and a daemon's coflows hash to any shard), so regroup.
+  // The format keys reports by daemon; the state keeps them per coflow,
+  // so regroup.
   std::unordered_map<std::uint64_t,
                      std::vector<std::pair<coflow::CoflowId, double>>>
       by_daemon;
-  for (const ScheduleState* state : states) {
-    state->forEachReport(
-        [&](std::uint64_t daemon_id, const coflow::CoflowId& id, double bytes) {
-          by_daemon[daemon_id].emplace_back(id, bytes);
-        });
-  }
+  state.forEachReport(
+      [&](std::uint64_t daemon_id, const coflow::CoflowId& id, double bytes) {
+        by_daemon[daemon_id].emplace_back(id, bytes);
+      });
   out.putU32(static_cast<std::uint32_t>(by_daemon.size()));
   for (const auto& [daemon_id, sizes] : by_daemon) {
     out.putU64(daemon_id);
@@ -180,68 +130,39 @@ bool Checkpoint::writeSnapshot(const std::vector<const ScheduleState*>& states,
 }
 
 void Checkpoint::appendRecord(std::uint8_t type, const net::Buffer& body) {
-  frameRecord(pending_, type, body);
+  net::Buffer payload;
+  payload.putU8(type);
+  payload.append(body.readable());
+  pending_.putU32(static_cast<std::uint32_t>(payload.readableBytes()));
+  pending_.append(payload.readable());
+  pending_.putU64(fnv1a(payload.readable()));
   ++records_appended_;
 }
 
 void Checkpoint::journalReport(const net::Message& report) {
   net::Buffer body;
-  encodeReportRecord(body, report);
+  net::encodeMessage(report, body);
   appendRecord(kRecReport, body);
 }
 
 void Checkpoint::journalRegister(const coflow::CoflowId& id,
                                  std::int64_t next_external) {
+  net::Message m;
+  m.type = net::MessageType::kRegisterReply;
+  m.coflow = id;
+  m.request_id = static_cast<std::uint64_t>(next_external);
   net::Buffer body;
-  encodeRegisterRecord(body, id, next_external);
+  net::encodeMessage(m, body);
   appendRecord(kRecRegister, body);
 }
 
 void Checkpoint::journalUnregister(const coflow::CoflowId& id) {
+  net::Message m;
+  m.type = net::MessageType::kUnregisterCoflow;
+  m.coflow = id;
   net::Buffer body;
-  encodeUnregisterRecord(body, id);
+  net::encodeMessage(m, body);
   appendRecord(kRecUnregister, body);
-}
-
-void JournalBatch::report(const net::Message& report) {
-  net::Buffer body;
-  encodeReportRecord(body, report);
-  frameRecord(framed_, kRecReport, body);
-  ++records_;
-}
-
-void JournalBatch::registerCoflow(const coflow::CoflowId& id,
-                                  std::int64_t next_external) {
-  net::Buffer body;
-  encodeRegisterRecord(body, id, next_external);
-  frameRecord(framed_, kRecRegister, body);
-  ++records_;
-}
-
-void JournalBatch::unregisterCoflow(const coflow::CoflowId& id) {
-  net::Buffer body;
-  encodeUnregisterRecord(body, id);
-  frameRecord(framed_, kRecUnregister, body);
-  ++records_;
-}
-
-void JournalBatch::dropDaemon(std::uint64_t daemon_id) {
-  net::Buffer body;
-  body.putU64(daemon_id);
-  frameRecord(framed_, kRecDropDaemon, body);
-  ++records_;
-}
-
-void JournalBatch::clear() {
-  framed_.clear();
-  records_ = 0;
-}
-
-void Checkpoint::absorb(JournalBatch& batch) {
-  if (batch.records_ == 0) return;
-  pending_.append(batch.framed_.readable());
-  records_appended_ += batch.records_;
-  batch.clear();
 }
 
 void Checkpoint::journalDropDaemon(std::uint64_t daemon_id) {
@@ -360,7 +281,9 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
         d.sizes.reserve(n_sizes);
         for (std::uint32_t j = 0; j < n_sizes; ++j) {
           const coflow::CoflowId id = getId(in);
-          d.sizes.emplace_back(id, in.getDouble());
+          const double bytes = in.getDouble();
+          if (!isValidReportedSize(bytes)) return std::nullopt;
+          d.sizes.emplace_back(id, bytes);
         }
         daemons.push_back(std::move(d));
       }
@@ -415,6 +338,7 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
             net::Message m = net::decodeMessage(payload);
             if (m.type != net::MessageType::kSizeReport) return std::nullopt;
             for (const auto& size : m.sizes) {
+              if (!isValidReportedSize(size.bytes)) return std::nullopt;
               if (tombstoned.contains(size.id)) continue;
               state.applySize(m.daemon_id, size.id, size.bytes);
             }

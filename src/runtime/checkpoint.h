@@ -26,8 +26,9 @@
 //    a journal left over from before a snapshot-truncate crash is detected
 //    and discarded wholly rather than half-replayed.
 //  * Any other inconsistency (bad magic/version/checksum, threshold or
-//    max_on config mismatch) rejects the whole checkpoint: the coordinator
-//    falls back to the classic re-teach path, never to a guessed state.
+//    max_on config mismatch, a NaN, infinite or negative size) rejects the
+//    whole checkpoint: the coordinator falls back to the classic re-teach
+//    path, never to a guessed state.
 #pragma once
 
 #include <cstdint>
@@ -43,30 +44,6 @@
 #include "util/units.h"
 
 namespace aalo::runtime {
-
-/// Journal records staged outside the Checkpoint's own buffer. Each
-/// coordinator shard owns one batch and appends to it from its own worker
-/// thread; at the epoch barrier the leader absorbs all batches into the
-/// Checkpoint in shard-index order, then writes the epoch mark — so every
-/// record that influenced a broadcast round is journaled before that
-/// round's epoch record (shard-consistent epoch marks). The encoding is
-/// byte-identical to Checkpoint's own journal* methods.
-class JournalBatch {
- public:
-  void report(const net::Message& report);
-  void registerCoflow(const coflow::CoflowId& id, std::int64_t next_external);
-  void unregisterCoflow(const coflow::CoflowId& id);
-  void dropDaemon(std::uint64_t daemon_id);
-
-  bool empty() const { return records_ == 0; }
-  std::size_t records() const { return records_; }
-  void clear();
-
- private:
-  friend class Checkpoint;
-  net::Buffer framed_;  ///< Fully framed records, ready for the journal.
-  std::size_t records_ = 0;
-};
 
 class Checkpoint {
  public:
@@ -111,18 +88,6 @@ class Checkpoint {
                      const std::vector<util::Bytes>& thresholds,
                      std::size_t max_on);
 
-  /// Sharded-coordinator variant: the ground truth is the union of the
-  /// per-shard ScheduleStates (coflows are hash-partitioned, so the
-  /// registered sets are disjoint; a daemon's reports may span shards and
-  /// are merged per daemon). Same on-disk format — restore() cannot tell
-  /// how many shards wrote it.
-  bool writeSnapshot(const std::vector<const ScheduleState*>& states,
-                     const std::vector<coflow::CoflowId>& tombstones,
-                     std::uint64_t fence, std::uint64_t epoch,
-                     std::int64_t next_external,
-                     const std::vector<util::Bytes>& thresholds,
-                     std::size_t max_on);
-
   // --- journal appends (buffered in memory until flushJournal) -----------
   /// `report` must carry only the tombstone-filtered sizes that were
   /// actually applied to the ScheduleState.
@@ -131,11 +96,6 @@ class Checkpoint {
   void journalUnregister(const coflow::CoflowId& id);
   void journalDropDaemon(std::uint64_t daemon_id);
   void journalEpoch(std::uint64_t epoch, std::uint64_t fence);
-
-  /// Moves a shard's staged records into the pending journal buffer (and
-  /// clears the batch). Call for every shard in shard-index order, then
-  /// journalEpoch() + flushJournal().
-  void absorb(JournalBatch& batch);
 
   /// Appends all buffered records to the journal file. Returns false on
   /// I/O failure. Called once per coordination round, not per record.

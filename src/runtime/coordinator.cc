@@ -9,7 +9,6 @@
 
 #include "net/protocol.h"
 #include "runtime/metrics.h"
-#include "runtime/shard.h"
 #include "util/log.h"
 
 namespace aalo::runtime {
@@ -45,12 +44,6 @@ util::Seconds elapsedSeconds(std::chrono::steady_clock::time_point start) {
 Coordinator::Coordinator(CoordinatorConfig config)
     : config_(std::move(config)),
       state_(config_.dclas.thresholds(), config_.max_on_coflows) {
-  if (config_.shards > 1) {
-    // The multi-threaded implementation takes over wholesale; this object
-    // becomes a thin facade (its own registry/state stay empty).
-    sharded_ = std::make_unique<ShardedCoordinator>(config_);
-    return;
-  }
   registerMetrics();
 }
 
@@ -83,53 +76,37 @@ void Coordinator::registerMetrics() {
 
 Coordinator::~Coordinator() { stop(); }
 
-std::uint16_t Coordinator::port() const {
-  return sharded_ ? sharded_->port() : port_;
-}
+std::uint16_t Coordinator::port() const { return port_; }
 
 std::uint64_t Coordinator::epoch() const {
-  return sharded_ ? sharded_->epoch()
-                  : epoch_.load(std::memory_order_relaxed);
+  return epoch_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Coordinator::fence() const {
-  return sharded_ ? sharded_->fence()
-                  : fence_.load(std::memory_order_relaxed);
+  return fence_.load(std::memory_order_relaxed);
 }
 
 bool Coordinator::isPrimary() const {
-  return sharded_ ? sharded_->isPrimary()
-                  : !standby_active_.load(std::memory_order_relaxed);
+  return !standby_active_.load(std::memory_order_relaxed);
 }
 
 std::size_t Coordinator::daemonCount() const {
-  return sharded_ ? sharded_->daemonCount()
-                  : daemon_count_.load(std::memory_order_relaxed);
+  return daemon_count_.load(std::memory_order_relaxed);
 }
 
 std::size_t Coordinator::registeredCoflows() const {
-  return sharded_ ? sharded_->registeredCoflows()
-                  : registered_count_.load(std::memory_order_relaxed);
+  return registered_count_.load(std::memory_order_relaxed);
 }
 
 std::size_t Coordinator::tombstoneCount() const {
-  return sharded_ ? sharded_->tombstoneCount()
-                  : tombstone_count_.load(std::memory_order_relaxed);
+  return tombstone_count_.load(std::memory_order_relaxed);
 }
 
-const RobustnessStats& Coordinator::stats() const {
-  return sharded_ ? sharded_->stats() : stats_;
-}
+const RobustnessStats& Coordinator::stats() const { return stats_; }
 
-const obs::Registry& Coordinator::metrics() const {
-  return sharded_ ? sharded_->metrics() : metrics_;
-}
+const obs::Registry& Coordinator::metrics() const { return metrics_; }
 
 void Coordinator::start() {
-  if (sharded_) {
-    sharded_->start();
-    return;
-  }
   std::lock_guard lifecycle(lifecycle_mutex_);
   if (running_.exchange(true)) return;
   if (!config_.checkpoint_dir.empty()) {
@@ -164,10 +141,6 @@ void Coordinator::start() {
 }
 
 void Coordinator::stop() {
-  if (sharded_) {
-    sharded_->stop();
-    return;
-  }
   // The lifecycle mutex makes racing stop() calls (or stop() racing the
   // destructor) serialize; every caller returns only once shutdown is done.
   std::lock_guard lifecycle(lifecycle_mutex_);
@@ -549,6 +522,12 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
           journaled.sizes.clear();
         }
         for (const auto& s : message.sizes) {
+          // A NaN, infinite or negative size would poison the coflow's
+          // global total, which every daemon is then told.
+          if (!isValidReportedSize(s.bytes)) {
+            stats_.rejected_sizes.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
           // Completed coflows must not resurface (tombstone); a filtered
           // mention keeps the tombstone alive while any daemon reports it.
           if (!state_.applyReport(peer.daemon_id, s.id, s.bytes, now)) continue;
@@ -759,7 +738,6 @@ void Coordinator::broadcastDelta(std::uint64_t epoch) {
 }
 
 std::unordered_map<coflow::CoflowId, double> Coordinator::globalSizes() {
-  if (sharded_) return sharded_->globalSizes();
   if (!running_.load(std::memory_order_relaxed)) return state_.globalSizes();
   std::promise<std::unordered_map<coflow::CoflowId, double>> promise;
   auto future = promise.get_future();
@@ -768,7 +746,6 @@ std::unordered_map<coflow::CoflowId, double> Coordinator::globalSizes() {
 }
 
 std::vector<net::ScheduleEntry> Coordinator::scheduleSnapshot() {
-  if (sharded_) return sharded_->scheduleSnapshot();
   const auto compute = [this] {
     std::vector<net::ScheduleEntry> out;
     state_.snapshotEntries(out);

@@ -108,15 +108,7 @@ struct CoordinatorConfig {
   /// bloat the fan-out. The connection hard-closes at 4x this (see
   /// net::Connection::setSendQueueLimit). 0 = unlimited.
   std::size_t send_queue_max = 4 * 1024 * 1024;
-  /// Coordination-plane shards: >1 partitions the schedule state by
-  /// CoflowId hash across this many worker threads, each with its own
-  /// event loop and connection subset (see runtime/shard.h). 1 keeps the
-  /// original single-threaded coordinator — the bit-identical schedule
-  /// oracle the sharded path is tested against.
-  std::size_t shards = 1;
 };
-
-class ShardedCoordinator;
 
 class Coordinator {
  public:
@@ -125,9 +117,7 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Binds, starts the loop thread(s), begins Δ ticks. With
-  /// config.shards > 1 every call on this object transparently drives the
-  /// multi-threaded ShardedCoordinator instead of the single loop.
+  /// Binds, starts the loop thread, begins Δ ticks.
   void start();
   /// Idempotent and safe under concurrent callers: every caller returns
   /// only after shutdown has completed.
@@ -167,9 +157,6 @@ class Coordinator {
 
  private:
   using TimePoint = net::EventLoop::Clock::time_point;
-
-  /// Non-null iff config.shards > 1: the whole public surface delegates.
-  std::unique_ptr<ShardedCoordinator> sharded_;
 
   struct Peer {
     std::unique_ptr<net::Connection> connection;

@@ -36,6 +36,8 @@ void registerRobustnessStats(obs::Registry& registry, const RobustnessStats& sta
          stats.checkpoint_restores);
   attach("checkpoint_restore_failures", "Corrupt/rejected checkpoint data",
          stats.checkpoint_restore_failures);
+  attach("rejected_sizes", "Reported sizes dropped at ingress (NaN, inf, < 0)",
+         stats.rejected_sizes);
   // Daemon.
   attach("reconnect_attempts", "Dial attempts after a loss",
          stats.reconnect_attempts);

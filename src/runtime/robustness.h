@@ -36,6 +36,7 @@ struct RobustnessStats {
   Counter checkpoint_journal_records{0};///< Journal records appended.
   Counter checkpoint_restores{0};       ///< Successful snapshot+journal restores.
   Counter checkpoint_restore_failures{0};///< Corrupt/rejected checkpoint data.
+  Counter rejected_sizes{0};  ///< Reported sizes dropped: NaN, inf or < 0.
 
   // Daemon.
   Counter reconnect_attempts{0};       ///< Dial attempts after a loss.

@@ -323,25 +323,9 @@ std::size_t ScheduleState::collectTombstones(TimePoint cutoff) {
 
 // --- read side -------------------------------------------------------------
 
-bool ScheduleState::isRegistered(const coflow::CoflowId& id) const {
-  const std::size_t i = find(id);
-  return i != kNone && (table_[i].flags & kRegistered);
-}
-
 double ScheduleState::globalBytes(const coflow::CoflowId& id) const {
   const std::size_t i = find(id);
   return i != kNone && (table_[i].flags & kLive) ? table_[i].bytes : 0.0;
-}
-
-std::optional<net::ScheduleEntry> ScheduleState::entryFor(
-    const coflow::CoflowId& id) const {
-  const std::size_t i = find(id);
-  if (i == kNone || !(table_[i].flags & kLive)) return std::nullopt;
-  const Bucket& b = table_[i];
-  return net::ScheduleEntry{.id = id,
-                            .global_bytes = b.bytes,
-                            .queue = b.queue,
-                            .on = (b.flags & kOn) != 0};
 }
 
 std::unordered_map<coflow::CoflowId, double> ScheduleState::globalSizes()

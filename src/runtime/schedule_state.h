@@ -46,9 +46,9 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <queue>
 #include <set>
 #include <unordered_map>
@@ -60,6 +60,13 @@
 #include "util/units.h"
 
 namespace aalo::runtime {
+
+/// Whether a reported byte count may enter the schedule: finite and not
+/// negative. The coordinator drops any other size at ingress, and a
+/// checkpoint that holds one is corrupt.
+inline bool isValidReportedSize(double bytes) {
+  return std::isfinite(bytes) && bytes >= 0;
+}
 
 class ScheduleState {
  public:
@@ -96,10 +103,6 @@ class ScheduleState {
   /// reported from the global sizes (exactly what the legacy rebuild did
   /// by dropping its report map).
   void dropDaemon(std::uint64_t daemon_id);
-  /// Whether `daemon_id` reported anything since it was last dropped.
-  bool hasReportsFrom(std::uint64_t daemon_id) const {
-    return daemons_.contains(daemon_id);
-  }
 
   /// Tombstones `id` (completed coflows must not resurface from daemons
   /// still reporting them) with its last mention at `now`. Independent of
@@ -113,7 +116,6 @@ class ScheduleState {
 
   std::size_t registeredCount() const { return registered_; }
   std::size_t scheduledCount() const { return order_.size(); }
-  bool isRegistered(const coflow::CoflowId& id) const;
 
   /// Global size of `id` (0 when unknown). Test/diagnostic accessor.
   double globalBytes(const coflow::CoflowId& id) const;
@@ -163,26 +165,6 @@ class ScheduleState {
     }
   }
 
-  struct OrderLess {
-    bool operator()(const std::pair<int, coflow::CoflowId>& a,
-                    const std::pair<int, coflow::CoflowId>& b) const {
-      if (a.first != b.first) return a.first < b.first;
-      return coflow::CoflowIdFifoLess{}(a.second, b.second);
-    }
-  };
-  using OrderSet = std::set<std::pair<int, coflow::CoflowId>, OrderLess>;
-
-  /// The live schedule order, permanently sorted by (queue, FIFO id).
-  /// Exposed for the sharded coordinator's k-way merge, which walks the
-  /// per-shard heads to find the global top of the schedule.
-  const OrderSet& order() const { return order_; }
-
-  /// Current wire entry for `id` (bytes, queue; `on` as the shard-local
-  /// gate sees it), nullopt when the coflow is not scheduled. Used by the
-  /// cross-shard merge to materialize ON/OFF toggles for coflows whose
-  /// own shard had nothing new to announce.
-  std::optional<net::ScheduleEntry> entryFor(const coflow::CoflowId& id) const;
-
   using TombstoneFilter = std::function<bool(const coflow::CoflowId&)>;
   /// Reference oracle: rebuilds the schedule from scratch out of the
   /// stored per-daemon reports + registrations, exactly as the
@@ -192,6 +174,15 @@ class ScheduleState {
                       std::vector<net::ScheduleEntry>& out) const;
 
  private:
+  struct OrderLess {
+    bool operator()(const std::pair<int, coflow::CoflowId>& a,
+                    const std::pair<int, coflow::CoflowId>& b) const {
+      if (a.first != b.first) return a.first < b.first;
+      return coflow::CoflowIdFifoLess{}(a.second, b.second);
+    }
+  };
+  using OrderSet = std::set<std::pair<int, coflow::CoflowId>, OrderLess>;
+
   enum Flag : std::uint16_t {
     kUsed = 1 << 0,        ///< Bucket holds a key (0 flags = empty slot).
     kLive = 1 << 1,        ///< In the schedule (order_ holds it).

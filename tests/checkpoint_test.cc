@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -27,6 +28,7 @@
 
 #include "net/protocol.h"
 #include "runtime/checkpoint.h"
+#include "runtime/coordinator.h"
 #include "runtime/schedule_state.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -355,6 +357,78 @@ TEST(Checkpoint, JournalOnlyFromFreshStartRestores) {
   EXPECT_EQ(restored.registeredCount(), 1u);
   EXPECT_EQ(r->epoch, 3u);
   EXPECT_EQ(r->next_external, 1);
+}
+
+// A checkpoint is a trust boundary like the wire: a snapshot or journal
+// holding a NaN, infinite or negative size is corrupt, and restore()
+// refuses it whole instead of poisoning the restored schedule.
+const double kBadSizes[] = {std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), -1e12};
+
+TEST(Checkpoint, NonFiniteOrNegativeSnapshotSizeRejected) {
+  for (const double bad : kBadSizes) {
+    SCOPED_TRACE(bad);
+    const std::string dir = freshDir("bad_snapshot_size");
+    const coflow::CoflowId id{0, 0};
+    ScheduleState state(kThresholds, 0);
+    state.registerCoflow(id);
+    state.applySize(1, {1, 0}, 4096.0);
+    state.applySize(2, id, bad);
+    {
+      Checkpoint ckpt(dir);
+      ASSERT_TRUE(ckpt.writeSnapshot(state, {}, 1, 5, 2, kThresholds, 0));
+    }
+    Checkpoint reader(dir);
+    ScheduleState restored(kThresholds, 0);
+    EXPECT_FALSE(reader.restore(restored, kThresholds, 0).has_value());
+    EXPECT_EQ(restored.registeredCount(), 0u);
+    EXPECT_EQ(restored.scheduledCount(), 0u);
+  }
+}
+
+TEST(Checkpoint, NonFiniteOrNegativeJournalSizeRejected) {
+  for (const double bad : kBadSizes) {
+    SCOPED_TRACE(bad);
+    const std::string dir = freshDir("bad_journal_size");
+    const coflow::CoflowId id{0, 0};
+    ScheduleState state(kThresholds, 0);
+    state.registerCoflow(id);
+    Checkpoint ckpt(dir);
+    ASSERT_TRUE(ckpt.writeSnapshot(state, {}, 1, 0, 1, kThresholds, 0));
+    net::Message report;
+    report.type = net::MessageType::kSizeReport;
+    report.daemon_id = 1;
+    report.sizes.push_back({id, 2048.0});
+    report.sizes.push_back({{1, 0}, bad});
+    ckpt.journalReport(report);
+    ASSERT_TRUE(ckpt.flushJournal());
+
+    Checkpoint reader(dir);
+    ScheduleState restored(kThresholds, 0);
+    EXPECT_FALSE(reader.restore(restored, kThresholds, 0).has_value());
+  }
+}
+
+TEST(Checkpoint, CoordinatorCountsNonFiniteCheckpointAndStartsBlind) {
+  const std::string dir = freshDir("bad_size_coordinator");
+  CoordinatorConfig cfg;
+  cfg.checkpoint_dir = dir;
+  {
+    ScheduleState state(cfg.dclas.thresholds(), cfg.max_on_coflows);
+    state.registerCoflow({0, 0});
+    state.applySize(1, {0, 0}, std::numeric_limits<double>::quiet_NaN());
+    Checkpoint ckpt(dir);
+    ASSERT_TRUE(ckpt.writeSnapshot(state, {}, 1, 5, 1, cfg.dclas.thresholds(),
+                                   cfg.max_on_coflows));
+  }
+  Coordinator coordinator(cfg);
+  coordinator.start();
+  EXPECT_EQ(coordinator.stats().checkpoint_restore_failures.load(), 1u);
+  EXPECT_EQ(coordinator.stats().checkpoint_restores.load(), 0u);
+  EXPECT_EQ(coordinator.registeredCoflows(), 0u);
+  EXPECT_TRUE(coordinator.globalSizes().empty());
+  coordinator.stop();
 }
 
 }  // namespace

@@ -8,21 +8,27 @@
 // eviction and rejoin). These tests pin that equivalence from two sides:
 // a seeded fuzz of ScheduleState against its legacy rebuild oracle, and a
 // full multi-daemon scenario executed once per mode with every observable
-// compared at the end.
+// compared at the end. A golden wire transcript of one scripted socket run
+// pins what the coordinator tells daemons, bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "net/chaos.h"
+#include "net/connection.h"
+#include "net/event_loop.h"
+#include "net/protocol.h"
+#include "net/socket.h"
 #include "runtime/client.h"
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
 #include "runtime/schedule_state.h"
-#include "runtime/shard.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -141,121 +147,6 @@ TEST(CoordinationEquivalence, ScheduleStateMatchesLegacyOracleWithOnBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardSet vs the single ScheduleState oracle: the same seeded op soup is
-// driven into both, and after every round the merged sharded snapshot and
-// the merged delta chain must be bit-identical to the oracle's. This is
-// the schedule-correctness core of the sharded coordinator, exercised
-// deterministically (no threads, no sockets): hash partitioning, the
-// k-way (queue, FIFO-id) merge, and the global ON/OFF gate at merge time.
-
-void fuzzShardSet(std::uint64_t seed, std::size_t max_on, std::size_t shards) {
-  SCOPED_TRACE("seed=" + std::to_string(seed) + " max_on=" +
-               std::to_string(max_on) + " shards=" + std::to_string(shards));
-  const std::vector<util::Bytes> thresholds = {
-      1 * util::kMB, 10 * util::kMB, 100 * util::kMB, 1 * util::kGB};
-  ScheduleState oracle(thresholds, max_on);
-  ShardSet sharded(shards, thresholds, max_on);
-  util::Rng rng(seed);
-
-  std::vector<coflow::CoflowId> live;
-  std::int64_t next_external = 1;
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<coflow::CoflowId, double>>
-      reported;
-
-  struct MirrorEntry {
-    int queue = 0;
-    bool on = true;
-  };
-  // A daemon fed only by the *merged sharded* delta chain.
-  std::unordered_map<coflow::CoflowId, MirrorEntry> mirror;
-
-  std::vector<net::ScheduleEntry> oracle_delta, sharded_delta;
-  std::vector<coflow::CoflowId> oracle_removals, sharded_removals;
-  std::vector<net::ScheduleEntry> oracle_snapshot, sharded_snapshot;
-
-  for (int round = 0; round < 300; ++round) {
-    const int ops = static_cast<int>(rng.uniformInt(1, 5));
-    for (int op = 0; op < ops; ++op) {
-      const double pick = rng.uniform(0, 1);
-      if (pick < 0.20 || live.empty()) {
-        const coflow::CoflowId id{next_external++, 0};
-        oracle.registerCoflow(id);
-        sharded.registerCoflow(id);
-        live.push_back(id);
-      } else if (pick < 0.30) {
-        const auto idx = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-        const coflow::CoflowId id = live[idx];
-        oracle.unregisterCoflow(id);
-        sharded.unregisterCoflow(id);
-        for (auto& [daemon, sizes] : reported) sizes.erase(id);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-      } else if (pick < 0.92) {
-        const auto idx = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-        const auto daemon = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
-        double& bytes = reported[daemon][live[idx]];
-        bytes += static_cast<double>(rng.uniformInt(1, 20000)) * util::kKB;
-        oracle.applySize(daemon, live[idx], bytes);
-        sharded.applySize(daemon, live[idx], bytes);
-      } else {
-        const auto daemon = static_cast<std::uint64_t>(rng.uniformInt(0, 3));
-        oracle.dropDaemon(daemon);
-        sharded.dropDaemon(daemon);
-        reported.erase(daemon);
-      }
-    }
-
-    // One coordination round on both planes.
-    oracle.buildDelta(oracle_delta, oracle_removals);
-    sharded.buildDelta(sharded_delta, sharded_removals);
-
-    // The merged sharded delta must be *wire-identical* to the oracle's —
-    // same entries, same order, same removals — not merely equivalent.
-    ASSERT_EQ(sharded_delta.size(), oracle_delta.size()) << "round " << round;
-    for (std::size_t i = 0; i < oracle_delta.size(); ++i) {
-      EXPECT_EQ(sharded_delta[i], oracle_delta[i]) << "round " << round;
-    }
-    ASSERT_EQ(sharded_removals, oracle_removals) << "round " << round;
-
-    for (const auto& e : sharded_delta) mirror[e.id] = {e.queue, e.on};
-    for (const auto& id : sharded_removals) mirror.erase(id);
-
-    oracle.snapshotEntries(oracle_snapshot);
-    sharded.snapshotEntries(sharded_snapshot);
-    ASSERT_EQ(sharded_snapshot.size(), oracle_snapshot.size())
-        << "round " << round;
-    for (std::size_t i = 0; i < oracle_snapshot.size(); ++i) {
-      EXPECT_EQ(sharded_snapshot[i], oracle_snapshot[i]) << "round " << round;
-    }
-
-    // And the delta-chain mirror must agree with the snapshot.
-    ASSERT_EQ(mirror.size(), sharded_snapshot.size()) << "round " << round;
-    for (const auto& e : sharded_snapshot) {
-      const auto it = mirror.find(e.id);
-      ASSERT_NE(it, mirror.end()) << "round " << round;
-      EXPECT_EQ(it->second.queue, e.queue) << "round " << round;
-      EXPECT_EQ(it->second.on, e.on) << "round " << round;
-    }
-    if (::testing::Test::HasFailure()) return;  // One bad round is enough.
-  }
-}
-
-TEST(CoordinationEquivalence, ShardSetMatchesSingleStateOracle) {
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    fuzzShardSet(11, 0, shards);
-  }
-}
-
-TEST(CoordinationEquivalence, ShardSetMatchesSingleStateOracleWithOnBudget) {
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    fuzzShardSet(12, 5, shards);
-    fuzzShardSet(13, 2, shards);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Full scenario, once per mode: coordinator + a clean daemon + a daemon
 // behind a seeded lossy ChaosProxy; size ramp, a lossy window, a liveness
 // eviction and rejoin, and an unregister. Every observable the data path
@@ -269,7 +160,7 @@ struct ScenarioResult {
   std::uint64_t evicted = 0;
 };
 
-ScenarioResult runScenario(bool full_mode, std::size_t shards = 1) {
+ScenarioResult runScenario(bool full_mode) {
   ScenarioResult result;
 
   CoordinatorConfig ccfg;
@@ -281,7 +172,6 @@ ScenarioResult runScenario(bool full_mode, std::size_t shards = 1) {
   ccfg.one_way_timeout_intervals = 200;
   ccfg.full_broadcasts = full_mode;
   ccfg.snapshot_every = 8;
-  ccfg.shards = shards;
   Coordinator coordinator(ccfg);
   coordinator.start();
 
@@ -439,29 +329,6 @@ TEST(CoordinationEquivalence, DeltaModeMatchesFullModeUnderChaos) {
   EXPECT_EQ(full.evicted, delta.evicted);
 }
 
-// The same chaos drill (drops, reordering, duplication, blackhole
-// eviction, link kill and rejoin, unregister) executed against the
-// 4-shard multi-threaded coordinator must land in exactly the state the
-// single-threaded oracle reaches.
-TEST(CoordinationEquivalence, ShardedCoordinatorMatchesOracleUnderChaos) {
-  const ScenarioResult oracle = runScenario(false, 1);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-  const ScenarioResult sharded = runScenario(false, 4);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  EXPECT_EQ(oracle.global.size(), sharded.global.size());
-  for (const auto& [id, bytes] : oracle.global) {
-    const auto it = sharded.global.find(id);
-    ASSERT_NE(it, sharded.global.end());
-    EXPECT_EQ(it->second, bytes);  // Integer bytes: exact across modes.
-  }
-  EXPECT_EQ(oracle.d1_queue_a, sharded.d1_queue_a);
-  EXPECT_EQ(oracle.d2_queue_a, sharded.d2_queue_a);
-  EXPECT_EQ(oracle.d1_on_a, sharded.d1_on_a);
-  EXPECT_EQ(oracle.d2_on_a, sharded.d2_on_a);
-  EXPECT_EQ(oracle.evicted, sharded.evicted);
-}
-
 // ---------------------------------------------------------------------------
 // §3.2 restart guarantee under delta reports: with the periodic resync
 // effectively disabled, reconnecting to a restarted (amnesiac)
@@ -523,6 +390,160 @@ TEST(CoordinationEquivalence, RestartedCoordinatorIsRetaughtByOneForcedResync) {
 
   daemon.stop();
   reborn.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire transcript of the coordinator's schedule, driven over real
+// loopback sockets by hand-rolled daemons: registrations, reports from
+// two daemons, an unregister (plus a late report of the tombstoned
+// coflow), a daemon drop, all under a §6.2 ON budget. After every step
+// the test waits until the change is visible, asks for a snapshot with
+// kSnapshotRequest, and folds that frame's entries — id, global bytes,
+// queue, ON bit, in wire order — into one digest. Epoch and fence depend
+// on timing and stay out. Any change to what a daemon is told moves it.
+
+/// A daemon reduced to its wire behaviour: Hello, raw size reports, and a
+/// log of every schedule frame it received. Pumped by the test thread.
+struct RawDaemon {
+  RawDaemon(net::EventLoop& loop, std::uint16_t port, std::uint64_t id)
+      : daemon_id(id),
+        connection(std::make_unique<net::Connection>(
+            loop, net::connectTcp(port),
+            [this](net::Buffer& payload) {
+              net::Message m = net::decodeMessage(payload);
+              if (m.type == net::MessageType::kScheduleUpdate) {
+                snapshots.push_back(std::move(m.schedule));
+              }
+            },
+            net::Connection::CloseHandler{})) {
+    net::Message hello;
+    hello.type = net::MessageType::kHello;
+    hello.daemon_id = daemon_id;
+    send(hello);
+  }
+
+  void send(const net::Message& m) {
+    net::Buffer out;
+    net::encodeMessage(m, out);
+    connection->sendFrame(out);
+  }
+
+  void report(const std::vector<net::CoflowSize>& sizes) {
+    net::Message m;
+    m.type = net::MessageType::kSizeReport;
+    m.daemon_id = daemon_id;
+    m.sizes = sizes;
+    send(m);
+  }
+
+  std::uint64_t daemon_id;
+  std::unique_ptr<net::Connection> connection;
+  std::vector<std::vector<net::ScheduleEntry>> snapshots;
+};
+
+TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
+  CoordinatorConfig ccfg;
+  ccfg.sync_interval = 0.005;
+  ccfg.dclas.num_queues = 4;
+  ccfg.dclas.first_threshold = 1 * util::kMB;
+  ccfg.dclas.exp_factor = 10;
+  ccfg.max_on_coflows = 2;
+  // Nothing but the script may change the schedule or trigger a snapshot.
+  ccfg.liveness_timeout_intervals = 0;
+  ccfg.one_way_timeout_intervals = 0;
+  ccfg.tombstone_gc_intervals = 0;
+  ccfg.snapshot_every = 0;
+  Coordinator coordinator(ccfg);
+  coordinator.start();
+
+  net::EventLoop loop;
+  const auto pumpUntil = [&](auto predicate) {
+    waitFor([&] {
+      loop.runOnce(std::chrono::milliseconds(2));
+      return predicate();
+    });
+  };
+  const auto sizeIs = [&](const coflow::CoflowId& id, double bytes) {
+    const auto global = coordinator.globalSizes();
+    const auto it = global.find(id);
+    return it != global.end() && it->second == bytes;
+  };
+
+  auto d1 = std::make_unique<RawDaemon>(loop, coordinator.port(), 1);
+  auto d2 = std::make_unique<RawDaemon>(loop, coordinator.port(), 2);
+  // Each daemon's first frame after Hello is its connect snapshot.
+  pumpUntil([&] { return !d1->snapshots.empty() && !d2->snapshots.empty(); });
+
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a 64.
+  const auto fold = [&](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (word >> (8 * i)) & 0xff;
+      digest *= 1099511628211ull;
+    }
+  };
+  std::string transcript;
+  const auto snapshotStep = [&](const char* step) {
+    const std::size_t seen = d1->snapshots.size();
+    net::Message request;
+    request.type = net::MessageType::kSnapshotRequest;
+    d1->send(request);
+    pumpUntil([&] { return d1->snapshots.size() > seen; });
+    const auto& entries = d1->snapshots.back();
+    transcript += std::string("\n") + step + ":";
+    fold(entries.size());
+    for (const auto& e : entries) {
+      fold(static_cast<std::uint64_t>(e.id.external));
+      fold(static_cast<std::uint64_t>(e.id.internal));
+      fold(std::bit_cast<std::uint64_t>(e.global_bytes));
+      fold(static_cast<std::uint64_t>(e.queue));
+      fold(e.on ? 1 : 0);
+      transcript += " {" + e.id.toString() + " " +
+                    std::to_string(e.global_bytes) + "B q" +
+                    std::to_string(e.queue) + (e.on ? " on}" : " off}");
+    }
+  };
+
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+  const auto b = client.registerCoflow();
+  const auto c = client.registerCoflow();
+  const auto d = client.registerCoflow();
+  pumpUntil([&] { return coordinator.registeredCoflows() == 4; });
+  snapshotStep("register");
+
+  d1->report({{a, 5 * util::kMB}, {b, 50 * util::kMB}});
+  pumpUntil([&] { return sizeIs(a, 5 * util::kMB) && sizeIs(b, 50 * util::kMB); });
+  snapshotStep("d1 reports");
+
+  d2->report({{a, 7 * util::kMB}, {c, 200 * util::kMB}, {d, 512 * util::kKB}});
+  pumpUntil([&] {
+    return sizeIs(a, 12 * util::kMB) && sizeIs(c, 200 * util::kMB) &&
+           sizeIs(d, 512 * util::kKB);
+  });
+  snapshotStep("d2 reports");
+
+  client.unregisterCoflow(b);
+  pumpUntil([&] { return !coordinator.globalSizes().contains(b); });
+  snapshotStep("unregister b");
+
+  // A late report of the tombstoned coflow must stay filtered.
+  d1->report({{a, 6 * util::kMB}, {b, 60 * util::kMB}});
+  pumpUntil([&] { return sizeIs(a, 13 * util::kMB); });
+  snapshotStep("late report of b");
+
+  d2.reset();  // Hang up: the coordinator drops d2's contributions.
+  pumpUntil([&] {
+    return coordinator.daemonCount() == 1 && sizeIs(a, 6 * util::kMB) &&
+           sizeIs(c, 0);
+  });
+  snapshotStep("d2 dropped");
+
+  SCOPED_TRACE(transcript);
+  EXPECT_EQ(digest, 0x8694ba65d78c0d37ull);
+  EXPECT_EQ(coordinator.stats().snapshot_requests.load(), 6u);
+
+  d1.reset();
+  coordinator.stop();
 }
 
 }  // namespace

@@ -170,95 +170,6 @@ TEST(HighAvailability, FailoverConvergesBitIdenticalToNoFailureRun) {
   reference.stop();
 }
 
-// The failover drill at --shards 4: a sharded primary dies mid-stream, a
-// sharded standby promotes, and the converged schedule must be
-// bit-identical to an undisturbed *single-threaded* reference run — one
-// drill covering failover, fencing, and cross-implementation equivalence.
-TEST(HighAvailability, ShardedFailoverConvergesBitIdenticalToOracleRun) {
-  CoordinatorConfig pcfg = fastCoordinator();
-  pcfg.shards = 4;
-  auto primary = std::make_unique<Coordinator>(pcfg);
-  primary->start();
-
-  CoordinatorConfig scfg = fastCoordinator();
-  scfg.shards = 4;
-  scfg.standby_of = primary->port();
-  scfg.takeover_intervals = 5;
-  Coordinator standby(scfg);
-  standby.start();
-  EXPECT_FALSE(standby.isPrimary());
-
-  DaemonConfig d1cfg = fastDaemon(primary->port(), 1);
-  d1cfg.coordinator_ports = {primary->port(), standby.port()};
-  DaemonConfig d2cfg = d1cfg;
-  d2cfg.daemon_id = 2;
-  Daemon d1(d1cfg);
-  Daemon d2(d2cfg);
-  d1.start();
-  d2.start();
-
-  AaloClient client(primary->port());
-  const auto a = client.registerCoflow();
-  const auto b = client.registerCoflow();
-  const auto c = client.registerCoflow();
-  d1.reportBytes(a, 64.0 * util::kMB);
-  d2.reportBytes(a, 64.0 * util::kMB);
-  d1.reportBytes(b, 2.0 * util::kMB);
-  // c never sends: stays a fresh queue-0 coflow.
-  waitFor([&] { return d1.queueOf(a) > 0 && d2.queueOf(a) > 0; });
-  waitFor([&] {
-    return standby.stats().follower_frames_applied.load(
-               std::memory_order_relaxed) >= 5;
-  });
-
-  primary->stop();
-  primary.reset();
-
-  waitFor([&] { return standby.isPrimary(); }, 10000ms);
-  EXPECT_EQ(standby.fence(), 2u);
-  EXPECT_EQ(standby.stats().failovers.load(std::memory_order_relaxed), 1u);
-  waitFor([&] { return standby.daemonCount() == 2; }, 10000ms);
-  waitFor([&] { return d1.fenceSeen() == 2 && d2.fenceSeen() == 2; }, 10000ms);
-  waitFor([&] { return d1.queueOf(a) > 0 && d2.queueOf(a) > 0; }, 10000ms);
-
-  // Reference universe: single-threaded oracle, no failure.
-  Coordinator reference(fastCoordinator());
-  reference.start();
-  Daemon r1(fastDaemon(reference.port(), 1));
-  Daemon r2(fastDaemon(reference.port(), 2));
-  r1.start();
-  r2.start();
-  AaloClient ref_client(reference.port());
-  const auto ra = ref_client.registerCoflow();
-  const auto rb = ref_client.registerCoflow();
-  ref_client.registerCoflow();
-  ASSERT_EQ(ra, a);  // Same mint order => same CoflowIds.
-  ASSERT_EQ(rb, b);
-  r1.reportBytes(ra, 64.0 * util::kMB);
-  r2.reportBytes(ra, 64.0 * util::kMB);
-  r1.reportBytes(rb, 2.0 * util::kMB);
-  waitFor([&] { return r1.queueOf(ra) > 0 && r2.queueOf(ra) > 0; });
-
-  waitFor(
-      [&] {
-        return sameSchedule(standby.scheduleSnapshot(),
-                            reference.scheduleSnapshot());
-      },
-      10000ms);
-  const auto failed_over = standby.scheduleSnapshot();
-  ASSERT_EQ(failed_over.size(), 3u);
-  EXPECT_TRUE(sameSchedule(failed_over, reference.scheduleSnapshot()));
-  EXPECT_TRUE(std::any_of(failed_over.begin(), failed_over.end(),
-                          [&](const auto& e) { return e.id == c; }));
-
-  d1.stop();
-  d2.stop();
-  r1.stop();
-  r2.stop();
-  standby.stop();
-  reference.stop();
-}
-
 // Tentpole drill: a gracefully restarted coordinator resumes from
 // (snapshot + journal) and re-broadcasts a bit-identical schedule without
 // a single snapshot request — no re-teach round.
@@ -330,76 +241,6 @@ TEST(HighAvailability, RestoreResumesBitIdenticalSchedule) {
 
   daemon.stop();
   restarted.stop();
-}
-
-// The restore drill at --shards 4: a checkpoint written by the sharded
-// coordinator (merged multi-state snapshot + shard-epoch-marked journal)
-// restores bit-identically — both back into 4 shards and into the
-// single-threaded oracle, proving the on-disk format is shard-agnostic.
-TEST(HighAvailability, ShardedRestoreResumesBitIdenticalSchedule) {
-  const std::string dir = freshDir("sharded_restore");
-  CoordinatorConfig cfg = fastCoordinator();
-  cfg.shards = 4;
-  cfg.checkpoint_dir = dir;
-  cfg.checkpoint_interval = 0.05;
-  cfg.liveness_timeout_intervals = 0;  // See RestoreResumesBitIdentical.
-  cfg.one_way_timeout_intervals = 0;
-  auto coordinator = std::make_unique<Coordinator>(cfg);
-  coordinator->start();
-  const std::uint16_t port = coordinator->port();
-
-  DaemonConfig dcfg = fastDaemon(port, 7);
-  dcfg.stale_after_intervals = 0;
-  Daemon daemon(dcfg);
-  daemon.start();
-  AaloClient client(port);
-  const auto a = client.registerCoflow();
-  const auto b = client.registerCoflow();
-  const auto c = client.registerCoflow();
-  daemon.reportBytes(a, 480.0 * util::kMB);  // Queue 2 at default D-CLAS.
-  daemon.reportBytes(b, 13.0 * util::kMB);   // Queue 1 (Q1 = 10 MB).
-  client.unregisterCoflow(c);                // A live tombstone to carry.
-  waitFor([&] { return daemon.queueOf(a) > 0 && daemon.queueOf(b) > 0; });
-
-  std::vector<net::ScheduleEntry> before;
-  waitFor([&] {
-    before = coordinator->scheduleSnapshot();
-    return before.size() == 2 &&
-           std::all_of(before.begin(), before.end(),
-                       [](const auto& e) { return e.queue > 0; });
-  });
-  const auto epoch_before = coordinator->epoch();
-  coordinator->stop();  // Final flush + merged snapshot.
-  coordinator.reset();
-  daemon.stop();  // Restores below must come purely from disk.
-
-  // Restart sharded: bit-identical without any daemon re-teach.
-  CoordinatorConfig cfg4 = cfg;
-  cfg4.port = 0;
-  {
-    Coordinator restarted(cfg4);
-    restarted.start();
-    EXPECT_EQ(restarted.stats().checkpoint_restores.load(
-                  std::memory_order_relaxed),
-              1u);
-    EXPECT_TRUE(sameSchedule(restarted.scheduleSnapshot(), before));
-    EXPECT_GE(restarted.epoch(), epoch_before);
-    EXPECT_EQ(restarted.registeredCoflows(), 2u);
-    EXPECT_GE(restarted.tombstoneCount(), 1u);
-    restarted.stop();
-  }
-
-  // Restart single-threaded from the same files: the merged snapshot is
-  // indistinguishable from one the oracle wrote itself.
-  CoordinatorConfig cfg1 = cfg;
-  cfg1.port = 0;
-  cfg1.shards = 1;
-  Coordinator oracle(cfg1);
-  oracle.start();
-  EXPECT_EQ(
-      oracle.stats().checkpoint_restores.load(std::memory_order_relaxed), 1u);
-  EXPECT_TRUE(sameSchedule(oracle.scheduleSnapshot(), before));
-  oracle.stop();
 }
 
 // A restart with a corrupt checkpoint falls back to the classic re-teach

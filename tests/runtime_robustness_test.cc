@@ -1,9 +1,16 @@
-// Runtime robustness: malformed frames, multiple clients, unregister
-// cleanup, and the §6.2 ON/OFF flow-gating signals.
+// Runtime robustness: malformed frames and sizes, multiple clients,
+// unregister cleanup, the §6.2 ON/OFF flow-gating signals, and the
+// coordinator's cross-thread surfaces under churn (these run under tsan
+// with the rest of the "chaos" label).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/connection.h"
 #include "net/protocol.h"
@@ -52,6 +59,58 @@ TEST(RuntimeRobustness, CoordinatorSurvivesMalformedFrames) {
   AaloClient client(coordinator.port());
   const auto id = client.registerCoflow();
   EXPECT_EQ(id.internal, 0);
+  coordinator.stop();
+}
+
+// A size that is NaN, infinite or negative never reaches the schedule: the
+// coordinator drops each one before it is applied or journaled, and
+// counts it.
+TEST(RuntimeRobustness, NonFiniteAndNegativeSizesAreRejectedAtIngress) {
+  CoordinatorConfig ccfg = fastCoordinator();
+  ccfg.liveness_timeout_intervals = 0;  // The raw daemon reports only twice.
+  ccfg.one_way_timeout_intervals = 0;
+  Coordinator coordinator(ccfg);
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+  const auto b = client.registerCoflow();
+
+  net::EventLoop loop;
+  net::Connection conn(loop, net::connectTcp(coordinator.port()),
+                       [](net::Buffer&) {}, {});
+  const auto send = [&](net::MessageType type,
+                        std::vector<net::CoflowSize> sizes) {
+    net::Message m;
+    m.type = type;
+    m.daemon_id = 1;
+    m.sizes = std::move(sizes);
+    net::Buffer out;
+    net::encodeMessage(m, out);
+    conn.sendFrame(out);
+  };
+  send(net::MessageType::kHello, {});
+  send(net::MessageType::kSizeReport, {{a, 20 * util::kMB}});
+  waitFor([&] {
+    loop.runOnce(std::chrono::milliseconds(2));
+    const auto global = coordinator.globalSizes();
+    return global.contains(a) && global.at(a) == 20 * util::kMB;
+  });
+  const auto sizes_before = coordinator.globalSizes();
+  const auto schedule_before = coordinator.scheduleSnapshot();
+
+  send(net::MessageType::kSizeReport,
+       {{a, std::numeric_limits<double>::quiet_NaN()},
+        {b, std::numeric_limits<double>::infinity()},
+        {a, -1e12}});
+  waitFor([&] {
+    loop.runOnce(std::chrono::milliseconds(2));
+    return coordinator.stats().rejected_sizes.load() == 3;
+  });
+  EXPECT_EQ(coordinator.globalSizes(), sizes_before);
+  EXPECT_EQ(coordinator.scheduleSnapshot(), schedule_before);
+  EXPECT_NE(coordinator.metrics().renderPrometheus().find(
+                "aalo_coordinator_rejected_sizes_total 3"),
+            std::string::npos);
   coordinator.stop();
 }
 
@@ -334,6 +393,152 @@ TEST(RuntimeRobustness, DaemonReconnectsAfterCoordinatorRestart) {
   waitFor([&] { return daemon.queueOf(id) > 0; });
   daemon.stop();
   coordinator->stop();
+}
+
+DaemonConfig churnDaemon(std::uint16_t port, std::uint64_t id) {
+  DaemonConfig cfg;
+  cfg.coordinator_port = port;
+  cfg.daemon_id = id;
+  cfg.sync_interval = 0.002;
+  cfg.reconnect_interval = 0.01;
+  return cfg;
+}
+
+CoordinatorConfig churnCoordinator() {
+  CoordinatorConfig cfg;
+  cfg.sync_interval = 0.002;  // Fast rounds: many ticks per test.
+  cfg.snapshot_every = 3;     // Frequent snapshot encodes on the tick.
+  return cfg;
+}
+
+// Ticks vs report apply vs register/unregister churn from concurrent
+// clients vs daemons dropping and rejoining, with every external accessor
+// hammered from another thread throughout. Functional assertions are
+// loose (rounds advance, nothing deadlocks); the point is that tsan sees
+// every cross-thread surface of the coordinator under load.
+TEST(RuntimeRobustness, RoundsRaceFreeUnderConcurrentChurn) {
+  Coordinator coordinator(churnCoordinator());
+  coordinator.start();
+  const std::uint16_t port = coordinator.port();
+
+  constexpr int kDaemons = 6;
+  // The mutex protects the *vector slots* (the churn thread swaps daemons
+  // out) — the interesting concurrency is all on the coordinator side.
+  std::mutex daemons_mutex;
+  std::vector<std::unique_ptr<Daemon>> daemons;
+  for (int d = 0; d < kDaemons; ++d) {
+    daemons.push_back(std::make_unique<Daemon>(
+        churnDaemon(port, static_cast<std::uint64_t>(d + 1))));
+    daemons.back()->start();
+  }
+  waitFor([&] { return coordinator.daemonCount() == kDaemons; }, 10000ms);
+
+  std::atomic<bool> stop{false};
+
+  // Two client threads register/unregister coflows and feed them through
+  // every daemon: registers, reports, unregisters and tombstones all race
+  // with the ticks.
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      AaloClient client(port);
+      std::vector<coflow::CoflowId> mine;
+      std::uint64_t step = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto id = client.registerCoflow();
+        mine.push_back(id);
+        {
+          std::lock_guard lock(daemons_mutex);
+          for (int d = 0; d < kDaemons; ++d) {
+            daemons[static_cast<std::size_t>(d)]->reportBytes(
+                id, static_cast<double>((step + 1) * (d + 1)) * util::kMB);
+          }
+        }
+        if (mine.size() > 8) {
+          client.unregisterCoflow(mine.front());
+          mine.erase(mine.begin());
+        }
+        ++step;
+        std::this_thread::sleep_for(1ms * (c + 1));
+      }
+      for (const auto& id : mine) client.unregisterCoflow(id);
+    });
+  }
+
+  // An observer thread reads every cross-thread accessor while rounds run.
+  std::thread observer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)coordinator.epoch();
+      (void)coordinator.daemonCount();
+      (void)coordinator.registeredCoflows();
+      (void)coordinator.tombstoneCount();
+      (void)coordinator.globalSizes();
+      (void)coordinator.scheduleSnapshot();
+      (void)coordinator.metrics().renderPrometheus();
+      std::this_thread::sleep_for(3ms);
+    }
+  });
+
+  // A churn thread kills and revives daemons: EOF-triggered drops and
+  // rejoin snapshots race with everything above.
+  std::thread churn([&] {
+    std::uint64_t victim = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const auto idx = static_cast<std::size_t>(victim++ % kDaemons);
+      {
+        std::lock_guard lock(daemons_mutex);
+        daemons[idx]->stop();
+      }
+      std::this_thread::sleep_for(10ms);
+      {
+        std::lock_guard lock(daemons_mutex);
+        daemons[idx] = std::make_unique<Daemon>(
+            churnDaemon(port, static_cast<std::uint64_t>(idx + 1)));
+        daemons[idx]->start();
+      }
+      std::this_thread::sleep_for(20ms);
+    }
+  });
+
+  // Let it all collide across plenty of rounds.
+  const std::uint64_t epoch_start = coordinator.epoch();
+  std::this_thread::sleep_for(700ms);
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : clients) t.join();
+  observer.join();
+  churn.join();
+
+  EXPECT_GT(coordinator.epoch(), epoch_start + 20);
+  for (auto& d : daemons) d->stop();
+  waitFor([&] { return coordinator.daemonCount() == 0; }, 10000ms);
+  coordinator.stop();
+}
+
+// Lifecycle races: stop() must fence out the tick in flight, posted work
+// and deferred connection teardown — repeatedly, with live daemons
+// attached each cycle.
+TEST(RuntimeRobustness, StopStartCyclesWithLiveDaemons) {
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    Coordinator coordinator(churnCoordinator());
+    coordinator.start();
+
+    std::vector<std::unique_ptr<Daemon>> daemons;
+    for (int d = 0; d < 4; ++d) {
+      daemons.push_back(std::make_unique<Daemon>(
+          churnDaemon(coordinator.port(), static_cast<std::uint64_t>(d + 1))));
+      daemons.back()->start();
+    }
+    AaloClient client(coordinator.port());
+    const auto id = client.registerCoflow();
+    for (auto& d : daemons) d->reportBytes(id, 32.0 * util::kMB);
+    waitFor([&] { return coordinator.daemonCount() == 4; }, 10000ms);
+    waitFor([&] { return coordinator.epoch() >= 3; }, 10000ms);
+
+    // Stop with daemons still connected and reporting: their EOFs and the
+    // tick in flight must all drain cleanly.
+    coordinator.stop();
+    for (auto& d : daemons) d->stop();
+  }
 }
 
 }  // namespace

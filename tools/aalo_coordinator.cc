@@ -6,7 +6,7 @@
 //                    [--snapshot-every N] [--full-broadcasts]
 //                    [--standby-of PORT] [--takeover-intervals N]
 //                    [--checkpoint-dir DIR] [--checkpoint-interval SECONDS]
-//                    [--send-queue-max BYTES] [--shards N]
+//                    [--send-queue-max BYTES]
 //                    [--metrics-dump PATH] [--metrics-interval SECONDS]
 //                    [--verbose]
 //
@@ -20,9 +20,7 @@
 // primary silence. --checkpoint-dir enables ScheduleState snapshots + a
 // delta journal so a restarted primary resumes without re-teaching;
 // --send-queue-max bounds per-daemon broadcast backlog (skipped rounds are
-// coalesced into one snapshot; 0 = unlimited). --shards N partitions the
-// coordination plane across N worker threads (schedules stay bit-identical
-// to --shards 1, the single-threaded oracle).
+// coalesced into one snapshot; 0 = unlimited).
 // --metrics-dump writes the observability registry (Prometheus text, plus
 // JSON at PATH.json) every --metrics-interval seconds and once at
 // shutdown.
@@ -58,7 +56,7 @@ void onSignal(int) { g_stop = true; }
                "                        [--full-broadcasts] [--standby-of PORT]\n"
                "                        [--takeover-intervals N] [--checkpoint-dir DIR]\n"
                "                        [--checkpoint-interval SECONDS]\n"
-               "                        [--send-queue-max BYTES] [--shards N]\n"
+               "                        [--send-queue-max BYTES]\n"
                "                        [--metrics-dump PATH]\n"
                "                        [--metrics-interval SECONDS] [--verbose]\n");
   std::exit(2);
@@ -111,9 +109,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--send-queue-max")) {
       cfg.send_queue_max =
           static_cast<std::size_t>(std::atoll(needValue("--send-queue-max")));
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      cfg.shards = static_cast<std::size_t>(std::atoll(needValue("--shards")));
-      if (cfg.shards == 0) cfg.shards = 1;
     } else if (!std::strcmp(argv[i], "--metrics-dump")) {
       cfg.metrics_dump_path = needValue("--metrics-dump");
     } else if (!std::strcmp(argv[i], "--metrics-interval")) {

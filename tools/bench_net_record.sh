@@ -1,19 +1,17 @@
 #!/usr/bin/env sh
 # Records the coordination benchmarks (panel (a) of the Figure 14 bench:
-# full-vs-delta data-path A/B, the daemons x shards sweep over the
-# multi-threaded sharded coordinator, HA drills, and the >= 1M
-# live-coflow point — all real loopback sockets) as JSON so successive
-# PRs can diff round times and bytes-on-wire.
+# full-vs-delta data-path A/B, the daemons sweep (1k to 100k, multiplexed
+# over at most 2500 connections), HA drills, and the >= 1M live-coflow
+# point — all real loopback sockets) as JSON so successive changes can
+# diff round times and bytes-on-wire. The bench exits non-zero, and
+# writes nothing, if any point times no round.
 #
 #   tools/bench_net_record.sh [options] [build-dir] [output-json]
 #
 # Options (forwarded to the bench binary):
-#   --daemons N,N,...   sweep daemon counts (default grid: 1000 at shards
-#                       1/2/4/8 plus the 1-vs-8 A/B at 10k and 100k)
-#   --shards K,K,...    sweep shard counts (default 1,8 when --daemons is
-#                       given without --shards)
+#   --daemons N,N,...   sweep daemon counts (default 1000,10000,100000)
 #   --rounds R          timed rounds per sweep point (default scales with N)
-#   --sweep-only        record just the shard sweep (the CI perf gate mode)
+#   --sweep-only        record just the daemons sweep (the CI perf gate mode)
 #   --live-coflows M    population for the high-cardinality point
 #
 # Defaults: build-dir = build-release (the "release" CMake preset),
@@ -33,7 +31,7 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 bench_args=""
 while [ $# -gt 0 ]; do
   case "$1" in
-    --daemons|--shards|--rounds|--live-coflows)
+    --daemons|--rounds|--live-coflows)
       if [ $# -lt 2 ]; then
         echo "bench_net_record: $1 needs a value" >&2
         exit 2
@@ -47,7 +45,7 @@ while [ $# -gt 0 ]; do
       ;;
     --*)
       echo "bench_net_record: unknown option $1" >&2
-      echo "usage: tools/bench_net_record.sh [--daemons N,N,...] [--shards K,K,...] [--rounds R] [--sweep-only] [--live-coflows M] [build-dir] [output-json]" >&2
+      echo "usage: tools/bench_net_record.sh [--daemons N,N,...] [--rounds R] [--sweep-only] [--live-coflows M] [build-dir] [output-json]" >&2
       exit 2
       ;;
     *)
