@@ -4,6 +4,7 @@
 //     centralization for tiny coflows)
 //  3. queue-weight schemes
 #include "bench/common.h"
+#include "sched/varys.h"
 
 using namespace aalo;
 
@@ -18,15 +19,11 @@ int main() {
   const auto wl = bench::standardWorkload(250, 40, 77);
   const auto fc = bench::standardFabric();
 
-  auto weighted = bench::makeAalo();
-  const auto weighted_result = bench::run(wl, fc, *weighted, "aalo weighted");
+  const auto weighted_result = bench::run(wl, fc, "aalo", "aalo weighted");
 
   // 1. Strict priority across queues.
   {
-    sched::DClasConfig cfg;
-    cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    auto strict = bench::makeAaloWith(cfg);
-    const auto strict_result = bench::run(wl, fc, *strict, "aalo strict");
+    const auto strict_result = bench::run(wl, fc, "aalo-strict", "aalo strict");
 
     util::Table table({"policy", "avg CCT", "p95 CCT", "p99 CCT", "max CCT"});
     for (const auto* result : {&weighted_result, &strict_result}) {
@@ -69,17 +66,13 @@ int main() {
   // 3. Queue-weight schemes: K-i+1 (paper) vs exponential decay vs equal.
   {
     std::printf("\n3. Queue-weight scheme (improvement over per-flow fairness):\n");
-    auto fair = bench::makeFair();
-    const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
+    const auto fair_result = bench::run(wl, fc, "fair", "per-flow fair");
     util::Table table({"weights", "improvement over fair (avg CCT)"});
     table.addRow({"K-i+1 (paper)",
                   util::Table::num(
                       analysis::normalizedCct(fair_result, weighted_result).avg, 2) +
                       "x"});
-    sched::DClasConfig strict_cfg;
-    strict_cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    auto strict = bench::makeAaloWith(strict_cfg);
-    const auto strict_result = bench::run(wl, fc, *strict, "strict (≈ weight ∞)");
+    const auto strict_result = bench::run(wl, fc, "aalo-strict", "strict (≈ weight ∞)");
     table.addRow({"strict priority",
                   util::Table::num(
                       analysis::normalizedCct(fair_result, strict_result).avg, 2) +

@@ -11,6 +11,8 @@
 // lands between the two (it trades a little of this gain for starvation
 // freedom) — shown in the last column.
 #include "bench/common.h"
+#include "sched/clas.h"
+#include "sched/dclas.h"
 
 using namespace aalo;
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace aalo::bench {
 
@@ -24,48 +25,6 @@ fabric::FabricConfig standardFabric(int ports) {
   return fabric::FabricConfig{ports, util::kGbps};
 }
 
-util::Bytes heavyThreshold(const coflow::Workload& workload, double percentile) {
-  util::Summary sizes;
-  for (const auto& job : workload.jobs) {
-    for (const auto& c : job.coflows) sizes.add(c.totalBytes());
-  }
-  return sizes.percentile(percentile);
-}
-
-std::unique_ptr<sim::Scheduler> makeAalo(util::Seconds sync_interval) {
-  sched::DClasConfig cfg;  // Paper defaults: K=10, E=10, Q1=10MB.
-  cfg.sync_interval = sync_interval;
-  return std::make_unique<sched::DClasScheduler>(cfg);
-}
-
-std::unique_ptr<sim::Scheduler> makeAaloWith(sched::DClasConfig config) {
-  return std::make_unique<sched::DClasScheduler>(config);
-}
-
-std::unique_ptr<sim::Scheduler> makeFair() {
-  return std::make_unique<sched::PerFlowFairScheduler>();
-}
-
-std::unique_ptr<sim::Scheduler> makeVarys() {
-  return std::make_unique<sched::VarysScheduler>();
-}
-
-std::unique_ptr<sim::Scheduler> makeUncoordinated() {
-  sched::DClasConfig cfg;  // Same queue structure as Aalo, local knowledge.
-  return std::make_unique<sched::UncoordinatedDClasScheduler>(cfg, /*quantum=*/2.0);
-}
-
-std::unique_ptr<sim::Scheduler> makeFifoLm(util::Bytes heavy_threshold) {
-  sched::FifoLmConfig cfg;
-  cfg.heavy_threshold = heavy_threshold;
-  cfg.quantum = 2.0;
-  return std::make_unique<sched::FifoLmScheduler>(cfg);
-}
-
-std::unique_ptr<sim::Scheduler> makeFifo() {
-  return std::make_unique<sched::FifoScheduler>();
-}
-
 sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric,
                    sim::Scheduler& scheduler, const std::string& label) {
   const auto start = std::chrono::steady_clock::now();
@@ -77,6 +36,15 @@ sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric
   return result;
 }
 
+sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric,
+                   std::string_view name, std::string label) {
+  const auto scheduler = sched::makeScheduler(name, workload);
+  if (scheduler == nullptr) {
+    throw std::invalid_argument("unknown scheduler " + std::string(name));
+  }
+  return run(workload, fabric, *scheduler, label.empty() ? scheduler->name() : label);
+}
+
 sim::BatchJob job(const coflow::Workload& workload, fabric::FabricConfig fabric,
                   std::function<std::unique_ptr<sim::Scheduler>()> make_scheduler,
                   std::string label) {
@@ -86,6 +54,16 @@ sim::BatchJob job(const coflow::Workload& workload, fabric::FabricConfig fabric,
   j.fabric = fabric;
   j.make_scheduler = std::move(make_scheduler);
   return j;
+}
+
+sim::BatchJob job(const coflow::Workload& workload, fabric::FabricConfig fabric,
+                  std::string_view name, std::string label, util::Seconds delta) {
+  return job(
+      workload, fabric,
+      [&workload, name = std::string(name), delta] {
+        return sched::makeScheduler(name, workload, delta);
+      },
+      std::move(label));
 }
 
 std::vector<sim::SimResult> runBatch(std::vector<sim::BatchJob> jobs) {

@@ -6,19 +6,12 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/compare.h"
 #include "coflow/spec.h"
-#include "sched/clas.h"
-#include "sched/dclas.h"
-#include "sched/fair.h"
-#include "sched/fifo.h"
-#include "sched/fifo_lm.h"
-#include "sched/las.h"
-#include "sched/offline_opt.h"
-#include "sched/uncoordinated.h"
-#include "sched/varys.h"
+#include "sched/registry.h"
 #include "sim/batch.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
@@ -34,22 +27,15 @@ coflow::Workload standardWorkload(std::size_t jobs = 250, int ports = 40,
 
 fabric::FabricConfig standardFabric(int ports = 40);
 
-/// 80th percentile of coflow total size — FIFO-LM's heavy threshold, as
-/// the paper selected for Baraat (§7.2.1).
-util::Bytes heavyThreshold(const coflow::Workload& workload, double percentile = 80);
-
-// Paper-default scheduler factories (Δ, quanta scaled to trace seconds).
-std::unique_ptr<sim::Scheduler> makeAalo(util::Seconds sync_interval = 0);
-std::unique_ptr<sim::Scheduler> makeAaloWith(sched::DClasConfig config);
-std::unique_ptr<sim::Scheduler> makeFair();
-std::unique_ptr<sim::Scheduler> makeVarys();
-std::unique_ptr<sim::Scheduler> makeUncoordinated();
-std::unique_ptr<sim::Scheduler> makeFifoLm(util::Bytes heavy_threshold);
-std::unique_ptr<sim::Scheduler> makeFifo();
-
 /// Runs and reports wall time to stderr so long benches show progress.
 sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric,
                    sim::Scheduler& scheduler, const std::string& label);
+
+/// Builds the catalogue scheduler `name` (sched/registry.h) for `workload`
+/// and runs it as above, labelled with the scheduler's own name unless
+/// `label` is given.
+sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric,
+                   std::string_view name, std::string label = "");
 
 /// Builds a BatchJob for the sweep benches. The workload is captured by
 /// pointer and must outlive the batch; the factory runs once, inside the
@@ -57,6 +43,12 @@ sim::SimResult run(const coflow::Workload& workload, fabric::FabricConfig fabric
 sim::BatchJob job(const coflow::Workload& workload, fabric::FabricConfig fabric,
                   std::function<std::unique_ptr<sim::Scheduler>()> make_scheduler,
                   std::string label = "");
+
+/// The same for the catalogue scheduler `name`, built with coordination
+/// interval `delta` (used by "aalo" only).
+sim::BatchJob job(const coflow::Workload& workload, fabric::FabricConfig fabric,
+                  std::string_view name, std::string label = "",
+                  util::Seconds delta = 0);
 
 /// Runs independent sims on the BatchRunner pool with the same stderr
 /// progress lines as `run`. Results come back in submission order, so

@@ -33,10 +33,8 @@ int main() {
       fabric::FabricConfig fc = bench::standardFabric();
       fc.rack.ports_per_rack = 8;
       fc.rack.oversubscription = oversub;
-      auto aalo = bench::makeAalo();
-      auto fair = bench::makeFair();
-      const auto aalo_result = bench::run(wl, fc, *aalo, "aalo oversub");
-      const auto fair_result = bench::run(wl, fc, *fair, "fair oversub");
+      const auto aalo_result = bench::run(wl, fc, "aalo", "aalo oversub");
+      const auto fair_result = bench::run(wl, fc, "fair", "fair oversub");
       util::Summary s;
       for (const auto& rec : aalo_result.coflows) s.add(rec.cct());
       table.addRow({util::Table::num(oversub, 0) + ":1",
@@ -67,13 +65,11 @@ int main() {
     }
     const auto fc = bench::standardFabric();
 
-    auto fixed = bench::makeAalo();
-    const auto fixed_result = bench::run(wl, fc, *fixed, "fixed defaults");
+    const auto fixed_result = bench::run(wl, fc, "aalo", "fixed defaults");
     sched::AdaptiveConfig acfg;
     sched::AdaptiveDClasScheduler adaptive(acfg);
     const auto adaptive_result = bench::run(wl, fc, adaptive, "adaptive");
-    auto fair = bench::makeFair();
-    const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
+    const auto fair_result = bench::run(wl, fc, "fair", "per-flow fair");
 
     util::Table table({"variant", "avg CCT", "improvement over fair"});
     for (const auto* r : {&fixed_result, &adaptive_result}) {
@@ -92,8 +88,7 @@ int main() {
     std::printf("\n3. Gossip-based decentralization ladder:\n");
     const auto wl = bench::standardWorkload(150, 40, 44);
     const auto fc = bench::standardFabric();
-    auto fair = bench::makeFair();
-    const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
+    const auto fair_result = bench::run(wl, fc, "fair", "per-flow fair");
 
     util::Table table({"coordination", "improvement over fair (avg CCT)"});
     auto addRow = [&](const std::string& label, const sim::SimResult& r) {
@@ -102,9 +97,7 @@ int main() {
                         "x"});
     };
 
-    auto uncoordinated = bench::makeUncoordinated();
-    addRow("none (local only)",
-           bench::run(wl, fc, *uncoordinated, "uncoordinated"));
+    addRow("none (local only)", bench::run(wl, fc, "uncoordinated"));
     for (const double interval : {5.0, 1.0, 0.2}) {
       sched::GossipConfig gcfg;
       gcfg.round_interval = interval;
@@ -112,8 +105,7 @@ int main() {
       addRow("gossip every " + util::formatSeconds(interval),
              bench::run(wl, fc, gossip, "gossip " + util::formatSeconds(interval)));
     }
-    auto aalo = bench::makeAalo();
-    addRow("central coordinator", bench::run(wl, fc, *aalo, "aalo"));
+    addRow("central coordinator", bench::run(wl, fc, "aalo"));
     table.print(std::cout);
   }
 
@@ -128,10 +120,8 @@ int main() {
       workload::FailureConfig fcfg;
       fcfg.failure_probability = rate;
       const std::size_t failures = workload::injectTaskFailures(wl, fcfg);
-      auto aalo = bench::makeAalo();
-      auto fair = bench::makeFair();
-      const auto aalo_result = bench::run(wl, fc, *aalo, "aalo failures");
-      const auto fair_result = bench::run(wl, fc, *fair, "fair failures");
+      const auto aalo_result = bench::run(wl, fc, "aalo", "aalo failures");
+      const auto fair_result = bench::run(wl, fc, "fair", "fair failures");
       util::Summary s;
       for (const auto& rec : aalo_result.coflows) s.add(rec.cct());
       table.addRow({util::Table::num(100 * rate, 0) + "%", std::to_string(failures),

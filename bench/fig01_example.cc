@@ -3,6 +3,10 @@
 #include <unordered_map>
 
 #include "bench/common.h"
+#include "sched/clas.h"
+#include "sched/fair.h"
+#include "sched/las.h"
+#include "sched/offline_opt.h"
 
 using namespace aalo;
 

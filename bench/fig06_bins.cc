@@ -14,12 +14,9 @@ int main() {
   const auto wl = bench::standardWorkload();
   const auto fc = bench::standardFabric();
 
-  auto aalo = bench::makeAalo();
-  auto fair = bench::makeFair();
-  auto varys = bench::makeVarys();
-  const auto aalo_result = bench::run(wl, fc, *aalo, aalo->name());
-  const auto fair_result = bench::run(wl, fc, *fair, fair->name());
-  const auto varys_result = bench::run(wl, fc, *varys, varys->name());
+  const auto aalo_result = bench::run(wl, fc, "aalo");
+  const auto fair_result = bench::run(wl, fc, "fair");
+  const auto varys_result = bench::run(wl, fc, "varys");
 
   util::Table table({"bin", "coflows", "fair (avg)", "fair (p95)", "varys (avg)",
                      "varys (p95)"});

@@ -14,13 +14,10 @@ int main() {
   const auto wl = bench::standardWorkload();
   const auto fc = bench::standardFabric();
 
-  auto aalo = bench::makeAalo();
-  auto varys = bench::makeVarys();
-  auto fair = bench::makeFair();
   std::vector<sim::SimResult> results;
-  results.push_back(bench::run(wl, fc, *aalo, aalo->name()));
-  results.push_back(bench::run(wl, fc, *varys, varys->name()));
-  results.push_back(bench::run(wl, fc, *fair, fair->name()));
+  for (const char* name : {"aalo", "varys", "fair"}) {
+    results.push_back(bench::run(wl, fc, name));
+  }
 
   std::printf("\nFraction of coflows with CCT <= t:\n");
   bench::printCctCdfs(results, 14);

@@ -15,14 +15,9 @@ int main() {
   const auto fc = bench::standardFabric();
 
   std::vector<sim::SimResult> results;
-  auto aalo = bench::makeAalo();
-  results.push_back(bench::run(wl, fc, *aalo, aalo->name()));
-  auto varys = bench::makeVarys();
-  results.push_back(bench::run(wl, fc, *varys, varys->name()));
-  auto fair = bench::makeFair();
-  results.push_back(bench::run(wl, fc, *fair, fair->name()));
-  auto uncoordinated = bench::makeUncoordinated();
-  results.push_back(bench::run(wl, fc, *uncoordinated, uncoordinated->name()));
+  for (const char* name : {"aalo", "varys", "fair", "uncoordinated"}) {
+    results.push_back(bench::run(wl, fc, name));
+  }
 
   std::printf("\nFraction of coflows with CCT <= t:\n");
   bench::printCctCdfs(results, 14);

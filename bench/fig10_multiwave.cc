@@ -5,6 +5,7 @@
 #include <set>
 
 #include "bench/common.h"
+#include "sched/varys.h"
 #include "workload/transforms.h"
 
 using namespace aalo;
@@ -74,9 +75,8 @@ int main() {
 
     // Aalo handles waves natively: one coflow per stage, attained service
     // only grows (§5.2).
-    auto aalo = bench::makeAalo();
-    const auto aalo_result = bench::run(wl, fc, *aalo, "aalo waves<=" +
-                                                           std::to_string(max_waves));
+    const auto aalo_result =
+        bench::run(wl, fc, "aalo", "aalo waves<=" + std::to_string(max_waves));
 
     // Varys pays its centralized admission cost once per *coflow* (§7.2:
     // "fully centralized solutions like Varys introduce high overheads");
@@ -93,8 +93,7 @@ int main() {
     sched::VarysScheduler varys_barrier{varys_cfg};
     const auto barrier_result = bench::run(barrier, fc, varys_barrier, "varys barrier");
 
-    auto fair = bench::makeFair();
-    const auto fair_result = bench::run(wl, fc, *fair, "per-flow fair");
+    const auto fair_result = bench::run(wl, fc, "fair", "per-flow fair");
 
     const auto mw_jobs = multiWaveJobs(wl);
     const double aalo_avg = avgStageTime(aalo_result);

@@ -25,12 +25,9 @@ int main() {
   const auto barriered = workload::addBarriersToDags(pipelined);
   const auto fc = bench::standardFabric(cfg.num_ports);
 
-  auto aalo = bench::makeAalo();
-  const auto aalo_result = bench::run(pipelined, fc, *aalo, "aalo pipelined");
-  auto fair = bench::makeFair();
-  const auto fair_result = bench::run(pipelined, fc, *fair, "fair pipelined");
-  auto varys = bench::makeVarys();
-  const auto varys_result = bench::run(barriered, fc, *varys, "varys barriers");
+  const auto aalo_result = bench::run(pipelined, fc, "aalo", "aalo pipelined");
+  const auto fair_result = bench::run(pipelined, fc, "fair", "fair pipelined");
+  const auto varys_result = bench::run(barriered, fc, "varys", "varys barriers");
 
   std::map<coflow::JobId, const sim::JobRecord*> aalo_jobs;
   std::map<coflow::JobId, const sim::JobRecord*> fair_jobs;

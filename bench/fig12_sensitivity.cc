@@ -3,6 +3,7 @@
 //  (a) number of queues K            (b) first threshold Q1^hi
 //  (c) (K, E, Q1^hi) combinations    (d) equal-sized (linear) queues
 #include "bench/common.h"
+#include "sched/dclas.h"
 
 using namespace aalo;
 
@@ -20,11 +21,11 @@ int main() {
   // The whole figure is one sweep of independent runs (per-flow fair plus
   // 23 D-CLAS configurations); collect every point, then run the batch.
   std::vector<sim::BatchJob> jobs;
-  jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); },
-                            "per-flow fair"));
+  jobs.push_back(bench::job(wl, fc, "fair", "per-flow fair"));
   auto addPoint = [&](sched::DClasConfig cfg, std::string label) {
     jobs.push_back(bench::job(
-        wl, fc, [cfg] { return bench::makeAaloWith(cfg); }, std::move(label)));
+        wl, fc, [cfg] { return std::make_unique<sched::DClasScheduler>(cfg); },
+        std::move(label)));
   };
 
   // (a) Number of queues.

@@ -22,12 +22,10 @@ Averaged runScenario(const std::function<coflow::Workload(std::uint64_t seed)>& 
   constexpr int kRuns = 5;
   for (int r = 0; r < kRuns; ++r) {
     const auto wl = make(100 + static_cast<std::uint64_t>(r));
-    auto aalo = bench::makeAalo();
-    sched::DClasConfig strict_cfg;
-    strict_cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    auto strict = bench::makeAaloWith(strict_cfg);
-    auto fair = bench::makeFair();
-    auto fifo = bench::makeFifo();
+    auto aalo = sched::makeScheduler("aalo", wl);
+    auto strict = sched::makeScheduler("aalo-strict", wl);
+    auto fair = sched::makeScheduler("fair", wl);
+    auto fifo = sched::makeScheduler("fifo", wl);
     const auto aalo_result = sim::runSimulation(wl, fc, *aalo);
     const auto strict_result = sim::runSimulation(wl, fc, *strict);
     const auto fair_result = sim::runSimulation(wl, fc, *fair);

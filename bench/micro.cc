@@ -8,11 +8,13 @@
 #include <cmath>
 
 #include "bench/common.h"
+#include "fabric/maxmin.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "runtime/schedule_state.h"
+#include "sched/dclas.h"
 
 using namespace aalo;
 
@@ -242,7 +244,7 @@ void BM_SimulatorEndToEnd(benchmark::State& state) {
   const auto wl = bench::standardWorkload(static_cast<std::size_t>(state.range(0)),
                                           40, 99);
   for (auto _ : state) {
-    auto aalo = bench::makeAalo();
+    auto aalo = sched::makeScheduler("aalo", wl);
     const auto result =
         sim::runSimulation(wl, bench::standardFabric(), *aalo);
     benchmark::DoNotOptimize(result.makespan);
@@ -265,7 +267,7 @@ void BM_SimulatorEndToEndMetrics(benchmark::State& state) {
   sim::SimOptions opts;
   opts.metrics = &registry;
   for (auto _ : state) {
-    auto aalo = bench::makeAalo();
+    auto aalo = sched::makeScheduler("aalo", wl);
     const auto result =
         sim::runSimulation(wl, bench::standardFabric(), *aalo, opts);
     benchmark::DoNotOptimize(result.makespan);
@@ -372,8 +374,8 @@ void BM_TraceReplay(benchmark::State& state) {
   const auto wl = bench::standardWorkload(60, 40, 99);
   const util::Seconds delta = static_cast<double>(state.range(0)) * 1e-3;
   for (auto _ : state) {
-    auto sched = delta > 0 ? bench::makeAalo(delta) : bench::makeFair();
-    const auto result = sim::runSimulation(wl, bench::standardFabric(), *sched);
+    auto scheduler = sched::makeScheduler(delta > 0 ? "aalo" : "fair", wl, delta);
+    const auto result = sim::runSimulation(wl, bench::standardFabric(), *scheduler);
     benchmark::DoNotOptimize(result.makespan);
     state.counters["rounds"] = static_cast<double>(result.allocation_rounds);
     state.counters["allocs"] = static_cast<double>(result.allocate_calls);
@@ -404,7 +406,7 @@ void BM_TraceReplayLarge(benchmark::State& state) {
   sim::SimOptions opts;
   opts.max_rounds = 40'000'000;
   for (auto _ : state) {
-    auto aalo = bench::makeAalo(0.5);
+    auto aalo = sched::makeScheduler("aalo", wl, 0.5);
     const auto result =
         sim::runSimulation(wl, bench::standardFabric(), *aalo, opts);
     benchmark::DoNotOptimize(result.makespan);
@@ -426,8 +428,8 @@ void BM_BatchRunnerSweep(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   std::vector<sim::BatchJob> jobs;
   for (int i = 0; i < 3; ++i) {
-    jobs.push_back(bench::job(wl, fc, [] { return bench::makeAalo(); }));
-    jobs.push_back(bench::job(wl, fc, [] { return bench::makeFair(); }));
+    jobs.push_back(bench::job(wl, fc, "aalo"));
+    jobs.push_back(bench::job(wl, fc, "fair"));
   }
   sim::BatchOptions opts;
   opts.num_threads = threads;

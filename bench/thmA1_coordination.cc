@@ -19,6 +19,8 @@
 #include <cmath>
 
 #include "bench/common.h"
+#include "sched/dclas.h"
+#include "sched/uncoordinated.h"
 
 using namespace aalo;
 

@@ -1,5 +1,6 @@
 // Trace replay: generate (or load) a Facebook-like coflow trace and replay
-// it under every scheduler in the library, printing a comparison table.
+// it under every scheduler of the catalogue (sched/registry.h), each at
+// its paper default, printing a comparison table.
 //
 //   $ ./trace_replay                 # synthesize a trace, replay it
 //   $ ./trace_replay my_trace.txt    # replay a saved aalo-trace file
@@ -7,16 +8,10 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 #include "analysis/compare.h"
-#include "sched/dclas.h"
-#include "sched/fair.h"
-#include "sched/fifo.h"
-#include "sched/fifo_lm.h"
-#include "sched/las.h"
-#include "sched/varys.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "util/table.h"
 #include "workload/facebook.h"
@@ -47,24 +42,12 @@ int main(int argc, char** argv) {
 
   const fabric::FabricConfig fabric_config{workload.num_ports, util::kGbps};
 
-  sched::LasConfig las_cfg;
-  las_cfg.quantum = 2.0;
-  sched::FifoLmConfig lm_cfg;
-  lm_cfg.heavy_threshold = 100 * util::kMB;
-  lm_cfg.quantum = 2.0;
-
-  std::vector<std::unique_ptr<sim::Scheduler>> schedulers;
-  schedulers.push_back(std::make_unique<sched::DClasScheduler>(sched::DClasConfig{}));
-  schedulers.push_back(std::make_unique<sched::PerFlowFairScheduler>());
-  schedulers.push_back(std::make_unique<sched::VarysScheduler>());
-  schedulers.push_back(std::make_unique<sched::FifoScheduler>());
-  schedulers.push_back(std::make_unique<sched::DecentralizedLasScheduler>(las_cfg));
-  schedulers.push_back(std::make_unique<sched::FifoLmScheduler>(lm_cfg));
-
+  // The catalogue lists "aalo" first; the table normalizes against it.
   std::vector<sim::SimResult> results;
-  for (const auto& sched : schedulers) {
-    std::printf("replaying under %-22s ...\n", sched->name().c_str());
-    results.push_back(sim::runSimulation(workload, fabric_config, *sched));
+  for (const sched::RegisteredScheduler& entry : sched::registeredSchedulers()) {
+    const auto scheduler = entry.make(workload, /*delta=*/0);
+    std::printf("replaying under %-22s ...\n", scheduler->name().c_str());
+    results.push_back(sim::runSimulation(workload, fabric_config, *scheduler));
   }
 
   const sim::SimResult& aalo_result = results[0];

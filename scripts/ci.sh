@@ -6,7 +6,8 @@
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
-#                            # + engine pins + net + maxmin
+#                            # + engine pins + net + maxmin + per-port
+#                            # schedulers + property sweep
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
@@ -28,7 +29,8 @@
 # estimate convergence, dcoflow admission soundness, LP-bound soundness
 # on fuzzed traces) carry the "sched" label and run under both
 # sanitizers; run_default additionally replays a tiny deadlined trace
-# through aalo_sim --lp-check as an end-to-end LP-bound gate. The
+# under every registered scheduler through aalo_sim --lp-check as an
+# end-to-end LP-bound gate. The
 # coordinator-state pins (tests/schedule_state_test.cc: golden delta /
 # snapshot transcript, legacySchedule differential, checkpoint round-trip
 # of one seeded op stream) carry the "state" label and run under both
@@ -77,12 +79,32 @@ assert d['metrics'], 'empty metrics dump'
   # lower bound. CHECK_ONLY keeps EXPERIMENTS.md untouched in CI.
   ./build/tools/aalo_tracegen --kind fb --jobs 20 --ports 10 --seed 7 \
     --deadline-slack 0.5 --out build/ci_smoke_dl.trace >/dev/null
+  # Every registered scheduler, read from the usage text that aalo_sim
+  # generates from its catalogue (no second list here).
+  all_schedulers=$(./build/tools/aalo_sim 2>&1 | sed -n 's/^schedulers: //p' || true)
+  [ -n "$all_schedulers" ]
   ./build/tools/aalo_sim --trace build/ci_smoke_dl.trace \
-    --sched aalo,las,sampling,dcoflow --lp-check >/dev/null
+    --sched "$all_schedulers" --lp-check >/dev/null
+  echo "=== default: CLI rejects bad input without aborting ==="
+  # A NaN delta and a missing trace must fail cleanly: non-zero, but not
+  # killed by a signal (an uncaught exception aborts with 134).
+  expect_clean_failure ./build/tools/aalo_sim --trace build/ci_smoke.trace \
+    --sched aalo --delta nan
+  expect_clean_failure ./build/tools/aalo_sim --trace build/no_such.trace --sched aalo
+}
+
+# Runs "$@" and fails unless it exits non-zero with a status below 128.
+expect_clean_failure() {
+  local rc=0
+  "$@" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -eq 0 ] || [ "$rc" -ge 128 ]; then
+    echo "expected a clean failure (exit 1..127), got $rc: $*" >&2
+    return 1
+  fi
 }
 
 run_asan() {
-  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + maxmin suites ==="
+  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + maxmin + per-port scheduler suites ==="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
@@ -90,7 +112,8 @@ run_asan() {
              obs_test obs_invariant_test \
              obs_concurrency_test trace_fuzz_test golden_trace_test \
              ha_test checkpoint_test sched_property_test schedule_state_test \
-             net_test maxmin_test
+             net_test maxmin_test uncoordinated_test extensions_test \
+             sim_property_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
     -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
@@ -99,6 +122,12 @@ run_asan() {
   # allocator against its reference oracle, whole binaries.
   ./build-asan/tests/net_test
   ./build-asan/tests/maxmin_test
+  # The per-port schedulers (uncoordinated, gossip, LAS, FIFO-LM share one
+  # grouping and one per-port D-CLAS routine) and the cross-scheduler
+  # property sweep over the whole test zoo, whole binaries.
+  ./build-asan/tests/uncoordinated_test
+  ./build-asan/tests/extensions_test
+  ./build-asan/tests/sim_property_test
   (cd build-asan && ctest -L metrics --output-on-failure -j "$(nproc)")
   # '^ha$' because -L is a regex and a bare "ha" also matches "chaos".
   (cd build-asan && ctest -L '^ha$' --output-on-failure -j "$(nproc)")

@@ -5,45 +5,40 @@
 
 namespace aalo::sched {
 
-std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
-                                           std::vector<ActiveCoflow>& scratch) {
-  if (view.active_index != nullptr) return view.active_index->groups();
-  scratch = groupActiveByCoflow(view);
-  return scratch;
-}
+namespace {
 
-std::vector<ActiveCoflow> groupActiveByCoflow(const sim::SimView& view) {
-  std::vector<ActiveCoflow> groups;
+// Kept out of line so that activeGroups' engine-index path, which runs
+// several times per allocation round, stays a leaf without this
+// function's frame setup.
+[[gnu::noinline]] void rebuildGroups(const sim::SimView& view,
+                                     std::vector<ActiveCoflow>& groups) {
+  groups.clear();
   std::unordered_map<std::size_t, std::size_t> group_of;  // coflow idx -> groups idx
   for (const std::size_t fi : *view.active_flows) {
     const sim::FlowState f = view.flow(fi);
     auto [it, inserted] = group_of.try_emplace(f.coflow_index, groups.size());
-    if (inserted) {
-      groups.push_back(ActiveCoflow{f.coflow_index, {}, {}, {}});
-    }
+    if (inserted) groups.push_back(ActiveCoflow{f.coflow_index, {}, {}, {}});
     ActiveCoflow& g = groups[it->second];
     g.flow_indices.push_back(fi);
     g.srcs.push_back(f.src);
     g.dsts.push_back(f.dst);
   }
-  return groups;
+}
+
+}  // namespace
+
+std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
+                                           std::vector<ActiveCoflow>& scratch) {
+  if (view.active_index != nullptr) return view.active_index->groups();
+  rebuildGroups(view, scratch);  // Groups in first-appearance order.
+  return scratch;
 }
 
 void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
                           fabric::ResidualCapacity& residual,
                           std::vector<util::Rate>& rates,
                           fabric::MaxMinScratch& scratch) {
-  scratch.demands.clear();
-  scratch.demands.reserve(group.flow_indices.size());
-  for (const std::size_t fi : group.flow_indices) {
-    const sim::FlowState& f = view.flow(fi);
-    scratch.demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
-  }
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(scratch.demands, residual, scratch);
-  for (std::size_t k = 0; k < group.flow_indices.size(); ++k) {
-    rates[group.flow_indices[k]] += shares[k];
-  }
+  backfillMaxMin(view, group.flow_indices, residual, rates, scratch);
 }
 
 void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
@@ -130,33 +125,33 @@ void backfillMaxMin(const sim::SimView& view,
   }
 }
 
-void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
-                          fabric::ResidualCapacity& residual,
-                          std::vector<util::Rate>& rates) {
-  fabric::MaxMinScratch scratch;
-  allocateCoflowMaxMin(view, group, residual, rates, scratch);
+PortGroups groupByIngressPort(const sim::SimView& view) {
+  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
+  PortGroups groups{std::vector<std::vector<PortCoflow>>(ports),
+                    std::vector<std::unordered_map<std::size_t, std::size_t>>(ports)};
+  for (const std::size_t fi : *view.active_flows) {
+    const sim::FlowState& f = view.flow(fi);
+    const auto p = static_cast<std::size_t>(f.src);
+    auto [it, inserted] =
+        groups.slot[p].try_emplace(f.coflow_index, groups.ports[p].size());
+    if (inserted) groups.ports[p].push_back(PortCoflow{f.coflow_index, 0, {}});
+    groups.ports[p][it->second].flow_indices.push_back(fi);
+  }
+  return groups;
 }
 
-void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
-                        fabric::ResidualCapacity& residual,
-                        std::vector<util::Rate>& rates) {
-  fabric::MaxMinScratch scratch;
-  allocateCoflowMadd(view, group, residual, rates, scratch);
-}
-
-void backfillMaxMin(const sim::SimView& view,
-                    const std::vector<std::size_t>& flow_indices,
-                    fabric::ResidualCapacity& residual,
-                    std::vector<util::Rate>& rates) {
-  fabric::MaxMinScratch scratch;
-  backfillMaxMin(view, flow_indices, residual, rates, scratch);
-}
-
-util::Bytes remainingReleasedBytes(const sim::SimView& view, std::size_t coflow_index) {
-  const sim::CoflowState& c = view.coflow(coflow_index);
-  // size_released counts started flows; started flows' sent is all of sent
-  // (unstarted flows cannot have sent bytes).
-  return std::max(0.0, c.size_released - c.sent);
+void addLocalSent(const sim::SimView& view, PortGroups& groups,
+                  std::vector<ActiveCoflow>& scratch) {
+  for (const ActiveCoflow& group : activeGroups(view, scratch)) {
+    const sim::CoflowState& c = view.coflow(group.coflow_index);
+    for (const std::size_t fi : c.flow_indices) {
+      const sim::FlowState& f = view.flow(fi);
+      if (!f.started || f.sent <= 0) continue;
+      const auto p = static_cast<std::size_t>(f.src);
+      const auto it = groups.slot[p].find(group.coflow_index);
+      if (it != groups.slot[p].end()) groups.ports[p][it->second].local_sent += f.sent;
+    }
+  }
 }
 
 util::Rate coflowAggregateRate(const sim::SimView& view, const ActiveCoflow& group) {

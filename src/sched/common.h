@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "fabric/fabric.h"
@@ -23,11 +24,6 @@ using ActiveCoflow = sim::ActiveGroup;
 /// that care sort by their own key.
 std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
                                            std::vector<ActiveCoflow>& scratch);
-
-/// Groups view.active_flows by coflow, rebuilding from scratch. Order of
-/// the result follows first appearance in active_flows. Prefer
-/// activeGroups() — this exists for the no-index fallback and tests.
-std::vector<ActiveCoflow> groupActiveByCoflow(const sim::SimView& view);
 
 /// Gives `group`'s flows a max-min fair allocation of `residual` (equal
 /// weights — line 6 of Pseudocode 1: no flow-size information), *adding*
@@ -55,20 +51,31 @@ void backfillMaxMin(const sim::SimView& view,
                     std::vector<util::Rate>& rates,
                     fabric::MaxMinScratch& scratch);
 
-// Transient-scratch conveniences (tests / cold paths).
-void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
-                          fabric::ResidualCapacity& residual,
-                          std::vector<util::Rate>& rates);
-void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
-                        fabric::ResidualCapacity& residual,
-                        std::vector<util::Rate>& rates);
-void backfillMaxMin(const sim::SimView& view,
-                    const std::vector<std::size_t>& flow_indices,
-                    fabric::ResidualCapacity& residual,
-                    std::vector<util::Rate>& rates);
+/// One coflow as one ingress port's daemon sees it: the coflow's active
+/// flows leaving that port (in view.active_flows order) and, once
+/// addLocalSent has run, the bytes the coflow has sent through the port.
+struct PortCoflow {
+  std::size_t coflow_index;
+  util::Bytes local_sent = 0;
+  std::vector<std::size_t> flow_indices;
+};
 
-/// Remaining bytes of a coflow's *started* flows (clairvoyant helper).
-util::Bytes remainingReleasedBytes(const sim::SimView& view, std::size_t coflow_index);
+/// The active flows grouped per ingress port: ports[p] lists the coflows
+/// with an active flow leaving p, in first-appearance order of
+/// view.active_flows; slot[p] maps a coflow index to its position there.
+struct PortGroups {
+  std::vector<std::vector<PortCoflow>> ports;
+  std::vector<std::unordered_map<std::size_t, std::size_t>> slot;
+};
+
+PortGroups groupByIngressPort(const sim::SimView& view);
+
+/// Locally attained service, the only size a daemon sees without a
+/// coordinator: adds to every (port, coflow) entry of `groups` the bytes
+/// the coflow has sent through that port, finished flows included.
+/// Sums in activeGroups order, then the coflow's flow order.
+void addLocalSent(const sim::SimView& view, PortGroups& groups,
+                  std::vector<ActiveCoflow>& scratch);
 
 /// Aggregate current rate of a coflow's active flows (valid right after an
 /// allocation round; used for wake-up prediction).

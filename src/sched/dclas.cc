@@ -30,19 +30,23 @@ double DClasConfig::queueWeight(int q) const {
 
 std::vector<util::Bytes> DClasConfig::thresholds() const {
   if (!explicit_thresholds.empty()) {
-    for (std::size_t i = 1; i < explicit_thresholds.size(); ++i) {
-      if (explicit_thresholds[i] <= explicit_thresholds[i - 1]) {
+    for (std::size_t i = 0; i < explicit_thresholds.size(); ++i) {
+      if (!std::isfinite(explicit_thresholds[i])) {
+        throw std::invalid_argument("DClasConfig: thresholds must be finite");
+      }
+      if (i > 0 && explicit_thresholds[i] <= explicit_thresholds[i - 1]) {
         throw std::invalid_argument("DClasConfig: thresholds must be ascending");
       }
     }
     return explicit_thresholds;
   }
   if (num_queues < 1) throw std::invalid_argument("DClasConfig: num_queues must be >= 1");
-  if (num_queues > 1 && exp_factor <= 1.0) {
-    throw std::invalid_argument("DClasConfig: exp_factor must exceed 1");
+  if (num_queues > 1 && !(std::isfinite(exp_factor) && exp_factor > 1.0)) {
+    throw std::invalid_argument("DClasConfig: exp_factor must be finite and exceed 1");
   }
-  if (num_queues > 1 && first_threshold <= 0) {
-    throw std::invalid_argument("DClasConfig: first_threshold must be positive");
+  if (num_queues > 1 && !(std::isfinite(first_threshold) && first_threshold > 0)) {
+    throw std::invalid_argument(
+        "DClasConfig: first_threshold must be finite and positive");
   }
   std::vector<util::Bytes> t;
   util::Bytes hi = first_threshold;
@@ -55,8 +59,9 @@ std::vector<util::Bytes> DClasConfig::thresholds() const {
 
 DClasScheduler::DClasScheduler(DClasConfig config) : config_(std::move(config)) {
   thresholds_ = config_.thresholds();
-  if (config_.sync_interval < 0) {
-    throw std::invalid_argument("DClasScheduler: negative sync interval");
+  if (!std::isfinite(config_.sync_interval) || config_.sync_interval < 0) {
+    throw std::invalid_argument(
+        "DClasScheduler: sync interval must be finite and non-negative");
   }
 }
 
@@ -94,8 +99,11 @@ void DClasScheduler::onCoflowFinished(const sim::SimView& view,
 }
 
 void DClasScheduler::setThresholds(std::vector<util::Bytes> thresholds) {
-  for (std::size_t i = 1; i < thresholds.size(); ++i) {
-    if (thresholds[i] <= thresholds[i - 1]) {
+  for (std::size_t i = 0; i < thresholds.size(); ++i) {
+    if (!std::isfinite(thresholds[i])) {
+      throw std::invalid_argument("setThresholds: thresholds must be finite");
+    }
+    if (i > 0 && thresholds[i] <= thresholds[i - 1]) {
       throw std::invalid_argument("setThresholds: thresholds must be ascending");
     }
   }

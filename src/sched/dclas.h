@@ -39,11 +39,12 @@ struct DClasConfig {
   /// Number of priority queues K (>= 1). Ignored when explicit_thresholds
   /// is non-empty.
   int num_queues = 10;
-  /// Multiplicative threshold spacing E (> 1).
+  /// Multiplicative threshold spacing E (finite, > 1).
   double exp_factor = 10.0;
   /// Q1^hi — coflows below this never need coordination.
   util::Bytes first_threshold = 10 * util::kMB;
-  /// Coordination interval Δ. 0 = instant (idealized) coordination.
+  /// Coordination interval Δ (finite, >= 0). 0 = instant (idealized)
+  /// coordination.
   util::Seconds sync_interval = 0;
   /// Across-queue discipline. The paper uses weighted sharing to avoid
   /// starvation; strict priority is the ablation variant.
@@ -58,6 +59,8 @@ struct DClasConfig {
   /// Q_i.weight = K - i + 1 (§7.1).
   double queueWeight(int q) const;
   /// Upper threshold of 0-based queue q (infinity for the last queue).
+  /// Throws std::invalid_argument unless the thresholds come out finite
+  /// and ascending.
   std::vector<util::Bytes> thresholds() const;
 };
 

@@ -1,51 +1,34 @@
 #include "sched/fifo_lm.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "coflow/ids.h"
+#include "util/stats.h"
 
 namespace aalo::sched {
+
+util::Bytes heavyThreshold(const coflow::Workload& workload, double percentile) {
+  util::Summary sizes;
+  for (const auto& job : workload.jobs) {
+    for (const auto& c : job.coflows) sizes.add(c.totalBytes());
+  }
+  return sizes.percentile(percentile);
+}
 
 FifoLmScheduler::FifoLmScheduler(FifoLmConfig config) : config_(config) {}
 
 void FifoLmScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>& rates) {
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-
-  // Per-port: coflows in FIFO order with their flows and local attained.
-  struct PortCoflow {
-    std::size_t coflow_index;
-    util::Bytes local_sent = 0;
-    std::vector<std::size_t> flow_indices;
-  };
-  std::vector<std::vector<PortCoflow>> per_port(ports);
-  std::vector<std::unordered_map<std::size_t, std::size_t>> slot(ports);
-  for (const std::size_t fi : *view.active_flows) {
-    const sim::FlowState& f = view.flow(fi);
-    const auto p = static_cast<std::size_t>(f.src);
-    auto [it, inserted] = slot[p].try_emplace(f.coflow_index, per_port[p].size());
-    if (inserted) per_port[p].push_back(PortCoflow{f.coflow_index, 0, {}});
-    per_port[p][it->second].flow_indices.push_back(fi);
-  }
-  // Local attained service (includes finished flows of active coflows).
-  for (const ActiveCoflow& group : activeGroups(view, groups_scratch_)) {
-    const sim::CoflowState& c = view.coflow(group.coflow_index);
-    for (const std::size_t fi : c.flow_indices) {
-      const sim::FlowState& f = view.flow(fi);
-      if (!f.started || f.sent <= 0) continue;
-      const auto p = static_cast<std::size_t>(f.src);
-      const auto it = slot[p].find(group.coflow_index);
-      if (it != slot[p].end()) per_port[p][it->second].local_sent += f.sent;
-    }
-  }
+  // Per-port coflows with their flows and local attained service
+  // (finished flows of active coflows included).
+  PortGroups groups = groupByIngressPort(view);
+  addLocalSent(view, groups, groups_scratch_);
 
   const coflow::CoflowIdFifoLess fifo_less;
   std::vector<fabric::Demand>& demands = scratch_.demands;
   demands.clear();
   std::vector<std::size_t> chosen;
-  for (std::size_t p = 0; p < ports; ++p) {
-    auto& queue = per_port[p];
+  for (std::vector<PortCoflow>& queue : groups.ports) {
     if (queue.empty()) continue;
     std::sort(queue.begin(), queue.end(), [&](const PortCoflow& a, const PortCoflow& b) {
       return fifo_less(view.coflow(a.coflow_index).id, view.coflow(b.coflow_index).id);

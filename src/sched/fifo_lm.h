@@ -9,6 +9,7 @@
 // globally inconsistent — the pathology Figure 8 quantifies.
 #pragma once
 
+#include "coflow/spec.h"
 #include "sched/common.h"
 
 namespace aalo::sched {
@@ -22,6 +23,11 @@ struct FifoLmConfig {
   util::Seconds quantum = 1.0;
   bool work_conserving = true;
 };
+
+/// The `percentile`-th percentile of `workload`'s coflow total sizes. The
+/// paper-default FIFO-LM heavy threshold is the 80th (§7.2.1: the best
+/// point of the sweep run for Baraat).
+util::Bytes heavyThreshold(const coflow::Workload& workload, double percentile = 80);
 
 class FifoLmScheduler final : public sim::Scheduler {
  public:

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "coflow/ids.h"
-
 namespace aalo::sched {
 
 GossipDClasScheduler::GossipDClasScheduler(GossipConfig config)
@@ -98,72 +96,14 @@ void GossipDClasScheduler::allocate(const sim::SimView& view,
   creditLocalBytes(view);
   runGossipRounds(view.now);
 
-  // Per-port D-CLAS on the gossip estimates (mirrors the uncoordinated
-  // scheduler, but with converging size knowledge).
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-  const int k = static_cast<int>(thresholds_.size()) + 1;
-  struct PortCoflow {
-    std::size_t coflow_index;
-    std::vector<std::size_t> flow_indices;
-  };
-  std::vector<std::vector<PortCoflow>> per_port(ports);
-  std::vector<std::unordered_map<std::size_t, std::size_t>> slot(ports);
-  for (const std::size_t fi : *view.active_flows) {
-    const sim::FlowState& f = view.flow(fi);
-    const auto p = static_cast<std::size_t>(f.src);
-    auto [it, inserted] = slot[p].try_emplace(f.coflow_index, per_port[p].size());
-    if (inserted) per_port[p].push_back(PortCoflow{f.coflow_index, {}});
-    per_port[p][it->second].flow_indices.push_back(fi);
-  }
-
-  const coflow::CoflowIdFifoLess fifo_less;
-  std::vector<fabric::Demand>& demands = scratch_.demands;
-  demands.clear();
-  std::vector<std::size_t> chosen;
-  for (std::size_t p = 0; p < ports; ++p) {
-    auto& members = per_port[p];
-    if (members.empty()) continue;
-    std::vector<std::vector<const PortCoflow*>> queues(static_cast<std::size_t>(k));
-    for (const PortCoflow& pc : members) {
-      const util::Bytes est = estimate(static_cast<int>(p), pc.coflow_index);
-      int q = 0;
-      while (q < static_cast<int>(thresholds_.size()) &&
-             est >= thresholds_[static_cast<std::size_t>(q)]) {
-        ++q;
-      }
-      queues[static_cast<std::size_t>(q)].push_back(&pc);
-    }
-    double total_weight = 0;
-    for (int q = 0; q < k; ++q) {
-      if (!queues[static_cast<std::size_t>(q)].empty()) {
-        total_weight += config_.dclas.queueWeight(q);
-      }
-    }
-    for (int q = 0; q < k; ++q) {
-      auto& qmembers = queues[static_cast<std::size_t>(q)];
-      if (qmembers.empty()) continue;
-      const PortCoflow* head = *std::min_element(
-          qmembers.begin(), qmembers.end(),
-          [&](const PortCoflow* a, const PortCoflow* b) {
-            return fifo_less(view.coflow(a->coflow_index).id,
-                             view.coflow(b->coflow_index).id);
-          });
-      const double share = config_.dclas.queueWeight(q) / total_weight;
-      const double flow_weight =
-          share / static_cast<double>(head->flow_indices.size());
-      for (const std::size_t fi : head->flow_indices) {
-        const sim::FlowState& f = view.flow(fi);
-        demands.push_back(fabric::Demand{f.src, f.dst, flow_weight, fabric::kUncapped});
-        chosen.push_back(fi);
-      }
-    }
-  }
-
-  fabric::ResidualCapacity residual(*view.fabric);
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(demands, residual, scratch_);
-  for (std::size_t i = 0; i < chosen.size(); ++i) rates[chosen[i]] += shares[i];
-  backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
+  // Per-port D-CLAS, as in the uncoordinated scheduler, but on the
+  // converging gossip estimates instead of local attained bytes.
+  allocatePerPortDClas(
+      view, config_.dclas, thresholds_, groupByIngressPort(view),
+      [this](std::size_t port, const PortCoflow& pc) {
+        return estimate(static_cast<int>(port), pc.coflow_index);
+      },
+      rates, scratch_);
 }
 
 util::Seconds GossipDClasScheduler::nextWakeup(const sim::SimView& view) {

@@ -18,8 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sched/common.h"
-#include "sched/dclas.h"
+#include "sched/uncoordinated.h"
 #include "util/rng.h"
 
 namespace aalo::sched {

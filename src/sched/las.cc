@@ -1,7 +1,7 @@
 #include "sched/las.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 namespace aalo::sched {
@@ -15,25 +15,11 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
 
   // Locally attained service per (ingress port, coflow): only the bytes a
   // daemon can see leave through its own uplink.
-  std::vector<std::unordered_map<std::size_t, util::Bytes>> local_sent(ports);
+  PortGroups groups = groupByIngressPort(view);
+  addLocalSent(view, groups, groups_scratch_);
   std::vector<std::vector<std::size_t>> port_flows(ports);
   for (const std::size_t fi : *view.active_flows) {
-    const sim::FlowState& f = view.flow(fi);
-    const auto p = static_cast<std::size_t>(f.src);
-    local_sent[p][f.coflow_index];  // Ensure the entry exists even at 0.
-    port_flows[p].push_back(fi);
-  }
-  // Attained service includes already-finished flows of still-active
-  // coflows: a daemon remembers everything the coflow sent via its uplink.
-  for (const ActiveCoflow& group : activeGroups(view, groups_scratch_)) {
-    const sim::CoflowState& c = view.coflow(group.coflow_index);
-    for (const std::size_t fi : c.flow_indices) {
-      const sim::FlowState& f = view.flow(fi);
-      if (!f.started || f.sent <= 0) continue;
-      const auto p = static_cast<std::size_t>(f.src);
-      auto it = local_sent[p].find(group.coflow_index);
-      if (it != local_sent[p].end()) it->second += f.sent;
-    }
+    port_flows[static_cast<std::size_t>(view.flow(fi).src)].push_back(fi);
   }
 
   // Each port independently selects its least-locally-attained coflow(s).
@@ -42,12 +28,14 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
   for (std::size_t p = 0; p < ports; ++p) {
     if (port_flows[p].empty()) continue;
     util::Bytes min_attained = std::numeric_limits<util::Bytes>::infinity();
-    for (const auto& [ci, bytes] : local_sent[p]) {
-      min_attained = std::min(min_attained, bytes);
+    for (const PortCoflow& pc : groups.ports[p]) {
+      min_attained = std::min(min_attained, pc.local_sent);
     }
     for (const std::size_t fi : port_flows[p]) {
       const sim::FlowState& f = view.flow(fi);
-      if (local_sent[p].at(f.coflow_index) - min_attained <= config_.tie_window) {
+      const util::Bytes local_sent =
+          groups.ports[p][groups.slot[p].at(f.coflow_index)].local_sent;
+      if (local_sent - min_attained <= config_.tie_window) {
         scratch_.demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
         chosen_flows.push_back(fi);
       }

@@ -9,10 +9,23 @@
 // produces convoy effects and stragglers — the Theorem A.1 pathology.
 #pragma once
 
+#include <functional>
+#include <span>
+
 #include "sched/common.h"
 #include "sched/dclas.h"
 
 namespace aalo::sched {
+
+/// One round of D-CLAS run independently at every ingress port, queueing
+/// each (port, coflow) by `size_of` — what that port's daemon believes the
+/// coflow has sent. The uncoordinated and gossip schedulers differ only in
+/// that size source.
+void allocatePerPortDClas(
+    const sim::SimView& view, const DClasConfig& config,
+    std::span<const util::Bytes> thresholds, const PortGroups& groups,
+    const std::function<util::Bytes(std::size_t port, const PortCoflow&)>& size_of,
+    std::vector<util::Rate>& rates, fabric::MaxMinScratch& scratch);
 
 class UncoordinatedDClasScheduler final : public sim::Scheduler {
  public:

@@ -162,7 +162,7 @@ struct ActiveGroup {
 /// Group order is deterministic — activation order, compacted by
 /// swap-removal when a coflow's last active flow finishes — but NOT
 /// meaningful; disciplines that care about order sort by their own key,
-/// exactly as they did over groupActiveByCoflow() output.
+/// exactly as they do over sched::activeGroups()'s rebuilt fallback.
 class ActiveCoflowIndex {
  public:
   const std::vector<ActiveGroup>& groups() const { return groups_; }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sched/dclas.h"
 #include "sched/fair.h"
 #include "tests/helpers.h"
@@ -82,6 +84,37 @@ TEST(DClasScheduler, RejectsNegativeSyncInterval) {
   DClasConfig cfg;
   cfg.sync_interval = -1;
   EXPECT_THROW(DClasScheduler{cfg}, std::invalid_argument);
+}
+
+TEST(DClasScheduler, RejectsNonFiniteSyncInterval) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    DClasConfig cfg;
+    cfg.sync_interval = bad;
+    EXPECT_THROW(DClasScheduler{cfg}, std::invalid_argument) << bad;
+  }
+}
+
+// NaN compares false against every bound, so each check must ask for a
+// finite value explicitly rather than only rejecting the bad side.
+TEST(DClasConfig, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    DClasConfig exp_cfg;
+    exp_cfg.exp_factor = bad;
+    EXPECT_THROW(exp_cfg.thresholds(), std::invalid_argument) << bad;
+    DClasConfig first_cfg;
+    first_cfg.first_threshold = bad;
+    EXPECT_THROW(first_cfg.thresholds(), std::invalid_argument) << bad;
+    DClasConfig explicit_cfg;
+    explicit_cfg.explicit_thresholds = {1 * kMB, bad};
+    EXPECT_THROW(explicit_cfg.thresholds(), std::invalid_argument) << bad;
+    explicit_cfg.explicit_thresholds = {bad};
+    EXPECT_THROW(explicit_cfg.thresholds(), std::invalid_argument) << bad;
+    DClasScheduler sched{DClasConfig{}};
+    EXPECT_THROW(sched.setThresholds({1 * kMB, bad}), std::invalid_argument) << bad;
+  }
 }
 
 // Two identical small coflows on one port: D-CLAS serves them FIFO (no

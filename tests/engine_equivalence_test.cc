@@ -15,19 +15,10 @@
 #include <memory>
 #include <vector>
 
-#include "sched/adaptive.h"
-#include "sched/clas.h"
 #include "sched/dclas.h"
 #include "sched/dcoflow.h"
 #include "sched/fair.h"
-#include "sched/fifo.h"
-#include "sched/fifo_lm.h"
-#include "sched/gossip.h"
-#include "sched/las.h"
-#include "sched/offline_opt.h"
 #include "sched/sampling.h"
-#include "sched/uncoordinated.h"
-#include "sched/varys.h"
 #include "sim/simulator.h"
 #include "tests/helpers.h"
 #include "util/rng.h"
@@ -80,75 +71,6 @@ coflow::Workload dagWorkload(std::uint64_t seed, int ports, int jobs) {
     out.push_back(std::move(job));
   }
   return testing::makeWorkload(ports, std::move(out));
-}
-
-/// Every scheduler in src/sched/, configured so queue transitions, sync
-/// boundaries, refits, and quanta all fire within the short runs.
-/// `byte_scale` multiplies the byte thresholds and tie windows (1 suits
-/// the unit-fabric workloads, whose flows are a few bytes); `delta` is
-/// the sync interval of the D-CLAS configurations not explicitly delayed.
-std::vector<std::unique_ptr<sim::Scheduler>> allSchedulers(
-    const coflow::Workload& wl, double byte_scale = 1.0, util::Seconds delta = 0.0) {
-  sched::DClasConfig dcfg;
-  dcfg.first_threshold = 8 * byte_scale;
-  dcfg.exp_factor = 4;
-  dcfg.num_queues = 4;
-  dcfg.sync_interval = delta;
-  sched::DClasConfig strict = dcfg;
-  strict.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-  sched::DClasConfig delayed = dcfg;
-  delayed.sync_interval = 0.7;
-  sched::DClasConfig delayed_strict = strict;
-  delayed_strict.sync_interval = 0.4;
-  sched::LasConfig las_cfg;
-  las_cfg.quantum = 0.5;
-  las_cfg.tie_window = 0.05 * byte_scale;
-  sched::FifoLmConfig lm_cfg;
-  lm_cfg.heavy_threshold = 20 * byte_scale;
-  lm_cfg.quantum = 0.5;
-  sched::ClasConfig clas_cfg;
-  clas_cfg.quantum = 0.5;
-  clas_cfg.tie_window = 0.05 * byte_scale;
-  sched::AdaptiveConfig acfg;
-  acfg.dclas = dcfg;
-  acfg.min_samples = 5;
-  acfg.refit_interval = 5;
-  sched::GossipConfig gcfg;
-  gcfg.dclas = dcfg;
-  gcfg.round_interval = 0.5;
-
-  std::vector<std::unique_ptr<sim::Scheduler>> out;
-  out.push_back(std::make_unique<sched::PerFlowFairScheduler>());
-  out.push_back(std::make_unique<sched::DClasScheduler>(dcfg));
-  out.push_back(std::make_unique<sched::DClasScheduler>(strict));
-  out.push_back(std::make_unique<sched::DClasScheduler>(delayed));
-  out.push_back(std::make_unique<sched::DClasScheduler>(delayed_strict));
-  out.push_back(std::make_unique<sched::VarysScheduler>());
-  out.push_back(std::make_unique<sched::VarysScheduler>(sched::VarysConfig{0.2}));
-  out.push_back(std::make_unique<sched::DecentralizedLasScheduler>(las_cfg));
-  out.push_back(std::make_unique<sched::FifoLmScheduler>(lm_cfg));
-  out.push_back(std::make_unique<sched::FifoScheduler>());
-  out.push_back(std::make_unique<sched::FifoScheduler>(sched::FifoConfig{true}));
-  out.push_back(std::make_unique<sched::ContinuousClasScheduler>(clas_cfg));
-  out.push_back(std::make_unique<sched::UncoordinatedDClasScheduler>(dcfg, 0.5));
-  out.push_back(std::make_unique<sched::AdaptiveDClasScheduler>(acfg));
-  out.push_back(std::make_unique<sched::GossipDClasScheduler>(gcfg));
-  out.push_back(std::make_unique<sched::OfflineOrderScheduler>(
-      sched::computeConcurrentOpenShopOrder(wl)));
-  sched::SamplingConfig sampling_cfg;
-  sampling_cfg.probe_fraction = 0.34;
-  sampling_cfg.min_probes = 1;
-  sampling_cfg.quantum = 0.5;
-  out.push_back(std::make_unique<sched::SamplingScheduler>(sampling_cfg));
-  sched::SamplingConfig full_probe = sampling_cfg;
-  full_probe.probe_fraction = 1.0;  // Estimates become exact -> pure SEBF.
-  full_probe.quantum = 0.25;
-  out.push_back(std::make_unique<sched::SamplingScheduler>(full_probe));
-  out.push_back(std::make_unique<sched::DCoflowScheduler>());
-  sched::DCoflowConfig strict_admission;
-  strict_admission.admission_margin = 1.5;
-  out.push_back(std::make_unique<sched::DCoflowScheduler>(strict_admission));
-  return out;
 }
 
 /// dagWorkload plus per-coflow deadlines (tight enough that dcoflow's
@@ -207,8 +129,8 @@ TEST_P(EngineEquivalence, AllSchedulersFlatFabric) {
   const auto wl =
       dagWorkload(1000 + static_cast<std::uint64_t>(GetParam()), 6, 10);
   const auto fc = testing::unitFabric(6);
-  const auto legacy_scheds = allSchedulers(wl);
-  const auto incr_scheds = allSchedulers(wl);
+  const auto legacy_scheds = testing::allSchedulers(wl);
+  const auto incr_scheds = testing::allSchedulers(wl);
   for (std::size_t s = 0; s < legacy_scheds.size(); ++s) {
     const auto legacy = runEngine(wl, fc, *legacy_scheds[s], false);
     const auto incr = runEngine(wl, fc, *incr_scheds[s], true);
@@ -222,8 +144,8 @@ TEST_P(EngineEquivalence, AllSchedulersRackFabric) {
   fabric::FabricConfig fc = testing::unitFabric(8);
   fc.rack.ports_per_rack = 4;
   fc.rack.oversubscription = 2.0;
-  const auto legacy_scheds = allSchedulers(wl);
-  const auto incr_scheds = allSchedulers(wl);
+  const auto legacy_scheds = testing::allSchedulers(wl);
+  const auto incr_scheds = testing::allSchedulers(wl);
   for (std::size_t s = 0; s < legacy_scheds.size(); ++s) {
     const auto legacy = runEngine(wl, fc, *legacy_scheds[s], false);
     const auto incr = runEngine(wl, fc, *incr_scheds[s], true);
@@ -239,8 +161,8 @@ TEST_P(EngineEquivalence, DeadlinedWorkloadAllSchedulers) {
   const auto wl =
       deadlineWorkload(6000 + static_cast<std::uint64_t>(GetParam()), 6, 10);
   const auto fc = testing::unitFabric(6);
-  const auto legacy_scheds = allSchedulers(wl);
-  const auto incr_scheds = allSchedulers(wl);
+  const auto legacy_scheds = testing::allSchedulers(wl);
+  const auto incr_scheds = testing::allSchedulers(wl);
   for (std::size_t s = 0; s < legacy_scheds.size(); ++s) {
     const auto legacy = runEngine(wl, fc, *legacy_scheds[s], false);
     const auto incr = runEngine(wl, fc, *incr_scheds[s], true);
@@ -389,8 +311,8 @@ TEST_P(EngineFuzz, BurstsAndTiesMatchLegacy) {
   const auto wl =
       burstWorkload(5000 + static_cast<std::uint64_t>(GetParam()), 6, 12);
   const auto fc = testing::unitFabric(6);
-  const auto legacy_scheds = allSchedulers(wl);
-  const auto incr_scheds = allSchedulers(wl);
+  const auto legacy_scheds = testing::allSchedulers(wl);
+  const auto incr_scheds = testing::allSchedulers(wl);
   for (std::size_t s = 0; s < legacy_scheds.size(); ++s) {
     const auto legacy = runEngine(wl, fc, *legacy_scheds[s], false);
     const auto incr = runEngine(wl, fc, *incr_scheds[s], true);
@@ -464,14 +386,14 @@ TEST(EngineFuzz, SubUlpRemainingCompletesInsteadOfSpinning) {
 // sweep order), so on realistic inputs it must reproduce the legacy
 // trajectory to the bit, not merely to expectSameResult's 1e-9. One test
 // instance per (input, scheduler) keeps each run short under ctest -j.
-constexpr std::size_t kPinnedSchedulers = 20;  ///< allSchedulers().size()
+constexpr std::size_t kPinnedSchedulers = 20;  ///< testing::allSchedulers().size()
 
 void expectBitIdentical(const coflow::Workload& wl, util::Seconds delta,
                         std::size_t index, const std::string& input) {
   const fabric::FabricConfig fc{wl.num_ports, util::kGbps};
   constexpr double kMegabyte = 1e6;
-  const auto legacy_scheds = allSchedulers(wl, kMegabyte, delta);
-  const auto incr_scheds = allSchedulers(wl, kMegabyte, delta);
+  const auto legacy_scheds = testing::allSchedulers(wl, kMegabyte, delta);
+  const auto incr_scheds = testing::allSchedulers(wl, kMegabyte, delta);
   ASSERT_EQ(legacy_scheds.size(), kPinnedSchedulers);
   const std::string label = input + " / " + legacy_scheds[index]->name();
   const auto legacy = runEngine(wl, fc, *legacy_scheds[index], false);

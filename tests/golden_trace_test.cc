@@ -1,8 +1,9 @@
 // Golden-trace regression suite: a canned 200-coflow Facebook-style trace
 // (tests/data/golden_200.trace, generated once with
 // `aalo_tracegen --kind fb --jobs 200 --ports 40 --seed 4242`) replayed
-// under five schedulers, with average and p95 CCT pinned to 17
-// significant digits. Any change to scheduler arithmetic, the event
+// under every scheduler of the catalogue (sched/registry.h), each built
+// by name exactly as aalo_sim builds it, with average and p95 CCT pinned
+// to 17 significant digits. Any change to scheduler arithmetic, the event
 // engine, or trace parsing that shifts a completion time by more than
 // 1e-9 (relative) fails here — the whole build uses -ffp-contract=off so
 // the pins hold across build types and sanitizer presets.
@@ -13,16 +14,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <iterator>
 #include <string>
+#include <string_view>
 
-#include "sched/dclas.h"
-#include "sched/dcoflow.h"
-#include "sched/fair.h"
-#include "sched/fifo_lm.h"
-#include "sched/las.h"
-#include "sched/sampling.h"
-#include "sched/varys.h"
+#include "sched/registry.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
 #include "workload/trace_io.h"
@@ -40,46 +36,39 @@ struct GoldenRow {
   double p95_cct;
 };
 
-// Pinned on the seed build (see header comment for regeneration).
+// Pinned on the seed build, the rows from "aalo-strict" on later (see
+// header comment for regeneration).
 constexpr GoldenRow kGolden[] = {
-    {"dclas", 4.4955040551873768, 22.881402995937474},
+    {"aalo", 4.4955040551873768, 22.881402995937474},
     {"fair", 6.0374573147352715, 32.933152432343739},
     {"varys", 3.6908135518936405, 20.119416646283426},
-    {"fifo_lm", 10.915010822223874, 30.528219939735365},
+    {"fifo-lm", 10.915010822223874, 30.528219939735365},
     {"las", 6.4864594029344014, 38.462545230646569},
     // Deadline-free trace: dcoflow admits everything and degenerates to
     // its deterministic (release, id) sigma-order — these pins guard that
     // degenerate ordering as much as the arithmetic.
     {"sampling", 6.8978754383480716, 27.91557088935755},
     {"dcoflow", 10.788313616979684, 23.424693419741548},
+    {"aalo-strict", 4.5412475947265918, 22.966797204056657},
+    {"aalo-adaptive", 4.6141389007449147, 24.880454145046016},
+    {"fifo", 179.23529198420084, 328.50698841214364},
+    {"fifo-spill", 10.78831361697968, 23.424693419741548},
+    {"uncoordinated", 5.8211082428034624, 28.611353090983688},
+    {"gossip", 5.7233690601397118, 27.896031006632651},
+    {"clas", 5.2745133429533793, 28.069093216710055},
+    {"offline", 3.9298058836479171, 22.960960828411178},
 };
 
-std::unique_ptr<sim::Scheduler> makeScheduler(const std::string& name,
-                                              const coflow::Workload& wl) {
-  if (name == "dclas") return std::make_unique<sched::DClasScheduler>();
-  if (name == "fair") return std::make_unique<sched::PerFlowFairScheduler>();
-  if (name == "varys") return std::make_unique<sched::VarysScheduler>();
-  if (name == "fifo_lm") {
-    // Same derivation as tools/aalo_sim.cc: heavy threshold at the 80th
-    // size percentile, 2 s quantum.
-    util::Summary sizes;
-    for (const auto& job : wl.jobs) {
-      for (const auto& c : job.coflows) sizes.add(c.totalBytes());
-    }
-    sched::FifoLmConfig cfg;
-    cfg.heavy_threshold = sizes.percentile(80);
-    cfg.quantum = 2.0;
-    return std::make_unique<sched::FifoLmScheduler>(cfg);
+TEST(GoldenTrace, EveryRegisteredSchedulerIsPinned) {
+  for (const sched::RegisteredScheduler& entry : sched::registeredSchedulers()) {
+    bool pinned = false;
+    for (const GoldenRow& row : kGolden) pinned = pinned || entry.name == row.scheduler;
+    EXPECT_TRUE(pinned) << entry.name << " has no kGolden row";
   }
-  if (name == "las") {
-    sched::LasConfig cfg;
-    cfg.quantum = 2.0;
-    return std::make_unique<sched::DecentralizedLasScheduler>(cfg);
-  }
-  // Defaults, matching tools/aalo_sim.cc.
-  if (name == "sampling") return std::make_unique<sched::SamplingScheduler>();
-  if (name == "dcoflow") return std::make_unique<sched::DCoflowScheduler>();
-  throw std::invalid_argument("unknown golden scheduler " + name);
+  EXPECT_EQ(std::size(kGolden), sched::registeredSchedulers().size());
+  const coflow::Workload empty;
+  EXPECT_EQ(sched::findScheduler("no-such-scheduler"), nullptr);
+  EXPECT_EQ(sched::makeScheduler("no-such-scheduler", empty), nullptr);
 }
 
 TEST(GoldenTrace, PinnedCctPerScheduler) {
@@ -90,7 +79,8 @@ TEST(GoldenTrace, PinnedCctPerScheduler) {
 
   const bool print = std::getenv("AALO_PRINT_GOLDEN") != nullptr;
   for (const GoldenRow& row : kGolden) {
-    auto scheduler = makeScheduler(row.scheduler, wl);
+    auto scheduler = sched::makeScheduler(row.scheduler, wl);
+    ASSERT_NE(scheduler, nullptr) << row.scheduler;
     const sim::SimResult result = sim::runSimulation(
         wl, fabric::FabricConfig{wl.num_ports, util::kGbps}, *scheduler);
     ASSERT_EQ(result.coflows.size(), 200u) << row.scheduler;
@@ -127,7 +117,7 @@ struct DeadlineGoldenRow {
 // *counts* exactly — admission decisions are discrete, so any drift in
 // the sigma-order bound shows up here before it moves a CCT pin.
 constexpr DeadlineGoldenRow kDeadlineGolden[] = {
-    {"dclas", 2.6138658650072886, 17.326170575280887, 27, 0},
+    {"aalo", 2.6138658650072886, 17.326170575280887, 27, 0},
     {"sampling", 4.1396524021556989, 19.315922712439644, 26, 0},
     {"dcoflow", 2.261546477190846, 12.095779790810038, 4, 1},
 };
@@ -145,7 +135,8 @@ TEST(GoldenTrace, PinnedDeadlineTrace) {
 
   const bool print = std::getenv("AALO_PRINT_GOLDEN") != nullptr;
   for (const DeadlineGoldenRow& row : kDeadlineGolden) {
-    auto scheduler = makeScheduler(row.scheduler, wl);
+    auto scheduler = sched::makeScheduler(row.scheduler, wl);
+    ASSERT_NE(scheduler, nullptr) << row.scheduler;
     const sim::SimResult result = sim::runSimulation(
         wl, fabric::FabricConfig{wl.num_ports, util::kGbps}, *scheduler);
     ASSERT_EQ(result.coflows.size(), 50u) << row.scheduler;

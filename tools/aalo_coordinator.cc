@@ -33,6 +33,8 @@
 #include <cstdlib>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <memory>
 #include <thread>
 
 #include "runtime/coordinator.h"
@@ -124,8 +126,17 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  runtime::Coordinator coordinator(cfg);
-  coordinator.start();
+  // A rejected configuration (a non-finite --q1 or --factor, say) is
+  // reported, not aborted on.
+  std::unique_ptr<runtime::Coordinator> owned;
+  try {
+    owned = std::make_unique<runtime::Coordinator>(cfg);
+    owned->start();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "aalo_coordinator: %s\n", e.what());
+    return 1;
+  }
+  runtime::Coordinator& coordinator = *owned;
   std::printf("aalo_coordinator listening on 127.0.0.1:%u (delta=%s, K=%d, Q1=%s)\n",
               coordinator.port(), util::formatSeconds(cfg.sync_interval).c_str(),
               cfg.dclas.num_queues,

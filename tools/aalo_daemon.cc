@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -181,8 +182,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(chaos_seed));
   }
 
-  runtime::Daemon daemon(cfg);
-  daemon.start();
+  // A rejected configuration is reported, not aborted on.
+  std::unique_ptr<runtime::Daemon> owned;
+  try {
+    owned = std::make_unique<runtime::Daemon>(cfg);
+    owned->start();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "aalo_daemon: %s\n", e.what());
+    if (proxy) proxy->stop();
+    return 1;
+  }
+  runtime::Daemon& daemon = *owned;
   std::printf("aalo_daemon %llu connected to 127.0.0.1:%u\n",
               static_cast<unsigned long long>(cfg.daemon_id), cfg.coordinator_port);
 

@@ -8,10 +8,14 @@
 // PATH may be an aalo-trace file or a public coflow-benchmark trace
 // (e.g. FB2010-1Hr-150-0.txt) — the format is auto-detected.
 //
-// LIST is comma-separated from: aalo, aalo-strict, aalo-adaptive, fair,
-// varys, fifo, fifo-spill, fifo-lm, las, sampling, dcoflow,
-// uncoordinated, gossip, clas, offline (default: "aalo,fair,varys").
-// --scheduler is an alias for --sched.
+// LIST is comma-separated names from the scheduler catalogue
+// (sched/registry.h), each at its paper default; the usage text lists
+// them (default: "aalo,fair,varys"). --scheduler is an alias for --sched.
+// --delta SEC is the coordination interval Δ of "aalo" only.
+//
+// Every numeric value must be one complete, finite token in range. A
+// usage error exits 2; a trace that cannot be read or a scheduler that
+// cannot be built exits 1.
 //
 // --deadline-slack X assigns every coflow a deadline of its isolated
 // bottleneck time x (1 + uniform(0, X)) before the runs (for traces cut
@@ -41,12 +45,14 @@
 // rounds, allocation reuse, installs, CCT histograms, and — for the
 // D-CLAS schedulers — per-queue occupancy sampled at every allocation
 // round.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -54,20 +60,10 @@
 
 #include "analysis/compare.h"
 #include "obs/metrics.h"
-#include "sched/adaptive.h"
-#include "sched/clas.h"
 #include "sched/dclas.h"
-#include "sched/dcoflow.h"
-#include "sched/fair.h"
-#include "sched/fifo.h"
-#include "sched/fifo_lm.h"
-#include "sched/gossip.h"
-#include "sched/las.h"
 #include "sched/lp_bound.h"
-#include "sched/offline_opt.h"
+#include "sched/registry.h"
 #include "sched/sampling.h"
-#include "sched/uncoordinated.h"
-#include "sched/varys.h"
 #include "sim/batch.h"
 #include "sim/simulator.h"
 #include "util/stats.h"
@@ -80,86 +76,34 @@ using namespace aalo;
 namespace {
 
 [[noreturn]] void usage() {
+  std::string names;
+  for (const sched::RegisteredScheduler& entry : sched::registeredSchedulers()) {
+    if (!names.empty()) names += ',';
+    names += entry.name;
+  }
   std::fprintf(stderr,
                "usage: aalo_sim --trace PATH [--sched LIST] [--ports-per-rack N]\n"
                "                [--oversubscription X] [--delta SEC] [--csv PATH]\n"
                "                [--jobs N] [--stats] [--metrics-dump PATH]\n"
-               "                [--deadline-slack X] [--lp-bound] [--lp-check]\n");
+               "                [--deadline-slack X] [--lp-bound] [--lp-check]\n"
+               "schedulers: %s\n",
+               names.c_str());
   std::exit(2);
 }
 
-/// Validated before the batch starts so an unknown name fails fast in the
-/// main thread instead of exiting from a worker.
-bool knownScheduler(const std::string& name) {
-  static const char* const kNames[] = {
-      "aalo", "aalo-strict", "aalo-adaptive", "fair",   "varys",
-      "fifo", "fifo-spill",  "fifo-lm",       "las",    "sampling",
-      "dcoflow", "uncoordinated", "gossip",   "clas",   "offline"};
-  for (const char* const n : kNames) {
-    if (name == n) return true;
+/// The whole of `text` as a finite number no smaller than `min`;
+/// anything else is a usage error.
+template <typename T>
+T parseNumber(const char* flag, const char* text, T min) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(static_cast<double>(value)) ||
+      value < min) {
+    std::fprintf(stderr, "invalid value '%s' for %s\n", text, flag);
+    usage();
   }
-  return false;
-}
-
-std::unique_ptr<sim::Scheduler> makeScheduler(const std::string& name,
-                                              const coflow::Workload& wl,
-                                              double delta) {
-  if (name == "aalo") {
-    sched::DClasConfig cfg;
-    cfg.sync_interval = delta;
-    return std::make_unique<sched::DClasScheduler>(cfg);
-  }
-  if (name == "aalo-strict") {
-    sched::DClasConfig cfg;
-    cfg.policy = sched::DClasConfig::QueuePolicy::kStrictPriority;
-    return std::make_unique<sched::DClasScheduler>(cfg);
-  }
-  if (name == "aalo-adaptive") {
-    return std::make_unique<sched::AdaptiveDClasScheduler>(sched::AdaptiveConfig{});
-  }
-  if (name == "fair") return std::make_unique<sched::PerFlowFairScheduler>();
-  if (name == "varys") return std::make_unique<sched::VarysScheduler>();
-  if (name == "fifo") return std::make_unique<sched::FifoScheduler>();
-  if (name == "fifo-spill") {
-    return std::make_unique<sched::FifoScheduler>(sched::FifoConfig{true});
-  }
-  if (name == "fifo-lm") {
-    util::Summary sizes;
-    for (const auto& job : wl.jobs) {
-      for (const auto& c : job.coflows) sizes.add(c.totalBytes());
-    }
-    sched::FifoLmConfig cfg;
-    cfg.heavy_threshold = sizes.percentile(80);
-    cfg.quantum = 2.0;
-    return std::make_unique<sched::FifoLmScheduler>(cfg);
-  }
-  if (name == "las") {
-    sched::LasConfig cfg;
-    cfg.quantum = 2.0;
-    return std::make_unique<sched::DecentralizedLasScheduler>(cfg);
-  }
-  if (name == "sampling") {
-    return std::make_unique<sched::SamplingScheduler>(sched::SamplingConfig{});
-  }
-  if (name == "dcoflow") {
-    return std::make_unique<sched::DCoflowScheduler>(sched::DCoflowConfig{});
-  }
-  if (name == "uncoordinated") {
-    return std::make_unique<sched::UncoordinatedDClasScheduler>(sched::DClasConfig{},
-                                                                2.0);
-  }
-  if (name == "gossip") {
-    return std::make_unique<sched::GossipDClasScheduler>(sched::GossipConfig{});
-  }
-  if (name == "clas") {
-    return std::make_unique<sched::ContinuousClasScheduler>(sched::ClasConfig{});
-  }
-  if (name == "offline") {
-    return std::make_unique<sched::OfflineOrderScheduler>(
-        sched::computeConcurrentOpenShopOrder(wl));
-  }
-  std::fprintf(stderr, "unknown scheduler '%s'\n", name.c_str());
-  usage();
+  return value;
 }
 
 /// Folds a run's per-round queue samples into the registry: an occupancy
@@ -218,7 +162,7 @@ void bridgeSamplingTelemetry(obs::Registry& registry, const std::string& schedul
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string trace_path;
   std::string sched_list = "aalo,fair,varys";
   std::string csv_path;
@@ -240,6 +184,9 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, auto min) {
+      return parseNumber(flag, needValue(flag), min);
+    };
     if (!std::strcmp(argv[i], "--trace")) {
       trace_path = needValue("--trace");
     } else if (!std::strcmp(argv[i], "--sched") ||
@@ -248,19 +195,19 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--csv")) {
       csv_path = needValue("--csv");
     } else if (!std::strcmp(argv[i], "--ports-per-rack")) {
-      ports_per_rack = std::atoi(needValue("--ports-per-rack"));
+      ports_per_rack = number("--ports-per-rack", 0);
     } else if (!std::strcmp(argv[i], "--oversubscription")) {
-      oversubscription = std::atof(needValue("--oversubscription"));
+      oversubscription = number("--oversubscription", std::numeric_limits<double>::min());
     } else if (!std::strcmp(argv[i], "--delta")) {
-      delta = std::atof(needValue("--delta"));
+      delta = number("--delta", 0.0);
     } else if (!std::strcmp(argv[i], "--jobs")) {
-      jobs = std::atoi(needValue("--jobs"));
+      jobs = number("--jobs", 0);
     } else if (!std::strcmp(argv[i], "--stats")) {
       stats = true;
     } else if (!std::strcmp(argv[i], "--metrics-dump")) {
       metrics_dump_path = needValue("--metrics-dump");
     } else if (!std::strcmp(argv[i], "--deadline-slack")) {
-      deadline_slack = std::atof(needValue("--deadline-slack"));
+      deadline_slack = number("--deadline-slack", 0.0);
     } else if (!std::strcmp(argv[i], "--lp-bound")) {
       lp_bound = true;
     } else if (!std::strcmp(argv[i], "--lp-check")) {
@@ -323,7 +270,7 @@ int main(int argc, char** argv) {
     std::string name;
     while (std::getline(names, name, ',')) {
       if (name.empty()) continue;
-      if (!knownScheduler(name)) {
+      if (sched::findScheduler(name) == nullptr) {
         std::fprintf(stderr, "unknown scheduler '%s'\n", name.c_str());
         usage();
       }
@@ -355,7 +302,7 @@ int main(int argc, char** argv) {
     job.workload = &wl;
     job.fabric = fc;
     job.make_scheduler = [&wl, name, delta, sink, sampling_sink] {
-      auto scheduler = makeScheduler(name, wl, delta);
+      auto scheduler = sched::makeScheduler(name, wl, delta);
       if (sink != nullptr) {
         if (auto* dclas = dynamic_cast<sched::DClasScheduler*>(scheduler.get())) {
           dclas->setTelemetry(sink);
@@ -450,4 +397,13 @@ int main(int argc, char** argv) {
                  metrics_dump_path.c_str(), metrics_dump_path.c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "aalo_sim: %s\n", e.what());
+    return 1;
+  }
 }
