@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark): hot paths of the library —
 // water-filling allocation, one D-CLAS reschedule, wire codec, the
-// delta-coded coordination path, and the end-to-end simulator event rate.
+// delta-coded coordination path, the trace codec, and the end-to-end
+// simulator event rate.
 #include <benchmark/benchmark.h>
 
 #include <sys/socket.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "bench/common.h"
 #include "fabric/maxmin.h"
@@ -15,6 +17,7 @@
 #include "obs/metrics.h"
 #include "runtime/schedule_state.h"
 #include "sched/dclas.h"
+#include "workload/trace_io.h"
 
 using namespace aalo;
 
@@ -394,15 +397,20 @@ BENCHMARK(BM_TraceReplay)->Arg(0)->Arg(100)->Unit(benchmark::kMillisecond);
 // the generator's wide-coflow width floor of 51, so 8 x 8 is the
 // tightest square choice.) One iteration per run: this is a
 // tens-of-seconds soak, recorded for trend, not for tight medians.
-void BM_TraceReplayLarge(benchmark::State& state) {
+workload::FacebookConfig largeFacebookConfig(std::size_t thousands_of_jobs) {
   workload::FacebookConfig cfg;
-  cfg.num_jobs = static_cast<std::size_t>(state.range(0)) * 1000;
+  cfg.num_jobs = thousands_of_jobs * 1000;
   cfg.num_ports = 40;
   cfg.seed = 99;
   cfg.mean_interarrival = 2.0;
   cfg.sender_cap = 8;
   cfg.receiver_cap = 8;
-  const auto wl = workload::generateFacebookWorkload(cfg);
+  return cfg;
+}
+
+void BM_TraceReplayLarge(benchmark::State& state) {
+  const auto wl = workload::generateFacebookWorkload(
+      largeFacebookConfig(static_cast<std::size_t>(state.range(0))));
   sim::SimOptions opts;
   opts.max_rounds = 40'000'000;
   for (auto _ : state) {
@@ -417,6 +425,37 @@ void BM_TraceReplayLarge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceReplayLarge)->Arg(10)->Arg(100)->Iterations(1)->Unit(benchmark::kSecond);
+
+// The trace codec on BM_TraceReplayLarge/10's workload (10k coflows,
+// ~294k flow lines, ~10 MB of text): writeTrace into a string stream,
+// and readTrace from one, the stream's copy of the text included — the
+// set-up path of every trace replay.
+void BM_TraceWrite(benchmark::State& state) {
+  const auto wl = workload::generateFacebookWorkload(largeFacebookConfig(10));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    workload::writeTrace(os, wl);
+    bytes = static_cast<std::size_t>(os.tellp());
+    benchmark::DoNotOptimize(bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
+
+void BM_TraceRead(benchmark::State& state) {
+  std::ostringstream os;
+  workload::writeTrace(os, workload::generateFacebookWorkload(largeFacebookConfig(10)));
+  const std::string text = os.str();
+  for (auto _ : state) {
+    std::istringstream is(text);
+    const auto wl = workload::readTrace(is);
+    benchmark::DoNotOptimize(wl.jobs.data());
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_TraceRead)->Unit(benchmark::kMillisecond);
 
 // A 6-job scheduler sweep through sim::runBatch at varying thread counts.
 // On a multi-core host throughput should scale near-linearly with the

@@ -7,7 +7,7 @@
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
 #                            # + engine pins + net + maxmin + per-port
-#                            # schedulers + property sweep
+#                            # schedulers + property sweep + workload
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
@@ -57,7 +57,7 @@ run_default() {
   # float of seconds here (no '0.01x' multiplier suffix).
   cmake --build --preset default -j "$(nproc)" --target bench_micro
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_SimulatorEndToEnd|BM_TraceReplay|BM_DClasReschedule/100|BM_EncodeScheduleDelta|BM_ReportApply/100|BM_BroadcastFanout/10|BM_MetricsOverhead'
+    --benchmark_filter='BM_SimulatorEndToEnd|BM_TraceReplay|BM_TraceWrite|BM_TraceRead|BM_DClasReschedule/100|BM_EncodeScheduleDelta|BM_ReportApply/100|BM_BroadcastFanout/10|BM_MetricsOverhead'
   echo "=== default: metrics exposition smoke ==="
   # The CLI surface of the observability layer: a real dump must parse as
   # the pinned JSON shape and carry the four component families.
@@ -113,7 +113,7 @@ run_asan() {
              obs_concurrency_test trace_fuzz_test golden_trace_test \
              ha_test checkpoint_test sched_property_test schedule_state_test \
              net_test maxmin_test uncoordinated_test extensions_test \
-             sim_property_test
+             sim_property_test workload_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
     -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
@@ -128,6 +128,9 @@ run_asan() {
   ./build-asan/tests/uncoordinated_test
   ./build-asan/tests/extensions_test
   ./build-asan/tests/sim_property_test
+  # Workload generators and both trace readers' malformed-input tests
+  # (TraceIo.*, CoflowBenchmarkTrace.*), whole binary.
+  ./build-asan/tests/workload_test
   (cd build-asan && ctest -L metrics --output-on-failure -j "$(nproc)")
   # '^ha$' because -L is a regex and a bare "ha" also matches "chaos".
   (cd build-asan && ctest -L '^ha$' --output-on-failure -j "$(nproc)")

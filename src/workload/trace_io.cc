@@ -1,80 +1,201 @@
 #include "workload/trace_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <concepts>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace aalo::workload {
 
 namespace {
 
-std::string formatId(const coflow::CoflowId& id) { return id.toString(); }
+/// Size of the writer's buffer and of the reader's first block.
+constexpr std::size_t kBlockBytes = 64 * 1024;
 
-coflow::CoflowId parseId(const std::string& token, std::size_t line_no) {
-  const auto dot = token.find('.');
-  if (dot == std::string::npos) {
-    throw std::runtime_error("trace line " + std::to_string(line_no) +
-                             ": bad coflow id '" + token + "'");
+/// Formats records into one fixed block and hands it to the stream only
+/// when it fills, and once at the end (flush()).
+class BlockWriter {
+ public:
+  explicit BlockWriter(std::ostream& os)
+      : os_(os),
+        buf_(std::make_unique_for_overwrite<char[]>(kBlockBytes)),
+        pos_(buf_.get()),
+        end_(buf_.get() + kBlockBytes) {}
+
+  /// Short literal text (record kinds, separators).
+  BlockWriter& put(std::string_view text) {
+    room(text.size());
+    pos_ = std::copy(text.begin(), text.end(), pos_);
+    return *this;
   }
-  try {
-    return coflow::CoflowId{std::stoll(token.substr(0, dot)),
-                            std::stoi(token.substr(dot + 1))};
-  } catch (const std::exception&) {
-    throw std::runtime_error("trace line " + std::to_string(line_no) +
-                             ": bad coflow id '" + token + "'");
+  BlockWriter& put(char c) {
+    room(1);
+    *pos_++ = c;
+    return *this;
   }
+  /// Plain decimal, as `%lld` / `%llu`.
+  BlockWriter& put(std::integral auto value) {
+    room(kMaxNumberBytes);
+    pos_ = std::to_chars(pos_, end_, value).ptr;
+    return *this;
+  }
+  /// `%.17g`: enough digits that every double reads back bit-identically.
+  BlockWriter& put(double value) {
+    room(kMaxNumberBytes);
+    pos_ = std::to_chars(pos_, end_, value, std::chars_format::general, 17).ptr;
+    return *this;
+  }
+  BlockWriter& put(const coflow::CoflowId& id) {
+    return put(id.external).put('.').put(id.internal);
+  }
+
+  void flush() {
+    os_.write(buf_.get(), pos_ - buf_.get());
+    pos_ = buf_.get();
+  }
+
+ private:
+  /// Longest number either put() emits: "-1.2345678901234567e-308" is 24.
+  static constexpr std::ptrdiff_t kMaxNumberBytes = 32;
+
+  void room(std::ptrdiff_t bytes) {
+    if (end_ - pos_ < bytes) flush();
+  }
+
+  std::ostream& os_;
+  std::unique_ptr<char[]> buf_;
+  char* pos_;
+  char* const end_;
+};
+
+/// Hands out a stream's lines, without their '\n', reading it in blocks.
+/// The block grows only to fit a line longer than itself.
+class LineReader {
+ public:
+  explicit LineReader(std::istream& is) : is_(is), buf_(kBlockBytes) {}
+
+  /// The next line, valid until the following call; false at end of input.
+  bool next(std::string_view& line) {
+    for (;;) {
+      const char* base = buf_.data();
+      if (const void* nl = std::memchr(base + begin_, '\n', end_ - begin_)) {
+        const std::size_t at = static_cast<const char*>(nl) - base;
+        line = std::string_view(base + begin_, at - begin_);
+        begin_ = at + 1;
+        return true;
+      }
+      if (eof_) {
+        if (begin_ == end_) return false;
+        line = std::string_view(base + begin_, end_ - begin_);
+        begin_ = end_;
+        return true;
+      }
+      refill();
+    }
+  }
+
+ private:
+  /// Moves the unfinished line to the front of the block (growing the
+  /// block if the line fills it) and reads more input behind it.
+  void refill() {
+    const std::size_t partial = end_ - begin_;
+    if (partial == buf_.size()) {
+      buf_.resize(2 * buf_.size());
+    } else if (begin_ > 0) {
+      std::memmove(buf_.data(), buf_.data() + begin_, partial);
+    }
+    begin_ = 0;
+    end_ = partial;
+    is_.read(buf_.data() + end_, static_cast<std::streamsize>(buf_.size() - end_));
+    end_ += static_cast<std::size_t>(is_.gcount());
+    eof_ = !is_;
+  }
+
+  std::istream& is_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  bool eof_ = false;
+};
+
+constexpr bool isSeparator(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Pops the next field off `rest`, where fields are separated by runs of
+/// ' ', '\t' and '\r'; empty once `rest` holds no more fields.
+std::string_view nextField(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() && isSeparator(rest[begin])) ++begin;
+  std::size_t end = begin;
+  while (end < rest.size() && !isSeparator(rest[end])) ++end;
+  const std::string_view field = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return field;
 }
 
-/// Parses "sa=1.0,2.1" / "fb=..." suffix lists.
-std::vector<coflow::CoflowId> parseIdList(const std::string& payload,
-                                          std::size_t line_no) {
-  std::vector<coflow::CoflowId> ids;
-  std::stringstream ss(payload);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) ids.push_back(parseId(item, line_no));
+/// Parses the whole of `field` into `out` (unchanged on failure): plain
+/// decimal for integers, std::from_chars' general grammar for doubles,
+/// which must also be finite. No leading '+' or whitespace.
+template <typename T>
+bool parseNumber(std::string_view field, T& out) {
+  const char* end = field.data() + field.size();
+  T value{};
+  std::from_chars_result r;
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::from_chars(field.data(), end, value, std::chars_format::general);
+    if (!std::isfinite(value)) return false;
+  } else {
+    r = std::from_chars(field.data(), end, value);
   }
-  return ids;
+  if (r.ec != std::errc{} || r.ptr != end) return false;
+  out = value;
+  return true;
+}
+
+/// "<external>.<internal>", both parts whole integers.
+bool parseId(std::string_view field, coflow::CoflowId& id) {
+  const auto dot = field.find('.');
+  return dot != std::string_view::npos && parseNumber(field.substr(0, dot), id.external) &&
+         parseNumber(field.substr(dot + 1), id.internal);
+}
+
+std::string quoted(std::string_view field) {
+  std::string out(1, '\'');
+  out.append(field).push_back('\'');
+  return out;
 }
 
 }  // namespace
 
 void writeTrace(std::ostream& os, const coflow::Workload& workload) {
-  // Full round-trip precision for times and sizes.
-  os.precision(17);
-  os << "aalo-trace 1\n";
-  os << "ports " << workload.num_ports << "\n";
+  BlockWriter w(os);
+  auto putIds = [&](std::string_view key, const std::vector<coflow::CoflowId>& ids) {
+    for (std::size_t i = 0; i < ids.size(); ++i) w.put(i == 0 ? key : ",").put(ids[i]);
+  };
+  w.put("aalo-trace 1\nports ").put(workload.num_ports).put('\n');
   for (const coflow::JobSpec& job : workload.jobs) {
-    os << "job " << job.id << " " << job.arrival << " " << job.compute_time << " "
-       << job.coflows.size() << "\n";
+    w.put("job ").put(job.id).put(' ').put(job.arrival).put(' ').put(job.compute_time);
+    w.put(' ').put(job.coflows.size()).put('\n');
     for (const coflow::CoflowSpec& c : job.coflows) {
-      os << "coflow " << formatId(c.id) << " " << c.arrival_offset << " "
-         << c.flows.size();
-      if (!c.starts_after.empty()) {
-        os << " sa=";
-        for (std::size_t i = 0; i < c.starts_after.size(); ++i) {
-          os << (i ? "," : "") << formatId(c.starts_after[i]);
-        }
-      }
-      if (!c.finishes_before.empty()) {
-        os << " fb=";
-        for (std::size_t i = 0; i < c.finishes_before.size(); ++i) {
-          os << (i ? "," : "") << formatId(c.finishes_before[i]);
-        }
-      }
+      w.put("coflow ").put(c.id).put(' ').put(c.arrival_offset).put(' ').put(c.flows.size());
+      putIds(" sa=", c.starts_after);
+      putIds(" fb=", c.finishes_before);
       // Emitted only when set so deadline-free traces stay byte-identical
       // with the pre-deadline format (and readable by older parsers).
-      if (c.deadline > 0) os << " dl=" << c.deadline;
-      os << "\n";
+      if (c.deadline > 0) w.put(" dl=").put(c.deadline);
+      w.put('\n');
       for (const coflow::FlowSpec& f : c.flows) {
-        os << "flow " << f.src << " " << f.dst << " " << f.bytes << " "
-           << f.start_offset << "\n";
+        w.put("flow ").put(f.src).put(' ').put(f.dst).put(' ').put(f.bytes).put(' ');
+        w.put(f.start_offset).put('\n');
       }
     }
   }
+  w.flush();
 }
 
 void writeTraceFile(const std::string& path, const coflow::Workload& workload) {
@@ -85,7 +206,6 @@ void writeTraceFile(const std::string& path, const coflow::Workload& workload) {
 
 coflow::Workload readTrace(std::istream& is) {
   coflow::Workload wl;
-  std::string line;
   std::size_t line_no = 0;
   bool header_seen = false;
   coflow::JobSpec* job = nullptr;
@@ -121,27 +241,31 @@ coflow::Workload readTrace(std::istream& is) {
     }
   };
 
-  while (std::getline(is, line)) {
+  LineReader lines(is);
+  std::string_view line;
+  while (lines.next(line)) {
     ++line_no;
     consumed += static_cast<std::streamoff>(line.size()) + 1;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ss(line);
-    std::string kind;
-    if (!(ss >> kind)) continue;  // Blank line.
+    std::string_view rest = line.substr(0, line.find('#'));
+    const std::string_view kind = nextField(rest);
+    if (kind.empty()) continue;  // Blank line.
 
     if (kind == "aalo-trace") {
       int version = 0;
-      if (!(ss >> version) || version != 1) fail("unsupported trace version");
+      if (!parseNumber(nextField(rest), version) || version != 1) {
+        fail("unsupported trace version");
+      }
       header_seen = true;
     } else if (!header_seen) {
       fail("missing 'aalo-trace 1' header");
     } else if (kind == "ports") {
-      if (!(ss >> wl.num_ports)) fail("bad ports line");
+      if (!parseNumber(nextField(rest), wl.num_ports)) fail("bad ports line");
     } else if (kind == "job") {
       std::size_t num_coflows = 0;
       coflow::JobSpec j;
-      if (!(ss >> j.id >> j.arrival >> j.compute_time >> num_coflows)) {
+      if (!parseNumber(nextField(rest), j.id) || !parseNumber(nextField(rest), j.arrival) ||
+          !parseNumber(nextField(rest), j.compute_time) ||
+          !parseNumber(nextField(rest), num_coflows)) {
         fail("bad job line");
       }
       if (cf != nullptr && flows_expected != cf->flows.size()) {
@@ -160,26 +284,32 @@ coflow::Workload readTrace(std::istream& is) {
         fail("previous coflow has missing flows");
       }
       if (job->coflows.size() >= coflows_expected) fail("more coflows than declared");
-      std::string id_token;
+      const std::string_view id = nextField(rest);
       coflow::CoflowSpec c;
-      if (!(ss >> id_token >> c.arrival_offset >> flows_expected)) {
+      if (!parseNumber(nextField(rest), c.arrival_offset) ||
+          !parseNumber(nextField(rest), flows_expected)) {
         fail("bad coflow line");
       }
-      c.id = parseId(id_token, line_no);
-      std::string extra;
-      while (ss >> extra) {
-        if (extra.rfind("sa=", 0) == 0) {
-          c.starts_after = parseIdList(extra.substr(3), line_no);
-        } else if (extra.rfind("fb=", 0) == 0) {
-          c.finishes_before = parseIdList(extra.substr(3), line_no);
-        } else if (extra.rfind("dl=", 0) == 0) {
-          try {
-            c.deadline = std::stod(extra.substr(3));
-          } catch (const std::exception&) {
-            fail("bad coflow deadline '" + extra + "'");
+      if (!parseId(id, c.id)) fail("bad coflow id " + quoted(id));
+      for (std::string_view attr = nextField(rest); !attr.empty(); attr = nextField(rest)) {
+        const std::string_view key = attr.substr(0, 3);
+        std::string_view value = attr.substr(key.size());
+        if (key == "sa=" || key == "fb=") {
+          // A comma-separated id list; empty items are skipped.
+          std::vector<coflow::CoflowId>& ids =
+              key == "sa=" ? c.starts_after : c.finishes_before;
+          ids.clear();
+          while (!value.empty()) {
+            const std::size_t comma = std::min(value.find(','), value.size());
+            if (comma > 0 && !parseId(value.substr(0, comma), ids.emplace_back())) {
+              fail("bad coflow id " + quoted(value.substr(0, comma)));
+            }
+            value.remove_prefix(std::min(comma + 1, value.size()));
           }
+        } else if (key == "dl=") {
+          if (!parseNumber(value, c.deadline)) fail("bad coflow deadline " + quoted(attr));
         } else {
-          fail("unknown coflow attribute '" + extra + "'");
+          fail("unknown coflow attribute " + quoted(attr));
         }
       }
       c.flows.reserve(reserveBound(flows_expected));
@@ -189,10 +319,16 @@ coflow::Workload readTrace(std::istream& is) {
       if (cf == nullptr) fail("flow before any coflow");
       if (cf->flows.size() >= flows_expected) fail("more flows than declared");
       coflow::FlowSpec f;
-      if (!(ss >> f.src >> f.dst >> f.bytes >> f.start_offset)) fail("bad flow line");
+      if (!parseNumber(nextField(rest), f.src) || !parseNumber(nextField(rest), f.dst) ||
+          !parseNumber(nextField(rest), f.bytes) || !parseNumber(nextField(rest), f.start_offset)) {
+        fail("bad flow line");
+      }
       cf->flows.push_back(f);
     } else {
-      fail("unknown record '" + kind + "'");
+      fail("unknown record " + quoted(kind));
+    }
+    if (const std::string_view extra = nextField(rest); !extra.empty()) {
+      fail("unexpected field " + quoted(extra));
     }
   }
   if (cf != nullptr && flows_expected != cf->flows.size()) {
@@ -210,38 +346,50 @@ coflow::Workload readTraceFile(const std::string& path) {
 }
 
 coflow::Workload readCoflowBenchmarkTrace(std::istream& is) {
+  // The format is a flat field sequence; line breaks carry no meaning
+  // beyond locating errors.
+  LineReader lines(is);
+  std::string_view rest;
+  std::size_t line_no = 0;
+  auto next = [&]() -> std::string_view {
+    for (;;) {
+      if (const std::string_view field = nextField(rest); !field.empty()) return field;
+      if (!lines.next(rest)) return {};
+      ++line_no;
+    }
+  };
+  auto fail = [&](const std::string& why) -> void {
+    throw std::runtime_error("coflow-benchmark trace line " + std::to_string(line_no) +
+                             ": " + why);
+  };
+
   coflow::Workload wl;
   std::size_t num_jobs = 0;
-  if (!(is >> wl.num_ports >> num_jobs)) {
-    throw std::runtime_error("coflow-benchmark trace: bad header");
+  if (!parseNumber(next(), wl.num_ports) || !parseNumber(next(), num_jobs)) {
+    fail("bad header");
   }
 
-  auto parsePort = [&](long raw, const char* what) -> coflow::PortId {
+  auto parsePort = [&](std::string_view field, const char* what) -> coflow::PortId {
     // Published traces use 1-based rack ids.
-    const long port = raw - 1;
-    if (port < 0 || port >= wl.num_ports) {
-      throw std::runtime_error(std::string("coflow-benchmark trace: ") + what +
-                               " rack out of range");
-    }
-    return static_cast<coflow::PortId>(port);
+    std::int64_t rack = 0;
+    if (!parseNumber(field, rack)) fail(std::string("bad ") + what + " " + quoted(field));
+    if (rack < 1 || rack > wl.num_ports) fail(std::string(what) + " rack out of range");
+    return static_cast<coflow::PortId>(rack - 1);
   };
 
   for (std::size_t j = 0; j < num_jobs; ++j) {
-    long job_id = 0;
+    coflow::JobId job_id = 0;
     double arrival_ms = 0;
     int num_mappers = 0;
-    if (!(is >> job_id >> arrival_ms >> num_mappers) || num_mappers <= 0) {
-      throw std::runtime_error("coflow-benchmark trace: bad job line");
+    if (!parseNumber(next(), job_id) || !parseNumber(next(), arrival_ms) ||
+        !parseNumber(next(), num_mappers) || num_mappers <= 0) {
+      fail("bad job line");
     }
     std::vector<coflow::PortId> mappers;
-    for (int m = 0; m < num_mappers; ++m) {
-      long rack = 0;
-      if (!(is >> rack)) throw std::runtime_error("coflow-benchmark trace: bad mapper");
-      mappers.push_back(parsePort(rack, "mapper"));
-    }
+    for (int m = 0; m < num_mappers; ++m) mappers.push_back(parsePort(next(), "mapper"));
     int num_reducers = 0;
-    if (!(is >> num_reducers) || num_reducers <= 0) {
-      throw std::runtime_error("coflow-benchmark trace: bad reducer count");
+    if (!parseNumber(next(), num_reducers) || num_reducers <= 0) {
+      fail("bad reducer count");
     }
 
     coflow::JobSpec job;
@@ -250,19 +398,13 @@ coflow::Workload readCoflowBenchmarkTrace(std::istream& is) {
     coflow::CoflowSpec spec;
     spec.id = {job_id, 0};
     for (int r = 0; r < num_reducers; ++r) {
-      std::string token;
-      if (!(is >> token)) throw std::runtime_error("coflow-benchmark trace: bad reducer");
-      const auto colon = token.find(':');
-      if (colon == std::string::npos) {
-        throw std::runtime_error("coflow-benchmark trace: reducer missing ':' in '" +
-                                 token + "'");
-      }
-      const auto reducer = parsePort(std::stol(token.substr(0, colon)), "reducer");
-      // std::stod accepts "nan" and "inf"; neither is a shuffle size.
-      const double total_mb = std::stod(token.substr(colon + 1));
-      if (!std::isfinite(total_mb) || total_mb <= 0) {
-        throw std::runtime_error(
-            "coflow-benchmark trace: non-positive or non-finite shuffle size");
+      const std::string_view field = next();
+      const auto colon = field.find(':');
+      if (colon == std::string_view::npos) fail("reducer missing ':' in " + quoted(field));
+      const auto reducer = parsePort(field.substr(0, colon), "reducer");
+      double total_mb = 0;
+      if (!parseNumber(field.substr(colon + 1), total_mb) || total_mb <= 0) {
+        fail("non-positive or non-finite shuffle size in " + quoted(field));
       }
       // Every mapper contributes an equal share of this reducer's input.
       const util::Bytes per_mapper =

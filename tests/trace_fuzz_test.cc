@@ -3,16 +3,24 @@
 // parsed back, and serialized again. The two texts must be byte-identical
 // (writeTrace emits full round-trip precision, so parse ∘ format is the
 // identity on the second pass), and the parsed workload must survive
-// validation. Zero/negative-byte flows stay rejected: serializing one and
+// validation. The writer's bytes are pinned against libc's `%.17g` and
+// `%lld`. Zero/negative-byte flows stay rejected: serializing one and
 // reading it back throws, consistent with Workload::validate(). Hostile
-// inputs — huge declared record counts, NaN and infinite values — end in
-// a clean exception, never an allocation sized by the input.
+// inputs — huge declared record counts, NaN and infinite values, and
+// seeded mutations of real traces — end in a clean exception, never an
+// allocation sized by the input.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "coflow/spec.h"
 #include "sched/dclas.h"
@@ -258,6 +266,347 @@ TEST(TraceFuzz, NonFiniteValuesAreRejected) {
     wl.jobs.front().compute_time = bad;
     EXPECT_THROW(wl.validate(), std::invalid_argument) << bad;
   }
+}
+
+
+std::string toText(const coflow::Workload& wl) {
+  std::ostringstream os;
+  workload::writeTrace(os, wl);
+  return os.str();
+}
+
+coflow::Workload fromText(const std::string& text) {
+  std::istringstream is(text);
+  return workload::readTrace(is);
+}
+
+/// The trace writer restated with libc's printf family: `%lld` for every
+/// integer and `%.17g` for every double.
+std::string libcTrace(const coflow::Workload& wl) {
+  std::string out;
+  char buf[64];
+  const auto integer = [&](long long v) {
+    std::snprintf(buf, sizeof buf, "%lld", v);
+    out += buf;
+  };
+  const auto real = [&](double v) {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    out += buf;
+  };
+  const auto ids = [&](const char* key, const std::vector<coflow::CoflowId>& list) {
+    if (list.empty()) return;
+    out += key;
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      if (i) out += ',';
+      integer(list[i].external);
+      out += '.';
+      integer(list[i].internal);
+    }
+  };
+  out += "aalo-trace 1\nports ";
+  integer(wl.num_ports);
+  out += '\n';
+  for (const coflow::JobSpec& job : wl.jobs) {
+    out += "job ";
+    integer(job.id);
+    out += ' ';
+    real(job.arrival);
+    out += ' ';
+    real(job.compute_time);
+    out += ' ';
+    integer(static_cast<long long>(job.coflows.size()));
+    out += '\n';
+    for (const coflow::CoflowSpec& c : job.coflows) {
+      out += "coflow ";
+      integer(c.id.external);
+      out += '.';
+      integer(c.id.internal);
+      out += ' ';
+      real(c.arrival_offset);
+      out += ' ';
+      integer(static_cast<long long>(c.flows.size()));
+      ids(" sa=", c.starts_after);
+      ids(" fb=", c.finishes_before);
+      if (c.deadline > 0) {
+        out += " dl=";
+        real(c.deadline);
+      }
+      out += '\n';
+      for (const coflow::FlowSpec& f : c.flows) {
+        out += "flow ";
+        integer(f.src);
+        out += ' ';
+        integer(f.dst);
+        out += ' ';
+        real(f.bytes);
+        out += ' ';
+        real(f.start_offset);
+        out += '\n';
+      }
+    }
+  }
+  return out;
+}
+
+/// One job per edge double, carrying it in every field that allows it,
+/// under extreme job, coflow and port ids.
+coflow::Workload edgeWorkload() {
+  using I64 = std::numeric_limits<std::int64_t>;
+  using I32 = std::numeric_limits<std::int32_t>;
+  // 2^53+1 is not a double (it rounds to 2^53); the job id carries it exactly.
+  const double doubles[] = {0.0, -0.0, 5e-324, DBL_MIN, DBL_MAX, 0x1p53 + 1, 0.1, 1e-300};
+  const std::int64_t job_ids[] = {0, (1LL << 53) + 1, I64::max(), I64::min(), -1, 1, 2, 3};
+  const std::int32_t internal_ids[] = {0, I32::max(), I32::min(), -1, 1, 2, 3, 4};
+  coflow::Workload wl;
+  wl.num_ports = I32::max();
+  for (std::size_t i = 0; i < std::size(doubles); ++i) {
+    const double v = doubles[i];
+    coflow::JobSpec job;
+    job.id = job_ids[i];
+    job.arrival = v;
+    job.compute_time = v;
+    coflow::CoflowSpec parent;
+    parent.id = {job.id, internal_ids[i]};
+    parent.arrival_offset = v;
+    parent.deadline = v;
+    // Sizes must be positive: the zeros carry the smallest subnormal.
+    parent.flows.push_back({0, wl.num_ports - 1, v > 0 ? v : 5e-324, v});
+    coflow::CoflowSpec child = parent;
+    child.id.internal = internal_ids[(i + 1) % std::size(internal_ids)];
+    child.starts_after = {parent.id};
+    child.finishes_before = {parent.id, parent.id};
+    job.coflows = {parent, child};
+    wl.jobs.push_back(std::move(job));
+  }
+  return wl;
+}
+
+TEST(TraceFuzz, WriterMatchesLibcFormatting) {
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const coflow::Workload wl = randomWorkload(seed);
+    ASSERT_EQ(toText(wl), libcTrace(wl)) << "seed " << seed;
+  }
+  const coflow::Workload edges = edgeWorkload();
+  ASSERT_NO_THROW(edges.validate());
+  EXPECT_EQ(toText(edges), libcTrace(edges));
+}
+
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(TraceFuzz, ExactEdgeValuesSurviveRoundTrip) {
+  // ExactValuesSurviveRoundTrip at the corners: signed zero, subnormals,
+  // DBL_MIN/DBL_MAX, 2^53+1, and the extreme integer ids, bit for bit.
+  const coflow::Workload wl = edgeWorkload();
+  const coflow::Workload parsed = fromText(toText(wl));
+  EXPECT_EQ(parsed.num_ports, wl.num_ports);
+  ASSERT_EQ(parsed.jobs.size(), wl.jobs.size());
+  for (std::size_t j = 0; j < wl.jobs.size(); ++j) {
+    const auto& a = wl.jobs[j];
+    const auto& b = parsed.jobs[j];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_TRUE(sameBits(a.arrival, b.arrival)) << j;
+    EXPECT_TRUE(sameBits(a.compute_time, b.compute_time)) << j;
+    ASSERT_EQ(a.coflows.size(), b.coflows.size());
+    for (std::size_t c = 0; c < a.coflows.size(); ++c) {
+      const auto& x = a.coflows[c];
+      const auto& y = b.coflows[c];
+      EXPECT_EQ(x.id, y.id);
+      EXPECT_EQ(x.starts_after, y.starts_after);
+      EXPECT_EQ(x.finishes_before, y.finishes_before);
+      EXPECT_TRUE(sameBits(x.arrival_offset, y.arrival_offset)) << j;
+      // Non-positive deadlines are not written; they read back as +0.
+      EXPECT_TRUE(sameBits(x.deadline > 0 ? x.deadline : 0.0, y.deadline)) << j;
+      ASSERT_EQ(x.flows.size(), y.flows.size());
+      EXPECT_EQ(x.flows[0].src, y.flows[0].src);
+      EXPECT_EQ(x.flows[0].dst, y.flows[0].dst);
+      EXPECT_TRUE(sameBits(x.flows[0].bytes, y.flows[0].bytes)) << j;
+      EXPECT_TRUE(sameBits(x.flows[0].start_offset, y.flows[0].start_offset)) << j;
+    }
+  }
+}
+
+const char* const kCommittedTraces[] = {"golden_200.trace", "golden_deadline_50.trace"};
+
+std::string committedTrace(const char* name) {
+  std::ifstream in(std::string(AALO_TEST_DATA_DIR) + "/" + name, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(TraceFuzz, CommittedTracesReserializeByteIdentically) {
+  for (const char* name : kCommittedTraces) {
+    const std::string text = committedTrace(name);
+    ASSERT_FALSE(text.empty()) << name;
+    EXPECT_EQ(toText(fromText(text)), text) << name;
+  }
+}
+
+// --- Seeded mutational fuzzing ---------------------------------------------
+
+enum Mutation {
+  kFlipByte,
+  kDeleteLine,
+  kDuplicateLine,
+  kTruncate,
+  kSpliceToken,
+  kStretchDigits,
+  kReplaceNumber,
+  kInsertControl,
+  kMutationCount
+};
+
+/// [begin, end) spans of the runs of `text` that satisfy `in_run`.
+template <typename InRun>
+std::vector<std::pair<std::size_t, std::size_t>> spans(const std::string& text, InRun in_run) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t i = 0; i < text.size();) {
+    if (!in_run(text[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < text.size() && in_run(text[i])) ++i;
+    out.emplace_back(begin, i);
+  }
+  return out;
+}
+
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// `text` with one seeded edit of kind `m` (unchanged if `text` has
+/// nothing of the kind to edit).
+std::string mutate(std::string text, Mutation m, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniformInt(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto isLine = [](char c) { return c != '\n'; };
+  const auto isToken = [](char c) { return c != '\n' && c != ' ' && c != '\t' && c != '\r'; };
+  const auto replace = [&](std::pair<std::size_t, std::size_t> span, const std::string& with) {
+    text.replace(span.first, span.second - span.first, with);
+  };
+  if (text.empty()) return text;
+  switch (m) {
+    case kFlipByte:
+      text[pick(text.size())] ^= static_cast<char>(1 + pick(255));
+      break;
+    case kDeleteLine:
+      if (const auto lines = spans(text, isLine); !lines.empty()) {
+        const auto line = lines[pick(lines.size())];
+        text.erase(line.first, line.second - line.first + 1);
+      }
+      break;
+    case kDuplicateLine:
+      if (const auto lines = spans(text, isLine); !lines.empty()) {
+        const auto line = lines[pick(lines.size())];
+        text.insert(line.first, text.substr(line.first, line.second - line.first) + "\n");
+      }
+      break;
+    case kTruncate:
+      text.resize(pick(text.size() + 1));
+      break;
+    case kSpliceToken:
+      if (const auto tokens = spans(text, isToken); !tokens.empty()) {
+        const auto from = tokens[pick(tokens.size())];
+        replace(tokens[pick(tokens.size())], text.substr(from.first, from.second - from.first));
+      }
+      break;
+    case kStretchDigits:
+      if (const auto digits = spans(text, isDigit); !digits.empty()) {
+        const auto run = digits[pick(digits.size())];
+        std::string stretched = text.substr(run.first, run.second - run.first);
+        while (stretched.size() < 400) stretched += static_cast<char>('0' + pick(10));
+        replace(run, stretched);
+      }
+      break;
+    case kReplaceNumber: {
+      std::vector<std::pair<std::size_t, std::size_t>> numbers;
+      for (const auto& t : spans(text, isToken)) {
+        if (isDigit(text[t.first]) || text[t.first] == '-') numbers.push_back(t);
+      }
+      if (!numbers.empty()) {
+        static const char* const kBad[] = {"nan", "inf", "-1", "1e400"};
+        replace(numbers[pick(numbers.size())], kBad[pick(4)]);
+      }
+      break;
+    }
+    case kInsertControl:
+      text.insert(text.begin() + static_cast<std::ptrdiff_t>(pick(text.size() + 1)),
+                  pick(2) == 0 ? '\0' : '\r');
+      break;
+    case kMutationCount:
+      break;
+  }
+  return text;
+}
+
+/// The fuzz property: `parse(text)` throws std::runtime_error or
+/// std::invalid_argument, or returns a workload that validates and whose
+/// write -> read -> write is byte-identical. Anything else is a failure
+/// tagged with `where` (input, seed and mutation index, for replay).
+template <typename Parse>
+void expectCleanOutcome(Parse parse, const std::string& text, const std::string& where) {
+  coflow::Workload wl;
+  try {
+    wl = parse(text);
+  } catch (const std::runtime_error&) {
+    return;
+  } catch (const std::invalid_argument&) {
+    return;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << where << ": unexpected exception: " << e.what();
+    return;
+  }
+  try {
+    wl.validate();
+    const std::string first = toText(wl);
+    EXPECT_EQ(toText(fromText(first)), first) << where;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << where << ": accepted input fails to round-trip: " << e.what();
+  }
+}
+
+/// Runs every mutation kind `seeds` times over `text`.
+template <typename Parse>
+void fuzzMutations(Parse parse, const std::string& name, const std::string& text,
+                   std::uint64_t seeds) {
+  for (int m = 0; m < kMutationCount; ++m) {
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+      const std::string mutated = mutate(text, static_cast<Mutation>(m), seed);
+      expectCleanOutcome(parse, mutated,
+                         name + " seed " + std::to_string(seed) + " mutation " +
+                             std::to_string(m));
+    }
+  }
+}
+
+TEST(TraceFuzz, MutatedTracesFailCleanlyOrRoundTrip) {
+  for (const char* name : kCommittedTraces) {
+    const std::string text = committedTrace(name);
+    ASSERT_FALSE(text.empty()) << name;
+    // Fewer seeds for golden_200, 4x the size, to keep asan runs short.
+    fuzzMutations(fromText, name, text, text.size() > 200'000 ? 3 : 10);
+  }
+  for (std::uint64_t w = 1; w <= 4; ++w) {
+    fuzzMutations(fromText, "randomWorkload(" + std::to_string(w) + ")",
+                  toText(randomWorkload(w)), 100);
+  }
+}
+
+TEST(TraceFuzz, MutatedCoflowBenchmarkTracesFailCleanlyOrRoundTrip) {
+  const std::string text =
+      "4 3\n"
+      "1 0 2 1 2 2 3:100 4:50\n"
+      "2 500 1 4 1 1:10\n"
+      "3 900.5 3 1 2 3 2 2:0.5 4:1e-3\n";
+  const auto parse = [](const std::string& t) {
+    std::istringstream is(t);
+    return workload::readCoflowBenchmarkTrace(is);
+  };
+  fuzzMutations(parse, "coflow-benchmark", text, 300);
 }
 
 }  // namespace

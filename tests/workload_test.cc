@@ -321,6 +321,91 @@ TEST(TraceIo, IgnoresCommentsAndBlankLines) {
   EXPECT_DOUBLE_EQ(wl.jobs[0].arrival, 0.5);
 }
 
+// Expects `parse(text)` to throw a std::runtime_error whose message
+// contains `where` (the line it blames).
+template <typename Parse>
+void expectRejectedAt(Parse parse, const std::string& text, const std::string& where) {
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos) << e.what();
+  }
+}
+
+coflow::Workload parseTrace(const std::string& text) {
+  std::stringstream ss(text);
+  return readTrace(ss);
+}
+
+TEST(TraceIo, RejectsTrailingCharactersAndExtraFields) {
+  // Every number is its whole field and every record has exactly its
+  // fields; a prefix that happens to parse is not enough.
+  const std::string job = "aalo-trace 1\nports 2\njob 0 0 0 1\n";
+  const std::string tail = "coflow 0.0 0 1\nflow 0 1 5 0\n";
+  expectRejectedAt(parseTrace, job + "coflow 0.0 0 1\nflow 0 1 5 0junk\n", "trace line 5");
+  expectRejectedAt(parseTrace, job + "coflow 0.0 0 1\nflow 0 1 5 0 7\n", "trace line 5");
+  expectRejectedAt(parseTrace, "aalo-trace 1\nports 2 9\njob 0 0 0 1\n" + tail,
+                   "trace line 2");
+  expectRejectedAt(parseTrace, "aalo-trace 1\nports 2\njob 0 0 0 1 extra\n" + tail,
+                   "trace line 3");
+  expectRejectedAt(parseTrace, job + "coflow 0.0x 0 1\nflow 0 1 5 0\n", "trace line 4");
+  expectRejectedAt(parseTrace, job + "coflow 0.0 0 1 dl=5s\nflow 0 1 5 0\n", "trace line 4");
+  expectRejectedAt(parseTrace, job + "coflow 0.0 0 1 sa=0.0x\nflow 0 1 5 0\n", "trace line 4");
+  expectRejectedAt(parseTrace, "aalo-trace 1 1\nports 2\njob 0 0 0 1\n" + tail,
+                   "trace line 1");
+  // Only ' ', '\t' and '\r' separate fields.
+  expectRejectedAt(parseTrace, job + "coflow 0.0 0 1\nflow 0 1\v5 0\n", "trace line 5");
+}
+
+TEST(TraceIo, RejectsLeadingPlus) {
+  // The writer never emits '+', so the reader does not take it either
+  // (std::from_chars' grammar), for integers and doubles alike.
+  const std::string job = "aalo-trace 1\nports 2\njob 0 0 0 1\ncoflow 0.0 0 1\n";
+  expectRejectedAt(parseTrace, job + "flow +0 1 +5 0\n", "trace line 5");
+  expectRejectedAt(parseTrace, job + "flow 0 1 +5 0\n", "trace line 5");
+  expectRejectedAt(parseTrace, "aalo-trace 1\nports +2\n", "trace line 2");
+  expectRejectedAt(parseTrace, "aalo-trace 1\nports 2\njob 0 +1 0 1\n", "trace line 3");
+}
+
+TEST(TraceIo, AcceptsCrlfTabsCommentsAndBlankLines) {
+  const std::string plain =
+      "aalo-trace 1\nports 2\njob 0 0.5 1.5 2\ncoflow 0.0 0 1\nflow 0 1 5 0\n"
+      "coflow 0.1 0.25 1 sa=0.0 dl=3\nflow 1 0 7 0.5\n";
+  const std::string decorated =
+      "aalo-trace 1\r\n# comment\r\n\r\nports\t2\r\n \t\r\n"
+      "job 0\t0.5  1.5 2 # trailing comment\r\ncoflow 0.0 0 1\r\nflow 0 1 5 0\r\n"
+      "coflow\t0.1 0.25 1\tsa=0.0 dl=3\r\nflow 1 0 7 0.5";  // No final newline.
+  std::ostringstream a;
+  std::ostringstream b;
+  writeTrace(a, parseTrace(plain));
+  writeTrace(b, parseTrace(decorated));
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(a.str(), plain);
+}
+
+TEST(TraceIo, LinesLongerThanTheReadBlockParse) {
+  // A dependency list longer than the reader's 64 KiB block.
+  coflow::Workload wl;
+  wl.num_ports = 2;
+  coflow::JobSpec job;
+  job.id = 1;
+  for (int c = 0; c < 12000; ++c) {
+    coflow::CoflowSpec spec;
+    spec.id = {1, c};
+    spec.flows.push_back({0, 1, 5, 0});
+    job.coflows.push_back(std::move(spec));
+  }
+  for (int c = 0; c + 1 < 12000; ++c) job.coflows.back().starts_after.push_back({1, c});
+  wl.jobs.push_back(std::move(job));
+  std::ostringstream first;
+  writeTrace(first, wl);
+  ASSERT_GT(first.str().size(), 2u * 65536);
+  std::ostringstream second;
+  writeTrace(second, parseTrace(first.str()));
+  EXPECT_EQ(first.str(), second.str());
+}
+
 
 TEST(Failures, InjectsRestartsAndGrowsTraffic) {
   FacebookConfig cfg;
@@ -434,6 +519,30 @@ TEST(CoflowBenchmarkTrace, RejectsMalformedInput) {
   EXPECT_THROW(parse("4 1\n1 0 1 9 1 1:10\n"), std::runtime_error);  // Rack 9.
   EXPECT_THROW(parse("4 1\n1 0 1 1 1 110\n"), std::runtime_error);  // No colon.
   EXPECT_THROW(parse("4 1\n1 0 1 1 1 1:0\n"), std::runtime_error);  // Zero MB.
+}
+
+coflow::Workload parseBenchmarkTrace(const std::string& text) {
+  std::stringstream ss(text);
+  return readCoflowBenchmarkTrace(ss);
+}
+
+TEST(CoflowBenchmarkTrace, RejectsTrailingCharactersInNumbers) {
+  expectRejectedAt(parseBenchmarkTrace, "4 1\n1 0 1 1 1 2x:5\n", "trace line 2");
+  expectRejectedAt(parseBenchmarkTrace, "4 1\n1 0 1 1 1 2:5mb\n", "trace line 2");
+  expectRejectedAt(parseBenchmarkTrace, "4 1\n1 0 1 1x 1 2:5\n", "trace line 2");
+  expectRejectedAt(parseBenchmarkTrace, "4 1\n1 0 1 1 1 +2:5\n", "trace line 2");
+  expectRejectedAt(parseBenchmarkTrace, "4 1x\n1 0 1 1 1 2:5\n", "trace line 1");
+}
+
+TEST(CoflowBenchmarkTrace, AcceptsCrlfAndTabs) {
+  const auto plain = parseBenchmarkTrace("4 2\n1 0 2 1 2 2 3:100 4:50\n2 500 1 4 1 1:10\n");
+  const auto crlf =
+      parseBenchmarkTrace("4 2\r\n1\t0 2 1 2 2 3:100  4:50\r\n2 500 1 4 1 1:10\r\n");
+  std::ostringstream a;
+  std::ostringstream b;
+  writeTrace(a, plain);
+  writeTrace(b, crlf);
+  EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(CoflowBenchmarkTrace, ReplaysThroughSimulator) {
