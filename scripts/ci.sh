@@ -6,7 +6,7 @@
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
-#                            # + engine pins + net + maxmin + per-port
+#                            # + engine pins + net + frame fuzz + maxmin + per-port
 #                            # schedulers + property sweep + workload
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
@@ -104,7 +104,7 @@ expect_clean_failure() {
 }
 
 run_asan() {
-  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + maxmin + per-port scheduler suites ==="
+  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + frame fuzz + maxmin + per-port scheduler suites ==="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
@@ -112,15 +112,18 @@ run_asan() {
              obs_test obs_invariant_test \
              obs_concurrency_test trace_fuzz_test golden_trace_test \
              ha_test checkpoint_test sched_property_test schedule_state_test \
-             net_test maxmin_test uncoordinated_test extensions_test \
+             net_test frame_fuzz_test maxmin_test uncoordinated_test \
+             extensions_test \
              sim_property_test workload_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
     -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
     --output-on-failure -j "$(nproc)")
-  # Wire codec (frame decode bounds, zero-length appends) and the max-min
+  # Wire codec (frame decode bounds, zero-length appends), the seeded
+  # mutational fuzz of golden schedule and report frames, and the max-min
   # allocator against its reference oracle, whole binaries.
   ./build-asan/tests/net_test
+  ./build-asan/tests/frame_fuzz_test
   ./build-asan/tests/maxmin_test
   # The per-port schedulers (uncoordinated, gossip, LAS, FIFO-LM share one
   # grouping and one per-port D-CLAS routine) and the cross-scheduler

@@ -1,38 +1,145 @@
 #include "net/protocol.h"
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace aalo::net {
 
 namespace {
 
-void putCoflowId(Buffer& out, const coflow::CoflowId& id) {
-  out.putI64(id.external);
-  out.putU32(static_cast<std::uint32_t>(id.internal));
+// Repeated elements (ids, sizes, schedule entries) are coded in bulk: one
+// reserve or one bounds check per array, then fixed-width stores and loads
+// on the raw frame bytes, in the little-endian layout of Buffer's own
+// putU32/putU64/putDouble.
+static_assert(std::endian::native == std::endian::little,
+              "the bulk codec copies fields in host byte order");
+
+template <typename T>
+std::uint8_t* store(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof v);
+  return p + sizeof v;
 }
 
-coflow::CoflowId getCoflowId(Buffer& in) {
+template <typename T>
+T load(const std::uint8_t*& p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  p += sizeof v;
+  return v;
+}
+
+std::uint8_t* storeId(std::uint8_t* p, const coflow::CoflowId& id) {
+  return store(store(p, id.external), id.internal);
+}
+
+coflow::CoflowId loadId(const std::uint8_t*& p) {
   coflow::CoflowId id;
-  id.external = in.getI64();
-  id.internal = static_cast<std::int32_t>(in.getU32());
+  id.external = load<std::int64_t>(p);
+  id.internal = load<std::int32_t>(p);
   return id;
 }
 
-// Smallest wire encodings of the repeated elements.
+// Wire sizes of the repeated elements.
 constexpr std::size_t kIdBytes = 12;
 constexpr std::size_t kSizeBytes = kIdBytes + 8;
 constexpr std::size_t kEntryBytes = kIdBytes + 8 + 4 + 1;
 
-/// Reads an element count and rejects it unless that many elements of at
-/// least `min_bytes` each fit in the rest of the frame, so a corrupt count
-/// cannot make the decoder reserve() gigabytes.
-std::uint32_t getCount(Buffer& in, std::size_t min_bytes) {
+/// Writes `items.size()` and then each item through `put(p, item)`, which
+/// stores exactly `bytes` bytes.
+template <typename T, typename Put>
+void putAll(Buffer& out, const std::vector<T>& items, std::size_t bytes,
+            Put put) {
+  out.putU32(static_cast<std::uint32_t>(items.size()));
+  const std::size_t total = items.size() * bytes;
+  std::uint8_t* p = out.writableArea(total);
+  for (const T& item : items) p = put(p, item);
+  out.commitWrite(total);
+}
+
+/// Reads an element count, rejects it unless that many `bytes`-byte
+/// elements fit in the rest of the frame (so a corrupt count cannot make
+/// the decoder reserve() gigabytes), then decodes each through `get(p)`.
+template <typename T, typename Get>
+void getAll(Buffer& in, std::vector<T>& items, std::size_t bytes, Get get) {
   const std::uint32_t n = in.getU32();
-  if (n > in.readableBytes() / min_bytes) {
+  if (n > in.readableBytes() / bytes) {
     throw std::runtime_error("decodeMessage: element count " +
                              std::to_string(n) + " overruns the frame");
   }
-  return n;
+  items.resize(n);
+  const std::uint8_t* p = in.peek();
+  for (T& item : items) item = get(p);
+  in.consume(n * bytes);
+}
+
+void putId(Buffer& out, const coflow::CoflowId& id) {
+  storeId(out.writableArea(kIdBytes), id);
+  out.commitWrite(kIdBytes);
+}
+
+coflow::CoflowId getId(Buffer& in) {
+  if (in.readableBytes() < kIdBytes) {
+    throw std::out_of_range("decodeMessage: coflow id underruns the frame");
+  }
+  const std::uint8_t* p = in.peek();
+  const coflow::CoflowId id = loadId(p);
+  in.consume(kIdBytes);
+  return id;
+}
+
+void putIds(Buffer& out, const std::vector<coflow::CoflowId>& ids) {
+  putAll(out, ids, kIdBytes, storeId);
+}
+
+void getIds(Buffer& in, std::vector<coflow::CoflowId>& ids) {
+  getAll(in, ids, kIdBytes, loadId);
+}
+
+void putSizes(Buffer& out, const std::vector<CoflowSize>& sizes) {
+  putAll(out, sizes, kSizeBytes, [](std::uint8_t* p, const CoflowSize& s) {
+    return store(storeId(p, s.id), s.bytes);
+  });
+}
+
+void getSizes(Buffer& in, std::vector<CoflowSize>& sizes) {
+  getAll(in, sizes, kSizeBytes, [](const std::uint8_t*& p) {
+    CoflowSize s;
+    s.id = loadId(p);
+    s.bytes = load<double>(p);
+    return s;
+  });
+}
+
+void putEntries(Buffer& out, const std::vector<ScheduleEntry>& entries) {
+  putAll(out, entries, kEntryBytes,
+         [](std::uint8_t* p, const ScheduleEntry& e) {
+           p = store(store(storeId(p, e.id), e.global_bytes), e.queue);
+           return store(p, std::uint8_t{e.on});
+         });
+}
+
+void getEntries(Buffer& in, std::vector<ScheduleEntry>& entries) {
+  getAll(in, entries, kEntryBytes, [](const std::uint8_t*& p) {
+    ScheduleEntry e;
+    e.id = loadId(p);
+    e.global_bytes = load<double>(p);
+    const auto queue = load<std::uint32_t>(p);
+    const auto on = load<std::uint8_t>(p);
+    // Either would decode to a value that encodes back to other bytes.
+    if (queue > static_cast<std::uint32_t>(INT32_MAX)) {
+      throw std::runtime_error("decodeMessage: queue " + std::to_string(queue) +
+                               " is negative as an int32");
+    }
+    if (on > 1) {
+      throw std::runtime_error("decodeMessage: ON flag " + std::to_string(on) +
+                               " is neither 0 nor 1");
+    }
+    e.queue = static_cast<std::int32_t>(queue);
+    e.on = on == 1;
+    return e;
+  });
 }
 
 }  // namespace
@@ -45,49 +152,31 @@ void encodeMessage(const Message& message, Buffer& out) {
       break;
     case MessageType::kRegisterCoflow:
       out.putU64(message.request_id);
-      out.putU32(static_cast<std::uint32_t>(message.parents.size()));
-      for (const auto& p : message.parents) putCoflowId(out, p);
+      putIds(out, message.parents);
       break;
     case MessageType::kRegisterReply:
       out.putU64(message.request_id);
-      putCoflowId(out, message.coflow);
+      putId(out, message.coflow);
       break;
     case MessageType::kUnregisterCoflow:
-      putCoflowId(out, message.coflow);
+      putId(out, message.coflow);
       break;
     case MessageType::kSizeReport:
       out.putU64(message.daemon_id);
       out.putU64(message.epoch);
-      out.putU32(static_cast<std::uint32_t>(message.sizes.size()));
-      for (const auto& s : message.sizes) {
-        putCoflowId(out, s.id);
-        out.putDouble(s.bytes);
-      }
+      putSizes(out, message.sizes);
       break;
     case MessageType::kScheduleUpdate:
       out.putU64(message.epoch);
       out.putU64(message.fence);
-      out.putU32(static_cast<std::uint32_t>(message.schedule.size()));
-      for (const auto& e : message.schedule) {
-        putCoflowId(out, e.id);
-        out.putDouble(e.global_bytes);
-        out.putU32(static_cast<std::uint32_t>(e.queue));
-        out.putU8(e.on ? 1 : 0);
-      }
+      putEntries(out, message.schedule);
       break;
     case MessageType::kScheduleDelta:
       out.putU64(message.epoch);
       out.putU64(message.base_epoch);
       out.putU64(message.fence);
-      out.putU32(static_cast<std::uint32_t>(message.schedule.size()));
-      for (const auto& e : message.schedule) {
-        putCoflowId(out, e.id);
-        out.putDouble(e.global_bytes);
-        out.putU32(static_cast<std::uint32_t>(e.queue));
-        out.putU8(e.on ? 1 : 0);
-      }
-      out.putU32(static_cast<std::uint32_t>(message.removals.size()));
-      for (const auto& id : message.removals) putCoflowId(out, id);
+      putEntries(out, message.schedule);
+      putIds(out, message.removals);
       break;
     case MessageType::kSnapshotRequest:
       out.putU64(message.daemon_id);
@@ -113,69 +202,34 @@ Message decodeMessage(Buffer& in) {
     case MessageType::kHello:
       message.daemon_id = in.getU64();
       break;
-    case MessageType::kRegisterCoflow: {
+    case MessageType::kRegisterCoflow:
       message.request_id = in.getU64();
-      const std::uint32_t n = getCount(in, kIdBytes);
-      message.parents.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) message.parents.push_back(getCoflowId(in));
+      getIds(in, message.parents);
       break;
-    }
     case MessageType::kRegisterReply:
       message.request_id = in.getU64();
-      message.coflow = getCoflowId(in);
+      message.coflow = getId(in);
       break;
     case MessageType::kUnregisterCoflow:
-      message.coflow = getCoflowId(in);
+      message.coflow = getId(in);
       break;
-    case MessageType::kSizeReport: {
+    case MessageType::kSizeReport:
       message.daemon_id = in.getU64();
       message.epoch = in.getU64();
-      const std::uint32_t n = getCount(in, kSizeBytes);
-      message.sizes.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        CoflowSize s;
-        s.id = getCoflowId(in);
-        s.bytes = in.getDouble();
-        message.sizes.push_back(s);
-      }
+      getSizes(in, message.sizes);
       break;
-    }
-    case MessageType::kScheduleUpdate: {
+    case MessageType::kScheduleUpdate:
       message.epoch = in.getU64();
       message.fence = in.getU64();
-      const std::uint32_t n = getCount(in, kEntryBytes);
-      message.schedule.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        ScheduleEntry e;
-        e.id = getCoflowId(in);
-        e.global_bytes = in.getDouble();
-        e.queue = static_cast<std::int32_t>(in.getU32());
-        e.on = in.getU8() != 0;
-        message.schedule.push_back(e);
-      }
+      getEntries(in, message.schedule);
       break;
-    }
-    case MessageType::kScheduleDelta: {
+    case MessageType::kScheduleDelta:
       message.epoch = in.getU64();
       message.base_epoch = in.getU64();
       message.fence = in.getU64();
-      const std::uint32_t n = getCount(in, kEntryBytes);
-      message.schedule.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        ScheduleEntry e;
-        e.id = getCoflowId(in);
-        e.global_bytes = in.getDouble();
-        e.queue = static_cast<std::int32_t>(in.getU32());
-        e.on = in.getU8() != 0;
-        message.schedule.push_back(e);
-      }
-      const std::uint32_t r = getCount(in, kIdBytes);
-      message.removals.reserve(r);
-      for (std::uint32_t i = 0; i < r; ++i) {
-        message.removals.push_back(getCoflowId(in));
-      }
+      getEntries(in, message.schedule);
+      getIds(in, message.removals);
       break;
-    }
     case MessageType::kSnapshotRequest:
       message.daemon_id = in.getU64();
       message.epoch = in.getU64();

@@ -5,8 +5,9 @@
 // order (queue per coflow + FIFO position implied by CoflowId). Clients
 // register/unregister coflows through the same protocol.
 //
-// Encoding: little-endian primitives via net::Buffer, one message per
-// frame (see net/connection.h for framing).
+// Encoding: little-endian primitives via net::Buffer, repeated elements
+// as fixed-width arrays coded in bulk, one message per frame (see
+// net/connection.h for framing).
 #pragma once
 
 #include <cstdint>
@@ -91,7 +92,9 @@ struct Message {
 void encodeMessage(const Message& message, Buffer& out);
 
 /// Decodes one message from `in` (a full frame payload); throws
-/// std::out_of_range / std::runtime_error on malformed input.
+/// std::out_of_range / std::runtime_error on malformed input. Strict:
+/// an ON byte other than 0/1 or a queue of 2^31 or more is malformed, so
+/// every accepted frame re-encodes to exactly its own bytes.
 Message decodeMessage(Buffer& in);
 
 }  // namespace aalo::net

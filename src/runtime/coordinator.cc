@@ -521,6 +521,9 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
           journaled.epoch = message.epoch;
           journaled.sizes.clear();
         }
+        // Start every entry's bucket load first: the frame's probes into
+        // the coflow table then overlap instead of missing one by one.
+        for (const auto& s : message.sizes) state_.prefetch(s.id);
         for (const auto& s : message.sizes) {
           // A NaN, infinite or negative size would poison the coflow's
           // global total, which every daemon is then told.

@@ -15,15 +15,21 @@ bool entryLess(const net::ScheduleEntry& a, const net::ScheduleEntry& b) {
   return coflow::CoflowIdFifoLess{}(a.id, b.id);
 }
 
-/// Coflows whose buckets snapshotEntries() prefetches ahead of the one it
-/// reads.
-constexpr int kPrefetchAhead = 8;
+/// Entries whose buckets an order walk prefetches ahead of the one it
+/// reads: enough misses in flight to cover a memory round trip.
+constexpr std::size_t kPrefetchAhead = 32;
+
+/// Stale order entries tolerated beyond one per live coflow before the
+/// runs are compacted.
+constexpr std::size_t kStaleSlack = 64;
 
 }  // namespace
 
 ScheduleState::ScheduleState(std::vector<util::Bytes> thresholds,
                              std::size_t max_on_coflows)
-    : thresholds_(std::move(thresholds)), max_on_(max_on_coflows) {}
+    : thresholds_(std::move(thresholds)),
+      max_on_(max_on_coflows),
+      order_(thresholds_.size() + 1) {}
 
 // --- the flat table ---------------------------------------------------------
 
@@ -204,17 +210,122 @@ void ScheduleState::makeLive(Bucket& b) {
   b.bytes = 0;
   b.queue = 0;
   b.sent_queue = 0;
-  order_.emplace(0, keyOf(b));
+  ++live_;
+  enqueue(b);
   markDirty(b);
 }
 
 void ScheduleState::moveToQueue(Bucket& b, int queue) {
   if (queue == b.queue) return;
-  const coflow::CoflowId id = keyOf(b);
-  order_.erase({b.queue, id});
-  b.queue = queue;
-  order_.emplace(queue, id);
+  b.queue = queue;  // The old queue's entry is stale from here on.
+  enqueue(b);
   markDirty(b);
+}
+
+ScheduleState::Bucket* ScheduleState::liveBucket(const OrderEntry& e,
+                                                 int queue) {
+  std::size_t i = e.slot;
+  // An empty slot holds the key {0, 0} too, so it never confirms a hint.
+  if (i >= table_.size() || table_[i].flags == 0 ||
+      table_[i].external != e.external || table_[i].internal != e.internal) {
+    // Moved by a grow() or an erase's backward shift since.
+    i = find(keyOf(e));
+    if (i == kNone) return nullptr;
+  }
+  Bucket& b = table_[i];
+  const bool live =
+      (b.flags & kLive) && b.queue == queue && b.stamp == e.stamp;
+  return live ? &b : nullptr;
+}
+
+void ScheduleState::sortPending(QueueOrder& order) {
+  std::vector<OrderEntry>& pending = order.pending;
+  if (order.sorted == pending.size()) return;
+  const auto mid = pending.begin() + static_cast<std::ptrdiff_t>(order.sorted);
+  std::sort(mid, pending.end(), entryIdLess);
+  std::inplace_merge(pending.begin(), mid, pending.end(), entryIdLess);
+  order.sorted = pending.size();
+}
+
+void ScheduleState::mergePending(QueueOrder& order) {
+  std::vector<OrderEntry>& run = order.run;
+  std::vector<OrderEntry>& pending = order.pending;
+  if (pending.empty()) return;
+  sortPending(order);
+  // Merge from the back, in place: only the run's tail above the smallest
+  // buffered id moves, once per merge rather than once per entry.
+  std::size_t r = run.size();
+  std::size_t p = pending.size();
+  run.resize(r + p);
+  for (std::size_t out = run.size(); p > 0;) {
+    if (r > order.head && entryIdLess(pending[p - 1], run[r - 1])) {
+      run[--out] = run[--r];
+    } else {
+      run[--out] = pending[--p];
+    }
+  }
+  pending.clear();
+  order.sorted = 0;
+}
+
+template <typename Visit>
+void ScheduleState::walkOrder(Visit&& visit) {
+  // Every stale entry is dropped below, so the stamps can start over.
+  next_stamp_ = 1;
+  for (std::size_t q = 0; q < order_.size(); ++q) {
+    mergePending(order_[q]);
+    std::vector<OrderEntry>& run = order_[q].run;
+    const std::size_t head = order_[q].head;
+    const std::size_t n = run.size();
+    const auto prefetchAt = [&](std::size_t i) {
+      if (run[i].slot < table_.size()) {
+        __builtin_prefetch(&table_[run[i].slot], 1);
+      }
+    };
+    for (std::size_t i = head; i < std::min(n, head + kPrefetchAhead); ++i) {
+      prefetchAt(i);
+    }
+    std::size_t keep = 0;
+    for (std::size_t i = head; i < n; ++i) {
+      if (i + kPrefetchAhead < n) prefetchAt(i + kPrefetchAhead);
+      const OrderEntry e = run[i];
+      // Equal ids sit together; once one is kept the rest are stale (and
+      // the renumbered bucket stamp must not meet their old stamps).
+      if (keep > 0 && keyOf(run[keep - 1]) == keyOf(e)) continue;
+      Bucket* b = liveBucket(e, static_cast<int>(q));
+      if (b == nullptr) continue;
+      b->stamp = next_stamp_++;
+      run[keep++] = OrderEntry{.external = e.external,
+                               .internal = e.internal,
+                               .stamp = b->stamp,
+                               .slot = slotOf(*b)};
+      visit(*b);
+    }
+    run.resize(keep);
+    order_[q].head = 0;
+  }
+  order_entries_ = live_;
+}
+
+void ScheduleState::enqueue(Bucket& b) {
+  b.stamp = next_stamp_++;
+  const OrderEntry entry{.external = b.external,
+                         .internal = b.internal,
+                         .stamp = b.stamp,
+                         .slot = slotOf(b)};
+  QueueOrder& order = order_[static_cast<std::size_t>(b.queue)];
+  if (order.run.size() == order.head ||
+      !entryIdLess(entry, order.run.back())) {
+    order.run.push_back(entry);
+  } else {
+    order.pending.push_back(entry);
+  }
+  // Compacting renumbers the stamps from 1, so the counter reaches its
+  // limit only if ~4G moves pass without one; compact then as well.
+  if (++order_entries_ > 2 * live_ + kStaleSlack ||
+      next_stamp_ == UINT32_MAX) {
+    walkOrder([](const Bucket&) {});
+  }
 }
 
 void ScheduleState::registerCoflow(const coflow::CoflowId& id) {
@@ -232,7 +343,7 @@ void ScheduleState::unregisterCoflow(const coflow::CoflowId& id) {
   Bucket& b = table_[i];
   if (b.flags & kRegistered) --registered_;
   if (b.flags & kLive) {
-    order_.erase({b.queue, id});
+    --live_;  // Its order entry goes stale with the live bit.
     if (b.flags & kSent) removed_.push_back(id);
   }
   releaseReporters(b);
@@ -331,7 +442,7 @@ double ScheduleState::globalBytes(const coflow::CoflowId& id) const {
 std::unordered_map<coflow::CoflowId, double> ScheduleState::globalSizes()
     const {
   std::unordered_map<coflow::CoflowId, double> out;
-  out.reserve(order_.size());
+  out.reserve(live_);
   for (const Bucket& b : table_) {
     if (b.flags & kLive) out.emplace(keyOf(b), b.bytes);
   }
@@ -340,14 +451,39 @@ std::unordered_map<coflow::CoflowId, double> ScheduleState::globalSizes()
 
 void ScheduleState::refreshOnSet() {
   if (max_on_ == 0) return;
-  // No insert or erase happens below, so slots stay valid throughout.
+  // No table insert or erase happens below, so slots stay valid throughout.
   std::vector<std::size_t> now_on;
   now_on.reserve(max_on_);
-  for (const auto& [queue, id] : order_) {
-    if (now_on.size() == max_on_) break;
-    const std::size_t i = find(id);
-    table_[i].flags |= kOnNext;
-    now_on.push_back(i);
+  std::vector<std::size_t> live_run;  // Run indices of live entries read.
+  // Walk the schedule's head: each queue it reaches is its run and its
+  // sorted insert buffer read side by side, in FIFO-id order.
+  for (std::size_t q = 0; q < order_.size() && now_on.size() < max_on_; ++q) {
+    QueueOrder& order = order_[q];
+    sortPending(order);
+    std::vector<OrderEntry>& run = order.run;
+    const std::vector<OrderEntry>& pending = order.pending;
+    std::size_t r = order.head;
+    live_run.clear();
+    for (std::size_t p = 0;
+         now_on.size() < max_on_ && (r < run.size() || p < pending.size());) {
+      const bool from_run =
+          p == pending.size() ||
+          (r < run.size() && !entryIdLess(pending[p], run[r]));
+      Bucket* b = liveBucket(from_run ? run[r] : pending[p],
+                             static_cast<int>(q));
+      if (from_run && b != nullptr) live_run.push_back(r);
+      ++(from_run ? r : p);
+      if (b == nullptr) continue;
+      b->flags |= kOnNext;
+      now_on.push_back(slotOf(*b));
+    }
+    // Drop the stale run entries read: pack the live ones, last first,
+    // against r and move the head up to them. Nothing past r moves.
+    std::size_t head = r;
+    for (auto it = live_run.rbegin(); it != live_run.rend(); ++it) {
+      run[--head] = run[*it];
+    }
+    order.head = head;
   }
   for (const auto& id : on_ids_) {
     const std::size_t i = find(id);
@@ -397,33 +533,31 @@ bool ScheduleState::buildDelta(std::vector<net::ScheduleEntry>& entries,
   std::sort(entries.begin(), entries.end(), entryLess);
   removals = std::move(removed_);
   removed_.clear();
+  // A coflow unregistered and re-created since the last delta is announced
+  // by its entry alone: daemons apply removals after entries, so a removal
+  // beside it would erase it again.
+  std::erase_if(removals, [&](const coflow::CoflowId& id) {
+    const std::size_t i = find(id);
+    return i != kNone && (table_[i].flags & kLive);
+  });
   std::sort(removals.begin(), removals.end(), coflow::CoflowIdFifoLess{});
   return !entries.empty() || !removals.empty();
 }
 
-void ScheduleState::snapshotEntries(std::vector<net::ScheduleEntry>& out)
-    const {
+void ScheduleState::snapshotEntries(std::vector<net::ScheduleEntry>& out) {
   out.clear();
-  out.reserve(order_.size());
-  // The walk is a chain of cache misses (tree node, then bucket); a
-  // second iterator a few coflows ahead starts the bucket loads early.
-  auto ahead = order_.begin();
-  for (int k = 0; k < kPrefetchAhead && ahead != order_.end(); ++k, ++ahead) {
-    __builtin_prefetch(&table_[homeOf(ahead->second)]);
-  }
-  std::size_t position = 0;
-  for (const auto& [queue, id] : order_) {
-    if (ahead != order_.end()) {
-      __builtin_prefetch(&table_[homeOf(ahead->second)]);
-      ++ahead;
-    }
+  out.reserve(live_);
+  walkOrder([&](const Bucket& b) {
     out.push_back(net::ScheduleEntry{
-        .id = id,
-        .global_bytes = table_[find(id)].bytes,
-        .queue = queue,
-        .on = max_on_ == 0 || position < max_on_});
-    ++position;
-  }
+        .id = keyOf(b),
+        .global_bytes = b.bytes,
+        .queue = b.queue,
+        .on = max_on_ == 0 || out.size() < max_on_});
+  });
+}
+
+void ScheduleState::prefetch(const coflow::CoflowId& id) const {
+  if (!table_.empty()) __builtin_prefetch(&table_[homeOf(id)], 1);
 }
 
 void ScheduleState::legacySchedule(const TombstoneFilter& tombstoned,

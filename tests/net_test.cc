@@ -219,6 +219,71 @@ TEST(Protocol, RejectsTruncatedScheduleDelta) {
   EXPECT_THROW(decodeMessage(extended), std::runtime_error);
 }
 
+/// `m` encoded, with the 4-byte queue and 1-byte ON fields of its first
+/// schedule entry overwritten. `header` is the bytes before the entry.
+std::vector<std::uint8_t> withFirstEntry(const Message& m, std::size_t header,
+                                         std::uint32_t queue, std::uint8_t on) {
+  Buffer buffer;
+  encodeMessage(m, buffer);
+  std::vector<std::uint8_t> bytes(buffer.readable().begin(),
+                                  buffer.readable().end());
+  const std::size_t field = header + 12 + 8;  // After the id and the bytes.
+  for (int i = 0; i < 4; ++i) {
+    bytes[field + i] = static_cast<std::uint8_t>(queue >> (8 * i));
+  }
+  bytes[field + 4] = on;
+  return bytes;
+}
+
+/// kScheduleUpdate and kScheduleDelta frames holding one entry, with the
+/// offset of that entry in the encoded frame.
+std::vector<std::pair<Message, std::size_t>> oneEntryFrames() {
+  Message update;
+  update.type = MessageType::kScheduleUpdate;
+  update.epoch = 8;
+  update.fence = 1;
+  update.schedule = {{{5, 1}, 3e6, 2, true}};
+  Message delta = update;
+  delta.type = MessageType::kScheduleDelta;
+  delta.base_epoch = 7;
+  delta.removals = {{4, 0}};
+  return {{update, 1 + 8 + 8 + 4}, {delta, 1 + 8 + 8 + 8 + 4}};
+}
+
+Message decodeBytes(const std::vector<std::uint8_t>& bytes) {
+  Buffer in;
+  in.append(bytes.data(), bytes.size());
+  return decodeMessage(in);
+}
+
+// Decoding an ON byte other than 0/1 as `on = true` would re-encode to
+// different bytes, so the frame is malformed.
+TEST(Protocol, RejectsOnFlagOtherThanZeroOrOne) {
+  for (const auto& [m, header] : oneEntryFrames()) {
+    EXPECT_FALSE(decodeBytes(withFirstEntry(m, header, 2, 0)).schedule[0].on);
+    EXPECT_TRUE(decodeBytes(withFirstEntry(m, header, 2, 1)).schedule[0].on);
+    for (const std::uint8_t on : {2, 0x80, 0xFF}) {
+      EXPECT_THROW(decodeBytes(withFirstEntry(m, header, 2, on)),
+                   std::runtime_error)
+          << "type " << static_cast<int>(m.type) << " on " << int{on};
+    }
+  }
+}
+
+// Queues are int32 on the wire's reader side: 2^31 and above would decode
+// negative.
+TEST(Protocol, RejectsQueueThatDecodesNegative) {
+  for (const auto& [m, header] : oneEntryFrames()) {
+    const Message top = decodeBytes(withFirstEntry(m, header, 0x7FFFFFFF, 1));
+    EXPECT_EQ(top.schedule[0].queue, 0x7FFFFFFF);
+    for (const std::uint32_t queue : {0x80000000u, 0xFFFFFFFFu}) {
+      EXPECT_THROW(decodeBytes(withFirstEntry(m, header, queue, 1)),
+                   std::runtime_error)
+          << "type " << static_cast<int>(m.type) << " queue " << queue;
+    }
+  }
+}
+
 TEST(Protocol, RejectsUnknownTypeAndTrailingBytes) {
   Buffer bad;
   bad.putU8(99);

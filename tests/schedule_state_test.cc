@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -156,10 +157,12 @@ class Replayer {
       case Op::kRegister:
         state.registerCoflow(op.id);
         registered.insert(op.id);
+        known.insert(op.id);
         break;
       case Op::kUnregister:
         state.unregisterCoflow(op.id);
         registered.erase(op.id);
+        known.erase(op.id);
         for (auto& [daemon, sizes] : applied) sizes.erase(op.id);
         if (in_state) {
           state.tombstone(op.id, at(round));
@@ -180,6 +183,7 @@ class Replayer {
             state.applySize(op.daemon, id, bytes);
           }
           applied[op.daemon][id] = bytes;
+          known.insert(id);
         }
         break;
       case Op::kDrop:
@@ -237,6 +241,9 @@ class Replayer {
   const bool in_state;
   int round = 0;
   std::unordered_set<coflow::CoflowId> registered;
+  /// Every coflow in the schedule: registered, or created by a report and
+  /// not unregistered since.
+  std::unordered_set<coflow::CoflowId> known;
   std::unordered_map<coflow::CoflowId, int> tombstones;
   std::unordered_map<std::uint64_t,
                      std::unordered_map<coflow::CoflowId, double>>
@@ -427,6 +434,315 @@ TEST(ScheduleStateTombstones, ExpireExactlyAfterTheirLastMention) {
   EXPECT_TRUE(state.applyReport(7, a, 2e6, t0 + milliseconds(40)));
   EXPECT_EQ(state.globalBytes(a), 2e6);
   EXPECT_EQ(state.globalBytes(c), 1e6);
+}
+
+// --- Flat order hazards ------------------------------------------------------
+//
+// The schedule is kept as per-queue runs in which a coflow that leaves a
+// queue goes stale instead of being erased. The cases below set up the
+// states where a stale entry could count twice or land out of order, and
+// check every round against the legacySchedule() oracle: the ON set and
+// queues a daemon holds after applying only the delta chain, and (on
+// snapshot rounds) snapshotEntries() entry for entry. Snapshots compact
+// the runs, so the hazards are built between them.
+
+/// A ScheduleState's delta-chain mirror and the per-round check.
+class OrderCheck {
+ public:
+  explicit OrderCheck(ScheduleState& state) : state_(state) {}
+
+  /// Ends a round with legacySchedule() as the oracle.
+  void endRound(bool snapshot) {
+    std::vector<net::ScheduleEntry> legacy;
+    state_.legacySchedule(
+        [&](const coflow::CoflowId& id) { return state_.isTombstoned(id); },
+        legacy);
+    endRound(snapshot, legacy);
+  }
+
+  /// Drains the round's delta into the mirror and checks the mirror (and
+  /// on snapshot rounds snapshotEntries()) against `oracle`.
+  void endRound(bool snapshot, const std::vector<net::ScheduleEntry>& oracle) {
+    SCOPED_TRACE("round " + std::to_string(round_));
+    ++round_;
+    std::vector<net::ScheduleEntry> delta, snap;
+    std::vector<coflow::CoflowId> removals;
+    state_.buildDelta(delta, removals);
+    for (const auto& e : delta) mirror_[e.id] = e;
+    for (const auto& id : removals) mirror_.erase(id);
+    // The delta chain carries bytes only with a queue or ON change, so the
+    // mirror is compared on queue and ON alone.
+    ASSERT_EQ(mirror_.size(), oracle.size());
+    for (const auto& e : oracle) {
+      const auto it = mirror_.find(e.id);
+      ASSERT_NE(it, mirror_.end()) << e.id.toString();
+      EXPECT_EQ(it->second.queue, e.queue) << e.id.toString();
+      EXPECT_EQ(it->second.on, e.on) << e.id.toString();
+    }
+    EXPECT_EQ(state_.scheduledCount(), oracle.size());
+    if (snapshot) {
+      state_.snapshotEntries(snap);
+      expectSameEntries(oracle, snap, "snapshot");
+    }
+  }
+
+ private:
+  ScheduleState& state_;
+  int round_ = 0;
+  std::unordered_map<coflow::CoflowId, net::ScheduleEntry> mirror_;
+};
+
+constexpr double kMB = util::kMB;
+
+TEST(ScheduleStateFlatOrder, PromotionAfterDemotionViaDropDaemon) {
+  for (const std::size_t max_on : {0, 1, 3}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    ScheduleState s(kThresholds, max_on);
+    OrderCheck check(s);
+    for (std::int64_t e = 1; e <= 6; ++e) s.registerCoflow({e, 0});
+    for (std::int64_t e = 1; e <= 6; ++e) s.applySize(1, {e, 0}, 5 * kMB);
+    check.endRound(true);  // All in queue 1, compacted.
+    for (int cycle = 0; cycle < 4; ++cycle) {
+      // Demote 2 and 4 to queue 2, then promote them straight back: their
+      // queue-1 entries are stale and new ones wait in the insert buffer.
+      s.applySize(2, {2, 0}, 8 * kMB);
+      s.applySize(2, {4, 0}, 8 * kMB);
+      s.dropDaemon(2);
+      check.endRound(cycle % 2 == 1);
+      // Demote 3 to queue 2 and promote it to queue 0, where its arrival
+      // entry went stale, by dropping both of its reporters.
+      s.applySize(2, {3, 0}, 8 * kMB);
+      check.endRound(false);
+      s.dropDaemon(2);
+      s.dropDaemon(1);
+      check.endRound(cycle % 2 == 0);
+      for (std::int64_t e = 1; e <= 6; ++e) s.applySize(1, {e, 0}, 5 * kMB);
+      check.endRound(false);
+    }
+    check.endRound(true);
+  }
+}
+
+TEST(ScheduleStateFlatOrder, DemotePromoteStormBetweenSnapshots) {
+  // Many coflows bounce between queues 1 and 2 several times between two
+  // snapshots while new ones arrive, so the insert buffers hold several
+  // entries per id (sorted unstably) and the renumbered stamps of a
+  // snapshot overlap the stamps of stale entries.
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    ScheduleState s(kThresholds, 0);
+    OrderCheck check(s);
+    std::int64_t next = 1;
+    for (; next <= 200; ++next) {
+      s.registerCoflow({next, 0});
+      s.applySize(1, {next, 0}, 5 * kMB);
+    }
+    check.endRound(true);
+    for (int round = 1; round <= 40; ++round) {
+      for (int k = 0; k < 60; ++k) {
+        const coflow::CoflowId id{rng.uniformInt(1, next - 1), 0};
+        s.applySize(2, id, 8 * kMB);
+      }
+      s.dropDaemon(2);
+      for (int k = 0; k < 15; ++k, ++next) {
+        s.registerCoflow({next, 0});
+        s.applySize(1, {next, 0}, 5 * kMB);
+      }
+      check.endRound(round % 8 == 0);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(ScheduleStateFlatOrder, CollectedIdIsRecreated) {
+  using std::chrono::milliseconds;
+  const ScheduleState::TimePoint t0{};
+  for (const std::size_t max_on : {0, 2}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    ScheduleState s(kThresholds, max_on);
+    OrderCheck check(s);
+    for (std::int64_t e = 1; e <= 5; ++e) s.registerCoflow({e, 0});
+    s.applySize(1, {3, 0}, 5 * kMB);
+    check.endRound(false);
+    // 3 goes (its queue-0 and queue-1 entries both stale), its tombstone is
+    // collected, and a late report re-creates it: into queue 0 and then
+    // queue 1 again, behind its own stale entries.
+    s.unregisterCoflow({3, 0});
+    s.tombstone({3, 0}, t0);
+    check.endRound(false);
+    EXPECT_EQ(s.collectTombstones(t0 + milliseconds(1)), 1u);
+    EXPECT_TRUE(s.applyReport(1, {3, 0}, 6 * kMB, t0 + milliseconds(2)));
+    check.endRound(false);
+    check.endRound(true);
+    // Re-registered while its tombstone still holds the bucket (what a
+    // promoted standby does for mirrored coflows): the bucket keeps its
+    // old stamp until it goes live again. Then unregistered and
+    // re-registered within one round: the delta must carry it as an
+    // entry, not also as a removal.
+    s.unregisterCoflow({2, 0});
+    s.tombstone({2, 0}, t0 + milliseconds(3));
+    s.registerCoflow({2, 0});
+    check.endRound(false);
+    s.unregisterCoflow({2, 0});
+    s.registerCoflow({2, 0});
+    check.endRound(true);
+  }
+}
+
+TEST(ScheduleStateFlatOrder, ReportCreatedOlderIdsArriveOutOfOrder) {
+  for (const std::size_t max_on : {0, 1, 4}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    ScheduleState s(kThresholds, max_on);
+    OrderCheck check(s);
+    for (std::int64_t e = 10; e <= 20; ++e) s.registerCoflow({e, 0});
+    check.endRound(true);
+    // Older ids (and an older internal id of a live job) that nobody
+    // registered, learned from reports: below the run's tail.
+    s.applySize(7, {3, 0}, 1);
+    s.applySize(7, {15, 2}, 1);
+    s.applySize(7, {15, 1}, 1);
+    s.applySize(7, {1, 0}, 1);
+    check.endRound(false);
+    s.applySize(7, {12, 0}, 50 * kMB);
+    s.applySize(7, {5, 0}, 50 * kMB);
+    s.applySize(7, {11, 0}, 50 * kMB);
+    check.endRound(false);
+    s.registerCoflow({21, 0});
+    s.applySize(7, {2, 0}, 1);
+    check.endRound(true);
+    s.applySize(7, {4, 0}, 2 * kMB);
+    check.endRound(false);
+  }
+}
+
+TEST(ScheduleStateFlatOrder, CheckpointRestoreArrivesOutOfOrder) {
+  const auto dir = std::filesystem::path(testing::TempDir()) /
+                   ("aalo_flat_order_ckpt_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const std::size_t max_on : {0, 3}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    // A live state whose table order is far from FIFO order.
+    ScheduleState live(kThresholds, max_on);
+    util::Rng rng(31);
+    for (std::int64_t e = 1; e <= 300; ++e) {
+      live.registerCoflow({e, static_cast<std::int32_t>(e % 3)});
+      live.applySize(static_cast<std::uint64_t>(e % 4), {e, static_cast<std::int32_t>(e % 3)},
+                     kMB * static_cast<double>(rng.uniformInt(0, 200)));
+    }
+    Checkpoint writer(dir.string());
+    ASSERT_TRUE(writer.writeSnapshot(live, {}, 1, 1, 0, kThresholds, max_on));
+    ScheduleState s(kThresholds, max_on);
+    OrderCheck check(s);
+    Checkpoint reader(dir.string());
+    ASSERT_TRUE(reader.restore(s, kThresholds, max_on).has_value());
+    check.endRound(false);
+    // Keep moving the restored coflows before the first snapshot merges.
+    for (std::int64_t e = 1; e <= 300; e += 7) {
+      s.applySize(9, {e, static_cast<std::int32_t>(e % 3)}, 30 * kMB);
+    }
+    check.endRound(false);
+    s.dropDaemon(2);
+    check.endRound(true);
+    s.dropDaemon(9);
+    check.endRound(false);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScheduleStateFlatOrder, OnBudgetCrossesQueueBoundaries) {
+  for (const std::size_t max_on : {2, 3, 5, 8}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    ScheduleState s(kThresholds, max_on);
+    OrderCheck check(s);
+    for (std::int64_t e = 1; e <= 12; ++e) s.registerCoflow({e, 0});
+    for (std::int64_t e = 1; e <= 12; e += 2) s.applySize(1, {e, 0}, 5 * kMB);
+    check.endRound(true);
+    // Each round demotes the head of queue 0 and promotes something back,
+    // so the budget's cut moves across the queue boundary while the
+    // insert buffers are non-empty.
+    for (std::int64_t r = 0; r < 10; ++r) {
+      const std::int64_t head = 2 + 2 * (r % 6);
+      s.applySize(1, {head, 0}, 5 * kMB);
+      s.applySize(2, {1 + 2 * (r % 6), 0}, 50 * kMB);
+      if (r % 3 == 2) s.dropDaemon(2);
+      check.endRound(r % 4 == 3);
+    }
+    check.endRound(true);
+  }
+}
+
+TEST(ScheduleStateFlatOrder, IdZeroKeepsItsEntryAfterLeavingItsHomeSlot) {
+  // {0, 0} is the first id an IdGenerator issues, its home slot is slot 0
+  // at every table size, and an empty slot holds the key {0, 0} as well.
+  // Each variant fills the table with another id set before daemons report
+  // {0, 0} (as after a coordinator restart without a checkpoint), so in
+  // many variants slot 0 is taken and {0, 0} lands off its home. Erases
+  // (backward shifts) and grows then move it before a snapshot rewrites
+  // its entry's slot hint.
+  for (std::int64_t variant = 0; variant < 48; ++variant) {
+    for (const std::size_t max_on : {0, 2}) {
+      SCOPED_TRACE("variant " + std::to_string(variant) + " max_on " +
+                   std::to_string(max_on));
+      ScheduleState s(kThresholds, max_on);
+      OrderCheck check(s);
+      const std::int64_t base = 1 + 100 * variant;
+      for (std::int64_t e = base; e < base + 7; ++e) s.registerCoflow({e, 0});
+      check.endRound(true);
+      s.applySize(1, {0, 0}, 1);
+      check.endRound(false);
+      for (std::int64_t e = base; e < base + 7; e += 2) {
+        s.unregisterCoflow({e, 0});
+      }
+      check.endRound(false);
+      for (std::int64_t e = base + 7; e < base + 40; ++e) {
+        s.registerCoflow({e, 0});
+      }
+      check.endRound(true);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(ScheduleStateFlatOrder, ChurnStreamMatchesOracle) {
+  // The seeded op stream (daemon drops, unregistrations, re-creations
+  // after tombstone GC) on a second stream seed, checked every round but
+  // snapshotted only every 9th, so stale entries pile up and cross the
+  // compaction threshold between snapshots. The oracle is legacySchedule()
+  // plus the orphans the incremental state keeps at zero bytes (see
+  // withoutOrphans).
+  for (const std::size_t max_on : {0, 4}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    Replayer replay(max_on, Tombstones::kInState);
+    OrderCheck check(replay.state);
+    std::vector<net::ScheduleEntry> oracle;
+    for (const Op& op : makeStream(303)) {
+      replay.apply(op);
+      if (op.kind != Op::kEndRound) continue;
+      replay.state.legacySchedule(
+          [&](const coflow::CoflowId& id) { return replay.tombstoned(id); },
+          oracle);
+      std::unordered_set<coflow::CoflowId> reported;
+      for (const auto& [daemon, sizes] : replay.applied) {
+        for (const auto& [id, bytes] : sizes) reported.insert(id);
+      }
+      for (const auto& id : replay.known) {
+        if (!replay.registered.contains(id) && !reported.contains(id)) {
+          oracle.push_back(net::ScheduleEntry{.id = id, .global_bytes = 0});
+        }
+      }
+      std::sort(oracle.begin(), oracle.end(), [](const auto& x, const auto& y) {
+        if (x.queue != y.queue) return x.queue < y.queue;
+        return coflow::CoflowIdFifoLess{}(x.id, y.id);
+      });
+      for (std::size_t i = 0; i < oracle.size(); ++i) {
+        oracle[i].on = max_on == 0 || i < max_on;
+      }
+      check.endRound(replay.round % 9 == 0, oracle);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace
