@@ -6,8 +6,9 @@
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
-#                            # + engine pins + net + frame fuzz + maxmin + per-port
-#                            # schedulers + property sweep + workload
+#                            # + engine pins + net + frame fuzz + checkpoint fuzz
+#                            # + maxmin + per-port schedulers + property sweep
+#                            # + workload
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
@@ -25,6 +26,9 @@
 # The high-availability drills (tests/ha_test.cc: failover, checkpoint
 # restore, overload backpressure; tests/checkpoint_test.cc: round-trip
 # fuzz) carry the "ha" label and run standalone under both sanitizers.
+# The seeded mutational fuzz of checkpoint snapshots and journals
+# (tests/checkpoint_fuzz_test.cc: restore ends in a state or a rejection,
+# with allocations bounded by the input size) runs whole under asan.
 # The scheduler-zoo invariants (tests/sched_property_test.cc: sampling
 # estimate convergence, dcoflow admission soundness, LP-bound soundness
 # on fuzzed traces) carry the "sched" label and run under both
@@ -112,7 +116,8 @@ run_asan() {
              obs_test obs_invariant_test \
              obs_concurrency_test trace_fuzz_test golden_trace_test \
              ha_test checkpoint_test sched_property_test schedule_state_test \
-             net_test frame_fuzz_test maxmin_test uncoordinated_test \
+             net_test frame_fuzz_test checkpoint_fuzz_test maxmin_test \
+             uncoordinated_test \
              extensions_test \
              sim_property_test workload_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
@@ -120,10 +125,12 @@ run_asan() {
     -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
     --output-on-failure -j "$(nproc)")
   # Wire codec (frame decode bounds, zero-length appends), the seeded
-  # mutational fuzz of golden schedule and report frames, and the max-min
-  # allocator against its reference oracle, whole binaries.
+  # mutational fuzz of golden schedule and report frames and of checkpoint
+  # snapshots and journals, and the max-min allocator against its
+  # reference oracle, whole binaries.
   ./build-asan/tests/net_test
   ./build-asan/tests/frame_fuzz_test
+  ./build-asan/tests/checkpoint_fuzz_test
   ./build-asan/tests/maxmin_test
   # The per-port schedulers (uncoordinated, gossip, LAS, FIFO-LM share one
   # grouping and one per-port D-CLAS routine) and the cross-scheduler

@@ -42,7 +42,6 @@ coflow::CoflowId loadId(const std::uint8_t*& p) {
 }
 
 // Wire sizes of the repeated elements.
-constexpr std::size_t kIdBytes = 12;
 constexpr std::size_t kSizeBytes = kIdBytes + 8;
 constexpr std::size_t kEntryBytes = kIdBytes + 8 + 4 + 1;
 
@@ -72,21 +71,6 @@ void getAll(Buffer& in, std::vector<T>& items, std::size_t bytes, Get get) {
   const std::uint8_t* p = in.peek();
   for (T& item : items) item = get(p);
   in.consume(n * bytes);
-}
-
-void putId(Buffer& out, const coflow::CoflowId& id) {
-  storeId(out.writableArea(kIdBytes), id);
-  out.commitWrite(kIdBytes);
-}
-
-coflow::CoflowId getId(Buffer& in) {
-  if (in.readableBytes() < kIdBytes) {
-    throw std::out_of_range("decodeMessage: coflow id underruns the frame");
-  }
-  const std::uint8_t* p = in.peek();
-  const coflow::CoflowId id = loadId(p);
-  in.consume(kIdBytes);
-  return id;
 }
 
 void putIds(Buffer& out, const std::vector<coflow::CoflowId>& ids) {
@@ -143,6 +127,21 @@ void getEntries(Buffer& in, std::vector<ScheduleEntry>& entries) {
 }
 
 }  // namespace
+
+void putId(Buffer& out, const coflow::CoflowId& id) {
+  storeId(out.writableArea(kIdBytes), id);
+  out.commitWrite(kIdBytes);
+}
+
+coflow::CoflowId getId(Buffer& in) {
+  if (in.readableBytes() < kIdBytes) {
+    throw std::out_of_range("getId: coflow id underruns the buffer");
+  }
+  const std::uint8_t* p = in.peek();
+  const coflow::CoflowId id = loadId(p);
+  in.consume(kIdBytes);
+  return id;
+}
 
 void encodeMessage(const Message& message, Buffer& out) {
   out.putU8(static_cast<std::uint8_t>(message.type));

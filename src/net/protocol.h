@@ -10,6 +10,7 @@
 // net/connection.h for framing).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -90,6 +91,12 @@ struct Message {
 };
 
 void encodeMessage(const Message& message, Buffer& out);
+
+/// The one CoflowId layout of frames and checkpoints: external (i64), then
+/// internal (i32), little-endian. getId throws std::out_of_range on underrun.
+inline constexpr std::size_t kIdBytes = 12;
+void putId(Buffer& out, const coflow::CoflowId& id);
+coflow::CoflowId getId(Buffer& in);
 
 /// Decodes one message from `in` (a full frame payload); throws
 /// std::out_of_range / std::runtime_error on malformed input. Strict:

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -30,16 +32,33 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-void putId(net::Buffer& out, const coflow::CoflowId& id) {
-  out.putI64(id.external);
-  out.putU32(static_cast<std::uint32_t>(id.internal));
+/// [u32 len][type + body][u64 fnv1a(type + body)]: one journal record.
+void frameRecord(net::Buffer& out, std::uint8_t type, const net::Buffer& body) {
+  net::Buffer payload;
+  payload.putU8(type);
+  payload.append(body.readable());
+  out.putU32(static_cast<std::uint32_t>(payload.readableBytes()));
+  out.append(payload.readable());
+  out.putU64(fnv1a(payload.readable()));
 }
 
-coflow::CoflowId getId(net::Buffer& in) {
-  coflow::CoflowId id;
-  id.external = in.getI64();
-  id.internal = static_cast<std::int32_t>(in.getU32());
-  return id;
+/// Decodes a journal record's embedded message; throws unless it is of
+/// the record's kind.
+net::Message decodeAs(net::Buffer& payload, net::MessageType type) {
+  net::Message m = net::decodeMessage(payload);
+  if (m.type != type) throw std::runtime_error("checkpoint: record kind mismatch");
+  return m;
+}
+
+/// Reads an element count and rejects it unless that many `bytes`-byte
+/// elements fit in the rest of `in`, as the wire decoder does, so no
+/// count can make restore() reserve more than the file holds.
+std::uint32_t getCount(net::Buffer& in, std::size_t bytes) {
+  const std::uint32_t n = in.getU32();
+  if (n > in.readableBytes() / bytes) {
+    throw std::runtime_error("checkpoint: count overruns the snapshot");
+  }
+  return n;
 }
 
 bool readFile(const std::string& path, std::vector<std::uint8_t>& out) {
@@ -86,9 +105,9 @@ bool Checkpoint::writeSnapshot(const ScheduleState& state,
   for (util::Bytes t : thresholds) out.putDouble(t);
   out.putU64(static_cast<std::uint64_t>(max_on));
   out.putU32(static_cast<std::uint32_t>(state.registeredCount()));
-  state.forEachRegistered([&](const coflow::CoflowId& id) { putId(out, id); });
+  state.forEachRegistered([&](const coflow::CoflowId& id) { net::putId(out, id); });
   out.putU32(static_cast<std::uint32_t>(tombstones.size()));
-  for (const auto& id : tombstones) putId(out, id);
+  for (const auto& id : tombstones) net::putId(out, id);
   // The format keys reports by daemon; the state keeps them per coflow,
   // so regroup.
   std::unordered_map<std::uint64_t,
@@ -103,7 +122,7 @@ bool Checkpoint::writeSnapshot(const ScheduleState& state,
     out.putU64(daemon_id);
     out.putU32(static_cast<std::uint32_t>(sizes.size()));
     for (const auto& [id, bytes] : sizes) {
-      putId(out, id);
+      net::putId(out, id);
       out.putDouble(bytes);
     }
   }
@@ -130,12 +149,7 @@ bool Checkpoint::writeSnapshot(const ScheduleState& state,
 }
 
 void Checkpoint::appendRecord(std::uint8_t type, const net::Buffer& body) {
-  net::Buffer payload;
-  payload.putU8(type);
-  payload.append(body.readable());
-  pending_.putU32(static_cast<std::uint32_t>(payload.readableBytes()));
-  pending_.append(payload.readable());
-  pending_.putU64(fnv1a(payload.readable()));
+  frameRecord(pending_, type, body);
   ++records_appended_;
 }
 
@@ -189,13 +203,8 @@ bool Checkpoint::openJournal(std::uint64_t base_snapshot_checksum,
   body.putU64(base_snapshot_checksum);
   // The start record goes straight to disk (not via pending_) so the
   // binding exists even if the process dies before the first flush.
-  net::Buffer rec;
-  rec.putU8(kRecJournalStart);
-  rec.append(body.readable());
   net::Buffer framed;
-  framed.putU32(static_cast<std::uint32_t>(rec.readableBytes()));
-  framed.append(rec.readable());
-  framed.putU64(fnv1a(rec.readable()));
+  frameRecord(framed, kRecJournalStart, body);
   const auto bytes = framed.readable();
   journal_out_.write(reinterpret_cast<const char*>(bytes.data()),
                      static_cast<std::streamsize>(bytes.size()));
@@ -235,13 +244,14 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
     const std::span<const std::uint8_t> content(snap_bytes.data(),
                                                 snap_bytes.size() - 8);
     snapshot_checksum = fnv1a(content);
+    // Checksum first: nothing below parses bytes the trailer disowns.
     net::Buffer in;
-    in.append(snap_bytes.data(), snap_bytes.size());
+    in.append(snap_bytes.data() + content.size(), 8);
+    if (in.getU64() != snapshot_checksum) return std::nullopt;
+    in.append(content);
     try {
-      char magic[sizeof(kMagic)];
-      std::memcpy(magic, in.peek(), sizeof(kMagic));
+      if (std::memcmp(in.peek(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
       in.consume(sizeof(kMagic));
-      if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) return std::nullopt;
       if (in.getU32() != kVersion) return std::nullopt;
       restored.fence = in.getU64();
       restored.epoch = in.getU64();
@@ -256,45 +266,34 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
       if (in.getU64() != static_cast<std::uint64_t>(max_on)) {
         return std::nullopt;
       }
-      const std::uint32_t n_registered = in.getU32();
+      const std::uint32_t n_registered = getCount(in, net::kIdBytes);
       std::vector<coflow::CoflowId> registered;
       registered.reserve(n_registered);
       for (std::uint32_t i = 0; i < n_registered; ++i) {
-        registered.push_back(getId(in));
+        registered.push_back(net::getId(in));
       }
-      const std::uint32_t n_tombstones = in.getU32();
+      const std::uint32_t n_tombstones = getCount(in, net::kIdBytes);
       for (std::uint32_t i = 0; i < n_tombstones; ++i) {
-        const coflow::CoflowId id = getId(in);
+        const coflow::CoflowId id = net::getId(in);
         if (tombstoned.insert(id).second) restored.tombstones.push_back(id);
       }
-      struct DaemonSizes {
-        std::uint64_t daemon_id = 0;
-        std::vector<std::pair<coflow::CoflowId, double>> sizes;
-      };
-      std::vector<DaemonSizes> daemons;
-      const std::uint32_t n_daemons = in.getU32();
-      daemons.reserve(n_daemons);
+      std::vector<std::tuple<std::uint64_t, coflow::CoflowId, double>> reports;
+      const std::uint32_t n_daemons = getCount(in, 8 + 4);
       for (std::uint32_t i = 0; i < n_daemons; ++i) {
-        DaemonSizes d;
-        d.daemon_id = in.getU64();
-        const std::uint32_t n_sizes = in.getU32();
-        d.sizes.reserve(n_sizes);
+        const std::uint64_t daemon_id = in.getU64();
+        const std::uint32_t n_sizes = getCount(in, net::kIdBytes + 8);
         for (std::uint32_t j = 0; j < n_sizes; ++j) {
-          const coflow::CoflowId id = getId(in);
+          const coflow::CoflowId id = net::getId(in);
           const double bytes = in.getDouble();
           if (!isValidReportedSize(bytes)) return std::nullopt;
-          d.sizes.emplace_back(id, bytes);
+          reports.emplace_back(daemon_id, id, bytes);
         }
-        daemons.push_back(std::move(d));
       }
-      if (in.getU64() != snapshot_checksum) return std::nullopt;
       if (!in.empty()) return std::nullopt;  // Trailing garbage.
-      // Checksum verified end-to-end: now (and only now) mutate state.
+      // Parsed end to end: now (and only now) mutate state.
       for (const auto& id : registered) state.registerCoflow(id);
-      for (const auto& d : daemons) {
-        for (const auto& [id, bytes] : d.sizes) {
-          state.applySize(d.daemon_id, id, bytes);
-        }
+      for (const auto& [daemon_id, id, bytes] : reports) {
+        state.applySize(daemon_id, id, bytes);
       }
     } catch (const std::exception&) {
       return std::nullopt;  // Truncated snapshot.
@@ -335,8 +334,8 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
         if (!journal_valid) break;
         switch (type) {
           case kRecReport: {
-            net::Message m = net::decodeMessage(payload);
-            if (m.type != net::MessageType::kSizeReport) return std::nullopt;
+            const net::Message m =
+                decodeAs(payload, net::MessageType::kSizeReport);
             for (const auto& size : m.sizes) {
               if (!isValidReportedSize(size.bytes)) return std::nullopt;
               if (tombstoned.contains(size.id)) continue;
@@ -346,10 +345,8 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
             break;
           }
           case kRecRegister: {
-            net::Message m = net::decodeMessage(payload);
-            if (m.type != net::MessageType::kRegisterReply) {
-              return std::nullopt;
-            }
+            const net::Message m =
+                decodeAs(payload, net::MessageType::kRegisterReply);
             state.registerCoflow(m.coflow);
             restored.next_external =
                 std::max(restored.next_external,
@@ -357,10 +354,8 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
             break;
           }
           case kRecUnregister: {
-            net::Message m = net::decodeMessage(payload);
-            if (m.type != net::MessageType::kUnregisterCoflow) {
-              return std::nullopt;
-            }
+            const net::Message m =
+                decodeAs(payload, net::MessageType::kUnregisterCoflow);
             state.unregisterCoflow(m.coflow);
             if (tombstoned.insert(m.coflow).second) {
               restored.tombstones.push_back(m.coflow);

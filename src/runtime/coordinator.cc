@@ -290,8 +290,11 @@ void Coordinator::connectUpstream() {
       &conn_metrics_);
   net::Message subscribe;
   subscribe.type = net::MessageType::kFollowerSubscribe;
-  subscribe.epoch = follower_epoch_;
-  subscribe.fence = primary_fence_;
+  subscribe.epoch = upstream_schedule_.epoch();
+  subscribe.fence = upstream_schedule_.fence();
+  // The primary may have restarted its round counter: its connect
+  // snapshot starts a fresh chain, exactly as on a daemon's reconnect.
+  upstream_schedule_.restartChain();
   net::Buffer out;
   net::encodeMessage(subscribe, out);
   upstream_->sendFrame(out);
@@ -310,44 +313,27 @@ void Coordinator::onUpstreamMessage(net::Buffer& payload) {
       message.type != net::MessageType::kScheduleDelta) {
     return;
   }
-  if (message.fence < primary_fence_) return;  // Deposed incarnation.
-  primary_fence_ = message.fence;
+  std::vector<coflow::CoflowId> removed;
+  const auto outcome = upstream_schedule_.apply(message, &removed);
+  if (outcome == ScheduleMirror::Outcome::kStaleFence) return;  // Deposed.
+  // Any frame of the current primary, applied or not, proves it alive.
   last_primary_contact_ = net::EventLoop::Clock::now();
-  if (message.type == net::MessageType::kScheduleUpdate) {
-    // Wholesale replacement: every mirrored coflow the snapshot no longer
-    // carries was unregistered (or ON/OFF-pruned by a GC) upstream.
-    std::unordered_map<coflow::CoflowId, net::ScheduleEntry> next;
-    next.reserve(message.schedule.size());
-    for (const auto& entry : message.schedule) {
-      next.emplace(entry.id, entry);
-      follower_removed_.erase(entry.id);
-    }
-    for (const auto& [id, entry] : mirror_) {
-      if (!next.contains(id)) follower_removed_.insert(id);
-    }
-    mirror_ = std::move(next);
-    follower_epoch_ = message.epoch;
-  } else {
-    if (message.base_epoch != follower_epoch_) {
-      // Epoch gap in the mirrored stream: recover exactly like a daemon.
-      net::Message request;
-      request.type = net::MessageType::kSnapshotRequest;
-      request.epoch = follower_epoch_;
-      net::Buffer out;
-      net::encodeMessage(request, out);
-      if (upstream_ && !upstream_->closed()) upstream_->sendFrame(out);
-      return;
-    }
-    for (const auto& entry : message.schedule) {
-      mirror_[entry.id] = entry;
-      follower_removed_.erase(entry.id);
-    }
-    for (const auto& id : message.removals) {
-      mirror_.erase(id);
-      follower_removed_.insert(id);
-    }
-    follower_epoch_ = message.epoch;
+  if (outcome == ScheduleMirror::Outcome::kGap) {
+    // Epoch gap in the mirrored stream: recover exactly like a daemon.
+    net::Message request;
+    request.type = net::MessageType::kSnapshotRequest;
+    request.epoch = upstream_schedule_.epoch();
+    net::Buffer out;
+    net::encodeMessage(request, out);
+    if (upstream_ && !upstream_->closed()) upstream_->sendFrame(out);
+    return;
   }
+  if (outcome == ScheduleMirror::Outcome::kOldEpoch) return;
+  // Coflows the stream dropped (delta removals, snapshot disappearance)
+  // were unregistered upstream: tombstoned at promotion so stale reports
+  // cannot resurrect them.
+  for (const auto& entry : message.schedule) follower_removed_.erase(entry.id);
+  follower_removed_.insert(removed.begin(), removed.end());
   stats_.follower_frames_applied.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -359,9 +345,10 @@ void Coordinator::promote() {
   }
   // Fence above everything the primary ever broadcast: should the deposed
   // primary come back, daemons following the highest fence ignore it.
-  fence_.store(primary_fence_ + 1, std::memory_order_relaxed);
-  if (follower_epoch_ > epoch_.load(std::memory_order_relaxed)) {
-    epoch_.store(follower_epoch_, std::memory_order_relaxed);
+  fence_.store(std::max<std::uint64_t>(upstream_schedule_.fence(), 1) + 1,
+               std::memory_order_relaxed);
+  if (upstream_schedule_.epoch() > epoch_.load(std::memory_order_relaxed)) {
+    epoch_.store(upstream_schedule_.epoch(), std::memory_order_relaxed);
   }
   // Seed the schedule from the mirror. registerCoflow is try_emplace-like:
   // coflows daemons already re-taught us keep their sizes, the rest enter
@@ -369,7 +356,7 @@ void Coordinator::promote() {
   // max(local D-CLAS, schedule) rule means the transient zero can never
   // promote a coflow above what its local size justifies.
   std::int64_t next_external = id_generator_.nextExternal();
-  for (const auto& [id, entry] : mirror_) {
+  for (const auto& [id, entry] : upstream_schedule_.entries()) {
     state_.registerCoflow(id);
     next_external = std::max(next_external, id.external + 1);
   }
@@ -389,7 +376,7 @@ void Coordinator::promote() {
   AALO_LOG_WARN << "standby promoting to primary: fence "
                 << fence_.load(std::memory_order_relaxed) << ", epoch "
                 << epoch_.load(std::memory_order_relaxed) << ", "
-                << mirror_.size() << " mirrored coflows, "
+                << upstream_schedule_.entries().size() << " mirrored coflows, "
                 << follower_removed_.size() << " tombstones";
   if (checkpoint_) writeCheckpointSnapshot(now);
   scheduleTick();
@@ -616,76 +603,50 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
 
 void Coordinator::broadcastSchedule() {
   const std::uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (config_.full_broadcasts) {
-    broadcastFull(epoch);
-  } else {
-    broadcastDelta(epoch);
+  // Full mode (the oracle) owes every peer this round's snapshot. Delta
+  // mode encodes what changed once (an unchanged schedule encodes as an
+  // epoch-only heartbeat) and owes snapshots only on connect, on request,
+  // after backpressure and every snapshot_every frames.
+  const bool full = config_.full_broadcasts;
+  net::Message message;
+  message.epoch = epoch;
+  message.fence = fence_.load(std::memory_order_relaxed);
+  bool changed = false;
+  if (!full) {
+    changed = state_.buildDelta(entries_scratch_, removals_scratch_);
+    message.type = net::MessageType::kScheduleDelta;
+    message.base_epoch = epoch - 1;
+    message.schedule.swap(entries_scratch_);
+    message.removals.swap(removals_scratch_);
+    net::encodeMessage(
+        message, takeShared(delta_scratch_, *scratch_reuse_, *scratch_alloc_));
+    message.schedule.swap(entries_scratch_);
+    message.removals.swap(removals_scratch_);
   }
-}
+  // The snapshot is encoded lazily — most delta rounds no peer needs one.
+  bool snapshot_encoded = false;
+  const auto encodeSnapshot = [&] {
+    message.type = net::MessageType::kScheduleUpdate;
+    message.base_epoch = 0;
+    message.schedule.swap(entries_scratch_);
+    if (full) {
+      // Rebuilt from the stored reports (attained service only grows, so
+      // last-writer-wins per daemon is exact). The filter covers sizes
+      // stored before an unregister; later mentions are filtered on arrival.
+      state_.legacySchedule(
+          [this](const coflow::CoflowId& id) { return state_.isTombstoned(id); },
+          message.schedule);
+    } else {
+      state_.snapshotEntries(message.schedule);
+    }
+    net::encodeMessage(message, takeShared(snapshot_scratch_, *scratch_reuse_,
+                                           *scratch_alloc_));
+    message.schedule.swap(entries_scratch_);  // Keep the capacity for reuse.
+    snapshot_encoded = true;
+  };
 
-void Coordinator::broadcastFull(std::uint64_t epoch) {
-  // Oracle mode: rebuild the whole schedule from the stored reports every
-  // round (global size = sum of local observations; attained service only
-  // grows, so last-writer-wins per daemon is exact). The tombstone filter
-  // covers sizes stored before an unregister; fresh mentions are filtered
-  // on arrival.
-  net::Message update;
-  update.type = net::MessageType::kScheduleUpdate;
-  update.epoch = epoch;
-  update.fence = fence_.load(std::memory_order_relaxed);
-  update.schedule.swap(entries_scratch_);
-  state_.legacySchedule(
-      [this](const coflow::CoflowId& id) { return state_.isTombstoned(id); },
-      update.schedule);
-
-  net::Buffer& out = takeShared(snapshot_scratch_, *scratch_reuse_, *scratch_alloc_);
-  net::encodeMessage(update, out);
-  update.schedule.swap(entries_scratch_);  // Keep the capacity for reuse.
   // Snapshot the peer keys: a failing send may close a connection, whose
   // close handler erases it from peers_ — mutating the map mid-iteration.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(peers_.size());
-  for (const auto& [key, peer] : peers_) {
-    if (peer.is_daemon || peer.is_follower) keys.push_back(key);
-  }
-  for (const std::uint64_t key : keys) {
-    const auto it = peers_.find(key);
-    if (it == peers_.end()) continue;
-    Peer& peer = it->second;
-    if (!peer.connection || peer.connection->closed()) continue;
-    if (config_.send_queue_max > 0 &&
-        peer.connection->pendingBytes() > config_.send_queue_max) {
-      // Backpressure: the peer is not draining. Skip it this round rather
-      // than queueing unboundedly or stalling the healthy fan-out.
-      stats_.broadcasts_coalesced.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    peer.connection->sendFrame(snapshot_scratch_);
-    broadcast_bytes_->fetch_add(4 + snapshot_scratch_->readableBytes());
-    stats_.snapshot_broadcasts.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Coordinator::broadcastDelta(std::uint64_t epoch) {
-  const bool changed = state_.buildDelta(entries_scratch_, removals_scratch_);
-
-  // Encode the delta once (an unchanged schedule encodes as an epoch-only
-  // heartbeat); the snapshot is encoded lazily — most rounds no peer
-  // needs one.
-  net::Message message;
-  message.type = net::MessageType::kScheduleDelta;
-  message.epoch = epoch;
-  message.base_epoch = epoch - 1;
-  message.fence = fence_.load(std::memory_order_relaxed);
-  message.schedule.swap(entries_scratch_);
-  message.removals.swap(removals_scratch_);
-  net::Buffer& delta_out =
-      takeShared(delta_scratch_, *scratch_reuse_, *scratch_alloc_);
-  net::encodeMessage(message, delta_out);
-  message.schedule.swap(entries_scratch_);
-  message.removals.swap(removals_scratch_);
-  bool snapshot_encoded = false;
-
   std::vector<std::uint64_t> keys;
   keys.reserve(peers_.size());
   for (const auto& [key, peer] : peers_) {
@@ -707,36 +668,25 @@ void Coordinator::broadcastDelta(std::uint64_t epoch) {
       continue;
     }
     const bool want_snapshot =
-        peer.needs_snapshot ||
+        full || peer.needs_snapshot ||
         (config_.snapshot_every > 0 &&
          peer.frames_since_snapshot >= config_.snapshot_every);
+    // Update peer state *before* the send: a failing send closes the
+    // connection inline, whose close handler erases this Peer.
     if (want_snapshot) {
-      if (!snapshot_encoded) {
-        message.type = net::MessageType::kScheduleUpdate;
-        message.base_epoch = 0;
-        message.removals.clear();
-        message.schedule.swap(entries_scratch_);
-        state_.snapshotEntries(message.schedule);
-        net::Buffer& snap_out =
-            takeShared(snapshot_scratch_, *scratch_reuse_, *scratch_alloc_);
-        net::encodeMessage(message, snap_out);
-        message.schedule.swap(entries_scratch_);
-        snapshot_encoded = true;
-      }
-      // Update peer state *before* the send: a failing send closes the
-      // connection inline, whose close handler erases this Peer.
+      if (!snapshot_encoded) encodeSnapshot();
       peer.needs_snapshot = false;
       peer.frames_since_snapshot = 0;
-      stats_.snapshot_broadcasts.fetch_add(1, std::memory_order_relaxed);
-      peer.connection->sendFrame(snapshot_scratch_);
-      broadcast_bytes_->fetch_add(4 + snapshot_scratch_->readableBytes());
     } else {
       ++peer.frames_since_snapshot;
-      (changed ? stats_.delta_broadcasts : stats_.broadcasts_suppressed)
-          .fetch_add(1, std::memory_order_relaxed);
-      peer.connection->sendFrame(delta_scratch_);
-      broadcast_bytes_->fetch_add(4 + delta_scratch_->readableBytes());
     }
+    (want_snapshot ? stats_.snapshot_broadcasts
+     : changed     ? stats_.delta_broadcasts
+                   : stats_.broadcasts_suppressed)
+        .fetch_add(1, std::memory_order_relaxed);
+    const auto& frame = want_snapshot ? snapshot_scratch_ : delta_scratch_;
+    peer.connection->sendFrame(frame);
+    broadcast_bytes_->fetch_add(4 + frame->readableBytes());
   }
 }
 

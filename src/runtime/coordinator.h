@@ -44,6 +44,7 @@
 #include "obs/metrics.h"
 #include "runtime/checkpoint.h"
 #include "runtime/robustness.h"
+#include "runtime/schedule_mirror.h"
 #include "runtime/schedule_state.h"
 #include "sched/dclas.h"
 
@@ -181,8 +182,6 @@ class Coordinator {
   void evictStalePeers(TimePoint now);
   void collectTombstones(TimePoint now);
   void broadcastSchedule();
-  void broadcastFull(std::uint64_t epoch);
-  void broadcastDelta(std::uint64_t epoch);
   void scheduleTick();
   void registerMetrics();
   void scheduleMetricsDump();
@@ -244,10 +243,9 @@ class Coordinator {
 
   // Warm-standby state (loop-thread-only).
   std::unique_ptr<net::Connection> upstream_;
-  std::uint64_t primary_fence_ = 1;   ///< Highest fence seen from upstream.
-  std::uint64_t follower_epoch_ = 0;  ///< Last mirrored broadcast epoch.
-  /// Live schedule mirrored from the primary's broadcast stream.
-  std::unordered_map<coflow::CoflowId, net::ScheduleEntry> mirror_;
+  /// The primary's broadcast stream, applied by the daemons' rules; its
+  /// schedule, epoch and fence seed promote().
+  ScheduleMirror upstream_schedule_;
   /// Coflows the stream removed (delta removals / snapshot disappearance):
   /// tombstoned at promotion so stale reports cannot resurrect them.
   std::unordered_set<coflow::CoflowId> follower_removed_;

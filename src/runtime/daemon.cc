@@ -106,7 +106,10 @@ bool Daemon::tryConnect() {
   // Fresh connection: expect epochs from scratch (the coordinator may have
   // restarted and reset its round counter) and give the schedule a full
   // staleness budget before degrading.
-  conn_epoch_ = 0;
+  {
+    std::lock_guard lock(mutex_);
+    schedule_.restartChain();
+  }
   seen_in_schedule_.clear();
   missed_schedules_.clear();
   // The coordinator may be a restarted instance that knows nothing: the
@@ -231,10 +234,6 @@ void Daemon::sendSizeReport() {
   net::Message report;
   report.type = net::MessageType::kSizeReport;
   report.daemon_id = config_.daemon_id;
-  // Echo the last applied epoch so the coordinator can spot a one-way
-  // link: our reports arriving while this echo never advances means its
-  // broadcasts are not reaching us.
-  report.epoch = conn_epoch_;
   bool full = config_.full_reports || force_full_report_;
   if (!full && config_.resync_intervals > 0 &&
       reports_since_resync_ + 1 >= config_.resync_intervals) {
@@ -242,6 +241,10 @@ void Daemon::sendSizeReport() {
   }
   {
     std::lock_guard lock(mutex_);
+    // Echo the last applied epoch so the coordinator can spot a one-way
+    // link: our reports arriving while this echo never advances means its
+    // broadcasts are not reaching us.
+    report.epoch = schedule_.epoch();
     if (full) {
       report.sizes.reserve(local_sent_.size());
       for (const auto& [id, bytes] : local_sent_) {
@@ -285,18 +288,6 @@ void Daemon::sendSizeReport() {
   connection_->sendFrame(encode_scratch_);
 }
 
-void Daemon::sendSnapshotRequest() {
-  if (!connection_ || connection_->closed()) return;
-  net::Message request;
-  request.type = net::MessageType::kSnapshotRequest;
-  request.daemon_id = config_.daemon_id;
-  request.epoch = conn_epoch_;
-  encode_scratch_.clear();
-  net::encodeMessage(request, encode_scratch_);
-  scratch_reuse_->fetch_add(1);
-  connection_->sendFrame(encode_scratch_);
-}
-
 void Daemon::onMessage(net::Buffer& payload) {
   net::Message message;
   try {
@@ -310,89 +301,51 @@ void Daemon::onMessage(net::Buffer& payload) {
       message.type != net::MessageType::kScheduleDelta) {
     return;
   }
-  // Fencing: every broadcast carries its coordinator incarnation's fence.
-  // One below the high-water mark is from a deposed primary — ignore it
-  // outright, *without* refreshing last_broadcast_, so a daemon stuck on a
-  // stale primary still goes stale and rotates to the promoted standby.
-  const std::uint64_t fence_seen = max_fence_.load(std::memory_order_relaxed);
-  if (message.fence < fence_seen) {
-    stats_.stale_fence_ignored.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (message.fence > fence_seen) {
-    // A new coordinator incarnation (promoted standby or fenced restart):
-    // its epochs number an independent broadcast stream, and it may not
-    // have heard our absolute sizes yet — re-teach it (§3.2).
-    max_fence_.store(message.fence, std::memory_order_relaxed);
-    conn_epoch_ = 0;
-    force_full_report_ = true;
-  }
-  if (message.type == net::MessageType::kScheduleUpdate) {
-    applyScheduleUpdate(message);
-  } else {
-    applyScheduleDelta(message);
-  }
-}
-
-void Daemon::applyScheduleUpdate(const net::Message& message) {
-  // Any broadcast — even a stale one — proves the coordinator->daemon
-  // path is alive.
-  last_broadcast_ = net::EventLoop::Clock::now();
-  if (message.epoch <= conn_epoch_) {
-    // Duplicated or reordered broadcast: an old epoch must never
-    // overwrite newer state.
-    stats_.old_epoch_ignored.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  ScheduleMirror::Outcome outcome;
+  std::uint64_t applied_epoch = 0;
   {
     std::lock_guard lock(mutex_);
-    queue_of_.clear();
-    on_.clear();
-    for (const auto& e : message.schedule) {
-      queue_of_[e.id] = e.queue;
-      on_[e.id] = e.on;
+    const std::uint64_t fence = schedule_.fence();
+    outcome = schedule_.apply(message);
+    applied_epoch = schedule_.epoch();
+    // A new coordinator incarnation (promoted standby or fenced restart)
+    // may not have heard our absolute sizes yet — re-teach it (§3.2).
+    if (schedule_.fence() > fence) force_full_report_ = true;
+  }
+  // last_broadcast_ (staleness) is refreshed by every frame that proves
+  // the path alive, except a deposed primary's (so a daemon stuck on it
+  // still goes stale and rotates) and an un-appliable gap (so a daemon fed
+  // only those still degrades to local-only mode).
+  switch (outcome) {
+    case ScheduleMirror::Outcome::kStaleFence:
+      stats_.stale_fence_ignored.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case ScheduleMirror::Outcome::kOldEpoch:
+      last_broadcast_ = net::EventLoop::Clock::now();
+      stats_.old_epoch_ignored.fetch_add(1, std::memory_order_relaxed);
+      return;
+    case ScheduleMirror::Outcome::kGap: {
+      // The coordinator may have restarted: snapshot plus a full report.
+      stats_.schedule_gaps.fetch_add(1, std::memory_order_relaxed);
+      force_full_report_ = true;
+      if (!connection_ || connection_->closed()) return;
+      net::Message request;
+      request.type = net::MessageType::kSnapshotRequest;
+      request.daemon_id = config_.daemon_id;
+      request.epoch = applied_epoch;
+      encode_scratch_.clear();
+      net::encodeMessage(request, encode_scratch_);
+      scratch_reuse_->fetch_add(1);
+      connection_->sendFrame(encode_scratch_);
+      return;
     }
-  }
-  finishApply(message.epoch);
-}
-
-void Daemon::applyScheduleDelta(const net::Message& message) {
-  if (message.epoch <= conn_epoch_) {
-    // Duplicated or reordered delta: old epochs never overwrite newer
-    // state — but the frame still proves the receive path is alive.
-    last_broadcast_ = net::EventLoop::Clock::now();
-    stats_.old_epoch_ignored.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  if (message.base_epoch != conn_epoch_) {
-    // Epoch gap: a broadcast between base_epoch and our applied state was
-    // lost, so this delta does not compose with what we have. Ask for a
-    // snapshot and force a full report (the coordinator may have
-    // restarted). last_broadcast_ is deliberately NOT advanced: a daemon
-    // fed only un-appliable deltas must still degrade to local-only mode.
-    stats_.schedule_gaps.fetch_add(1, std::memory_order_relaxed);
-    force_full_report_ = true;
-    sendSnapshotRequest();
-    return;
+    case ScheduleMirror::Outcome::kApplied:
+      break;
   }
   last_broadcast_ = net::EventLoop::Clock::now();
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& e : message.schedule) {
-      queue_of_[e.id] = e.queue;
-      on_[e.id] = e.on;
-    }
-    for (const auto& id : message.removals) {
-      queue_of_.erase(id);
-      on_.erase(id);
-    }
+  if (message.type == net::MessageType::kScheduleDelta) {
+    stats_.schedule_deltas_applied.fetch_add(1, std::memory_order_relaxed);
   }
-  stats_.schedule_deltas_applied.fetch_add(1, std::memory_order_relaxed);
-  finishApply(message.epoch);
-}
-
-void Daemon::finishApply(std::uint64_t epoch) {
-  conn_epoch_ = epoch;
   if (!synced_since_connect_) {
     // First schedule applied on this connection: the coordinator is
     // genuinely serving us, so the reconnect backoff may reset. Resetting
@@ -401,12 +354,12 @@ void Daemon::finishApply(std::uint64_t epoch) {
     synced_since_connect_ = true;
     next_backoff_.store(config_.reconnect_interval, std::memory_order_relaxed);
   }
-  pruneCompleted();
   {
     std::lock_guard lock(mutex_);
-    for (const auto& kv : queue_of_) seen_in_schedule_.insert(kv.first);
+    pruneCompletedLocked();
+    for (const auto& kv : schedule_.entries()) seen_in_schedule_.insert(kv.first);
   }
-  last_epoch_.store(epoch, std::memory_order_relaxed);
+  last_epoch_.store(message.epoch, std::memory_order_relaxed);
   if (!schedule_fresh_.exchange(true, std::memory_order_relaxed)) {
     stats_.stale_recoveries.fetch_add(1, std::memory_order_relaxed);
     AALO_LOG_INFO << "daemon " << config_.daemon_id
@@ -414,15 +367,14 @@ void Daemon::finishApply(std::uint64_t epoch) {
   }
 }
 
-void Daemon::pruneCompleted() {
-  std::lock_guard lock(mutex_);
+void Daemon::pruneCompletedLocked() {
   // A coflow this connection has seen scheduled that has now vanished was
   // unregistered at the coordinator: drop its local accounting so reports
   // shrink and the coordinator's tombstone for it can eventually be GC'd.
   // Coflows with a live local writer are kept — they are not done here,
   // and their reports keep the tombstone alive, which is correct.
   for (auto it = seen_in_schedule_.begin(); it != seen_in_schedule_.end();) {
-    if (queue_of_.contains(*it)) {
+    if (schedule_.find(*it)) {
       ++it;
       continue;
     }
@@ -444,7 +396,7 @@ void Daemon::pruneCompleted() {
   // triggering a premature prune.
   for (auto it = local_sent_.begin(); it != local_sent_.end();) {
     const coflow::CoflowId id = it->first;
-    if (queue_of_.contains(id) || seen_in_schedule_.contains(id) ||
+    if (schedule_.find(id) || seen_in_schedule_.contains(id) ||
         active_writers_.contains(id)) {
       missed_schedules_.erase(id);
       ++it;
@@ -480,6 +432,11 @@ int Daemon::localQueueLocked(coflow::CoflowId id) const {
 }
 
 int Daemon::queueOf(coflow::CoflowId id) const {
+  std::lock_guard lock(mutex_);
+  return queueLocked(id);
+}
+
+int Daemon::queueLocked(coflow::CoflowId id) const {
   // Both available signals lower-bound the coflow's true attained service,
   // which only grows: the last schedule entry (global bytes at broadcast
   // time) and local D-CLAS over locally attained bytes (§3.2). Taking the
@@ -487,19 +444,22 @@ int Daemon::queueOf(coflow::CoflowId id) const {
   // not by an outage, not by a stale schedule surviving a reconnect, and
   // not by a freshly restarted coordinator that has not heard the absolute
   // sizes yet. A genuinely new coflow has neither signal: queue 0.
-  std::lock_guard lock(mutex_);
   const int local = localQueueLocked(id);
-  const auto it = queue_of_.find(id);
-  if (it == queue_of_.end()) return local;
-  return std::max(local, static_cast<int>(it->second));
+  const net::ScheduleEntry* entry = schedule_.find(id);
+  return entry ? std::max(local, static_cast<int>(entry->queue)) : local;
+}
+
+std::uint64_t Daemon::fenceSeen() const {
+  std::lock_guard lock(mutex_);
+  return schedule_.fence();
 }
 
 bool Daemon::isOn(coflow::CoflowId id) const {
   // Local-only mode: a dead schedule's OFF signals must not gate anyone.
   if (!connected()) return true;
   std::lock_guard lock(mutex_);
-  const auto it = on_.find(id);
-  return it == on_.end() ? true : it->second;
+  const net::ScheduleEntry* entry = schedule_.find(id);
+  return entry == nullptr || entry->on;
 }
 
 util::Rate Daemon::rateFor(coflow::CoflowId id) const {
@@ -513,47 +473,45 @@ util::Rate Daemon::rateFor(coflow::CoflowId id) const {
   if (!active_writers_.contains(id)) return 0;
   // §6.2: coflows the coordinator switched OFF must not send at all, and
   // must not absorb any queue share either.
-  {
-    const auto it = on_.find(id);
-    if (it != on_.end() && !it->second) return 0;
-  }
+  const auto off = [this](coflow::CoflowId c) {
+    const net::ScheduleEntry* entry = schedule_.find(c);
+    return entry != nullptr && !entry->on;
+  };
+  if (off(id)) return 0;
 
-  // Collect this machine's active (and ON) coflows per queue.
+  // Every active (and ON) coflow counts in the queue queueOf() reports —
+  // never above one its local bytes already left. Occupied queues share
+  // the uplink by weight; within `id`'s queue the FIFO head takes (nearly)
+  // the queue's whole share. Unlike the simulator, the runtime cannot
+  // instantly re-assign rates when the head stalls, so non-head coflows
+  // keep a 10 % trickle — a local starvation-freedom guarantee on top of
+  // the queue weights.
   const int k = std::max(config_.num_queues, 1);
-  std::vector<std::vector<coflow::CoflowId>> queues(static_cast<std::size_t>(k));
+  const auto queue = [&](coflow::CoflowId c) {
+    return std::clamp(queueLocked(c), 0, k - 1);
+  };
+  const int mine = queue(id);
+  std::vector<bool> occupied(static_cast<std::size_t>(k));
+  std::size_t members = 0;  // Of `mine`, `id` included.
+  coflow::CoflowId head = id;
+  const coflow::CoflowIdFifoLess fifo_less;
   for (const auto& [coflow_id, writers] : active_writers_) {
-    const auto on_it = on_.find(coflow_id);
-    if (on_it != on_.end() && !on_it->second) continue;
-    const auto it = queue_of_.find(coflow_id);
-    const int raw = it == queue_of_.end() ? localQueueLocked(coflow_id)
-                                          : static_cast<int>(it->second);
-    const int q = std::clamp(raw, 0, k - 1);
-    queues[static_cast<std::size_t>(q)].push_back(coflow_id);
+    if (off(coflow_id)) continue;
+    const int q = queue(coflow_id);
+    occupied[static_cast<std::size_t>(q)] = true;
+    if (q != mine) continue;
+    ++members;
+    if (fifo_less(coflow_id, head)) head = coflow_id;
   }
-
   double total_weight = 0;
   for (int q = 0; q < k; ++q) {
-    if (!queues[static_cast<std::size_t>(q)].empty()) total_weight += k - q;
+    if (occupied[static_cast<std::size_t>(q)]) total_weight += k - q;
   }
-  if (total_weight <= 0) return 0;
-
-  // Within each queue, the FIFO head takes (nearly) the queue's whole
-  // share. Unlike the simulator, the runtime cannot instantly re-assign
-  // rates when the head stalls, so non-head coflows keep a 10 % trickle —
-  // a local starvation-freedom guarantee on top of the queue weights.
-  const coflow::CoflowIdFifoLess fifo_less;
-  for (int q = 0; q < k; ++q) {
-    auto& members = queues[static_cast<std::size_t>(q)];
-    const auto member = std::find(members.begin(), members.end(), id);
-    if (member == members.end()) continue;
-    const util::Rate queue_share =
-        config_.uplink_capacity * static_cast<double>(k - q) / total_weight;
-    if (members.size() == 1) return queue_share;
-    const auto head = *std::min_element(members.begin(), members.end(), fifo_less);
-    if (head == id) return queue_share * 0.9;
-    return queue_share * 0.1 / static_cast<double>(members.size() - 1);
-  }
-  return 0;
+  const util::Rate queue_share =
+      config_.uplink_capacity * static_cast<double>(k - mine) / total_weight;
+  if (members == 1) return queue_share;
+  if (head == id) return queue_share * 0.9;
+  return queue_share * 0.1 / static_cast<double>(members - 1);
 }
 
 }  // namespace aalo::runtime

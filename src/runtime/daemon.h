@@ -22,7 +22,8 @@
 //    return their local defaults (queue 0 / ON) and ThrottledWriter
 //    degrades to unthrottled TCP.
 //  * Duplicated or reordered schedule broadcasts are ignored: within one
-//    connection only strictly newer epochs are applied.
+//    connection only strictly newer epochs are applied (ScheduleMirror
+//    holds the stream rules, shared with the warm standby).
 #pragma once
 
 #include <atomic>
@@ -42,6 +43,7 @@
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "runtime/robustness.h"
+#include "runtime/schedule_mirror.h"
 #include "sched/dclas.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -167,9 +169,7 @@ class Daemon {
   }
   /// Highest coordinator fencing epoch ever seen; broadcasts below it are
   /// from a deposed primary and are ignored outright.
-  std::uint64_t fenceSeen() const {
-    return max_fence_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t fenceSeen() const;
 
   /// Observability registry: robustness counters (`aalo_daemon_*`), wire
   /// counters, encode-scratch reuse, lifecycle gauges. Rendering is
@@ -179,7 +179,6 @@ class Daemon {
  private:
   void sendHello();
   void sendSizeReport();
-  void sendSnapshotRequest();
   void checkScheduleFreshness();
   void scheduleTick();
   void scheduleReconnect();
@@ -188,17 +187,16 @@ class Daemon {
   void growBackoff();
   /// Advance to the next coordinator endpoint (no-op with one endpoint).
   void rotateEndpoint();
+  /// Applies a schedule frame through schedule_; after an applied one:
+  /// prune, track seen coflows, publish the epoch, leave local-only mode.
   void onMessage(net::Buffer& payload);
-  void applyScheduleUpdate(const net::Message& message);
-  void applyScheduleDelta(const net::Message& message);
-  /// Post-apply bookkeeping shared by snapshots and deltas: prune, track
-  /// seen coflows, publish the epoch, leave local-only mode.
-  void finishApply(std::uint64_t epoch);
   /// GC of local accounting for completed coflows; membership in the
-  /// applied schedule is read from queue_of_.
-  void pruneCompleted();
+  /// applied schedule is read from schedule_. Needs mutex_ held.
+  void pruneCompletedLocked();
   /// Local D-CLAS: discretize locally attained bytes. Needs mutex_ held.
   int localQueueLocked(coflow::CoflowId id) const;
+  /// queueOf's rule. Needs mutex_ held.
+  int queueLocked(coflow::CoflowId id) const;
   void registerMetrics();
 
   DaemonConfig config_;
@@ -219,14 +217,10 @@ class Daemon {
   /// Ordered endpoint list resolved from the config (never empty).
   std::vector<std::uint16_t> endpoints_;
   std::atomic<std::size_t> endpoint_index_{0};
-  /// Highest fence witnessed across all connections (coordinator
-  /// incarnation high-water mark).
-  std::atomic<std::uint64_t> max_fence_{0};
   /// Whether the current connection has applied at least one schedule;
   /// only then is the reconnect backoff reset to its base (a dial that
   /// succeeds but dies unsynced keeps backing off).
   bool synced_since_connect_ = false;
-  std::uint64_t conn_epoch_ = 0;  ///< Highest epoch applied this connection.
   net::EventLoop::Clock::time_point last_broadcast_{};
   /// Next size report must carry every coflow absolutely: set on (re)
   /// connect and on an epoch gap, so a restarted coordinator re-learns
@@ -253,8 +247,9 @@ class Daemon {
   /// reports carry only these, still as absolute values).
   std::unordered_set<coflow::CoflowId> report_dirty_;
   std::unordered_map<coflow::CoflowId, int> active_writers_;
-  std::unordered_map<coflow::CoflowId, std::int32_t> queue_of_;
-  std::unordered_map<coflow::CoflowId, bool> on_;
+  /// The applied schedule, this connection's epoch chain and the fence
+  /// high-water across all connections.
+  ScheduleMirror schedule_;
 
   RobustnessStats stats_;
 

@@ -1,0 +1,55 @@
+// The receive side of the coordinator's schedule broadcast stream (§3.2):
+// the one set of rules by which a follower — a daemon or a warm standby —
+// applies kScheduleUpdate / kScheduleDelta frames, and the schedule they
+// leave behind. apply() drops a frame whose fence is below the highest
+// seen (a deposed primary); restarts the epoch chain on a higher fence
+// (a new incarnation); drops an epoch not above the applied one
+// (duplicate or reorder); reports a delta whose base_epoch is not the
+// applied epoch as a gap; and otherwise applies it: a snapshot replaces
+// the schedule, a delta upserts its entries and drops its removals.
+// Staleness clocks, snapshot requests and counters stay with the caller
+// (DESIGN.md §9 has the table). Not thread-safe.
+#pragma once
+
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
+#include "coflow/ids.h"
+#include "net/protocol.h"
+
+namespace aalo::runtime {
+
+class ScheduleMirror {
+ public:
+  enum class Outcome { kStaleFence, kOldEpoch, kGap, kApplied };
+
+  /// Applies one schedule frame. When it is applied and `removed` is
+  /// non-null, the ids it took out of the schedule are appended there.
+  Outcome apply(const net::Message& frame,
+               std::vector<coflow::CoflowId>* removed = nullptr);
+
+  /// A new connection: the next frame starts a fresh epoch chain (the
+  /// coordinator may have restarted its round counter). The schedule and
+  /// the fence are kept.
+  void restartChain() { epoch_ = 0; }
+
+  /// The applied entry for `id`, or null.
+  const net::ScheduleEntry* find(const coflow::CoflowId& id) const {
+    const auto it = entries_.find(id);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+  const std::unordered_map<coflow::CoflowId, net::ScheduleEntry>& entries()
+      const {
+    return entries_;
+  }
+  std::uint64_t epoch() const { return epoch_; }  ///< 0 = none this chain.
+  std::uint64_t fence() const { return fence_; }  ///< Highest seen, 0 = none.
+
+ private:
+  std::unordered_map<coflow::CoflowId, net::ScheduleEntry> entries_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t fence_ = 0;
+};
+
+}  // namespace aalo::runtime

@@ -494,5 +494,179 @@ TEST(HighAvailability, SendQueueHardCapClosesConnection) {
   EXPECT_LE(conn.pendingBytes(), 64u * 1024u);
 }
 
+// A scripted coordinator: a listening socket the test pumps by hand. It
+// accepts one peer (a daemon, or a standby that subscribes), records every
+// frame that peer sends, and sends whatever schedule frames the script
+// dictates — including ones a real coordinator never would.
+struct ScriptedPrimary {
+  ScriptedPrimary() {
+    auto [fd, bound] = net::listenTcp(0);
+    listener = std::move(fd);
+    port = bound;
+  }
+
+  void pumpUntil(auto predicate) {
+    waitFor([&] {
+      loop.runOnce(std::chrono::milliseconds(2));
+      if (!peer) {
+        net::Fd fd = net::acceptTcp(listener.get());
+        if (fd.valid()) {
+          peer = std::make_unique<net::Connection>(
+              loop, std::move(fd),
+              [this](net::Buffer& payload) {
+                received.push_back(net::decodeMessage(payload));
+              },
+              net::Connection::CloseHandler{});
+        }
+      }
+      return predicate();
+    });
+  }
+
+  const net::Message* lastOfType(net::MessageType type) const {
+    for (auto it = received.rbegin(); it != received.rend(); ++it) {
+      if (it->type == type) return &*it;
+    }
+    return nullptr;
+  }
+
+  /// Sends `m` and pumps until the bytes have left the userspace queue.
+  void send(const net::Message& m) {
+    net::Buffer out;
+    net::encodeMessage(m, out);
+    peer->sendFrame(out);
+    pumpUntil([&] { return peer->pendingBytes() == 0; });
+  }
+
+  static net::Message snapshot(std::uint64_t epoch,
+                               std::vector<net::ScheduleEntry> entries) {
+    net::Message m;
+    m.type = net::MessageType::kScheduleUpdate;
+    m.epoch = epoch;
+    m.fence = 1;
+    m.schedule = std::move(entries);
+    return m;
+  }
+
+  static net::Message delta(std::uint64_t epoch, std::uint64_t base_epoch,
+                            std::vector<net::ScheduleEntry> entries) {
+    net::Message m = snapshot(epoch, std::move(entries));
+    m.type = net::MessageType::kScheduleDelta;
+    m.base_epoch = base_epoch;
+    return m;
+  }
+
+  net::EventLoop loop;
+  net::Fd listener;
+  std::uint16_t port = 0;
+  std::unique_ptr<net::Connection> peer;
+  std::vector<net::Message> received;
+};
+
+net::ScheduleEntry entryAt(coflow::CoflowId id, std::int32_t queue) {
+  return net::ScheduleEntry{.id = id, .global_bytes = 0, .queue = queue, .on = true};
+}
+
+// A standby applies the primary's stream by the daemons' rules: a snapshot
+// replayed below the applied epoch (a duplicate, or a frame reordered
+// behind a newer delta) must not roll the mirror back. Without the epoch
+// guard it dropped C, and promotion then tombstoned a live coflow.
+TEST(HighAvailability, StandbyIgnoresSnapshotBelowAppliedEpoch) {
+  ScriptedPrimary primary;
+  CoordinatorConfig scfg = fastCoordinator();
+  scfg.standby_of = primary.port;
+  scfg.takeover_intervals = 100;  // 0.5 s of silence, then promote.
+  Coordinator standby(scfg);
+  standby.start();
+  primary.pumpUntil([&] {
+    return primary.lastOfType(net::MessageType::kFollowerSubscribe) != nullptr;
+  });
+
+  const coflow::CoflowId a{1, 0}, b{2, 0}, c{3, 0};
+  primary.send(ScriptedPrimary::snapshot(5, {entryAt(a, 0), entryAt(b, 0)}));
+  primary.send(ScriptedPrimary::delta(6, 5, {entryAt(c, 0)}));
+  primary.send(ScriptedPrimary::snapshot(5, {entryAt(a, 0), entryAt(b, 0)}));
+  // An empty heartbeat on top of e6: applied only if the replay was not.
+  primary.send(ScriptedPrimary::delta(7, 6, {}));
+  waitFor([&] {
+    return standby.stats().follower_frames_applied.load(
+               std::memory_order_relaxed) == 3;
+  });
+
+  waitFor([&] { return standby.isPrimary(); }, 10000ms);
+  const auto schedule = standby.scheduleSnapshot();
+  ASSERT_EQ(schedule.size(), 3u);
+  for (const auto& id : {a, b, c}) {
+    EXPECT_TRUE(std::any_of(schedule.begin(), schedule.end(),
+                            [&](const auto& e) { return e.id == id; }))
+        << id.toString();
+  }
+  EXPECT_EQ(standby.tombstoneCount(), 0u);
+  standby.stop();
+}
+
+// A delta that does not build on the standby's applied epoch is a gap: it
+// is not applied, and the standby asks the primary for a snapshot.
+TEST(HighAvailability, StandbyRequestsSnapshotOnDeltaGap) {
+  ScriptedPrimary primary;
+  CoordinatorConfig scfg = fastCoordinator();
+  scfg.standby_of = primary.port;
+  scfg.takeover_intervals = 100;
+  Coordinator standby(scfg);
+  standby.start();
+  primary.pumpUntil([&] {
+    return primary.lastOfType(net::MessageType::kFollowerSubscribe) != nullptr;
+  });
+
+  const coflow::CoflowId a{1, 0}, b{2, 0};
+  primary.send(ScriptedPrimary::snapshot(5, {entryAt(a, 0)}));
+  primary.send(ScriptedPrimary::delta(8, 7, {entryAt(b, 0)}));
+  primary.pumpUntil([&] {
+    return primary.lastOfType(net::MessageType::kSnapshotRequest) != nullptr;
+  });
+  EXPECT_EQ(primary.lastOfType(net::MessageType::kSnapshotRequest)->epoch, 5u);
+  EXPECT_EQ(standby.stats().follower_frames_applied.load(
+                std::memory_order_relaxed),
+            1u);
+
+  waitFor([&] { return standby.isPrimary(); }, 10000ms);
+  const auto schedule = standby.scheduleSnapshot();
+  ASSERT_EQ(schedule.size(), 1u);
+  EXPECT_EQ(schedule[0].id, a);
+  standby.stop();
+}
+
+// rateFor places every coflow in the queue queueOf reports: the max of the
+// schedule's queue and local D-CLAS, so a coflow whose local bytes already
+// crossed a threshold is never rated above the queue it left.
+TEST(HighAvailability, DaemonRatesCoflowsInTheQueueQueueOfReports) {
+  ScriptedPrimary primary;
+  DaemonConfig dcfg = fastDaemon(primary.port, 5);
+  dcfg.stale_after_intervals = 0;  // The script sends a single schedule.
+  Daemon daemon(dcfg);
+  daemon.start();
+  primary.pumpUntil([&] {
+    return primary.lastOfType(net::MessageType::kHello) != nullptr;
+  });
+
+  // X is the older coflow (FIFO head); the schedule still has both at q0,
+  // but X's 50 MB of local bytes put it past the 10 MB Q1 threshold.
+  const coflow::CoflowId x{1, 0}, y{2, 0};
+  daemon.writerActive(x, true);
+  daemon.writerActive(y, true);
+  daemon.reportBytes(x, 50.0 * util::kMB);
+  primary.send(ScriptedPrimary::snapshot(1, {entryAt(x, 0), entryAt(y, 0)}));
+  waitFor([&] { return daemon.lastEpoch() == 1; });
+  ASSERT_TRUE(daemon.connected());
+
+  EXPECT_EQ(daemon.queueOf(x), 1);
+  EXPECT_EQ(daemon.queueOf(y), 0);
+  // Queues 0 and 1 are occupied (weights 10 and 9 of K = 10), one coflow
+  // each, so each takes its whole queue's share.
+  EXPECT_DOUBLE_EQ(daemon.rateFor(x), dcfg.uplink_capacity * 9.0 / 19.0);
+  EXPECT_DOUBLE_EQ(daemon.rateFor(y), dcfg.uplink_capacity * 10.0 / 19.0);
+  daemon.stop();
+}
+
 }  // namespace
 }  // namespace aalo::runtime
