@@ -329,44 +329,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsOverhead)->DenseRange(0, 4);
 
-// The engine's integration sweep in isolation: pass 1 is the vectorizable
-// min/add over the slot-packed SoA columns, pass 2 scatters the deltas
-// into per-coflow totals — byte-for-byte the loop in executeIncremental.
-// Sizes are set far above what the sweep can drain during the bench, so
-// the min never clamps and every iteration does identical work.
-void BM_SoAIntegrate(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(31);
-  std::vector<util::Rate> rate_col(n);
-  std::vector<util::Bytes> size_col(n), sent_col(n, 0.0), delta_col(n);
-  std::vector<std::uint32_t> slot_coflow(n);
-  std::vector<util::Bytes> coflow_sent(n / 16 + 1, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    rate_col[k] = rng.uniform(0, util::kGbps / 8);
-    size_col[k] = 1e18;
-    slot_coflow[k] = static_cast<std::uint32_t>(k / 16);
-  }
-  const util::Seconds dt = 1e-3;
-  for (auto _ : state) {
-    const util::Rate* __restrict rate = rate_col.data();
-    const util::Bytes* __restrict size = size_col.data();
-    util::Bytes* __restrict sent = sent_col.data();
-    util::Bytes* __restrict delta = delta_col.data();
-    for (std::size_t k = 0; k < n; ++k) {
-      const util::Bytes d = std::min(rate[k] * dt, size[k] - sent[k]);
-      sent[k] += d;
-      delta[k] = d;
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      coflow_sent[slot_coflow[k]] += delta[k];
-    }
-    benchmark::DoNotOptimize(sent_col.data());
-    benchmark::DoNotOptimize(coflow_sent.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SoAIntegrate)->Arg(64)->Arg(512)->Arg(4096);
-
 // Figure 8-style trace replay: the Facebook-like mix under Aalo with a
 // non-zero coordination interval Δ (arg = Δ in milliseconds), plus
 // per-flow fair sharing as the prior-free baseline (arg = 0). With

@@ -7,7 +7,8 @@
 #   scripts/ci.sh default    # just the default preset, full suite
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
 #                            # + engine pins + net + frame fuzz + checkpoint fuzz
-#                            # + maxmin + per-port schedulers + property sweep
+#                            # + maxmin + D-CLAS + baselines + rack fabric
+#                            # + per-port schedulers + property sweep
 #                            # + workload
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
@@ -29,6 +30,9 @@
 # The seeded mutational fuzz of checkpoint snapshots and journals
 # (tests/checkpoint_fuzz_test.cc: restore ends in a state or a rejection,
 # with allocations bounded by the input size) runs whole under asan.
+# So do the scheduler suites over the shared allocation building blocks
+# (tests/dclas_test.cc, baselines_test.cc, rack_fabric_test.cc: D-CLAS's
+# one greedy allocator, the Varys/MADD bottleneck, rack-link coverage).
 # The scheduler-zoo invariants (tests/sched_property_test.cc: sampling
 # estimate convergence, dcoflow admission soundness, LP-bound soundness
 # on fuzzed traces) carry the "sched" label and run under both
@@ -108,7 +112,7 @@ expect_clean_failure() {
 }
 
 run_asan() {
-  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + frame fuzz + maxmin + per-port scheduler suites ==="
+  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + frame fuzz + maxmin + scheduler suites ==="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
@@ -117,7 +121,7 @@ run_asan() {
              obs_concurrency_test trace_fuzz_test golden_trace_test \
              ha_test checkpoint_test sched_property_test schedule_state_test \
              net_test frame_fuzz_test checkpoint_fuzz_test maxmin_test \
-             uncoordinated_test \
+             dclas_test baselines_test rack_fabric_test uncoordinated_test \
              extensions_test \
              sim_property_test workload_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
@@ -132,6 +136,12 @@ run_asan() {
   ./build-asan/tests/frame_fuzz_test
   ./build-asan/tests/checkpoint_fuzz_test
   ./build-asan/tests/maxmin_test
+  # D-CLAS (persistent queues, the one greedy allocator), the baselines
+  # (Varys, FIFO, FIFO-LM, LAS, CLAS, offline order) and the rack-fabric
+  # allocators and schedulers, whole binaries.
+  ./build-asan/tests/dclas_test
+  ./build-asan/tests/baselines_test
+  ./build-asan/tests/rack_fabric_test
   # The per-port schedulers (uncoordinated, gossip, LAS, FIFO-LM share one
   # grouping and one per-port D-CLAS routine) and the cross-scheduler
   # property sweep over the whole test zoo, whole binaries.

@@ -8,7 +8,7 @@ ContinuousClasScheduler::ContinuousClasScheduler(ClasConfig config) : config_(co
 
 void ContinuousClasScheduler::allocate(const sim::SimView& view,
                                        std::vector<util::Rate>& rates) {
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   // Sort an index array over the (const) grouping instead of copying it.
   order_.assign(groups.size(), nullptr);
   for (std::size_t g = 0; g < groups.size(); ++g) order_[g] = &groups[g];
@@ -56,7 +56,7 @@ util::Seconds ContinuousClasScheduler::nextWakeup(const sim::SimView& view) {
   // service of a (currently less-served, hence higher-priority) peer.
   std::vector<const sim::CoflowState*> active;
   std::vector<util::Rate> agg_rate;
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   for (const ActiveCoflow& g : groups) {
     active.push_back(&view.coflow(g.coflow_index));
     agg_rate.push_back(coflowAggregateRate(view, g));

@@ -30,7 +30,6 @@ class ContinuousClasScheduler final : public sim::Scheduler {
  private:
   ClasConfig config_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
   std::vector<const ActiveCoflow*> order_;
 };
 

@@ -5,35 +5,6 @@
 
 namespace aalo::sched {
 
-namespace {
-
-// Kept out of line so that activeGroups' engine-index path, which runs
-// several times per allocation round, stays a leaf without this
-// function's frame setup.
-[[gnu::noinline]] void rebuildGroups(const sim::SimView& view,
-                                     std::vector<ActiveCoflow>& groups) {
-  groups.clear();
-  std::unordered_map<std::size_t, std::size_t> group_of;  // coflow idx -> groups idx
-  for (const std::size_t fi : *view.active_flows) {
-    const sim::FlowState f = view.flow(fi);
-    auto [it, inserted] = group_of.try_emplace(f.coflow_index, groups.size());
-    if (inserted) groups.push_back(ActiveCoflow{f.coflow_index, {}, {}, {}});
-    ActiveCoflow& g = groups[it->second];
-    g.flow_indices.push_back(fi);
-    g.srcs.push_back(f.src);
-    g.dsts.push_back(f.dst);
-  }
-}
-
-}  // namespace
-
-std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
-                                           std::vector<ActiveCoflow>& scratch) {
-  if (view.active_index != nullptr) return view.active_index->groups();
-  rebuildGroups(view, scratch);  // Groups in first-appearance order.
-  return scratch;
-}
-
 void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
                           fabric::ResidualCapacity& residual,
                           std::vector<util::Rate>& rates,
@@ -41,15 +12,11 @@ void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
   backfillMaxMin(view, group.flow_indices, residual, rates, scratch);
 }
 
-void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
-                        fabric::ResidualCapacity& residual,
-                        std::vector<util::Rate>& rates,
-                        fabric::MaxMinScratch& scratch) {
-  // Effective bottleneck: time to drain the coflow's per-resource
-  // remaining bytes at the residual rates (ports, plus rack links on
-  // oversubscribed fabrics).
-  const auto ports = static_cast<std::size_t>(residual.numPorts());
-  const fabric::Fabric* rack_fabric = residual.fabric();
+Bottleneck coflowBottleneck(const sim::SimView& view, const ActiveCoflow& group,
+                            const fabric::ResidualCapacity& capacity,
+                            fabric::MaxMinScratch& scratch) {
+  const auto ports = static_cast<std::size_t>(capacity.numPorts());
+  const fabric::Fabric* rack_fabric = capacity.fabric();
   const std::size_t racks =
       rack_fabric != nullptr ? static_cast<std::size_t>(rack_fabric->numRacks()) : 0;
   std::vector<util::Bytes>& rem_in = scratch.rem_in;
@@ -70,33 +37,33 @@ void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
       rem_down[static_cast<std::size_t>(rack_fabric->rackOf(f.dst))] += rem;
     }
   }
-  double gamma = 0.0;  // Seconds to finish the coflow.
+  Bottleneck b;
+  const auto carry = [&b](util::Bytes rem, util::Rate cap) {
+    if (rem <= 0) return;
+    b.min_capacity = std::min(b.min_capacity, cap);
+    b.gamma = std::max(b.gamma, rem / cap);
+  };
   for (std::size_t p = 0; p < ports; ++p) {
     const auto pid = static_cast<coflow::PortId>(p);
-    if (rem_in[p] > 0) {
-      const util::Rate cap = residual.ingress(pid);
-      if (cap <= util::kEps) return;  // Port exhausted; later pass backfills.
-      gamma = std::max(gamma, rem_in[p] / cap);
-    }
-    if (rem_out[p] > 0) {
-      const util::Rate cap = residual.egress(pid);
-      if (cap <= util::kEps) return;
-      gamma = std::max(gamma, rem_out[p] / cap);
-    }
+    carry(rem_in[p], capacity.ingress(pid));
+    carry(rem_out[p], capacity.egress(pid));
   }
   for (std::size_t r = 0; r < racks; ++r) {
-    if (rem_up[r] > 0) {
-      const util::Rate cap = residual.rackUplink(static_cast<int>(r));
-      if (cap <= util::kEps) return;
-      gamma = std::max(gamma, rem_up[r] / cap);
-    }
-    if (rem_down[r] > 0) {
-      const util::Rate cap = residual.rackDownlink(static_cast<int>(r));
-      if (cap <= util::kEps) return;
-      gamma = std::max(gamma, rem_down[r] / cap);
-    }
+    carry(rem_up[r], capacity.rackUplink(static_cast<int>(r)));
+    carry(rem_down[r], capacity.rackDownlink(static_cast<int>(r)));
   }
-  if (gamma <= 0.0) return;  // Nothing left to send.
+  return b;
+}
+
+void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
+                        fabric::ResidualCapacity& residual,
+                        std::vector<util::Rate>& rates,
+                        fabric::MaxMinScratch& scratch) {
+  const Bottleneck b = coflowBottleneck(view, group, residual, scratch);
+  // A needed resource is exhausted: skip; a later pass backfills.
+  if (b.min_capacity <= util::kEps) return;
+  const double gamma = b.gamma;  // Seconds to finish the coflow.
+  if (gamma <= 0.0) return;      // Nothing left to send.
   for (const std::size_t fi : group.flow_indices) {
     const sim::FlowState& f = view.flow(fi);
     const util::Bytes rem = std::max(0.0, f.size - f.sent);
@@ -140,9 +107,8 @@ PortGroups groupByIngressPort(const sim::SimView& view) {
   return groups;
 }
 
-void addLocalSent(const sim::SimView& view, PortGroups& groups,
-                  std::vector<ActiveCoflow>& scratch) {
-  for (const ActiveCoflow& group : activeGroups(view, scratch)) {
+void addLocalSent(const sim::SimView& view, PortGroups& groups) {
+  for (const ActiveCoflow& group : view.active_index->groups()) {
     const sim::CoflowState& c = view.coflow(group.coflow_index);
     for (const std::size_t fi : c.flow_indices) {
       const sim::FlowState& f = view.flow(fi);
@@ -156,7 +122,7 @@ void addLocalSent(const sim::SimView& view, PortGroups& groups,
 
 util::Rate coflowAggregateRate(const sim::SimView& view, const ActiveCoflow& group) {
   // The incremental engine maintains the aggregate; summing per-flow rates
-  // is the fallback for legacy-engine and hand-assembled views.
+  // is the fallback for legacy-engine views.
   if (view.coflow_rates != nullptr) return (*view.coflow_rates)[group.coflow_index];
   util::Rate total = 0;
   for (const std::size_t fi : group.flow_indices) total += view.flow(fi).rate;

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -14,16 +14,9 @@
 namespace aalo::sched {
 
 /// A coflow together with its currently active (started, unfinished)
-/// flows. Alias of the engine-maintained grouping type.
+/// flows. Alias of the engine-maintained grouping type; every view's
+/// `active_index->groups()` lists them.
 using ActiveCoflow = sim::ActiveGroup;
-
-/// The active-coflow grouping for `view`: the engine-maintained
-/// incremental index when present (free — no per-round rebuild), else
-/// rebuilt into `scratch` (hand-assembled views in tests and benches).
-/// Order of the result is deterministic but discipline-neutral; callers
-/// that care sort by their own key.
-std::span<const ActiveCoflow> activeGroups(const sim::SimView& view,
-                                           std::vector<ActiveCoflow>& scratch);
 
 /// Gives `group`'s flows a max-min fair allocation of `residual` (equal
 /// weights — line 6 of Pseudocode 1: no flow-size information), *adding*
@@ -34,10 +27,27 @@ void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
                           std::vector<util::Rate>& rates,
                           fabric::MaxMinScratch& scratch);
 
+/// A coflow's effective bottleneck against some capacity: the seconds Γ
+/// its busiest resource (a port, or a rack link on an oversubscribed
+/// fabric) needs to carry the remaining bytes routed through it, and the
+/// smallest capacity among the resources that still have bytes to carry.
+struct Bottleneck {
+  util::Seconds gamma = 0;
+  util::Rate min_capacity = std::numeric_limits<util::Rate>::infinity();
+};
+
+/// The bottleneck of `group`'s active flows against `capacity`: the full
+/// fabric for Varys's SEBF order, the residual for MADD. The per-resource
+/// sums live in `scratch`.
+Bottleneck coflowBottleneck(const sim::SimView& view, const ActiveCoflow& group,
+                            const fabric::ResidualCapacity& capacity,
+                            fabric::MaxMinScratch& scratch);
+
 /// Clairvoyant MADD (Varys): every active flow of `group` gets
 /// remaining / Gamma where Gamma is the coflow's effective bottleneck
 /// completion time against `residual` — all flows finish together, using
-/// no more than necessary. No-op if the group has no remaining bytes.
+/// no more than necessary. No-op if the group has no remaining bytes or
+/// a resource it needs is exhausted.
 void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
                         fabric::ResidualCapacity& residual,
                         std::vector<util::Rate>& rates,
@@ -73,12 +83,13 @@ PortGroups groupByIngressPort(const sim::SimView& view);
 /// Locally attained service, the only size a daemon sees without a
 /// coordinator: adds to every (port, coflow) entry of `groups` the bytes
 /// the coflow has sent through that port, finished flows included.
-/// Sums in activeGroups order, then the coflow's flow order.
-void addLocalSent(const sim::SimView& view, PortGroups& groups,
-                  std::vector<ActiveCoflow>& scratch);
+/// Sums in active-index group order, then the coflow's flow order.
+void addLocalSent(const sim::SimView& view, PortGroups& groups);
 
 /// Aggregate current rate of a coflow's active flows (valid right after an
-/// allocation round; used for wake-up prediction).
+/// allocation round; used for wake-up prediction). Read from the
+/// incremental engine's per-coflow aggregate; the legacy engine keeps
+/// none, so there it is summed over the flows.
 util::Rate coflowAggregateRate(const sim::SimView& view, const ActiveCoflow& group);
 
 }  // namespace aalo::sched

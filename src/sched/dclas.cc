@@ -1,6 +1,5 @@
 #include "sched/dclas.h"
 
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -8,18 +7,6 @@
 #include "coflow/ids.h"
 
 namespace aalo::sched {
-
-namespace {
-
-util::Rate drainedThreshold(const fabric::Fabric& fabric) {
-  // A residual is drained once no port can carry more than this; relative
-  // to capacity because each water-filling pass leaves FP dust behind.
-  util::Rate max_cap = 0;
-  for (const util::Rate c : fabric.ingressCapacities()) max_cap = std::max(max_cap, c);
-  return util::kEps * max_cap;
-}
-
-}  // namespace
 
 double DClasConfig::queueWeight(int q) const {
   const int k = explicit_thresholds.empty()
@@ -75,7 +62,11 @@ std::string DClasScheduler::name() const {
 }
 
 void DClasScheduler::reset(const fabric::Fabric& fabric) {
-  drained_threshold_ = drainedThreshold(fabric);
+  // A residual is drained once no port can carry more than this; relative
+  // to capacity because each water-filling pass leaves FP dust behind.
+  util::Rate max_cap = 0;
+  for (const util::Rate c : fabric.ingressCapacities()) max_cap = std::max(max_cap, c);
+  drained_threshold_ = util::kEps * max_cap;
   known_sent_.clear();
   last_sync_boundary_ = -1;
   tracked_index_ = nullptr;
@@ -134,7 +125,7 @@ util::Bytes DClasScheduler::knownSize(std::size_t coflow_index) const {
 }
 
 bool DClasScheduler::tracking(const sim::SimView& view) const {
-  return tracked_index_ != nullptr && tracked_index_ == view.active_index &&
+  return tracked_index_ == view.active_index &&
          tracked_epoch_ == view.active_index->epoch();
 }
 
@@ -147,10 +138,8 @@ std::vector<std::vector<std::size_t>> DClasScheduler::queueSnapshot() const {
 
 std::vector<std::vector<std::size_t>> DClasScheduler::referenceQueueSnapshot(
     const sim::SimView& view) const {
-  std::vector<ActiveCoflow> scratch;
-  const std::span<const ActiveCoflow> groups = activeGroups(view, scratch);
   std::vector<std::vector<std::size_t>> queues(thresholds_.size() + 1);
-  for (const ActiveCoflow& g : groups) {
+  for (const ActiveCoflow& g : view.active_index->groups()) {
     queues[static_cast<std::size_t>(queueOf(knownSize(g.coflow_index)))].push_back(
         g.coflow_index);
   }
@@ -209,7 +198,7 @@ void DClasScheduler::maybeDemote(const sim::SimView& view, std::size_t coflow_in
 }
 
 bool DClasScheduler::hookTrackable(const sim::SimView& view) {
-  if (tracked_index_ == nullptr || view.active_index != tracked_index_ ||
+  if (view.active_index != tracked_index_ ||
       view.active_index->epoch() != tracked_epoch_ + 1) {
     // A mutation we cannot attribute — persistent state is stale.
     tracked_index_ = nullptr;
@@ -298,26 +287,20 @@ void DClasScheduler::rebuildQueues(const sim::SimView& view) {
 }
 
 void DClasScheduler::ensureTracking(const sim::SimView& view) {
-  if (view.active_index == nullptr) {
-    tracked_index_ = nullptr;
-    return;
-  }
-  if (tracking(view)) return;
-  rebuildQueues(view);
+  if (!tracking(view)) rebuildQueues(view);
 }
 
 void DClasScheduler::maybeSync(const sim::SimView& view) {
   if (known_sent_.size() < view.coflows->size()) {
     known_sent_.resize(view.coflows->size(), 0.0);
   }
-  const bool tracked = tracking(view);
   if (config_.sync_interval <= 0) {
     // Instant coordination: the coordinator always knows the true global
     // attained service. Note: only `sent` is read, never remaining sizes.
     // One update per active coflow, not per active flow.
-    for (const ActiveCoflow& g : activeGroups(view, groups_scratch_)) {
+    for (const ActiveCoflow& g : view.active_index->groups()) {
       known_sent_[g.coflow_index] = view.coflow(g.coflow_index).sent;
-      if (tracked) maybeDemote(view, g.coflow_index);
+      maybeDemote(view, g.coflow_index);
     }
     return;
   }
@@ -331,18 +314,17 @@ void DClasScheduler::maybeSync(const sim::SimView& view) {
   // service: sent(boundary) = sent(now) - rate * (now - boundary).
   const util::Seconds boundary_time =
       static_cast<double>(boundary) * config_.sync_interval;
-  for (const ActiveCoflow& g : activeGroups(view, groups_scratch_)) {
+  for (const ActiveCoflow& g : view.active_index->groups()) {
     const util::Rate rate = coflowAggregateRate(view, g);  // Previous round.
     const util::Bytes at_boundary = view.coflow(g.coflow_index).sent -
                                     rate * std::max(0.0, view.now - boundary_time);
     util::Bytes& known = known_sent_[g.coflow_index];
     known = std::max(known, std::max(0.0, at_boundary));
-    if (tracked) maybeDemote(view, g.coflow_index);
+    maybeDemote(view, g.coflow_index);
   }
 }
 
 std::uint64_t DClasScheduler::scheduleEpoch(const sim::SimView& view) {
-  if (view.active_index == nullptr) return 0;
   ensureTracking(view);
   // This is the per-round coordination point: apply any sync-boundary
   // demotions now so the returned epoch reflects them. Idempotent at a
@@ -351,35 +333,35 @@ std::uint64_t DClasScheduler::scheduleEpoch(const sim::SimView& view) {
   return schedule_epoch_;
 }
 
-bool DClasScheduler::demandDrained(const fabric::ResidualCapacity& residual,
-                                   const std::vector<int>& in_demand,
-                                   const std::vector<int>& out_demand,
-                                   util::Rate drained) const {
+bool DClasScheduler::demandDrained(const fabric::ResidualCapacity& residual) const {
   // Only ports some active flow actually demands matter: a flow's
   // available rate is a min over its own ports, so "all demanded ports
   // drained" implies nothing left to hand out. Checking *every* port (as
   // ResidualCapacity::exhausted does) almost never fires in sparse
   // phases, where most ports are idle and keep their full capacity.
-  const std::size_t ports = in_demand.size();
+  const std::size_t ports = in_demand_.size();
   for (std::size_t p = 0; p < ports; ++p) {
     const auto pid = static_cast<coflow::PortId>(p);
-    if (in_demand[p] > 0 && residual.ingress(pid) > drained) return false;
-    if (out_demand[p] > 0 && residual.egress(pid) > drained) return false;
+    if (in_demand_[p] > 0 && residual.ingress(pid) > drained_threshold_) return false;
+    if (out_demand_[p] > 0 && residual.egress(pid) > drained_threshold_) return false;
   }
   return true;
 }
 
-void DClasScheduler::allocateCoflowGainers(const sim::SimView& view,
-                                           const ActiveCoflow& group,
-                                           fabric::ResidualCapacity& residual,
-                                           std::vector<util::Rate>& rates,
-                                           util::Rate drained) {
+void DClasScheduler::allocateCoflowGainers(
+    const ActiveCoflow& group, fabric::ResidualCapacity& residual,
+    std::vector<util::Rate>& rates,
+    std::vector<std::pair<std::size_t, util::Rate>>* record) {
   // Greedy redistribution runs against a mostly-drained residual, where
   // typically only a handful of a coflow's flows can still gain anything
   // beyond FP dust. Water-filling over just those flows does the same
-  // useful work at a fraction of the cost of the full-width call.
+  // useful work at a fraction of the cost of the full-width call. The
+  // filter decisions depend only on the residual and the coflow's flows,
+  // both inputs that dirty a queue when they change, so a recorded
+  // primary pass replays exactly.
   scratch_.demands.clear();
   gainers_scratch_.clear();
+  const util::Rate drained = drained_threshold_;
   const coflow::PortId* src = group.srcs.data();
   const coflow::PortId* dst = group.dsts.data();
   const std::size_t m = group.flow_indices.size();
@@ -395,60 +377,41 @@ void DClasScheduler::allocateCoflowGainers(const sim::SimView& view,
       fabric::maxMinAllocate(scratch_.demands, residual, scratch_);
   for (std::size_t k = 0; k < gainers_scratch_.size(); ++k) {
     rates[gainers_scratch_[k]] += shares[k];
+    if (record != nullptr) record->emplace_back(gainers_scratch_[k], shares[k]);
   }
 }
 
-void DClasScheduler::countDemand(const sim::SimView& view, std::vector<int>& in_demand,
-                                 std::vector<int>& out_demand) const {
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-  in_demand.assign(ports, 0);
-  out_demand.assign(ports, 0);
-  const coflow::PortId* src = view.flows->src_port.data();
-  const coflow::PortId* dst = view.flows->dst_port.data();
-  for (const std::size_t fi : *view.active_flows) {
-    ++in_demand[static_cast<std::size_t>(src[fi])];
-    ++out_demand[static_cast<std::size_t>(dst[fi])];
+void DClasScheduler::fillQueue(const sim::SimView& view,
+                               const std::vector<std::size_t>& members,
+                               fabric::ResidualCapacity& residual,
+                               std::vector<util::Rate>& rates,
+                               std::vector<std::pair<std::size_t, util::Rate>>* record) {
+  for (const std::size_t ci : members) {
+    allocateCoflowGainers(*view.active_index->groupFor(ci), residual, rates, record);
+    // A deep FIFO queue drains the residual after the first few coflows;
+    // the rest would be handed an empty residual — skip them.
+    if (demandDrained(residual)) return;
   }
 }
 
-void DClasScheduler::allocateCoflowRecording(
-    const sim::SimView& view, const ActiveCoflow& group,
-    fabric::ResidualCapacity& residual, std::vector<util::Rate>& rates,
-    util::Rate drained, std::vector<std::pair<std::size_t, util::Rate>>& out) {
-  // Gainers-only, exactly like allocateCoflowGainers (the reference
-  // primary pass must stay bit-identical), but recording each increment
-  // so a clean queue can replay without re-running max-min. The filter
-  // decisions depend only on the queue slice and the member's flows, both
-  // inputs that dirty the queue when they change — so replays stay exact.
-  scratch_.demands.clear();
-  gainers_scratch_.clear();
-  const coflow::PortId* src = group.srcs.data();
-  const coflow::PortId* dst = group.dsts.data();
-  const std::size_t m = group.flow_indices.size();
-  for (std::size_t j = 0; j < m; ++j) {
-    if (residual.available(src[j], dst[j]) > drained) {
-      scratch_.demands.push_back(
-          fabric::Demand{src[j], dst[j], 1.0, fabric::kUncapped});
-      gainers_scratch_.push_back(group.flow_indices[j]);
-    }
-  }
-  if (gainers_scratch_.empty()) return;
-  const std::vector<util::Rate>& shares =
-      fabric::maxMinAllocate(scratch_.demands, residual, scratch_);
-  for (std::size_t k = 0; k < gainers_scratch_.size(); ++k) {
-    const std::size_t fi = gainers_scratch_[k];
-    rates[fi] += shares[k];
-    out.emplace_back(fi, shares[k]);
+void DClasScheduler::allocateGreedy(const sim::SimView& view,
+                                    fabric::ResidualCapacity& residual,
+                                    std::vector<util::Rate>& rates) {
+  for (const QueueState& q : queues_) {
+    if (demandDrained(residual)) return;
+    fillQueue(view, q.members, residual, rates, nullptr);
   }
 }
 
 void DClasScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>& rates) {
   ensureTracking(view);
   maybeSync(view);
-  if (tracked_index_ == nullptr) {
-    allocateReference(view, rates);
-  } else if (config_.policy == DClasConfig::QueuePolicy::kStrictPriority) {
-    allocateStrict(view, rates);
+  if (config_.policy == DClasConfig::QueuePolicy::kStrictPriority) {
+    // Priority-ordered greedy over the whole fabric: inherently work
+    // conserving. No rate caching — the residual threads through every
+    // queue, so one dirty queue would invalidate everything after it.
+    residual_scratch_.assignFrom(*view.fabric);
+    allocateGreedy(view, residual_scratch_, rates);
   } else {
     allocateWeighted(view, rates);
   }
@@ -462,7 +425,7 @@ void DClasScheduler::recordTelemetry(const sim::SimView& view,
   const std::size_t k = thresholds_.size() + 1;
   sample.occupancy.assign(k, 0);
   sample.queue_rates.assign(k, 0.0);
-  for (const ActiveCoflow& g : activeGroups(view, groups_scratch_)) {
+  for (const ActiveCoflow& g : view.active_index->groups()) {
     const int q = queueOf(knownSize(g.coflow_index));
     util::Rate rate = 0;
     for (const std::size_t fi : g.flow_indices) rate += rates[fi];
@@ -471,25 +434,6 @@ void DClasScheduler::recordTelemetry(const sim::SimView& view,
     sample.coflow_queues.emplace_back(g.coflow_index, q);
   }
   telemetry_->record(std::move(sample));
-}
-
-void DClasScheduler::allocateStrict(const sim::SimView& view,
-                                    std::vector<util::Rate>& rates) {
-  // Priority-ordered greedy over the persistent queues: inherently work
-  // conserving. No rate caching — the residual threads through every
-  // queue, so one dirty queue would invalidate everything after it.
-  const util::Rate drained =
-      drained_threshold_ >= 0 ? drained_threshold_ : drainedThreshold(*view.fabric);
-  residual_scratch_.assignFrom(*view.fabric);
-  fabric::ResidualCapacity& residual = residual_scratch_;
-  for (const QueueState& q : queues_) {
-    if (demandDrained(residual, in_demand_, out_demand_, drained)) break;
-    for (const std::size_t ci : q.members) {
-      const ActiveCoflow& group = *view.active_index->groupFor(ci);
-      allocateCoflowGainers(view, group, residual, rates, drained);
-      if (demandDrained(residual, in_demand_, out_demand_, drained)) break;
-    }
-  }
 }
 
 void DClasScheduler::allocateWeighted(const sim::SimView& view,
@@ -516,8 +460,6 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
     cached_total_weight_ = total_weight;
   }
 
-  const util::Rate drained =
-      drained_threshold_ >= 0 ? drained_threshold_ : drainedThreshold(*view.fabric);
   const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
   leftover_scratch_.assignFrom(*view.fabric, 0.0);
   fabric::ResidualCapacity& leftover = leftover_scratch_;
@@ -529,13 +471,7 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
       residual_scratch_.assignFrom(*view.fabric, share);
       fabric::ResidualCapacity& queue_residual = residual_scratch_;
       q.cached_rates.clear();
-      for (const std::size_t ci : q.members) {
-        allocateCoflowRecording(view, *view.active_index->groupFor(ci),
-                                queue_residual, rates, drained, q.cached_rates);
-        // A deep FIFO queue drains its slice after the first few coflows;
-        // the rest would be handed an empty residual — skip them.
-        if (demandDrained(queue_residual, in_demand_, out_demand_, drained)) break;
-      }
+      fillQueue(view, q.members, queue_residual, rates, &q.cached_rates);
       q.left_in = queue_residual.ingressAll();
       q.left_out = queue_residual.egressAll();
       if (view.fabric->hasRacks()) {
@@ -567,100 +503,7 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
   // exploit (its peer port is drained), which keeps demandDrained from
   // firing — the gainers-only water-filling makes those coflows cheap
   // (or free, when no flow of theirs can gain).
-  for (const QueueState& q : queues_) {
-    if (demandDrained(leftover, in_demand_, out_demand_, drained)) break;
-    for (const std::size_t ci : q.members) {
-      const ActiveCoflow& group = *view.active_index->groupFor(ci);
-      allocateCoflowGainers(view, group, leftover, rates, drained);
-      if (demandDrained(leftover, in_demand_, out_demand_, drained)) break;
-    }
-  }
-}
-
-void DClasScheduler::allocateReference(const sim::SimView& view,
-                                       std::vector<util::Rate>& rates) {
-  // Pre-incremental path: partition + FIFO-sort every round. Retained as
-  // the oracle for the persistent-queue state (and for hand-assembled
-  // views without an active index). Must allocate exactly like the
-  // incremental path given the same queue contents.
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
-  const int k = static_cast<int>(thresholds_.size()) + 1;
-  queue_members_.resize(static_cast<std::size_t>(k));
-  for (auto& members : queue_members_) members.clear();
-  std::vector<std::vector<std::size_t>>& queue_members = queue_members_;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    queue_members[static_cast<std::size_t>(queueOf(knownSize(groups[g].coflow_index)))]
-        .push_back(g);
-  }
-  const coflow::CoflowIdFifoLess fifo_less;
-  for (auto& members : queue_members) {
-    std::sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b) {
-      return fifo_less(view.coflow(groups[a].coflow_index).id,
-                       view.coflow(groups[b].coflow_index).id);
-    });
-  }
-
-  const util::Rate drained = drainedThreshold(*view.fabric);
-  countDemand(view, in_demand_scratch_, out_demand_scratch_);
-  const std::vector<int>& in_demand = in_demand_scratch_;
-  const std::vector<int>& out_demand = out_demand_scratch_;
-
-  if (config_.policy == DClasConfig::QueuePolicy::kStrictPriority) {
-    // Priority-ordered greedy: inherently work conserving.
-    fabric::ResidualCapacity residual(*view.fabric);
-    for (const auto& members : queue_members) {
-      if (demandDrained(residual, in_demand, out_demand, drained)) break;
-      for (const std::size_t g : members) {
-        allocateCoflowGainers(view, groups[g], residual, rates, drained);
-        if (demandDrained(residual, in_demand, out_demand, drained)) break;
-      }
-    }
-    return;
-  }
-
-  // Weighted fair sharing between (non-empty) queues.
-  double total_weight = 0;
-  for (int q = 0; q < k; ++q) {
-    if (!queue_members[static_cast<std::size_t>(q)].empty()) {
-      total_weight += config_.queueWeight(q);
-    }
-  }
-  if (total_weight <= 0) return;  // No active coflows.
-
-  fabric::ResidualCapacity leftover(*view.fabric, 0.0);
-  for (int q = 0; q < k; ++q) {
-    const auto& members = queue_members[static_cast<std::size_t>(q)];
-    if (members.empty()) continue;
-    const double share = config_.queueWeight(q) / total_weight;
-    fabric::ResidualCapacity queue_residual(*view.fabric, share);
-    for (const std::size_t g : members) {
-      allocateCoflowGainers(view, groups[g], queue_residual, rates, drained);
-      if (demandDrained(queue_residual, in_demand, out_demand, drained)) break;
-    }
-    // Pool this queue's unused slice for the excess pass.
-    for (int p = 0; p < view.fabric->numPorts(); ++p) {
-      const auto pid = static_cast<coflow::PortId>(p);
-      leftover.ingressAll()[static_cast<std::size_t>(p)] += queue_residual.ingress(pid);
-      leftover.egressAll()[static_cast<std::size_t>(p)] += queue_residual.egress(pid);
-    }
-    if (view.fabric->hasRacks()) {
-      for (int r = 0; r < view.fabric->numRacks(); ++r) {
-        leftover.rackUplinkAll()[static_cast<std::size_t>(r)] +=
-            queue_residual.rackUplink(r);
-        leftover.rackDownlinkAll()[static_cast<std::size_t>(r)] +=
-            queue_residual.rackDownlink(r);
-      }
-    }
-  }
-
-  // Excess policy: hand unused capacity out again, highest priority first.
-  for (const auto& members : queue_members) {
-    if (demandDrained(leftover, in_demand, out_demand, drained)) break;
-    for (const std::size_t g : members) {
-      allocateCoflowGainers(view, groups[g], leftover, rates, drained);
-      if (demandDrained(leftover, in_demand, out_demand, drained)) break;
-    }
-  }
+  allocateGreedy(view, leftover, rates);
 }
 
 util::Seconds DClasScheduler::nextWakeup(const sim::SimView& view) {
@@ -681,8 +524,7 @@ util::Seconds DClasScheduler::nextWakeup(const sim::SimView& view) {
   // size crosses a queue threshold (demotion). Predict the earliest such
   // time from the just-installed rates.
   util::Seconds earliest = sim::kInfTime;
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
-  for (const ActiveCoflow& group : groups) {
+  for (const ActiveCoflow& group : view.active_index->groups()) {
     const int q = queueOf(knownSize(group.coflow_index));
     if (q >= static_cast<int>(thresholds_.size())) continue;  // Lowest queue.
     const util::Bytes threshold = thresholds_[static_cast<std::size_t>(q)];

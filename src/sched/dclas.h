@@ -18,8 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -121,8 +120,8 @@ class DClasScheduler final : public sim::Scheduler {
 
   // ---- Test support --------------------------------------------------
   /// Whether the persistent queue state currently mirrors `view`'s active
-  /// index (established on the first allocate/scheduleEpoch against an
-  /// index, kept in lockstep by the per-flow hooks).
+  /// index (established on the first allocate/scheduleEpoch of a run,
+  /// kept in lockstep by the per-flow hooks).
   bool tracking(const sim::SimView& view) const;
   /// Incrementally maintained queue membership (coflow indices, FIFO
   /// order within each queue). Only meaningful while tracking.
@@ -149,8 +148,8 @@ class DClasScheduler final : public sim::Scheduler {
 
   /// Coordinator-known attained size of a coflow (0 for never-synced).
   util::Bytes knownSize(std::size_t coflow_index) const;
-  /// Updates known sizes (and, while tracking, applies the resulting
-  /// queue demotions). Idempotent at a fixed view.now.
+  /// Updates known sizes and applies the resulting queue demotions.
+  /// Idempotent at a fixed view.now; needs the queue state tracking.
   void maybeSync(const sim::SimView& view);
   bool hookTrackable(const sim::SimView& view);
   void ensureTracking(const sim::SimView& view);
@@ -161,35 +160,34 @@ class DClasScheduler final : public sim::Scheduler {
   void markQueueDirty(int q);
   void markAllDirty();
   /// True when every port some active flow demands has residual capacity
-  /// at or below `drained`. Implies every active flow's available rate is
-  /// negligible — safe to stop allocating (cheaper and far more effective
-  /// than scanning *all* ports, which never drain in sparse phases).
-  bool demandDrained(const fabric::ResidualCapacity& residual,
-                     const std::vector<int>& in_demand,
-                     const std::vector<int>& out_demand,
-                     util::Rate drained) const;
-  void countDemand(const sim::SimView& view, std::vector<int>& in_demand,
-                   std::vector<int>& out_demand) const;
+  /// at or below the drained threshold. Implies every active flow's
+  /// available rate is negligible — safe to stop allocating (cheaper and
+  /// far more effective than scanning *all* ports, which never drain in
+  /// sparse phases).
+  bool demandDrained(const fabric::ResidualCapacity& residual) const;
   /// Max-min over only the flows of `group` that could be given more
-  /// than `drained` from `residual`. In greedy redistribution passes the
-  /// residual is mostly drained, so restricting the water-filling to the
-  /// few flows that can still gain (the rest would only receive FP dust)
-  /// shrinks the dominant cost of a round. Skips the max-min call
-  /// entirely when no flow qualifies.
-  void allocateCoflowGainers(const sim::SimView& view, const ActiveCoflow& group,
-                             fabric::ResidualCapacity& residual,
-                             std::vector<util::Rate>& rates, util::Rate drained);
+  /// than the drained threshold from `residual`. In greedy
+  /// redistribution passes the residual is mostly drained, so restricting
+  /// the water-filling to the few flows that can still gain (the rest
+  /// would only receive FP dust) shrinks the dominant cost of a round.
+  /// Skips the max-min call entirely when no flow qualifies. With a
+  /// `record` sink, each rate increment is also appended to it so a clean
+  /// queue can replay them without re-running max-min.
+  void allocateCoflowGainers(
+      const ActiveCoflow& group, fabric::ResidualCapacity& residual,
+      std::vector<util::Rate>& rates,
+      std::vector<std::pair<std::size_t, util::Rate>>* record);
+  /// Gives `members` (one queue, FIFO order) gainers-only max-min from
+  /// `residual`, one coflow after another, until the residual drains.
+  void fillQueue(const sim::SimView& view, const std::vector<std::size_t>& members,
+                 fabric::ResidualCapacity& residual, std::vector<util::Rate>& rates,
+                 std::vector<std::pair<std::size_t, util::Rate>>* record);
+  /// The priority-order greedy loop: fills every queue, highest priority
+  /// first, from `residual` until it drains. All of strict priority's
+  /// allocation, and the weighted policy's excess pass.
+  void allocateGreedy(const sim::SimView& view, fabric::ResidualCapacity& residual,
+                      std::vector<util::Rate>& rates);
   void allocateWeighted(const sim::SimView& view, std::vector<util::Rate>& rates);
-  void allocateStrict(const sim::SimView& view, std::vector<util::Rate>& rates);
-  /// Pre-incremental full-rebuild allocation — the test oracle (same
-  /// pattern as fabric::maxMinAllocateReference).
-  void allocateReference(const sim::SimView& view, std::vector<util::Rate>& rates);
-  /// Like allocateCoflowGainers but records each rate increment so a
-  /// clean queue can replay them without re-running max-min.
-  void allocateCoflowRecording(const sim::SimView& view, const ActiveCoflow& group,
-                               fabric::ResidualCapacity& residual,
-                               std::vector<util::Rate>& rates, util::Rate drained,
-                               std::vector<std::pair<std::size_t, util::Rate>>& out);
   void recordTelemetry(const sim::SimView& view,
                        const std::vector<util::Rate>& rates);
 
@@ -217,16 +215,14 @@ class DClasScheduler final : public sim::Scheduler {
   /// where it is unchanged.
   std::uint64_t schedule_epoch_ = 1;
   double cached_total_weight_ = -1.0;
-  /// kEps * max ingress capacity, cached at reset(); -1 until seen.
-  util::Rate drained_threshold_ = -1.0;
+  /// kEps * max ingress capacity, set by reset() (which every engine
+  /// calls before a run).
+  util::Rate drained_threshold_ = 0;
   DClasTelemetry* telemetry_ = nullptr;
 
   /// Reusable allocation-round buffers (hot path).
   fabric::MaxMinScratch scratch_;
   std::vector<std::size_t> gainers_scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
-  std::vector<std::vector<std::size_t>> queue_members_;
-  std::vector<int> in_demand_scratch_, out_demand_scratch_;
   /// Reusable residual trackers (avoid four vector allocations per pass).
   fabric::ResidualCapacity residual_scratch_, leftover_scratch_;
 };

@@ -42,7 +42,7 @@ void DCoflowScheduler::reset(const fabric::Fabric& fabric) {
 }
 
 void DCoflowScheduler::decideAdmissions(const sim::SimView& view) {
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   if (decided_.size() < view.coflows->size()) {
     decided_.resize(view.coflows->size(), 0);
     admitted_.resize(view.coflows->size(), 0);
@@ -147,10 +147,7 @@ std::uint64_t DCoflowScheduler::scheduleEpoch(const sim::SimView& view) {
   // max-min and the backfills read only endpoints and capacities. Folding
   // the decision version over the membership epoch therefore captures
   // every input the rates depend on.
-  std::uint64_t h = fnvMix(0xcbf29ce484222325ull,
-                           view.active_index != nullptr
-                               ? view.active_index->epoch()
-                               : 0);
+  std::uint64_t h = fnvMix(0xcbf29ce484222325ull, view.active_index->epoch());
   h = fnvMix(h, decision_version_);
   return h == 0 ? 1 : h;
 }
@@ -158,7 +155,7 @@ std::uint64_t DCoflowScheduler::scheduleEpoch(const sim::SimView& view) {
 void DCoflowScheduler::allocate(const sim::SimView& view,
                                 std::vector<util::Rate>& rates) {
   decideAdmissions(view);
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
 
   order_scratch_.clear();
   for (std::size_t g = 0; g < groups.size(); ++g) {

@@ -90,7 +90,6 @@ class DCoflowScheduler final : public sim::Scheduler {
   std::uint64_t decision_version_ = 0;
 
   // Scratch (capacity reuse across rounds).
-  std::vector<ActiveCoflow> groups_scratch_;
   std::vector<std::size_t> order_scratch_;
   std::vector<std::size_t> candidate_scratch_;
   std::vector<util::Bytes> cum_in_scratch_;

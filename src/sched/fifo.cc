@@ -7,7 +7,7 @@
 namespace aalo::sched {
 
 void FifoScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>& rates) {
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   const coflow::CoflowIdFifoLess fifo_less;
   order_.assign(groups.size(), nullptr);
   for (std::size_t g = 0; g < groups.size(); ++g) order_[g] = &groups[g];

@@ -42,7 +42,6 @@ class FifoScheduler final : public sim::Scheduler {
  private:
   FifoConfig config_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
   std::vector<const ActiveCoflow*> order_;
 };
 

@@ -22,7 +22,7 @@ void FifoLmScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>
   // Per-port coflows with their flows and local attained service
   // (finished flows of active coflows included).
   PortGroups groups = groupByIngressPort(view);
-  addLocalSent(view, groups, groups_scratch_);
+  addLocalSent(view, groups);
 
   const coflow::CoflowIdFifoLess fifo_less;
   std::vector<fabric::Demand>& demands = scratch_.demands;

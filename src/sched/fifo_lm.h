@@ -41,7 +41,6 @@ class FifoLmScheduler final : public sim::Scheduler {
  private:
   FifoLmConfig config_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
 };
 
 }  // namespace aalo::sched

@@ -16,7 +16,7 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
   // Locally attained service per (ingress port, coflow): only the bytes a
   // daemon can see leave through its own uplink.
   PortGroups groups = groupByIngressPort(view);
-  addLocalSent(view, groups, groups_scratch_);
+  addLocalSent(view, groups);
   std::vector<std::vector<std::size_t>> port_flows(ports);
   for (const std::size_t fi : *view.active_flows) {
     port_flows[static_cast<std::size_t>(view.flow(fi).src)].push_back(fi);

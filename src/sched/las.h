@@ -35,7 +35,6 @@ class DecentralizedLasScheduler final : public sim::Scheduler {
  private:
   LasConfig config_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
 };
 
 }  // namespace aalo::sched

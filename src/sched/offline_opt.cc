@@ -93,7 +93,7 @@ OfflineOrderScheduler::OfflineOrderScheduler(
 
 void OfflineOrderScheduler::allocate(const sim::SimView& view,
                                      std::vector<util::Rate>& rates) {
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   sorted_.assign(groups.size(), nullptr);
   for (std::size_t g = 0; g < groups.size(); ++g) sorted_[g] = &groups[g];
   std::sort(sorted_.begin(), sorted_.end(),

@@ -37,7 +37,6 @@ class OfflineOrderScheduler final : public sim::Scheduler {
  private:
   std::unordered_map<coflow::CoflowId, int> order_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
   std::vector<const ActiveCoflow*> sorted_;
 };
 

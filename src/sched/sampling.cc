@@ -88,7 +88,7 @@ util::Seconds SamplingScheduler::estimatedBottleneck(const sim::SimView& view,
 }
 
 void SamplingScheduler::classify(const sim::SimView& view) {
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   mature_order_.clear();
   immature_order_.clear();
   gamma_scratch_.assign(groups.size(), 0.0);
@@ -131,9 +131,9 @@ std::uint64_t SamplingScheduler::scheduleEpoch(const sim::SimView& view) {
   // done flags (completions always bump the membership epoch), and
   // completed probes' materialized `sent`.
   classify(view);
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   std::uint64_t h = 0xcbf29ce484222325ull;
-  h = fnvMix(h, view.active_index != nullptr ? view.active_index->epoch() : 0);
+  h = fnvMix(h, view.active_index->epoch());
   h = fnvMix(h, 0x6d61747572656421ull);  // Section tag: mature order.
   for (const std::size_t g : mature_order_) {
     h = fnvMix(h, groups[g].coflow_index);
@@ -148,7 +148,7 @@ std::uint64_t SamplingScheduler::scheduleEpoch(const sim::SimView& view) {
 void SamplingScheduler::allocate(const sim::SimView& view,
                                  std::vector<util::Rate>& rates) {
   classify(view);
-  const std::span<const ActiveCoflow> groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& groups = view.active_index->groups();
   fabric::ResidualCapacity residual(*view.fabric);
 
   // Splits `group` into its active probe flows (`probes == true`) or the

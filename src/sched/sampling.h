@@ -104,7 +104,7 @@ class SamplingScheduler final : public sim::Scheduler {
 
   SamplingConfig config_;
 
-  // Classification output: indices into the activeGroups() span.
+  // Classification output: indices into the active index's groups.
   std::vector<std::size_t> mature_order_;
   std::vector<std::size_t> immature_order_;
 
@@ -112,7 +112,6 @@ class SamplingScheduler final : public sim::Scheduler {
   SamplingTelemetry* telemetry_ = nullptr;
 
   // Scratch (capacity reuse across rounds).
-  std::vector<ActiveCoflow> groups_scratch_;
   std::vector<util::Seconds> gamma_scratch_;
   std::vector<util::Bytes> port_in_scratch_;
   std::vector<util::Bytes> port_out_scratch_;

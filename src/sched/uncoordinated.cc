@@ -68,7 +68,7 @@ UncoordinatedDClasScheduler::UncoordinatedDClasScheduler(DClasConfig config,
 void UncoordinatedDClasScheduler::allocate(const sim::SimView& view,
                                            std::vector<util::Rate>& rates) {
   PortGroups groups = groupByIngressPort(view);
-  addLocalSent(view, groups, groups_scratch_);
+  addLocalSent(view, groups);
   allocatePerPortDClas(
       view, config_, thresholds_, groups,
       [](std::size_t /*port*/, const PortCoflow& pc) { return pc.local_sent; }, rates,

@@ -45,7 +45,6 @@ class UncoordinatedDClasScheduler final : public sim::Scheduler {
   std::vector<util::Bytes> thresholds_;
   util::Seconds quantum_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
 };
 
 }  // namespace aalo::sched

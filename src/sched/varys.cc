@@ -7,36 +7,9 @@ namespace aalo::sched {
 
 util::Seconds VarysScheduler::effectiveBottleneck(const sim::SimView& view,
                                                   const ActiveCoflow& group) {
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-  const bool racks = view.fabric->hasRacks();
-  const std::size_t num_racks =
-      racks ? static_cast<std::size_t>(view.fabric->numRacks()) : 0;
-  std::vector<util::Bytes> rem_in(ports, 0.0);
-  std::vector<util::Bytes> rem_out(ports, 0.0);
-  std::vector<util::Bytes> rem_up(num_racks, 0.0);
-  std::vector<util::Bytes> rem_down(num_racks, 0.0);
-  for (const std::size_t fi : group.flow_indices) {
-    const sim::FlowState& f = view.flow(fi);
-    const util::Bytes rem = std::max(0.0, f.size - f.sent);
-    rem_in[static_cast<std::size_t>(f.src)] += rem;
-    rem_out[static_cast<std::size_t>(f.dst)] += rem;
-    if (racks && view.fabric->crossRack(f.src, f.dst)) {
-      rem_up[static_cast<std::size_t>(view.fabric->rackOf(f.src))] += rem;
-      rem_down[static_cast<std::size_t>(view.fabric->rackOf(f.dst))] += rem;
-    }
-  }
-  util::Seconds gamma = 0;
-  for (std::size_t p = 0; p < ports; ++p) {
-    const auto pid = static_cast<coflow::PortId>(p);
-    gamma = std::max(gamma, rem_in[p] / view.fabric->ingressCapacity(pid));
-    gamma = std::max(gamma, rem_out[p] / view.fabric->egressCapacity(pid));
-  }
-  for (std::size_t r = 0; r < num_racks; ++r) {
-    const int rack = static_cast<int>(r);
-    gamma = std::max(gamma, rem_up[r] / view.fabric->rackUplinkCapacity(rack));
-    gamma = std::max(gamma, rem_down[r] / view.fabric->rackDownlinkCapacity(rack));
-  }
-  return gamma;
+  fabric::MaxMinScratch scratch;
+  return coflowBottleneck(view, group, fabric::ResidualCapacity(*view.fabric), scratch)
+      .gamma;
 }
 
 bool VarysScheduler::admitted(const sim::SimView& view,
@@ -48,7 +21,7 @@ bool VarysScheduler::admitted(const sim::SimView& view,
 util::Seconds VarysScheduler::nextWakeup(const sim::SimView& view) {
   if (config_.admission_delay <= 0) return sim::kInfTime;
   util::Seconds earliest = sim::kInfTime;
-  for (const ActiveCoflow& group : activeGroups(view, groups_scratch_)) {
+  for (const ActiveCoflow& group : view.active_index->groups()) {
     if (!admitted(view, group.coflow_index)) {
       earliest = std::min(earliest, view.coflow(group.coflow_index).release_time +
                                         config_.admission_delay);
@@ -58,7 +31,7 @@ util::Seconds VarysScheduler::nextWakeup(const sim::SimView& view) {
 }
 
 void VarysScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>& rates) {
-  const std::span<const ActiveCoflow> all_groups = activeGroups(view, groups_scratch_);
+  const std::vector<ActiveCoflow>& all_groups = view.active_index->groups();
   // Unadmitted coflows (still inside the centralized scheduling delay)
   // may not send at all.
   std::vector<const ActiveCoflow*> groups;

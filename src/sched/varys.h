@@ -40,7 +40,6 @@ class VarysScheduler final : public sim::Scheduler {
 
   VarysConfig config_;
   fabric::MaxMinScratch scratch_;
-  std::vector<ActiveCoflow> groups_scratch_;
 };
 
 }  // namespace aalo::sched

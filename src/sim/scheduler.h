@@ -28,8 +28,9 @@ struct SimView {
   /// Indices (into *flows) of started, unfinished flows.
   const std::vector<std::size_t>* active_flows = nullptr;
   /// Active flows grouped by coflow, maintained incrementally by the
-  /// engine (null for hand-assembled views; schedulers fall back to
-  /// rebuilding the grouping — see sched::activeGroups).
+  /// engine. Never null in a view handed to a scheduler: both engines set
+  /// it on every view, and a hand-assembled view must carry one too
+  /// (ActiveCoflowIndex::rebuild). Schedulers read the grouping from here.
   const ActiveCoflowIndex* active_index = nullptr;
   /// Per-coflow aggregate installed rate (bytes/s), maintained by the
   /// incremental engine (null otherwise). During allocate()/lifecycle

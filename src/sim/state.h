@@ -159,10 +159,11 @@ struct ActiveGroup {
 /// read the grouping in O(1) instead of rebuilding a hash map per round
 /// (previously twice per round: allocate + nextWakeup).
 ///
+/// It is the only grouping schedulers see: every SimView carries one.
+///
 /// Group order is deterministic — activation order, compacted by
 /// swap-removal when a coflow's last active flow finishes — but NOT
-/// meaningful; disciplines that care about order sort by their own key,
-/// exactly as they do over sched::activeGroups()'s rebuilt fallback.
+/// meaningful; disciplines that care about order sort by their own key.
 class ActiveCoflowIndex {
  public:
   const std::vector<ActiveGroup>& groups() const { return groups_; }

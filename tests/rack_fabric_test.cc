@@ -203,22 +203,28 @@ TEST(RackSimulation, VarysBottleneckSeesRackLinks) {
 TEST(RackSimulation, WeightedDClasExcessPassCoversRackLinks) {
   // A lone demoted cross-rack coflow must still get the full rack-link
   // rate: the excess pass has to pool unused *rack* capacity, not just
-  // unused port capacity.
-  sched::DClasConfig cfg;
-  cfg.first_threshold = 5;  // Demoted almost immediately.
-  cfg.num_queues = 4;
-  cfg.exp_factor = 100;
-  sched::DClasScheduler dclas(cfg);
-  const auto wl = makeWorkload(8, {makeJob(0, 0, {FlowDef{0, 4, 40}})});
-  // 8 ports of 1.0, racks of 4, 2:1 oversubscribed: rack link = 2.0; the
-  // port (1.0) is the bottleneck, so CCT must be 40 even after demotion.
-  const auto result = runVerified(wl, rackFabric(8, 4, 2.0), dclas);
-  EXPECT_NEAR(result.coflows[0].cct(), 40.0, 1e-6);
+  // unused port capacity. Strict priority runs the same greedy loop over
+  // the whole fabric, so it must reach the same CCTs.
+  for (const auto policy : {sched::DClasConfig::QueuePolicy::kWeightedFair,
+                            sched::DClasConfig::QueuePolicy::kStrictPriority}) {
+    sched::DClasConfig cfg;
+    cfg.first_threshold = 5;  // Demoted almost immediately.
+    cfg.num_queues = 4;
+    cfg.exp_factor = 100;
+    cfg.policy = policy;
+    sched::DClasScheduler dclas(cfg);
+    SCOPED_TRACE(dclas.name());
+    const auto wl = makeWorkload(8, {makeJob(0, 0, {FlowDef{0, 4, 40}})});
+    // 8 ports of 1.0, racks of 4, 2:1 oversubscribed: rack link = 2.0; the
+    // port (1.0) is the bottleneck, so CCT must be 40 even after demotion.
+    const auto result = runVerified(wl, rackFabric(8, 4, 2.0), dclas);
+    EXPECT_NEAR(result.coflows[0].cct(), 40.0, 1e-6);
 
-  // And with an 8:1 oversubscription (rack link 0.5), CCT = 80 exactly —
-  // not 80 divided further by a queue-weight fraction.
-  const auto tight = runVerified(wl, rackFabric(8, 4, 8.0), dclas);
-  EXPECT_NEAR(tight.coflows[0].cct(), 80.0, 1e-6);
+    // And with an 8:1 oversubscription (rack link 0.5), CCT = 80 exactly —
+    // not 80 divided further by a queue-weight fraction.
+    const auto tight = runVerified(wl, rackFabric(8, 4, 8.0), dclas);
+    EXPECT_NEAR(tight.coflows[0].cct(), 80.0, 1e-6);
+  }
 }
 
 }  // namespace
