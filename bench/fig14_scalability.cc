@@ -93,7 +93,6 @@ struct RoundSetup {
   int rounds = 15;
   bool full_mode = false;
   double interval = -1;         ///< Sync interval Δ; < 0 = legacy formula.
-  int snapshot_every = -1;      ///< < 0 = coordinator default.
   RoundOptions opt;
 };
 
@@ -123,7 +122,6 @@ RoundCost measureRounds(const RoundSetup& s) {
           ? s.interval
           : std::max(0.050, static_cast<double>(s.daemons) * 100e-6);
   ccfg.full_broadcasts = s.full_mode;
-  if (s.snapshot_every >= 0) ccfg.snapshot_every = s.snapshot_every;
   if (s.opt.disable_watchdogs || mux > 1) {
     // Multiplexed logical daemons report only when they have traffic; the
     // per-peer watchdogs would evict their shared connection for silence.
@@ -555,7 +553,6 @@ SweepResult runSweepPoint(std::size_t daemons, int rounds_override) {
   s.connections = r.connections;
   s.rounds = r.rounds;
   s.interval = r.interval;
-  s.snapshot_every = 0;  // Periodic snapshot refreshes off the timed path.
   r.cost = measureRounds(s);
   std::fprintf(stderr,
                "  [sweep %6zu daemons, %4zu conns] round %s, down %s, up %s\n",
@@ -667,7 +664,6 @@ int recordJson(const JsonOptions& jopt) {
     lc.coflows = jopt.live_coflows;
     lc.rounds = 10;
     lc.interval = 0.050;
-    lc.snapshot_every = 0;
     const RoundCost lcost = measureRounds(lc);
     if (!timedRounds(lcost, "live-coflows point")) return 1;
     std::fprintf(stderr,

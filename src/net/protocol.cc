@@ -176,6 +176,7 @@ void encodeMessage(const Message& message, Buffer& out) {
       out.putU64(message.fence);
       putEntries(out, message.schedule);
       putIds(out, message.removals);
+      out.putU64(message.schedule_digest);
       break;
     case MessageType::kSnapshotRequest:
       out.putU64(message.daemon_id);
@@ -228,6 +229,7 @@ Message decodeMessage(Buffer& in) {
       message.fence = in.getU64();
       getEntries(in, message.schedule);
       getIds(in, message.removals);
+      message.schedule_digest = in.getU64();
       break;
     case MessageType::kSnapshotRequest:
       message.daemon_id = in.getU64();

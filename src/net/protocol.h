@@ -31,10 +31,13 @@ enum class MessageType : std::uint8_t {
   /// vanished (unregistered). An empty delta is an epoch-only heartbeat:
   /// "the schedule you applied at base_epoch is still exact". A daemon
   /// whose applied epoch != base_epoch has missed a broadcast and must
-  /// request a snapshot instead of applying.
+  /// request a snapshot instead of applying. Every delta carries the
+  /// digest of the schedule it leaves behind (scheduleDigest), so a
+  /// receiver whose copy silently diverged finds out within one frame.
   kScheduleDelta = 7,
-  /// daemon -> coordinator: detected an epoch gap (or otherwise lost
-  /// schedule state); send a full kScheduleUpdate on the next round.
+  /// daemon -> coordinator: detected an epoch gap or a digest mismatch
+  /// (or otherwise lost schedule state); send a full kScheduleUpdate on
+  /// the next round.
   kSnapshotRequest = 8,
   /// standby coordinator -> primary: subscribe to the broadcast stream as
   /// a pseudo-daemon (warm standby). The follower receives the same
@@ -88,7 +91,37 @@ struct Message {
   std::vector<CoflowSize> sizes;           ///< kSizeReport.
   std::vector<ScheduleEntry> schedule;     ///< kScheduleUpdate / kScheduleDelta.
   std::vector<coflow::CoflowId> removals;  ///< kScheduleDelta: vanished coflows.
+  /// kScheduleDelta: scheduleDigest of the schedule once this delta is
+  /// applied. Coded after the removals.
+  std::uint64_t schedule_digest = 0;
 };
+
+/// One schedule entry's share of a schedule digest: a 64-bit mix of its
+/// id, queue and ON bit. `global_bytes` is left out on purpose: deltas
+/// skip bytes-only changes, so a receiver legitimately holds stale bytes.
+inline std::uint64_t scheduleEntryHash(const coflow::CoflowId& id,
+                                       std::int32_t queue, bool on) {
+  // splitmix64's finalizer, chained over the fields.
+  const auto mix = [](std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  std::uint64_t h = mix(static_cast<std::uint64_t>(id.external));
+  h = mix(h + static_cast<std::uint32_t>(id.internal));
+  const auto q = static_cast<std::uint64_t>(static_cast<std::uint32_t>(queue));
+  return mix(h + ((q << 1) | (on ? 1u : 0u)));
+}
+
+/// The order-independent digest of a schedule: the wrapping sum of its
+/// entries' scheduleEntryHash, so one entry's change moves it in O(1).
+inline std::uint64_t scheduleDigest(const std::vector<ScheduleEntry>& entries) {
+  std::uint64_t digest = 0;
+  for (const auto& e : entries) digest += scheduleEntryHash(e.id, e.queue, e.on);
+  return digest;
+}
 
 void encodeMessage(const Message& message, Buffer& out);
 

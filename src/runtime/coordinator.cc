@@ -318,17 +318,22 @@ void Coordinator::onUpstreamMessage(net::Buffer& payload) {
   if (outcome == ScheduleMirror::Outcome::kStaleFence) return;  // Deposed.
   // Any frame of the current primary, applied or not, proves it alive.
   last_primary_contact_ = net::EventLoop::Clock::now();
-  if (outcome == ScheduleMirror::Outcome::kGap) {
-    // Epoch gap in the mirrored stream: recover exactly like a daemon.
+  if (outcome == ScheduleMirror::Outcome::kOldEpoch) return;
+  if (outcome == ScheduleMirror::Outcome::kDigestMismatch) {
+    stats_.schedule_digest_mismatches.fetch_add(1, std::memory_order_relaxed);
+  }
+  if ((outcome == ScheduleMirror::Outcome::kGap ||
+       outcome == ScheduleMirror::Outcome::kDigestMismatch) &&
+      upstream_schedule_.snapshotRequestDue(message.epoch)) {
+    // Epoch gap or diverged mirror: recover exactly like a daemon.
     net::Message request;
     request.type = net::MessageType::kSnapshotRequest;
     request.epoch = upstream_schedule_.epoch();
     net::Buffer out;
     net::encodeMessage(request, out);
     if (upstream_ && !upstream_->closed()) upstream_->sendFrame(out);
-    return;
   }
-  if (outcome == ScheduleMirror::Outcome::kOldEpoch) return;
+  if (outcome == ScheduleMirror::Outcome::kGap) return;
   // Coflows the stream dropped (delta removals, snapshot disappearance)
   // were unregistered upstream: tombstoned at promotion so stale reports
   // cannot resurrect them.
@@ -581,9 +586,9 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
       }
       break;
     case net::MessageType::kSnapshotRequest:
-      // The daemon (or a subscribed standby) detected an epoch gap or lost
-      // its schedule: serve a full snapshot on the next round instead of a
-      // delta it cannot apply.
+      // The daemon (or a subscribed standby) detected an epoch gap or a
+      // digest mismatch, or lost its schedule: serve a full snapshot on
+      // the next round instead of a delta it cannot apply.
       if (peer.is_daemon || peer.is_follower) {
         peer.needs_snapshot = true;
         stats_.snapshot_requests.fetch_add(1, std::memory_order_relaxed);
@@ -605,8 +610,8 @@ void Coordinator::broadcastSchedule() {
   const std::uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Full mode (the oracle) owes every peer this round's snapshot. Delta
   // mode encodes what changed once (an unchanged schedule encodes as an
-  // epoch-only heartbeat) and owes snapshots only on connect, on request,
-  // after backpressure and every snapshot_every frames.
+  // epoch-only heartbeat) with the schedule's digest, and owes snapshots
+  // only on connect, on request and after backpressure.
   const bool full = config_.full_broadcasts;
   net::Message message;
   message.epoch = epoch;
@@ -616,6 +621,7 @@ void Coordinator::broadcastSchedule() {
     changed = state_.buildDelta(entries_scratch_, removals_scratch_);
     message.type = net::MessageType::kScheduleDelta;
     message.base_epoch = epoch - 1;
+    message.schedule_digest = state_.scheduleDigest();
     message.schedule.swap(entries_scratch_);
     message.removals.swap(removals_scratch_);
     net::encodeMessage(
@@ -667,18 +673,12 @@ void Coordinator::broadcastSchedule() {
       stats_.broadcasts_coalesced.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const bool want_snapshot =
-        full || peer.needs_snapshot ||
-        (config_.snapshot_every > 0 &&
-         peer.frames_since_snapshot >= config_.snapshot_every);
+    const bool want_snapshot = full || peer.needs_snapshot;
     // Update peer state *before* the send: a failing send closes the
     // connection inline, whose close handler erases this Peer.
     if (want_snapshot) {
       if (!snapshot_encoded) encodeSnapshot();
       peer.needs_snapshot = false;
-      peer.frames_since_snapshot = 0;
-    } else {
-      ++peer.frames_since_snapshot;
     }
     (want_snapshot ? stats_.snapshot_broadcasts
      : changed     ? stats_.delta_broadcasts

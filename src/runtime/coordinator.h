@@ -9,10 +9,12 @@
 // Delta-coded data path (default): size reports are folded into an
 // incrementally maintained ScheduleState as they arrive, and each round
 // broadcasts only what changed (kScheduleDelta) — an empty heartbeat when
-// nothing did — with per-peer full snapshots on connect, on request, and
-// every snapshot_every frames. The broadcast payload is encoded once and
-// fanned out zero-copy. full_broadcasts restores the rebuild-the-world
-// oracle path for A/B comparison.
+// nothing did. Every delta carries the schedule's digest, so a daemon
+// whose copy silently diverged asks for a snapshot within one frame; full
+// snapshots go out per peer only on connect, on request and after
+// backpressure. The broadcast payload is encoded once and fanned out
+// zero-copy. full_broadcasts restores the rebuild-the-world oracle path
+// for A/B comparison.
 //
 // Fault tolerance (§3.2 hardening):
 //  * Liveness eviction — a daemon whose reports stop for N·Δ is dropped
@@ -71,12 +73,6 @@ struct CoordinatorConfig {
   /// Collect an unregister tombstone after no report has mentioned the
   /// coflow for this many sync intervals. 0 keeps tombstones forever.
   int tombstone_gc_intervals = 50;
-  /// Delta mode: re-send a full schedule snapshot to each daemon after
-  /// this many consecutive delta/heartbeat frames, bounding how long a
-  /// daemon whose state silently diverged (e.g. bit corruption the frame
-  /// checks missed) can stay wrong. 0 = snapshots only on demand
-  /// (connect / kSnapshotRequest).
-  int snapshot_every = 20;
   /// Oracle mode: rebuild and broadcast the full schedule every Δ exactly
   /// as the pre-delta coordinator did. Deltas and suppression are
   /// disabled; kept for A/B benchmarking and the equivalence tests.
@@ -170,10 +166,9 @@ class Coordinator {
     std::uint64_t echoed_epoch = 0; ///< Highest epoch echoed in a report.
     TimePoint last_echo_advance{};  ///< When echoed_epoch last grew.
     /// Next broadcast to this peer must be a full snapshot: set at
-    /// connect (no base state to delta from) and on kSnapshotRequest.
+    /// connect (no base state to delta from), on kSnapshotRequest (an
+    /// epoch gap or a digest mismatch) and after backpressure.
     bool needs_snapshot = true;
-    /// Frames sent since the last snapshot (periodic full refresh).
-    int frames_since_snapshot = 0;
   };
 
   void onAcceptable();
@@ -243,8 +238,9 @@ class Coordinator {
 
   // Warm-standby state (loop-thread-only).
   std::unique_ptr<net::Connection> upstream_;
-  /// The primary's broadcast stream, applied by the daemons' rules; its
-  /// schedule, epoch and fence seed promote().
+  /// The primary's broadcast stream, applied by the daemons' rules (a
+  /// gap or a digest mismatch asks for a snapshot); its schedule, epoch
+  /// and fence seed promote().
   ScheduleMirror upstream_schedule_;
   /// Coflows the stream removed (delta removals / snapshot disappearance):
   /// tombstoned at promotion so stale reports cannot resurrect them.

@@ -110,7 +110,7 @@ bool Daemon::tryConnect() {
     std::lock_guard lock(mutex_);
     schedule_.restartChain();
   }
-  seen_in_schedule_.clear();
+  removed_writing_.clear();
   missed_schedules_.clear();
   // The coordinator may be a restarted instance that knows nothing: the
   // first report must re-teach it every absolute size (§3.2).
@@ -303,14 +303,20 @@ void Daemon::onMessage(net::Buffer& payload) {
   }
   ScheduleMirror::Outcome outcome;
   std::uint64_t applied_epoch = 0;
+  bool request_due = false;
+  removed_scratch_.clear();
   {
     std::lock_guard lock(mutex_);
     const std::uint64_t fence = schedule_.fence();
-    outcome = schedule_.apply(message);
+    outcome = schedule_.apply(message, &removed_scratch_);
     applied_epoch = schedule_.epoch();
     // A new coordinator incarnation (promoted standby or fenced restart)
     // may not have heard our absolute sizes yet — re-teach it (§3.2).
     if (schedule_.fence() > fence) force_full_report_ = true;
+    if (outcome == ScheduleMirror::Outcome::kGap ||
+        outcome == ScheduleMirror::Outcome::kDigestMismatch) {
+      request_due = schedule_.snapshotRequestDue(message.epoch);
+    }
   }
   // last_broadcast_ (staleness) is refreshed by every frame that proves
   // the path alive, except a deposed primary's (so a daemon stuck on it
@@ -324,21 +330,15 @@ void Daemon::onMessage(net::Buffer& payload) {
       last_broadcast_ = net::EventLoop::Clock::now();
       stats_.old_epoch_ignored.fetch_add(1, std::memory_order_relaxed);
       return;
-    case ScheduleMirror::Outcome::kGap: {
-      // The coordinator may have restarted: snapshot plus a full report.
+    case ScheduleMirror::Outcome::kGap:
       stats_.schedule_gaps.fetch_add(1, std::memory_order_relaxed);
-      force_full_report_ = true;
-      if (!connection_ || connection_->closed()) return;
-      net::Message request;
-      request.type = net::MessageType::kSnapshotRequest;
-      request.daemon_id = config_.daemon_id;
-      request.epoch = applied_epoch;
-      encode_scratch_.clear();
-      net::encodeMessage(request, encode_scratch_);
-      scratch_reuse_->fetch_add(1);
-      connection_->sendFrame(encode_scratch_);
+      if (request_due) requestSnapshot(applied_epoch);
       return;
-    }
+    case ScheduleMirror::Outcome::kDigestMismatch:
+      // Applied, but our copy had diverged: repair it like a gap.
+      stats_.schedule_digest_mismatches.fetch_add(1, std::memory_order_relaxed);
+      if (request_due) requestSnapshot(applied_epoch);
+      break;
     case ScheduleMirror::Outcome::kApplied:
       break;
   }
@@ -346,6 +346,12 @@ void Daemon::onMessage(net::Buffer& payload) {
   if (message.type == net::MessageType::kScheduleDelta) {
     stats_.schedule_deltas_applied.fetch_add(1, std::memory_order_relaxed);
   }
+  // Every coflow a frame removes was in the schedule the previous applied
+  // frame left, so on a connection that has applied one it was seen
+  // scheduled here. Removals of a frame whose digest failed are not
+  // trusted; the missed-schedule budget collects those coflows instead.
+  const bool removals_seen = synced_since_connect_ &&
+                             outcome == ScheduleMirror::Outcome::kApplied;
   if (!synced_since_connect_) {
     // First schedule applied on this connection: the coordinator is
     // genuinely serving us, so the reconnect backoff may reset. Resetting
@@ -356,8 +362,7 @@ void Daemon::onMessage(net::Buffer& payload) {
   }
   {
     std::lock_guard lock(mutex_);
-    pruneCompletedLocked();
-    for (const auto& kv : schedule_.entries()) seen_in_schedule_.insert(kv.first);
+    pruneCompletedLocked(removals_seen);
   }
   last_epoch_.store(message.epoch, std::memory_order_relaxed);
   if (!schedule_fresh_.exchange(true, std::memory_order_relaxed)) {
@@ -367,25 +372,52 @@ void Daemon::onMessage(net::Buffer& payload) {
   }
 }
 
-void Daemon::pruneCompletedLocked() {
+void Daemon::requestSnapshot(std::uint64_t applied_epoch) {
+  // The snapshot repairs the schedule; the full report re-teaches a
+  // coordinator that may have restarted (§3.2).
+  force_full_report_ = true;
+  if (!connection_ || connection_->closed()) return;
+  net::Message request;
+  request.type = net::MessageType::kSnapshotRequest;
+  request.daemon_id = config_.daemon_id;
+  request.epoch = applied_epoch;
+  encode_scratch_.clear();
+  net::encodeMessage(request, encode_scratch_);
+  scratch_reuse_->fetch_add(1);
+  connection_->sendFrame(encode_scratch_);
+}
+
+void Daemon::pruneCompletedLocked(bool removals_seen) {
   // A coflow this connection has seen scheduled that has now vanished was
   // unregistered at the coordinator: drop its local accounting so reports
   // shrink and the coordinator's tombstone for it can eventually be GC'd.
-  // Coflows with a live local writer are kept — they are not done here,
-  // and their reports keep the tombstone alive, which is correct.
-  for (auto it = seen_in_schedule_.begin(); it != seen_in_schedule_.end();) {
-    if (schedule_.find(*it)) {
+  // Coflows with a live local writer are kept until it ends — they are
+  // not done here, and their reports keep the tombstone alive, which is
+  // correct.
+  const auto prune = [&](const coflow::CoflowId& id) {
+    missed_schedules_.erase(id);
+    if (local_sent_.erase(id) != 0) {
+      stats_.completed_coflows_pruned.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  for (auto it = removed_writing_.begin(); it != removed_writing_.end();) {
+    const bool scheduled = schedule_.find(*it) != nullptr;
+    if (!scheduled && active_writers_.contains(*it)) {
       ++it;
       continue;
     }
-    if (active_writers_.contains(*it)) {
-      ++it;
-      continue;
+    // Done, or back in the schedule (a later removal reports it again).
+    if (!scheduled) prune(*it);
+    it = removed_writing_.erase(it);
+  }
+  if (removals_seen) {
+    for (const auto& id : removed_scratch_) {
+      if (active_writers_.contains(id)) {
+        removed_writing_.insert(id);
+      } else {
+        prune(id);
+      }
     }
-    local_sent_.erase(*it);
-    missed_schedules_.erase(*it);
-    stats_.completed_coflows_pruned.fetch_add(1, std::memory_order_relaxed);
-    it = seen_in_schedule_.erase(it);
   }
   // A locally accounted coflow we have *never* seen scheduled: a registered
   // coflow appears in every broadcast (at zero global bytes if need be), so
@@ -396,8 +428,7 @@ void Daemon::pruneCompletedLocked() {
   // triggering a premature prune.
   for (auto it = local_sent_.begin(); it != local_sent_.end();) {
     const coflow::CoflowId id = it->first;
-    if (schedule_.find(id) || seen_in_schedule_.contains(id) ||
-        active_writers_.contains(id)) {
+    if (schedule_.find(id) || active_writers_.contains(id)) {
       missed_schedules_.erase(id);
       ++it;
       continue;

@@ -9,8 +9,9 @@
 // Delta-coded data path (default): reports carry only the coflows whose
 // local bytes changed since the last report (absolute values, so each
 // report is self-sufficient per coflow), with periodic full resyncs;
-// schedule updates arrive as kScheduleDelta frames chained by epoch — a
-// detected gap triggers a kSnapshotRequest and a forced full report.
+// schedule updates arrive as kScheduleDelta frames chained by epoch, each
+// carrying the schedule's digest — a detected gap or digest mismatch
+// triggers a kSnapshotRequest and a forced full report.
 //
 // Fault tolerance (§3.2 hardening):
 //  * Reconnects use exponential backoff with decorrelated jitter (seeded,
@@ -188,11 +189,14 @@ class Daemon {
   /// Advance to the next coordinator endpoint (no-op with one endpoint).
   void rotateEndpoint();
   /// Applies a schedule frame through schedule_; after an applied one:
-  /// prune, track seen coflows, publish the epoch, leave local-only mode.
+  /// prune, publish the epoch, leave local-only mode.
   void onMessage(net::Buffer& payload);
-  /// GC of local accounting for completed coflows; membership in the
-  /// applied schedule is read from schedule_. Needs mutex_ held.
-  void pruneCompletedLocked();
+  /// The gap path: a kSnapshotRequest plus a forced full report.
+  void requestSnapshot(std::uint64_t applied_epoch);
+  /// GC of local accounting for completed coflows, in O(frame removals +
+  /// local coflows): the frame's removed_scratch_ are pruned when
+  /// `removals_seen` (see onMessage). Needs mutex_ held.
+  void pruneCompletedLocked(bool removals_seen);
   /// Local D-CLAS: discretize locally attained bytes. Needs mutex_ held.
   int localQueueLocked(coflow::CoflowId id) const;
   /// queueOf's rule. Needs mutex_ held.
@@ -231,10 +235,11 @@ class Daemon {
   int ticks_since_report_ = 0;
   /// Reusable encode buffer for outgoing reports/requests.
   net::Buffer encode_scratch_;
-  /// Coflows some schedule on the current connection contained; one that
-  /// later disappears from the schedule has been unregistered and its
-  /// local accounting can be pruned.
-  std::unordered_set<coflow::CoflowId> seen_in_schedule_;
+  /// Coflows the last applied frame removed from the schedule.
+  std::vector<coflow::CoflowId> removed_scratch_;
+  /// Coflows removed from the schedule on this connection while a local
+  /// writer still had them open: pruned once their writer ends.
+  std::unordered_set<coflow::CoflowId> removed_writing_;
   /// Locally accounted coflows never seen in a schedule: consecutive
   /// applied schedules that omitted them. At the budget below they are
   /// pruned — they were unregistered before their first schedule arrived.

@@ -54,6 +54,9 @@ void registerRobustnessStats(obs::Registry& registry, const RobustnessStats& sta
   attach("schedule_deltas_applied", "kScheduleDelta frames applied",
          stats.schedule_deltas_applied);
   attach("schedule_gaps", "Delta base_epoch mismatches", stats.schedule_gaps);
+  attach("schedule_digest_mismatches",
+         "Applied deltas whose schedule digest disagreed",
+         stats.schedule_digest_mismatches);
   attach("reports_shed", "Reports skipped under send-queue pressure",
          stats.reports_shed);
   attach("stale_fence_ignored", "Broadcasts from a deposed primary ignored",

@@ -50,6 +50,9 @@ struct RobustnessStats {
   Counter resync_reports{0};           ///< Full absolute size reports.
   Counter schedule_deltas_applied{0};  ///< kScheduleDelta frames applied.
   Counter schedule_gaps{0};            ///< Delta base_epoch mismatch: snapshot asked.
+  /// Applied deltas whose digest disagreed with the mirrored schedule
+  /// (daemon, and a coordinator while it is a warm standby).
+  Counter schedule_digest_mismatches{0};
   Counter reports_shed{0};             ///< Reports skipped: send queue full.
   Counter stale_fence_ignored{0};      ///< Broadcasts from a deposed primary.
   Counter endpoint_failovers{0};       ///< Rotated to the next coordinator.

@@ -2,36 +2,68 @@
 
 namespace aalo::runtime {
 
+namespace {
+
+std::uint64_t hashOf(const net::ScheduleEntry& e) {
+  return net::scheduleEntryHash(e.id, e.queue, e.on);
+}
+
+}  // namespace
+
 ScheduleMirror::Outcome ScheduleMirror::apply(
     const net::Message& frame, std::vector<coflow::CoflowId>* removed) {
   if (frame.fence < fence_) return Outcome::kStaleFence;
   if (frame.fence > fence_) {
     // A new incarnation numbers an independent broadcast stream.
     fence_ = frame.fence;
-    epoch_ = 0;
+    restartChain();
   }
   // An old epoch must never overwrite newer state.
   if (frame.epoch <= epoch_) return Outcome::kOldEpoch;
   if (frame.type == net::MessageType::kScheduleDelta) {
     // A delta that does not build on what was applied does not compose.
     if (frame.base_epoch != epoch_) return Outcome::kGap;
-    for (const auto& e : frame.schedule) entries_.insert_or_assign(e.id, e);
-    for (const auto& id : frame.removals) {
-      if (entries_.erase(id) != 0 && removed) removed->push_back(id);
-    }
-  } else {
-    std::unordered_map<coflow::CoflowId, net::ScheduleEntry> next;
-    next.reserve(frame.schedule.size());
-    for (const auto& e : frame.schedule) next.insert_or_assign(e.id, e);
-    if (removed) {
-      for (const auto& [id, entry] : entries_) {
-        if (!next.contains(id)) removed->push_back(id);
+    epoch_ = frame.epoch;
+    for (const auto& e : frame.schedule) {
+      const auto [it, inserted] = entries_.try_emplace(e.id, e);
+      if (!inserted) {
+        digest_ -= hashOf(it->second);
+        it->second = e;
       }
+      digest_ += hashOf(e);
     }
-    entries_.swap(next);
+    for (const auto& id : frame.removals) {
+      const auto it = entries_.find(id);
+      if (it == entries_.end()) continue;
+      digest_ -= hashOf(it->second);
+      entries_.erase(it);
+      if (removed) removed->push_back(id);
+    }
+    return digest_ == frame.schedule_digest ? Outcome::kApplied
+                                            : Outcome::kDigestMismatch;
   }
+  std::unordered_map<coflow::CoflowId, net::ScheduleEntry> next;
+  next.reserve(frame.schedule.size());
+  for (const auto& e : frame.schedule) next.insert_or_assign(e.id, e);
+  if (removed) {
+    for (const auto& [id, entry] : entries_) {
+      if (!next.contains(id)) removed->push_back(id);
+    }
+  }
+  entries_.swap(next);
   epoch_ = frame.epoch;
+  digest_ = 0;
+  for (const auto& [id, entry] : entries_) digest_ += hashOf(entry);
+  requested_at_ = 0;  // The snapshot answers any outstanding request.
   return Outcome::kApplied;
+}
+
+bool ScheduleMirror::snapshotRequestDue(std::uint64_t frame_epoch) {
+  if (requested_at_ != 0 && frame_epoch < requested_at_ + kRequestPatience) {
+    return false;
+  }
+  requested_at_ = frame_epoch;
+  return true;
 }
 
 }  // namespace aalo::runtime

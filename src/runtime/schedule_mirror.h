@@ -6,9 +6,12 @@
 // (a new incarnation); drops an epoch not above the applied one
 // (duplicate or reorder); reports a delta whose base_epoch is not the
 // applied epoch as a gap; and otherwise applies it: a snapshot replaces
-// the schedule, a delta upserts its entries and drops its removals.
-// Staleness clocks, snapshot requests and counters stay with the caller
-// (DESIGN.md §9 has the table). Not thread-safe.
+// the schedule, a delta upserts its entries and drops its removals. The
+// mirror keeps the net::scheduleDigest of what it holds, in O(entries
+// applied), and reports a delta whose digest disagrees as a mismatch.
+// It also bounds the snapshot requests a chain sends. Staleness clocks,
+// the requests themselves and counters stay with the caller (DESIGN.md
+// §9 has the table). Not thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +25,31 @@ namespace aalo::runtime {
 
 class ScheduleMirror {
  public:
-  enum class Outcome { kStaleFence, kOldEpoch, kGap, kApplied };
+  /// kDigestMismatch: the delta was applied, but the schedule it left
+  /// behind does not match its digest, so this copy had diverged (or the
+  /// frame was damaged in a way the codec accepts). Ask for a snapshot.
+  enum class Outcome { kStaleFence, kOldEpoch, kGap, kDigestMismatch, kApplied };
 
-  /// Applies one schedule frame. When it is applied and `removed` is
-  /// non-null, the ids it took out of the schedule are appended there.
+  /// Applies one schedule frame. When it is applied (kApplied or
+  /// kDigestMismatch) and `removed` is non-null, the ids it took out of
+  /// the schedule are appended there.
   Outcome apply(const net::Message& frame,
                std::vector<coflow::CoflowId>* removed = nullptr);
 
+  /// After a kGap or kDigestMismatch for `frame_epoch`: whether to send a
+  /// kSnapshotRequest now. At most one is outstanding per chain: an
+  /// applied snapshot or a new chain answers it, and one that
+  /// kRequestPatience further epochs have not answered is presumed lost
+  /// (the request or its snapshot was dropped) and is due again.
+  bool snapshotRequestDue(std::uint64_t frame_epoch);
+
   /// A new connection: the next frame starts a fresh epoch chain (the
-  /// coordinator may have restarted its round counter). The schedule and
-  /// the fence are kept.
-  void restartChain() { epoch_ = 0; }
+  /// coordinator may have restarted its round counter) and no snapshot
+  /// request is outstanding. The schedule and the fence are kept.
+  void restartChain() {
+    epoch_ = 0;
+    requested_at_ = 0;
+  }
 
   /// The applied entry for `id`, or null.
   const net::ScheduleEntry* find(const coflow::CoflowId& id) const {
@@ -45,11 +62,19 @@ class ScheduleMirror {
   }
   std::uint64_t epoch() const { return epoch_; }  ///< 0 = none this chain.
   std::uint64_t fence() const { return fence_; }  ///< Highest seen, 0 = none.
+  std::uint64_t digest() const { return digest_; }  ///< Of entries().
+
+  /// A coordinator answers a request on its next round; this many epochs
+  /// past the request without a snapshot mean it was lost.
+  static constexpr std::uint64_t kRequestPatience = 4;
 
  private:
   std::unordered_map<coflow::CoflowId, net::ScheduleEntry> entries_;
   std::uint64_t epoch_ = 0;
   std::uint64_t fence_ = 0;
+  std::uint64_t digest_ = 0;
+  /// Frame epoch of the outstanding snapshot request, 0 = none.
+  std::uint64_t requested_at_ = 0;
 };
 
 }  // namespace aalo::runtime

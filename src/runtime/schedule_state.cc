@@ -344,7 +344,10 @@ void ScheduleState::unregisterCoflow(const coflow::CoflowId& id) {
   if (b.flags & kRegistered) --registered_;
   if (b.flags & kLive) {
     --live_;  // Its order entry goes stale with the live bit.
-    if (b.flags & kSent) removed_.push_back(id);
+    if (b.flags & kSent) {
+      removed_.push_back(id);
+      digest_ -= sentHash(b);
+    }
   }
   releaseReporters(b);
   b.flags &= kUsed | kTombstoned;
@@ -525,9 +528,11 @@ bool ScheduleState::buildDelta(std::vector<net::ScheduleEntry>& entries,
     }
     entries.push_back(net::ScheduleEntry{
         .id = id, .global_bytes = b.bytes, .queue = b.queue, .on = on});
+    if (b.flags & kSent) digest_ -= sentHash(b);
     b.flags = static_cast<std::uint16_t>((b.flags & ~kSentOn) | kSent |
                                          (on ? kSentOn : 0));
     b.sent_queue = b.queue;
+    digest_ += sentHash(b);
   }
   dirty_.clear();
   std::sort(entries.begin(), entries.end(), entryLess);

@@ -153,6 +153,12 @@ class ScheduleState {
   bool buildDelta(std::vector<net::ScheduleEntry>& entries,
                   std::vector<coflow::CoflowId>& removals);
 
+  /// net::scheduleDigest of the schedule the delta chain has announced,
+  /// which a delta carries so its receivers can check their copy. Kept in
+  /// O(1) per announced change; right after buildDelta() it is the digest
+  /// of snapshotEntries().
+  std::uint64_t scheduleDigest() const { return digest_; }
+
   /// The full current schedule, sorted, with the ON gate applied
   /// positionally — what a snapshot (kScheduleUpdate) carries. Compacts
   /// the order runs as it reads them.
@@ -292,6 +298,11 @@ class ScheduleState {
   void releaseReporters(Bucket& b);
   void noteReporter(std::uint64_t daemon_id, const coflow::CoflowId& id);
   void markDirty(Bucket& b);
+  /// `b`'s share of digest_: the (queue, ON) the delta chain announced.
+  static std::uint64_t sentHash(const Bucket& b) {
+    return net::scheduleEntryHash(keyOf(b), b.sent_queue,
+                                  (b.flags & kSentOn) != 0);
+  }
   void moveToQueue(Bucket& b, int queue);
   /// Gives `b` a fresh stamp and files its entry under `b.queue`.
   void enqueue(Bucket& b);
@@ -329,6 +340,8 @@ class ScheduleState {
   std::vector<coflow::CoflowId> dirty_;
   /// Announced coflows unregistered since the last buildDelta().
   std::vector<coflow::CoflowId> removed_;
+  /// Sum of sentHash over the announced (kSent) live coflows.
+  std::uint64_t digest_ = 0;
   /// The ON set refreshOnSet() last computed (maintained when max_on_ > 0).
   std::vector<coflow::CoflowId> on_ids_;
   /// Tombstone expiry queue: (last mention when queued, id), oldest first.

@@ -12,61 +12,19 @@ void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
   backfillMaxMin(view, group.flow_indices, residual, rates, scratch);
 }
 
-Bottleneck coflowBottleneck(const sim::SimView& view, const ActiveCoflow& group,
-                            const fabric::ResidualCapacity& capacity,
-                            fabric::MaxMinScratch& scratch) {
-  const auto ports = static_cast<std::size_t>(capacity.numPorts());
-  const fabric::Fabric* rack_fabric = capacity.fabric();
-  const std::size_t racks =
-      rack_fabric != nullptr ? static_cast<std::size_t>(rack_fabric->numRacks()) : 0;
-  std::vector<util::Bytes>& rem_in = scratch.rem_in;
-  std::vector<util::Bytes>& rem_out = scratch.rem_out;
-  std::vector<util::Bytes>& rem_up = scratch.rem_up;
-  std::vector<util::Bytes>& rem_down = scratch.rem_down;
-  rem_in.assign(ports, 0.0);
-  rem_out.assign(ports, 0.0);
-  rem_up.assign(racks, 0.0);
-  rem_down.assign(racks, 0.0);
-  for (const std::size_t fi : group.flow_indices) {
-    const sim::FlowState& f = view.flow(fi);
-    const util::Bytes rem = std::max(0.0, f.size - f.sent);
-    rem_in[static_cast<std::size_t>(f.src)] += rem;
-    rem_out[static_cast<std::size_t>(f.dst)] += rem;
-    if (rack_fabric != nullptr && rack_fabric->crossRack(f.src, f.dst)) {
-      rem_up[static_cast<std::size_t>(rack_fabric->rackOf(f.src))] += rem;
-      rem_down[static_cast<std::size_t>(rack_fabric->rackOf(f.dst))] += rem;
-    }
-  }
-  Bottleneck b;
-  const auto carry = [&b](util::Bytes rem, util::Rate cap) {
-    if (rem <= 0) return;
-    b.min_capacity = std::min(b.min_capacity, cap);
-    b.gamma = std::max(b.gamma, rem / cap);
-  };
-  for (std::size_t p = 0; p < ports; ++p) {
-    const auto pid = static_cast<coflow::PortId>(p);
-    carry(rem_in[p], capacity.ingress(pid));
-    carry(rem_out[p], capacity.egress(pid));
-  }
-  for (std::size_t r = 0; r < racks; ++r) {
-    carry(rem_up[r], capacity.rackUplink(static_cast<int>(r)));
-    carry(rem_down[r], capacity.rackDownlink(static_cast<int>(r)));
-  }
-  return b;
-}
-
 void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
                         fabric::ResidualCapacity& residual,
                         std::vector<util::Rate>& rates,
                         fabric::MaxMinScratch& scratch) {
-  const Bottleneck b = coflowBottleneck(view, group, residual, scratch);
+  const Bottleneck b =
+      coflowBottleneck(view, group, residual, scratch, remainingBytes);
   // A needed resource is exhausted: skip; a later pass backfills.
   if (b.min_capacity <= util::kEps) return;
   const double gamma = b.gamma;  // Seconds to finish the coflow.
   if (gamma <= 0.0) return;      // Nothing left to send.
   for (const std::size_t fi : group.flow_indices) {
     const sim::FlowState& f = view.flow(fi);
-    const util::Bytes rem = std::max(0.0, f.size - f.sent);
+    const util::Bytes rem = remainingBytes(f);
     if (rem <= 0) continue;
     const util::Rate r = rem / gamma;
     rates[fi] += r;

@@ -1,6 +1,7 @@
 // Building blocks shared by the coflow schedulers.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <unordered_map>
@@ -36,12 +37,60 @@ struct Bottleneck {
   util::Rate min_capacity = std::numeric_limits<util::Rate>::infinity();
 };
 
-/// The bottleneck of `group`'s active flows against `capacity`: the full
-/// fabric for Varys's SEBF order, the residual for MADD. The per-resource
-/// sums live in `scratch`.
+/// The bytes a flow still has to send: the per-flow load of the
+/// clairvoyant bottleneck (Varys, MADD).
+inline util::Bytes remainingBytes(const sim::FlowState& f) {
+  return std::max(0.0, f.size - f.sent);
+}
+
+/// The bottleneck of `group`'s active flows against `capacity` (the full
+/// fabric for an SEBF order, the residual for MADD) when each flow carries
+/// `flow_bytes(flow)` more bytes: remainingBytes for Varys and MADD, the
+/// learned estimate for sampling. The per-resource sums live in `scratch`.
+template <typename FlowBytes>  // util::Bytes(const sim::FlowState&)
 Bottleneck coflowBottleneck(const sim::SimView& view, const ActiveCoflow& group,
                             const fabric::ResidualCapacity& capacity,
-                            fabric::MaxMinScratch& scratch);
+                            fabric::MaxMinScratch& scratch,
+                            FlowBytes&& flow_bytes) {
+  const auto ports = static_cast<std::size_t>(capacity.numPorts());
+  const fabric::Fabric* rack_fabric = capacity.fabric();
+  const std::size_t racks =
+      rack_fabric != nullptr ? static_cast<std::size_t>(rack_fabric->numRacks()) : 0;
+  std::vector<util::Bytes>& rem_in = scratch.rem_in;
+  std::vector<util::Bytes>& rem_out = scratch.rem_out;
+  std::vector<util::Bytes>& rem_up = scratch.rem_up;
+  std::vector<util::Bytes>& rem_down = scratch.rem_down;
+  rem_in.assign(ports, 0.0);
+  rem_out.assign(ports, 0.0);
+  rem_up.assign(racks, 0.0);
+  rem_down.assign(racks, 0.0);
+  for (const std::size_t fi : group.flow_indices) {
+    const sim::FlowState& f = view.flow(fi);
+    const util::Bytes rem = flow_bytes(f);
+    rem_in[static_cast<std::size_t>(f.src)] += rem;
+    rem_out[static_cast<std::size_t>(f.dst)] += rem;
+    if (rack_fabric != nullptr && rack_fabric->crossRack(f.src, f.dst)) {
+      rem_up[static_cast<std::size_t>(rack_fabric->rackOf(f.src))] += rem;
+      rem_down[static_cast<std::size_t>(rack_fabric->rackOf(f.dst))] += rem;
+    }
+  }
+  Bottleneck b;
+  const auto carry = [&b](util::Bytes rem, util::Rate cap) {
+    if (rem <= 0) return;
+    b.min_capacity = std::min(b.min_capacity, cap);
+    b.gamma = std::max(b.gamma, rem / cap);
+  };
+  for (std::size_t p = 0; p < ports; ++p) {
+    const auto pid = static_cast<coflow::PortId>(p);
+    carry(rem_in[p], capacity.ingress(pid));
+    carry(rem_out[p], capacity.egress(pid));
+  }
+  for (std::size_t r = 0; r < racks; ++r) {
+    carry(rem_up[r], capacity.rackUplink(static_cast<int>(r)));
+    carry(rem_down[r], capacity.rackDownlink(static_cast<int>(r)));
+  }
+  return b;
+}
 
 /// Clairvoyant MADD (Varys): every active flow of `group` gets
 /// remaining / Gamma where Gamma is the coflow's effective bottleneck

@@ -60,9 +60,9 @@ std::size_t SamplingScheduler::estimateTotal(const sim::SimView& view,
   return done;
 }
 
-util::Seconds SamplingScheduler::estimatedBottleneck(const sim::SimView& view,
-                                                     const ActiveCoflow& group,
-                                                     util::Bytes est_total) {
+util::Seconds SamplingScheduler::estimatedBottleneck(
+    const sim::SimView& view, const ActiveCoflow& group, util::Bytes est_total,
+    const fabric::ResidualCapacity& capacity) {
   const sim::CoflowState& c = view.coflow(group.coflow_index);
   const std::size_t active = group.flow_indices.size();
   if (active == 0) return 0;
@@ -70,21 +70,9 @@ util::Seconds SamplingScheduler::estimatedBottleneck(const sim::SimView& view,
   // both engines every round, so this is reuse-safe (scheduler.h).
   const util::Bytes est_remaining = std::max(0.0, est_total - c.sent);
   const util::Bytes per_flow = est_remaining / static_cast<double>(active);
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
-  port_in_scratch_.assign(ports, 0.0);
-  port_out_scratch_.assign(ports, 0.0);
-  for (std::size_t k = 0; k < active; ++k) {
-    port_in_scratch_[static_cast<std::size_t>(group.srcs[k])] += per_flow;
-    port_out_scratch_[static_cast<std::size_t>(group.dsts[k])] += per_flow;
-  }
-  util::Seconds gamma = 0;
-  for (std::size_t p = 0; p < ports; ++p) {
-    if (port_in_scratch_[p] == 0 && port_out_scratch_[p] == 0) continue;
-    const auto pid = static_cast<coflow::PortId>(p);
-    gamma = std::max(gamma, port_in_scratch_[p] / view.fabric->ingressCapacity(pid));
-    gamma = std::max(gamma, port_out_scratch_[p] / view.fabric->egressCapacity(pid));
-  }
-  return gamma;
+  return coflowBottleneck(view, group, capacity, scratch_,
+                          [per_flow](const sim::FlowState&) { return per_flow; })
+      .gamma;
 }
 
 void SamplingScheduler::classify(const sim::SimView& view) {
@@ -92,12 +80,13 @@ void SamplingScheduler::classify(const sim::SimView& view) {
   mature_order_.clear();
   immature_order_.clear();
   gamma_scratch_.assign(groups.size(), 0.0);
+  const fabric::ResidualCapacity full(*view.fabric);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const sim::CoflowState& c = view.coflow(groups[g].coflow_index);
     const std::size_t k = probeCount(c.flow_indices.size());
     util::Bytes est = 0;
     if (estimateTotal(view, groups[g].coflow_index, &est) >= k) {
-      gamma_scratch_[g] = estimatedBottleneck(view, groups[g], est);
+      gamma_scratch_[g] = estimatedBottleneck(view, groups[g], est, full);
       mature_order_.push_back(g);
     } else {
       immature_order_.push_back(g);

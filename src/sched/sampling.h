@@ -83,6 +83,11 @@ class SamplingScheduler final : public sim::Scheduler {
   std::size_t estimateTotal(const sim::SimView& view, std::size_t coflow_index,
                             util::Bytes* out) const;
 
+  /// The mature coflows in rank order, as indices into the view's active
+  /// groups, from the last scheduleEpoch() or allocate() (test
+  /// introspection).
+  const std::vector<std::size_t>& matureOrder() const { return mature_order_; }
+
   /// Estimates recorded at coflow completion (test introspection).
   const std::vector<SamplingEstimate>& finishLog() const { return finish_log_; }
 
@@ -96,11 +101,12 @@ class SamplingScheduler final : public sim::Scheduler {
   void classify(const sim::SimView& view);
 
   /// Estimated effective-bottleneck seconds of a mature coflow: its
-  /// estimated remaining bytes spread evenly over its active flows,
-  /// summed per port against port capacity.
+  /// estimated remaining bytes spread evenly over its active flows, summed
+  /// per port and rack link against `capacity` (coflowBottleneck).
   util::Seconds estimatedBottleneck(const sim::SimView& view,
                                     const ActiveCoflow& group,
-                                    util::Bytes est_total);
+                                    util::Bytes est_total,
+                                    const fabric::ResidualCapacity& capacity);
 
   SamplingConfig config_;
 
@@ -113,8 +119,6 @@ class SamplingScheduler final : public sim::Scheduler {
 
   // Scratch (capacity reuse across rounds).
   std::vector<util::Seconds> gamma_scratch_;
-  std::vector<util::Bytes> port_in_scratch_;
-  std::vector<util::Bytes> port_out_scratch_;
   ActiveCoflow subgroup_scratch_;
   std::vector<std::size_t> backfill_scratch_;
   fabric::MaxMinScratch scratch_;

@@ -8,7 +8,8 @@ namespace aalo::sched {
 util::Seconds VarysScheduler::effectiveBottleneck(const sim::SimView& view,
                                                   const ActiveCoflow& group) {
   fabric::MaxMinScratch scratch;
-  return coflowBottleneck(view, group, fabric::ResidualCapacity(*view.fabric), scratch)
+  return coflowBottleneck(view, group, fabric::ResidualCapacity(*view.fabric),
+                          scratch, remainingBytes)
       .gamma;
 }
 

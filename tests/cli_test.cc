@@ -107,5 +107,18 @@ TEST(AaloCoordinatorCli, RejectedDClasConfigExitsOne) {
   EXPECT_NE(out.output.find("exp_factor"), std::string::npos) << out.output;
 }
 
+TEST(AaloCoordinatorCli, SnapshotEveryIsAnUnknownFlag) {
+  // Snapshots go out on connect, on request and after backpressure only;
+  // the periodic re-send and its flag are gone.
+  const Outcome out = run(std::string("timeout 30 ") + AALO_COORDINATOR_BIN +
+                          " --port 0 --snapshot-every 5");
+  EXPECT_TRUE(out.exited) << out.output;
+  EXPECT_EQ(out.code, 2) << out.output;
+  EXPECT_NE(out.output.find("unknown flag --snapshot-every"), std::string::npos)
+      << out.output;
+  EXPECT_EQ(out.output.find("snapshot-every N"), std::string::npos)
+      << out.output;
+}
+
 }  // namespace
 }  // namespace aalo

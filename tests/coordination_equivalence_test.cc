@@ -171,7 +171,6 @@ ScenarioResult runScenario(bool full_mode) {
   ccfg.liveness_timeout_intervals = 50;  // Lossy reports must never evict.
   ccfg.one_way_timeout_intervals = 200;
   ccfg.full_broadcasts = full_mode;
-  ccfg.snapshot_every = 8;
   Coordinator coordinator(ccfg);
   coordinator.start();
 
@@ -452,7 +451,6 @@ TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
   ccfg.liveness_timeout_intervals = 0;
   ccfg.one_way_timeout_intervals = 0;
   ccfg.tombstone_gc_intervals = 0;
-  ccfg.snapshot_every = 0;
   Coordinator coordinator(ccfg);
   coordinator.start();
 

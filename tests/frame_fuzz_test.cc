@@ -1,5 +1,6 @@
 // Wire-frame fuzz: seeded mutations of golden kScheduleUpdate,
-// kScheduleDelta and kSizeReport frames, and every truncation of them.
+// kScheduleDelta (one with entries, one heartbeat) and kSizeReport
+// frames, and every truncation of them.
 // The property: decodeMessage either throws (std::runtime_error or
 // std::out_of_range, which every receive path counts in
 // `malformed_frames`) or returns a message that encodes back to exactly
@@ -41,6 +42,14 @@ std::vector<GoldenFrame> goldenFrames() {
   delta.fence = 5;
   delta.schedule = {{{1, 2}, 1.5, 4, true}};
   delta.removals = {{7, 0}};
+  delta.schedule_digest = 0x0807060504030201ULL;
+
+  Message heartbeat;
+  heartbeat.type = MessageType::kScheduleDelta;
+  heartbeat.epoch = 4;
+  heartbeat.base_epoch = 3;
+  heartbeat.fence = 5;
+  heartbeat.schedule_digest = 0x0807060504030201ULL;
 
   Message report;
   report.type = MessageType::kSizeReport;
@@ -81,6 +90,17 @@ std::vector<GoldenFrame> goldenFrames() {
            0x01, 0, 0, 0,               // 1 removal
            0x07, 0, 0, 0, 0, 0, 0, 0,   // removal.external = 7
            0x00, 0, 0, 0,               // removal.internal = 0
+           0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // digest
+       }},
+      {"kScheduleDelta heartbeat", heartbeat,
+       {
+           0x07,                        // type
+           0x04, 0, 0, 0, 0, 0, 0, 0,   // epoch = 4
+           0x03, 0, 0, 0, 0, 0, 0, 0,   // base_epoch = 3
+           0x05, 0, 0, 0, 0, 0, 0, 0,   // fence = 5
+           0x00, 0, 0, 0,               // 0 entries
+           0x00, 0, 0, 0,               // 0 removals
+           0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // digest
        }},
       {"kSizeReport", report,
        {

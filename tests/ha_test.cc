@@ -23,6 +23,7 @@
 #include "runtime/client.h"
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
+#include "runtime/schedule_state.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -388,7 +389,6 @@ TEST(HighAvailability, BackoffResetsOnlyAfterSyncedSchedule) {
 // healthy daemon stays synced throughout.
 TEST(HighAvailability, OverloadCoalescesAndIsolatesSlowPeer) {
   CoordinatorConfig ccfg = fastCoordinator();
-  ccfg.snapshot_every = 1;        // Full snapshot every round: big frames.
   ccfg.send_queue_max = 64 * 1024;
   // Disable the report watchdogs: this drill is about a peer that reads
   // nothing, and it must be the *backpressure* path that isolates it.
@@ -428,6 +428,20 @@ TEST(HighAvailability, OverloadCoalescesAndIsolatesSlowPeer) {
     return slow->pendingBytes() == 0;
   });
   waitFor([&] { return coordinator.daemonCount() == 2; });
+  // Big frames: the slow peer asks for a full snapshot every round (its
+  // writes still go out; it only stops reading).
+  std::atomic<bool> asking{true};
+  std::thread asker([&] {
+    net::Message request;
+    request.type = net::MessageType::kSnapshotRequest;
+    request.daemon_id = 99;
+    net::Buffer out;
+    net::encodeMessage(request, out);
+    while (asking.load(std::memory_order_relaxed)) {
+      slow->sendFrame(out);
+      std::this_thread::sleep_for(5ms);
+    }
+  });
 
   // Snapshots pile up in the slow peer's queue until it crosses
   // send_queue_max; from then on the coordinator skips it every round
@@ -459,6 +473,8 @@ TEST(HighAvailability, OverloadCoalescesAndIsolatesSlowPeer) {
   EXPECT_EQ(coordinator.daemonCount(), 2u);
   EXPECT_TRUE(healthy.connected());
 
+  asking.store(false, std::memory_order_relaxed);
+  asker.join();
   healthy.stop();
   coordinator.stop();
 }
@@ -635,6 +651,159 @@ TEST(HighAvailability, StandbyRequestsSnapshotOnDeltaGap) {
   EXPECT_EQ(schedule[0].id, a);
   standby.stop();
 }
+
+// The coordinator's side of a digest drill: a real ScheduleState makes
+// every frame, exactly as Coordinator::broadcastSchedule would.
+struct ScheduleSource {
+  explicit ScheduleSource(std::size_t max_on)
+      : state({1.0 * util::kMB, 10.0 * util::kMB, 100.0 * util::kMB}, max_on) {}
+
+  net::Message delta() {
+    net::Message m;
+    m.type = net::MessageType::kScheduleDelta;
+    m.epoch = ++epoch;
+    m.base_epoch = epoch - 1;
+    m.fence = 1;
+    state.buildDelta(m.schedule, m.removals);
+    m.schedule_digest = state.scheduleDigest();
+    return m;
+  }
+
+  net::Message snapshot() {
+    net::Message m = delta();  // The round's delta drains the changes.
+    m.type = net::MessageType::kScheduleUpdate;
+    m.base_epoch = 0;
+    m.removals.clear();
+    state.snapshotEntries(m.schedule);
+    return m;
+  }
+
+  /// `id`'s entry as a snapshot carries it.
+  net::ScheduleEntry entryOf(const coflow::CoflowId& id) {
+    std::vector<net::ScheduleEntry> entries;
+    state.snapshotEntries(entries);
+    return *std::find_if(entries.begin(), entries.end(),
+                         [&](const auto& e) { return e.id == id; });
+  }
+
+  ScheduleState state;
+  std::uint64_t epoch = 0;
+};
+
+// A follower whose copy of the schedule silently diverged — one entry's
+// queue, or under a §6.2 ON budget one ON bit — detects it on the next
+// delta by its digest, asks for one snapshot, and is repaired by it.
+// The divergence is planted by a delta that lies about one entry and
+// carries the digest of the lie, so no check fails when it applies.
+void divergenceDrill(bool standby, std::size_t max_on) {
+  SCOPED_TRACE(std::string(standby ? "standby" : "daemon") + " max_on " +
+               std::to_string(max_on));
+  ScriptedPrimary primary;
+  std::unique_ptr<Daemon> daemon;
+  std::unique_ptr<Coordinator> follower;
+  if (standby) {
+    CoordinatorConfig scfg = fastCoordinator();
+    scfg.standby_of = primary.port;
+    scfg.takeover_intervals = 2000;  // No promotion during the drill.
+    follower = std::make_unique<Coordinator>(scfg);
+    follower->start();
+    primary.pumpUntil([&] {
+      return primary.lastOfType(net::MessageType::kFollowerSubscribe) != nullptr;
+    });
+  } else {
+    DaemonConfig dcfg = fastDaemon(primary.port, 7);
+    dcfg.stale_after_intervals = 0;  // The script paces the frames.
+    dcfg.resync_intervals = 0;       // Full reports only when forced.
+    daemon = std::make_unique<Daemon>(dcfg);
+    daemon->start();
+    primary.pumpUntil([&] {
+      return primary.lastOfType(net::MessageType::kHello) != nullptr;
+    });
+  }
+  const RobustnessStats& stats = standby ? follower->stats() : daemon->stats();
+  std::uint64_t applied = 0;
+  const auto sendApplied = [&](const net::Message& m) {
+    primary.send(m);
+    ++applied;
+    primary.pumpUntil([&] {
+      return standby ? stats.follower_frames_applied.load() == applied
+                     : daemon->lastEpoch() == m.epoch;
+    });
+  };
+  const auto requests = [&] {
+    return std::count_if(primary.received.begin(), primary.received.end(),
+                         [](const net::Message& m) {
+                           return m.type == net::MessageType::kSnapshotRequest;
+                         });
+  };
+
+  // a and b demoted to queues 1 and 2; c and d new in queue 0, the ON set
+  // under a budget of 2.
+  ScheduleSource source(max_on);
+  const coflow::CoflowId a{1, 0}, b{2, 0}, c{3, 0}, d{4, 0};
+  for (const auto& id : {a, b, c, d}) source.state.registerCoflow(id);
+  source.state.applySize(1, a, 5 * util::kMB);
+  source.state.applySize(1, b, 50 * util::kMB);
+  sendApplied(source.snapshot());
+  sendApplied(source.delta());
+  if (daemon) {
+    // The connect-time full report is out, so a later one was forced.
+    primary.pumpUntil([&] { return stats.resync_reports.load() >= 1; });
+  }
+
+  // The lie: b one queue lower, or d switched OFF.
+  const net::ScheduleEntry truth = source.entryOf(max_on == 0 ? b : d);
+  net::ScheduleEntry wrong = truth;
+  if (max_on == 0) {
+    ++wrong.queue;
+  } else {
+    wrong.on = !wrong.on;
+  }
+  net::Message lie = source.delta();
+  lie.schedule = {wrong};
+  lie.schedule_digest += net::scheduleEntryHash(wrong.id, wrong.queue, wrong.on) -
+                         net::scheduleEntryHash(truth.id, truth.queue, truth.on);
+  sendApplied(lie);
+  EXPECT_EQ(stats.schedule_digest_mismatches.load(), 0u);
+  if (daemon) {
+    EXPECT_EQ(daemon->queueOf(b), max_on == 0 ? 3 : 2);
+    EXPECT_EQ(daemon->isOn(d), max_on == 0);
+  }
+  const auto resyncs = stats.resync_reports.load();
+
+  // The next frame detects it: one mismatch, one snapshot request.
+  const net::Message detect = source.delta();
+  sendApplied(detect);
+  EXPECT_EQ(stats.schedule_digest_mismatches.load(), 1u);
+  primary.pumpUntil([&] { return requests() == 1; });
+  EXPECT_EQ(primary.lastOfType(net::MessageType::kSnapshotRequest)->epoch,
+            detect.epoch);
+  if (daemon) {
+    // The gap path's forced full report rides along.
+    primary.pumpUntil([&] { return stats.resync_reports.load() > resyncs; });
+  }
+
+  // The snapshot that answers it restores the coordinator's schedule.
+  sendApplied(source.snapshot());
+  if (daemon) {
+    EXPECT_EQ(daemon->queueOf(b), 2);
+    EXPECT_TRUE(daemon->isOn(d));
+  }
+  // Repaired: the next digests agree, and nothing more is asked.
+  sendApplied(source.delta());
+  sendApplied(source.delta());
+  EXPECT_EQ(stats.schedule_digest_mismatches.load(), 1u);
+  EXPECT_EQ(stats.schedule_gaps.load(), 0u);
+  primary.pumpUntil([] { return true; });
+  EXPECT_EQ(requests(), 1);
+  if (daemon) daemon->stop();
+  if (follower) follower->stop();
+}
+
+TEST(HighAvailability, DaemonDigestRepairsDivergedQueue) { divergenceDrill(false, 0); }
+TEST(HighAvailability, DaemonDigestRepairsDivergedOnBit) { divergenceDrill(false, 2); }
+TEST(HighAvailability, StandbyDigestRepairsDivergedQueue) { divergenceDrill(true, 0); }
+TEST(HighAvailability, StandbyDigestRepairsDivergedOnBit) { divergenceDrill(true, 2); }
 
 // rateFor places every coflow in the queue queueOf reports: the max of the
 // schedule's queue and local D-CLAS, so a coflow whose local bytes already

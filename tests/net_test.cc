@@ -109,6 +109,7 @@ TEST(Protocol, AllMessageTypesRoundTrip) {
     m.fence = 3;
     m.schedule = {{{3, 1}, 5e7, 2, false}};
     m.removals = {{1, 0}, {2, 0}};
+    m.schedule_digest = 0xfedcba9876543210ULL;
     messages.push_back(m);
   }
   {
@@ -149,6 +150,7 @@ TEST(Protocol, AllMessageTypesRoundTrip) {
     EXPECT_EQ(decoded.sizes, m.sizes);
     EXPECT_EQ(decoded.schedule, m.schedule);
     EXPECT_EQ(decoded.removals, m.removals);
+    EXPECT_EQ(decoded.schedule_digest, m.schedule_digest);
   }
 }
 
@@ -163,6 +165,7 @@ TEST(Protocol, ScheduleDeltaGoldenWireFormat) {
   m.fence = 5;
   m.schedule = {{{1, 2}, 1.5, 4, true}};
   m.removals = {{7, 0}};
+  m.schedule_digest = 0x0807060504030201ULL;
   Buffer buffer;
   encodeMessage(m, buffer);
 
@@ -180,6 +183,7 @@ TEST(Protocol, ScheduleDeltaGoldenWireFormat) {
       0x01, 0, 0, 0,                                   // 1 removal
       0x07, 0, 0, 0, 0, 0, 0, 0,                       // removal.external = 7
       0x00, 0, 0, 0,                                   // removal.internal = 0
+      0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // schedule_digest
   };
   const auto view = buffer.readable();
   ASSERT_EQ(view.size(), sizeof(expected));
@@ -193,6 +197,7 @@ TEST(Protocol, ScheduleDeltaGoldenWireFormat) {
   EXPECT_EQ(decoded.fence, 5u);
   EXPECT_EQ(decoded.schedule, m.schedule);
   EXPECT_EQ(decoded.removals, m.removals);
+  EXPECT_EQ(decoded.schedule_digest, m.schedule_digest);
 }
 
 TEST(Protocol, RejectsTruncatedScheduleDelta) {

@@ -214,6 +214,8 @@ TEST(ObsRegistry, CoversAllComponentFamilies) {
        {"aalo_coordinator_daemons_evicted_total", "aalo_coordinator_delta_broadcasts_total",
         "aalo_daemon_delta_reports_total", "aalo_daemon_reports_suppressed_total",
         "aalo_daemon_resync_reports_total", "aalo_daemon_schedule_gaps_total",
+        "aalo_daemon_schedule_digest_mismatches_total",
+        "aalo_coordinator_schedule_digest_mismatches_total",
         "aalo_coordinator_net_frames_in_total", "aalo_coordinator_net_bytes_out_total",
         "aalo_sim_rounds_total", "aalo_sim_reused_allocations_total",
         "aalo_sim_heap_rebuilds_total", "aalo_sim_cct_seconds_bucket"}) {

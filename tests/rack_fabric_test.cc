@@ -2,10 +2,16 @@
 // with oversubscribed rack-to-core links.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "fabric/fabric.h"
 #include "fabric/maxmin.h"
 #include "sched/dclas.h"
 #include "sched/fair.h"
+#include "sched/sampling.h"
 #include "sched/varys.h"
 #include "tests/helpers.h"
 #include "util/rng.h"
@@ -189,14 +195,89 @@ TEST(RackSimulation, VarysBottleneckSeesRackLinks) {
     fs.started = true;
     coflows[0].flow_indices.push_back(flows.push(fs));
   }
+  sim::ActiveCoflowIndex index;
+  index.rebuild(flows, active);
   sim::SimView view;
   view.fabric = &f;
   view.coflows = &coflows;
   view.flows = &flows;
   view.active_flows = &active;
-  sched::ActiveCoflow group{0, {0, 1}};
+  view.active_index = &index;
+  ASSERT_EQ(index.groups().size(), 1u);
   // Port bottleneck: 10/1 = 10s; rack uplink: 20/0.5 = 40s.
-  EXPECT_NEAR(sched::VarysScheduler::effectiveBottleneck(view, group), 40.0, 1e-9);
+  EXPECT_NEAR(sched::VarysScheduler::effectiveBottleneck(view, index.groups()[0]),
+              40.0, 1e-9);
+}
+
+TEST(RackSimulation, SamplingRanksMatureCoflowsInVarysGammaOrder) {
+  // Equal flow sizes and one completed probe per coflow make sampling's
+  // size estimate exact, so its mature (SEBF) order must be Varys's Γ
+  // order, which on an oversubscribed fabric the rack uplink decides.
+  // (probe_fraction = 1.0 would make every flow a probe, and a coflow
+  // matures only once all its probes are done, i.e. when it finishes.)
+  for (const double oversub : {2.0, 4.0}) {
+    SCOPED_TRACE("oversubscription " + std::to_string(oversub));
+    Fabric f(rackFabric(8, 4, oversub, 1.0));  // Rack link = 4 / oversub.
+    std::vector<sim::CoflowState> coflows(3);
+    sim::FlowArena flows;
+    std::vector<std::size_t> active;
+    const auto addFlow = [&](std::size_t c, coflow::PortId src,
+                             coflow::PortId dst, util::Bytes size, bool done) {
+      sim::FlowState fs;
+      fs.coflow_index = c;
+      fs.src = src;
+      fs.dst = dst;
+      fs.size = size;
+      fs.sent = done ? size : 0;
+      fs.started = true;
+      fs.done = done;
+      coflows[c].flow_indices.push_back(flows.push(fs));
+      coflows[c].sent += fs.sent;
+      if (!done) active.push_back(coflows[c].flow_indices.back());
+    };
+    // A: three cross-rack flows of 10 out of rack 0. Ports: 10 s; rack 0's
+    // uplink: 30 / (4 / oversub) = 15 s at 2:1, 30 s at 4:1.
+    coflows[0].id = {1, 0};
+    addFlow(0, 0, 4, 10, true);  // The completed probe.
+    for (coflow::PortId p = 0; p < 3; ++p) addFlow(0, p, 4 + p, 10, false);
+    // B: one intra-rack flow of 12: 12 s. Ports alone rank it behind A.
+    coflows[1].id = {2, 0};
+    addFlow(1, 3, 0, 12, true);
+    addFlow(1, 3, 0, 12, false);
+    // C: one cross-rack flow of 2 out of rack 1: at most 2 s.
+    coflows[2].id = {3, 0};
+    addFlow(2, 7, 1, 2, true);
+    addFlow(2, 7, 1, 2, false);
+
+    sim::ActiveCoflowIndex index;
+    index.rebuild(flows, active);
+    sim::SimView view;
+    view.fabric = &f;
+    view.coflows = &coflows;
+    view.flows = &flows;
+    view.active_flows = &active;
+    view.active_index = &index;
+
+    std::vector<std::pair<util::Seconds, coflow::CoflowId>> gamma;
+    for (const auto& group : index.groups()) {
+      gamma.emplace_back(sched::VarysScheduler::effectiveBottleneck(view, group),
+                         coflows[group.coflow_index].id);
+    }
+    std::sort(gamma.begin(), gamma.end());
+    std::vector<coflow::CoflowId> varys;
+    for (const auto& [g, id] : gamma) varys.push_back(id);
+    EXPECT_EQ(varys, (std::vector<coflow::CoflowId>{{3, 0}, {2, 0}, {1, 0}}));
+
+    sched::SamplingScheduler sampling(
+        sched::SamplingConfig{.probe_fraction = 0.01, .min_probes = 1});
+    sampling.reset(f);
+    sampling.scheduleEpoch(view);
+    std::vector<coflow::CoflowId> ranked;
+    for (const std::size_t g : sampling.matureOrder()) {
+      ranked.push_back(coflows[index.groups()[g].coflow_index].id);
+    }
+    EXPECT_EQ(ranked, varys);
+  }
 }
 
 

@@ -407,7 +407,6 @@ DaemonConfig churnDaemon(std::uint16_t port, std::uint64_t id) {
 CoordinatorConfig churnCoordinator() {
   CoordinatorConfig cfg;
   cfg.sync_interval = 0.002;  // Fast rounds: many ticks per test.
-  cfg.snapshot_every = 3;     // Frequent snapshot encodes on the tick.
   return cfg;
 }
 
@@ -500,6 +499,27 @@ TEST(RuntimeRobustness, RoundsRaceFreeUnderConcurrentChurn) {
     }
   });
 
+  // A second churn thread subscribes as a follower and asks for a
+  // snapshot every few rounds, so snapshot encodes race the tick too.
+  std::thread asker([&] {
+    net::EventLoop loop;
+    net::Connection follower(loop, net::connectTcp(port),
+                             [](net::Buffer&) {}, [] {});
+    net::Message subscribe;
+    subscribe.type = net::MessageType::kFollowerSubscribe;
+    net::Buffer out;
+    net::encodeMessage(subscribe, out);
+    follower.sendFrame(out);
+    net::Message request;
+    request.type = net::MessageType::kSnapshotRequest;
+    out.clear();
+    net::encodeMessage(request, out);
+    while (!stop.load(std::memory_order_relaxed)) {
+      follower.sendFrame(out);
+      loop.runOnce(std::chrono::milliseconds(5));
+    }
+  });
+
   // Let it all collide across plenty of rounds.
   const std::uint64_t epoch_start = coordinator.epoch();
   std::this_thread::sleep_for(700ms);
@@ -507,6 +527,7 @@ TEST(RuntimeRobustness, RoundsRaceFreeUnderConcurrentChurn) {
   for (auto& t : clients) t.join();
   observer.join();
   churn.join();
+  asker.join();
 
   EXPECT_GT(coordinator.epoch(), epoch_start + 20);
   for (auto& d : daemons) d->stop();

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "runtime/checkpoint.h"
+#include "runtime/schedule_mirror.h"
 #include "runtime/schedule_state.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -446,7 +447,8 @@ TEST(ScheduleStateTombstones, ExpireExactlyAfterTheirLastMention) {
 // snapshot rounds) snapshotEntries() entry for entry. Snapshots compact
 // the runs, so the hazards are built between them.
 
-/// A ScheduleState's delta-chain mirror and the per-round check.
+/// A ScheduleState's delta-chain mirror and the per-round check, schedule
+/// digests included.
 class OrderCheck {
  public:
   explicit OrderCheck(ScheduleState& state) : state_(state) {}
@@ -465,22 +467,27 @@ class OrderCheck {
   void endRound(bool snapshot, const std::vector<net::ScheduleEntry>& oracle) {
     SCOPED_TRACE("round " + std::to_string(round_));
     ++round_;
-    std::vector<net::ScheduleEntry> delta, snap;
-    std::vector<coflow::CoflowId> removals;
-    state_.buildDelta(delta, removals);
-    for (const auto& e : delta) mirror_[e.id] = e;
-    for (const auto& id : removals) mirror_.erase(id);
+    net::Message frame;
+    frame.type = net::MessageType::kScheduleDelta;
+    frame.epoch = static_cast<std::uint64_t>(round_);
+    frame.base_epoch = frame.epoch - 1;
+    state_.buildDelta(frame.schedule, frame.removals);
+    frame.schedule_digest = state_.scheduleDigest();
+    // The mirror applies the delta chain alone, and its digest must agree.
+    ASSERT_EQ(mirror_.apply(frame), ScheduleMirror::Outcome::kApplied);
     // The delta chain carries bytes only with a queue or ON change, so the
     // mirror is compared on queue and ON alone.
-    ASSERT_EQ(mirror_.size(), oracle.size());
+    ASSERT_EQ(mirror_.entries().size(), oracle.size());
     for (const auto& e : oracle) {
-      const auto it = mirror_.find(e.id);
-      ASSERT_NE(it, mirror_.end()) << e.id.toString();
-      EXPECT_EQ(it->second.queue, e.queue) << e.id.toString();
-      EXPECT_EQ(it->second.on, e.on) << e.id.toString();
+      const net::ScheduleEntry* got = mirror_.find(e.id);
+      ASSERT_NE(got, nullptr) << e.id.toString();
+      EXPECT_EQ(got->queue, e.queue) << e.id.toString();
+      EXPECT_EQ(got->on, e.on) << e.id.toString();
     }
+    EXPECT_EQ(state_.scheduleDigest(), net::scheduleDigest(oracle));
     EXPECT_EQ(state_.scheduledCount(), oracle.size());
     if (snapshot) {
+      std::vector<net::ScheduleEntry> snap;
       state_.snapshotEntries(snap);
       expectSameEntries(oracle, snap, "snapshot");
     }
@@ -489,7 +496,7 @@ class OrderCheck {
  private:
   ScheduleState& state_;
   int round_ = 0;
-  std::unordered_map<coflow::CoflowId, net::ScheduleEntry> mirror_;
+  ScheduleMirror mirror_;
 };
 
 constexpr double kMB = util::kMB;
@@ -743,6 +750,122 @@ TEST(ScheduleStateFlatOrder, ChurnStreamMatchesOracle) {
       if (::testing::Test::HasFailure()) return;
     }
   }
+}
+
+// The schedule digest, three ways: ScheduleState's running digest, the
+// digest of snapshotEntries(), and the digest a ScheduleMirror keeps while
+// it applies only the delta chain. After every buildDelta() all three
+// agree, on the golden streams and the churn stream, with and without an
+// ON budget.
+void expectDigestsAgree(std::uint64_t seed, std::size_t max_on,
+                        Tombstones where) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) +
+               " max_on=" + std::to_string(max_on));
+  Replayer replay(max_on, where);
+  ScheduleMirror mirror;
+  std::vector<net::ScheduleEntry> snapshot;
+  std::uint64_t epoch = 0;
+  for (const Op& op : makeStream(seed)) {
+    replay.apply(op);
+    if (op.kind != Op::kEndRound) continue;
+    net::Message frame;
+    frame.type = net::MessageType::kScheduleDelta;
+    frame.epoch = ++epoch;
+    frame.base_epoch = epoch - 1;
+    replay.state.buildDelta(frame.schedule, frame.removals);
+    frame.schedule_digest = replay.state.scheduleDigest();
+    replay.state.snapshotEntries(snapshot);
+    ASSERT_EQ(replay.state.scheduleDigest(), net::scheduleDigest(snapshot))
+        << "round " << replay.round;
+    ASSERT_EQ(mirror.apply(frame), ScheduleMirror::Outcome::kApplied)
+        << "round " << replay.round;
+    ASSERT_EQ(mirror.digest(), replay.state.scheduleDigest());
+    ASSERT_EQ(mirror.entries().size(), snapshot.size());
+  }
+}
+
+TEST(ScheduleStateDigest, AgreesWithSnapshotAndDeltaChain) {
+  for (const std::size_t max_on : {0, 4}) {
+    expectDigestsAgree(101, max_on, Tombstones::kExternal);
+    expectDigestsAgree(202, max_on, Tombstones::kExternal);
+    expectDigestsAgree(303, max_on, Tombstones::kInState);
+  }
+}
+
+TEST(ScheduleStateDigest, MovesWithEveryQueueAndOnChange) {
+  // The digest covers (id, queue, ON) and nothing else: a bytes-only
+  // change the delta chain skips leaves it alone.
+  ScheduleState s(kThresholds, 1);
+  std::vector<net::ScheduleEntry> entries;
+  std::vector<coflow::CoflowId> removals;
+  EXPECT_EQ(s.scheduleDigest(), 0u);
+  s.registerCoflow({1, 0});
+  s.registerCoflow({2, 0});
+  s.buildDelta(entries, removals);
+  const std::uint64_t two = s.scheduleDigest();
+  EXPECT_EQ(two, net::scheduleDigest(entries));
+  s.applySize(1, {2, 0}, 0.5 * util::kMB);  // Bytes only: same queue.
+  EXPECT_FALSE(s.buildDelta(entries, removals));
+  EXPECT_EQ(s.scheduleDigest(), two);
+  s.applySize(1, {1, 0}, 5 * util::kMB);  // Queue 1; {2, 0} takes the ON slot.
+  EXPECT_TRUE(s.buildDelta(entries, removals));
+  EXPECT_EQ(entries.size(), 2u);
+  EXPECT_NE(s.scheduleDigest(), two);
+  s.unregisterCoflow({1, 0});
+  s.unregisterCoflow({2, 0});
+  s.buildDelta(entries, removals);
+  EXPECT_EQ(removals.size(), 2u);
+  EXPECT_EQ(s.scheduleDigest(), 0u);
+}
+
+TEST(ScheduleMirrorDigest, MismatchIsAppliedAndRequestsAreBounded) {
+  ScheduleMirror mirror;
+  const net::ScheduleEntry a{.id = {1, 0}, .global_bytes = 0, .queue = 0, .on = true};
+  net::Message snapshot;
+  snapshot.type = net::MessageType::kScheduleUpdate;
+  snapshot.epoch = 1;
+  snapshot.schedule = {a};
+  ASSERT_EQ(mirror.apply(snapshot), ScheduleMirror::Outcome::kApplied);
+  EXPECT_EQ(mirror.digest(), net::scheduleEntryHash(a.id, a.queue, a.on));
+
+  // A delta whose digest disagrees is still applied (epoch and entries
+  // advance) but reported, and asks for one snapshot request only.
+  net::ScheduleEntry moved = a;
+  moved.queue = 2;
+  net::Message delta;
+  delta.type = net::MessageType::kScheduleDelta;
+  delta.epoch = 2;
+  delta.base_epoch = 1;
+  delta.schedule = {moved};
+  delta.schedule_digest = 12345;
+  EXPECT_EQ(mirror.apply(delta), ScheduleMirror::Outcome::kDigestMismatch);
+  EXPECT_EQ(mirror.epoch(), 2u);
+  EXPECT_EQ(mirror.find(a.id)->queue, 2);
+  EXPECT_TRUE(mirror.snapshotRequestDue(2));
+  for (std::uint64_t e = 3; e < 2 + ScheduleMirror::kRequestPatience; ++e) {
+    EXPECT_FALSE(mirror.snapshotRequestDue(e)) << "epoch " << e;
+  }
+  // Unanswered for kRequestPatience epochs: presumed lost, due again.
+  EXPECT_TRUE(mirror.snapshotRequestDue(2 + ScheduleMirror::kRequestPatience));
+
+  // A snapshot answers it: the digest is recomputed and the next
+  // divergence may ask at once.
+  snapshot.epoch = 10;
+  ASSERT_EQ(mirror.apply(snapshot), ScheduleMirror::Outcome::kApplied);
+  EXPECT_EQ(mirror.digest(), net::scheduleEntryHash(a.id, a.queue, a.on));
+  EXPECT_TRUE(mirror.snapshotRequestDue(11));
+
+  // A removal takes its entry's share out of the digest.
+  delta.epoch = 11;
+  delta.base_epoch = 10;
+  delta.schedule.clear();
+  delta.removals = {a.id};
+  delta.schedule_digest = 0;
+  EXPECT_EQ(mirror.apply(delta), ScheduleMirror::Outcome::kApplied);
+  EXPECT_EQ(mirror.digest(), 0u);
+
+  mirror.restartChain();  // A new connection answers a request too.
+  EXPECT_TRUE(mirror.snapshotRequestDue(12));
 }
 
 }  // namespace
