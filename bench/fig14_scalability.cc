@@ -4,23 +4,20 @@
 //      answering with a size report). The paper measured 8ms at 100
 //      daemons up to 992ms at 100,000 (EC2, 100 machines); here every
 //      daemon shares one host, so absolute numbers differ but the linear
-//      growth in N is the result. Both coordination data paths are
-//      measured side by side: the rebuild-the-world oracle (full
-//      broadcasts + full reports) and the default delta-coded path
+//      growth in N is the result. Rounds run the delta-coded data path
 //      (kScheduleDelta heartbeats, changed-coflows-only reports), with
-//      bytes-on-wire per round recorded for each. A daemons sweep runs
-//      the coordinator's single loop at up to 100k daemons, and one point
+//      bytes-on-wire per round recorded. A daemons sweep runs the
+//      coordinator's single loop at up to 100k daemons, and one point
 //      holds >= 1M live coflows.
 //  (b) Simulation: the price of stale coordination — Aalo's improvement
 //      over per-flow fairness as Δ grows.
 //
 // `--json PATH` skips panel (b) and records panel (a) as machine-readable
-// JSON (see tools/bench_net_record.sh): the full/delta A/B at
-// N ∈ {100, 1000}, the daemons sweep, HA drills, and the live-coflow
-// point. `--daemons` (a comma list) overrides the sweep grid;
-// `--sweep-only` records just the sweep (the CI perf gate's mode). A
-// point that times no round at all makes the run exit non-zero instead of
-// recording it.
+// JSON (see tools/bench_net_record.sh): rounds at N ∈ {100, 1000}, the
+// daemons sweep, HA drills, and the live-coflow point. `--daemons` (a
+// comma list) overrides the sweep grid; `--sweep-only` records just the
+// sweep (the CI perf gate's mode). A point that times no round at all
+// makes the run exit non-zero instead of recording it.
 //
 // Host constraints, disclosed in the JSON: the coordinator's loop thread
 // and the emulated daemons share the host's cores, whose count is
@@ -73,8 +70,8 @@ struct RoundOptions {
   bool blackhole_peer = false;
   /// Disables the liveness/one-way watchdogs. The isolation A/B sets it
   /// on both sides so the blackholed peer is isolated by backpressure, not
-  /// evicted; the full/delta A/B sets it on both sides so a slow full
-  /// round cannot evict emulated daemons and shrink the measured fleet.
+  /// evicted; the fixed-size rounds set it so a slow round cannot evict
+  /// emulated daemons and shrink the measured fleet.
   bool disable_watchdogs = false;
 };
 
@@ -91,7 +88,6 @@ struct RoundSetup {
   /// through paced absolute reports before the timed window.
   std::size_t coflows = 100;
   int rounds = 15;
-  bool full_mode = false;
   double interval = -1;         ///< Sync interval Δ; < 0 = legacy formula.
   RoundOptions opt;
 };
@@ -103,16 +99,15 @@ struct RoundSetup {
 /// round 5 of the 100 coflows grow, each on a rotating 1-in-20 subset of
 /// the daemons — the steady state the delta path is designed for: a
 /// handful of changed coflows per Δ against a standing population, with
-/// most machines seeing no change at all that Δ. Full mode reports and
-/// broadcasts everything every Δ regardless (the pre-delta data path);
-/// delta mode sends changed-only reports with the real daemon's keepalive
-/// pacing for idle ticks (keepalives only in the unmultiplexed shape —
-/// idle *logical* daemons on a shared connection stay silent).
+/// most machines seeing no change at all that Δ. Daemons send
+/// changed-only reports with the real daemon's keepalive pacing for idle
+/// ticks (keepalives only in the unmultiplexed shape — idle *logical*
+/// daemons on a shared connection stay silent).
 RoundCost measureRounds(const RoundSetup& s) {
   const std::size_t conns = s.connections == 0 ? s.daemons : s.connections;
   const std::size_t mux = s.daemons / conns;  // Logical daemons per connection.
   const bool partitioned = s.coflows > 1000;
-  const bool keepalives = !s.full_mode && mux == 1 && !partitioned;
+  const bool keepalives = mux == 1 && !partitioned;
 
   runtime::CoordinatorConfig ccfg;
   // Rounds must not overlap or send backlogs compound — the paper makes
@@ -121,7 +116,6 @@ RoundCost measureRounds(const RoundSetup& s) {
       s.interval > 0
           ? s.interval
           : std::max(0.050, static_cast<double>(s.daemons) * 100e-6);
-  ccfg.full_broadcasts = s.full_mode;
   if (s.opt.disable_watchdogs || mux > 1) {
     // Multiplexed logical daemons report only when they have traffic; the
     // per-peer watchdogs would evict their shared connection for silence.
@@ -183,13 +177,13 @@ RoundCost measureRounds(const RoundSetup& s) {
   std::uint64_t max_full_epoch = 0;
 
   // One size report from logical daemon `d`, mirroring runtime::Daemon:
-  // full mode reports every coflow every Δ; delta mode reports only the
-  // coflows whose local bytes changed, and an idle tick is suppressed
-  // entirely save for an empty keepalive every 3rd Δ (the daemon's
-  // report_keepalive_intervals default). Replies happen inline, so the
-  // timed window is the full round on this host: schedule deliveries
-  // with the daemons' report encode/send work serialized between them —
-  // the same end-to-end per-Δ cost the paper's Fig. 14 plots.
+  // only the coflows whose local bytes changed, and an idle tick is
+  // suppressed entirely save for an empty keepalive every 3rd Δ (the
+  // daemon's report_keepalive_intervals default). Replies happen inline,
+  // so the timed window is the full round on this host: schedule
+  // deliveries with the daemons' report encode/send work serialized
+  // between them — the same end-to-end per-Δ cost the paper's Fig. 14
+  // plots.
   std::vector<int> ticks_since_report(keepalives ? s.daemons : 0, 0);
   auto sendReport = [&](std::size_t d, std::uint64_t epoch, bool in_window) {
     const bool has_traffic = d % 20 == epoch % 20;
@@ -209,12 +203,11 @@ RoundCost measureRounds(const RoundSetup& s) {
     } else {
       for (std::size_t i = 0; i < coflows.size(); ++i) {
         const bool changed = has_traffic && i % 20 == epoch % 20;
-        if (changed) local[d][i] += 10 * util::kMB;
-        if (s.full_mode || changed) {
-          report.sizes.push_back(net::CoflowSize{coflows[i], local[d][i]});
-        }
+        if (!changed) continue;
+        local[d][i] += 10 * util::kMB;
+        report.sizes.push_back(net::CoflowSize{coflows[i], local[d][i]});
       }
-      if (!s.full_mode && report.sizes.empty()) {
+      if (report.sizes.empty()) {
         if (!keepalives) return;  // Idle multiplexed daemons stay silent.
         if (++ticks_since_report[d] < 3) {
           return;  // Suppressed, exactly as the real daemon would.
@@ -376,18 +369,6 @@ RoundCost measureRounds(const RoundSetup& s) {
   cost.up_bytes_per_round = bytes_up / s.rounds;
   cost.live_coflows = coflows.size();
   return cost;
-}
-
-/// Legacy entry point (the full/delta A/B, the isolation drill, table
-/// mode): one connection per daemon, 100 shared coflows.
-RoundCost measureRounds(std::size_t num_daemons, int rounds, bool full_mode,
-                        RoundOptions opt = {}) {
-  RoundSetup s;
-  s.daemons = num_daemons;
-  s.rounds = rounds;
-  s.full_mode = full_mode;
-  s.opt = opt;
-  return measureRounds(s);
 }
 
 struct FailoverCost {
@@ -575,7 +556,7 @@ struct JsonOptions {
   const char* path = nullptr;
   std::vector<std::size_t> daemons_list;
   int rounds_override = -1;
-  /// Record only the daemons sweep (skips the full/delta A/B, the HA
+  /// Record only the daemons sweep (skips the fixed-size rounds, the HA
   /// drills, and the live-coflow point) — the CI perf gate's mode.
   bool sweep_only = false;
   /// Coflow population for the high-cardinality point; 0 skips it.
@@ -586,9 +567,9 @@ struct JsonOptions {
 };
 
 /// `--json PATH` mode: the record the acceptance criteria cite
-/// (BENCH_net.json) — the full/delta A/B at N ∈ {100, 1000}, the daemons
-/// sweep, HA drills, and the >= 1M live-coflow point. The file is written
-/// only once every point has timed rounds.
+/// (BENCH_net.json) — rounds at N ∈ {100, 1000}, the daemons sweep, HA
+/// drills, and the >= 1M live-coflow point. The file is written only once
+/// every point has timed rounds.
 int recordJson(const JsonOptions& jopt) {
   const int rounds = 15;
   std::ostringstream out;
@@ -607,28 +588,21 @@ int recordJson(const JsonOptions& jopt) {
          "is per connection — see connections/mux_factor per point\",\n"
       << "  \"results\": [";
   bool first = true;
-  std::unordered_map<std::string, RoundCost> by_key;
   if (!jopt.sweep_only) {
-    RoundOptions ab;
-    ab.disable_watchdogs = true;
     for (const std::size_t n : {100ul, 1000ul}) {
-      for (const bool full : {true, false}) {
-        const RoundCost cost = measureRounds(n, rounds, full, ab);
-        const std::string mode = full ? "full" : "delta";
-        if (!timedRounds(cost, mode + " @" + std::to_string(n))) return 1;
-        by_key[mode + std::to_string(n)] = cost;
-        out << (first ? "" : ",") << "\n    {\"daemons\": " << n
-            << ", \"mode\": \"" << mode
-            << "\", \"avg_round_s\": " << cost.avg_fanout_seconds
-            << ", \"down_bytes_per_round\": " << cost.down_bytes_per_round
-            << ", \"up_bytes_per_round\": " << cost.up_bytes_per_round << "}";
-        first = false;
-        std::fprintf(stderr, "  [%s %4zu daemons] round %s, down %s, up %s\n",
-                     mode.c_str(), n,
-                     util::formatSeconds(cost.avg_fanout_seconds).c_str(),
-                     formatBytes(cost.down_bytes_per_round).c_str(),
-                     formatBytes(cost.up_bytes_per_round).c_str());
-      }
+      const RoundCost cost = measureRounds(
+          {.daemons = n, .rounds = rounds, .opt = {.disable_watchdogs = true}});
+      if (!timedRounds(cost, "delta @" + std::to_string(n))) return 1;
+      out << (first ? "" : ",") << "\n    {\"daemons\": " << n
+          << ", \"mode\": \"delta\", \"avg_round_s\": "
+          << cost.avg_fanout_seconds
+          << ", \"down_bytes_per_round\": " << cost.down_bytes_per_round
+          << ", \"up_bytes_per_round\": " << cost.up_bytes_per_round << "}";
+      first = false;
+      std::fprintf(stderr, "  [delta %4zu daemons] round %s, down %s, up %s\n",
+                   n, util::formatSeconds(cost.avg_fanout_seconds).c_str(),
+                   formatBytes(cost.down_bytes_per_round).c_str(),
+                   formatBytes(cost.up_bytes_per_round).c_str());
     }
   }
   out << "\n  ],";
@@ -679,16 +653,6 @@ int recordJson(const JsonOptions& jopt) {
   }
 
   if (!jopt.sweep_only) {
-    const auto& full1k = by_key["full1000"];
-    const auto& delta1k = by_key["delta1000"];
-    const double speedup =
-        full1k.avg_fanout_seconds / delta1k.avg_fanout_seconds;
-    const double wire_total_full =
-        full1k.down_bytes_per_round + full1k.up_bytes_per_round;
-    const double wire_total_delta =
-        delta1k.down_bytes_per_round + delta1k.up_bytes_per_round;
-    const double wire_ratio =
-        wire_total_delta > 0 ? wire_total_full / wire_total_delta : -1;
     // High-availability record: warm-standby failover recovery and the
     // blackholed-daemon isolation A/B, both at 1000 daemons.
     const FailoverCost failover = measureFailover(1000);
@@ -697,11 +661,12 @@ int recordJson(const JsonOptions& jopt) {
                  failover.recovered,
                  util::formatSeconds(failover.p50_seconds).c_str(),
                  util::formatSeconds(failover.p99_seconds).c_str());
-    RoundOptions iso;
-    iso.disable_watchdogs = true;
-    const RoundCost iso_healthy = measureRounds(1000, rounds, false, iso);
-    iso.blackhole_peer = true;
-    const RoundCost iso_degraded = measureRounds(1000, rounds, false, iso);
+    RoundSetup iso{.daemons = 1000,
+                   .rounds = rounds,
+                   .opt = {.disable_watchdogs = true}};
+    const RoundCost iso_healthy = measureRounds(iso);
+    iso.opt.blackhole_peer = true;
+    const RoundCost iso_degraded = measureRounds(iso);
     if (!timedRounds(iso_healthy, "isolation healthy @1000") ||
         !timedRounds(iso_degraded, "isolation blackholed @1000")) {
       return 1;
@@ -715,9 +680,7 @@ int recordJson(const JsonOptions& jopt) {
                  util::formatSeconds(iso_degraded.avg_fanout_seconds).c_str(),
                  iso_ratio);
 
-    out << ",\n  \"round_time_speedup_1000\": " << speedup
-        << ",\n  \"wire_bytes_ratio_1000\": " << wire_ratio
-        << ",\n  \"failover\": {\"daemons\": 1000, \"takeover_intervals\": 5"
+    out << ",\n  \"failover\": {\"daemons\": 1000, \"takeover_intervals\": 5"
         << ", \"recovered\": " << failover.recovered
         << ", \"recovery_p50_s\": " << failover.p50_seconds
         << ", \"recovery_p99_s\": " << failover.p99_seconds << "}"
@@ -725,10 +688,6 @@ int recordJson(const JsonOptions& jopt) {
         << ", \"healthy_round_s\": " << iso_healthy.avg_fanout_seconds
         << ", \"blackholed_round_s\": " << iso_degraded.avg_fanout_seconds
         << ", \"round_time_ratio\": " << iso_ratio << "}";
-    std::fprintf(stderr,
-                 "fig14: @1000 daemons delta is %.2fx faster per round, "
-                 "%.1fx fewer bytes on the wire\n",
-                 speedup, wire_ratio);
   }
   out << "\n}\n";
   std::ofstream file(jopt.path);
@@ -799,23 +758,17 @@ int main(int argc, char** argv) {
       "1.78x) and collapses past Δ=10s");
 
   std::printf("\nFigure 14a — real loopback coordination rounds "
-              "(100 coflows, 5 changing per Δ), full vs delta data path:\n");
-  util::Table rounds_table({"# emulated daemons", "full round", "full wire/round",
-                            "delta round", "delta wire/round"});
-  RoundOptions ab;
-  ab.disable_watchdogs = true;
+              "(100 coflows, 5 changing per Δ):\n");
+  util::Table rounds_table({"# emulated daemons", "round", "wire/round"});
   for (const std::size_t n : {100ul, 500ul, 1000ul, 2500ul, 5000ul}) {
-    const RoundCost full = measureRounds(n, 15, true, ab);
-    const RoundCost delta = measureRounds(n, 15, false, ab);
+    const RoundCost cost =
+        measureRounds({.daemons = n, .opt = {.disable_watchdogs = true}});
     rounds_table.addRow(
         {std::to_string(n),
-         full.avg_fanout_seconds < 0 ? "timeout"
-                                     : util::formatSeconds(full.avg_fanout_seconds),
-         formatBytes(full.down_bytes_per_round + full.up_bytes_per_round),
-         delta.avg_fanout_seconds < 0
+         cost.avg_fanout_seconds < 0
              ? "timeout"
-             : util::formatSeconds(delta.avg_fanout_seconds),
-         formatBytes(delta.down_bytes_per_round + delta.up_bytes_per_round)});
+             : util::formatSeconds(cost.avg_fanout_seconds),
+         formatBytes(cost.down_bytes_per_round + cost.up_bytes_per_round)});
     std::fprintf(stderr, "  [fanout %5zu daemons] done\n", n);
   }
   rounds_table.print(std::cout);
@@ -827,11 +780,10 @@ int main(int argc, char** argv) {
               failover.recovered,
               util::formatSeconds(failover.p50_seconds).c_str(),
               util::formatSeconds(failover.p99_seconds).c_str());
-  RoundOptions iso;
-  iso.disable_watchdogs = true;
-  const RoundCost iso_healthy = measureRounds(1000, 15, false, iso);
-  iso.blackhole_peer = true;
-  const RoundCost iso_degraded = measureRounds(1000, 15, false, iso);
+  RoundSetup iso{.daemons = 1000, .opt = {.disable_watchdogs = true}};
+  const RoundCost iso_healthy = measureRounds(iso);
+  iso.opt.blackhole_peer = true;
+  const RoundCost iso_degraded = measureRounds(iso);
   std::printf("  blackholed-peer isolation: healthy round %s vs %s "
               "(ratio %.2f)\n",
               util::formatSeconds(iso_healthy.avg_fanout_seconds).c_str(),

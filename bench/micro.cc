@@ -113,8 +113,8 @@ void BM_ProtocolEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_ProtocolEncodeDecode)->Arg(100)->Arg(1000);
 
 // Steady-state delta frame: a handful of moved coflows plus a few
-// removals — what the coordinator actually encodes every Δ in delta mode
-// (compare BM_ProtocolEncodeDecode/100, the full-snapshot cost).
+// removals — what the coordinator actually encodes every Δ (compare
+// BM_ProtocolEncodeDecode/100, the full-snapshot cost).
 void BM_EncodeScheduleDelta(benchmark::State& state) {
   net::Message delta;
   delta.type = net::MessageType::kScheduleDelta;

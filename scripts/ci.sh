@@ -9,7 +9,7 @@
 #                            # + engine pins + net + frame fuzz + checkpoint fuzz
 #                            # + maxmin + D-CLAS + baselines + rack fabric
 #                            # + per-port schedulers + property sweep
-#                            # + workload
+#                            # + workload + tool CLIs
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
@@ -19,7 +19,7 @@
 # The chaos suites (tests/chaos_test.cc, tests/runtime_robustness_test.cc,
 # tests/coordination_equivalence_test.cc) carry the "chaos" ctest label;
 # they exercise the fault-tolerance paths (reconnects, eviction, mangled
-# frames and sizes, delta/full data-path equivalence, the pinned wire
+# frames and sizes, the delta path against its oracle, the pinned wire
 # transcript, and the coordinator's threads under churn) where
 # sanitizers earn their keep. The observability suites (tests/obs_*.cc, trace_fuzz_test.cc,
 # golden_trace_test.cc) carry the "metrics" label; the registry
@@ -112,7 +112,7 @@ expect_clean_failure() {
 }
 
 run_asan() {
-  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + frame fuzz + maxmin + scheduler suites ==="
+  echo "=== asan: engine equivalence + chaos + metrics + ha + sched + state + net + frame fuzz + maxmin + scheduler suites + cli ==="
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
     --target chaos_test runtime_robustness_test engine_equivalence_test \
@@ -123,7 +123,7 @@ run_asan() {
              net_test frame_fuzz_test checkpoint_fuzz_test maxmin_test \
              dclas_test baselines_test rack_fabric_test uncoordinated_test \
              extensions_test \
-             sim_property_test workload_test
+             sim_property_test workload_test cli_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
     -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
@@ -151,6 +151,9 @@ run_asan() {
   # Workload generators and both trace readers' malformed-input tests
   # (TraceIo.*, CoflowBenchmarkTrace.*), whole binary.
   ./build-asan/tests/workload_test
+  # The tools' command-line contract (exit codes, unknown flags), run on
+  # the asan-built aalo_sim, aalo_coordinator and aalo_daemon.
+  ./build-asan/tests/cli_test
   (cd build-asan && ctest -L metrics --output-on-failure -j "$(nproc)")
   # '^ha$' because -L is a regex and a bare "ha" also matches "chaos".
   (cd build-asan && ctest -L '^ha$' --output-on-failure -j "$(nproc)")

@@ -608,43 +608,29 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
 
 void Coordinator::broadcastSchedule() {
   const std::uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Full mode (the oracle) owes every peer this round's snapshot. Delta
-  // mode encodes what changed once (an unchanged schedule encodes as an
-  // epoch-only heartbeat) with the schedule's digest, and owes snapshots
+  // What changed is encoded once (an unchanged schedule encodes as an
+  // epoch-only heartbeat) with the schedule's digest; snapshots are owed
   // only on connect, on request and after backpressure.
-  const bool full = config_.full_broadcasts;
   net::Message message;
+  message.type = net::MessageType::kScheduleDelta;
   message.epoch = epoch;
+  message.base_epoch = epoch - 1;
   message.fence = fence_.load(std::memory_order_relaxed);
-  bool changed = false;
-  if (!full) {
-    changed = state_.buildDelta(entries_scratch_, removals_scratch_);
-    message.type = net::MessageType::kScheduleDelta;
-    message.base_epoch = epoch - 1;
-    message.schedule_digest = state_.scheduleDigest();
-    message.schedule.swap(entries_scratch_);
-    message.removals.swap(removals_scratch_);
-    net::encodeMessage(
-        message, takeShared(delta_scratch_, *scratch_reuse_, *scratch_alloc_));
-    message.schedule.swap(entries_scratch_);
-    message.removals.swap(removals_scratch_);
-  }
-  // The snapshot is encoded lazily — most delta rounds no peer needs one.
+  const bool changed = state_.buildDelta(entries_scratch_, removals_scratch_);
+  message.schedule_digest = state_.scheduleDigest();
+  message.schedule.swap(entries_scratch_);
+  message.removals.swap(removals_scratch_);
+  net::encodeMessage(
+      message, takeShared(delta_scratch_, *scratch_reuse_, *scratch_alloc_));
+  message.schedule.swap(entries_scratch_);
+  message.removals.swap(removals_scratch_);
+  // The snapshot is encoded lazily — most rounds no peer needs one.
   bool snapshot_encoded = false;
   const auto encodeSnapshot = [&] {
     message.type = net::MessageType::kScheduleUpdate;
     message.base_epoch = 0;
     message.schedule.swap(entries_scratch_);
-    if (full) {
-      // Rebuilt from the stored reports (attained service only grows, so
-      // last-writer-wins per daemon is exact). The filter covers sizes
-      // stored before an unregister; later mentions are filtered on arrival.
-      state_.legacySchedule(
-          [this](const coflow::CoflowId& id) { return state_.isTombstoned(id); },
-          message.schedule);
-    } else {
-      state_.snapshotEntries(message.schedule);
-    }
+    state_.snapshotEntries(message.schedule);
     net::encodeMessage(message, takeShared(snapshot_scratch_, *scratch_reuse_,
                                            *scratch_alloc_));
     message.schedule.swap(entries_scratch_);  // Keep the capacity for reuse.
@@ -673,7 +659,7 @@ void Coordinator::broadcastSchedule() {
       stats_.broadcasts_coalesced.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const bool want_snapshot = full || peer.needs_snapshot;
+    const bool want_snapshot = peer.needs_snapshot;
     // Update peer state *before* the send: a failing send closes the
     // connection inline, whose close handler erases this Peer.
     if (want_snapshot) {

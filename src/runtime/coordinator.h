@@ -6,15 +6,13 @@
 // and independent of the number of coflows (§3.2): one report in and one
 // broadcast out per daemon per round.
 //
-// Delta-coded data path (default): size reports are folded into an
-// incrementally maintained ScheduleState as they arrive, and each round
-// broadcasts only what changed (kScheduleDelta) — an empty heartbeat when
-// nothing did. Every delta carries the schedule's digest, so a daemon
-// whose copy silently diverged asks for a snapshot within one frame; full
-// snapshots go out per peer only on connect, on request and after
-// backpressure. The broadcast payload is encoded once and fanned out
-// zero-copy. full_broadcasts restores the rebuild-the-world oracle path
-// for A/B comparison.
+// Delta-coded data path: size reports are folded into an incrementally
+// maintained ScheduleState as they arrive, and each round broadcasts only
+// what changed (kScheduleDelta) — an empty heartbeat when nothing did.
+// Every delta carries the schedule's digest, so a daemon whose copy
+// silently diverged asks for a snapshot within one frame; full snapshots
+// go out per peer only on connect, on request and after backpressure. The
+// broadcast payload is encoded once and fanned out zero-copy.
 //
 // Fault tolerance (§3.2 hardening):
 //  * Liveness eviction — a daemon whose reports stop for N·Δ is dropped
@@ -73,10 +71,6 @@ struct CoordinatorConfig {
   /// Collect an unregister tombstone after no report has mentioned the
   /// coflow for this many sync intervals. 0 keeps tombstones forever.
   int tombstone_gc_intervals = 50;
-  /// Oracle mode: rebuild and broadcast the full schedule every Δ exactly
-  /// as the pre-delta coordinator did. Deltas and suppression are
-  /// disabled; kept for A/B benchmarking and the equivalence tests.
-  bool full_broadcasts = false;
   /// Observability: when non-empty, the metrics registry is written to
   /// this path (Prometheus text; JSON alongside at `<path>.json`) every
   /// metrics_dump_interval on the loop thread, plus once at stop().
@@ -201,9 +195,8 @@ class Coordinator {
   std::unordered_map<std::uint64_t, Peer> peers_;
   std::uint64_t next_peer_key_ = 1;
   /// Incrementally maintained global sizes + queue assignments + sorted
-  /// schedule; also stores the raw per-daemon reports (the legacy oracle
-  /// rebuilds from those in full_broadcasts mode) and the tombstones of
-  /// explicit unregisters: daemons keep reporting absolute local sizes for
+  /// schedule; also stores the raw per-daemon reports (checkpoints write
+  /// those) and the tombstones of explicit unregisters: daemons keep reporting absolute local sizes for
   /// completed coflows, and those must not resurface in schedules. A
   /// tombstone is GC'd by collectTombstones once every live daemon has
   /// stopped mentioning the coflow.

@@ -234,11 +234,9 @@ void Daemon::sendSizeReport() {
   net::Message report;
   report.type = net::MessageType::kSizeReport;
   report.daemon_id = config_.daemon_id;
-  bool full = config_.full_reports || force_full_report_;
-  if (!full && config_.resync_intervals > 0 &&
-      reports_since_resync_ + 1 >= config_.resync_intervals) {
-    full = true;
-  }
+  const bool full = force_full_report_ ||
+                    (config_.resync_intervals > 0 &&
+                     reports_since_resync_ + 1 >= config_.resync_intervals);
   {
     std::lock_guard lock(mutex_);
     // Echo the last applied epoch so the coordinator can spot a one-way

@@ -6,10 +6,10 @@
 // has never seen in a schedule are treated as highest priority (new ==
 // likely small, §3.2).
 //
-// Delta-coded data path (default): reports carry only the coflows whose
-// local bytes changed since the last report (absolute values, so each
-// report is self-sufficient per coflow), with periodic full resyncs;
-// schedule updates arrive as kScheduleDelta frames chained by epoch, each
+// Delta-coded data path: reports carry only the coflows whose local bytes
+// changed since the last report (absolute values, so each report is
+// self-sufficient per coflow), with periodic full resyncs; schedule
+// updates arrive as kScheduleDelta frames chained by epoch, each
 // carrying the schedule's digest — a detected gap or digest mismatch
 // triggers a kSnapshotRequest and a forced full report.
 //
@@ -91,10 +91,6 @@ struct DaemonConfig {
   /// re-teaches a restarted coordinator. Forced resyncs (reconnect, epoch
   /// gap) happen regardless. 0 = forced resyncs only.
   int resync_intervals = 10;
-  /// Oracle mode: report every locally accounted coflow each Δ exactly as
-  /// the pre-delta daemon did. Kept for A/B benchmarking and the
-  /// equivalence tests.
-  bool full_reports = false;
   /// Delta reports with no changed coflows are suppressed entirely,
   /// except every this many ticks an empty keepalive still goes out so
   /// the coordinator's liveness watchdog and epoch-echo keep working.

@@ -13,6 +13,15 @@ std::uint64_t hashOf(const net::ScheduleEntry& e) {
 ScheduleMirror::Outcome ScheduleMirror::apply(
     const net::Message& frame, std::vector<coflow::CoflowId>* removed) {
   if (frame.fence < fence_) return Outcome::kStaleFence;
+  const bool delta = frame.type == net::MessageType::kScheduleDelta;
+  // Neither the codec nor the digest covers fence and epoch, so a delta
+  // may not move them: one with a new fence, or not shaped like a link of
+  // a chain (the coordinator sends base_epoch = epoch - 1), is a gap. A
+  // damaged one cannot raise the fence or the epoch above every later
+  // frame; a snapshot repairs the schedule.
+  if (delta && (frame.fence > fence_ || frame.epoch != frame.base_epoch + 1)) {
+    return Outcome::kGap;
+  }
   if (frame.fence > fence_) {
     // A new incarnation numbers an independent broadcast stream.
     fence_ = frame.fence;
@@ -20,7 +29,7 @@ ScheduleMirror::Outcome ScheduleMirror::apply(
   }
   // An old epoch must never overwrite newer state.
   if (frame.epoch <= epoch_) return Outcome::kOldEpoch;
-  if (frame.type == net::MessageType::kScheduleDelta) {
+  if (delta) {
     // A delta that does not build on what was applied does not compose.
     if (frame.base_epoch != epoch_) return Outcome::kGap;
     epoch_ = frame.epoch;
@@ -59,6 +68,12 @@ ScheduleMirror::Outcome ScheduleMirror::apply(
 }
 
 bool ScheduleMirror::snapshotRequestDue(std::uint64_t frame_epoch) {
+  if (requested_at_ != 0 && frame_epoch < requested_at_) {
+    // The request was dated by a damaged or reordered frame: count the
+    // patience from this one instead, so a lost request is still retried.
+    requested_at_ = frame_epoch;
+    return false;
+  }
   if (requested_at_ != 0 && frame_epoch < requested_at_ + kRequestPatience) {
     return false;
   }

@@ -2,16 +2,18 @@
 // the one set of rules by which a follower — a daemon or a warm standby —
 // applies kScheduleUpdate / kScheduleDelta frames, and the schedule they
 // leave behind. apply() drops a frame whose fence is below the highest
-// seen (a deposed primary); restarts the epoch chain on a higher fence
-// (a new incarnation); drops an epoch not above the applied one
-// (duplicate or reorder); reports a delta whose base_epoch is not the
-// applied epoch as a gap; and otherwise applies it: a snapshot replaces
-// the schedule, a delta upserts its entries and drops its removals. The
-// mirror keeps the net::scheduleDigest of what it holds, in O(entries
-// applied), and reports a delta whose digest disagrees as a mismatch.
-// It also bounds the snapshot requests a chain sends. Staleness clocks,
-// the requests themselves and counters stay with the caller (DESIGN.md
-// §9 has the table). Not thread-safe.
+// seen (a deposed primary); reports a delta with a higher fence, or whose
+// epoch is not base_epoch + 1, as a gap (only a snapshot may raise the
+// fence); restarts the epoch chain on a snapshot's higher fence (a new
+// incarnation); drops an epoch not above the applied one (duplicate or
+// reorder); reports a delta whose base_epoch is not the applied epoch as
+// a gap; and otherwise applies it: a snapshot replaces the schedule, a
+// delta upserts its entries and drops its removals. The mirror keeps the
+// net::scheduleDigest of what it holds, in O(entries applied), and
+// reports a delta whose digest disagrees as a mismatch. It also bounds
+// the snapshot requests a chain sends. Staleness clocks, the requests
+// themselves and counters stay with the caller (DESIGN.md §9 has the
+// table). Not thread-safe.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +42,8 @@ class ScheduleMirror {
   /// kSnapshotRequest now. At most one is outstanding per chain: an
   /// applied snapshot or a new chain answers it, and one that
   /// kRequestPatience further epochs have not answered is presumed lost
-  /// (the request or its snapshot was dropped) and is due again.
+  /// (the request or its snapshot was dropped) and is due again. A frame
+  /// epoch below the request's moves the request's date down to it.
   bool snapshotRequestDue(std::uint64_t frame_epoch);
 
   /// A new connection: the next frame starts a fresh epoch chain (the

@@ -337,21 +337,24 @@ void ScheduleState::registerCoflow(const coflow::CoflowId& id) {
   if (!(b.flags & kLive)) makeLive(b);
 }
 
-void ScheduleState::unregisterCoflow(const coflow::CoflowId& id) {
-  const std::size_t i = find(id);
-  if (i == kNone) return;
-  Bucket& b = table_[i];
+void ScheduleState::removeAt(std::size_t slot) {
+  Bucket& b = table_[slot];
   if (b.flags & kRegistered) --registered_;
   if (b.flags & kLive) {
     --live_;  // Its order entry goes stale with the live bit.
     if (b.flags & kSent) {
-      removed_.push_back(id);
+      removed_.push_back(keyOf(b));
       digest_ -= sentHash(b);
     }
   }
   releaseReporters(b);
   b.flags &= kUsed | kTombstoned;
-  if (!(b.flags & kTombstoned)) eraseAt(i);
+  if (!(b.flags & kTombstoned)) eraseAt(slot);
+}
+
+void ScheduleState::unregisterCoflow(const coflow::CoflowId& id) {
+  const std::size_t i = find(id);
+  if (i != kNone) removeAt(i);
 }
 
 void ScheduleState::applyAt(Bucket& b, std::uint64_t daemon_id, double bytes) {
@@ -391,6 +394,10 @@ void ScheduleState::dropDaemon(std::uint64_t daemon_id) {
     Bucket& b = table_[i];
     double bytes = 0;
     if (!takeReport(b, daemon_id, bytes)) continue;  // Stale or duplicate.
+    if (!(b.flags & (kReported | kRegistered))) {
+      removeAt(i);  // An orphan: the rebuild would not list it.
+      continue;
+    }
     b.bytes -= bytes;
     if (b.bytes < 0) b.bytes = 0;
     moveToQueue(b, sched::queueForSize(thresholds_,

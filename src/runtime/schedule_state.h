@@ -63,9 +63,10 @@
 //    collection pops only entries older than the cutoff and re-queues
 //    those mentioned since, so it costs O(expired), not O(tombstones).
 //
-// legacySchedule() reproduces the original rebuild-the-world path verbatim
-// and serves both as the full-broadcast oracle mode and as the reference
-// in equivalence tests (same pattern as fabric::maxMinAllocateReference).
+// legacySchedule() reproduces the original rebuild-the-world path verbatim.
+// It is a test oracle only: the equivalence tests check snapshotEntries()
+// against it entry for entry (same pattern as
+// fabric::maxMinAllocateReference).
 #pragma once
 
 #include <chrono>
@@ -123,7 +124,9 @@ class ScheduleState {
 
   /// The daemon disconnected or was evicted: subtract everything it
   /// reported from the global sizes (exactly what the legacy rebuild did
-  /// by dropping its report map).
+  /// by dropping its report map). A coflow left with no reporter that
+  /// nobody registered (an orphan) leaves the schedule, as it is absent
+  /// from the rebuild: announced as a removal, erased unless tombstoned.
   void dropDaemon(std::uint64_t daemon_id);
 
   /// Tombstones `id` (completed coflows must not resurface from daemons
@@ -200,10 +203,9 @@ class ScheduleState {
   }
 
   using TombstoneFilter = std::function<bool(const coflow::CoflowId&)>;
-  /// Reference oracle: rebuilds the schedule from scratch out of the
-  /// stored per-daemon reports + registrations, exactly as the
-  /// pre-incremental coordinator did every Δ. Used by full-broadcast
-  /// mode and by the equivalence tests.
+  /// Test oracle: rebuilds the schedule from scratch out of the stored
+  /// per-daemon reports + registrations, exactly as the pre-incremental
+  /// coordinator did every Δ. No production path calls it.
   void legacySchedule(const TombstoneFilter& tombstoned,
                       std::vector<net::ScheduleEntry>& out) const;
 
@@ -291,6 +293,10 @@ class ScheduleState {
 
   void applyAt(Bucket& b, std::uint64_t daemon_id, double bytes);
   void makeLive(Bucket& b);
+  /// Takes the bucket at `slot` out of the schedule (announcing a removal
+  /// if the delta chain had announced it) and drops its reports; erases
+  /// it unless tombstoned.
+  void removeAt(std::size_t slot);
   /// The stored absolute report of `daemon_id` in `b`, created at 0.
   double& reportOf(Bucket& b, std::uint64_t daemon_id);
   /// Unlinks `daemon_id`'s report from `b`; false when it has none.

@@ -24,6 +24,7 @@
 #include "runtime/client.h"
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
+#include "tests/helpers.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -31,13 +32,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-void waitFor(auto predicate, std::chrono::milliseconds timeout = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!predicate() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  ASSERT_TRUE(predicate()) << "timed out";
-}
+using testing::waitFor;
 
 // ---------------------------------------------------------------------------
 // ChaosProxy determinism: the same seed and frame sequence must produce the

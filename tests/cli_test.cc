@@ -13,6 +13,9 @@
 #ifndef AALO_SIM_BIN
 #error "AALO_SIM_BIN must point at the aalo_sim binary"
 #endif
+#ifndef AALO_DAEMON_BIN
+#error "AALO_DAEMON_BIN must point at the aalo_daemon binary"
+#endif
 
 namespace aalo {
 namespace {
@@ -117,6 +120,32 @@ TEST(AaloCoordinatorCli, SnapshotEveryIsAnUnknownFlag) {
   EXPECT_NE(out.output.find("unknown flag --snapshot-every"), std::string::npos)
       << out.output;
   EXPECT_EQ(out.output.find("snapshot-every N"), std::string::npos)
+      << out.output;
+}
+
+TEST(AaloCoordinatorCli, FullBroadcastsIsAnUnknownFlag) {
+  // The delta path is the only data path; the full-broadcast oracle mode
+  // and its flag are gone.
+  const Outcome out = run(std::string("timeout 30 ") + AALO_COORDINATOR_BIN +
+                          " --port 0 --full-broadcasts");
+  EXPECT_TRUE(out.exited) << out.output;
+  EXPECT_GE(out.code, 1) << out.output;
+  EXPECT_LE(out.code, 127) << out.output;
+  EXPECT_NE(out.output.find("unknown flag --full-broadcasts"), std::string::npos)
+      << out.output;
+}
+
+TEST(AaloDaemonCli, FullReportsIsAnUnknownFlag) {
+  // Reports carry changed coflows plus periodic resyncs only; the
+  // full-report oracle mode and its flag are gone. Port 1 has no
+  // coordinator, so a daemon that took the flag fails on the dial: only
+  // the message tells the two failures apart.
+  const Outcome out = run(std::string("timeout 30 ") + AALO_DAEMON_BIN +
+                          " --coordinator-port 1 --full-reports");
+  EXPECT_TRUE(out.exited) << out.output;
+  EXPECT_GE(out.code, 1) << out.output;
+  EXPECT_LE(out.code, 127) << out.output;
+  EXPECT_NE(out.output.find("unknown flag --full-reports"), std::string::npos)
       << out.output;
 }
 

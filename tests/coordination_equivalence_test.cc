@@ -1,15 +1,15 @@
-// Delta/full equivalence for the coordination plane.
+// Equivalence of the coordination plane's delta path to its oracles.
 //
 // The delta-coded data path (incremental ScheduleState, kScheduleDelta
-// broadcasts, delta size reports) must be *observably identical* to the
-// rebuild-the-world oracle it replaced: same global sizes, same queue
-// assignments, same ON/OFF gating, same fault-tolerance behavior — under
-// clean links and under seeded chaos (drops, reordering, duplication,
-// eviction and rejoin). These tests pin that equivalence from two sides:
-// a seeded fuzz of ScheduleState against its legacy rebuild oracle, and a
-// full multi-daemon scenario executed once per mode with every observable
-// compared at the end. A golden wire transcript of one scripted socket run
-// pins what the coordinator tells daemons, bit for bit.
+// broadcasts, delta size reports) must leave exactly the schedule the
+// rebuild-the-world oracle (ScheduleState::legacySchedule) derives: same
+// global sizes, same queue assignments, same ON/OFF gating — under clean
+// links and under seeded chaos (drops, reordering, duplication, eviction
+// and rejoin). These tests pin that from two sides: a seeded fuzz of
+// ScheduleState against legacySchedule, and a multi-daemon chaos scenario
+// whose end state is checked against what the oracle says it must be. A
+// golden wire transcript of one scripted socket run pins what the
+// coordinator tells daemons, bit for bit.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -29,6 +29,7 @@
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
 #include "runtime/schedule_state.h"
+#include "tests/helpers.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -37,13 +38,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-void waitFor(auto predicate, std::chrono::milliseconds timeout = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!predicate() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  ASSERT_TRUE(predicate()) << "timed out";
-}
+using testing::waitFor;
 
 // ---------------------------------------------------------------------------
 // ScheduleState vs the legacy rebuild oracle, and the delta chain vs the
@@ -147,22 +142,14 @@ TEST(CoordinationEquivalence, ScheduleStateMatchesLegacyOracleWithOnBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Full scenario, once per mode: coordinator + a clean daemon + a daemon
-// behind a seeded lossy ChaosProxy; size ramp, a lossy window, a liveness
-// eviction and rejoin, and an unregister. Every observable the data path
-// exposes must come out identical in delta and full mode. All sizes are
-// integer bytes, so cross-mode double comparisons are exact.
+// Chaos scenario: coordinator + a clean daemon + a daemon behind a seeded
+// lossy ChaosProxy; size ramp, a lossy window, a liveness eviction and
+// rejoin, and an unregister. The delta path must leave exactly the
+// schedule the rebuild oracle derives from what survives: coflow a at
+// 8 MB (queue 1, ON) on the coordinator and on both daemons, and nothing
+// else. All sizes are integer bytes, so the comparisons are exact.
 
-struct ScenarioResult {
-  std::unordered_map<coflow::CoflowId, double> global;
-  int d1_queue_a = -1, d2_queue_a = -1;
-  bool d1_on_a = false, d2_on_a = false;
-  std::uint64_t evicted = 0;
-};
-
-ScenarioResult runScenario(bool full_mode) {
-  ScenarioResult result;
-
+TEST(CoordinationEquivalence, ChaosScenarioEndsAtTheOracleSchedule) {
   CoordinatorConfig ccfg;
   ccfg.sync_interval = 0.005;
   ccfg.dclas.num_queues = 4;
@@ -170,7 +157,6 @@ ScenarioResult runScenario(bool full_mode) {
   ccfg.dclas.exp_factor = 10;
   ccfg.liveness_timeout_intervals = 50;  // Lossy reports must never evict.
   ccfg.one_way_timeout_intervals = 200;
-  ccfg.full_broadcasts = full_mode;
   Coordinator coordinator(ccfg);
   coordinator.start();
 
@@ -179,7 +165,6 @@ ScenarioResult runScenario(bool full_mode) {
   base.sync_interval = 0.005;
   base.num_queues = 4;
   base.dclas = ccfg.dclas;
-  base.full_reports = full_mode;
   base.resync_intervals = 7;
   base.reconnect_interval = 0.02;
 
@@ -229,8 +214,7 @@ ScenarioResult runScenario(bool full_mode) {
   });
 
   // Lossy window: broadcasts to d2 are dropped / reordered / duplicated.
-  // Delta mode must detect the gaps and repair itself with snapshots;
-  // full mode just re-applies newer epochs.
+  // d2 must detect the gaps and repair itself with snapshots.
   net::ChaosPolicy lossy_down;
   lossy_down.drop = 0.25;
   lossy_down.reorder = 0.2;
@@ -238,12 +222,8 @@ ScenarioResult runScenario(bool full_mode) {
   net::ChaosPolicy lossy_up;
   lossy_up.duplicate = 0.1;
   proxy.setPolicies(lossy_up, lossy_down);
-  if (full_mode) {
-    std::this_thread::sleep_for(200ms);
-  } else {
-    waitFor([&] { return d2.stats().schedule_gaps.load() >= 1; });
-    waitFor([&] { return coordinator.stats().snapshot_requests.load() >= 1; });
-  }
+  waitFor([&] { return d2.stats().schedule_gaps.load() >= 1; });
+  waitFor([&] { return coordinator.stats().snapshot_requests.load() >= 1; });
   proxy.setPolicies({}, {});
   // Re-applied schedules must not have moved anything.
   waitFor([&] { return d2.queueOf(a) == 1 && d2.queueOf(b) == 2; });
@@ -279,53 +259,33 @@ ScenarioResult runScenario(bool full_mode) {
   waitFor([&] { return !coordinator.globalSizes().contains(b); });
   waitFor([&] { return d1.queueOf(b) == 0 && d2.queueOf(b) == 0; });
 
-  if (!full_mode) {
-    // The delta machinery must actually have carried the scenario.
-    EXPECT_GT(coordinator.stats().delta_broadcasts.load(), 0u);
-    EXPECT_GT(coordinator.stats().broadcasts_suppressed.load(), 0u);
-    EXPECT_GT(coordinator.stats().snapshot_broadcasts.load(), 0u);
-    EXPECT_GT(d2.stats().schedule_deltas_applied.load(), 0u);
-    EXPECT_GT(d1.stats().delta_reports.load(), 0u);
-    EXPECT_GE(d1.stats().resync_reports.load(), 1u);
-  } else {
-    // Oracle mode must not have used the delta path at all.
-    EXPECT_EQ(coordinator.stats().delta_broadcasts.load(), 0u);
-    EXPECT_EQ(coordinator.stats().broadcasts_suppressed.load(), 0u);
-    EXPECT_EQ(d2.stats().schedule_gaps.load(), 0u);
-    EXPECT_EQ(d1.stats().delta_reports.load(), 0u);
-  }
+  // The delta machinery must actually have carried the scenario.
+  EXPECT_GT(coordinator.stats().delta_broadcasts.load(), 0u);
+  EXPECT_GT(coordinator.stats().broadcasts_suppressed.load(), 0u);
+  EXPECT_GT(coordinator.stats().snapshot_broadcasts.load(), 0u);
+  EXPECT_GT(d2.stats().schedule_deltas_applied.load(), 0u);
+  EXPECT_GT(d1.stats().delta_reports.load(), 0u);
+  EXPECT_GE(d1.stats().resync_reports.load(), 1u);
 
-  result.global = coordinator.globalSizes();
-  result.d1_queue_a = d1.queueOf(a);
-  result.d2_queue_a = d2.queueOf(a);
-  result.d1_on_a = d1.isOn(a);
-  result.d2_on_a = d2.isOn(a);
-  result.evicted = coordinator.stats().daemons_evicted.load();
+  // What the oracle says the run must leave.
+  EXPECT_EQ(coordinator.globalSizes(),
+            (std::unordered_map<coflow::CoflowId, double>{{a, 8 * util::kMB}}));
+  EXPECT_EQ(d1.queueOf(a), 1);
+  EXPECT_EQ(d2.queueOf(a), 1);
+  EXPECT_TRUE(d1.isOn(a));
+  EXPECT_TRUE(d2.isOn(a));
+  EXPECT_EQ(coordinator.stats().daemons_evicted.load(), 1u);
+  const auto schedule = coordinator.scheduleSnapshot();
+  ASSERT_EQ(schedule.size(), 1u);
+  EXPECT_EQ(schedule[0].id, a);
+  EXPECT_EQ(schedule[0].global_bytes, 8 * util::kMB);
+  EXPECT_EQ(schedule[0].queue, 1);
+  EXPECT_TRUE(schedule[0].on);
 
   d2.stop();
   d1.stop();
   proxy.stop();
   coordinator.stop();
-  return result;
-}
-
-TEST(CoordinationEquivalence, DeltaModeMatchesFullModeUnderChaos) {
-  const ScenarioResult full = runScenario(true);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-  const ScenarioResult delta = runScenario(false);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-
-  EXPECT_EQ(full.global.size(), delta.global.size());
-  for (const auto& [id, bytes] : full.global) {
-    const auto it = delta.global.find(id);
-    ASSERT_NE(it, delta.global.end());
-    EXPECT_EQ(it->second, bytes);  // Integer bytes: exact across modes.
-  }
-  EXPECT_EQ(full.d1_queue_a, delta.d1_queue_a);
-  EXPECT_EQ(full.d2_queue_a, delta.d2_queue_a);
-  EXPECT_EQ(full.d1_on_a, delta.d1_on_a);
-  EXPECT_EQ(full.d2_on_a, delta.d2_on_a);
-  EXPECT_EQ(full.evicted, delta.evicted);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
 #include "runtime/schedule_state.h"
+#include "tests/helpers.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -31,13 +32,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-void waitFor(auto predicate, std::chrono::milliseconds timeout = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!predicate() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  ASSERT_TRUE(predicate()) << "timed out";
-}
+using testing::waitFor;
 
 CoordinatorConfig fastCoordinator() {
   CoordinatorConfig cfg;
@@ -55,16 +50,16 @@ DaemonConfig fastDaemon(std::uint16_t port, std::uint64_t id) {
 }
 
 std::string freshDir(const std::string& name) {
-  const auto dir = std::filesystem::path(testing::TempDir()) /
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
                    ("aalo_ha_" + name + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir.string();
 }
 
-testing::AssertionResult sameSchedule(const std::vector<net::ScheduleEntry>& a,
+::testing::AssertionResult sameSchedule(const std::vector<net::ScheduleEntry>& a,
                                       const std::vector<net::ScheduleEntry>& b) {
-  if (a == b) return testing::AssertionSuccess();
+  if (a == b) return ::testing::AssertionSuccess();
   auto dump = [](const std::vector<net::ScheduleEntry>& s) {
     std::string out;
     for (const auto& e : s) {
@@ -74,7 +69,7 @@ testing::AssertionResult sameSchedule(const std::vector<net::ScheduleEntry>& a,
     }
     return out.empty() ? std::string(" <empty>") : out;
   };
-  return testing::AssertionFailure()
+  return ::testing::AssertionFailure()
          << "schedules differ:\n  lhs:" << dump(a) << "\n  rhs:" << dump(b);
 }
 

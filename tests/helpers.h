@@ -1,10 +1,15 @@
 // Shared builders for scheduler/simulator tests: tiny workloads with
-// hand-computable completion times on unit-capacity fabrics, and the
-// scheduler zoo the cross-scheduler suites sweep.
+// hand-computable completion times on unit-capacity fabrics, the
+// scheduler zoo the cross-scheduler suites sweep, and the polling wait
+// the runtime suites use.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <chrono>
 #include <initializer_list>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "coflow/spec.h"
@@ -159,5 +164,19 @@ inline std::vector<std::unique_ptr<sim::Scheduler>> allSchedulers(
 /// deliberately idles the fabric while a new coflow waits for its rates:
 /// the one zoo member that is not work-conserving.
 constexpr std::size_t kAdmissionDelayedVarys = 6;
+
+/// Polls `predicate` every 2 ms until it holds or `timeout` passes, and
+/// asserts on the loop's last evaluation: a predicate that can turn false
+/// again is never evaluated once more after it held.
+inline void waitFor(auto predicate,
+                    std::chrono::milliseconds timeout = std::chrono::seconds(5)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  bool held = predicate();
+  while (!held && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    held = predicate();
+  }
+  ASSERT_TRUE(held) << "timed out after " << timeout.count() << " ms";
+}
 
 }  // namespace aalo::testing

@@ -17,6 +17,7 @@
 #include "runtime/client.h"
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
+#include "tests/helpers.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -24,13 +25,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
-void waitFor(auto predicate, std::chrono::milliseconds timeout = 3000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!predicate() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  ASSERT_TRUE(predicate()) << "timed out";
-}
+using testing::waitFor;
+
+/// How long a wait in this suite may take.
+constexpr auto kWait = 3000ms;
 
 CoordinatorConfig fastCoordinator() {
   CoordinatorConfig cfg;
@@ -94,7 +92,7 @@ TEST(RuntimeRobustness, NonFiniteAndNegativeSizesAreRejectedAtIngress) {
     loop.runOnce(std::chrono::milliseconds(2));
     const auto global = coordinator.globalSizes();
     return global.contains(a) && global.at(a) == 20 * util::kMB;
-  });
+  }, kWait);
   const auto sizes_before = coordinator.globalSizes();
   const auto schedule_before = coordinator.scheduleSnapshot();
 
@@ -105,7 +103,7 @@ TEST(RuntimeRobustness, NonFiniteAndNegativeSizesAreRejectedAtIngress) {
   waitFor([&] {
     loop.runOnce(std::chrono::milliseconds(2));
     return coordinator.stats().rejected_sizes.load() == 3;
-  });
+  }, kWait);
   EXPECT_EQ(coordinator.globalSizes(), sizes_before);
   EXPECT_EQ(coordinator.scheduleSnapshot(), schedule_before);
   EXPECT_NE(coordinator.metrics().renderPrometheus().find(
@@ -141,13 +139,13 @@ TEST(RuntimeRobustness, UnregisterRemovesFromSchedules) {
   AaloClient client(coordinator.port());
   const auto id = client.registerCoflow();
   daemon.reportBytes(id, 50 * util::kMB);
-  waitFor([&] { return daemon.queueOf(id) > 0; });
+  waitFor([&] { return daemon.queueOf(id) > 0; }, kWait);
 
   client.unregisterCoflow(id);
-  waitFor([&] { return coordinator.registeredCoflows() == 0; });
+  waitFor([&] { return coordinator.registeredCoflows() == 0; }, kWait);
   // After the next schedule the daemon no longer knows the coflow: it
   // falls back to the highest-priority default.
-  waitFor([&] { return daemon.queueOf(id) == 0; });
+  waitFor([&] { return daemon.queueOf(id) == 0; }, kWait);
   daemon.stop();
   coordinator.stop();
 }
@@ -176,7 +174,7 @@ TEST(RuntimeRobustness, OnOffSignalsGateLowPriorityCoflows) {
   daemon.writerActive(cold, true);
   // Demote 'cold' so 'hot' sorts first; with max_on=1, cold goes OFF.
   daemon.reportBytes(cold, 5 * util::kMB);
-  waitFor([&] { return !daemon.isOn(cold); });
+  waitFor([&] { return !daemon.isOn(cold); }, kWait);
   EXPECT_TRUE(daemon.isOn(hot));
   EXPECT_DOUBLE_EQ(daemon.rateFor(cold), 0.0);
   // The OFF coflow's share flows to the ON one: full uplink.
@@ -203,7 +201,7 @@ TEST(RuntimeRobustness, OnByDefaultWithoutBudget) {
   const auto b = client.registerCoflow();
   daemon.reportBytes(a, 1.0);
   daemon.reportBytes(b, 1.0);
-  waitFor([&] { return daemon.lastEpoch() >= 3; });
+  waitFor([&] { return daemon.lastEpoch() >= 3; }, kWait);
   EXPECT_TRUE(daemon.isOn(a));
   EXPECT_TRUE(daemon.isOn(b));
   daemon.stop();
@@ -233,7 +231,7 @@ TEST(RuntimeRobustness, StopIsIdempotentUnderConcurrentCallers) {
   dcfg.sync_interval = 0.005;
   Daemon daemon(dcfg);
   daemon.start();
-  waitFor([&] { return daemon.connected(); });
+  waitFor([&] { return daemon.connected(); }, kWait);
 
   // Many threads race stop() on both components; every caller must return
   // only once shutdown has fully completed, and none may crash or hang.
@@ -319,7 +317,7 @@ TEST(RuntimeRobustness, CoordinatorCountsOversizedCountFrames) {
     loop.runOnce(std::chrono::milliseconds(5));
     return coordinator.stats().malformed_frames.load(
                std::memory_order_relaxed) >= bombs.size();
-  });
+  }, kWait);
   AaloClient client(coordinator.port());
   EXPECT_EQ(client.registerCoflow().internal, 0);  // Still serving.
   coordinator.stop();
@@ -340,17 +338,17 @@ TEST(RuntimeRobustness, TombstonesAreCollectedOnceReportsPrune) {
   AaloClient client(coordinator.port());
   const auto id = client.registerCoflow();
   daemon.reportBytes(id, 50 * util::kMB);
-  waitFor([&] { return daemon.queueOf(id) > 0; });
+  waitFor([&] { return daemon.queueOf(id) > 0; }, kWait);
 
   client.unregisterCoflow(id);
-  waitFor([&] { return coordinator.tombstoneCount() >= 1; });
+  waitFor([&] { return coordinator.tombstoneCount() >= 1; }, kWait);
   // The daemon notices the coflow left the schedule, prunes its local
   // accounting, stops mentioning it — and the tombstone is then GC'd.
   waitFor([&] {
     return daemon.stats().completed_coflows_pruned.load(
                std::memory_order_relaxed) >= 1;
-  });
-  waitFor([&] { return coordinator.tombstoneCount() == 0; });
+  }, kWait);
+  waitFor([&] { return coordinator.tombstoneCount() == 0; }, kWait);
   EXPECT_GE(coordinator.stats().tombstones_collected.load(
                 std::memory_order_relaxed),
             1u);
@@ -370,7 +368,7 @@ TEST(RuntimeRobustness, DaemonReconnectsAfterCoordinatorRestart) {
   dcfg.reconnect_interval = 0.02;
   Daemon daemon(dcfg);
   daemon.start();
-  waitFor([&] { return daemon.connected() && daemon.lastEpoch() >= 1; });
+  waitFor([&] { return daemon.connected() && daemon.lastEpoch() >= 1; }, kWait);
 
   // Local observations made before the outage survive it (§3.2).
   const coflow::CoflowId id{0, 0};
@@ -378,7 +376,7 @@ TEST(RuntimeRobustness, DaemonReconnectsAfterCoordinatorRestart) {
 
   coordinator->stop();
   coordinator.reset();
-  waitFor([&] { return !daemon.connected(); });
+  waitFor([&] { return !daemon.connected(); }, kWait);
 
   // Restart on the same port; the daemon must find it again.
   CoordinatorConfig ccfg = fastCoordinator();
@@ -386,11 +384,11 @@ TEST(RuntimeRobustness, DaemonReconnectsAfterCoordinatorRestart) {
   ccfg.dclas.first_threshold = 1 * util::kMB;
   coordinator = std::make_unique<Coordinator>(ccfg);
   coordinator->start();
-  waitFor([&] { return daemon.connected(); });
-  waitFor([&] { return coordinator->daemonCount() == 1; });
+  waitFor([&] { return daemon.connected(); }, kWait);
+  waitFor([&] { return coordinator->daemonCount() == 1; }, kWait);
   // The retained local sizes reach the new coordinator and demote the
   // coflow past the 1 MB threshold.
-  waitFor([&] { return daemon.queueOf(id) > 0; });
+  waitFor([&] { return daemon.queueOf(id) > 0; }, kWait);
   daemon.stop();
   coordinator->stop();
 }

@@ -10,6 +10,7 @@
 #include "runtime/client.h"
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
+#include "tests/helpers.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -17,13 +18,10 @@ namespace {
 
 using namespace std::chrono_literals;
 
-void waitFor(auto predicate, std::chrono::milliseconds timeout = 3000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (!predicate() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(2ms);
-  }
-  ASSERT_TRUE(predicate()) << "timed out";
-}
+using testing::waitFor;
+
+/// How long a wait in this suite may take.
+constexpr auto kWait = 3000ms;
 
 CoordinatorConfig fastCoordinator() {
   CoordinatorConfig cfg;
@@ -35,7 +33,7 @@ TEST(Runtime, CoordinatorStartsAndTicksWithoutDaemons) {
   Coordinator coordinator(fastCoordinator());
   coordinator.start();
   EXPECT_GT(coordinator.port(), 0);
-  waitFor([&] { return coordinator.epoch() >= 3; });
+  waitFor([&] { return coordinator.epoch() >= 3; }, kWait);
   coordinator.stop();
 }
 
@@ -50,12 +48,12 @@ TEST(Runtime, DaemonConnectsAndReceivesSchedules) {
   Daemon daemon(dcfg);
   daemon.start();
 
-  waitFor([&] { return coordinator.daemonCount() == 1; });
-  waitFor([&] { return daemon.lastEpoch() >= 3; });
+  waitFor([&] { return coordinator.daemonCount() == 1; }, kWait);
+  waitFor([&] { return daemon.lastEpoch() >= 3; }, kWait);
   EXPECT_TRUE(daemon.connected());
 
   daemon.stop();
-  waitFor([&] { return coordinator.daemonCount() == 0; });
+  waitFor([&] { return coordinator.daemonCount() == 0; }, kWait);
   coordinator.stop();
 }
 
@@ -76,9 +74,9 @@ TEST(Runtime, RegisterAssignsSequentialAndDagIds) {
   EXPECT_EQ(child.external, b.external);
   EXPECT_EQ(child.internal, 1);
 
-  waitFor([&] { return coordinator.registeredCoflows() == 3; });
+  waitFor([&] { return coordinator.registeredCoflows() == 3; }, kWait);
   client.unregisterCoflow(a);
-  waitFor([&] { return coordinator.registeredCoflows() == 2; });
+  waitFor([&] { return coordinator.registeredCoflows() == 2; }, kWait);
   coordinator.stop();
 }
 
@@ -106,11 +104,11 @@ TEST(Runtime, SizeReportsDriveQueueAssignment) {
   daemon.reportBytes(big, 5.0 * util::kMB);      // Crosses into Q2.
   waitFor([&] {
     return daemon.queueOf(big) == 1 && daemon.queueOf(small) == 0;
-  });
+  }, kWait);
 
   // More traffic pushes the big coflow into the lowest queue.
   daemon.reportBytes(big, 20.0 * util::kMB);
-  waitFor([&] { return daemon.queueOf(big) == 2; });
+  waitFor([&] { return daemon.queueOf(big) == 2; }, kWait);
 
   daemon.stop();
   coordinator.stop();
@@ -142,7 +140,7 @@ TEST(Runtime, AggregatesSizesAcrossDaemons) {
   // the coordinator's aggregate (1.2 MB) demotes the coflow everywhere.
   daemon1.reportBytes(id, 0.6 * util::kMB);
   daemon2.reportBytes(id, 0.6 * util::kMB);
-  waitFor([&] { return daemon1.queueOf(id) == 1 && daemon2.queueOf(id) == 1; });
+  waitFor([&] { return daemon1.queueOf(id) == 1 && daemon2.queueOf(id) == 1; }, kWait);
 
   daemon1.stop();
   daemon2.stop();
@@ -175,7 +173,7 @@ TEST(Runtime, RateForFollowsQueuePolicy) {
 
   daemon.writerActive(cold, true);
   daemon.reportBytes(cold, 5.0 * util::kMB);  // Demote cold to Q2.
-  waitFor([&] { return daemon.queueOf(cold) == 1; });
+  waitFor([&] { return daemon.queueOf(cold) == 1; }, kWait);
   // Queues 0 and 1 with weights 2 and 1: hot gets 200, cold gets 100.
   EXPECT_DOUBLE_EQ(daemon.rateFor(hot), 200.0);
   EXPECT_DOUBLE_EQ(daemon.rateFor(cold), 100.0);
@@ -196,11 +194,11 @@ TEST(Runtime, DaemonFallsBackWhenCoordinatorDies) {
   dcfg.sync_interval = 0.005;
   Daemon daemon(dcfg);
   daemon.start();
-  waitFor([&] { return daemon.connected() && daemon.lastEpoch() >= 1; });
+  waitFor([&] { return daemon.connected() && daemon.lastEpoch() >= 1; }, kWait);
 
   coordinator->stop();
   coordinator.reset();
-  waitFor([&] { return !daemon.connected(); });
+  waitFor([&] { return !daemon.connected(); }, kWait);
   // Fault tolerance: the data path degrades to unthrottled TCP.
   const coflow::CoflowId id{0, 0};
   daemon.writerActive(id, true);

@@ -3,7 +3,6 @@
 //   aalo_coordinator [--port P] [--delta MS] [--queues K] [--q1 BYTES]
 //                    [--factor E] [--max-on N] [--liveness-timeout N]
 //                    [--one-way-timeout N] [--tombstone-gc N]
-//                    [--full-broadcasts]
 //                    [--standby-of PORT] [--takeover-intervals N]
 //                    [--checkpoint-dir DIR] [--checkpoint-interval SECONDS]
 //                    [--send-queue-max BYTES]
@@ -13,8 +12,7 @@
 // The three timeout flags are in units of sync intervals (N * delta); 0
 // disables the corresponding watchdog. Daemons get a full schedule
 // snapshot on connect and on request (an epoch gap or a schedule-digest
-// mismatch); --full-broadcasts disables the delta path entirely (oracle
-// mode) and sends a snapshot every round.
+// mismatch), and a schedule delta every round.
 // --standby-of starts this process as a warm standby of the primary at
 // the given port: it mirrors the broadcast stream and promotes itself
 // (with a higher fencing epoch) after --takeover-intervals * delta of
@@ -55,8 +53,8 @@ void onSignal(int) { g_stop = true; }
                "usage: aalo_coordinator [--port P] [--delta MS] [--queues K]\n"
                "                        [--q1 BYTES] [--factor E] [--max-on N]\n"
                "                        [--liveness-timeout N] [--one-way-timeout N]\n"
-               "                        [--tombstone-gc N] [--full-broadcasts]\n"
-               "                        [--standby-of PORT] [--takeover-intervals N]\n"
+               "                        [--tombstone-gc N] [--standby-of PORT]\n"
+               "                        [--takeover-intervals N]\n"
                "                        [--checkpoint-dir DIR]\n"
                "                        [--checkpoint-interval SECONDS]\n"
                "                        [--send-queue-max BYTES]\n"
@@ -96,8 +94,6 @@ int main(int argc, char** argv) {
       cfg.one_way_timeout_intervals = std::atoi(needValue("--one-way-timeout"));
     } else if (!std::strcmp(argv[i], "--tombstone-gc")) {
       cfg.tombstone_gc_intervals = std::atoi(needValue("--tombstone-gc"));
-    } else if (!std::strcmp(argv[i], "--full-broadcasts")) {
-      cfg.full_broadcasts = true;
     } else if (!std::strcmp(argv[i], "--standby-of")) {
       cfg.standby_of =
           static_cast<std::uint16_t>(std::atoi(needValue("--standby-of")));

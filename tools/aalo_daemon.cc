@@ -7,8 +7,7 @@
 //               [--synthetic-coflows N] [--rate BYTES_PER_SEC]
 //               [--duration SEC]
 //               [--reconnect MS] [--reconnect-max-backoff MS]
-//               [--stale-intervals N]
-//               [--resync-intervals N] [--full-reports]
+//               [--stale-intervals N] [--resync-intervals N]
 //               [--send-queue-max BYTES]
 //               [--metrics-dump PATH] [--metrics-interval SECONDS]
 //               [--chaos-seed S] [--chaos-drop P] [--chaos-dup P]
@@ -61,8 +60,7 @@ void onSignal(int) { g_stop = true; }
                "                   [--synthetic-coflows N] [--rate B/S]\n"
                "                   [--duration SEC]\n"
                "                   [--reconnect MS] [--reconnect-max-backoff MS]\n"
-               "                   [--stale-intervals N]\n"
-               "                   [--resync-intervals N] [--full-reports]\n"
+               "                   [--stale-intervals N] [--resync-intervals N]\n"
                "                   [--send-queue-max BYTES]\n"
                "                   [--metrics-dump PATH] [--metrics-interval SECONDS]\n"
                "                   [--chaos-seed S] [--chaos-drop P] [--chaos-dup P]\n"
@@ -119,8 +117,6 @@ int main(int argc, char** argv) {
       cfg.stale_after_intervals = std::atoi(needValue("--stale-intervals"));
     } else if (!std::strcmp(argv[i], "--resync-intervals")) {
       cfg.resync_intervals = std::atoi(needValue("--resync-intervals"));
-    } else if (!std::strcmp(argv[i], "--full-reports")) {
-      cfg.full_reports = true;
     } else if (!std::strcmp(argv[i], "--send-queue-max")) {
       cfg.send_queue_max =
           static_cast<std::size_t>(std::atoll(needValue("--send-queue-max")));

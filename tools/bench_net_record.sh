@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Records the coordination benchmarks (panel (a) of the Figure 14 bench:
-# full-vs-delta data-path A/B, the daemons sweep (1k to 100k, multiplexed
+# rounds at 100 and 1000 daemons, the daemons sweep (1k to 100k, multiplexed
 # over at most 2500 connections), HA drills, and the >= 1M live-coflow
 # point — all real loopback sockets) as JSON so successive changes can
 # diff round times and bytes-on-wire. The bench exits non-zero, and
