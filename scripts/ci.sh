@@ -35,10 +35,11 @@
 # one greedy allocator, the Varys/MADD bottleneck, rack-link coverage).
 # The scheduler-zoo invariants (tests/sched_property_test.cc: sampling
 # estimate convergence, dcoflow admission soundness, LP-bound soundness
-# on fuzzed traces) carry the "sched" label and run under both
-# sanitizers; run_default additionally replays a tiny deadlined trace
-# under every registered scheduler through aalo_sim --lp-check as an
-# end-to-end LP-bound gate. The
+# on fuzzed traces, rack-free and on 2:1 and 4:1 rack fabrics) carry the
+# "sched" label and run under both sanitizers; run_default additionally
+# replays a tiny deadlined trace under every registered scheduler through
+# aalo_sim --lp-check, rack-free and at 4:1, as an end-to-end LP-bound
+# gate. The
 # coordinator-state pins (tests/schedule_state_test.cc: golden delta /
 # snapshot transcript, legacySchedule differential, checkpoint round-trip
 # of one seeded op stream) carry the "state" label and run under both
@@ -93,6 +94,10 @@ assert d['metrics'], 'empty metrics dump'
   [ -n "$all_schedulers" ]
   ./build/tools/aalo_sim --trace build/ci_smoke_dl.trace \
     --sched "$all_schedulers" --lp-check >/dev/null
+  # Again with two 4:1 oversubscribed racks: the bound's rack-link
+  # machines must stay below every scheduler's achieved CCT too.
+  ./build/tools/aalo_sim --trace build/ci_smoke_dl.trace \
+    --sched "$all_schedulers" --lp-check --ports-per-rack 5 --oversubscription 4 >/dev/null
   echo "=== default: CLI rejects bad input without aborting ==="
   # A NaN delta and a missing trace must fail cleanly: non-zero, but not
   # killed by a signal (an uncaught exception aborts with 134).

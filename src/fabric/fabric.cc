@@ -1,6 +1,5 @@
 #include "fabric/fabric.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace aalo::fabric {
@@ -12,8 +11,7 @@ Fabric::Fabric(const FabricConfig& config) : num_ports_(config.num_ports) {
   if (config.port_capacity <= 0) {
     throw std::invalid_argument("Fabric: port_capacity must be positive");
   }
-  ingress_.assign(static_cast<std::size_t>(num_ports_), config.port_capacity);
-  egress_.assign(static_cast<std::size_t>(num_ports_), config.port_capacity);
+  capacity_.assign(2 * static_cast<std::size_t>(num_ports_), config.port_capacity);
 
   if (config.rack.ports_per_rack > 0) {
     if (num_ports_ % config.rack.ports_per_rack != 0) {
@@ -26,50 +24,20 @@ Fabric::Fabric(const FabricConfig& config) : num_ports_(config.num_ports) {
     num_racks_ = num_ports_ / ports_per_rack_;
     const util::Rate rack_cap = static_cast<double>(ports_per_rack_) *
                                 config.port_capacity / config.rack.oversubscription;
-    rack_up_.assign(static_cast<std::size_t>(num_racks_), rack_cap);
-    rack_down_.assign(static_cast<std::size_t>(num_racks_), rack_cap);
+    capacity_.resize(2 * static_cast<std::size_t>(num_ports_ + num_racks_), rack_cap);
   }
 }
 
-std::size_t Fabric::checked(coflow::PortId p) const {
+coflow::PortId Fabric::checked(coflow::PortId p) const {
   if (p < 0 || p >= num_ports_) throw std::out_of_range("Fabric: port id out of range");
-  return static_cast<std::size_t>(p);
+  return p;
 }
 
-std::size_t Fabric::checkedRack(int rack) const {
+int Fabric::checkedRack(int rack) const {
   if (rack < 0 || rack >= num_racks_) {
     throw std::out_of_range("Fabric: rack id out of range");
   }
-  return static_cast<std::size_t>(rack);
-}
-
-ResidualCapacity::ResidualCapacity(const Fabric& fabric, double scale)
-    : fabric_(fabric.hasRacks() ? &fabric : nullptr),
-      ingress_(fabric.ingressCapacities()),
-      egress_(fabric.egressCapacities()),
-      rack_up_(fabric.rackUplinkCapacities()),
-      rack_down_(fabric.rackDownlinkCapacities()) {
-  if (scale != 1.0) {
-    for (auto& c : ingress_) c *= scale;
-    for (auto& c : egress_) c *= scale;
-    for (auto& c : rack_up_) c *= scale;
-    for (auto& c : rack_down_) c *= scale;
-  }
-}
-
-ResidualCapacity::ResidualCapacity(std::vector<util::Rate> ingress,
-                                   std::vector<util::Rate> egress)
-    : ingress_(std::move(ingress)), egress_(std::move(egress)) {
-  if (ingress_.size() != egress_.size()) {
-    throw std::invalid_argument("ResidualCapacity: ingress/egress size mismatch");
-  }
-}
-
-bool ResidualCapacity::exhausted(util::Rate threshold) const {
-  for (std::size_t p = 0; p < ingress_.size(); ++p) {
-    if (ingress_[p] > threshold || egress_[p] > threshold) return false;
-  }
-  return true;
+  return rack;
 }
 
 }  // namespace aalo::fabric

@@ -13,9 +13,15 @@
 // cross-rack flow additionally consumes its source rack's uplink and its
 // destination rack's downlink, each with capacity
 //   ports_per_rack * port_capacity / oversubscription.
+//
+// Every layer that hands out or checks bandwidth sees one resource vector,
+// indexed [ingress P | egress P | rack uplinks R | rack downlinks R], and
+// asks Fabric::route which of those resources a flow crosses.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "coflow/ids.h"
@@ -41,148 +47,162 @@ struct FabricConfig {
   RackConfig rack;
 };
 
+/// The resources one flow crosses, as indices into Fabric::capacities():
+/// its ingress and egress port, then — for a cross-rack flow — its source
+/// rack's uplink and its destination rack's downlink.
+struct Route {
+  std::array<std::uint32_t, 4> resource{};
+  std::uint32_t size = 0;
+
+  const std::uint32_t* begin() const { return resource.data(); }
+  const std::uint32_t* end() const { return resource.data() + size; }
+};
+
 class Fabric {
  public:
   explicit Fabric(const FabricConfig& config);
 
   int numPorts() const { return num_ports_; }
-  util::Rate ingressCapacity(coflow::PortId p) const { return ingress_[checked(p)]; }
-  util::Rate egressCapacity(coflow::PortId p) const { return egress_[checked(p)]; }
+  /// 2 x ports + 2 x racks: the length of capacities().
+  std::size_t numResources() const { return capacity_.size(); }
+  /// Capacity of every resource, indexed
+  /// [ingress P | egress P | rack uplinks R | rack downlinks R].
+  const std::vector<util::Rate>& capacities() const { return capacity_; }
+
+  /// Resource indices (unchecked: hot-path arithmetic).
+  std::size_t ingressResource(coflow::PortId p) const {
+    return static_cast<std::size_t>(p);
+  }
+  std::size_t egressResource(coflow::PortId p) const {
+    return static_cast<std::size_t>(num_ports_ + p);
+  }
+  std::size_t uplinkResource(int rack) const {
+    return static_cast<std::size_t>(2 * num_ports_ + rack);
+  }
+  std::size_t downlinkResource(int rack) const {
+    return static_cast<std::size_t>(2 * num_ports_ + num_racks_ + rack);
+  }
+
+  /// The 2 (same rack, or no racks) or 4 resources a src->dst flow
+  /// crosses. Ports must be in range. Inline: every allocation, check and
+  /// bound walks routes.
+  Route route(coflow::PortId src, coflow::PortId dst) const {
+    Route r;
+    r.resource[0] = static_cast<std::uint32_t>(ingressResource(src));
+    r.resource[1] = static_cast<std::uint32_t>(egressResource(dst));
+    r.size = 2;
+    if (num_racks_ > 0) {
+      const int up = src / ports_per_rack_;
+      const int down = dst / ports_per_rack_;
+      if (up != down) {
+        r.resource[2] = static_cast<std::uint32_t>(uplinkResource(up));
+        r.resource[3] = static_cast<std::uint32_t>(downlinkResource(down));
+        r.size = 4;
+      }
+    }
+    return r;
+  }
+
+  util::Rate ingressCapacity(coflow::PortId p) const {
+    return capacity_[ingressResource(checked(p))];
+  }
+  util::Rate egressCapacity(coflow::PortId p) const {
+    return capacity_[egressResource(checked(p))];
+  }
 
   /// Heterogeneous capacities (e.g. modeling slower stragglers).
-  void setIngressCapacity(coflow::PortId p, util::Rate cap) { ingress_[checked(p)] = cap; }
-  void setEgressCapacity(coflow::PortId p, util::Rate cap) { egress_[checked(p)] = cap; }
-
-  const std::vector<util::Rate>& ingressCapacities() const { return ingress_; }
-  const std::vector<util::Rate>& egressCapacities() const { return egress_; }
+  void setIngressCapacity(coflow::PortId p, util::Rate cap) {
+    capacity_[ingressResource(checked(p))] = cap;
+  }
+  void setEgressCapacity(coflow::PortId p, util::Rate cap) {
+    capacity_[egressResource(checked(p))] = cap;
+  }
 
   // --- rack topology (§8) -------------------------------------------------
   bool hasRacks() const { return num_racks_ > 0; }
   int numRacks() const { return num_racks_; }
-  int rackOf(coflow::PortId p) const {
-    return static_cast<int>(checked(p)) / ports_per_rack_;
-  }
+  int rackOf(coflow::PortId p) const { return checked(p) / ports_per_rack_; }
   bool crossRack(coflow::PortId src, coflow::PortId dst) const {
     return hasRacks() && rackOf(src) != rackOf(dst);
   }
-  util::Rate rackUplinkCapacity(int rack) const { return rack_up_[checkedRack(rack)]; }
-  util::Rate rackDownlinkCapacity(int rack) const {
-    return rack_down_[checkedRack(rack)];
+  util::Rate rackUplinkCapacity(int rack) const {
+    return capacity_[uplinkResource(checkedRack(rack))];
   }
-  const std::vector<util::Rate>& rackUplinkCapacities() const { return rack_up_; }
-  const std::vector<util::Rate>& rackDownlinkCapacities() const { return rack_down_; }
+  util::Rate rackDownlinkCapacity(int rack) const {
+    return capacity_[downlinkResource(checkedRack(rack))];
+  }
 
  private:
-  std::size_t checked(coflow::PortId p) const;
-  std::size_t checkedRack(int rack) const;
+  coflow::PortId checked(coflow::PortId p) const;
+  int checkedRack(int rack) const;
 
   int num_ports_;
   int ports_per_rack_ = 1;
   int num_racks_ = 0;
-  std::vector<util::Rate> ingress_;
-  std::vector<util::Rate> egress_;
-  std::vector<util::Rate> rack_up_;
-  std::vector<util::Rate> rack_down_;
+  std::vector<util::Rate> capacity_;
 };
 
 /// Mutable residual capacity tracker used by greedy scheduler passes:
-/// start from a fabric (or a scaled share of it), hand out rate to flows,
-/// and query what is left. Tracks rack up/down links when the fabric has
-/// racks.
+/// start from a fabric (or a scaled share of it), hand out rate to flows
+/// along their routes, and query what is left.
 class ResidualCapacity {
  public:
   /// Empty tracker; fill via assignFrom() (reusable scheduler scratch).
   ResidualCapacity() = default;
-  explicit ResidualCapacity(const Fabric& fabric, double scale = 1.0);
-  ResidualCapacity(std::vector<util::Rate> ingress, std::vector<util::Rate> egress);
+  explicit ResidualCapacity(const Fabric& fabric, double scale = 1.0) {
+    assignFrom(fabric, scale);
+  }
 
-  int numPorts() const { return static_cast<int>(ingress_.size()); }
-  util::Rate ingress(coflow::PortId p) const { return ingress_[static_cast<std::size_t>(p)]; }
-  util::Rate egress(coflow::PortId p) const { return egress_[static_cast<std::size_t>(p)]; }
-
-  bool hasRacks() const { return fabric_ != nullptr && fabric_->hasRacks(); }
   const Fabric* fabric() const { return fabric_; }
-  util::Rate rackUplink(int rack) const {
-    return rack_up_[static_cast<std::size_t>(rack)];
-  }
+  int numPorts() const { return fabric_->numPorts(); }
+  /// What is left of every resource, indexed like Fabric::capacities().
+  const std::vector<util::Rate>& left() const { return left_; }
+  util::Rate ingress(coflow::PortId p) const { return left_[fabric_->ingressResource(p)]; }
+  util::Rate egress(coflow::PortId p) const { return left_[fabric_->egressResource(p)]; }
+  util::Rate rackUplink(int rack) const { return left_[fabric_->uplinkResource(rack)]; }
   util::Rate rackDownlink(int rack) const {
-    return rack_down_[static_cast<std::size_t>(rack)];
+    return left_[fabric_->downlinkResource(rack)];
   }
 
-  /// Largest rate a single src->dst flow could still get (includes rack
-  /// links for cross-rack flows). Inline: this and consume() are the
-  /// innermost operations of every greedy scheduler pass.
+  /// Largest rate a single src->dst flow could still get: the minimum
+  /// over its route. Inline: this and consume() are the innermost
+  /// operations of every greedy scheduler pass.
   util::Rate available(coflow::PortId src, coflow::PortId dst) const {
-    util::Rate limit = std::min(ingress_[static_cast<std::size_t>(src)],
-                                egress_[static_cast<std::size_t>(dst)]);
-    if (fabric_ != nullptr && fabric_->crossRack(src, dst)) {
-      limit = std::min({limit, rack_up_[static_cast<std::size_t>(fabric_->rackOf(src))],
-                        rack_down_[static_cast<std::size_t>(fabric_->rackOf(dst))]});
+    const Route route = fabric_->route(src, dst);
+    util::Rate limit = std::min(left_[route.resource[0]], left_[route.resource[1]]);
+    for (std::uint32_t k = 2; k < route.size; ++k) {
+      limit = std::min(limit, left_[route.resource[k]]);
     }
     return limit;
   }
 
-  /// Removes `rate` from every resource the flow crosses. Clamps at zero
-  /// (tiny negative residuals arise from floating-point water-filling).
+  /// Removes `rate` from every resource on `route`. Clamps at zero (tiny
+  /// negative residuals arise from floating-point water-filling).
+  void consume(const Route& route, util::Rate rate) {
+    for (const std::uint32_t r : route) left_[r] = std::max(0.0, left_[r] - rate);
+  }
   void consume(coflow::PortId src, coflow::PortId dst, util::Rate rate) {
-    auto& in = ingress_[static_cast<std::size_t>(src)];
-    auto& out = egress_[static_cast<std::size_t>(dst)];
-    in = std::max(0.0, in - rate);
-    out = std::max(0.0, out - rate);
-    if (fabric_ != nullptr && fabric_->crossRack(src, dst)) {
-      auto& up = rack_up_[static_cast<std::size_t>(fabric_->rackOf(src))];
-      auto& down = rack_down_[static_cast<std::size_t>(fabric_->rackOf(dst))];
-      up = std::max(0.0, up - rate);
-      down = std::max(0.0, down - rate);
-    }
+    consume(fabric_->route(src, dst), rate);
   }
 
-  /// Adds `rate` back (used when transplanting allocations between passes).
-  void release(coflow::PortId src, coflow::PortId dst, util::Rate rate) {
-    ingress_[static_cast<std::size_t>(src)] += rate;
-    egress_[static_cast<std::size_t>(dst)] += rate;
-    if (fabric_ != nullptr && fabric_->crossRack(src, dst)) {
-      rack_up_[static_cast<std::size_t>(fabric_->rackOf(src))] += rate;
-      rack_down_[static_cast<std::size_t>(fabric_->rackOf(dst))] += rate;
-    }
+  /// Adds `slice` resource by resource (pooling unused capacity).
+  void add(const std::vector<util::Rate>& slice) {
+    for (std::size_t r = 0; r < left_.size(); ++r) left_[r] += slice[r];
   }
 
   /// Re-initializes from a fabric without reallocating (scratch reuse in
   /// per-round scheduler passes).
   void assignFrom(const Fabric& fabric, double scale = 1.0) {
-    fabric_ = fabric.hasRacks() ? &fabric : nullptr;
-    ingress_.assign(fabric.ingressCapacities().begin(), fabric.ingressCapacities().end());
-    egress_.assign(fabric.egressCapacities().begin(), fabric.egressCapacities().end());
-    rack_up_.assign(fabric.rackUplinkCapacities().begin(),
-                    fabric.rackUplinkCapacities().end());
-    rack_down_.assign(fabric.rackDownlinkCapacities().begin(),
-                      fabric.rackDownlinkCapacities().end());
+    fabric_ = &fabric;
+    left_.assign(fabric.capacities().begin(), fabric.capacities().end());
     if (scale != 1.0) {
-      for (auto& c : ingress_) c *= scale;
-      for (auto& c : egress_) c *= scale;
-      for (auto& c : rack_up_) c *= scale;
-      for (auto& c : rack_down_) c *= scale;
+      for (auto& c : left_) c *= scale;
     }
   }
 
-  /// True when every port has (numerically) zero residual on both sides.
-  /// `threshold` bounds what counts as zero; the default kEps is absolute,
-  /// so callers comparing against multi-Gbps capacities should pass a
-  /// capacity-relative threshold (water-filling leaves O(capacity * 1e-16)
-  /// dust per pass, which an absolute 1e-9 does not cover).
-  bool exhausted(util::Rate threshold = util::kEps) const;
-
-  std::vector<util::Rate>& ingressAll() { return ingress_; }
-  std::vector<util::Rate>& egressAll() { return egress_; }
-  std::vector<util::Rate>& rackUplinkAll() { return rack_up_; }
-  std::vector<util::Rate>& rackDownlinkAll() { return rack_down_; }
-
  private:
-  const Fabric* fabric_ = nullptr;  // For rack lookups; null if rack-free.
-  std::vector<util::Rate> ingress_;
-  std::vector<util::Rate> egress_;
-  std::vector<util::Rate> rack_up_;
-  std::vector<util::Rate> rack_down_;
+  const Fabric* fabric_ = nullptr;
+  std::vector<util::Rate> left_;
 };
 
 }  // namespace aalo::fabric

@@ -12,8 +12,9 @@ namespace {
 constexpr double kLevelSlack = 1e-9;
 
 // The per-round water-level sweep over the packed SoA lane columns: for
-// each live lane, gather its four resource levels, min them against the
-// lane's cap, scatter the result to `lvl`, and return the global minimum.
+// each live lane, gather its four resource levels from the one per-resource
+// `level` array, min them against the lane's cap, scatter the result to
+// `lvl`, and return the global minimum.
 //
 // Bit-identity with the original branching AoS loop: intra-rack lanes
 // point their rack columns at a sentinel slot pinned to +infinity, and
@@ -28,11 +29,10 @@ constexpr double kLevelSlack = 1e-9;
 double levelSweep(std::size_t count, const std::uint32_t* src_col,
                   const std::uint32_t* dst_col, const std::uint32_t* up_col,
                   const std::uint32_t* down_col, const double* cap_col,
-                  const double* lvl_in, const double* lvl_out, const double* lvl_up,
-                  const double* lvl_down, double* lvl) {
+                  const double* level, double* lvl) {
   const auto laneLevel = [&](std::size_t k) {
-    const double ab = std::min(lvl_in[src_col[k]], lvl_out[dst_col[k]]);
-    const double cd = std::min(lvl_up[up_col[k]], lvl_down[down_col[k]]);
+    const double ab = std::min(level[src_col[k]], level[dst_col[k]]);
+    const double cd = std::min(level[up_col[k]], level[down_col[k]]);
     return std::min(ab, std::min(cd, cap_col[k]));
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -71,7 +71,6 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
   if (n == 0) return rates;
 
   const auto ports = static_cast<std::size_t>(residual.numPorts());
-  const Fabric* fabric = residual.fabric();  // Non-null only with racks.
   for (const Demand& d : demands) {
     if (d.src < 0 || static_cast<std::size_t>(d.src) >= ports || d.dst < 0 ||
         static_cast<std::size_t>(d.dst) >= ports) {
@@ -95,25 +94,19 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
     return rates;
   }
 
-  const std::size_t racks =
-      fabric != nullptr ? static_cast<std::size_t>(fabric->numRacks()) : 0;
+  const Fabric& fabric = *residual.fabric();
+  const std::size_t resources = fabric.numResources();
+  const auto sentinel = static_cast<std::uint32_t>(resources);
   // Invariant: every wsum entry is zero between calls (touched entries are
   // re-zeroed on exit below), so growing with zero-fill is all that is
-  // needed — no O(ports) clear per call.
-  if (scratch.wsum_in.size() < ports) scratch.wsum_in.resize(ports, 0.0);
-  if (scratch.wsum_out.size() < ports) scratch.wsum_out.resize(ports, 0.0);
-  if (scratch.wsum_up.size() < racks) scratch.wsum_up.resize(racks, 0.0);
-  if (scratch.wsum_down.size() < racks) scratch.wsum_down.resize(racks, 0.0);
-  scratch.level_in.resize(ports);
-  scratch.level_out.resize(ports);
-  // One sentinel slot past the real racks, pinned to +inf: intra-rack
+  // needed — no O(resources) clear per call.
+  if (scratch.wsum.size() < resources) scratch.wsum.resize(resources, 0.0);
+  // One sentinel slot past the real resources, pinned to +inf: intra-rack
   // demands point at it so the level loop needs no cross-rack branch.
-  scratch.level_up.resize(racks + 1);
-  scratch.level_down.resize(racks + 1);
-  scratch.level_up[racks] = std::numeric_limits<double>::infinity();
-  scratch.level_down[racks] = std::numeric_limits<double>::infinity();
+  scratch.level.resize(resources + 1);
+  scratch.level[resources] = std::numeric_limits<double>::infinity();
   scratch.ctx.resize(n);
-  scratch.level.resize(n);
+  scratch.lane_level.resize(n);
   scratch.soa_src.clear();
   scratch.soa_dst.clear();
   scratch.soa_up.clear();
@@ -127,52 +120,30 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
   scratch.soa_cap.reserve(n);
   scratch.lane_id.reserve(n);
   scratch.lane_of.resize(n);  // Only entries of live demands are ever read.
-  scratch.touched_in.clear();
-  scratch.touched_out.clear();
-  scratch.touched_up.clear();
-  scratch.touched_down.clear();
+  scratch.touched.clear();
+  double* const wsum = scratch.wsum.data();
 
   for (std::size_t i = 0; i < n; ++i) {
     const Demand& d = demands[i];
     if (d.weight <= 0.0 || d.rate_cap <= 0.0) continue;  // Rate stays 0.
     MaxMinScratch::DemandCtx& c = scratch.ctx[i];
-    c.src = static_cast<std::uint32_t>(d.src);
-    c.dst = static_cast<std::uint32_t>(d.dst);
+    c.route = fabric.route(d.src, d.dst);
     c.weight = d.weight;
     // x / 1.0 == x bitwise; unit weight is the universal case here (every
     // scheduler pass emits weight-1 demands), so skip the divide.
     c.cap_level = d.weight == 1.0 ? d.rate_cap : d.rate_cap / d.weight;
     c.rate_cap = d.rate_cap;
-    if (scratch.wsum_in[c.src] == 0.0) scratch.touched_in.push_back(c.src);
-    if (scratch.wsum_out[c.dst] == 0.0) scratch.touched_out.push_back(c.dst);
-    scratch.wsum_in[c.src] += d.weight;
-    scratch.wsum_out[c.dst] += d.weight;
-    if (fabric != nullptr && fabric->crossRack(d.src, d.dst)) {
-      c.up_rack = fabric->rackOf(d.src);
-      c.down_rack = fabric->rackOf(d.dst);
-      const auto ur = static_cast<std::size_t>(c.up_rack);
-      const auto dr = static_cast<std::size_t>(c.down_rack);
-      if (scratch.wsum_up[ur] == 0.0) {
-        scratch.touched_up.push_back(static_cast<std::uint32_t>(ur));
-      }
-      if (scratch.wsum_down[dr] == 0.0) {
-        scratch.touched_down.push_back(static_cast<std::uint32_t>(dr));
-      }
-      scratch.wsum_up[ur] += d.weight;
-      scratch.wsum_down[dr] += d.weight;
-    } else {
-      c.up_rack = -1;
-      c.down_rack = -1;
+    for (const std::uint32_t r : c.route) {
+      if (wsum[r] == 0.0) scratch.touched.push_back(r);
+      wsum[r] += d.weight;
     }
+    const bool cross = c.route.size == 4;
     scratch.lane_of[i] = static_cast<std::uint32_t>(scratch.lane_id.size());
     scratch.lane_id.push_back(static_cast<std::uint32_t>(i));
-    scratch.soa_src.push_back(c.src);
-    scratch.soa_dst.push_back(c.dst);
-    scratch.soa_up.push_back(c.up_rack >= 0 ? static_cast<std::uint32_t>(c.up_rack)
-                                            : static_cast<std::uint32_t>(racks));
-    scratch.soa_down.push_back(c.down_rack >= 0
-                                   ? static_cast<std::uint32_t>(c.down_rack)
-                                   : static_cast<std::uint32_t>(racks));
+    scratch.soa_src.push_back(c.route.resource[0]);
+    scratch.soa_dst.push_back(c.route.resource[1]);
+    scratch.soa_up.push_back(cross ? c.route.resource[2] : sentinel);
+    scratch.soa_down.push_back(cross ? c.route.resource[3] : sentinel);
     scratch.soa_cap.push_back(c.cap_level);
   }
 
@@ -192,34 +163,20 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
       scratch.soa_up[l] = scratch.soa_up[last];
       scratch.soa_down[l] = scratch.soa_down[last];
       scratch.soa_cap[l] = scratch.soa_cap[last];
-      scratch.level[l] = scratch.level[last];
+      scratch.lane_level[l] = scratch.lane_level[last];
       scratch.lane_id[l] = scratch.lane_id[last];
       scratch.lane_of[scratch.lane_id[l]] = l;
     }
   };
-  std::size_t guard = n + 2 * ports + 2 * racks + 4;
+  const std::vector<util::Rate>& left = residual.left();
+  std::size_t guard = n + resources + 4;
   while (lanes > 0) {
     if (guard-- == 0) throw std::logic_error("maxMinAllocate: failed to converge");
 
-    // One division per *touched resource*, not per demand. Ports all of
-    // whose demands froze keep wsum 0 and produce inf/NaN levels, but no
-    // live demand reads those entries.
-    for (const std::uint32_t p : scratch.touched_in) {
-      scratch.level_in[p] =
-          residual.ingress(static_cast<coflow::PortId>(p)) / scratch.wsum_in[p];
-    }
-    for (const std::uint32_t p : scratch.touched_out) {
-      scratch.level_out[p] =
-          residual.egress(static_cast<coflow::PortId>(p)) / scratch.wsum_out[p];
-    }
-    for (const std::uint32_t r : scratch.touched_up) {
-      scratch.level_up[r] =
-          residual.rackUplink(static_cast<int>(r)) / scratch.wsum_up[r];
-    }
-    for (const std::uint32_t r : scratch.touched_down) {
-      scratch.level_down[r] =
-          residual.rackDownlink(static_cast<int>(r)) / scratch.wsum_down[r];
-    }
+    // One division per *touched resource*, not per demand. Resources all
+    // of whose demands froze keep wsum 0 and produce inf/NaN levels, but
+    // no live demand reads those entries.
+    for (const std::uint32_t r : scratch.touched) scratch.level[r] = left[r] / wsum[r];
 
     // The water level each live lane could rise to right now, plus the
     // global minimum — one dense gather/min/scatter sweep over the SoA
@@ -227,26 +184,25 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
     double min_level = levelSweep(
         lanes, scratch.soa_src.data(), scratch.soa_dst.data(),
         scratch.soa_up.data(), scratch.soa_down.data(), scratch.soa_cap.data(),
-        scratch.level_in.data(), scratch.level_out.data(), scratch.level_up.data(),
-        scratch.level_down.data(), scratch.level.data());
+        scratch.level.data(), scratch.lane_level.data());
     if (!std::isfinite(min_level)) min_level = 0.0;
     min_level = std::max(min_level, 0.0);
 
     // Freeze every flow constrained at (numerically) the minimum level.
-    // Freezing a flow raises (never lowers) the water level of every port
-    // it leaves, so a sweep level above the cutoff is a safe skip; only
-    // the few at-cutoff candidates re-read the mutated state. Candidates
-    // are gathered from the dense level column (sequential compare, no
-    // survivor copies at all) and processed in ascending demand-index
-    // order, so the recompute/consume/weight-subtraction sequence matches
-    // the reference implementation bit for bit.
+    // Freezing a flow raises (never lowers) the water level of every
+    // resource it leaves, so a sweep level above the cutoff is a safe
+    // skip; only the few at-cutoff candidates re-read the mutated state.
+    // Candidates are gathered from the dense level column (sequential
+    // compare, no survivor copies at all) and processed in ascending
+    // demand-index order, so the recompute/consume/weight-subtraction
+    // sequence matches the reference implementation bit for bit.
     const double cutoff = min_level * (1.0 + kLevelSlack) + 1e-15;
     // Hoisted raw pointers and a manual count: a push_back in the loop
     // would force the compiler to reload the column pointers every
     // iteration (the store could alias them).
     if (scratch.freeze_cand.size() < lanes) scratch.freeze_cand.resize(lanes);
     std::uint32_t* const cand = scratch.freeze_cand.data();
-    const double* const lvl = scratch.level.data();
+    const double* const lvl = scratch.lane_level.data();
     const std::uint32_t* const lid = scratch.lane_id.data();
     std::size_t num_cand = 0;
     for (std::size_t k = 0; k < lanes; ++k) {
@@ -269,29 +225,13 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
       const MaxMinScratch::DemandCtx& c = scratch.ctx[i];
       // Current level against mid-pass residual/weights, mirroring the
       // reference's per-candidate recomputation.
-      double level = std::min(
-          residual.ingress(static_cast<coflow::PortId>(c.src)) / scratch.wsum_in[c.src],
-          residual.egress(static_cast<coflow::PortId>(c.dst)) / scratch.wsum_out[c.dst]);
-      level = std::min(level, c.cap_level);
-      if (c.up_rack >= 0) {
-        level = std::min(
-            {level,
-             residual.rackUplink(c.up_rack) /
-                 scratch.wsum_up[static_cast<std::size_t>(c.up_rack)],
-             residual.rackDownlink(c.down_rack) /
-                 scratch.wsum_down[static_cast<std::size_t>(c.down_rack)]});
-      }
+      double level = c.cap_level;
+      for (const std::uint32_t r : c.route) level = std::min(level, left[r] / wsum[r]);
       if (level > cutoff) continue;  // Raised past the cutoff mid-pass.
       const util::Rate rate = std::min(c.weight * min_level, c.rate_cap);
       rates[i] = rate;
-      residual.consume(static_cast<coflow::PortId>(c.src),
-                       static_cast<coflow::PortId>(c.dst), rate);
-      scratch.wsum_in[c.src] -= c.weight;
-      scratch.wsum_out[c.dst] -= c.weight;
-      if (c.up_rack >= 0) {
-        scratch.wsum_up[static_cast<std::size_t>(c.up_rack)] -= c.weight;
-        scratch.wsum_down[static_cast<std::size_t>(c.down_rack)] -= c.weight;
-      }
+      residual.consume(c.route, rate);
+      for (const std::uint32_t r : c.route) wsum[r] -= c.weight;
       dropLane(i);
     }
     if (lanes == lanes_before) {
@@ -300,10 +240,7 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
   }
   // Restore the all-zero wsum invariant: the freeze-pass subtractions
   // leave +/- epsilon residues on touched entries.
-  for (const std::uint32_t p : scratch.touched_in) scratch.wsum_in[p] = 0.0;
-  for (const std::uint32_t p : scratch.touched_out) scratch.wsum_out[p] = 0.0;
-  for (const std::uint32_t r : scratch.touched_up) scratch.wsum_up[r] = 0.0;
-  for (const std::uint32_t r : scratch.touched_down) scratch.wsum_down[r] = 0.0;
+  for (const std::uint32_t r : scratch.touched) wsum[r] = 0.0;
   return rates;
 }
 
@@ -326,7 +263,9 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
   if (n == 0) return rates;
 
   const auto ports = static_cast<std::size_t>(residual.numPorts());
-  const Fabric* fabric = residual.fabric();  // Non-null only with racks.
+  // Explicit per-port and per-rack weight sums and levels, independent of
+  // Fabric::route, so the oracle checks the routed water-filling.
+  const Fabric* fabric = residual.fabric();
   for (const Demand& d : demands) {
     if (d.src < 0 || static_cast<std::size_t>(d.src) >= ports || d.dst < 0 ||
         static_cast<std::size_t>(d.dst) >= ports) {
@@ -336,17 +275,14 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
   }
 
   std::vector<bool> frozen(n, false);
-  std::vector<double> wsum_in(ports, 0.0);
-  std::vector<double> wsum_out(ports, 0.0);
-  const std::size_t racks =
-      fabric != nullptr ? static_cast<std::size_t>(fabric->numRacks()) : 0;
-  std::vector<double> wsum_up(racks, 0.0);
-  std::vector<double> wsum_down(racks, 0.0);
+  std::vector<double> in_weight(ports, 0.0);
+  std::vector<double> out_weight(ports, 0.0);
+  const auto racks = static_cast<std::size_t>(fabric->numRacks());
+  std::vector<double> up_weight(racks, 0.0);
+  std::vector<double> down_weight(racks, 0.0);
   std::size_t unfrozen = 0;
 
-  auto crossRack = [&](const Demand& d) {
-    return fabric != nullptr && fabric->crossRack(d.src, d.dst);
-  };
+  auto crossRack = [&](const Demand& d) { return fabric->crossRack(d.src, d.dst); };
 
   for (std::size_t i = 0; i < n; ++i) {
     const Demand& d = demands[i];
@@ -354,11 +290,11 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
       frozen[i] = true;  // Rate stays 0; consumes nothing.
       continue;
     }
-    wsum_in[static_cast<std::size_t>(d.src)] += d.weight;
-    wsum_out[static_cast<std::size_t>(d.dst)] += d.weight;
+    in_weight[static_cast<std::size_t>(d.src)] += d.weight;
+    out_weight[static_cast<std::size_t>(d.dst)] += d.weight;
     if (crossRack(d)) {
-      wsum_up[static_cast<std::size_t>(fabric->rackOf(d.src))] += d.weight;
-      wsum_down[static_cast<std::size_t>(fabric->rackOf(d.dst))] += d.weight;
+      up_weight[static_cast<std::size_t>(fabric->rackOf(d.src))] += d.weight;
+      down_weight[static_cast<std::size_t>(fabric->rackOf(d.dst))] += d.weight;
     }
     ++unfrozen;
   }
@@ -367,14 +303,14 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
   auto levelOf = [&](const Demand& d) {
     const auto sp = static_cast<std::size_t>(d.src);
     const auto dp = static_cast<std::size_t>(d.dst);
-    double level = std::min(residual.ingress(d.src) / wsum_in[sp],
-                            residual.egress(d.dst) / wsum_out[dp]);
+    double level = std::min(residual.ingress(d.src) / in_weight[sp],
+                            residual.egress(d.dst) / out_weight[dp]);
     level = std::min(level, d.rate_cap / d.weight);
     if (crossRack(d)) {
       const auto ur = static_cast<std::size_t>(fabric->rackOf(d.src));
       const auto dr = static_cast<std::size_t>(fabric->rackOf(d.dst));
-      level = std::min({level, residual.rackUplink(fabric->rackOf(d.src)) / wsum_up[ur],
-                        residual.rackDownlink(fabric->rackOf(d.dst)) / wsum_down[dr]});
+      level = std::min({level, residual.rackUplink(fabric->rackOf(d.src)) / up_weight[ur],
+                        residual.rackDownlink(fabric->rackOf(d.dst)) / down_weight[dr]});
     }
     return level;
   };
@@ -403,11 +339,11 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
       froze_any = true;
       --unfrozen;
       residual.consume(d.src, d.dst, rate);
-      wsum_in[static_cast<std::size_t>(d.src)] -= d.weight;
-      wsum_out[static_cast<std::size_t>(d.dst)] -= d.weight;
+      in_weight[static_cast<std::size_t>(d.src)] -= d.weight;
+      out_weight[static_cast<std::size_t>(d.dst)] -= d.weight;
       if (crossRack(d)) {
-        wsum_up[static_cast<std::size_t>(fabric->rackOf(d.src))] -= d.weight;
-        wsum_down[static_cast<std::size_t>(fabric->rackOf(d.dst))] -= d.weight;
+        up_weight[static_cast<std::size_t>(fabric->rackOf(d.src))] -= d.weight;
+        down_weight[static_cast<std::size_t>(fabric->rackOf(d.dst))] -= d.weight;
       }
     }
     if (!froze_any) throw std::logic_error("maxMinAllocate: no progress");

@@ -8,11 +8,11 @@
 // The allocator is called on every scheduler round of every simulation, so
 // the primary entry point is allocation-free: all intermediate state lives
 // in a caller-owned MaxMinScratch arena that is reused across calls. The
-// water-filling iteration computes one water level per *port* (and rack
-// link) instead of one per demand, then takes cheap minima per demand —
-// the level of a demand is fully determined by its ports' levels and its
-// own cap. A slower reference implementation (maxMinAllocateReference) is
-// retained for randomized equivalence testing.
+// water-filling iteration computes one water level per *resource* (port or
+// rack link, see Fabric::route) instead of one per demand, then takes
+// cheap minima per demand — the level of a demand is fully determined by
+// its route's levels and its own cap. A slower reference implementation
+// (maxMinAllocateReference) is retained for randomized equivalence testing.
 #pragma once
 
 #include <cstdint>
@@ -53,60 +53,60 @@ struct MaxMinScratch {
   std::vector<util::Rate> shares;
 
   // --- internal to maxMinAllocate -----------------------------------------
-  /// Per-demand precomputed routing/cap data (ports as indices, rack ids,
-  /// weight, cap-implied level).
+  /// Per-demand precomputed route and cap data.
   struct DemandCtx {
-    std::uint32_t src = 0;
-    std::uint32_t dst = 0;
-    std::int32_t up_rack = -1;    ///< Source rack, or -1 if not cross-rack.
-    std::int32_t down_rack = -1;  ///< Destination rack, or -1.
+    Route route;
     double weight = 1.0;
     double cap_level = 0.0;  ///< rate_cap / weight.
     double rate_cap = 0.0;   ///< Verbatim copy (freeze pass stays on ctx lines).
   };
   std::vector<DemandCtx> ctx;
-  std::vector<double> wsum_in, wsum_out, wsum_up, wsum_down;
-  /// level_up/level_down carry one extra sentinel slot (index = numRacks)
-  /// pinned to +infinity: demands that stay inside a rack point their SoA
-  /// rack columns at it, so the per-demand level loop is branch-free —
-  /// min(x, +inf) == x exactly, preserving bit-identical results.
-  std::vector<double> level_in, level_out, level_up, level_down;
-  std::vector<double> level;  ///< Water level of each live lane, by lane.
+  /// Summed weight of the live demands crossing each resource (indexed
+  /// like Fabric::capacities()); all zero between calls.
+  std::vector<double> wsum;
+  /// Water level of each resource, plus one sentinel slot past the last
+  /// resource pinned to +infinity: demands that stay inside a rack point
+  /// their SoA rack columns at it, so the per-lane level loop is
+  /// branch-free — min(x, +inf) == x exactly, preserving bit-identical
+  /// results.
+  std::vector<double> level;
+  std::vector<double> lane_level;  ///< Water level of each live lane, by lane.
   /// Demand indices whose sweep level sits at the round's cutoff,
   /// re-sorted ascending so freezes happen in reference order.
   std::vector<std::uint32_t> freeze_cand;
-  /// Packed SoA columns over the *live* demands ("lanes"). The
-  /// water-level sweep — the hot inner loop of every scheduler round —
-  /// reads only these columns: contiguous, branch-free gather/min per
-  /// lane, no DemandCtx pointer chasing. soa_up/soa_down hold the rack
-  /// index or the +inf sentinel slot. Lanes are kept dense by
-  /// swap-removing a lane when its demand freezes (O(frozen) per round,
-  /// not O(survivors)), so lane order is arbitrary; the freeze pass walks
-  /// the index-ordered `unfrozen` list and maps through lane_of, keeping
-  /// the consume/subtraction sequence bit-identical to the reference.
+  /// Packed SoA columns over the *live* demands ("lanes"): the four
+  /// resource indices of each lane's route into `level` (soa_up/soa_down
+  /// hold the sentinel slot for an intra-rack lane). The water-level
+  /// sweep — the hot inner loop of every scheduler round — reads only
+  /// these columns: contiguous, branch-free gather/min per lane, no
+  /// DemandCtx pointer chasing. Lanes are kept dense by swap-removing a
+  /// lane when its demand freezes (O(frozen) per round, not
+  /// O(survivors)), so lane order is arbitrary; the freeze pass walks the
+  /// index-ordered candidate list and maps through lane_of, keeping the
+  /// consume/subtraction sequence bit-identical to the reference.
   std::vector<std::uint32_t> soa_src, soa_dst, soa_up, soa_down;
   std::vector<double> soa_cap;          ///< cap_level column (rate_cap / weight).
   std::vector<std::uint32_t> lane_id;   ///< lane -> demand index.
   std::vector<std::uint32_t> lane_of;   ///< demand index -> lane.
-  /// Ports/racks referenced by at least one live demand — the level
-  /// refresh loops over these, so a call with few demands on a large
-  /// fabric costs O(demands), not O(ports).
-  std::vector<std::uint32_t> touched_in, touched_out, touched_up, touched_down;
+  /// Resources referenced by at least one live demand — the level refresh
+  /// loops over these, so a call with few demands on a large fabric costs
+  /// O(demands), not O(ports).
+  std::vector<std::uint32_t> touched;
 
-  // --- buffers for sched::allocateCoflowMadd (per-resource remaining) -----
-  std::vector<util::Bytes> rem_in, rem_out, rem_up, rem_down;
+  // --- per-resource byte load (sched::addCoflowLoad) ----------------------
+  std::vector<util::Bytes> load;
 };
 
 /// Computes weighted max-min fair rates for `demands` against `residual`,
 /// consuming the capacity it hands out. Returns `scratch.shares` resized
 /// and aligned with `demands`. Weight <= 0 yields rate 0.
 ///
-/// Algorithm: repeatedly find the tightest constraint — either a port
+/// Algorithm: repeatedly find the tightest constraint — either a resource
 /// whose residual divided by the total weight of unfrozen flows crossing
 /// it is minimal, or an individual flow's rate cap — freeze the affected
 /// flows at the implied water level, subtract, and continue. Each
-/// iteration costs O(ports + racks) divisions plus O(live demands) minima;
-/// at most (2 x ports + 2 x racks + demands) iterations.
+/// iteration costs O(touched resources) divisions plus O(live demands)
+/// minima; at most (resources + demands) iterations.
 const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
                                               ResidualCapacity& residual,
                                               MaxMinScratch& scratch);

@@ -4,7 +4,23 @@
 
 namespace aalo::sched {
 
+namespace {
+
+/// Chatter guard (see nextWakeup): a catch-up wake sooner than
+/// quantum / kChaseDivisor counts as a chase; after kChaseRunLimit
+/// consecutive chases, catch-ups are deferred to that floor until a
+/// wake-up finds no coflow catching up with another.
+constexpr double kChaseDivisor = 50;
+constexpr std::size_t kChaseRunLimit = 1000;
+
+}  // namespace
+
 ContinuousClasScheduler::ContinuousClasScheduler(ClasConfig config) : config_(config) {}
+
+void ContinuousClasScheduler::reset(const fabric::Fabric& fabric) {
+  (void)fabric;
+  chase_run_ = 0;
+}
 
 void ContinuousClasScheduler::allocate(const sim::SimView& view,
                                        std::vector<util::Rate>& rates) {
@@ -61,18 +77,35 @@ util::Seconds ContinuousClasScheduler::nextWakeup(const sim::SimView& view) {
     active.push_back(&view.coflow(g.coflow_index));
     agg_rate.push_back(coflowAggregateRate(view, g));
   }
-  util::Seconds earliest = view.now + config_.quantum;
+  util::Seconds catch_up = sim::kInfTime;
   for (std::size_t a = 0; a < active.size(); ++a) {
     for (std::size_t b = 0; b < active.size(); ++b) {
       if (a == b) continue;
       const util::Bytes gap = active[b]->sent - active[a]->sent;
       const util::Rate closing = agg_rate[a] - agg_rate[b];
       if (gap > config_.tie_window && closing > util::kEps) {
-        earliest = std::min(earliest, view.now + gap / closing);
+        catch_up = std::min(catch_up, view.now + gap / closing);
       }
     }
   }
-  return earliest;
+  // Chatter guard. Tied coflows bottlenecked on different resources (a
+  // rack link for some, ports for others) gain service at different
+  // aggregate rates, drift past the tie window within microseconds and
+  // are caught up again: every such wake moves the cluster by about one
+  // tie window, so a multi-GB cluster would take millions of rounds.
+  // Once catch-ups keep landing closer than the chase floor, they are
+  // deferred to it until the chase ends; the cluster then drifts apart
+  // by at most floor x rate before the lagging coflow regains priority.
+  // The run limit sits well above the longest chase of a rack-free
+  // trace, where tied coflows settle by themselves.
+  const util::Seconds chase_floor = config_.quantum / kChaseDivisor;
+  if (catch_up < view.now + chase_floor) {
+    ++chase_run_;
+  } else if (chase_run_ <= kChaseRunLimit || catch_up == sim::kInfTime) {
+    chase_run_ = 0;
+  }
+  if (chase_run_ > kChaseRunLimit) catch_up = std::max(catch_up, view.now + chase_floor);
+  return std::min(view.now + config_.quantum, catch_up);
 }
 
 }  // namespace aalo::sched

@@ -15,6 +15,8 @@ struct ClasConfig {
   util::Bytes tie_window = 1 * util::kKB;
   /// Safety re-allocation quantum: ties form as lagging coflows catch up;
   /// the scheduler also predicts catch-up times, so this is a backstop.
+  /// quantum / 50 is also the floor of catch-up wakes once tied coflows
+  /// chatter (see nextWakeup).
   util::Seconds quantum = 0.5;
 };
 
@@ -24,6 +26,7 @@ class ContinuousClasScheduler final : public sim::Scheduler {
 
   std::string name() const override { return "clas-continuous"; }
 
+  void reset(const fabric::Fabric& fabric) override;
   void allocate(const sim::SimView& view, std::vector<util::Rate>& rates) override;
   util::Seconds nextWakeup(const sim::SimView& view) override;
 
@@ -31,6 +34,8 @@ class ContinuousClasScheduler final : public sim::Scheduler {
   ClasConfig config_;
   fabric::MaxMinScratch scratch_;
   std::vector<const ActiveCoflow*> order_;
+  /// Consecutive wake-ups that were catch-ups sooner than the chase floor.
+  std::size_t chase_run_ = 0;
 };
 
 }  // namespace aalo::sched

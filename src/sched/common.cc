@@ -12,6 +12,20 @@ void allocateCoflowMaxMin(const sim::SimView& view, const ActiveCoflow& group,
   backfillMaxMin(view, group.flow_indices, residual, rates, scratch);
 }
 
+Bottleneck worstLoad(const sim::SimView& view, const ActiveCoflow& group,
+                     const std::vector<util::Bytes>& load,
+                     const std::vector<util::Rate>& capacity) {
+  Bottleneck b;
+  for (std::size_t k = 0; k < group.flow_indices.size(); ++k) {
+    for (const std::uint32_t r : view.fabric->route(group.srcs[k], group.dsts[k])) {
+      if (load[r] <= 0) continue;
+      b.min_capacity = std::min(b.min_capacity, capacity[r]);
+      b.gamma = std::max(b.gamma, load[r] / capacity[r]);
+    }
+  }
+  return b;
+}
+
 void allocateCoflowMadd(const sim::SimView& view, const ActiveCoflow& group,
                         fabric::ResidualCapacity& residual,
                         std::vector<util::Rate>& rates,

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,26 @@ inline util::Bytes remainingBytes(const sim::FlowState& f) {
   return std::max(0.0, f.size - f.sent);
 }
 
+/// Per-resource load accumulator: adds `flow_bytes(flow)` of each of
+/// `group`'s active flows to `load` (indexed like
+/// fabric::Fabric::capacities()) at every resource on the flow's route.
+template <typename FlowBytes>  // util::Bytes(const sim::FlowState&)
+void addCoflowLoad(const sim::SimView& view, const ActiveCoflow& group,
+                   std::vector<util::Bytes>& load, FlowBytes&& flow_bytes) {
+  for (std::size_t k = 0; k < group.flow_indices.size(); ++k) {
+    const util::Bytes bytes = flow_bytes(view.flow(group.flow_indices[k]));
+    for (const std::uint32_t r : view.fabric->route(group.srcs[k], group.dsts[k])) {
+      load[r] += bytes;
+    }
+  }
+}
+
+/// The worst load ÷ capacity over the resources `group`'s active flows
+/// cross, and the smallest capacity among those with load to carry.
+Bottleneck worstLoad(const sim::SimView& view, const ActiveCoflow& group,
+                     const std::vector<util::Bytes>& load,
+                     const std::vector<util::Rate>& capacity);
+
 /// The bottleneck of `group`'s active flows against `capacity` (the full
 /// fabric for an SEBF order, the residual for MADD) when each flow carries
 /// `flow_bytes(flow)` more bytes: remainingBytes for Varys and MADD, the
@@ -52,44 +73,9 @@ Bottleneck coflowBottleneck(const sim::SimView& view, const ActiveCoflow& group,
                             const fabric::ResidualCapacity& capacity,
                             fabric::MaxMinScratch& scratch,
                             FlowBytes&& flow_bytes) {
-  const auto ports = static_cast<std::size_t>(capacity.numPorts());
-  const fabric::Fabric* rack_fabric = capacity.fabric();
-  const std::size_t racks =
-      rack_fabric != nullptr ? static_cast<std::size_t>(rack_fabric->numRacks()) : 0;
-  std::vector<util::Bytes>& rem_in = scratch.rem_in;
-  std::vector<util::Bytes>& rem_out = scratch.rem_out;
-  std::vector<util::Bytes>& rem_up = scratch.rem_up;
-  std::vector<util::Bytes>& rem_down = scratch.rem_down;
-  rem_in.assign(ports, 0.0);
-  rem_out.assign(ports, 0.0);
-  rem_up.assign(racks, 0.0);
-  rem_down.assign(racks, 0.0);
-  for (const std::size_t fi : group.flow_indices) {
-    const sim::FlowState& f = view.flow(fi);
-    const util::Bytes rem = flow_bytes(f);
-    rem_in[static_cast<std::size_t>(f.src)] += rem;
-    rem_out[static_cast<std::size_t>(f.dst)] += rem;
-    if (rack_fabric != nullptr && rack_fabric->crossRack(f.src, f.dst)) {
-      rem_up[static_cast<std::size_t>(rack_fabric->rackOf(f.src))] += rem;
-      rem_down[static_cast<std::size_t>(rack_fabric->rackOf(f.dst))] += rem;
-    }
-  }
-  Bottleneck b;
-  const auto carry = [&b](util::Bytes rem, util::Rate cap) {
-    if (rem <= 0) return;
-    b.min_capacity = std::min(b.min_capacity, cap);
-    b.gamma = std::max(b.gamma, rem / cap);
-  };
-  for (std::size_t p = 0; p < ports; ++p) {
-    const auto pid = static_cast<coflow::PortId>(p);
-    carry(rem_in[p], capacity.ingress(pid));
-    carry(rem_out[p], capacity.egress(pid));
-  }
-  for (std::size_t r = 0; r < racks; ++r) {
-    carry(rem_up[r], capacity.rackUplink(static_cast<int>(r)));
-    carry(rem_down[r], capacity.rackDownlink(static_cast<int>(r)));
-  }
-  return b;
+  scratch.load.assign(view.fabric->numResources(), 0.0);
+  addCoflowLoad(view, group, scratch.load, flow_bytes);
+  return worstLoad(view, group, scratch.load, capacity.left());
 }
 
 /// Clairvoyant MADD (Varys): every active flow of `group` gets

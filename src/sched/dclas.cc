@@ -65,7 +65,9 @@ void DClasScheduler::reset(const fabric::Fabric& fabric) {
   // A residual is drained once no port can carry more than this; relative
   // to capacity because each water-filling pass leaves FP dust behind.
   util::Rate max_cap = 0;
-  for (const util::Rate c : fabric.ingressCapacities()) max_cap = std::max(max_cap, c);
+  for (coflow::PortId p = 0; p < fabric.numPorts(); ++p) {
+    max_cap = std::max(max_cap, fabric.ingressCapacity(p));
+  }
   drained_threshold_ = util::kEps * max_cap;
   known_sent_.clear();
   last_sync_boundary_ = -1;
@@ -336,9 +338,9 @@ std::uint64_t DClasScheduler::scheduleEpoch(const sim::SimView& view) {
 bool DClasScheduler::demandDrained(const fabric::ResidualCapacity& residual) const {
   // Only ports some active flow actually demands matter: a flow's
   // available rate is a min over its own ports, so "all demanded ports
-  // drained" implies nothing left to hand out. Checking *every* port (as
-  // ResidualCapacity::exhausted does) almost never fires in sparse
-  // phases, where most ports are idle and keep their full capacity.
+  // drained" implies nothing left to hand out. Checking *every* port
+  // would almost never fire in sparse phases, where most ports are idle
+  // and keep their full capacity.
   const std::size_t ports = in_demand_.size();
   for (std::size_t p = 0; p < ports; ++p) {
     const auto pid = static_cast<coflow::PortId>(p);
@@ -460,7 +462,6 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
     cached_total_weight_ = total_weight;
   }
 
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
   leftover_scratch_.assignFrom(*view.fabric, 0.0);
   fabric::ResidualCapacity& leftover = leftover_scratch_;
   for (int qi = 0; qi < k; ++qi) {
@@ -472,28 +473,14 @@ void DClasScheduler::allocateWeighted(const sim::SimView& view,
       fabric::ResidualCapacity& queue_residual = residual_scratch_;
       q.cached_rates.clear();
       fillQueue(view, q.members, queue_residual, rates, &q.cached_rates);
-      q.left_in = queue_residual.ingressAll();
-      q.left_out = queue_residual.egressAll();
-      if (view.fabric->hasRacks()) {
-        q.left_up = queue_residual.rackUplinkAll();
-        q.left_down = queue_residual.rackDownlinkAll();
-      } else {
-        q.left_up.clear();
-        q.left_down.clear();
-      }
+      q.left = queue_residual.left();
       q.dirty = false;
     } else {
       for (const auto& [fi, r] : q.cached_rates) rates[fi] += r;
     }
-    // Pool this queue's unused slice for the excess pass.
-    for (std::size_t p = 0; p < ports; ++p) {
-      leftover.ingressAll()[p] += q.left_in[p];
-      leftover.egressAll()[p] += q.left_out[p];
-    }
-    for (std::size_t r = 0; r < q.left_up.size(); ++r) {
-      leftover.rackUplinkAll()[r] += q.left_up[r];
-      leftover.rackDownlinkAll()[r] += q.left_down[r];
-    }
+    // Pool this queue's unused slice (ports and rack links) for the
+    // excess pass.
+    leftover.add(q.left);
   }
 
   // Excess policy: hand unused capacity out again, highest priority

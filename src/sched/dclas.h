@@ -142,8 +142,8 @@ class DClasScheduler final : public sim::Scheduler {
     bool dirty = true;
     /// Recorded primary-pass rate increments, in allocation order.
     std::vector<std::pair<std::size_t, util::Rate>> cached_rates;
-    /// Leftover capacity slice after the primary pass.
-    std::vector<util::Rate> left_in, left_out, left_up, left_down;
+    /// Leftover capacity slice after the primary pass, per resource.
+    std::vector<util::Rate> left;
   };
 
   /// Coordinator-known attained size of a coflow (0 for never-synced).
@@ -223,7 +223,7 @@ class DClasScheduler final : public sim::Scheduler {
   /// Reusable allocation-round buffers (hot path).
   fabric::MaxMinScratch scratch_;
   std::vector<std::size_t> gainers_scratch_;
-  /// Reusable residual trackers (avoid four vector allocations per pass).
+  /// Reusable residual trackers (avoid a vector allocation per pass).
   fabric::ResidualCapacity residual_scratch_, leftover_scratch_;
 };
 

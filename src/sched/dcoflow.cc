@@ -24,12 +24,6 @@ bool sigmaBefore(const sim::CoflowState& a, const sim::CoflowState& b) {
   return a.id < b.id;
 }
 
-/// Remaining bytes of one active flow (clairvoyant — dcoflow needs sizes
-/// to test deadlines, like Varys needs them for SEBF).
-util::Bytes remainingOf(const sim::SimView& view, std::size_t fi) {
-  return std::max(0.0, view.flows->size_bytes[fi] - view.flows->sent_bytes[fi]);
-}
-
 }  // namespace
 
 void DCoflowScheduler::reset(const fabric::Fabric& fabric) {
@@ -66,7 +60,6 @@ void DCoflowScheduler::decideAdmissions(const sim::SimView& view) {
               return ca.id < cb.id;
             });
 
-  const auto ports = static_cast<std::size_t>(view.fabric->numPorts());
   for (const std::size_t cand : candidate_scratch_) {
     const std::size_t cand_ci = groups[cand].coflow_index;
     const sim::CoflowState& cand_state = view.coflow(cand_ci);
@@ -86,32 +79,28 @@ void DCoflowScheduler::decideAdmissions(const sim::SimView& view) {
                                    view.coflow(groups[b].coflow_index));
               });
 
-    // Walk the sigma order accumulating per-port remaining load. The
-    // completion bound of the k-th coflow is the worst cumulative
-    // load/capacity over all ports after its own load is added — every
-    // byte of the prefix must cross that port before the k-th coflow can
-    // finish under the sigma-order service discipline. Coflows *before*
-    // the candidate keep their prefix (and thus their bound) unchanged,
-    // so only the candidate and its successors are tested.
-    cum_in_scratch_.assign(ports, 0.0);
-    cum_out_scratch_.assign(ports, 0.0);
+    // Walk the sigma order accumulating per-resource remaining load
+    // (clairvoyant, like Varys: dcoflow needs sizes to test deadlines).
+    // The completion bound of the k-th coflow is the worst cumulative
+    // load/capacity over every port and rack link the prefix crosses,
+    // after its own load is added — every byte of the prefix must cross
+    // that resource before the k-th coflow can finish under the
+    // sigma-order service discipline. Cumulative loads only grow, so
+    // reading the resources each coflow touches keeps the running worst
+    // exact. Coflows *before* the candidate keep their prefix (and thus
+    // their bound) unchanged, so only the candidate and its successors
+    // are tested.
+    std::vector<util::Bytes>& load = scratch_.load;
+    load.assign(view.fabric->numResources(), 0.0);
     util::Seconds worst = 0;
     bool ok = true;
     bool candidate_seen = false;
     util::Seconds cand_bound = view.now;
     for (const std::size_t g : order_scratch_) {
       const ActiveCoflow& group = groups[g];
-      for (std::size_t k = 0; k < group.flow_indices.size(); ++k) {
-        const util::Bytes rem = remainingOf(view, group.flow_indices[k]);
-        const auto src = static_cast<std::size_t>(group.srcs[k]);
-        const auto dst = static_cast<std::size_t>(group.dsts[k]);
-        cum_in_scratch_[src] += rem;
-        cum_out_scratch_[dst] += rem;
-        worst = std::max(worst, cum_in_scratch_[src] /
-                                    view.fabric->ingressCapacity(group.srcs[k]));
-        worst = std::max(worst, cum_out_scratch_[dst] /
-                                    view.fabric->egressCapacity(group.dsts[k]));
-      }
+      addCoflowLoad(view, group, load, remainingBytes);
+      worst = std::max(
+          worst, worstLoad(view, group, load, view.fabric->capacities()).gamma);
       const util::Seconds bound =
           view.now + config_.admission_margin * worst;
       const sim::CoflowState& state = view.coflow(group.coflow_index);

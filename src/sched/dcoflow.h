@@ -5,17 +5,18 @@
 // sigma-order — earliest absolute deadline first, deadline-free coflows
 // last — and serves them with per-coflow max-min in that order. When a
 // new coflow becomes active it is admitted only if, under a conservative
-// sigma-order completion bound (cumulative remaining load over every
-// port, divided by port capacity), its own deadline AND every already
-// admitted coflow's deadline still hold. Otherwise it is *rejected*:
-// dropped to background priority so it cannot hurt anyone who can still
-// make their deadline. Rejected coflows keep receiving leftover
+// sigma-order completion bound (cumulative remaining load over every port
+// and rack link, divided by its capacity), its own deadline AND every
+// already admitted coflow's deadline still hold. Otherwise it is
+// *rejected*: dropped to background priority so it cannot hurt anyone who
+// can still make their deadline. Rejected coflows keep receiving leftover
 // bandwidth, so every simulation terminates and rejection shows up as
 // deadline misses plus SimResult::rejected_coflows, never as a hang.
 //
 // This is the admission-control idea of DCoflow (sigma-order test) grafted
-// onto this repo's fluid engine; the bound ignores rack constraints, so
-// on oversubscribed fabrics admission is optimistic (a miss, not a bug).
+// onto this repo's fluid engine. The bound walks every resource a flow
+// crosses (Fabric::route), so on an oversubscribed fabric a coflow that
+// only a rack uplink or downlink makes late is rejected too.
 #pragma once
 
 #include <cstddef>
@@ -92,8 +93,6 @@ class DCoflowScheduler final : public sim::Scheduler {
   // Scratch (capacity reuse across rounds).
   std::vector<std::size_t> order_scratch_;
   std::vector<std::size_t> candidate_scratch_;
-  std::vector<util::Bytes> cum_in_scratch_;
-  std::vector<util::Bytes> cum_out_scratch_;
   std::vector<std::size_t> flows_scratch_;
   fabric::MaxMinScratch scratch_;
 };

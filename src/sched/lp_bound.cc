@@ -63,12 +63,9 @@ LpBoundResult computeCctLowerBound(const coflow::Workload& workload,
                                    const fabric::FabricConfig& config) {
   LpBoundResult result;
   const fabric::Fabric fabric(config);
-  const auto ports = static_cast<std::size_t>(fabric.numPorts());
-  const std::size_t machines = 2 * ports;  // [0,P) ingress, [P,2P) egress.
-  auto capacity = [&](std::size_t m) {
-    return m < ports ? fabric.ingressCapacity(static_cast<coflow::PortId>(m))
-                     : fabric.egressCapacity(static_cast<coflow::PortId>(m - ports));
-  };
+  // One machine per resource: every port and rack link.
+  const std::size_t machines = fabric.numResources();
+  const std::vector<util::Rate>& capacity = fabric.capacities();
 
   // Per-machine relaxed jobs: (release, processing seconds) plus the
   // isolated time of the contributing coflow (subtracted from the
@@ -91,24 +88,23 @@ LpBoundResult computeCctLowerBound(const coflow::Workload& workload,
       util::Seconds iso = 0;
       for (const coflow::FlowSpec& f : spec.flows) {
         const util::Bytes b = effectiveBytes(f.bytes);
-        const std::size_t src = static_cast<std::size_t>(f.src);
-        const std::size_t dst = static_cast<std::size_t>(f.dst) + ports;
-        if (load[src] == 0) touched.push_back(src);
-        if (load[dst] == 0) touched.push_back(dst);
-        load[src] += b;
-        load[dst] += b;
+        util::Rate line_rate = std::numeric_limits<util::Rate>::infinity();
+        for (const std::uint32_t m : fabric.route(f.src, f.dst)) {
+          if (load[m] == 0) touched.push_back(m);
+          load[m] += b;
+          line_rate = std::min(line_rate, capacity[m]);
+        }
         // Even alone on the fabric, this flow cannot finish before its
         // own start offset plus its line-rate transfer time.
-        iso = std::max(iso, f.start_offset +
-                                b / std::min(capacity(src), capacity(dst)));
+        iso = std::max(iso, f.start_offset + b / line_rate);
       }
       for (const std::size_t m : touched) {
-        iso = std::max(iso, load[m] / capacity(m));
+        iso = std::max(iso, load[m] / capacity[m]);
       }
       result.isolation_total += iso;
       for (const std::size_t m : touched) {
         if (release_known && load[m] > 0) {
-          machine_jobs[m].emplace_back(release, load[m] / capacity(m));
+          machine_jobs[m].emplace_back(release, load[m] / capacity[m]);
           machine_iso[m] += iso;
         }
         load[m] = 0;  // Reset for the next coflow.

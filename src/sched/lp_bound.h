@@ -1,8 +1,10 @@
 // Offline lower bound on total CCT (LP-relaxation style).
 //
-// Treats the fabric as 2P independent machines (each ingress and egress
-// port) and relaxes the coflow-scheduling instance onto each machine as a
-// single-machine preemptive total-completion-time problem — the
+// Treats the fabric as independent machines, one per resource a flow can
+// cross (each ingress and egress port and, on an oversubscribed fabric,
+// each rack uplink and downlink — every one a single machine of its own
+// capacity), and relaxes the coflow-scheduling instance onto each machine
+// as a single-machine preemptive total-completion-time problem — the
 // relaxation behind the concurrent-open-shop LP bounds of
 // Shafiee-Ghaderi (and the dual-fitting analysis already used by
 // sched/offline_opt's 2-approximation). On one machine with release
@@ -17,8 +19,8 @@
 // (C_j - r_j) for the per-coflow loads on machine m. Coflows whose
 // release depends on a Starts-After barrier contribute their iso term
 // only (their release instant is schedule-dependent); Finishes-Before
-// edges and rack constraints can only increase real CCTs, so dropping
-// them keeps the bound sound. Per-flow bytes are discounted by the
+// edges can only increase real CCTs, so dropping them keeps the bound
+// sound. Per-flow bytes are discounted by the
 // engine's completion slack (flows snap to done slightly early) so the
 // bound stays below every achievable fluid schedule.
 //
@@ -44,8 +46,8 @@ struct LpBoundResult {
   std::size_t num_coflows = 0;
 };
 
-/// Computes the bound for `workload` on a fabric described by `config`
-/// (racks, if any, are ignored — they only tighten real schedules).
+/// Computes the bound for `workload` on a fabric described by `config`,
+/// rack links included.
 LpBoundResult computeCctLowerBound(const coflow::Workload& workload,
                                    const fabric::FabricConfig& config);
 

@@ -251,38 +251,18 @@ void Run::processDueEvents() {
 }
 
 void Run::verifyAllocation() const {
-  std::vector<util::Rate> in(static_cast<std::size_t>(fabric_.numPorts()), 0.0);
-  std::vector<util::Rate> out(in.size(), 0.0);
-  const std::size_t racks =
-      fabric_.hasRacks() ? static_cast<std::size_t>(fabric_.numRacks()) : 0;
-  std::vector<util::Rate> up(racks, 0.0);
-  std::vector<util::Rate> down(racks, 0.0);
+  std::vector<util::Rate> load(fabric_.numResources(), 0.0);
   for (const std::size_t fi : active_flows_) {
     const util::Rate rate = flows_.rate[fi];
     if (rate < 0) throw std::logic_error("Simulator: negative rate from scheduler");
-    const coflow::PortId src = flows_.src_port[fi];
-    const coflow::PortId dst = flows_.dst_port[fi];
-    in[static_cast<std::size_t>(src)] += rate;
-    out[static_cast<std::size_t>(dst)] += rate;
-    if (racks > 0 && fabric_.crossRack(src, dst)) {
-      up[static_cast<std::size_t>(fabric_.rackOf(src))] += rate;
-      down[static_cast<std::size_t>(fabric_.rackOf(dst))] += rate;
-    }
+    const fabric::Route route = fabric_.route(flows_.src_port[fi], flows_.dst_port[fi]);
+    for (const std::uint32_t r : route) load[r] += rate;
   }
   const double tol = 1e-6;
-  for (std::size_t p = 0; p < in.size(); ++p) {
-    const auto pid = static_cast<coflow::PortId>(p);
-    if (in[p] > fabric_.ingressCapacity(pid) * (1.0 + tol) + util::kEps ||
-        out[p] > fabric_.egressCapacity(pid) * (1.0 + tol) + util::kEps) {
-      throw std::logic_error("Simulator: allocation exceeds port capacity (" +
-                             scheduler_.name() + ")");
-    }
-  }
-  for (std::size_t r = 0; r < racks; ++r) {
-    const int rack = static_cast<int>(r);
-    if (up[r] > fabric_.rackUplinkCapacity(rack) * (1.0 + tol) + util::kEps ||
-        down[r] > fabric_.rackDownlinkCapacity(rack) * (1.0 + tol) + util::kEps) {
-      throw std::logic_error("Simulator: allocation exceeds rack capacity (" +
+  const std::vector<util::Rate>& capacity = fabric_.capacities();
+  for (std::size_t r = 0; r < load.size(); ++r) {
+    if (load[r] > capacity[r] * (1.0 + tol) + util::kEps) {
+      throw std::logic_error("Simulator: allocation exceeds link capacity (" +
                              scheduler_.name() + ")");
     }
   }

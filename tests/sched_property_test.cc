@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sched/dclas.h"
@@ -23,6 +24,7 @@
 #include "sched/fair.h"
 #include "sched/las.h"
 #include "sched/lp_bound.h"
+#include "sched/registry.h"
 #include "sched/sampling.h"
 #include "sched/varys.h"
 #include "sim/simulator.h"
@@ -166,6 +168,55 @@ TEST(SchedProperty, DCoflowRejectsTheCoflowThatCannotFit) {
   EXPECT_GT(result.makespan, 19.0);  // Background service actually ran.
 }
 
+/// A rack fabric of unit ports: `ports` grouped `per_rack` to a rack,
+/// rack links oversubscribed `oversub`:1.
+fabric::FabricConfig rackFabric(int ports, int per_rack, double oversub) {
+  fabric::FabricConfig fc = testing::unitFabric(ports);
+  fc.rack.ports_per_rack = per_rack;
+  fc.rack.oversubscription = oversub;
+  return fc;
+}
+
+// Only a rack uplink makes the second coflow late: the two coflows use
+// disjoint ports and rack downlinks but share rack 0's uplink (4 ports x 1
+// / 2:1 = 2). Each alone takes 10 s; together the uplink needs 20 s for
+// their 40 bytes. A port-only bound admits both and the second misses its
+// deadline; the rack-aware bound rejects it, and the admitted one makes
+// its deadline.
+TEST(SchedProperty, DCoflowRejectsACoflowOnlyARackUplinkMakesLate) {
+  coflow::JobSpec job;
+  job.id = 0;
+  job.arrival = 0;
+  for (int c = 0; c < 2; ++c) {
+    coflow::CoflowSpec spec;
+    spec.id = {0, c};
+    spec.deadline = 10.5;
+    const coflow::PortId dst = c == 0 ? 4 : 8;  // Rack 1 or rack 2.
+    for (coflow::PortId k = 0; k < 2; ++k) {
+      spec.flows.push_back(coflow::FlowSpec{static_cast<coflow::PortId>(2 * c + k),
+                                            static_cast<coflow::PortId>(dst + k), 10.0,
+                                            0.0});
+    }
+    job.coflows.push_back(std::move(spec));
+  }
+  const coflow::Workload wl =
+      testing::makeWorkload(12, std::vector<coflow::JobSpec>{job});
+
+  sched::DCoflowScheduler scheduler;
+  const sim::SimResult result =
+      testing::runVerified(wl, rackFabric(12, 4, 2.0), scheduler);
+
+  ASSERT_EQ(scheduler.admissionLog().size(), 2u);
+  EXPECT_TRUE(scheduler.admissionLog()[0].admitted);
+  EXPECT_FALSE(scheduler.admissionLog()[1].admitted);
+  EXPECT_NEAR(scheduler.admissionLog()[1].bound, 20.0, 1e-9);
+  EXPECT_EQ(result.rejected_coflows, 1u);
+  // The only miss is the rejected coflow: the admitted one finishes on
+  // time.
+  EXPECT_EQ(result.deadline_misses, 1u);
+  EXPECT_LE(testing::cctOf(result, {0, 0}), 10.5);
+}
+
 // ---------------------------------------------------------------------------
 // 3. LP bound soundness on fuzzed traces
 // ---------------------------------------------------------------------------
@@ -249,6 +300,86 @@ TEST(SchedProperty, LpBoundNeverExceedsAchievedTotalCct) {
       EXPECT_GE(achieved, bound.total_cct * (1.0 - 1e-9) - 1e-6)
           << "seed " << seed << " scheduler " << scheduler->name()
           << " achieved " << achieved << " < bound " << bound.total_cct;
+    }
+  }
+}
+
+// One coflow of four 10-byte flows out of rack 0 and one of two 5-byte
+// flows on two of the same ports, both released at 0, on a 2:1 fabric
+// (rack link 2). Ports alone bound the total CCT at 20 s (SRPT on port 2:
+// 5 + 15); the rack 0 uplink is one machine carrying 40 + 10 bytes at 2,
+// so SRPT there gives 5 + 25 = 30 s, which SEBF achieves.
+TEST(SchedProperty, LpBoundSeesRackLinks) {
+  coflow::JobSpec job;
+  job.id = 0;
+  job.arrival = 0;
+  coflow::CoflowSpec wide;
+  wide.id = {0, 0};
+  for (coflow::PortId k = 0; k < 4; ++k) {
+    wide.flows.push_back(coflow::FlowSpec{k, static_cast<coflow::PortId>(4 + k), 10.0, 0.0});
+  }
+  coflow::CoflowSpec narrow;
+  narrow.id = {0, 1};
+  for (coflow::PortId k = 2; k < 4; ++k) {
+    narrow.flows.push_back(coflow::FlowSpec{k, static_cast<coflow::PortId>(4 + k), 5.0, 0.0});
+  }
+  job.coflows = {wide, narrow};
+  const coflow::Workload wl = testing::makeWorkload(8, std::vector<coflow::JobSpec>{job});
+
+  const fabric::FabricConfig racks = rackFabric(8, 4, 2.0);
+  const sched::LpBoundResult port_only =
+      sched::computeCctLowerBound(wl, testing::unitFabric(8));
+  const sched::LpBoundResult bound = sched::computeCctLowerBound(wl, racks);
+  // Within the engine's completion slack (1e-3 bytes per flow).
+  EXPECT_NEAR(port_only.total_cct, 20.0, 1e-2);
+  EXPECT_NEAR(bound.total_cct, 30.0, 1e-2);
+  EXPECT_GT(bound.total_cct, port_only.total_cct + 1.0);
+
+  sched::VarysScheduler varys;
+  const double achieved = testing::runVerified(wl, racks, varys).totalCct();
+  EXPECT_NEAR(achieved, 30.0, 1e-6);
+  EXPECT_GE(achieved, bound.total_cct * (1.0 - 1e-9) - 1e-6);
+}
+
+// Rack cases of sections 2 and 3: the fuzzed traces on fabrics of
+// two-port racks at 2:1 and 4:1, under every registered scheduler.
+TEST(SchedProperty, RackFabricsKeepAdmissionAndLpBoundSound) {
+  for (const double oversub : {2.0, 4.0}) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      coflow::Workload wl = fuzzWorkload(9000 + seed);
+      wl.num_ports += wl.num_ports % 2;  // Whole racks of two.
+      const fabric::FabricConfig fc = rackFabric(wl.num_ports, 2, oversub);
+      SCOPED_TRACE("oversubscription " + std::to_string(oversub) + " seed " +
+                   std::to_string(seed));
+      const sched::LpBoundResult bound = sched::computeCctLowerBound(wl, fc);
+      EXPECT_GE(bound.total_cct,
+                sched::computeCctLowerBound(wl, testing::unitFabric(wl.num_ports))
+                        .total_cct -
+                    1e-9);
+
+      for (const sched::RegisteredScheduler& entry : sched::registeredSchedulers()) {
+        auto scheduler = sched::makeScheduler(entry.name, wl);
+        ASSERT_NE(scheduler, nullptr) << entry.name;
+        const sim::SimResult result = testing::runVerified(wl, fc, *scheduler);
+        ASSERT_EQ(result.coflows.size(), wl.coflowCount()) << entry.name;
+        EXPECT_GE(result.totalCct(), bound.total_cct * (1.0 - 1e-9) - 1e-6)
+            << entry.name << " achieved " << result.totalCct() << " < bound "
+            << bound.total_cct;
+      }
+
+      sched::DCoflowScheduler dcoflow;
+      const sim::SimResult result = testing::runVerified(wl, fc, dcoflow);
+      std::size_t rejected = 0;
+      for (const sched::AdmissionDecision& d : dcoflow.admissionLog()) {
+        if (!d.admitted) {
+          ++rejected;
+          EXPECT_LT(d.deadline_abs, sim::kInfTime) << "rejected deadline-free coflow";
+        } else if (d.deadline_abs < sim::kInfTime) {
+          EXPECT_LE(d.bound, d.deadline_abs + 1e-6) << d.id.toString();
+        }
+      }
+      EXPECT_EQ(dcoflow.admissionLog().size(), wl.coflowCount());
+      EXPECT_EQ(result.rejected_coflows, rejected);
     }
   }
 }
