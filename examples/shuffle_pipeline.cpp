@@ -46,6 +46,7 @@ int main() {
   dcfg.daemon_id = 1;
   dcfg.sync_interval = 0.010;
   dcfg.num_queues = 4;
+  dcfg.dclas = ccfg.dclas;  // Degraded-mode local queues match the global ones.
   dcfg.uplink_capacity = 8 * util::kMB;  // Modest, so the demo runs ~1-2 s.
   runtime::Daemon daemon(dcfg);
   daemon.start();

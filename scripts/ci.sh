@@ -12,8 +12,10 @@
 #                            # + workload + tool CLIs
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
-#   scripts/ci.sh perf       # Release perf-smoke: BENCH_micro.json gate
-#                            # + fig14 1000-daemon round-time gate
+#   scripts/ci.sh perf       # perfbench self-test, then the Release perf
+#                            # gates: perfbench fb_dense host_ms vs
+#                            # BENCH_micro.json "perf_gate" + fig14
+#                            # 1000-daemon round time vs BENCH_net.json
 #   scripts/ci.sh coverage   # gcovr line-coverage report (if installed)
 #
 # The chaos suites (tests/chaos_test.cc, tests/runtime_robustness_test.cc,
@@ -29,7 +31,8 @@
 # fuzz) carry the "ha" label and run standalone under both sanitizers.
 # The seeded mutational fuzz of checkpoint snapshots and journals
 # (tests/checkpoint_fuzz_test.cc: restore ends in a state or a rejection,
-# with allocations bounded by the input size) runs whole under asan.
+# with allocations bounded by the input size, and an accepted state
+# matches the legacySchedule rebuild and its digest) runs whole under asan.
 # So do the scheduler suites over the shared allocation building blocks
 # (tests/dclas_test.cc, baselines_test.cc, rack_fabric_test.cc: D-CLAS's
 # one greedy allocator, the Varys/MADD bottleneck, rack-link coverage).
@@ -50,9 +53,10 @@ cd "$(dirname "$0")/.."
 # Minimum acceptable line coverage for the coverage step (percent).
 COVERAGE_FAIL_UNDER=70
 
-# Allowed slowdown of BM_SimulatorEndToEnd/50 (and of fig14's 1000-daemon
-# coordination round) relative to the recorded baseline in
-# BENCH_micro.json (BENCH_net.json) before the perf-smoke step fails.
+# Allowed slowdown of perfbench's fb_dense host_ms (and of fig14's
+# 1000-daemon coordination round) relative to the recorded baseline in
+# BENCH_micro.json "perf_gate" (BENCH_net.json) before the perf-smoke step
+# fails.
 PERF_SMOKE_TOLERANCE=1.5
 
 run_default() {
@@ -66,7 +70,7 @@ run_default() {
   # float of seconds here (no '0.01x' multiplier suffix).
   cmake --build --preset default -j "$(nproc)" --target bench_micro
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_SimulatorEndToEnd|BM_TraceReplay|BM_TraceWrite|BM_TraceRead|BM_DClasReschedule/100|BM_EncodeScheduleDelta|BM_ReportApply/100|BM_BroadcastFanout/10|BM_MetricsOverhead'
+    --benchmark_filter='BM_MaxMinAllocate|BM_MetricsOverhead|BM_BatchRunnerSweep'
   echo "=== default: metrics exposition smoke ==="
   # The CLI surface of the observability layer: a real dump must parse as
   # the pinned JSON shape and carry the four component families.
@@ -182,36 +186,36 @@ run_tsan() {
 }
 
 run_perf() {
-  echo "=== perf-smoke: BM_SimulatorEndToEnd/50 vs recorded baseline ==="
-  # Guard against silent end-to-end regressions: run the mid-size
-  # simulator benchmark from an optimized build and fail if its median
-  # exceeds PERF_SMOKE_TOLERANCE x the committed BENCH_micro.json
-  # median. The bench must run in Release — a debug build would always
-  # trip the gate.
+  echo "=== perf: perfbench self-test ==="
+  # Every perfbench workload at its tiny size, with its own output checks,
+  # and the benchmark program built against the current src/ API.
+  local started=$SECONDS
+  python3 perfbench/selftest.py
+  echo "perf: perfbench self-test took $((SECONDS - started)) s"
+  echo "=== perf-smoke: perfbench fb_dense host_ms vs recorded baseline ==="
+  # Guard against silent end-to-end regressions: one run of the benchmark
+  # of record's fb_dense workload (perfbench builds itself in Release)
+  # must pass its output checks, and its host_ms must stay within
+  # PERF_SMOKE_TOLERANCE x the median recorded in BENCH_micro.json's
+  # "perf_gate" block by the same command on the recording host.
   cmake --preset release >/dev/null
-  cmake --build --preset release -j "$(nproc)" --target bench_micro
-  ./build-release/bench/bench_micro \
-    --benchmark_filter='^BM_SimulatorEndToEnd/50$' \
-    --benchmark_repetitions=3 \
-    --benchmark_report_aggregates_only=true \
-    --benchmark_format=json >build-release/perf_smoke.json
-  python3 - "$PERF_SMOKE_TOLERANCE" <<'EOF'
+  python3 perfbench/run.py --workload fb_dense --seed 7 --seconds 12 --trace 0 \
+    >build-release/perf_fb_dense.txt
+  python3 - "$PERF_SMOKE_TOLERANCE" build-release/perf_fb_dense.txt <<'EOF'
 import json, sys
 
-UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-
-def median_ns(path):
-    doc = json.load(open(path))
-    for b in doc["benchmarks"]:
-        if b["name"] == "BM_SimulatorEndToEnd/50_median":
-            return b["real_time"] * UNIT_NS[b.get("time_unit", "ns")]
-    raise SystemExit(f"perf-smoke: no BM_SimulatorEndToEnd/50_median in {path}")
-
 tolerance = float(sys.argv[1])
-base = median_ns("BENCH_micro.json")
-cur = median_ns("build-release/perf_smoke.json")
+lines = open(sys.argv[2]).read().strip().splitlines()
+result = json.loads(lines[-1])
+print(next(l for l in lines if l.startswith("host: ")).replace("host:", "perf-smoke: host", 1))
+if not result["correct"] or result["failed"] != 0:
+    raise SystemExit(f"perf-smoke: FAIL — fb_dense not correct "
+                     f"(correct {result['correct']}, failed {result['failed']})")
+gate = json.load(open("BENCH_micro.json"))["perf_gate"]
+base = gate["host_ms"]
+cur = result["metrics"]["host_ms"]["value"]
 ratio = cur / base
-print(f"perf-smoke: median {cur / 1e6:.1f} ms vs baseline {base / 1e6:.1f} ms "
+print(f"perf-smoke: fb_dense host_ms {cur:.1f} ms vs baseline {base:.1f} ms "
       f"(ratio {ratio:.2f}, limit {tolerance:.2f})")
 if ratio > tolerance:
     raise SystemExit("perf-smoke: FAIL — end-to-end benchmark regressed")

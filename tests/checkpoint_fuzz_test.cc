@@ -10,6 +10,8 @@
 //  * the peak of live operator-new bytes during restore() stays within a
 //    bound linear in the input size, so no count in the file can make it
 //    reserve memory the file does not hold;
+//  * an accepted restore, after its first buildDelta(), snapshots to the
+//    legacySchedule() rebuild and carries that snapshot's digest;
 //  * an accepted restore re-snapshots and restores to the same schedule.
 //
 // CheckpointBounds pins the count checks directly: each u32 count of a
@@ -19,6 +21,7 @@
 #include <malloc.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -208,13 +211,38 @@ void expectSameSchedule(const std::vector<net::ScheduleEntry>& a,
   }
 }
 
+/// The schedule invariants of an accepted restore, read where a restored
+/// coordinator first reads it: after one buildDelta(), the snapshot is the
+/// legacySchedule() rebuild with the restored tombstones filtered (queue =
+/// queueForSize(global bytes), (queue, FIFO id) order, the kMaxOn ON
+/// prefix), and the delta chain's digest is that snapshot's digest.
+void expectScheduleInvariants(Restore& restore, const std::string& what) {
+  const std::vector<coflow::CoflowId>& tombstones = restore.restored->tombstones;
+  std::vector<net::ScheduleEntry> delta;
+  std::vector<coflow::CoflowId> removals;
+  restore.state.buildDelta(delta, removals);
+  std::vector<net::ScheduleEntry> snapshot;
+  restore.state.snapshotEntries(snapshot);
+  std::vector<net::ScheduleEntry> legacy;
+  restore.state.legacySchedule(
+      [&](const coflow::CoflowId& id) {
+        return std::find(tombstones.begin(), tombstones.end(), id) !=
+               tombstones.end();
+      },
+      legacy);
+  expectSameSchedule(legacy, snapshot, what + ", legacy rebuild");
+  EXPECT_EQ(restore.state.scheduleDigest(), net::scheduleDigest(snapshot))
+      << what;
+}
+
 /// Checks every property on one input; returns whether it was accepted.
 bool checkInput(const Files& files, const std::string& what) {
-  const Restore first = restoreFrom(freshDir("input"), files);
+  Restore first = restoreFrom(freshDir("input"), files);
   EXPECT_LE(first.peak_bytes,
             allocationBound(files.snapshot.size() + files.journal.size()))
       << what;
   if (!first.restored) return false;
+  expectScheduleInvariants(first, what);
 
   // Accepted: write it back as a snapshot and restore that.
   const std::string again_dir = freshDir("again");

@@ -9,12 +9,18 @@
 # bench_micro if needed, then runs it with 3 repetitions and
 # aggregate-only reporting (median/mean/stddev per benchmark) to damp
 # scheduler noise. Repetitions are randomly interleaved across
-# benchmarks: on a single-core box a monotone slow drift otherwise
-# lands entirely on whichever benchmark registers later, which skews
-# paired A/B comparisons (e.g. BM_SimulatorEndToEnd vs its Metrics
-# twin). Compare against the committed BENCH_micro.json:
+# benchmarks, so a monotone slow drift does not land entirely on
+# whichever benchmark registers later. Compare against the committed
+# BENCH_micro.json:
 #
 #   git diff -- BENCH_micro.json
+#
+# Only the output's "context" and "benchmarks" keys are replaced; every
+# other top-level key (the CI perf gate's "perf_gate" baseline, the
+# "*_ab" A/B records) is kept as it is. "context" gains
+# "aalo_build_type", the CMAKE_BUILD_TYPE of the recorded build:
+# google-benchmark's own "library_build_type" describes the installed
+# libbenchmark, not this code.
 #
 # Recording from an unoptimized build would poison the trajectory, so a
 # build dir whose CMAKE_BUILD_TYPE is not Release/RelWithDebInfo is
@@ -47,12 +53,30 @@ esac
 
 cmake --build "$build_dir" -j --target bench_micro
 
+run=$(mktemp)
+trap 'rm -f "$run"' EXIT
 "$build_dir/bench/bench_micro" \
   --benchmark_repetitions=3 \
   --benchmark_enable_random_interleaving=true \
   --benchmark_report_aggregates_only=true \
-  --benchmark_format=json \
   --benchmark_out_format=json \
-  --benchmark_out="$out"
+  --benchmark_out="$run"
+
+python3 - "$run" "$out" "$build_type" <<'EOF'
+import json, os, sys
+
+run_path, out_path, build_type = sys.argv[1:]
+run = json.load(open(run_path))
+doc = json.load(open(out_path)) if os.path.exists(out_path) else {}
+run["context"]["aalo_build_type"] = build_type
+doc["context"] = run["context"]
+# Registration order, not the interleaved run order, so a re-record's
+# diff shows only changed numbers.
+doc["benchmarks"] = sorted(
+    run["benchmarks"], key=lambda b: (b["family_index"], b["per_family_instance_index"]))
+with open(out_path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+EOF
 
 echo "wrote $out" >&2
