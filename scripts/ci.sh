@@ -13,8 +13,8 @@
 #   scripts/ci.sh tsan       # tsan build, BatchRunner/Obs gates + chaos + ha
 #                            # + sched + state
 #   scripts/ci.sh perf       # perfbench self-test, then the Release perf
-#                            # gates: perfbench fb_dense host_ms vs
-#                            # BENCH_micro.json "perf_gate" + fig14
+#                            # gates: perfbench fb_dense and coord_10k
+#                            # host_ms vs BENCH_micro.json "perf_gate" + fig14
 #                            # 1000-daemon round time vs BENCH_net.json
 #   scripts/ci.sh coverage   # gcovr line-coverage report (if installed)
 #
@@ -53,10 +53,10 @@ cd "$(dirname "$0")/.."
 # Minimum acceptable line coverage for the coverage step (percent).
 COVERAGE_FAIL_UNDER=70
 
-# Allowed slowdown of perfbench's fb_dense host_ms (and of fig14's
-# 1000-daemon coordination round) relative to the recorded baseline in
-# BENCH_micro.json "perf_gate" (BENCH_net.json) before the perf-smoke step
-# fails.
+# Allowed slowdown of perfbench's fb_dense and coord_10k host_ms (and of
+# fig14's 1000-daemon coordination round) relative to the recorded
+# baselines in BENCH_micro.json "perf_gate" (BENCH_net.json) before the
+# perf-smoke step fails.
 PERF_SMOKE_TOLERANCE=1.5
 
 run_default() {
@@ -185,6 +185,37 @@ run_tsan() {
   ctest --preset tsan-state
 }
 
+# One run of the benchmark of record's workload $1 (perfbench builds itself
+# in Release) must pass its output checks with no failed operations, and
+# its host_ms must stay within PERF_SMOKE_TOLERANCE x the median recorded
+# for that workload in BENCH_micro.json's "perf_gate" block by the same
+# command on the recording host. Guards against silent end-to-end
+# regressions.
+perf_gate() {
+  local workload=$1
+  echo "=== perf-smoke: perfbench $workload host_ms vs recorded baseline ==="
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 12 --trace 0 \
+    >"build-release/perf_$workload.txt"
+  python3 - "$PERF_SMOKE_TOLERANCE" "$workload" "build-release/perf_$workload.txt" <<'EOF'
+import json, sys
+
+tolerance, workload = float(sys.argv[1]), sys.argv[2]
+lines = open(sys.argv[3]).read().strip().splitlines()
+result = json.loads(lines[-1])
+print(next(l for l in lines if l.startswith("host: ")).replace("host:", "perf-smoke: host", 1))
+if not result["correct"] or result["failed"] != 0:
+    raise SystemExit(f"perf-smoke: FAIL — {workload} not correct "
+                     f"(correct {result['correct']}, failed {result['failed']})")
+base = json.load(open("BENCH_micro.json"))["perf_gate"][workload]["host_ms"]
+cur = result["metrics"]["host_ms"]["value"]
+ratio = cur / base
+print(f"perf-smoke: {workload} host_ms {cur:.2f} ms vs baseline {base:.2f} ms "
+      f"(ratio {ratio:.2f}, limit {tolerance:.2f})")
+if ratio > tolerance:
+    raise SystemExit("perf-smoke: FAIL — end-to-end benchmark regressed")
+EOF
+}
+
 run_perf() {
   echo "=== perf: perfbench self-test ==="
   # Every perfbench workload at its tiny size, with its own output checks,
@@ -192,34 +223,11 @@ run_perf() {
   local started=$SECONDS
   python3 perfbench/selftest.py
   echo "perf: perfbench self-test took $((SECONDS - started)) s"
-  echo "=== perf-smoke: perfbench fb_dense host_ms vs recorded baseline ==="
-  # Guard against silent end-to-end regressions: one run of the benchmark
-  # of record's fb_dense workload (perfbench builds itself in Release)
-  # must pass its output checks, and its host_ms must stay within
-  # PERF_SMOKE_TOLERANCE x the median recorded in BENCH_micro.json's
-  # "perf_gate" block by the same command on the recording host.
   cmake --preset release >/dev/null
-  python3 perfbench/run.py --workload fb_dense --seed 7 --seconds 12 --trace 0 \
-    >build-release/perf_fb_dense.txt
-  python3 - "$PERF_SMOKE_TOLERANCE" build-release/perf_fb_dense.txt <<'EOF'
-import json, sys
-
-tolerance = float(sys.argv[1])
-lines = open(sys.argv[2]).read().strip().splitlines()
-result = json.loads(lines[-1])
-print(next(l for l in lines if l.startswith("host: ")).replace("host:", "perf-smoke: host", 1))
-if not result["correct"] or result["failed"] != 0:
-    raise SystemExit(f"perf-smoke: FAIL — fb_dense not correct "
-                     f"(correct {result['correct']}, failed {result['failed']})")
-gate = json.load(open("BENCH_micro.json"))["perf_gate"]
-base = gate["host_ms"]
-cur = result["metrics"]["host_ms"]["value"]
-ratio = cur / base
-print(f"perf-smoke: fb_dense host_ms {cur:.1f} ms vs baseline {base:.1f} ms "
-      f"(ratio {ratio:.2f}, limit {tolerance:.2f})")
-if ratio > tolerance:
-    raise SystemExit("perf-smoke: FAIL — end-to-end benchmark regressed")
-EOF
+  # Trace replay under D-CLAS, and the live coordinator's report ingress
+  # and fan-out at 10k daemons.
+  perf_gate fb_dense
+  perf_gate coord_10k
   echo "=== perf-smoke: fig14 round time @1000 daemons vs recorded baseline ==="
   # The coordinator's round at 1000 daemons (delta path, the sweep's Δ)
   # must time rounds at all and stay within PERF_SMOKE_TOLERANCE x the

@@ -21,12 +21,14 @@ constexpr std::size_t kMaxIov = 16;
 }  // namespace
 
 Connection::Connection(EventLoop& loop, Fd fd, FrameHandler on_frame,
-                       CloseHandler on_close, ConnMetrics* metrics)
+                       CloseHandler on_close, ConnMetrics* metrics,
+                       BatchHandler on_batch)
     : loop_(loop),
       fd_(std::move(fd)),
       on_frame_(std::move(on_frame)),
       on_close_(std::move(on_close)),
-      metrics_(metrics != nullptr ? metrics : &ConnMetrics::dummy()) {
+      metrics_(metrics != nullptr ? metrics : &ConnMetrics::dummy()),
+      on_batch_(std::move(on_batch)) {
   loop_.add(fd_.get(), EPOLLIN,
             [this](std::uint32_t events) { onEvents(events); });
 }
@@ -113,7 +115,13 @@ void Connection::handleReadable() {
     return;
   }
 
-  // Deliver every complete frame.
+  if (!deliverFrames()) close();  // Corrupt stream.
+}
+
+bool Connection::deliverFrames() {
+  std::uint64_t frames = 0;
+  std::uint64_t bytes = 0;
+  bool intact = true;
   while (!closed_ && incoming_.readableBytes() >= 4) {
     const std::uint8_t* p = incoming_.peek();
     const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
@@ -121,18 +129,23 @@ void Connection::handleReadable() {
                               (static_cast<std::uint32_t>(p[2]) << 16) |
                               (static_cast<std::uint32_t>(p[3]) << 24);
     if (len > kMaxFrameBytes) {
-      close();  // Corrupt stream.
-      return;
+      intact = false;
+      break;
     }
     if (incoming_.readableBytes() < 4 + static_cast<std::size_t>(len)) break;
-    incoming_.consume(4);
-    Buffer payload;
-    payload.append(incoming_.peek(), len);
-    incoming_.consume(len);
-    metrics_->frames_in.fetch_add(1);
-    metrics_->bytes_in.fetch_add(4 + static_cast<std::size_t>(len));
-    on_frame_(payload);
+    payload_.clear();
+    payload_.append(incoming_.peek() + 4, len);
+    incoming_.consume(4 + static_cast<std::size_t>(len));
+    ++frames;
+    bytes += 4 + static_cast<std::size_t>(len);
+    on_frame_(payload_);
   }
+  if (frames > 0) {
+    metrics_->frames_in.fetch_add(frames);
+    metrics_->bytes_in.fetch_add(bytes);
+    if (on_batch_) on_batch_();
+  }
+  return intact;
 }
 
 void Connection::flush() {

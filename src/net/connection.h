@@ -5,6 +5,14 @@
 // queued writes as the socket drains (EPOLLOUT is armed only while data
 // is pending, so idle connections cost nothing).
 //
+// Receive path: one readable event drains the socket and then delivers
+// every complete frame, in order, as one batch. Each payload is copied
+// into one per-connection Buffer that keeps its capacity, so delivery
+// does not allocate per frame; the handler must not keep a reference to
+// it past its return. frames_in/bytes_in grow once per batch, by the
+// batch's totals, and the optional batch handler runs after the batch's
+// last frame, so a receiver can do per-batch bookkeeping.
+//
 // Two send paths:
 //  * sendFrame(span / Buffer) copies the payload into the connection's
 //    coalesced staging buffer — right for unicast messages built on the
@@ -36,13 +44,17 @@ class Connection {
  public:
   using FrameHandler = std::function<void(Buffer& payload)>;
   using CloseHandler = std::function<void()>;
+  using BatchHandler = std::function<void()>;
 
   /// Takes ownership of `fd` (already non-blocking) and registers with
   /// the loop. Handlers run on the loop thread. `metrics` (optional)
   /// aggregates wire counters across every connection sharing it; null
   /// routes to the process-wide dummy sink so increments stay branch-free.
+  /// `on_batch` (optional) runs once after every receive batch that
+  /// delivered at least one frame, also when a handler closed the
+  /// connection mid-batch.
   Connection(EventLoop& loop, Fd fd, FrameHandler on_frame, CloseHandler on_close,
-             ConnMetrics* metrics = nullptr);
+             ConnMetrics* metrics = nullptr, BatchHandler on_batch = nullptr);
   ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -98,6 +110,9 @@ class Connection {
   bool overflowsSendQueue(std::size_t frame_bytes);
   void onEvents(std::uint32_t events);
   void handleReadable();
+  /// Hands every complete frame in incoming_ to on_frame_; returns false
+  /// when the stream is corrupt (a length over kMaxFrameBytes).
+  bool deliverFrames();
   void flush();
   void close();
   void updateInterest();
@@ -107,7 +122,9 @@ class Connection {
   FrameHandler on_frame_;
   CloseHandler on_close_;
   ConnMetrics* metrics_;
+  BatchHandler on_batch_;
   Buffer incoming_;
+  Buffer payload_;  ///< The frame being delivered; reused across frames.
   std::deque<Segment> outgoing_;
   std::size_t pending_bytes_ = 0;
   std::size_t send_queue_limit_ = 0;

@@ -190,8 +190,19 @@ void encodeMessage(const Message& message, Buffer& out) {
   }
 }
 
-Message decodeMessage(Buffer& in) {
-  Message message;
+void decodeMessage(Buffer& in, Message& message) {
+  message.type = MessageType::kHello;
+  message.daemon_id = 0;
+  message.request_id = 0;
+  message.epoch = 0;
+  message.base_epoch = 0;
+  message.fence = 0;
+  message.coflow = {};
+  message.parents.clear();
+  message.sizes.clear();
+  message.schedule.clear();
+  message.removals.clear();
+  message.schedule_digest = 0;
   const std::uint8_t raw_type = in.getU8();
   if (raw_type < 1 || raw_type > 9) {
     throw std::runtime_error("decodeMessage: unknown message type " +
@@ -244,7 +255,6 @@ Message decodeMessage(Buffer& in) {
   if (!in.empty()) {
     throw std::runtime_error("decodeMessage: trailing bytes in frame");
   }
-  return message;
 }
 
 }  // namespace aalo::net

@@ -66,7 +66,8 @@ struct ScheduleEntry {
 };
 
 /// One decoded control message. Which fields are meaningful depends on
-/// `type`; unused fields stay default-initialized.
+/// `type`; unused fields stay default-initialized. The in-place
+/// decodeMessage resets every field, so a new field is reset there too.
 struct Message {
   MessageType type = MessageType::kHello;
   std::uint64_t daemon_id = 0;    ///< kHello / kSizeReport.
@@ -94,6 +95,8 @@ struct Message {
   /// kScheduleDelta: scheduleDigest of the schedule once this delta is
   /// applied. Coded after the removals.
   std::uint64_t schedule_digest = 0;
+
+  friend bool operator==(const Message&, const Message&) = default;
 };
 
 /// One schedule entry's share of a schedule digest: a 64-bit mix of its
@@ -131,10 +134,21 @@ inline constexpr std::size_t kIdBytes = 12;
 void putId(Buffer& out, const coflow::CoflowId& id);
 coflow::CoflowId getId(Buffer& in);
 
-/// Decodes one message from `in` (a full frame payload); throws
+/// Decodes one message from `in` (a full frame payload) into `out`; throws
 /// std::out_of_range / std::runtime_error on malformed input. Strict:
 /// an ON byte other than 0/1 or a queue of 2^31 or more is malformed, so
-/// every accepted frame re-encodes to exactly its own bytes.
-Message decodeMessage(Buffer& in);
+/// every accepted frame re-encodes to exactly its own bytes. Every field
+/// of `out` is reset first and its vectors keep their capacity, so a
+/// receive path that decodes each frame into one long-lived Message does
+/// not allocate per frame, and nothing of an earlier (or malformed) frame
+/// survives into the next.
+void decodeMessage(Buffer& in, Message& out);
+
+/// By-value form of the in-place decode.
+inline Message decodeMessage(Buffer& in) {
+  Message message;
+  decodeMessage(in, message);
+  return message;
+}
 
 }  // namespace aalo::net

@@ -42,12 +42,11 @@ void frameRecord(net::Buffer& out, std::uint8_t type, const net::Buffer& body) {
   out.putU64(fnv1a(payload.readable()));
 }
 
-/// Decodes a journal record's embedded message; throws unless it is of
-/// the record's kind.
-net::Message decodeAs(net::Buffer& payload, net::MessageType type) {
-  net::Message m = net::decodeMessage(payload);
+/// Decodes a journal record's embedded message into `m`; throws unless it
+/// is of the record's kind.
+void decodeAs(net::Buffer& payload, net::MessageType type, net::Message& m) {
+  net::decodeMessage(payload, m);
   if (m.type != type) throw std::runtime_error("checkpoint: record kind mismatch");
-  return m;
 }
 
 /// Reads an element count and rejects it unless that many `bytes`-byte
@@ -305,8 +304,10 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
     in.append(journal_bytes.data(), journal_bytes.size());
     bool first = true;
     bool journal_valid = true;
+    net::Buffer payload;
+    net::Message m;  // Every record decodes into this one message.
     while (!in.empty()) {
-      net::Buffer payload;
+      payload.clear();
       try {
         const std::uint32_t len = in.getU32();
         if (len == 0 || len > in.readableBytes()) break;  // Torn tail.
@@ -334,8 +335,7 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
         if (!journal_valid) break;
         switch (type) {
           case kRecReport: {
-            const net::Message m =
-                decodeAs(payload, net::MessageType::kSizeReport);
+            decodeAs(payload, net::MessageType::kSizeReport, m);
             for (const auto& size : m.sizes) {
               if (!isValidReportedSize(size.bytes)) return std::nullopt;
               if (tombstoned.contains(size.id)) continue;
@@ -345,8 +345,7 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
             break;
           }
           case kRecRegister: {
-            const net::Message m =
-                decodeAs(payload, net::MessageType::kRegisterReply);
+            decodeAs(payload, net::MessageType::kRegisterReply, m);
             state.registerCoflow(m.coflow);
             restored.next_external =
                 std::max(restored.next_external,
@@ -354,8 +353,7 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
             break;
           }
           case kRecUnregister: {
-            const net::Message m =
-                decodeAs(payload, net::MessageType::kUnregisterCoflow);
+            decodeAs(payload, net::MessageType::kUnregisterCoflow, m);
             state.unregisterCoflow(m.coflow);
             if (tombstoned.insert(m.coflow).second) {
               restored.tombstones.push_back(m.coflow);

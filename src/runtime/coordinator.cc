@@ -53,9 +53,10 @@ void Coordinator::registerMetrics() {
   round_duration_ = &metrics_.histogram("aalo_coordinator_round_duration_seconds",
                                         "Coordination tick (evict + GC + broadcast)",
                                         {.first_bound = 1e-6, .num_bounds = 24});
-  report_apply_ = &metrics_.histogram("aalo_coordinator_report_apply_seconds",
-                                      "Size-report fold into ScheduleState",
-                                      {.first_bound = 1e-7, .num_bounds = 24});
+  report_apply_ = &metrics_.histogram(
+      "aalo_coordinator_report_apply_seconds",
+      "Receive batch with size reports: decode, fold into ScheduleState, journal",
+      {.first_bound = 1e-7, .num_bounds = 24});
   broadcast_bytes_ = &metrics_.counter("aalo_coordinator_broadcast_bytes_total",
                                        "Schedule fan-out wire bytes incl. headers");
   scratch_reuse_ = &metrics_.counter("aalo_coordinator_encode_scratch_reuse_total",
@@ -301,9 +302,9 @@ void Coordinator::connectUpstream() {
 }
 
 void Coordinator::onUpstreamMessage(net::Buffer& payload) {
-  net::Message message;
+  net::Message& message = inbound_;
   try {
-    message = net::decodeMessage(payload);
+    net::decodeMessage(payload, message);
   } catch (const std::exception& e) {
     stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
     AALO_LOG_WARN << "standby: dropping malformed frame: " << e.what();
@@ -396,7 +397,8 @@ void Coordinator::onAcceptable() {
     peer.connection = std::make_unique<net::Connection>(
         loop_, std::move(fd),
         [this, key](net::Buffer& payload) { onMessage(key, payload); },
-        [this, key] { dropPeer(key); }, &conn_metrics_);
+        [this, key] { dropPeer(key); }, &conn_metrics_,
+        [this] { endReceiveBatch(); });
     if (config_.send_queue_max > 0) {
       // Coalescing (skip broadcasts at send_queue_max) is the soft limit;
       // the connection's hard close at 4x bounds worst-case memory even if
@@ -472,21 +474,32 @@ void Coordinator::collectTombstones(TimePoint now) {
   tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
 }
 
+void Coordinator::endReceiveBatch() {
+  if (batch_reports_) report_apply_->observe(elapsedSeconds(batch_start_));
+  batch_start_ = {};
+  batch_reports_ = false;
+}
+
 void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
   const auto it = peers_.find(peer_key);
   if (it == peers_.end()) return;
   Peer& peer = *&it->second;
 
-  net::Message message;
+  // One clock read per receive batch: its frames arrived in one read, so
+  // they share their arrival time, and the batch's apply time runs from
+  // here to endReceiveBatch().
+  if (batch_start_ == TimePoint{}) batch_start_ = net::EventLoop::Clock::now();
+  const TimePoint now = batch_start_;
+
+  net::Message& message = inbound_;
   try {
-    message = net::decodeMessage(payload);
+    net::decodeMessage(payload, message);
   } catch (const std::exception& e) {
     stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
     AALO_LOG_WARN << "coordinator: dropping malformed frame: " << e.what();
     return;
   }
 
-  const TimePoint now = net::EventLoop::Clock::now();
   switch (message.type) {
     case net::MessageType::kHello:
       peer.is_daemon = true;
@@ -497,7 +510,7 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
       break;
     case net::MessageType::kSizeReport:
       if (peer.is_daemon) {
-        const auto apply_start = std::chrono::steady_clock::now();
+        batch_reports_ = true;
         peer.last_report = now;
         if (message.epoch > peer.echoed_epoch) {
           peer.echoed_epoch = message.epoch;
@@ -535,7 +548,6 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
           stats_.checkpoint_journal_records.fetch_add(1,
                                                       std::memory_order_relaxed);
         }
-        report_apply_->observe(elapsedSeconds(apply_start));
       }
       break;
     case net::MessageType::kRegisterCoflow: {

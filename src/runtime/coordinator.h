@@ -167,6 +167,9 @@ class Coordinator {
 
   void onAcceptable();
   void onMessage(std::uint64_t peer_key, net::Buffer& payload);
+  /// A peer connection's receive batch is over: observes the report apply
+  /// histogram once if the batch carried a size report.
+  void endReceiveBatch();
   void dropPeer(std::uint64_t peer_key);
   void evictStalePeers(TimePoint now);
   void collectTombstones(TimePoint now);
@@ -228,6 +231,15 @@ class Coordinator {
   /// Scratch for journaling only the tombstone-filtered, actually-applied
   /// slice of each size report.
   net::Message report_journal_scratch_;
+
+  // Report ingress (loop-thread-only). Every received frame, from peers
+  // and from the primary alike, is decoded into inbound_, whose vectors
+  // keep their capacity. A receive batch (the frames of one readable
+  // event) reads the clock once when its first frame arrives, and
+  // endReceiveBatch() times it into report_apply_ if it carried a report.
+  net::Message inbound_;
+  TimePoint batch_start_{};  ///< {} between batches.
+  bool batch_reports_ = false;
 
   // Warm-standby state (loop-thread-only).
   std::unique_ptr<net::Connection> upstream_;

@@ -287,9 +287,9 @@ void Daemon::sendSizeReport() {
 }
 
 void Daemon::onMessage(net::Buffer& payload) {
-  net::Message message;
+  net::Message& message = inbound_;
   try {
-    message = net::decodeMessage(payload);
+    net::decodeMessage(payload, message);
   } catch (const std::exception& e) {
     stats_.malformed_frames.fetch_add(1, std::memory_order_relaxed);
     AALO_LOG_WARN << "daemon " << config_.daemon_id << ": bad frame: " << e.what();

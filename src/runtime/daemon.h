@@ -231,6 +231,8 @@ class Daemon {
   int ticks_since_report_ = 0;
   /// Reusable encode buffer for outgoing reports/requests.
   net::Buffer encode_scratch_;
+  /// Every received frame is decoded into this one message (loop thread).
+  net::Message inbound_;
   /// Coflows the last applied frame removed from the schedule.
   std::vector<coflow::CoflowId> removed_scratch_;
   /// Coflows removed from the schedule on this connection while a local

@@ -22,6 +22,12 @@ ScheduleMirror::Outcome ScheduleMirror::apply(
   if (delta && (frame.fence > fence_ || frame.epoch != frame.base_epoch + 1)) {
     return Outcome::kGap;
   }
+  // A new incarnation's stream arrives on a new connection, so a higher
+  // fence is adopted only from the first frame applied since
+  // restartChain(). On a chain that has applied one, a higher fence is a
+  // damaged frame: adopting it would drop every real frame after it as
+  // stale, so it is a gap, which a snapshot at the real fence repairs.
+  if (frame.fence > fence_ && epoch_ != 0) return Outcome::kGap;
   if (frame.fence > fence_) {
     // A new incarnation numbers an independent broadcast stream.
     fence_ = frame.fence;

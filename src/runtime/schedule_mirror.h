@@ -4,16 +4,17 @@
 // leave behind. apply() drops a frame whose fence is below the highest
 // seen (a deposed primary); reports a delta with a higher fence, or whose
 // epoch is not base_epoch + 1, as a gap (only a snapshot may raise the
-// fence); restarts the epoch chain on a snapshot's higher fence (a new
-// incarnation); drops an epoch not above the applied one (duplicate or
-// reorder); reports a delta whose base_epoch is not the applied epoch as
-// a gap; and otherwise applies it: a snapshot replaces the schedule, a
-// delta upserts its entries and drops its removals. The mirror keeps the
-// net::scheduleDigest of what it holds, in O(entries applied), and
-// reports a delta whose digest disagrees as a mismatch. It also bounds
-// the snapshot requests a chain sends. Staleness clocks, the requests
-// themselves and counters stay with the caller (DESIGN.md §9 has the
-// table). Not thread-safe.
+// fence); adopts a snapshot's higher fence only as the first frame of a
+// chain (a new connection to a new incarnation) and reports one on a
+// chain that has applied a frame as a gap; drops an epoch not above the
+// applied one (duplicate or reorder); reports a delta whose base_epoch is
+// not the applied epoch as a gap; and otherwise applies it: a snapshot
+// replaces the schedule, a delta upserts its entries and drops its
+// removals. The mirror keeps the net::scheduleDigest of what it holds, in
+// O(entries applied), and reports a delta whose digest disagrees as a
+// mismatch. It also bounds the snapshot requests a chain sends.
+// Staleness clocks, the requests themselves and counters stay with the
+// caller (DESIGN.md §9 has the table). Not thread-safe.
 #pragma once
 
 #include <cstdint>

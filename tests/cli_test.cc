@@ -149,5 +149,44 @@ TEST(AaloDaemonCli, FullReportsIsAnUnknownFlag) {
       << out.output;
 }
 
+// Numbers are parsed whole and range-checked: each of these used to be
+// read by atoi/atof (port 70000 wrapped to 4464, "1x" read as 1) and the
+// tool started. timeout guards against one that starts anyway.
+void expectUsageErrorNaming(const std::string& binary, const std::string& args,
+                            const std::string& flag) {
+  const Outcome out = run("timeout 30 " + binary + " " + args);
+  EXPECT_TRUE(out.exited) << args << ": " << out.output;
+  EXPECT_EQ(out.code, 2) << args << ": " << out.output;
+  EXPECT_NE(out.output.find("for " + flag), std::string::npos)
+      << args << ": " << out.output;
+}
+
+TEST(AaloCoordinatorCli, OutOfRangePortIsAUsageError) {
+  expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port 70000", "--port");
+  expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port -1", "--port");
+}
+
+TEST(AaloCoordinatorCli, OutOfRangeStandbyOfIsAUsageError) {
+  expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port 0 --standby-of 70000",
+                         "--standby-of");
+}
+
+TEST(AaloCoordinatorCli, TrailingGarbageInDeltaIsAUsageError) {
+  expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port 0 --delta 1x", "--delta");
+  expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port 0 --delta 0", "--delta");
+}
+
+TEST(AaloDaemonCli, OutOfRangeCoordinatorPortIsAUsageError) {
+  expectUsageErrorNaming(AALO_DAEMON_BIN, "--coordinator-port 70000",
+                         "--coordinator-port");
+}
+
+TEST(AaloDaemonCli, TrailingGarbageInDeltaIsAUsageError) {
+  expectUsageErrorNaming(AALO_DAEMON_BIN, "--coordinator-port 1 --delta 5ms",
+                         "--delta");
+  expectUsageErrorNaming(AALO_DAEMON_BIN, "--coordinator-port 1 --chaos-drop 2",
+                         "--chaos-drop");
+}
+
 }  // namespace
 }  // namespace aalo

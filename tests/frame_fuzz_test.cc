@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -191,6 +192,62 @@ TEST(FrameFuzz, MutatedFramesFailCleanlyOrRoundTrip) {
     EXPECT_GT(accepted, 0u) << g.name;
     EXPECT_GT(rejected, 0u) << g.name;
   }
+}
+
+// Receive paths decode every frame into one long-lived Message. The reuse
+// must not show: after any sequence of frames, accepted or rejected, the
+// in-place decode of a frame equals a fresh by-value decode of it, so no
+// field of an earlier (or malformed) frame survives into a later one.
+TEST(FrameFuzz, InPlaceDecodeIntoOneMessageMatchesByValueDecode) {
+  const std::vector<GoldenFrame> golden = goldenFrames();
+  // Update, delta, report, heartbeat: a delta is followed by a report and
+  // a report by a heartbeat. Then, after each golden frame comes a
+  // mutation of one of the others, so valid and malformed frames
+  // alternate.
+  const GoldenFrame* order[] = {&golden[0], &golden[1], &golden[3], &golden[2]};
+  Message reused;
+  std::size_t accepted = 0, rejected = 0;
+  const auto check = [&](const std::string& bytes, const std::string& where) {
+    Buffer by_value_in, in_place_in;
+    by_value_in.append(bytes.data(), bytes.size());
+    in_place_in.append(bytes.data(), bytes.size());
+    std::optional<Message> by_value;
+    try {
+      by_value = decodeMessage(by_value_in);
+    } catch (const std::exception&) {
+    }
+    bool in_place = true;
+    try {
+      decodeMessage(in_place_in, reused);
+    } catch (const std::exception&) {
+      in_place = false;
+    }
+    ASSERT_EQ(in_place, by_value.has_value()) << where;
+    if (!in_place) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    EXPECT_TRUE(reused == *by_value) << where;
+    EXPECT_EQ(encoded(reused), bytes) << where;
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const GoldenFrame* frame : order) check(asString(frame->bytes), frame->name);
+  }
+  for (int m = 0; m < fuzz::kMutationCount; ++m) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        const GoldenFrame& frame = *order[k];
+        check(asString(frame.bytes), frame.name);
+        const GoldenFrame& other = *order[(k + 1 + seed % 3) % 4];
+        check(fuzz::mutate(asString(other.bytes), static_cast<fuzz::Mutation>(m), seed),
+              std::string(other.name) + " mutation " + std::to_string(m) +
+                  " seed " + std::to_string(seed) + " after " + frame.name);
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
+#include <sys/socket.h>
 
+#include <cerrno>
 #include <chrono>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "net/buffer.h"
 #include "net/connection.h"
@@ -562,6 +566,128 @@ TEST_F(ConnectionFixture, PeerCloseTriggersHandler) {
   pump(loop, [&] { return closed; });
   EXPECT_TRUE(closed);
   EXPECT_TRUE(server.closed());
+}
+
+// --- receive batches --------------------------------------------------
+
+/// `payload` framed as [u32 length][payload].
+std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& payload) {
+  Buffer out;
+  out.putU32(static_cast<std::uint32_t>(payload.size()));
+  out.append(payload.data(), payload.size());
+  return {out.peek(), out.peek() + out.readableBytes()};
+}
+
+/// `n` bytes that differ from any other call's (seeded by `tag`).
+std::vector<std::uint8_t> pattern(std::size_t n, std::uint32_t tag) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>((i * 131 + tag * 7919) >> (i % 3));
+  }
+  return out;
+}
+
+/// What a Connection delivered, checked against its ConnMetrics at every
+/// batch end: frames_in and bytes_in equal the totals delivered so far.
+struct Receiver {
+  ConnMetrics metrics;
+  std::vector<std::vector<std::uint8_t>> frames;
+  std::uint64_t bytes = 0;
+  int batches = 0;
+
+  Connection connect(EventLoop& loop, Fd fd) {
+    return Connection(
+        loop, std::move(fd),
+        [this](Buffer& p) {
+          frames.emplace_back(p.peek(), p.peek() + p.readableBytes());
+          bytes += 4 + p.readableBytes();
+        },
+        {}, &metrics,
+        [this] {
+          ++batches;
+          EXPECT_EQ(metrics.frames_in.load(), frames.size());
+          EXPECT_EQ(metrics.bytes_in.load(), bytes);
+        });
+  }
+};
+
+/// Writes all of `bytes` on the raw socket `fd`, running `loop` (the
+/// receiving side) whenever the socket buffer is full.
+void sendRaw(int fd, EventLoop& loop, std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      bytes = bytes.subspan(static_cast<std::size_t>(n));
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) << errno;
+    loop.runOnce(std::chrono::milliseconds(1));
+  }
+}
+
+TEST_F(ConnectionFixture, OneReadOfManyFramesIsOneInOrderBatch) {
+  EventLoop loop;
+  Receiver receiver;
+  Connection server = receiver.connect(loop, std::move(server_fd_));
+  std::vector<std::vector<std::uint8_t>> sent;
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    sent.push_back(pattern(i % 41, i));  // Includes empty payloads.
+    const auto f = framed(sent.back());
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  ASSERT_LT(wire.size(), 64u * 1024);  // One read takes it all.
+  sendRaw(client_fd_.get(), loop, wire);
+  pump(loop, [&] { return receiver.frames.size() == sent.size(); });
+  EXPECT_EQ(receiver.frames, sent);
+  EXPECT_EQ(receiver.batches, 1);
+  EXPECT_EQ(receiver.metrics.bytes_in.load(), wire.size());
+}
+
+TEST_F(ConnectionFixture, FrameSplitAcrossReadsIsDeliveredWhole) {
+  EventLoop loop;
+  Receiver receiver;
+  Connection server = receiver.connect(loop, std::move(server_fd_));
+  const std::vector<std::vector<std::uint8_t>> sent = {pattern(1000, 1), pattern(9, 2)};
+  std::vector<std::uint8_t> wire = framed(sent[0]);
+  const auto second = framed(sent[1]);
+  wire.insert(wire.end(), second.begin(), second.end());
+  // Half a length prefix, then half the payload: nothing is complete yet.
+  const std::span<const std::uint8_t> bytes(wire);
+  sendRaw(client_fd_.get(), loop, bytes.first(2));
+  for (int i = 0; i < 5; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  sendRaw(client_fd_.get(), loop, bytes.subspan(2, 500));
+  for (int i = 0; i < 5; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  EXPECT_TRUE(receiver.frames.empty());
+  EXPECT_EQ(receiver.batches, 0);
+  EXPECT_EQ(receiver.metrics.frames_in.load(), 0u);
+  sendRaw(client_fd_.get(), loop, bytes.subspan(502));
+  pump(loop, [&] { return receiver.frames.size() == sent.size(); });
+  EXPECT_EQ(receiver.frames, sent);
+  EXPECT_EQ(receiver.metrics.frames_in.load(), 2u);
+  EXPECT_EQ(receiver.metrics.bytes_in.load(), wire.size());
+}
+
+TEST_F(ConnectionFixture, FramesOver64KiBAreDeliveredWholeAndInOrder) {
+  EventLoop loop;
+  Receiver receiver;
+  Connection server = receiver.connect(loop, std::move(server_fd_));
+  // Larger than one 64 KiB read, between small frames: the reused payload
+  // buffer grows and shrinks back to each frame's size.
+  const std::vector<std::vector<std::uint8_t>> sent = {
+      pattern(10, 1), pattern(200 * 1024 + 7, 2), pattern(20, 3),
+      pattern(70 * 1024, 4), pattern(0, 5)};
+  std::vector<std::uint8_t> wire;
+  for (const auto& payload : sent) {
+    const auto f = framed(payload);
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  sendRaw(client_fd_.get(), loop, wire);
+  pump(loop, [&] { return receiver.frames.size() == sent.size(); }, 5000);
+  EXPECT_EQ(receiver.frames, sent);
+  EXPECT_GE(receiver.batches, 1);
+  EXPECT_EQ(receiver.metrics.frames_in.load(), sent.size());
+  EXPECT_EQ(receiver.metrics.bytes_in.load(), wire.size());
 }
 
 }  // namespace

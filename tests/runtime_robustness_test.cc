@@ -9,6 +9,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,6 +110,67 @@ TEST(RuntimeRobustness, NonFiniteAndNegativeSizesAreRejectedAtIngress) {
   EXPECT_NE(coordinator.metrics().renderPrometheus().find(
                 "aalo_coordinator_rejected_sizes_total 3"),
             std::string::npos);
+  coordinator.stop();
+}
+
+/// The value of the sample `name` (no labels) in a Prometheus text dump.
+double promSample(const std::string& text, const std::string& name) {
+  const auto at = text.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stod(text.substr(at + name.size() + 2));
+}
+
+// Report ingress is timed per receive batch, not per report: after N
+// report frames the apply histogram holds at least one sample and at most
+// N, and every report was applied, in order.
+TEST(RuntimeRobustness, ReportApplyIsTimedOncePerReceiveBatch) {
+  CoordinatorConfig ccfg = fastCoordinator();
+  ccfg.liveness_timeout_intervals = 0;  // The raw daemon reports in bursts.
+  ccfg.one_way_timeout_intervals = 0;
+  Coordinator coordinator(ccfg);
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+  const auto b = client.registerCoflow();
+
+  net::EventLoop loop;
+  net::Connection conn(loop, net::connectTcp(coordinator.port()),
+                       [](net::Buffer&) {}, {});
+  const auto send = [&](net::MessageType type,
+                        std::vector<net::CoflowSize> sizes) {
+    net::Message m;
+    m.type = type;
+    m.daemon_id = 1;
+    m.sizes = std::move(sizes);
+    net::Buffer out;
+    net::encodeMessage(m, out);
+    conn.sendFrame(out);
+  };
+  send(net::MessageType::kHello, {});
+  // Absolute sizes, so the last report wins: a dropped, re-applied or
+  // reordered report, or one that kept an earlier frame's sizes, leaves
+  // other totals behind.
+  constexpr int kReports = 300;
+  for (int i = 1; i <= kReports; ++i) {
+    std::vector<net::CoflowSize> sizes = {{a, i * util::kMB}};
+    if (i % 7 == 0) sizes.push_back({b, i * 2 * util::kMB});
+    send(net::MessageType::kSizeReport, std::move(sizes));
+  }
+  const double want_a = kReports * util::kMB;
+  const double want_b = (kReports / 7 * 7) * 2 * util::kMB;
+  waitFor([&] {
+    loop.runOnce(std::chrono::milliseconds(2));
+    const auto global = coordinator.globalSizes();
+    return global.contains(a) && global.at(a) == want_a;
+  }, kWait);
+  const auto global = coordinator.globalSizes();
+  EXPECT_EQ(global.at(a), want_a);
+  EXPECT_EQ(global.at(b), want_b);
+  const std::string text = coordinator.metrics().renderPrometheus();
+  const double batches =
+      promSample(text, "aalo_coordinator_report_apply_seconds_count");
+  EXPECT_GE(batches, 1) << text;
+  EXPECT_LE(batches, kReports) << text;
   coordinator.stop();
 }
 

@@ -829,13 +829,15 @@ TEST(ScheduleMirrorDigest, MismatchIsAppliedAndRequestsAreBounded) {
   EXPECT_TRUE(mirror.snapshotRequestDue(12));
 }
 
-// A delta damaged in its fence or epoch field, which neither the codec nor
-// the schedule digest covers (ChaosPolicy::corrupt flips such bits), must
-// not wedge its follower: it is a gap that leaves the fence and the
-// applied epoch alone, the real stream after it keeps arriving as gaps
-// without a second request, and the one snapshot that answers the request
-// repairs the schedule and the chain.
-void corruptedDeltaIsRepairedByOneSnapshot(std::uint64_t net::Message::*field) {
+// A delta damaged in its fence or epoch field, or a snapshot damaged in
+// its fence, which neither the codec nor the schedule digest covers
+// (ChaosPolicy::corrupt flips such bits), must not wedge its follower: it
+// is a gap that leaves the fence and the applied epoch alone, the real
+// stream after it keeps arriving as gaps without a second request, and
+// the one snapshot that answers the request repairs the schedule and the
+// chain.
+void corruptedFrameIsRepairedByOneSnapshot(std::uint64_t net::Message::*field,
+                                           net::MessageType damaged_type) {
   ScheduleState state(kThresholds, 0);
   ScheduleMirror mirror;
   std::uint64_t epoch = 0;
@@ -876,7 +878,9 @@ void corruptedDeltaIsRepairedByOneSnapshot(std::uint64_t net::Message::*field) {
   for (int r = 0; r < 3; ++r) {
     ASSERT_EQ(deliver(round()), ScheduleMirror::Outcome::kApplied);
   }
+  answer_next = damaged_type == net::MessageType::kScheduleUpdate;
   net::Message damaged = round();
+  ASSERT_EQ(damaged.type, damaged_type);
   damaged.*field ^= std::uint64_t{1} << 40;
   EXPECT_EQ(deliver(damaged), ScheduleMirror::Outcome::kGap);
   EXPECT_EQ(mirror.fence(), 1u);
@@ -907,11 +911,40 @@ void corruptedDeltaIsRepairedByOneSnapshot(std::uint64_t net::Message::*field) {
 }
 
 TEST(ScheduleMirrorCorruption, FlippedFenceBitIsAGapRepairedByOneSnapshot) {
-  corruptedDeltaIsRepairedByOneSnapshot(&net::Message::fence);
+  corruptedFrameIsRepairedByOneSnapshot(&net::Message::fence,
+                                        net::MessageType::kScheduleDelta);
 }
 
 TEST(ScheduleMirrorCorruption, FlippedEpochBitIsAGapRepairedByOneSnapshot) {
-  corruptedDeltaIsRepairedByOneSnapshot(&net::Message::epoch);
+  corruptedFrameIsRepairedByOneSnapshot(&net::Message::epoch,
+                                        net::MessageType::kScheduleDelta);
+}
+
+// Only the first frame of a chain (a new connection) may raise the fence:
+// a snapshot whose fence was damaged mid-chain must not be adopted, or the
+// follower drops every real frame after it as kStaleFence.
+TEST(ScheduleMirrorCorruption, FlippedSnapshotFenceBitIsAGapRepairedByOneSnapshot) {
+  corruptedFrameIsRepairedByOneSnapshot(&net::Message::fence,
+                                        net::MessageType::kScheduleUpdate);
+}
+
+TEST(ScheduleMirrorCorruption, FirstFrameOfANewChainMayRaiseTheFence) {
+  // A promoted standby's stream reaches a follower on a new connection.
+  ScheduleMirror mirror;
+  net::Message snapshot;
+  snapshot.type = net::MessageType::kScheduleUpdate;
+  snapshot.fence = 1;
+  snapshot.epoch = 7;
+  ASSERT_EQ(mirror.apply(snapshot), ScheduleMirror::Outcome::kApplied);
+  snapshot.fence = 2;
+  snapshot.epoch = 8;
+  EXPECT_EQ(mirror.apply(snapshot), ScheduleMirror::Outcome::kGap);
+  EXPECT_EQ(mirror.fence(), 1u);
+  mirror.restartChain();
+  snapshot.epoch = 1;
+  EXPECT_EQ(mirror.apply(snapshot), ScheduleMirror::Outcome::kApplied);
+  EXPECT_EQ(mirror.fence(), 2u);
+  EXPECT_EQ(mirror.epoch(), 1u);
 }
 
 TEST(ScheduleMirrorCorruption, RequestDatedByADamagedEpochIsStillRetried) {

@@ -36,6 +36,7 @@
 #include <memory>
 #include <thread>
 
+#include "cli_number.h"
 #include "runtime/coordinator.h"
 #include "util/log.h"
 #include "util/units.h"
@@ -75,41 +76,46 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, auto... range) {
+      return tools::parseNumber(flag, needValue(flag), range..., usage);
+    };
     if (!std::strcmp(argv[i], "--port")) {
-      cfg.port = static_cast<std::uint16_t>(std::atoi(needValue("--port")));
+      cfg.port = number("--port", std::uint16_t{0});
     } else if (!std::strcmp(argv[i], "--delta")) {
-      cfg.sync_interval = std::atof(needValue("--delta")) * util::kMillisecond;
+      cfg.sync_interval = number("--delta", tools::kPositive) * util::kMillisecond;
     } else if (!std::strcmp(argv[i], "--queues")) {
-      cfg.dclas.num_queues = std::atoi(needValue("--queues"));
+      // The D-CLAS values are range-checked by DClasConfig, whose rejection
+      // (a non-finite --factor, say) exits 1 below; here only their syntax.
+      cfg.dclas.num_queues =
+          tools::parseWhole<int>("--queues", needValue("--queues"), usage);
     } else if (!std::strcmp(argv[i], "--q1")) {
-      cfg.dclas.first_threshold = std::atof(needValue("--q1"));
+      cfg.dclas.first_threshold =
+          tools::parseWhole<double>("--q1", needValue("--q1"), usage);
     } else if (!std::strcmp(argv[i], "--factor")) {
-      cfg.dclas.exp_factor = std::atof(needValue("--factor"));
+      cfg.dclas.exp_factor =
+          tools::parseWhole<double>("--factor", needValue("--factor"), usage);
     } else if (!std::strcmp(argv[i], "--max-on")) {
-      cfg.max_on_coflows =
-          static_cast<std::size_t>(std::atoll(needValue("--max-on")));
+      cfg.max_on_coflows = number("--max-on", std::size_t{0});
     } else if (!std::strcmp(argv[i], "--liveness-timeout")) {
-      cfg.liveness_timeout_intervals = std::atoi(needValue("--liveness-timeout"));
+      cfg.liveness_timeout_intervals = number("--liveness-timeout", 0);
     } else if (!std::strcmp(argv[i], "--one-way-timeout")) {
-      cfg.one_way_timeout_intervals = std::atoi(needValue("--one-way-timeout"));
+      cfg.one_way_timeout_intervals = number("--one-way-timeout", 0);
     } else if (!std::strcmp(argv[i], "--tombstone-gc")) {
-      cfg.tombstone_gc_intervals = std::atoi(needValue("--tombstone-gc"));
+      cfg.tombstone_gc_intervals = number("--tombstone-gc", 0);
     } else if (!std::strcmp(argv[i], "--standby-of")) {
-      cfg.standby_of =
-          static_cast<std::uint16_t>(std::atoi(needValue("--standby-of")));
+      cfg.standby_of = number("--standby-of", std::uint16_t{0});
     } else if (!std::strcmp(argv[i], "--takeover-intervals")) {
-      cfg.takeover_intervals = std::atoi(needValue("--takeover-intervals"));
+      cfg.takeover_intervals = number("--takeover-intervals", 0);
     } else if (!std::strcmp(argv[i], "--checkpoint-dir")) {
       cfg.checkpoint_dir = needValue("--checkpoint-dir");
     } else if (!std::strcmp(argv[i], "--checkpoint-interval")) {
-      cfg.checkpoint_interval = std::atof(needValue("--checkpoint-interval"));
+      cfg.checkpoint_interval = number("--checkpoint-interval", 0.0);
     } else if (!std::strcmp(argv[i], "--send-queue-max")) {
-      cfg.send_queue_max =
-          static_cast<std::size_t>(std::atoll(needValue("--send-queue-max")));
+      cfg.send_queue_max = number("--send-queue-max", std::size_t{0});
     } else if (!std::strcmp(argv[i], "--metrics-dump")) {
       cfg.metrics_dump_path = needValue("--metrics-dump");
     } else if (!std::strcmp(argv[i], "--metrics-interval")) {
-      cfg.metrics_dump_interval = std::atof(needValue("--metrics-interval"));
+      cfg.metrics_dump_interval = number("--metrics-interval", 0.0);
     } else if (!std::strcmp(argv[i], "--verbose")) {
       util::setLogLevel(util::LogLevel::kInfo);
     } else {

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_number.h"
 #include "net/chaos.h"
 #include "runtime/client.h"
 #include "runtime/daemon.h"
@@ -92,62 +93,62 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, auto... range) {
+      return tools::parseNumber(flag, needValue(flag), range..., usage);
+    };
+    auto probability = [&](const char* flag) { return number(flag, 0.0, 1.0); };
     if (!std::strcmp(argv[i], "--coordinator-port")) {
-      const auto port =
-          static_cast<std::uint16_t>(std::atoi(needValue("--coordinator-port")));
+      const auto port = number("--coordinator-port", std::uint16_t{1});
       if (cfg.coordinator_port == 0) cfg.coordinator_port = port;
       cfg.coordinator_ports.push_back(port);
     } else if (!std::strcmp(argv[i], "--id")) {
-      cfg.daemon_id = std::strtoull(needValue("--id"), nullptr, 10);
+      cfg.daemon_id = number("--id", std::uint64_t{0});
     } else if (!std::strcmp(argv[i], "--delta")) {
-      cfg.sync_interval = std::atof(needValue("--delta")) * util::kMillisecond;
+      cfg.sync_interval = number("--delta", tools::kPositive) * util::kMillisecond;
     } else if (!std::strcmp(argv[i], "--synthetic-coflows")) {
-      synthetic = std::atoi(needValue("--synthetic-coflows"));
+      synthetic = number("--synthetic-coflows", 0);
     } else if (!std::strcmp(argv[i], "--rate")) {
-      rate = std::atof(needValue("--rate"));
+      rate = number("--rate", 0.0);
     } else if (!std::strcmp(argv[i], "--duration")) {
-      duration = std::atof(needValue("--duration"));
+      duration = number("--duration", 0.0);
     } else if (!std::strcmp(argv[i], "--reconnect")) {
-      cfg.reconnect_interval =
-          std::atof(needValue("--reconnect")) * util::kMillisecond;
+      cfg.reconnect_interval = number("--reconnect", 0.0) * util::kMillisecond;
     } else if (!std::strcmp(argv[i], "--reconnect-max-backoff")) {
       cfg.reconnect_max_backoff =
-          std::atof(needValue("--reconnect-max-backoff")) * util::kMillisecond;
+          number("--reconnect-max-backoff", 0.0) * util::kMillisecond;
     } else if (!std::strcmp(argv[i], "--stale-intervals")) {
-      cfg.stale_after_intervals = std::atoi(needValue("--stale-intervals"));
+      cfg.stale_after_intervals = number("--stale-intervals", 0);
     } else if (!std::strcmp(argv[i], "--resync-intervals")) {
-      cfg.resync_intervals = std::atoi(needValue("--resync-intervals"));
+      cfg.resync_intervals = number("--resync-intervals", 0);
     } else if (!std::strcmp(argv[i], "--send-queue-max")) {
-      cfg.send_queue_max =
-          static_cast<std::size_t>(std::atoll(needValue("--send-queue-max")));
+      cfg.send_queue_max = number("--send-queue-max", std::size_t{0});
     } else if (!std::strcmp(argv[i], "--metrics-dump")) {
       metrics_dump_path = needValue("--metrics-dump");
     } else if (!std::strcmp(argv[i], "--metrics-interval")) {
-      metrics_interval = std::atof(needValue("--metrics-interval"));
+      metrics_interval = number("--metrics-interval", 0.0);
     } else if (!std::strcmp(argv[i], "--chaos-seed")) {
-      chaos_seed = std::strtoull(needValue("--chaos-seed"), nullptr, 10);
+      chaos_seed = number("--chaos-seed", std::uint64_t{0});
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-drop")) {
-      chaos.drop = std::atof(needValue("--chaos-drop"));
+      chaos.drop = probability("--chaos-drop");
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-dup")) {
-      chaos.duplicate = std::atof(needValue("--chaos-dup"));
+      chaos.duplicate = probability("--chaos-dup");
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-reorder")) {
-      chaos.reorder = std::atof(needValue("--chaos-reorder"));
+      chaos.reorder = probability("--chaos-reorder");
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-corrupt")) {
-      chaos.corrupt = std::atof(needValue("--chaos-corrupt"));
+      chaos.corrupt = probability("--chaos-corrupt");
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-truncate")) {
-      chaos.truncate = std::atof(needValue("--chaos-truncate"));
+      chaos.truncate = probability("--chaos-truncate");
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-delay")) {
-      chaos.delay = std::atof(needValue("--chaos-delay"));
+      chaos.delay = probability("--chaos-delay");
       use_chaos = true;
     } else if (!std::strcmp(argv[i], "--chaos-split")) {
-      chaos.max_write_bytes =
-          static_cast<std::size_t>(std::atoll(needValue("--chaos-split")));
+      chaos.max_write_bytes = number("--chaos-split", std::size_t{0});
       use_chaos = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);

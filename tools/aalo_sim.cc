@@ -45,20 +45,19 @@
 // rounds, allocation reuse, installs, CCT histograms, and — for the
 // D-CLAS schedulers — per-queue occupancy sampled at every allocation
 // round.
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/compare.h"
+#include "cli_number.h"
 #include "obs/metrics.h"
 #include "sched/dclas.h"
 #include "sched/lp_bound.h"
@@ -89,21 +88,6 @@ namespace {
                "schedulers: %s\n",
                names.c_str());
   std::exit(2);
-}
-
-/// The whole of `text` as a finite number no smaller than `min`;
-/// anything else is a usage error.
-template <typename T>
-T parseNumber(const char* flag, const char* text, T min) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc{} || ptr != end || !std::isfinite(static_cast<double>(value)) ||
-      value < min) {
-    std::fprintf(stderr, "invalid value '%s' for %s\n", text, flag);
-    usage();
-  }
-  return value;
 }
 
 /// Folds a run's per-round queue samples into the registry: an occupancy
@@ -185,7 +169,7 @@ int run(int argc, char** argv) {
       return argv[++i];
     };
     auto number = [&](const char* flag, auto min) {
-      return parseNumber(flag, needValue(flag), min);
+      return tools::parseNumber(flag, needValue(flag), min, usage);
     };
     if (!std::strcmp(argv[i], "--trace")) {
       trace_path = needValue("--trace");
@@ -197,7 +181,7 @@ int run(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--ports-per-rack")) {
       ports_per_rack = number("--ports-per-rack", 0);
     } else if (!std::strcmp(argv[i], "--oversubscription")) {
-      oversubscription = number("--oversubscription", std::numeric_limits<double>::min());
+      oversubscription = number("--oversubscription", tools::kPositive);
     } else if (!std::strcmp(argv[i], "--delta")) {
       delta = number("--delta", 0.0);
     } else if (!std::strcmp(argv[i], "--jobs")) {
