@@ -179,11 +179,10 @@ RoundCost measureRounds(const RoundSetup& s) {
   // One size report from logical daemon `d`, mirroring runtime::Daemon:
   // only the coflows whose local bytes changed, and an idle tick is
   // suppressed entirely save for an empty keepalive every 3rd Δ (the
-  // daemon's report_keepalive_intervals default). Replies happen inline,
-  // so the timed window is the full round on this host: schedule
-  // deliveries with the daemons' report encode/send work serialized
-  // between them — the same end-to-end per-Δ cost the paper's Fig. 14
-  // plots.
+  // daemon's kReportKeepaliveIntervals). Replies happen inline, so the
+  // timed window is the full round on this host: schedule deliveries
+  // with the daemons' report encode/send work serialized between them —
+  // the same end-to-end per-Δ cost the paper's Fig. 14 plots.
   std::vector<int> ticks_since_report(keepalives ? s.daemons : 0, 0);
   auto sendReport = [&](std::size_t d, std::uint64_t epoch, bool in_window) {
     const bool has_traffic = d % 20 == epoch % 20;

@@ -23,8 +23,7 @@ void BM_MaxMinAllocate(benchmark::State& state) {
   for (int i = 0; i < flows; ++i) {
     demands.push_back(fabric::Demand{
         static_cast<coflow::PortId>(rng.uniformInt(0, ports - 1)),
-        static_cast<coflow::PortId>(rng.uniformInt(0, ports - 1)), 1.0,
-        fabric::kUncapped});
+        static_cast<coflow::PortId>(rng.uniformInt(0, ports - 1)), 1.0});
   }
   for (auto _ : state) {
     fabric::ResidualCapacity residual(fabric);

@@ -15,7 +15,8 @@
 #   scripts/ci.sh perf       # perfbench self-test, then the Release perf
 #                            # gates: perfbench fb_dense and coord_10k
 #                            # host_ms vs BENCH_micro.json "perf_gate" + fig14
-#                            # 1000-daemon round time vs BENCH_net.json
+#                            # 1000-daemon round time (median of 3 runs) vs
+#                            # BENCH_net.json
 #   scripts/ci.sh coverage   # gcovr line-coverage report (if installed)
 #
 # The chaos suites (tests/chaos_test.cc, tests/runtime_robustness_test.cc,
@@ -230,14 +231,18 @@ run_perf() {
   perf_gate coord_10k
   echo "=== perf-smoke: fig14 round time @1000 daemons vs recorded baseline ==="
   # The coordinator's round at 1000 daemons (delta path, the sweep's Δ)
-  # must time rounds at all and stay within PERF_SMOKE_TOLERANCE x the
-  # 1000-daemon sweep point recorded in BENCH_net.json.
+  # must time rounds at all, and the median of three runs must stay within
+  # PERF_SMOKE_TOLERANCE x the 1000-daemon sweep point recorded in
+  # BENCH_net.json. One run alone has read 1.6x its usual time on host
+  # noise.
   cmake --build --preset release -j "$(nproc)" --target bench_fig14_scalability
-  ./build-release/bench/bench_fig14_scalability \
-    --json build-release/perf_fig14.json \
-    --sweep-only --daemons 1000 --rounds 10
+  for run in 1 2 3; do
+    ./build-release/bench/bench_fig14_scalability \
+      --json "build-release/perf_fig14_$run.json" \
+      --sweep-only --daemons 1000 --rounds 10
+  done
   python3 - "$PERF_SMOKE_TOLERANCE" <<'EOF'
-import json, sys
+import json, statistics, sys
 
 def round_1000(path):
     doc = json.load(open(path))
@@ -247,13 +252,16 @@ def round_1000(path):
     raise SystemExit(f"perf-smoke: no 1000-daemon sweep point in {path}")
 
 base = round_1000("BENCH_net.json")
-cur = round_1000("build-release/perf_fig14.json")
-if base <= 0 or cur <= 0:
+runs = [round_1000(f"build-release/perf_fig14_{run}.json") for run in (1, 2, 3)]
+if base <= 0 or min(runs) <= 0:
     raise SystemExit("perf-smoke: FAIL — fig14 gate produced no timed rounds")
+cur = statistics.median(runs)
 ratio = cur / base
 tolerance = float(sys.argv[1])
-print(f"perf-smoke: fig14 @1000 daemons round {cur * 1e3:.2f} ms vs baseline "
-      f"{base * 1e3:.2f} ms (ratio {ratio:.2f}, limit {tolerance:.2f})")
+print("perf-smoke: fig14 @1000 daemons runs "
+      + ", ".join(f"{r * 1e3:.2f}" for r in runs)
+      + f" ms; median {cur * 1e3:.2f} ms vs baseline {base * 1e3:.2f} ms "
+      f"(ratio {ratio:.2f}, limit {tolerance:.2f})")
 if ratio > tolerance:
     raise SystemExit("perf-smoke: FAIL — coordinator round time regressed")
 EOF

@@ -13,27 +13,26 @@ constexpr double kLevelSlack = 1e-9;
 
 // The per-round water-level sweep over the packed SoA lane columns: for
 // each live lane, gather its four resource levels from the one per-resource
-// `level` array, min them against the lane's cap, scatter the result to
-// `lvl`, and return the global minimum.
+// `level` array, min them, scatter the result to `lvl`, and return the
+// global minimum.
 //
 // Bit-identity with the original branching AoS loop: intra-rack lanes
 // point their rack columns at a sentinel slot pinned to +infinity, and
 // min(x, +inf) == x exactly; min over doubles is associative and
 // commutative as long as no input is NaN or -0.0 — levels are
 // residual/weight with residual finite and weight > 0 (never -0: exact
-// cancellation yields +0), caps are > 0 — so the balanced fold tree and
+// cancellation yields +0) — so the balanced fold tree and
 // the four independent running minima below produce the same bits as the
 // original left-to-right chain. The compiler may not reassociate FP math
 // itself, so the reassociation is spelled out to break the serial min
 // dependency and let lanes pipeline.
 double levelSweep(std::size_t count, const std::uint32_t* src_col,
                   const std::uint32_t* dst_col, const std::uint32_t* up_col,
-                  const std::uint32_t* down_col, const double* cap_col,
-                  const double* level, double* lvl) {
+                  const std::uint32_t* down_col, const double* level, double* lvl) {
   const auto laneLevel = [&](std::size_t k) {
     const double ab = std::min(level[src_col[k]], level[dst_col[k]]);
     const double cd = std::min(level[up_col[k]], level[down_col[k]]);
-    return std::min(ab, std::min(cd, cap_col[k]));
+    return std::min(ab, cd);
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   double m0 = kInf, m1 = kInf, m2 = kInf, m3 = kInf;
@@ -76,7 +75,6 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
         static_cast<std::size_t>(d.dst) >= ports) {
       throw std::out_of_range("maxMinAllocate: demand port out of range");
     }
-    if (d.rate_cap < 0) throw std::invalid_argument("maxMinAllocate: negative rate cap");
   }
 
   // Single unit-weight demand (the dominant shape of gainers-only passes
@@ -86,11 +84,8 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
   // wsum columns are never touched.
   if (n == 1 && demands[0].weight == 1.0) {
     const Demand& d = demands[0];
-    if (d.rate_cap > 0.0) {
-      const util::Rate rate = std::min(residual.available(d.src, d.dst), d.rate_cap);
-      rates[0] = rate;
-      residual.consume(d.src, d.dst, rate);
-    }
+    rates[0] = residual.available(d.src, d.dst);
+    residual.consume(d.src, d.dst, rates[0]);
     return rates;
   }
 
@@ -111,13 +106,11 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
   scratch.soa_dst.clear();
   scratch.soa_up.clear();
   scratch.soa_down.clear();
-  scratch.soa_cap.clear();
   scratch.lane_id.clear();
   scratch.soa_src.reserve(n);
   scratch.soa_dst.reserve(n);
   scratch.soa_up.reserve(n);
   scratch.soa_down.reserve(n);
-  scratch.soa_cap.reserve(n);
   scratch.lane_id.reserve(n);
   scratch.lane_of.resize(n);  // Only entries of live demands are ever read.
   scratch.touched.clear();
@@ -125,14 +118,10 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
 
   for (std::size_t i = 0; i < n; ++i) {
     const Demand& d = demands[i];
-    if (d.weight <= 0.0 || d.rate_cap <= 0.0) continue;  // Rate stays 0.
+    if (d.weight <= 0.0) continue;  // Rate stays 0.
     MaxMinScratch::DemandCtx& c = scratch.ctx[i];
     c.route = fabric.route(d.src, d.dst);
     c.weight = d.weight;
-    // x / 1.0 == x bitwise; unit weight is the universal case here (every
-    // scheduler pass emits weight-1 demands), so skip the divide.
-    c.cap_level = d.weight == 1.0 ? d.rate_cap : d.rate_cap / d.weight;
-    c.rate_cap = d.rate_cap;
     for (const std::uint32_t r : c.route) {
       if (wsum[r] == 0.0) scratch.touched.push_back(r);
       wsum[r] += d.weight;
@@ -144,7 +133,6 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
     scratch.soa_dst.push_back(c.route.resource[1]);
     scratch.soa_up.push_back(cross ? c.route.resource[2] : sentinel);
     scratch.soa_down.push_back(cross ? c.route.resource[3] : sentinel);
-    scratch.soa_cap.push_back(c.cap_level);
   }
 
   // Each iteration freezes at least one flow, so this terminates in <= n
@@ -162,7 +150,6 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
       scratch.soa_dst[l] = scratch.soa_dst[last];
       scratch.soa_up[l] = scratch.soa_up[last];
       scratch.soa_down[l] = scratch.soa_down[last];
-      scratch.soa_cap[l] = scratch.soa_cap[last];
       scratch.lane_level[l] = scratch.lane_level[last];
       scratch.lane_id[l] = scratch.lane_id[last];
       scratch.lane_of[scratch.lane_id[l]] = l;
@@ -181,10 +168,10 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
     // The water level each live lane could rise to right now, plus the
     // global minimum — one dense gather/min/scatter sweep over the SoA
     // columns (see levelSweep).
-    double min_level = levelSweep(
-        lanes, scratch.soa_src.data(), scratch.soa_dst.data(),
-        scratch.soa_up.data(), scratch.soa_down.data(), scratch.soa_cap.data(),
-        scratch.level.data(), scratch.lane_level.data());
+    double min_level =
+        levelSweep(lanes, scratch.soa_src.data(), scratch.soa_dst.data(),
+                   scratch.soa_up.data(), scratch.soa_down.data(),
+                   scratch.level.data(), scratch.lane_level.data());
     if (!std::isfinite(min_level)) min_level = 0.0;
     min_level = std::max(min_level, 0.0);
 
@@ -225,10 +212,10 @@ const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,
       const MaxMinScratch::DemandCtx& c = scratch.ctx[i];
       // Current level against mid-pass residual/weights, mirroring the
       // reference's per-candidate recomputation.
-      double level = c.cap_level;
+      double level = std::numeric_limits<double>::infinity();
       for (const std::uint32_t r : c.route) level = std::min(level, left[r] / wsum[r]);
       if (level > cutoff) continue;  // Raised past the cutoff mid-pass.
-      const util::Rate rate = std::min(c.weight * min_level, c.rate_cap);
+      const util::Rate rate = c.weight * min_level;
       rates[i] = rate;
       residual.consume(c.route, rate);
       for (const std::uint32_t r : c.route) wsum[r] -= c.weight;
@@ -271,7 +258,6 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
         static_cast<std::size_t>(d.dst) >= ports) {
       throw std::out_of_range("maxMinAllocate: demand port out of range");
     }
-    if (d.rate_cap < 0) throw std::invalid_argument("maxMinAllocate: negative rate cap");
   }
 
   std::vector<bool> frozen(n, false);
@@ -286,7 +272,7 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
 
   for (std::size_t i = 0; i < n; ++i) {
     const Demand& d = demands[i];
-    if (d.weight <= 0.0 || d.rate_cap <= 0.0) {
+    if (d.weight <= 0.0) {
       frozen[i] = true;  // Rate stays 0; consumes nothing.
       continue;
     }
@@ -305,7 +291,6 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
     const auto dp = static_cast<std::size_t>(d.dst);
     double level = std::min(residual.ingress(d.src) / in_weight[sp],
                             residual.egress(d.dst) / out_weight[dp]);
-    level = std::min(level, d.rate_cap / d.weight);
     if (crossRack(d)) {
       const auto ur = static_cast<std::size_t>(fabric->rackOf(d.src));
       const auto dr = static_cast<std::size_t>(fabric->rackOf(d.dst));
@@ -333,7 +318,7 @@ std::vector<util::Rate> maxMinAllocateReference(const std::vector<Demand>& deman
       if (frozen[i]) continue;
       const Demand& d = demands[i];
       if (levelOf(d) > cutoff) continue;
-      const util::Rate rate = std::min(d.weight * min_level, d.rate_cap);
+      const util::Rate rate = d.weight * min_level;
       rates[i] = rate;
       frozen[i] = true;
       froze_any = true;

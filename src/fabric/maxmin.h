@@ -10,13 +10,14 @@
 // in a caller-owned MaxMinScratch arena that is reused across calls. The
 // water-filling iteration computes one water level per *resource* (port or
 // rack link, see Fabric::route) instead of one per demand, then takes
-// cheap minima per demand — the level of a demand is fully determined by
-// its route's levels and its own cap. A slower reference implementation
-// (maxMinAllocateReference) is retained for randomized equivalence testing.
+// cheap minima per demand — the level of a demand is the minimum of its
+// route's levels. Demands carry no rate cap: every caller wants plain
+// max-min within the residual it passes. A slower reference
+// implementation (maxMinAllocateReference) is retained for randomized
+// equivalence testing.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -26,8 +27,6 @@
 
 namespace aalo::fabric {
 
-inline constexpr util::Rate kUncapped = std::numeric_limits<util::Rate>::infinity();
-
 /// One flow's demand entry for the water-filling pass.
 struct Demand {
   coflow::PortId src = 0;
@@ -35,9 +34,6 @@ struct Demand {
   /// Weighted fairness: a flow with weight 2 gets twice the share of a
   /// weight-1 flow at every shared bottleneck.
   double weight = 1.0;
-  /// Upper bound on this flow's rate (e.g. remaining/eps for nearly-done
-  /// flows, or a scheduler-imposed limit). kUncapped for none.
-  util::Rate rate_cap = kUncapped;
 };
 
 /// Reusable buffers for the water-filling pass and its callers. One arena
@@ -53,12 +49,10 @@ struct MaxMinScratch {
   std::vector<util::Rate> shares;
 
   // --- internal to maxMinAllocate -----------------------------------------
-  /// Per-demand precomputed route and cap data.
+  /// Per-demand precomputed route and weight.
   struct DemandCtx {
     Route route;
     double weight = 1.0;
-    double cap_level = 0.0;  ///< rate_cap / weight.
-    double rate_cap = 0.0;   ///< Verbatim copy (freeze pass stays on ctx lines).
   };
   std::vector<DemandCtx> ctx;
   /// Summed weight of the live demands crossing each resource (indexed
@@ -85,9 +79,8 @@ struct MaxMinScratch {
   /// index-ordered candidate list and maps through lane_of, keeping the
   /// consume/subtraction sequence bit-identical to the reference.
   std::vector<std::uint32_t> soa_src, soa_dst, soa_up, soa_down;
-  std::vector<double> soa_cap;          ///< cap_level column (rate_cap / weight).
-  std::vector<std::uint32_t> lane_id;   ///< lane -> demand index.
-  std::vector<std::uint32_t> lane_of;   ///< demand index -> lane.
+  std::vector<std::uint32_t> lane_id;  ///< lane -> demand index.
+  std::vector<std::uint32_t> lane_of;  ///< demand index -> lane.
   /// Resources referenced by at least one live demand — the level refresh
   /// loops over these, so a call with few demands on a large fabric costs
   /// O(demands), not O(ports).
@@ -101,10 +94,10 @@ struct MaxMinScratch {
 /// consuming the capacity it hands out. Returns `scratch.shares` resized
 /// and aligned with `demands`. Weight <= 0 yields rate 0.
 ///
-/// Algorithm: repeatedly find the tightest constraint — either a resource
-/// whose residual divided by the total weight of unfrozen flows crossing
-/// it is minimal, or an individual flow's rate cap — freeze the affected
-/// flows at the implied water level, subtract, and continue. Each
+/// Algorithm: repeatedly find the tightest constraint — the resource whose
+/// residual divided by the total weight of unfrozen flows crossing it is
+/// minimal — freeze the affected flows at the implied water level,
+/// subtract, and continue. Each
 /// iteration costs O(touched resources) divisions plus O(live demands)
 /// minima; at most (resources + demands) iterations.
 const std::vector<util::Rate>& maxMinAllocate(std::span<const Demand> demands,

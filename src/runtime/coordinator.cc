@@ -39,6 +39,18 @@ util::Seconds elapsedSeconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+// Runs `compute` on the loop thread while the loop runs (inline
+// otherwise) and returns its result: what makes the test/diagnostic
+// accessors thread-safe.
+template <typename F>
+auto onLoopThread(net::EventLoop& loop, bool running, const F& compute) {
+  if (!running) return compute();
+  std::promise<decltype(compute())> promise;
+  auto future = promise.get_future();
+  loop.post([&compute, &promise] { promise.set_value(compute()); });
+  return future.get();
+}
+
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
@@ -689,24 +701,24 @@ void Coordinator::broadcastSchedule() {
 }
 
 std::unordered_map<coflow::CoflowId, double> Coordinator::globalSizes() {
-  if (!running_.load(std::memory_order_relaxed)) return state_.globalSizes();
-  std::promise<std::unordered_map<coflow::CoflowId, double>> promise;
-  auto future = promise.get_future();
-  loop_.post([this, &promise] { promise.set_value(state_.globalSizes()); });
-  return future.get();
+  return onLoopThread(loop_, running_.load(std::memory_order_relaxed),
+                      [this] { return state_.globalSizes(); });
 }
 
 std::vector<net::ScheduleEntry> Coordinator::scheduleSnapshot() {
-  const auto compute = [this] {
+  return onLoopThread(loop_, running_.load(std::memory_order_relaxed), [this] {
     std::vector<net::ScheduleEntry> out;
     state_.snapshotEntries(out);
     return out;
-  };
-  if (!running_.load(std::memory_order_relaxed)) return compute();
-  std::promise<std::vector<net::ScheduleEntry>> promise;
-  auto future = promise.get_future();
-  loop_.post([&compute, &promise] { promise.set_value(compute()); });
-  return future.get();
+  });
+}
+
+std::unordered_set<coflow::CoflowId> Coordinator::mirroredCoflows() {
+  return onLoopThread(loop_, running_.load(std::memory_order_relaxed), [this] {
+    std::unordered_set<coflow::CoflowId> out;
+    for (const auto& [id, entry] : upstream_schedule_.entries()) out.insert(id);
+    return out;
+  });
 }
 
 }  // namespace aalo::runtime

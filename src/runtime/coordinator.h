@@ -146,6 +146,12 @@ class Coordinator {
   /// checkpoint restore or an up-to-date standby promotion.
   std::vector<net::ScheduleEntry> scheduleSnapshot();
 
+  /// Test/diagnostic accessor: the coflows a standby's mirror of the
+  /// primary's stream holds, which seed its schedule on promotion (empty
+  /// on a primary that never followed). Thread-safe (hops onto the loop
+  /// thread while running).
+  std::unordered_set<coflow::CoflowId> mirroredCoflows();
+
  private:
   using TimePoint = net::EventLoop::Clock::time_point;
 

@@ -13,6 +13,13 @@ namespace aalo::runtime {
 
 namespace {
 
+// Delta reports with no changed coflows are suppressed entirely, except
+// that every this many ticks an empty keepalive still goes out so the
+// coordinator's liveness watchdog and epoch echo keep working. It must
+// stay well under CoordinatorConfig::liveness_timeout_intervals (10 by
+// default) so an idle daemon is never mistaken for a dead one.
+constexpr int kReportKeepaliveIntervals = 3;
+
 std::chrono::nanoseconds toNanos(util::Seconds s) {
   return std::chrono::nanoseconds(static_cast<std::int64_t>(s * 1e9));
 }
@@ -263,11 +270,10 @@ void Daemon::sendSizeReport() {
     report_dirty_.clear();
   }
   // Nothing changed locally: suppress the frame entirely and let the
-  // keepalive cadence carry liveness + the epoch echo. The cadence must
-  // stay well under the coordinator's liveness_timeout_intervals (3 vs
-  // 10 by default) so an idle daemon is never mistaken for a dead one.
-  if (!full && report.sizes.empty() && config_.report_keepalive_intervals > 0 &&
-      ++ticks_since_report_ < config_.report_keepalive_intervals) {
+  // keepalive cadence (kReportKeepaliveIntervals) carry liveness + the
+  // epoch echo.
+  if (!full && report.sizes.empty() &&
+      ++ticks_since_report_ < kReportKeepaliveIntervals) {
     stats_.reports_suppressed.fetch_add(1, std::memory_order_relaxed);
     return;
   }

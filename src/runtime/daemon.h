@@ -91,11 +91,6 @@ struct DaemonConfig {
   /// re-teaches a restarted coordinator. Forced resyncs (reconnect, epoch
   /// gap) happen regardless. 0 = forced resyncs only.
   int resync_intervals = 10;
-  /// Delta reports with no changed coflows are suppressed entirely,
-  /// except every this many ticks an empty keepalive still goes out so
-  /// the coordinator's liveness watchdog and epoch-echo keep working.
-  /// Must stay below liveness_timeout_intervals; 0 = report every Δ.
-  int report_keepalive_intervals = 3;
   /// Backpressure: skip a size report while more than this many bytes sit
   /// unsent in the connection's send queue (the coordinator stopped
   /// draining). Skipped coflows stay dirty, and reports carry absolute

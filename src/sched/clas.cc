@@ -55,8 +55,7 @@ void ContinuousClasScheduler::allocate(const sim::SimView& view,
           1.0 / static_cast<double>(order_[g]->flow_indices.size());
       for (const std::size_t fi : order_[g]->flow_indices) {
         const sim::FlowState& f = view.flow(fi);
-        scratch_.demands.push_back(
-            fabric::Demand{f.src, f.dst, per_flow_weight, fabric::kUncapped});
+        scratch_.demands.push_back(fabric::Demand{f.src, f.dst, per_flow_weight});
         flat.push_back(fi);
       }
     }

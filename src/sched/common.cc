@@ -55,7 +55,7 @@ void backfillMaxMin(const sim::SimView& view,
   scratch.demands.reserve(flow_indices.size());
   for (const std::size_t fi : flow_indices) {
     const sim::FlowState& f = view.flow(fi);
-    scratch.demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
+    scratch.demands.push_back(fabric::Demand{f.src, f.dst, 1.0});
   }
   const std::vector<util::Rate>& shares =
       fabric::maxMinAllocate(scratch.demands, residual, scratch);

@@ -369,8 +369,7 @@ void DClasScheduler::allocateCoflowGainers(
   const std::size_t m = group.flow_indices.size();
   for (std::size_t j = 0; j < m; ++j) {
     if (residual.available(src[j], dst[j]) > drained) {
-      scratch_.demands.push_back(
-          fabric::Demand{src[j], dst[j], 1.0, fabric::kUncapped});
+      scratch_.demands.push_back(fabric::Demand{src[j], dst[j], 1.0});
       gainers_scratch_.push_back(group.flow_indices[j]);
     }
   }

@@ -160,14 +160,14 @@ void DCoflowScheduler::allocate(const sim::SimView& view,
   for (const std::size_t g : order_scratch_) {
     allocateCoflowMaxMin(view, groups[g], residual, rates, scratch_);
   }
-  if (config_.work_conserving) {
-    flows_scratch_.clear();
-    for (const std::size_t g : order_scratch_) {
-      flows_scratch_.insert(flows_scratch_.end(), groups[g].flow_indices.begin(),
-                            groups[g].flow_indices.end());
-    }
-    backfillMaxMin(view, flows_scratch_, residual, rates, scratch_);
+  // Backfill leftover capacity across admitted flows before the
+  // background pass over rejected ones.
+  flows_scratch_.clear();
+  for (const std::size_t g : order_scratch_) {
+    flows_scratch_.insert(flows_scratch_.end(), groups[g].flow_indices.begin(),
+                          groups[g].flow_indices.end());
   }
+  backfillMaxMin(view, flows_scratch_, residual, rates, scratch_);
   // Background service for rejected coflows: strictly leftover capacity,
   // so they cannot delay anyone admitted, but they always make progress
   // and the run terminates.

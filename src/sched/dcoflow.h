@@ -37,9 +37,6 @@ struct DCoflowConfig {
   /// deadline test; > 1 rejects more aggressively (safety margin for
   /// fabric effects the bound ignores).
   double admission_margin = 1.0;
-  /// Backfill leftover capacity across admitted flows before the
-  /// background pass over rejected ones.
-  bool work_conserving = true;
 };
 
 /// One admission decision, recorded when a coflow first becomes active.

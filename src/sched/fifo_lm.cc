@@ -39,7 +39,7 @@ void FifoLmScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>
     for (const PortCoflow& pc : queue) {
       for (const std::size_t fi : pc.flow_indices) {
         const sim::FlowState& f = view.flow(fi);
-        demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
+        demands.push_back(fabric::Demand{f.src, f.dst, 1.0});
         chosen.push_back(fi);
       }
       if (pc.local_sent < config_.heavy_threshold) break;  // First light one.
@@ -50,9 +50,7 @@ void FifoLmScheduler::allocate(const sim::SimView& view, std::vector<util::Rate>
   const std::vector<util::Rate>& shares =
       fabric::maxMinAllocate(demands, residual, scratch_);
   for (std::size_t k = 0; k < chosen.size(); ++k) rates[chosen[k]] += shares[k];
-  if (config_.work_conserving) {
-    backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
-  }
+  backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
 }
 
 util::Seconds FifoLmScheduler::nextWakeup(const sim::SimView& view) {

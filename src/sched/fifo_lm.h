@@ -21,7 +21,6 @@ struct FifoLmConfig {
   util::Bytes heavy_threshold = 100 * util::kMB;
   /// Decision quantum for heaviness drift.
   util::Seconds quantum = 1.0;
-  bool work_conserving = true;
 };
 
 /// The `percentile`-th percentile of `workload`'s coflow total sizes. The

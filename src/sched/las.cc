@@ -36,7 +36,7 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
       const util::Bytes local_sent =
           groups.ports[p][groups.slot[p].at(f.coflow_index)].local_sent;
       if (local_sent - min_attained <= config_.tie_window) {
-        scratch_.demands.push_back(fabric::Demand{f.src, f.dst, 1.0, fabric::kUncapped});
+        scratch_.demands.push_back(fabric::Demand{f.src, f.dst, 1.0});
         chosen_flows.push_back(fi);
       }
     }
@@ -48,9 +48,8 @@ void DecentralizedLasScheduler::allocate(const sim::SimView& view,
   for (std::size_t k = 0; k < chosen_flows.size(); ++k) {
     rates[chosen_flows[k]] += shares[k];
   }
-  if (config_.work_conserving) {
-    backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
-  }
+  // TCP-like backfill of the residual to deprioritized flows.
+  backfillMaxMin(view, *view.active_flows, residual, rates, scratch_);
 }
 
 util::Seconds DecentralizedLasScheduler::nextWakeup(const sim::SimView& view) {

@@ -18,9 +18,6 @@ struct LasConfig {
   /// Decision quantum: local priorities drift continuously, so the
   /// schedule is recomputed at least this often.
   util::Seconds quantum = 1.0;
-  /// Distribute residual capacity to deprioritized flows (TCP-like
-  /// backfill). On by default for work conservation.
-  bool work_conserving = true;
 };
 
 class DecentralizedLasScheduler final : public sim::Scheduler {

@@ -180,10 +180,9 @@ void SamplingScheduler::allocate(const sim::SimView& view,
     allocateCoflowMaxMin(view, subgroup(groups[g], /*probes=*/false), residual,
                          rates, scratch_);
   }
-  if (config_.work_conserving) {
-    backfill_scratch_.assign(view.active_flows->begin(), view.active_flows->end());
-    backfillMaxMin(view, backfill_scratch_, residual, rates, scratch_);
-  }
+  // Backfill leftover capacity across all active flows.
+  backfill_scratch_.assign(view.active_flows->begin(), view.active_flows->end());
+  backfillMaxMin(view, backfill_scratch_, residual, rates, scratch_);
 }
 
 util::Seconds SamplingScheduler::nextWakeup(const sim::SimView& view) {

@@ -39,8 +39,6 @@ struct SamplingConfig {
   /// Re-decision quantum: orderings drift with attained service, so the
   /// scheduler asks to be re-run at this period even without arrivals.
   util::Seconds quantum = 1.0;
-  /// Backfill leftover capacity across all active flows.
-  bool work_conserving = true;
 };
 
 /// Estimate recorded when a coflow finishes — what the scheduler believed

@@ -46,7 +46,7 @@ void allocatePerPortDClas(
           share / static_cast<double>(head->flow_indices.size());
       for (const std::size_t fi : head->flow_indices) {
         const sim::FlowState& f = view.flow(fi);
-        demands.push_back(fabric::Demand{f.src, f.dst, flow_weight, fabric::kUncapped});
+        demands.push_back(fabric::Demand{f.src, f.dst, flow_weight});
         chosen.push_back(fi);
       }
     }

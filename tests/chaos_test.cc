@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/buffer.h"
-#include "net/chaos.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
@@ -25,6 +24,7 @@
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
 #include "tests/helpers.h"
+#include "tests/support/chaos.h"
 #include "util/units.h"
 
 namespace aalo::runtime {

@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/chaos.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/protocol.h"
@@ -30,6 +29,7 @@
 #include "runtime/daemon.h"
 #include "runtime/schedule_state.h"
 #include "tests/helpers.h"
+#include "tests/support/chaos.h"
 #include "util/rng.h"
 #include "util/units.h"
 

@@ -5,7 +5,6 @@
 //    independent of thread count).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <random>
 
 #include "fabric/maxmin.h"
@@ -57,11 +56,6 @@ FuzzCase makeCase(std::mt19937_64& rng, bool with_racks) {
     } else if (w < 0.8) {
       d.weight = weight_dist(rng);
     }  // else weight stays 1.0 — the common case.
-    const double cap = unit(rng);
-    if (cap < 0.3) {
-      // Caps spanning "binds immediately" to "never binds".
-      d.rate_cap = c.config.port_capacity * std::pow(10.0, 2.0 * unit(rng) - 1.5);
-    }
     c.demands.push_back(d);
   }
   return c;

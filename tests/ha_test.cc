@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/chaos.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "net/protocol.h"
@@ -25,6 +24,7 @@
 #include "runtime/daemon.h"
 #include "runtime/schedule_state.h"
 #include "tests/helpers.h"
+#include "tests/support/chaos.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -105,11 +105,15 @@ TEST(HighAvailability, FailoverConvergesBitIdenticalToNoFailureRun) {
   d1.reportBytes(b, 2.0 * util::kMB);
   // c never sends: stays a fresh queue-0 coflow.
   waitFor([&] { return d1.queueOf(a) > 0 && d2.queueOf(a) > 0; });
-  // The standby is mirroring the stream before the failure.
+  // The standby's mirror holds all three coflows before the failure: the
+  // never-reporting c survives promotion only through it. A count of
+  // applied frames does not prove that (loaded tsan runs promoted with 0-2
+  // mirrored coflows after five frames), so wait on the mirror itself.
   waitFor([&] {
-    return standby.stats().follower_frames_applied.load(
-               std::memory_order_relaxed) >= 5;
+    const auto mirrored = standby.mirroredCoflows();
+    return mirrored.contains(a) && mirrored.contains(b) && mirrored.contains(c);
   });
+  ASSERT_FALSE(standby.isPrimary()) << "standby promoted before the failure";
 
   primary->stop();
   primary.reset();

@@ -52,7 +52,7 @@ TEST(ResidualCapacity, ScaledShare) {
 TEST(MaxMin, SingleFlowGetsBottleneck) {
   Fabric f(smallFabric(2, 100));
   f.setEgressCapacity(1, 30);
-  const auto rates = maxMinAllocate({Demand{0, 1, 1.0, kUncapped}}, f);
+  const auto rates = maxMinAllocate({Demand{0, 1}}, f);
   ASSERT_EQ(rates.size(), 1u);
   EXPECT_NEAR(rates[0], 30, 1e-9);
 }
@@ -67,27 +67,14 @@ TEST(MaxMin, EqualSharesOnSharedPort) {
 
 TEST(MaxMin, WeightedShares) {
   Fabric f(smallFabric(2, 90));
-  const auto rates = maxMinAllocate(
-      {Demand{0, 0, 1.0, kUncapped}, Demand{0, 1, 2.0, kUncapped}}, f);
+  const auto rates = maxMinAllocate({Demand{0, 0, 1.0}, Demand{0, 1, 2.0}}, f);
   EXPECT_NEAR(rates[0], 30, 1e-9);
   EXPECT_NEAR(rates[1], 60, 1e-9);
 }
 
-TEST(MaxMin, RateCapRedistributes) {
-  Fabric f(smallFabric(3, 90));
-  const auto rates = maxMinAllocate(
-      {Demand{0, 0, 1.0, 10.0}, Demand{0, 1, 1.0, kUncapped},
-       Demand{0, 2, 1.0, kUncapped}},
-      f);
-  EXPECT_NEAR(rates[0], 10, 1e-9);
-  EXPECT_NEAR(rates[1], 40, 1e-9);
-  EXPECT_NEAR(rates[2], 40, 1e-9);
-}
-
 TEST(MaxMin, ZeroWeightGetsNothing) {
   Fabric f(smallFabric(2, 100));
-  const auto rates = maxMinAllocate(
-      {Demand{0, 0, 0.0, kUncapped}, Demand{0, 1, 1.0, kUncapped}}, f);
+  const auto rates = maxMinAllocate({Demand{0, 0, 0.0}, Demand{0, 1, 1.0}}, f);
   EXPECT_DOUBLE_EQ(rates[0], 0);
   EXPECT_NEAR(rates[1], 100, 1e-9);
 }
@@ -138,8 +125,8 @@ TEST(MaxMin, ConsumesResidual) {
 }
 
 // Property sweep: random demand sets must respect capacities, be
-// non-negative, and leave no port both unsaturated and wanted-by an
-// unbounded flow (work conservation / Pareto efficiency of max-min).
+// non-negative, and leave no port both unsaturated and wanted by a flow
+// (work conservation / Pareto efficiency of max-min).
 class MaxMinProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaxMinProperty, FeasibleAndParetoEfficient) {
@@ -153,7 +140,6 @@ TEST_P(MaxMinProperty, FeasibleAndParetoEfficient) {
     d.src = static_cast<coflow::PortId>(rng.uniformInt(0, ports - 1));
     d.dst = static_cast<coflow::PortId>(rng.uniformInt(0, ports - 1));
     d.weight = rng.uniform(0.1, 4.0);
-    d.rate_cap = rng.chance(0.3) ? rng.uniform(1.0, 50.0) : kUncapped;
     demands.push_back(d);
   }
   ResidualCapacity r(f);
@@ -163,7 +149,6 @@ TEST_P(MaxMinProperty, FeasibleAndParetoEfficient) {
   std::vector<double> out(in.size(), 0.0);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     EXPECT_GE(rates[i], 0.0);
-    EXPECT_LE(rates[i], demands[i].rate_cap * (1 + 1e-9));
     in[static_cast<std::size_t>(demands[i].src)] += rates[i];
     out[static_cast<std::size_t>(demands[i].dst)] += rates[i];
   }
@@ -171,10 +156,9 @@ TEST_P(MaxMinProperty, FeasibleAndParetoEfficient) {
     EXPECT_LE(in[static_cast<std::size_t>(p)], 100.0 * (1 + 1e-6));
     EXPECT_LE(out[static_cast<std::size_t>(p)], 100.0 * (1 + 1e-6));
   }
-  // Pareto efficiency: every uncapped flow must be blocked at one of its
-  // ports (no free capacity left on both sides).
+  // Pareto efficiency: every flow must be blocked at one of its ports (no
+  // free capacity left on both sides).
   for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (demands[i].rate_cap != kUncapped || demands[i].weight <= 0) continue;
     const double slack_src = r.ingress(demands[i].src);
     const double slack_dst = r.egress(demands[i].dst);
     EXPECT_LT(std::min(slack_src, slack_dst), 1e-5)

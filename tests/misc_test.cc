@@ -123,46 +123,6 @@ TEST(SimulatorGuards, NegativeRatesAreClampedToZeroThenStarve) {
   EXPECT_THROW(sim.run(wl), std::runtime_error);
 }
 
-TEST(NonWorkConserving, LasCanIdleWhenDisabled) {
-  // Without backfill, a deprioritized coflow's ports sit idle: total time
-  // is strictly worse than the work-conserving run.
-  sched::LasConfig cfg;
-  cfg.quantum = 0.1;
-  cfg.tie_window = 0.01;
-  cfg.work_conserving = false;
-  sched::DecentralizedLasScheduler strict_las(cfg);
-  cfg.work_conserving = true;
-  sched::DecentralizedLasScheduler wc_las(cfg);
-
-  // C0's flow and C1's flow share egress 1 from different ingress ports;
-  // LAS picks per-ingress winners, so both are "winners" and this matches
-  // on both. Add a third coflow that loses at ingress 0 and would idle
-  // port 0's leftover without backfill.
-  const auto wl = makeWorkload(
-      3, {makeJob(0, 0, {FlowDef{0, 1, 4}}), makeJob(1, 0.5, {FlowDef{0, 2, 4}})});
-  const auto strict = sim::runSimulation(wl, unitFabric(3), strict_las);
-  const auto wc = sim::runSimulation(wl, unitFabric(3), wc_las);
-  EXPECT_GE(strict.makespan + 1e-9, wc.makespan);
-}
-
-TEST(NonWorkConserving, FifoLmRespectsFlag) {
-  sched::FifoLmConfig cfg;
-  cfg.heavy_threshold = 100;
-  cfg.quantum = 0.1;
-  cfg.work_conserving = false;
-  sched::FifoLmScheduler lm(cfg);
-  // Head coflow uses port 0 only; without spillover the port-1 coflow
-  // still runs (it is the head at its own port) — FIFO-LM is per-port, so
-  // the flag only affects egress leftovers. Feasibility is the point.
-  const auto wl = makeWorkload(4, {makeJob(0, 0, {FlowDef{0, 2, 4}}),
-                                   makeJob(1, 0, {FlowDef{1, 3, 4}})});
-  sim::SimOptions opts;
-  opts.verify_allocations = true;
-  sim::Simulator sim(unitFabric(4), lm, opts);
-  const auto result = sim.run(wl);
-  EXPECT_EQ(result.coflows.size(), 2u);
-}
-
 TEST(SimulatorGuards, MaxRoundsBackstop) {
   sched::LasConfig cfg;
   cfg.quantum = 1e-7;  // Pathological quantum: floods the engine.

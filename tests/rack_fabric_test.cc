@@ -99,7 +99,7 @@ TEST(RackMaxMin, CrossRackFlowsShareTheUplink) {
   // the total — max-min gives 2.5 each.
   std::vector<Demand> demands;
   for (int i = 0; i < 4; ++i) {
-    demands.push_back(Demand{i, 4 + i, 1.0, kUncapped});
+    demands.push_back(Demand{i, 4 + i, 1.0});
   }
   const auto rates = maxMinAllocate(demands, f);
   for (const auto rate : rates) EXPECT_NEAR(rate, 2.5, 1e-9);
@@ -108,8 +108,8 @@ TEST(RackMaxMin, CrossRackFlowsShareTheUplink) {
 TEST(RackMaxMin, InRackFlowsUnaffectedByUplinkPressure) {
   Fabric f(rackFabric(8, 4, 4.0, 10.0));
   std::vector<Demand> demands = {
-      Demand{0, 4, 1.0, kUncapped},  // Cross-rack.
-      Demand{1, 2, 1.0, kUncapped},  // In-rack: full port rate.
+      Demand{0, 4, 1.0},  // Cross-rack.
+      Demand{1, 2, 1.0},  // In-rack: full port rate.
   };
   const auto rates = maxMinAllocate(demands, f);
   EXPECT_NEAR(rates[0], 10.0, 1e-9);
@@ -122,9 +122,9 @@ TEST(RackMaxMin, MixedContention) {
   // the same ingress as the first also contends on port 0 (10): flow 0
   // gets min(port share, uplink share).
   std::vector<Demand> demands = {
-      Demand{0, 4, 1.0, kUncapped},  // Cross-rack via port 0.
-      Demand{1, 5, 1.0, kUncapped},  // Cross-rack via port 1.
-      Demand{0, 2, 1.0, kUncapped},  // In-rack via port 0.
+      Demand{0, 4, 1.0},  // Cross-rack via port 0.
+      Demand{1, 5, 1.0},  // Cross-rack via port 1.
+      Demand{0, 2, 1.0},  // In-rack via port 0.
   };
   const auto rates = maxMinAllocate(demands, f);
   // Port 0 fair share = 5 each; uplink share = 5 each: all consistent.

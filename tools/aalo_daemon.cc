@@ -10,9 +10,6 @@
 //               [--stale-intervals N] [--resync-intervals N]
 //               [--send-queue-max BYTES]
 //               [--metrics-dump PATH] [--metrics-interval SECONDS]
-//               [--chaos-seed S] [--chaos-drop P] [--chaos-dup P]
-//               [--chaos-reorder P] [--chaos-corrupt P] [--chaos-truncate P]
-//               [--chaos-delay P] [--chaos-split BYTES]
 //
 // --coordinator-port may repeat: the first port is the primary, later ones
 // are warm standbys tried in order when the current endpoint fails or goes
@@ -22,12 +19,6 @@
 // --metrics-dump writes the daemon's observability registry (Prometheus
 // text, plus JSON at PATH.json) every --metrics-interval seconds (default
 // 1) and once at shutdown.
-//
-// Any --chaos-* flag interposes a net::ChaosProxy between this daemon and
-// the coordinator: the daemon dials the proxy, the proxy relays (and
-// deterministically mangles, per --chaos-seed) frames to the real
-// coordinator port. Probabilities are per frame and apply in both
-// directions.
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -41,7 +32,6 @@
 #include <vector>
 
 #include "cli_number.h"
-#include "net/chaos.h"
 #include "runtime/client.h"
 #include "runtime/daemon.h"
 #include "util/units.h"
@@ -63,11 +53,7 @@ void onSignal(int) { g_stop = true; }
                "                   [--reconnect MS] [--reconnect-max-backoff MS]\n"
                "                   [--stale-intervals N] [--resync-intervals N]\n"
                "                   [--send-queue-max BYTES]\n"
-               "                   [--metrics-dump PATH] [--metrics-interval SECONDS]\n"
-               "                   [--chaos-seed S] [--chaos-drop P] [--chaos-dup P]\n"
-               "                   [--chaos-reorder P] [--chaos-corrupt P]\n"
-               "                   [--chaos-truncate P] [--chaos-delay P]\n"
-               "                   [--chaos-split BYTES]\n");
+               "                   [--metrics-dump PATH] [--metrics-interval SECONDS]\n");
   std::exit(2);
 }
 
@@ -79,9 +65,6 @@ int main(int argc, char** argv) {
   int synthetic = 0;
   double rate = 10 * util::kMB;
   double duration = 0;  // 0 = run until signalled.
-  bool use_chaos = false;
-  net::ChaosPolicy chaos;
-  std::uint64_t chaos_seed = 1;
   std::string metrics_dump_path;
   double metrics_interval = 1.0;
 
@@ -96,7 +79,6 @@ int main(int argc, char** argv) {
     auto number = [&](const char* flag, auto... range) {
       return tools::parseNumber(flag, needValue(flag), range..., usage);
     };
-    auto probability = [&](const char* flag) { return number(flag, 0.0, 1.0); };
     if (!std::strcmp(argv[i], "--coordinator-port")) {
       const auto port = number("--coordinator-port", std::uint16_t{1});
       if (cfg.coordinator_port == 0) cfg.coordinator_port = port;
@@ -126,30 +108,6 @@ int main(int argc, char** argv) {
       metrics_dump_path = needValue("--metrics-dump");
     } else if (!std::strcmp(argv[i], "--metrics-interval")) {
       metrics_interval = number("--metrics-interval", 0.0);
-    } else if (!std::strcmp(argv[i], "--chaos-seed")) {
-      chaos_seed = number("--chaos-seed", std::uint64_t{0});
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-drop")) {
-      chaos.drop = probability("--chaos-drop");
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-dup")) {
-      chaos.duplicate = probability("--chaos-dup");
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-reorder")) {
-      chaos.reorder = probability("--chaos-reorder");
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-corrupt")) {
-      chaos.corrupt = probability("--chaos-corrupt");
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-truncate")) {
-      chaos.truncate = probability("--chaos-truncate");
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-delay")) {
-      chaos.delay = probability("--chaos-delay");
-      use_chaos = true;
-    } else if (!std::strcmp(argv[i], "--chaos-split")) {
-      chaos.max_write_bytes = number("--chaos-split", std::size_t{0});
-      use_chaos = true;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       usage();
@@ -160,25 +118,6 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
 
-  // With chaos flags the daemon dials the proxy instead of the
-  // coordinator; the proxy relays (and mangles) to the real port.
-  const std::uint16_t real_coordinator_port = cfg.coordinator_port;
-  std::unique_ptr<net::ChaosProxy> proxy;
-  if (use_chaos) {
-    net::ChaosProxyConfig pcfg;
-    pcfg.upstream_port = real_coordinator_port;
-    pcfg.seed = chaos_seed;
-    pcfg.client_to_upstream = chaos;
-    pcfg.upstream_to_client = chaos;
-    proxy = std::make_unique<net::ChaosProxy>(pcfg);
-    proxy->start();
-    cfg.coordinator_port = proxy->port();
-    cfg.coordinator_ports = {proxy->port()};  // chaos fronts one endpoint
-    std::printf("chaos proxy on 127.0.0.1:%u -> 127.0.0.1:%u (seed=%llu)\n",
-                proxy->port(), real_coordinator_port,
-                static_cast<unsigned long long>(chaos_seed));
-  }
-
   // A rejected configuration is reported, not aborted on.
   std::unique_ptr<runtime::Daemon> owned;
   try {
@@ -186,7 +125,6 @@ int main(int argc, char** argv) {
     owned->start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "aalo_daemon: %s\n", e.what());
-    if (proxy) proxy->stop();
     return 1;
   }
   runtime::Daemon& daemon = *owned;
@@ -195,11 +133,9 @@ int main(int argc, char** argv) {
 
   // Optional synthetic load: register N coflows and report bytes at the
   // given per-coflow rate so queue transitions can be observed live.
-  // Client RPCs go straight to the coordinator — chaos targets the
-  // daemon's control channel.
   std::vector<coflow::CoflowId> ids;
   if (synthetic > 0) {
-    runtime::AaloClient client(real_coordinator_port);
+    runtime::AaloClient client(cfg.coordinator_port);
     for (int c = 0; c < synthetic; ++c) ids.push_back(client.registerCoflow());
     std::printf("registered %d synthetic coflows\n", synthetic);
   }
@@ -236,20 +172,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dstats.reconnect_attempts.load()),
               static_cast<unsigned long long>(dstats.stale_transitions.load()),
               static_cast<unsigned long long>(dstats.old_epoch_ignored.load()));
-  if (proxy) {
-    const auto& pstats = proxy->stats();
-    std::printf(
-        "chaos: relayed=%llu dropped=%llu dup=%llu reordered=%llu "
-        "truncated=%llu corrupted=%llu delayed=%llu\n",
-        static_cast<unsigned long long>(pstats.frames_relayed.load()),
-        static_cast<unsigned long long>(pstats.frames_dropped.load()),
-        static_cast<unsigned long long>(pstats.frames_duplicated.load()),
-        static_cast<unsigned long long>(pstats.frames_reordered.load()),
-        static_cast<unsigned long long>(pstats.frames_truncated.load()),
-        static_cast<unsigned long long>(pstats.frames_corrupted.load()),
-        static_cast<unsigned long long>(pstats.frames_delayed.load()));
-    proxy->stop();
-  }
   std::printf("shut down cleanly\n");
   return 0;
 }
