@@ -28,8 +28,9 @@ Connection::Connection(EventLoop& loop, Fd fd, FrameHandler on_frame,
       on_frame_(std::move(on_frame)),
       on_close_(std::move(on_close)),
       metrics_(metrics != nullptr ? metrics : &ConnMetrics::dummy()),
-      on_batch_(std::move(on_batch)) {
-  loop_.add(fd_.get(), EPOLLIN,
+      on_batch_(std::move(on_batch)),
+      interest_(EPOLLIN) {
+  loop_.add(fd_.get(), interest_,
             [this](std::uint32_t events) { onEvents(events); });
 }
 
@@ -92,8 +93,29 @@ void Connection::onEvents(std::uint32_t events) {
     close();
     return;
   }
-  if (events & EPOLLIN) handleReadable();
+  if (events & EPOLLIN) {
+    if (on_ready_) {
+      // Coalesced: tell the owner once, and stop watching until it reads
+      // (an owner that read at once in the handler keeps the watch).
+      read_deferred_ = true;
+      on_ready_();
+      updateInterest();
+    } else {
+      handleReadable();
+    }
+  }
   if (!closed_ && (events & EPOLLOUT)) flush();
+}
+
+void Connection::coalesceReads(ReadyHandler on_ready) {
+  on_ready_ = std::move(on_ready);
+}
+
+void Connection::readNow() {
+  if (!read_deferred_ || closed_) return;
+  read_deferred_ = false;
+  handleReadable();
+  updateInterest();
 }
 
 void Connection::handleReadable() {
@@ -191,10 +213,11 @@ void Connection::flush() {
 }
 
 void Connection::updateInterest() {
-  const bool want_write = pending_bytes_ > 0;
-  if (want_write == want_write_ || closed_) return;
-  want_write_ = want_write;
-  loop_.modify(fd_.get(), EPOLLIN | (want_write ? EPOLLOUT : 0u));
+  const std::uint32_t interest = (read_deferred_ ? 0u : EPOLLIN) |
+                                 (pending_bytes_ > 0 ? EPOLLOUT : 0u);
+  if (interest == interest_ || closed_) return;
+  interest_ = interest;
+  loop_.modify(fd_.get(), interest);
 }
 
 void Connection::close() {

@@ -5,13 +5,19 @@
 // queued writes as the socket drains (EPOLLOUT is armed only while data
 // is pending, so idle connections cost nothing).
 //
-// Receive path: one readable event drains the socket and then delivers
+// Receive path: one read drains the socket and then delivers
 // every complete frame, in order, as one batch. Each payload is copied
 // into one per-connection Buffer that keeps its capacity, so delivery
 // does not allocate per frame; the handler must not keep a reference to
 // it past its return. frames_in/bytes_in grow once per batch, by the
 // batch's totals, and the optional batch handler runs after the batch's
 // last frame, so a receiver can do per-batch bookkeeping.
+//
+// Coalesced reads (coalesceReads): on readiness the connection stops
+// watching for input and runs its ready handler once; the owner calls
+// readNow() when it wants the bytes, which runs the same read loop and
+// watches again. The owner decides how often a busy peer is read; a
+// hang-up or socket error still closes the connection at once.
 //
 // Two send paths:
 //  * sendFrame(span / Buffer) copies the payload into the connection's
@@ -45,6 +51,7 @@ class Connection {
   using FrameHandler = std::function<void(Buffer& payload)>;
   using CloseHandler = std::function<void()>;
   using BatchHandler = std::function<void()>;
+  using ReadyHandler = std::function<void()>;
 
   /// Takes ownership of `fd` (already non-blocking) and registers with
   /// the loop. Handlers run on the loop thread. `metrics` (optional)
@@ -67,6 +74,16 @@ class Connection {
   /// `payload`; the payload bytes are written directly from the shared
   /// buffer and the reference is dropped once fully flushed.
   void sendFrame(std::shared_ptr<const Buffer> payload);
+
+  /// Switches to coalesced reads: readiness runs `on_ready` once and stops
+  /// the input watch; nothing is read until readNow(), which `on_ready`
+  /// may call itself (the watch then stays). `on_ready` must not destroy
+  /// the connection.
+  void coalesceReads(ReadyHandler on_ready);
+  /// Coalesced mode: reads and delivers every frame that arrived since
+  /// readiness, in order, then watches for input again. A no-op unless
+  /// readiness was signalled and the connection is open.
+  void readNow();
 
   bool closed() const { return closed_; }
   int fd() const { return fd_.get(); }
@@ -123,12 +140,14 @@ class Connection {
   CloseHandler on_close_;
   ConnMetrics* metrics_;
   BatchHandler on_batch_;
+  ReadyHandler on_ready_;  ///< Set in coalesced mode.
   Buffer incoming_;
   Buffer payload_;  ///< The frame being delivered; reused across frames.
   std::deque<Segment> outgoing_;
   std::size_t pending_bytes_ = 0;
   std::size_t send_queue_limit_ = 0;
-  bool want_write_ = false;
+  bool read_deferred_ = false;  ///< Readiness signalled, not yet read.
+  std::uint32_t interest_ = 0;  ///< The epoll mask last registered.
   bool closed_ = false;
 };
 

@@ -34,6 +34,13 @@ net::Buffer& takeShared(std::shared_ptr<net::Buffer>& slot, obs::Counter& reuse,
   return *slot;
 }
 
+/// Ingress slots per Δ: daemon connections are read at most this many
+/// times per coordination interval (plus the tick's final pass). Chosen by
+/// a coord_10k A/B (DESIGN.md §9): fewer slots read more per pass and
+/// delay the broadcast by the final pass's apply work; more slots give
+/// back the per-wake-up cost.
+constexpr int kIngressSlots = 8;
+
 util::Seconds elapsedSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -244,7 +251,10 @@ void Coordinator::dumpMetrics() {
 }
 
 void Coordinator::scheduleTick() {
-  loop_.callAfter(toNanos(config_.sync_interval), [this] {
+  next_tick_ = net::EventLoop::Clock::now() + toNanos(config_.sync_interval);
+  loop_.callAt(next_tick_, [this] {
+    // Final pass: every report that has arrived makes this broadcast.
+    runIngressPass();
     const auto start = std::chrono::steady_clock::now();
     const TimePoint now = net::EventLoop::Clock::now();
     evictStalePeers(now);
@@ -421,6 +431,50 @@ void Coordinator::onAcceptable() {
   }
 }
 
+void Coordinator::onDaemonReadable(std::uint64_t peer_key) {
+  readable_.push_back(peer_key);
+  // Lightly loaded (the last pass is a slot old): read it now, inline.
+  if (net::EventLoop::Clock::now() >= ingressDue()) {
+    runIngressPass();
+  } else {
+    armIngress();
+  }
+}
+
+net::EventLoop::Clock::time_point Coordinator::ingressDue() const {
+  const auto slot = toNanos(config_.sync_interval / kIngressSlots);
+  // Phase lock: a round's last slot pass runs a quarter slot before the
+  // tick, so the tick's final pass (which delays the broadcast) reads
+  // only what arrived in that quarter slot.
+  const TimePoint pre_tick = next_tick_ - slot / 4;
+  const TimePoint due = last_ingress_ + slot;
+  return last_ingress_ < pre_tick && due > pre_tick ? pre_tick : due;
+}
+
+void Coordinator::armIngress() {
+  if (ingress_armed_ || readable_.empty()) return;
+  ingress_armed_ = true;
+  loop_.callAt(ingressDue(), [this] {
+    ingress_armed_ = false;
+    // A tick's final pass may have read since this was armed.
+    if (net::EventLoop::Clock::now() >= ingressDue()) runIngressPass();
+    armIngress();
+  });
+}
+
+void Coordinator::runIngressPass() {
+  if (readable_.empty()) return;
+  last_ingress_ = net::EventLoop::Clock::now();
+  stats_.ingress_passes.fetch_add(1, std::memory_order_relaxed);
+  // By index: a read that closes its connection only drops the peer, and
+  // readiness is signalled from the loop, never from inside a read.
+  for (std::size_t i = 0; i < readable_.size(); ++i) {
+    const auto it = peers_.find(readable_[i]);
+    if (it != peers_.end()) it->second.connection->readNow();
+  }
+  readable_.clear();
+}
+
 void Coordinator::dropPeer(std::uint64_t peer_key) {
   const auto it = peers_.find(peer_key);
   if (it == peers_.end()) return;
@@ -514,6 +568,9 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
 
   switch (message.type) {
     case net::MessageType::kHello:
+      // From here on its reports are read in ingress passes.
+      peer.connection->coalesceReads(
+          [this, peer_key] { onDaemonReadable(peer_key); });
       peer.is_daemon = true;
       peer.daemon_id = message.daemon_id;
       peer.last_report = now;

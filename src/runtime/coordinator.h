@@ -14,6 +14,15 @@
 // go out per peer only on connect, on request and after backpressure. The
 // broadcast payload is encoded once and fanned out zero-copy.
 //
+// Coalesced report ingress: the schedule is recomputed only once per Δ,
+// so daemon connections are not read on every wake-up. A daemon's
+// connection switches to coalesced reads at its Hello; readable daemons
+// are read together in an ingress pass at most once per slot of
+// Δ/kIngressSlots (at once when the last pass is older than a slot), and
+// every tick runs a final pass before it evicts, collects and broadcasts,
+// so a report that has arrived always makes the next broadcast. Client
+// RPCs and subscribed standbys stay readiness-driven.
+//
 // Fault tolerance (§3.2 hardening):
 //  * Liveness eviction — a daemon whose reports stop for N·Δ is dropped
 //    (connection closed, its reported sizes discarded) so a hung machine
@@ -176,6 +185,16 @@ class Coordinator {
   /// A peer connection's receive batch is over: observes the report apply
   /// histogram once if the batch carried a size report.
   void endReceiveBatch();
+  /// A coalesced daemon connection's input is ready: read at once when
+  /// the pass is due, else queue it for the pass timer.
+  void onDaemonReadable(std::uint64_t peer_key);
+  /// When the next ingress pass may run: a slot after the last one, or a
+  /// quarter slot before the next tick if that comes first.
+  TimePoint ingressDue() const;
+  /// Arms the pass timer for ingressDue() when daemons wait.
+  void armIngress();
+  /// Reads every waiting daemon connection (no-op when none waits).
+  void runIngressPass();
   void dropPeer(std::uint64_t peer_key);
   void evictStalePeers(TimePoint now);
   void collectTombstones(TimePoint now);
@@ -240,12 +259,18 @@ class Coordinator {
 
   // Report ingress (loop-thread-only). Every received frame, from peers
   // and from the primary alike, is decoded into inbound_, whose vectors
-  // keep their capacity. A receive batch (the frames of one readable
-  // event) reads the clock once when its first frame arrives, and
+  // keep their capacity. A receive batch (the frames of one read of a
+  // connection) reads the clock once when its first frame arrives, and
   // endReceiveBatch() times it into report_apply_ if it carried a report.
   net::Message inbound_;
   TimePoint batch_start_{};  ///< {} between batches.
   bool batch_reports_ = false;
+  /// Daemons whose input is ready but unread, in readiness order; the
+  /// next ingress pass reads them.
+  std::vector<std::uint64_t> readable_;
+  TimePoint last_ingress_{};  ///< Start of the last pass that read.
+  TimePoint next_tick_{};     ///< Due time of the next tick ({} on a standby).
+  bool ingress_armed_ = false;
 
   // Warm-standby state (loop-thread-only).
   std::unique_ptr<net::Connection> upstream_;

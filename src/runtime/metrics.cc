@@ -38,6 +38,8 @@ void registerRobustnessStats(obs::Registry& registry, const RobustnessStats& sta
          stats.checkpoint_restore_failures);
   attach("rejected_sizes", "Reported sizes dropped at ingress (NaN, inf, < 0)",
          stats.rejected_sizes);
+  attach("ingress_passes", "Ingress passes that read coalesced daemon connections",
+         stats.ingress_passes);
   // Daemon.
   attach("reconnect_attempts", "Dial attempts after a loss",
          stats.reconnect_attempts);

@@ -690,5 +690,102 @@ TEST_F(ConnectionFixture, FramesOver64KiBAreDeliveredWholeAndInOrder) {
   EXPECT_EQ(receiver.metrics.bytes_in.load(), wire.size());
 }
 
+// --- coalesced reads ----------------------------------------------------
+
+TEST_F(ConnectionFixture, CoalescedReadinessNotifiesOnceUntilReadNow) {
+  EventLoop loop;
+  Receiver receiver;
+  Connection server = receiver.connect(loop, std::move(server_fd_));
+  int ready = 0;
+  server.coalesceReads([&] { ++ready; });
+  sendRaw(client_fd_.get(), loop, framed(pattern(10, 1)));
+  pump(loop, [&] { return ready > 0; });
+  EXPECT_EQ(ready, 1);
+  // More bytes while deferred: no second notification, nothing delivered.
+  sendRaw(client_fd_.get(), loop, framed(pattern(20, 2)));
+  for (int i = 0; i < 10; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  EXPECT_EQ(ready, 1);
+  EXPECT_TRUE(receiver.frames.empty());
+  EXPECT_EQ(receiver.metrics.frames_in.load(), 0u);
+  EXPECT_FALSE(server.closed());
+}
+
+TEST_F(ConnectionFixture, ReadNowDeliversFramesInOrderAndRearms) {
+  EventLoop loop;
+  Receiver receiver;
+  Connection server = receiver.connect(loop, std::move(server_fd_));
+  int ready = 0;
+  server.coalesceReads([&] { ++ready; });
+  std::vector<std::vector<std::uint8_t>> sent;
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    sent.push_back(pattern(i % 37, i));
+    const auto f = framed(sent.back());
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  // Two writes, the second one while the first is deferred.
+  const std::span<const std::uint8_t> bytes(wire);
+  sendRaw(client_fd_.get(), loop, bytes.first(777));
+  pump(loop, [&] { return ready == 1; });
+  sendRaw(client_fd_.get(), loop, bytes.subspan(777));
+  for (int i = 0; i < 5; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  server.readNow();
+  EXPECT_EQ(receiver.frames, sent);
+  EXPECT_EQ(receiver.batches, 1);
+  EXPECT_EQ(receiver.metrics.bytes_in.load(), wire.size());
+  server.readNow();  // Not ready again yet: reads nothing.
+  EXPECT_EQ(receiver.batches, 1);
+
+  // Re-armed: the next bytes notify again, and readNow delivers them.
+  const auto more = pattern(50, 999);
+  sendRaw(client_fd_.get(), loop, framed(more));
+  pump(loop, [&] { return ready == 2; });
+  EXPECT_EQ(ready, 2);
+  EXPECT_EQ(receiver.frames.size(), sent.size());
+  server.readNow();
+  ASSERT_EQ(receiver.frames.size(), sent.size() + 1);
+  EXPECT_EQ(receiver.frames.back(), more);
+}
+
+TEST_F(ConnectionFixture, ReadNowInsideTheReadyHandlerKeepsWatching) {
+  EventLoop loop;
+  Receiver receiver;
+  Connection server = receiver.connect(loop, std::move(server_fd_));
+  int ready = 0;
+  server.coalesceReads([&] {
+    ++ready;
+    server.readNow();
+  });
+  std::vector<std::vector<std::uint8_t>> sent;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    sent.push_back(pattern(30, i));
+    sendRaw(client_fd_.get(), loop, framed(sent.back()));
+    pump(loop, [&] { return receiver.frames.size() == sent.size(); });
+  }
+  EXPECT_EQ(receiver.frames, sent);
+  EXPECT_EQ(ready, 3);
+}
+
+TEST_F(ConnectionFixture, PeerEofWhileDeferredClosesAtReadNowOnce) {
+  EventLoop loop;
+  int closes = 0;
+  int ready = 0;
+  Connection server(loop, std::move(server_fd_), [](Buffer&) {}, [&] { ++closes; });
+  server.coalesceReads([&] { ++ready; });
+  client_fd_.reset();  // FIN: readable, not a hang-up.
+  pump(loop, [&] { return ready > 0; });
+  for (int i = 0; i < 5; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  EXPECT_EQ(ready, 1);
+  EXPECT_EQ(closes, 0);
+  EXPECT_FALSE(server.closed());
+  server.readNow();
+  EXPECT_TRUE(server.closed());
+  EXPECT_EQ(closes, 1);
+  server.readNow();
+  for (int i = 0; i < 5; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  EXPECT_EQ(closes, 1);
+  EXPECT_EQ(ready, 1);
+}
+
 }  // namespace
 }  // namespace aalo::net

@@ -216,6 +216,7 @@ TEST(ObsRegistry, CoversAllComponentFamilies) {
         "aalo_daemon_resync_reports_total", "aalo_daemon_schedule_gaps_total",
         "aalo_daemon_schedule_digest_mismatches_total",
         "aalo_coordinator_schedule_digest_mismatches_total",
+        "aalo_coordinator_ingress_passes_total",
         "aalo_coordinator_net_frames_in_total", "aalo_coordinator_net_bytes_out_total",
         "aalo_sim_rounds_total", "aalo_sim_reused_allocations_total",
         "aalo_sim_heap_rebuilds_total", "aalo_sim_cct_seconds_bucket"}) {

@@ -1,11 +1,13 @@
 // Runtime robustness: malformed frames and sizes, multiple clients,
-// unregister cleanup, the §6.2 ON/OFF flow-gating signals, and the
-// coordinator's cross-thread surfaces under churn (these run under tsan
-// with the rest of the "chaos" label).
+// unregister cleanup, the §6.2 ON/OFF flow-gating signals, coalesced
+// report ingress, and the coordinator's cross-thread surfaces under churn
+// (these run under tsan with the rest of the "chaos" label).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -620,6 +622,210 @@ TEST(RuntimeRobustness, StopStartCyclesWithLiveDaemons) {
     coordinator.stop();
     for (auto& d : daemons) d->stop();
   }
+}
+
+// --- coalesced report ingress ---------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+/// A daemon played by hand on the test thread's loop: it sends raw frames
+/// and keeps every frame the coordinator sends it, decoded.
+class RawDaemon {
+ public:
+  RawDaemon(net::EventLoop& loop, std::uint16_t port, std::uint64_t id)
+      : id_(id),
+        conn_(std::make_unique<net::Connection>(
+            loop, net::connectTcp(port),
+            [this](net::Buffer& p) { frames.push_back(net::decodeMessage(p)); },
+            nullptr)) {
+    send(net::MessageType::kHello);
+  }
+
+  void send(net::MessageType type, std::vector<net::CoflowSize> sizes = {}) {
+    net::Message m;
+    m.type = type;
+    m.daemon_id = id_;
+    m.epoch = frames.empty() ? 0 : frames.back().epoch;
+    m.sizes = std::move(sizes);
+    net::Buffer out;
+    net::encodeMessage(m, out);
+    conn_->sendFrame(out);
+  }
+  /// Closes the socket (a FIN: the coordinator sees it only by reading).
+  void disconnect() { conn_.reset(); }
+
+  std::vector<net::Message> frames;
+
+ private:
+  std::uint64_t id_;
+  std::unique_ptr<net::Connection> conn_;
+};
+
+void pumpUntil(net::EventLoop& loop, auto done, std::chrono::milliseconds timeout = kWait) {
+  waitFor([&] {
+    loop.runOnce(std::chrono::milliseconds(1));
+    return done();
+  }, timeout);
+}
+
+void pumpUntilTime(net::EventLoop& loop, Clock::time_point until) {
+  while (Clock::now() < until) loop.runOnce(std::chrono::milliseconds(1));
+}
+
+/// Δ of the timing tests below: its slot (Δ/8 = 250 ms) and the last
+/// quarter slot before a tick (62.5 ms) are long enough to place frames
+/// inside them on a loaded host.
+CoordinatorConfig slowCoordinator() {
+  CoordinatorConfig cfg;
+  cfg.sync_interval = 2.0;
+  return cfg;
+}
+
+/// Waits for a broadcast to `late`, then, inside the last quarter slot
+/// before the next tick: `early` sends a keepalive (a pass reads it at
+/// once) and 10 ms later `send_late` runs, so that frame's pass is due a
+/// slot after early's, past the tick; only the tick's final pass can read
+/// it in time. Returns the epoch of the broadcast before that tick, or 0
+/// when the tick came before the late frame was sent.
+std::uint64_t deferPastTheTick(Coordinator& coordinator, net::EventLoop& loop,
+                               RawDaemon& early, RawDaemon& late,
+                               const std::function<void()>& send_late) {
+  const std::size_t seen = late.frames.size();
+  pumpUntil(loop, [&] { return late.frames.size() > seen; }, 5000ms);
+  const auto broadcast_at = Clock::now();
+  const std::uint64_t epoch = late.frames.back().epoch;
+  pumpUntilTime(loop, broadcast_at + 1969ms);  // The next tick: ~2000 ms.
+  early.send(net::MessageType::kSizeReport);
+  pumpUntilTime(loop, broadcast_at + 1979ms);
+  send_late();  // Flushed to the socket before it returns.
+  // The epoch grows after the final pass: still `epoch` here means the
+  // frame was in the socket before the pass read it.
+  return coordinator.epoch() == epoch ? epoch : 0;
+}
+
+/// The first frame `daemon` got with epoch `epoch`.
+const net::Message& frameOfEpoch(net::EventLoop& loop, RawDaemon& daemon,
+                                 std::uint64_t epoch) {
+  const auto has = [&] {
+    return std::find_if(daemon.frames.begin(), daemon.frames.end(),
+                        [&](const net::Message& m) { return m.epoch == epoch; });
+  };
+  pumpUntil(loop, [&] { return has() != daemon.frames.end(); }, 5000ms);
+  return *has();
+}
+
+// Reports from several daemons inside one slot are read in at most two
+// passes: the first readiness is read at once, the rest at the slot's end.
+TEST(RuntimeRobustness, IngressBurstInsideOneSlotCostsAtMostTwoPasses) {
+  CoordinatorConfig ccfg;
+  ccfg.sync_interval = 4.0;  // Slot 500 ms; the first tick is 4 s away.
+  Coordinator coordinator(ccfg);
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+
+  net::EventLoop loop;
+  constexpr int kDaemons = 6;
+  constexpr int kReports = 5;
+  std::vector<std::unique_ptr<RawDaemon>> daemons;
+  for (int d = 0; d < kDaemons; ++d) {
+    daemons.push_back(std::make_unique<RawDaemon>(loop, coordinator.port(), d + 1));
+  }
+  pumpUntil(loop, [&] { return coordinator.daemonCount() == kDaemons; });
+  const auto passes_before = coordinator.stats().ingress_passes.load();
+
+  // One write per report, 2 ms apart: each daemon turns readable again
+  // after the first pass has read it.
+  for (int r = 1; r <= kReports; ++r) {
+    for (auto& daemon : daemons) {
+      daemon->send(net::MessageType::kSizeReport, {{a, r * util::kMB}});
+    }
+    std::this_thread::sleep_for(2ms);
+  }
+  const double want = kDaemons * kReports * util::kMB;
+  pumpUntil(loop, [&] {
+    const auto global = coordinator.globalSizes();
+    return global.contains(a) && global.at(a) == want;
+  });
+  const auto passes = coordinator.stats().ingress_passes.load() - passes_before;
+  EXPECT_GE(passes, 1u);
+  EXPECT_LE(passes, 2u);
+  EXPECT_EQ(coordinator.epoch(), 0u);  // No tick ran inside the burst.
+  coordinator.stop();
+}
+
+// A report deferred past the tick's slot is read by the tick's final pass:
+// it is in the first broadcast after it arrived, not the one after.
+TEST(RuntimeRobustness, ReportIsInTheFirstBroadcastAfterItArrived) {
+  Coordinator coordinator(slowCoordinator());
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+  net::EventLoop loop;
+  RawDaemon early(loop, coordinator.port(), 1);
+  RawDaemon late(loop, coordinator.port(), 2);
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const double bytes = (10 + attempt) * util::kMB;  // Queue 1.
+    const std::uint64_t epoch = deferPastTheTick(coordinator, loop, early, late, [&] {
+      late.send(net::MessageType::kSizeReport, {{a, bytes}});
+    });
+    if (epoch == 0) continue;  // The host was too slow this round.
+    const net::Message& next = frameOfEpoch(loop, late, epoch + 1);
+    const auto entry = std::find_if(next.schedule.begin(), next.schedule.end(),
+                                    [&](const net::ScheduleEntry& e) { return e.id == a; });
+    ASSERT_NE(entry, next.schedule.end()) << "epoch " << next.epoch;
+    EXPECT_EQ(entry->global_bytes, bytes);
+    EXPECT_EQ(entry->queue, 1);
+    coordinator.stop();
+    return;
+  }
+  FAIL() << "the late report never reached the socket before the tick";
+}
+
+// A kSnapshotRequest deferred past the tick's slot is answered by that
+// tick's broadcast.
+TEST(RuntimeRobustness, DeferredSnapshotRequestIsAnsweredAtTheNextTick) {
+  Coordinator coordinator(slowCoordinator());
+  coordinator.start();
+  net::EventLoop loop;
+  RawDaemon early(loop, coordinator.port(), 1);
+  RawDaemon late(loop, coordinator.port(), 2);
+  // Past the connect snapshot: from here on only a request earns one.
+  pumpUntil(loop, [&] { return !late.frames.empty(); }, 5000ms);
+  for (int attempt = 1; attempt <= 3; ++attempt) {
+    const std::uint64_t epoch = deferPastTheTick(coordinator, loop, early, late, [&] {
+      late.send(net::MessageType::kSnapshotRequest);
+    });
+    if (epoch == 0) continue;
+    EXPECT_EQ(frameOfEpoch(loop, late, epoch).type, net::MessageType::kScheduleDelta);
+    EXPECT_EQ(frameOfEpoch(loop, late, epoch + 1).type, net::MessageType::kScheduleUpdate);
+    coordinator.stop();
+    return;
+  }
+  FAIL() << "the late request never reached the socket before the tick";
+}
+
+// A daemon that disconnects while its reads are deferred is dropped by a
+// pass within one Δ, not by the 10·Δ liveness eviction.
+TEST(RuntimeRobustness, DeferredDaemonThatDisconnectsIsDroppedWithinOneDelta) {
+  Coordinator coordinator(slowCoordinator());
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+  net::EventLoop loop;
+  RawDaemon stays(loop, coordinator.port(), 1);
+  RawDaemon leaves(loop, coordinator.port(), 2);
+  pumpUntil(loop, [&] { return coordinator.daemonCount() == 2; });
+  stays.send(net::MessageType::kSizeReport, {{a, 1 * util::kMB}});
+  leaves.send(net::MessageType::kSizeReport, {{a, 2 * util::kMB}});
+  leaves.disconnect();
+  const auto gone = Clock::now();
+  pumpUntil(loop, [&] { return coordinator.daemonCount() == 1; }, 1500ms);
+  EXPECT_LT(Clock::now() - gone, 1500ms);
+  EXPECT_EQ(coordinator.stats().daemons_evicted.load(), 0u);
+  // Its report was read before the EOF, and its share left with it.
+  pumpUntil(loop, [&] { return coordinator.globalSizes().at(a) == 1 * util::kMB; });
+  coordinator.stop();
 }
 
 }  // namespace
