@@ -4,7 +4,8 @@
 # ThreadSanitizer, plus an optional line-coverage gate.
 #
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
-#   scripts/ci.sh default    # just the default preset, full suite
+#   scripts/ci.sh default    # just the default preset, full suite, and
+#                            # the perf A/B tool's arithmetic self-check
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
 #                            # + engine pins + net + frame fuzz + checkpoint fuzz
 #                            # + maxmin + D-CLAS + baselines + rack fabric
@@ -72,6 +73,10 @@ run_default() {
   cmake --build --preset default -j "$(nproc)" --target bench_micro
   ./build/bench/bench_micro --benchmark_min_time=0.01 \
     --benchmark_filter='BM_MaxMinAllocate|BM_MetricsOverhead|BM_BatchRunnerSweep'
+  echo "=== default: perf A/B tool self-check ==="
+  # tools/perf_ab.py's quartiles, wins and record splice on canned
+  # numbers; builds and runs nothing.
+  python3 tools/perf_ab.py --self-check
   echo "=== default: metrics exposition smoke ==="
   # The CLI surface of the observability layer: a real dump must parse as
   # the pinned JSON shape and carry the four component families.

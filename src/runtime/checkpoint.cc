@@ -1,5 +1,6 @@
 #include "runtime/checkpoint.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -274,7 +275,7 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
       const std::uint32_t n_tombstones = getCount(in, net::kIdBytes);
       for (std::uint32_t i = 0; i < n_tombstones; ++i) {
         const coflow::CoflowId id = net::getId(in);
-        if (tombstoned.insert(id).second) restored.tombstones.push_back(id);
+        tombstoned.insert(id);
       }
       std::vector<std::tuple<std::uint64_t, coflow::CoflowId, double>> reports;
       const std::uint32_t n_daemons = getCount(in, 8 + 4);
@@ -338,7 +339,10 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
             decodeAs(payload, net::MessageType::kSizeReport, m);
             for (const auto& size : m.sizes) {
               if (!isValidReportedSize(size.bytes)) return std::nullopt;
-              if (tombstoned.contains(size.id)) continue;
+              // Only applied sizes are journaled and collecting a
+              // tombstone is not: a size for a tombstoned id shows that
+              // its tombstone was collected before the report arrived.
+              tombstoned.erase(size.id);
               state.applySize(m.daemon_id, size.id, size.bytes);
             }
             restored.epoch = std::max(restored.epoch, m.epoch);
@@ -355,9 +359,7 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
           case kRecUnregister: {
             decodeAs(payload, net::MessageType::kUnregisterCoflow, m);
             state.unregisterCoflow(m.coflow);
-            if (tombstoned.insert(m.coflow).second) {
-              restored.tombstones.push_back(m.coflow);
-            }
+            tombstoned.insert(m.coflow);
             break;
           }
           case kRecDropDaemon:
@@ -388,6 +390,9 @@ std::optional<Checkpoint::Restored> Checkpoint::restore(
     return std::nullopt;
   }
 
+  restored.tombstones.assign(tombstoned.begin(), tombstoned.end());
+  std::sort(restored.tombstones.begin(), restored.tombstones.end(),
+            coflow::CoflowIdFifoLess{});
   if (restored.fence == 0) restored.fence = 1;
   return restored;
 }

@@ -53,7 +53,8 @@ class Checkpoint {
     std::uint64_t epoch = 0;
     std::int64_t next_external = 0;
     /// Unregistered coflows still inside their tombstone window at the
-    /// time of the last record; the restored coordinator re-arms them.
+    /// time of the last record, in FIFO id order; the restored
+    /// coordinator re-arms them.
     std::vector<coflow::CoflowId> tombstones;
     std::size_t journal_records = 0;  ///< Records replayed after the snapshot.
   };

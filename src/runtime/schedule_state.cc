@@ -1,6 +1,7 @@
 #include "runtime/schedule_state.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "sched/dclas.h"
 
@@ -8,28 +9,18 @@ namespace aalo::runtime {
 
 namespace {
 
-/// Deterministic wire order for delta payloads: same key the schedule
-/// itself is sorted by.
+/// The schedule order, (queue, FIFO id): snapshots, the ON set and delta
+/// payloads (so the wire bytes are deterministic) all follow it.
 bool entryLess(const net::ScheduleEntry& a, const net::ScheduleEntry& b) {
   if (a.queue != b.queue) return a.queue < b.queue;
   return coflow::CoflowIdFifoLess{}(a.id, b.id);
 }
 
-/// Entries whose buckets an order walk prefetches ahead of the one it
-/// reads: enough misses in flight to cover a memory round trip.
-constexpr std::size_t kPrefetchAhead = 32;
-
-/// Stale order entries tolerated beyond one per live coflow before the
-/// runs are compacted.
-constexpr std::size_t kStaleSlack = 64;
-
 }  // namespace
 
 ScheduleState::ScheduleState(std::vector<util::Bytes> thresholds,
                              std::size_t max_on_coflows)
-    : thresholds_(std::move(thresholds)),
-      max_on_(max_on_coflows),
-      order_(thresholds_.size() + 1) {}
+    : thresholds_(std::move(thresholds)), max_on_(max_on_coflows) {}
 
 // --- the flat table ---------------------------------------------------------
 
@@ -211,121 +202,13 @@ void ScheduleState::makeLive(Bucket& b) {
   b.queue = 0;
   b.sent_queue = 0;
   ++live_;
-  enqueue(b);
   markDirty(b);
 }
 
 void ScheduleState::moveToQueue(Bucket& b, int queue) {
   if (queue == b.queue) return;
-  b.queue = queue;  // The old queue's entry is stale from here on.
-  enqueue(b);
+  b.queue = queue;
   markDirty(b);
-}
-
-ScheduleState::Bucket* ScheduleState::liveBucket(const OrderEntry& e,
-                                                 int queue) {
-  std::size_t i = e.slot;
-  // An empty slot holds the key {0, 0} too, so it never confirms a hint.
-  if (i >= table_.size() || table_[i].flags == 0 ||
-      table_[i].external != e.external || table_[i].internal != e.internal) {
-    // Moved by a grow() or an erase's backward shift since.
-    i = find(keyOf(e));
-    if (i == kNone) return nullptr;
-  }
-  Bucket& b = table_[i];
-  const bool live =
-      (b.flags & kLive) && b.queue == queue && b.stamp == e.stamp;
-  return live ? &b : nullptr;
-}
-
-void ScheduleState::sortPending(QueueOrder& order) {
-  std::vector<OrderEntry>& pending = order.pending;
-  if (order.sorted == pending.size()) return;
-  const auto mid = pending.begin() + static_cast<std::ptrdiff_t>(order.sorted);
-  std::sort(mid, pending.end(), entryIdLess);
-  std::inplace_merge(pending.begin(), mid, pending.end(), entryIdLess);
-  order.sorted = pending.size();
-}
-
-void ScheduleState::mergePending(QueueOrder& order) {
-  std::vector<OrderEntry>& run = order.run;
-  std::vector<OrderEntry>& pending = order.pending;
-  if (pending.empty()) return;
-  sortPending(order);
-  // Merge from the back, in place: only the run's tail above the smallest
-  // buffered id moves, once per merge rather than once per entry.
-  std::size_t r = run.size();
-  std::size_t p = pending.size();
-  run.resize(r + p);
-  for (std::size_t out = run.size(); p > 0;) {
-    if (r > order.head && entryIdLess(pending[p - 1], run[r - 1])) {
-      run[--out] = run[--r];
-    } else {
-      run[--out] = pending[--p];
-    }
-  }
-  pending.clear();
-  order.sorted = 0;
-}
-
-template <typename Visit>
-void ScheduleState::walkOrder(Visit&& visit) {
-  // Every stale entry is dropped below, so the stamps can start over.
-  next_stamp_ = 1;
-  for (std::size_t q = 0; q < order_.size(); ++q) {
-    mergePending(order_[q]);
-    std::vector<OrderEntry>& run = order_[q].run;
-    const std::size_t head = order_[q].head;
-    const std::size_t n = run.size();
-    const auto prefetchAt = [&](std::size_t i) {
-      if (run[i].slot < table_.size()) {
-        __builtin_prefetch(&table_[run[i].slot], 1);
-      }
-    };
-    for (std::size_t i = head; i < std::min(n, head + kPrefetchAhead); ++i) {
-      prefetchAt(i);
-    }
-    std::size_t keep = 0;
-    for (std::size_t i = head; i < n; ++i) {
-      if (i + kPrefetchAhead < n) prefetchAt(i + kPrefetchAhead);
-      const OrderEntry e = run[i];
-      // Equal ids sit together; once one is kept the rest are stale (and
-      // the renumbered bucket stamp must not meet their old stamps).
-      if (keep > 0 && keyOf(run[keep - 1]) == keyOf(e)) continue;
-      Bucket* b = liveBucket(e, static_cast<int>(q));
-      if (b == nullptr) continue;
-      b->stamp = next_stamp_++;
-      run[keep++] = OrderEntry{.external = e.external,
-                               .internal = e.internal,
-                               .stamp = b->stamp,
-                               .slot = slotOf(*b)};
-      visit(*b);
-    }
-    run.resize(keep);
-    order_[q].head = 0;
-  }
-  order_entries_ = live_;
-}
-
-void ScheduleState::enqueue(Bucket& b) {
-  b.stamp = next_stamp_++;
-  const OrderEntry entry{.external = b.external,
-                         .internal = b.internal,
-                         .stamp = b.stamp,
-                         .slot = slotOf(b)};
-  QueueOrder& order = order_[static_cast<std::size_t>(b.queue)];
-  if (order.run.size() == order.head ||
-      !entryIdLess(entry, order.run.back())) {
-    order.run.push_back(entry);
-  } else {
-    order.pending.push_back(entry);
-  }
-  // Compacting renumbers the stamps from 1, so the counter reaches its
-  // limit only if ~4G moves pass without one; compact then as well.
-  if (++order_entries_ > 2 * live_ + kStaleSlack ||
-      next_stamp_ == UINT32_MAX) {
-    walkOrder([](const Bucket&) {});
-  }
 }
 
 void ScheduleState::registerCoflow(const coflow::CoflowId& id) {
@@ -341,7 +224,7 @@ void ScheduleState::removeAt(std::size_t slot) {
   Bucket& b = table_[slot];
   if (b.flags & kRegistered) --registered_;
   if (b.flags & kLive) {
-    --live_;  // Its order entry goes stale with the live bit.
+    --live_;
     if (b.flags & kSent) {
       removed_.push_back(keyOf(b));
       digest_ -= sentHash(b);
@@ -459,59 +342,35 @@ std::unordered_map<coflow::CoflowId, double> ScheduleState::globalSizes()
   return out;
 }
 
+void ScheduleState::gatherLive(std::vector<net::ScheduleEntry>& out) const {
+  for (const Bucket& b : table_) {
+    if (!(b.flags & kLive)) continue;
+    out.push_back(net::ScheduleEntry{
+        .id = keyOf(b), .global_bytes = b.bytes, .queue = b.queue, .on = true});
+  }
+}
+
 void ScheduleState::refreshOnSet() {
-  if (max_on_ == 0) return;
-  // No table insert or erase happens below, so slots stay valid throughout.
-  std::vector<std::size_t> now_on;
-  now_on.reserve(max_on_);
-  std::vector<std::size_t> live_run;  // Run indices of live entries read.
-  // Walk the schedule's head: each queue it reaches is its run and its
-  // sorted insert buffer read side by side, in FIFO-id order.
-  for (std::size_t q = 0; q < order_.size() && now_on.size() < max_on_; ++q) {
-    QueueOrder& order = order_[q];
-    sortPending(order);
-    std::vector<OrderEntry>& run = order.run;
-    const std::vector<OrderEntry>& pending = order.pending;
-    std::size_t r = order.head;
-    live_run.clear();
-    for (std::size_t p = 0;
-         now_on.size() < max_on_ && (r < run.size() || p < pending.size());) {
-      const bool from_run =
-          p == pending.size() ||
-          (r < run.size() && !entryIdLess(pending[p], run[r]));
-      Bucket* b = liveBucket(from_run ? run[r] : pending[p],
-                             static_cast<int>(q));
-      if (from_run && b != nullptr) live_run.push_back(r);
-      ++(from_run ? r : p);
-      if (b == nullptr) continue;
-      b->flags |= kOnNext;
-      now_on.push_back(slotOf(*b));
-    }
-    // Drop the stale run entries read: pack the live ones, last first,
-    // against r and move the head up to them. Nothing past r moves.
-    std::size_t head = r;
-    for (auto it = live_run.rbegin(); it != live_run.rend(); ++it) {
-      run[--head] = run[*it];
-    }
-    order.head = head;
+  // The ON set moves only with the order: a queue change or an arrival
+  // (both dirty) or a departure (dirty or removed).
+  if (max_on_ == 0 || (dirty_.empty() && removed_.empty())) return;
+  // ON = every live coflow up to the max_on_-th in schedule order.
+  std::optional<net::ScheduleEntry> last_on;
+  if (live_ > max_on_) {
+    std::vector<net::ScheduleEntry> live;
+    live.reserve(live_);
+    gatherLive(live);
+    const auto last = live.begin() + static_cast<std::ptrdiff_t>(max_on_ - 1);
+    std::nth_element(live.begin(), last, live.end(), entryLess);
+    last_on = *last;
   }
-  for (const auto& id : on_ids_) {
-    const std::size_t i = find(id);
-    if (i == kNone) continue;
-    Bucket& b = table_[i];
-    if ((b.flags & kOnNext) || !(b.flags & kOn)) continue;
-    b.flags &= ~kOn;
+  for (Bucket& b : table_) {
+    if (!(b.flags & kLive)) continue;
+    const net::ScheduleEntry e{.id = keyOf(b), .queue = b.queue};
+    const bool on = !last_on || !entryLess(*last_on, e);
+    if (on == ((b.flags & kOn) != 0)) continue;
+    b.flags ^= kOn;
     markDirty(b);
-  }
-  on_ids_.clear();
-  for (const std::size_t i : now_on) {
-    Bucket& b = table_[i];
-    b.flags &= ~kOnNext;
-    if (!(b.flags & kOn)) {
-      b.flags |= kOn;
-      markDirty(b);
-    }
-    on_ids_.push_back(keyOf(b));
   }
 }
 
@@ -556,16 +415,15 @@ bool ScheduleState::buildDelta(std::vector<net::ScheduleEntry>& entries,
   return !entries.empty() || !removals.empty();
 }
 
-void ScheduleState::snapshotEntries(std::vector<net::ScheduleEntry>& out) {
+void ScheduleState::snapshotEntries(
+    std::vector<net::ScheduleEntry>& out) const {
   out.clear();
   out.reserve(live_);
-  walkOrder([&](const Bucket& b) {
-    out.push_back(net::ScheduleEntry{
-        .id = keyOf(b),
-        .global_bytes = b.bytes,
-        .queue = b.queue,
-        .on = max_on_ == 0 || out.size() < max_on_});
-  });
+  gatherLive(out);
+  std::sort(out.begin(), out.end(), entryLess);
+  if (max_on_ > 0) {
+    for (std::size_t i = max_on_; i < out.size(); ++i) out[i].on = false;
+  }
 }
 
 void ScheduleState::prefetch(const coflow::CoflowId& id) const {

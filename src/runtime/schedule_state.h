@@ -7,39 +7,23 @@
 //
 //  * Size reports are applied as they arrive: each reported (daemon,
 //    coflow, absolute bytes) pair updates the coflow's global size by the
-//    difference from that daemon's previous report, re-discretizes just
-//    that coflow (binary search over the thresholds), and — only on a
-//    queue change — appends it to its new queue's order run in O(1).
-//  * The schedule is K flat per-queue runs of (id, move stamp) kept in
-//    FIFO-id order, plus a small unsorted insert buffer per queue; there
-//    is no per-broadcast sort (see "order runs" below).
+//    difference from that daemon's previous report and re-discretizes
+//    just that coflow (binary search over the thresholds). A queue change
+//    is a field write plus a dirty mark.
 //  * Coflows whose queue moved, whose ON/OFF gate toggled, or that
 //    appeared/vanished since the last broadcast are marked dirty;
 //    buildDelta() drains them into a kScheduleDelta payload (empty when
 //    the schedule is unchanged — the broadcast is suppressed to a
 //    heartbeat).
 //
-// Order runs. A coflow that leaves a queue is not erased from that
-// queue's run: its entry goes stale and is dropped lazily. An entry is
-// the coflow's live one only if the bucket is live, sits in that queue,
-// and carries the same move stamp (a counter bumped on every queue entry),
-// so a promote-after-demote or a re-created id never counts twice.
-//  * An entry whose id is not below its run's last id is appended (every
-//    arrival, since ids grow); any other goes to the queue's insert
-//    buffer. No queue change ever moves other entries.
-//  * A snapshot sorts each insert buffer, merges it into its run, and
-//    walks the runs sequentially. Each entry carries its bucket's slot
-//    as a hint (checked against the key, re-probed only when a grow or
-//    an erase moved the bucket), so the walk prefetches buckets far ahead
-//    and reads them without a hash probe. It drops stale entries as it
-//    goes and renumbers the stamps 1..live.
-//  * The ON-set walk reads each queue it reaches as its run and its
-//    sorted insert buffer side by side, without merging them. It drops
-//    the stale run entries it read by packing the live ones against the
-//    point where it stopped and moving the run's head up to them, so
-//    nothing past that point moves.
-//  * Stale entries are bounded: past 2·live + a slack the runs are
-//    compacted like a snapshot, so upkeep is amortized O(1) per move.
+// The schedule order is (queue, FIFO id): it depends only on each live
+// coflow's queue and id, both in the table, so it is built only where it
+// is read. snapshotEntries() gathers the live coflows and sorts them. Under
+// an ON budget, buildDelta() finds the max_on-th live coflow in that order
+// with a partial selection (std::nth_element) in every round that changed
+// something, and a coflow is ON when it does not come after it. The
+// snapshot costs O(table + live log live), the selection O(table); no
+// order structure is kept between reads.
 //
 // Everything else the report path touches lives in one flat coflow table:
 //
@@ -162,10 +146,10 @@ class ScheduleState {
   /// of snapshotEntries().
   std::uint64_t scheduleDigest() const { return digest_; }
 
-  /// The full current schedule, sorted, with the ON gate applied
-  /// positionally — what a snapshot (kScheduleUpdate) carries. Compacts
-  /// the order runs as it reads them.
-  void snapshotEntries(std::vector<net::ScheduleEntry>& out);
+  /// The full current schedule, sorted by (queue, FIFO id), with the ON
+  /// gate applied positionally — what a snapshot (kScheduleUpdate)
+  /// carries.
+  void snapshotEntries(std::vector<net::ScheduleEntry>& out) const;
 
   /// Starts loading `id`'s home bucket. The report path issues this for a
   /// whole frame before applying it, so the frame's probes overlap.
@@ -174,9 +158,9 @@ class ScheduleState {
   /// Serialization visitors (checkpointing): the raw per-daemon absolute
   /// reports and the registered set are the whole ground truth — replaying
   /// them through registerCoflow()/applySize() on a freshly constructed
-  /// state reproduces the schedule exactly (the runs are kept in
-  /// (queue, FIFO id) order, so snapshotEntries() is bit-identical
-  /// regardless of replay order).
+  /// state reproduces the schedule exactly (snapshotEntries() sorts by
+  /// (queue, FIFO id), so it is bit-identical regardless of replay
+  /// order).
   /// Visit order is unspecified.
   template <typename F>  // F(const coflow::CoflowId&)
   void forEachRegistered(F&& visit) const {
@@ -212,7 +196,7 @@ class ScheduleState {
  private:
   enum Flag : std::uint16_t {
     kUsed = 1 << 0,        ///< Bucket holds a key (0 flags = empty slot).
-    kLive = 1 << 1,        ///< In the schedule (one live order entry).
+    kLive = 1 << 1,        ///< In the schedule.
     kRegistered = 1 << 2,
     kTombstoned = 1 << 3,
     kReported = 1 << 4,    ///< The inline first reporter is valid.
@@ -220,7 +204,6 @@ class ScheduleState {
     kDirty = 1 << 6,       ///< Queued in dirty_ since the last buildDelta().
     kSent = 1 << 7,        ///< The delta chain has announced it.
     kSentOn = 1 << 8,      ///< ON bit the delta chain last announced.
-    kOnNext = 1 << 9,      ///< Temporary mark inside refreshOnSet().
   };
 
   struct alignas(64) Bucket {
@@ -233,7 +216,6 @@ class ScheduleState {
     TimePoint mention{};         ///< Tombstone: last report naming it.
     std::int32_t sent_queue = 0; ///< Queue the delta chain last announced.
     std::uint32_t more = 0;      ///< Further reporters: reporters_ index + 1.
-    std::uint32_t stamp = 0;     ///< Stamp of its live order entry.
     std::uint16_t flags = 0;
   };
   static_assert(sizeof(Bucket) == 64);
@@ -243,26 +225,6 @@ class ScheduleState {
     std::uint64_t daemon = 0;
     double bytes = 0;
     std::uint32_t next = 0;  ///< Next node: index + 1, 0 = end.
-  };
-
-  /// One order-run entry; live only while `stamp` matches its bucket's.
-  /// `slot` is where the bucket was when the entry was written: a hint,
-  /// checked against the key, that spares the walks a hash probe.
-  struct OrderEntry {
-    std::int64_t external = 0;
-    std::int32_t internal = 0;
-    std::uint32_t stamp = 0;
-    std::uint32_t slot = 0;
-  };
-  /// One queue's share of the schedule: a run sorted by FIFO id (stale
-  /// entries included) and the entries that could not be appended to it.
-  struct QueueOrder {
-    std::vector<OrderEntry> run;
-    std::vector<OrderEntry> pending;
-    /// run[0, head) is dead: stale entries the ON-set walk dropped.
-    std::size_t head = 0;
-    /// pending[0, sorted) is sorted by FIFO id.
-    std::size_t sorted = 0;
   };
 
   /// Coflows a daemon has reported. May hold stale ids (unregistered
@@ -275,15 +237,6 @@ class ScheduleState {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   static coflow::CoflowId keyOf(const Bucket& b) {
     return {b.external, b.internal};
-  }
-  static coflow::CoflowId keyOf(const OrderEntry& e) {
-    return {e.external, e.internal};
-  }
-  static bool entryIdLess(const OrderEntry& a, const OrderEntry& b) {
-    return coflow::CoflowIdFifoLess{}(keyOf(a), keyOf(b));
-  }
-  std::uint32_t slotOf(const Bucket& b) const {
-    return static_cast<std::uint32_t>(&b - table_.data());
   }
   std::size_t homeOf(const coflow::CoflowId& id) const;
   std::size_t find(const coflow::CoflowId& id) const;
@@ -310,20 +263,11 @@ class ScheduleState {
                                   (b.flags & kSentOn) != 0);
   }
   void moveToQueue(Bucket& b, int queue);
-  /// Gives `b` a fresh stamp and files its entry under `b.queue`.
-  void enqueue(Bucket& b);
-  /// The live bucket `e` stands for in queue `queue`, or null if stale.
-  Bucket* liveBucket(const OrderEntry& e, int queue);
-  /// Sorts `order`'s insert buffer, the part added since the last sort.
-  static void sortPending(QueueOrder& order);
-  /// Sorts `order`'s insert buffer into its run.
-  static void mergePending(QueueOrder& order);
-  /// Merges every queue, drops every stale entry, renumbers the stamps
-  /// 1..live and calls `visit(bucket)` in schedule order.
-  template <typename Visit>
-  void walkOrder(Visit&& visit);
-  /// Recomputes the §6.2 ON set (first max_on_ coflows in schedule
-  /// order); every toggled coflow is marked dirty.
+  /// Appends every live coflow to `out`, ON, in table order.
+  void gatherLive(std::vector<net::ScheduleEntry>& out) const;
+  /// Under an ON budget, recomputes the §6.2 ON set (first max_on_
+  /// coflows in schedule order) unless nothing changed since the last
+  /// round; every toggled coflow is marked dirty.
   void refreshOnSet();
 
   std::vector<util::Bytes> thresholds_;
@@ -337,19 +281,13 @@ class ScheduleState {
   std::uint32_t free_reporter_ = 0;  ///< Free-list head: index + 1.
   std::unordered_map<std::uint64_t, DaemonSlots> daemons_;
 
-  /// The schedule itself: one order per queue, indexed by queue.
-  std::vector<QueueOrder> order_;
-  std::size_t live_ = 0;           ///< Live coflows (one live entry each).
-  std::size_t order_entries_ = 0;  ///< Run + buffer entries, stale included.
-  std::uint32_t next_stamp_ = 1;
+  std::size_t live_ = 0;  ///< Live coflows: the schedule's size.
   /// Coflows marked dirty since the last buildDelta().
   std::vector<coflow::CoflowId> dirty_;
   /// Announced coflows unregistered since the last buildDelta().
   std::vector<coflow::CoflowId> removed_;
   /// Sum of sentHash over the announced (kSent) live coflows.
   std::uint64_t digest_ = 0;
-  /// The ON set refreshOnSet() last computed (maintained when max_on_ > 0).
-  std::vector<coflow::CoflowId> on_ids_;
   /// Tombstone expiry queue: (last mention when queued, id), oldest first.
   std::priority_queue<std::pair<TimePoint, coflow::CoflowId>,
                       std::vector<std::pair<TimePoint, coflow::CoflowId>>,

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -198,6 +199,18 @@ TEST(CheckpointFuzz, TrajectoryRoundTripsTightOnBudget) {
   runFuzzTrajectory(1, 13);
 }
 
+// The ON set is picked by a partial selection over the live coflows each
+// round; these budgets cut it at one, two and 64 coflows, and one budget
+// lies above the peak live count (a trajectory registers at most one
+// coflow per round, so at most 300 are ever live).
+TEST(CheckpointFuzz, TrajectoryRoundTripsAcrossOnBudgets) {
+  for (const std::size_t max_on : {1, 2, 64, 301}) {
+    SCOPED_TRACE("max_on " + std::to_string(max_on));
+    runFuzzTrajectory(max_on, 14);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(Checkpoint, EmptyDirHasNoData) {
   const std::string dir = freshDir("empty");
   Checkpoint ckpt(dir);
@@ -321,6 +334,59 @@ TEST(Checkpoint, StaleJournalDiscardedAfterSnapshotReplace) {
   // stored size.
   EXPECT_EQ(restored.globalBytes(id), 4096.0);
   EXPECT_EQ(r->journal_records, 0u);
+}
+
+// Collecting a tombstone is not journaled, but the report that follows it
+// is: the coordinator journals only the sizes applyReport() applied. So a
+// journaled size for a tombstoned id means its tombstone had been
+// collected, and replay must apply the size and drop the tombstone, as the
+// live state did. `a` is tombstoned in the journal, `b` in the snapshot;
+// `c` keeps its tombstone and must still come back as one.
+TEST(Checkpoint, ReportAfterCollectedTombstoneSurvivesRestore) {
+  using std::chrono::milliseconds;
+  const std::string dir = freshDir("collected_tombstone");
+  const ScheduleState::TimePoint t0{};
+  const coflow::CoflowId a{1, 0}, b{2, 0}, c{3, 0};
+  ScheduleState live(kThresholds, 0);
+  Checkpoint ckpt(dir);
+  for (const auto& id : {b, c}) {
+    live.registerCoflow(id);
+    live.unregisterCoflow(id);
+    live.tombstone(id, t0);
+  }
+  ASSERT_TRUE(ckpt.writeSnapshot(live, {b, c}, 1, 0, 3, kThresholds, 0));
+  live.registerCoflow(a);
+  ckpt.journalRegister(a, 4);
+  live.unregisterCoflow(a);
+  live.tombstone(a, t0);
+  ckpt.journalUnregister(a);
+  live.tombstone(c, t0 + milliseconds(5));  // Mentioned since: kept.
+  EXPECT_EQ(live.collectTombstones(t0 + milliseconds(1)), 2u);  // a, b
+  net::Message report;
+  report.type = net::MessageType::kSizeReport;
+  report.daemon_id = 7;
+  report.epoch = 1;
+  for (const auto& id : {a, b}) {
+    ASSERT_TRUE(live.applyReport(7, id, 2 * util::kMB, t0 + milliseconds(2)));
+    report.sizes.push_back({id, 2 * util::kMB});
+  }
+  ckpt.journalReport(report);
+  ASSERT_TRUE(ckpt.flushJournal());
+  ASSERT_EQ(live.scheduledCount(), 2u);
+  ASSERT_EQ(live.tombstoneCount(), 1u);
+
+  Checkpoint reader(dir);
+  ScheduleState restored(kThresholds, 0);
+  const auto r = reader.restore(restored, kThresholds, 0);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->tombstones, std::vector<coflow::CoflowId>{c});
+  EXPECT_EQ(restored.scheduledCount(), 2u);
+  EXPECT_EQ(restored.globalBytes(a), 2 * util::kMB);
+  EXPECT_EQ(restored.globalBytes(b), 2 * util::kMB);
+  std::vector<net::ScheduleEntry> live_entries, restored_entries;
+  live.snapshotEntries(live_entries);
+  restored.snapshotEntries(restored_entries);
+  expectSameEntries(live_entries, restored_entries, "snapshotEntries");
 }
 
 TEST(Checkpoint, OrphanedJournalRejected) {

@@ -55,7 +55,9 @@ struct Op {
 
 /// The seeded stream. Absolute sizes are monotone per (daemon, coflow)
 /// and survive a daemon drop, as a reconnecting daemon's would.
-std::vector<Op> makeStream(std::uint64_t seed) {
+/// `population` coflows are registered before the first round; with none
+/// the stream is the one the golden transcripts pin.
+std::vector<Op> makeStream(std::uint64_t seed, std::size_t population = 0) {
   util::Rng rng(seed);
   std::vector<Op> ops;
   std::vector<coflow::CoflowId> live;
@@ -68,6 +70,10 @@ std::vector<Op> makeStream(std::uint64_t seed) {
     return v[static_cast<std::size_t>(
         rng.uniformInt(0, static_cast<std::int64_t>(v.size()) - 1))];
   };
+  for (std::size_t k = 0; k < population; ++k) {
+    live.push_back({next_external++, 0});
+    ops.push_back({.kind = Op::kRegister, .id = live.back()});
+  }
   for (int round = 0; round < kRounds; ++round) {
     const auto n = rng.uniformInt(1, 6);
     for (std::int64_t k = 0; k < n; ++k) {
@@ -396,6 +402,38 @@ TEST(ScheduleStateCheckpoint, InStateTombstonesRoundTrip) {
   checkpointRoundTrip(202, 4, Tombstones::kInState);
 }
 
+// --- ON budgets --------------------------------------------------------------
+//
+// Each round under an ON budget picks the first max_on coflows in schedule
+// order with a partial selection over the live ones. The budgets below cut
+// the order at one, two and 64 coflows, and once above the most coflows
+// the stream ever has live, where every coflow is ON.
+
+/// The most coflows the stream of `seed` has live at once.
+std::size_t peakLive(std::uint64_t seed) {
+  Replayer replay(0);
+  std::size_t peak = 0;
+  for (const Op& op : makeStream(seed)) {
+    replay.apply(op);
+    peak = std::max(peak, replay.state.scheduledCount());
+  }
+  return peak;
+}
+
+std::vector<std::size_t> onBudgets(std::uint64_t seed) {
+  return {1, 2, 64, peakLive(seed) + 1};
+}
+
+TEST(ScheduleStateOnBudget, DifferentialAcrossBudgets) {
+  for (const std::size_t max_on : onBudgets(101)) differential(101, max_on);
+}
+
+TEST(ScheduleStateOnBudget, CheckpointRoundTripAcrossBudgets) {
+  for (const std::size_t max_on : onBudgets(202)) {
+    checkpointRoundTrip(202, max_on);
+  }
+}
+
 TEST(ScheduleStateTombstones, ExpireExactlyAfterTheirLastMention) {
   using std::chrono::milliseconds;
   const ScheduleState::TimePoint t0{};
@@ -423,15 +461,16 @@ TEST(ScheduleStateTombstones, ExpireExactlyAfterTheirLastMention) {
   EXPECT_EQ(state.globalBytes(c), 1e6);
 }
 
-// --- Flat order hazards ------------------------------------------------------
+// --- Order hazards -----------------------------------------------------------
 //
-// The schedule is kept as per-queue runs in which a coflow that leaves a
-// queue goes stale instead of being erased. The cases below set up the
-// states where a stale entry could count twice or land out of order, and
-// check every round against the legacySchedule() oracle: the ON set and
-// queues a daemon holds after applying only the delta chain, and (on
-// snapshot rounds) snapshotEntries() entry for entry. Snapshots compact
-// the runs, so the hazards are built between them.
+// The cases below set up the states an incrementally kept order gets
+// wrong: a coflow that leaves a queue and comes back, ids that arrive out
+// of FIFO order, an id collected and re-created, a bucket moved by a grow
+// or an erase, and an ON cut that crosses a queue boundary. Each round is
+// checked against the legacySchedule() oracle: the ON set and queues a
+// daemon holds after applying only the delta chain, and (on snapshot
+// rounds) snapshotEntries() entry for entry. Most changes happen between
+// snapshots.
 
 /// A ScheduleState's delta-chain mirror and the per-round check, schedule
 /// digests included.
@@ -489,16 +528,16 @@ TEST(ScheduleStateFlatOrder, PromotionAfterDemotionViaDropDaemon) {
     OrderCheck check(s);
     for (std::int64_t e = 1; e <= 6; ++e) s.registerCoflow({e, 0});
     for (std::int64_t e = 1; e <= 6; ++e) s.applySize(1, {e, 0}, 5 * kMB);
-    check.endRound(true);  // All in queue 1, compacted.
+    check.endRound(true);  // All in queue 1.
     for (int cycle = 0; cycle < 4; ++cycle) {
-      // Demote 2 and 4 to queue 2, then promote them straight back: their
-      // queue-1 entries are stale and new ones wait in the insert buffer.
+      // Demote 2 and 4 to queue 2, then promote them straight back within
+      // the round.
       s.applySize(2, {2, 0}, 8 * kMB);
       s.applySize(2, {4, 0}, 8 * kMB);
       s.dropDaemon(2);
       check.endRound(cycle % 2 == 1);
-      // Demote 3 to queue 2 and promote it to queue 0, where its arrival
-      // entry went stale, by dropping both of its reporters.
+      // Demote 3 to queue 2 and promote it to queue 0, where it arrived,
+      // by dropping both of its reporters.
       s.applySize(2, {3, 0}, 8 * kMB);
       check.endRound(false);
       s.dropDaemon(2);
@@ -513,9 +552,8 @@ TEST(ScheduleStateFlatOrder, PromotionAfterDemotionViaDropDaemon) {
 
 TEST(ScheduleStateFlatOrder, DemotePromoteStormBetweenSnapshots) {
   // Many coflows bounce between queues 1 and 2 several times between two
-  // snapshots while new ones arrive, so the insert buffers hold several
-  // entries per id (sorted unstably) and the renumbered stamps of a
-  // snapshot overlap the stamps of stale entries.
+  // snapshots while new ones arrive, so one id changes queue several times
+  // between two reads of the order.
   for (const std::uint64_t seed : {1, 2, 3, 4}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     util::Rng rng(seed);
@@ -553,9 +591,8 @@ TEST(ScheduleStateFlatOrder, CollectedIdIsRecreated) {
     for (std::int64_t e = 1; e <= 5; ++e) s.registerCoflow({e, 0});
     s.applySize(1, {3, 0}, 5 * kMB);
     check.endRound(false);
-    // 3 goes (its queue-0 and queue-1 entries both stale), its tombstone is
-    // collected, and a late report re-creates it: into queue 0 and then
-    // queue 1 again, behind its own stale entries.
+    // 3 goes, its tombstone is collected, and a late report re-creates it:
+    // into queue 0 and then queue 1 again.
     s.unregisterCoflow({3, 0});
     s.tombstone({3, 0}, t0);
     check.endRound(false);
@@ -564,8 +601,7 @@ TEST(ScheduleStateFlatOrder, CollectedIdIsRecreated) {
     check.endRound(false);
     check.endRound(true);
     // Re-registered while its tombstone still holds the bucket (what a
-    // promoted standby does for mirrored coflows): the bucket keeps its
-    // old stamp until it goes live again. Then unregistered and
+    // promoted standby does for mirrored coflows). Then unregistered and
     // re-registered within one round: the delta must carry it as an
     // entry, not also as a removal.
     s.unregisterCoflow({2, 0});
@@ -586,7 +622,7 @@ TEST(ScheduleStateFlatOrder, ReportCreatedOlderIdsArriveOutOfOrder) {
     for (std::int64_t e = 10; e <= 20; ++e) s.registerCoflow({e, 0});
     check.endRound(true);
     // Older ids (and an older internal id of a live job) that nobody
-    // registered, learned from reports: below the run's tail.
+    // registered, learned from reports: they sort before the scheduled ones.
     s.applySize(7, {3, 0}, 1);
     s.applySize(7, {15, 2}, 1);
     s.applySize(7, {15, 1}, 1);
@@ -626,7 +662,7 @@ TEST(ScheduleStateFlatOrder, CheckpointRestoreArrivesOutOfOrder) {
     Checkpoint reader(dir.string());
     ASSERT_TRUE(reader.restore(s, kThresholds, max_on).has_value());
     check.endRound(false);
-    // Keep moving the restored coflows before the first snapshot merges.
+    // Keep moving the restored coflows before the first snapshot.
     for (std::int64_t e = 1; e <= 300; e += 7) {
       s.applySize(9, {e, static_cast<std::int32_t>(e % 3)}, 30 * kMB);
     }
@@ -648,8 +684,7 @@ TEST(ScheduleStateFlatOrder, OnBudgetCrossesQueueBoundaries) {
     for (std::int64_t e = 1; e <= 12; e += 2) s.applySize(1, {e, 0}, 5 * kMB);
     check.endRound(true);
     // Each round demotes the head of queue 0 and promotes something back,
-    // so the budget's cut moves across the queue boundary while the
-    // insert buffers are non-empty.
+    // so the budget's cut moves across the queue boundary.
     for (std::int64_t r = 0; r < 10; ++r) {
       const std::int64_t head = 2 + 2 * (r % 6);
       s.applySize(1, {head, 0}, 5 * kMB);
@@ -667,8 +702,7 @@ TEST(ScheduleStateFlatOrder, IdZeroKeepsItsEntryAfterLeavingItsHomeSlot) {
   // Each variant fills the table with another id set before daemons report
   // {0, 0} (as after a coordinator restart without a checkpoint), so in
   // many variants slot 0 is taken and {0, 0} lands off its home. Erases
-  // (backward shifts) and grows then move it before a snapshot rewrites
-  // its entry's slot hint.
+  // (backward shifts) and grows then move it between snapshots.
   for (std::int64_t variant = 0; variant < 48; ++variant) {
     for (const std::size_t max_on : {0, 2}) {
       SCOPED_TRACE("variant " + std::to_string(variant) + " max_on " +
@@ -696,9 +730,8 @@ TEST(ScheduleStateFlatOrder, IdZeroKeepsItsEntryAfterLeavingItsHomeSlot) {
 TEST(ScheduleStateFlatOrder, ChurnStreamMatchesOracle) {
   // The seeded op stream (daemon drops, unregistrations, re-creations
   // after tombstone GC) on a second stream seed, checked every round but
-  // snapshotted only every 9th, so stale entries pile up and cross the
-  // compaction threshold between snapshots. The oracle is legacySchedule(),
-  // orphans included.
+  // snapshotted only every 9th. The oracle is legacySchedule(), orphans
+  // included.
   for (const std::size_t max_on : {0, 4}) {
     SCOPED_TRACE("max_on " + std::to_string(max_on));
     Replayer replay(max_on, Tombstones::kInState);
@@ -751,6 +784,35 @@ TEST(ScheduleStateDigest, AgreesWithSnapshotAndDeltaChain) {
     expectDigestsAgree(202, max_on, Tombstones::kExternal);
     expectDigestsAgree(303, max_on, Tombstones::kInState);
   }
+}
+
+TEST(ScheduleStateOnBudget, DigestsAgreeAcrossBudgets) {
+  for (const std::size_t max_on : onBudgets(303)) {
+    expectDigestsAgree(303, max_on, Tombstones::kInState);
+  }
+}
+
+TEST(ScheduleStateOnBudget, TenThousandLiveCoflowsMatchOracle) {
+  // The stream over a population of ~10k coflows, so the selection
+  // partitions a large live set, with a cut past queue 0, among the
+  // coflows the reports demoted. Every round is checked through the delta
+  // chain and every 5th through a snapshot; the first 10 rounds keep the
+  // sanitizer builds fast.
+  constexpr std::size_t kPopulation = 10'050;
+  constexpr std::size_t kMaxOn = kPopulation - 10;
+  constexpr int kLargeRounds = 10;
+  Replayer replay(kMaxOn, Tombstones::kInState);
+  OrderCheck check(replay.state);
+  for (const Op& op : makeStream(404, kPopulation)) {
+    replay.apply(op);
+    if (op.kind != Op::kEndRound) continue;
+    check.endRound(replay.round % 5 == 0);
+    if (::testing::Test::HasFailure() || replay.round == kLargeRounds) break;
+  }
+  EXPECT_GE(replay.state.scheduledCount(), 10'000u);
+  std::vector<net::ScheduleEntry> snap;
+  replay.state.snapshotEntries(snap);
+  EXPECT_GT(snap[kMaxOn - 1].queue, 0);  // The cut is past queue 0.
 }
 
 TEST(ScheduleStateDigest, MovesWithEveryQueueAndOnChange) {
