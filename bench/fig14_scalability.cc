@@ -47,6 +47,7 @@
 #include "net/protocol.h"
 #include "runtime/client.h"
 #include "runtime/coordinator.h"
+#include "tools/cli_number.h"
 
 using namespace aalo;
 
@@ -699,19 +700,22 @@ int recordJson(const JsonOptions& jopt) {
   return 0;
 }
 
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: bench_fig14_scalability [--json PATH] [--daemons N,N,...] "
+               "[--rounds R] [--sweep-only] [--live-coflows M]\n");
+  std::exit(2);
+}
+
+/// A comma-separated list of daemon counts, each a whole number >= 1.
 std::vector<std::size_t> parseSizeList(const char* arg) {
   std::vector<std::size_t> out;
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p || v == 0) {
-      std::fprintf(stderr, "fig14: bad list element in '%s'\n", arg);
-      std::exit(2);
-    }
-    out.push_back(static_cast<std::size_t>(v));
-    p = *end == ',' ? end + 1 : end;
+  std::stringstream list(arg);
+  std::string element;
+  while (std::getline(list, element, ',')) {
+    out.push_back(tools::parseNumber("--daemons", element.c_str(), std::size_t{1}, usage));
   }
+  if (out.empty()) usage();
   return out;
 }
 
@@ -732,19 +736,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--daemons") == 0) {
       jopt.daemons_list = parseSizeList(needsValue("--daemons"));
     } else if (std::strcmp(argv[i], "--rounds") == 0) {
-      jopt.rounds_override = std::atoi(needsValue("--rounds"));
+      jopt.rounds_override = tools::parseNumber("--rounds", needsValue("--rounds"), 1, usage);
     } else if (std::strcmp(argv[i], "--sweep-only") == 0) {
       jopt.sweep_only = true;
     } else if (std::strcmp(argv[i], "--live-coflows") == 0) {
-      jopt.live_coflows = static_cast<std::size_t>(
-          std::strtoull(needsValue("--live-coflows"), nullptr, 10));
+      jopt.live_coflows = tools::parseNumber(
+          "--live-coflows", needsValue("--live-coflows"), std::size_t{0}, usage);
       jopt.live_coflows_explicit = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--json PATH] [--daemons N,N,...] "
-                   "[--rounds R] [--sweep-only] [--live-coflows M]\n",
-                   argv[0]);
-      return 2;
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      usage();
     }
   }
   if (jopt.path != nullptr) return recordJson(jopt);

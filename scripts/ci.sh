@@ -4,8 +4,9 @@
 # ThreadSanitizer, plus an optional line-coverage gate.
 #
 #   scripts/ci.sh            # default + asan + tsan + perf-smoke
-#   scripts/ci.sh default    # just the default preset, full suite, and
-#                            # the perf A/B tool's arithmetic self-check
+#   scripts/ci.sh default    # just the default preset, full suite, the
+#                            # perf A/B tool's arithmetic self-check and
+#                            # the tools' metrics files
 #   scripts/ci.sh asan       # asan build, chaos + metrics + ha + sched + state
 #                            # + engine pins + net + frame fuzz + checkpoint fuzz
 #                            # + maxmin + D-CLAS + baselines + rack fabric
@@ -92,6 +93,7 @@ d = json.load(open('build/ci_smoke.prom.json'))
 assert d['context'] == {'format': 'aalo-metrics', 'version': 1}, d['context']
 assert d['metrics'], 'empty metrics dump'
 "
+  control_plane_metrics_smoke
   echo "=== default: experiments smoke (LP bound gate) ==="
   # Tiny deadlined trace through the scheduler zoo with --lp-check: the
   # run exits non-zero if any scheduler's total CCT dips below the LP
@@ -114,6 +116,55 @@ assert d['metrics'], 'empty metrics dump'
   expect_clean_failure ./build/tools/aalo_sim --trace build/ci_smoke.trace \
     --sched aalo --delta nan
   expect_clean_failure ./build/tools/aalo_sim --trace build/no_such.trace --sched aalo
+}
+
+# aalo_coordinator and aalo_daemon write their metrics files from their
+# main loops: the coordinator's file must exist while it runs (the
+# periodic write), and after SIGTERM both files and their JSON twins must
+# hold their component's families, the coordinator's with the daemon's
+# reports read (the final write).
+control_plane_metrics_smoke() {
+  echo "=== default: control-plane metrics files ==="
+  rm -f build/ci_coord.prom build/ci_coord.prom.json build/ci_daemon.prom \
+    build/ci_daemon.prom.json
+  ./build/tools/aalo_coordinator --port 0 --metrics-dump build/ci_coord.prom \
+    --metrics-interval 0.2 >build/ci_coord.log 2>&1 &
+  local coord_pid=$! port=""
+  for _ in $(seq 100); do
+    port=$(sed -n 's/^aalo_coordinator listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+      build/ci_coord.log)
+    [ -n "$port" ] && break
+    sleep 0.1
+  done
+  if [ -z "$port" ]; then
+    kill "$coord_pid"
+    echo "aalo_coordinator did not start" >&2
+    return 1
+  fi
+  local ok=1
+  timeout 30 ./build/tools/aalo_daemon --coordinator-port "$port" --duration 1 \
+    --synthetic-coflows 2 --metrics-dump build/ci_daemon.prom >/dev/null || ok=0
+  [ -s build/ci_coord.prom ] || { echo "no periodic coordinator dump" >&2; ok=0; }
+  if [ "$ok" -eq 0 ]; then
+    kill "$coord_pid"
+    return 1
+  fi
+  kill -TERM "$coord_pid"
+  wait "$coord_pid"
+  python3 - <<'PY'
+import json, re
+for path, family in (("build/ci_coord.prom", "aalo_coordinator_"),
+                     ("build/ci_daemon.prom", "aalo_daemon_")):
+    text = open(path).read()
+    assert re.search(r"^" + family + r"\w+ ", text, re.M), path
+    d = json.load(open(path + ".json"))
+    assert d["context"] == {"format": "aalo-metrics", "version": 1}, path
+    names = [m["name"] for m in d["metrics"]]
+    assert names and all(n.startswith(family) for n in names), (path, names)
+passes = re.search(r"^aalo_coordinator_ingress_passes_total (\d+)$",
+                   open("build/ci_coord.prom").read(), re.M)
+assert passes and int(passes.group(1)) > 0, "final coordinator dump read no report"
+PY
 }
 
 # Runs "$@" and fails unless it exits non-zero with a status below 128.

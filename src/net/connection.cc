@@ -21,14 +21,12 @@ constexpr std::size_t kMaxIov = 16;
 }  // namespace
 
 Connection::Connection(EventLoop& loop, Fd fd, FrameHandler on_frame,
-                       CloseHandler on_close, ConnMetrics* metrics,
-                       BatchHandler on_batch)
+                       CloseHandler on_close, ConnMetrics* metrics)
     : loop_(loop),
       fd_(std::move(fd)),
       on_frame_(std::move(on_frame)),
       on_close_(std::move(on_close)),
       metrics_(metrics != nullptr ? metrics : &ConnMetrics::dummy()),
-      on_batch_(std::move(on_batch)),
       interest_(EPOLLIN) {
   loop_.add(fd_.get(), interest_,
             [this](std::uint32_t events) { onEvents(events); });
@@ -141,6 +139,7 @@ void Connection::handleReadable() {
 }
 
 bool Connection::deliverFrames() {
+  const bool coalesced = static_cast<bool>(on_ready_);
   std::uint64_t frames = 0;
   std::uint64_t bytes = 0;
   bool intact = true;
@@ -161,11 +160,17 @@ bool Connection::deliverFrames() {
     ++frames;
     bytes += 4 + static_cast<std::size_t>(len);
     on_frame_(payload_);
+    if (!coalesced && on_ready_) {
+      // The handler switched to coalesced reads: the rest waits for the
+      // owner's readNow(), and so does the input watch.
+      read_deferred_ = true;
+      updateInterest();
+      break;
+    }
   }
   if (frames > 0) {
     metrics_->frames_in.fetch_add(frames);
     metrics_->bytes_in.fetch_add(bytes);
-    if (on_batch_) on_batch_();
   }
   return intact;
 }

@@ -10,14 +10,15 @@
 // into one per-connection Buffer that keeps its capacity, so delivery
 // does not allocate per frame; the handler must not keep a reference to
 // it past its return. frames_in/bytes_in grow once per batch, by the
-// batch's totals, and the optional batch handler runs after the batch's
-// last frame, so a receiver can do per-batch bookkeeping.
+// batch's totals.
 //
 // Coalesced reads (coalesceReads): on readiness the connection stops
 // watching for input and runs its ready handler once; the owner calls
 // readNow() when it wants the bytes, which runs the same read loop and
 // watches again. The owner decides how often a busy peer is read; a
-// hang-up or socket error still closes the connection at once.
+// hang-up or socket error still closes the connection at once. A frame
+// handler that makes the switch ends its batch there: the frames after it
+// stay buffered until the owner's readNow().
 //
 // Two send paths:
 //  * sendFrame(span / Buffer) copies the payload into the connection's
@@ -50,18 +51,14 @@ class Connection {
  public:
   using FrameHandler = std::function<void(Buffer& payload)>;
   using CloseHandler = std::function<void()>;
-  using BatchHandler = std::function<void()>;
   using ReadyHandler = std::function<void()>;
 
   /// Takes ownership of `fd` (already non-blocking) and registers with
   /// the loop. Handlers run on the loop thread. `metrics` (optional)
   /// aggregates wire counters across every connection sharing it; null
   /// routes to the process-wide dummy sink so increments stay branch-free.
-  /// `on_batch` (optional) runs once after every receive batch that
-  /// delivered at least one frame, also when a handler closed the
-  /// connection mid-batch.
   Connection(EventLoop& loop, Fd fd, FrameHandler on_frame, CloseHandler on_close,
-             ConnMetrics* metrics = nullptr, BatchHandler on_batch = nullptr);
+             ConnMetrics* metrics = nullptr);
   ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -78,7 +75,9 @@ class Connection {
   /// Switches to coalesced reads: readiness runs `on_ready` once and stops
   /// the input watch; nothing is read until readNow(), which `on_ready`
   /// may call itself (the watch then stays). `on_ready` must not destroy
-  /// the connection.
+  /// the connection. Called from the frame handler, the switch ends that
+  /// batch: the frames after it stay buffered, and the connection counts
+  /// as ready without notifying (the owner's readNow() delivers them).
   void coalesceReads(ReadyHandler on_ready);
   /// Coalesced mode: reads and delivers every frame that arrived since
   /// readiness, in order, then watches for input again. A no-op unless
@@ -127,8 +126,9 @@ class Connection {
   bool overflowsSendQueue(std::size_t frame_bytes);
   void onEvents(std::uint32_t events);
   void handleReadable();
-  /// Hands every complete frame in incoming_ to on_frame_; returns false
-  /// when the stream is corrupt (a length over kMaxFrameBytes).
+  /// Hands every complete frame in incoming_ to on_frame_, up to a switch
+  /// to coalesced reads; returns false when the stream is corrupt (a
+  /// length over kMaxFrameBytes).
   bool deliverFrames();
   void flush();
   void close();
@@ -139,7 +139,6 @@ class Connection {
   FrameHandler on_frame_;
   CloseHandler on_close_;
   ConnMetrics* metrics_;
-  BatchHandler on_batch_;
   ReadyHandler on_ready_;  ///< Set in coalesced mode.
   Buffer incoming_;
   Buffer payload_;  ///< The frame being delivered; reused across frames.

@@ -1,11 +1,10 @@
 // Low-overhead metrics subsystem (observability layer).
 //
 // Three instrument kinds, all safe for concurrent writers:
-//  * Counter — monotonic u64, sharded across cache-line-padded relaxed
-//    atomics so concurrent writers on different cores do not false-share.
-//    API-compatible with the std::atomic<uint64_t> usage subset the
-//    control plane already relies on (fetch_add / load), so existing
-//    counter structs migrate by swapping the alias.
+//  * Counter — monotonic u64, one relaxed atomic. Each counter has one
+//    writing thread in practice (a component's loop thread), so there is
+//    nothing to shard. API-compatible with the std::atomic<uint64_t>
+//    usage subset the control plane relies on (fetch_add / load).
 //  * Gauge — a last-write-wins double (bit-cast through one atomic u64).
 //  * LatencyHistogram — fixed log-spaced buckets plus count and sum;
 //    p50/p95/p99 extraction reuses util::bucketQuantile.
@@ -36,47 +35,28 @@
 
 namespace aalo::obs {
 
-inline constexpr std::size_t kCounterShards = 8;
-
-/// Per-thread shard index: a multiplicative hash of a thread-local
-/// address, so threads spread across shards without coordination.
-inline std::size_t shardIndex() noexcept {
-  static thread_local const std::uint8_t tag = 0;
-  const auto h = reinterpret_cast<std::uintptr_t>(&tag) *
-                 std::uintptr_t{0x9E3779B97F4A7C15ull};
-  static_assert(kCounterShards == 8, "shardIndex extracts 3 bits");
-  return static_cast<std::size_t>(h >> 61);
-}
-
-/// Monotonic counter, sharded against false sharing. Mirrors the
+/// Monotonic counter: one relaxed atomic. Mirrors the
 /// std::atomic<uint64_t> calls used by the control-plane stats structs
-/// (fetch_add with a discarded result, load), so those structs migrate
-/// onto the registry without touching their call sites.
+/// (fetch_add with a discarded result, load).
 class Counter {
  public:
-  Counter(std::uint64_t initial = 0) noexcept {  // NOLINT: implicit, {0} init
-    shards_[0].v.store(initial, std::memory_order_relaxed);
-  }
+  Counter(std::uint64_t initial = 0) noexcept  // NOLINT: implicit, {0} init
+      : v_(initial) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
   void fetch_add(std::uint64_t n,
                  std::memory_order = std::memory_order_relaxed) noexcept {
-    shards_[shardIndex()].v.fetch_add(n, std::memory_order_relaxed);
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
   void add(std::uint64_t n) noexcept { fetch_add(n); }
 
   std::uint64_t load(std::memory_order = std::memory_order_relaxed) const noexcept {
-    std::uint64_t total = 0;
-    for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
-    return total;
+    return v_.load(std::memory_order_relaxed);
   }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Shard shards_[kCounterShards];
+  std::atomic<std::uint64_t> v_;
 };
 
 /// Last-write-wins double value.

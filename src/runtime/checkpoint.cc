@@ -148,15 +148,10 @@ bool Checkpoint::writeSnapshot(const ScheduleState& state,
   return openJournal(checksum, /*truncate=*/true);
 }
 
-void Checkpoint::appendRecord(std::uint8_t type, const net::Buffer& body) {
-  frameRecord(pending_, type, body);
-  ++records_appended_;
-}
-
 void Checkpoint::journalReport(const net::Message& report) {
   net::Buffer body;
   net::encodeMessage(report, body);
-  appendRecord(kRecReport, body);
+  frameRecord(pending_, kRecReport, body);
 }
 
 void Checkpoint::journalRegister(const coflow::CoflowId& id,
@@ -167,7 +162,7 @@ void Checkpoint::journalRegister(const coflow::CoflowId& id,
   m.request_id = static_cast<std::uint64_t>(next_external);
   net::Buffer body;
   net::encodeMessage(m, body);
-  appendRecord(kRecRegister, body);
+  frameRecord(pending_, kRecRegister, body);
 }
 
 void Checkpoint::journalUnregister(const coflow::CoflowId& id) {
@@ -176,20 +171,20 @@ void Checkpoint::journalUnregister(const coflow::CoflowId& id) {
   m.coflow = id;
   net::Buffer body;
   net::encodeMessage(m, body);
-  appendRecord(kRecUnregister, body);
+  frameRecord(pending_, kRecUnregister, body);
 }
 
 void Checkpoint::journalDropDaemon(std::uint64_t daemon_id) {
   net::Buffer body;
   body.putU64(daemon_id);
-  appendRecord(kRecDropDaemon, body);
+  frameRecord(pending_, kRecDropDaemon, body);
 }
 
 void Checkpoint::journalEpoch(std::uint64_t epoch, std::uint64_t fence) {
   net::Buffer body;
   body.putU64(epoch);
   body.putU64(fence);
-  appendRecord(kRecEpoch, body);
+  frameRecord(pending_, kRecEpoch, body);
 }
 
 bool Checkpoint::openJournal(std::uint64_t base_snapshot_checksum,

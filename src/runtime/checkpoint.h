@@ -102,10 +102,7 @@ class Checkpoint {
   /// I/O failure. Called once per coordination round, not per record.
   bool flushJournal();
 
-  std::size_t recordsAppended() const { return records_appended_; }
-
  private:
-  void appendRecord(std::uint8_t type, const net::Buffer& body);
   bool openJournal(std::uint64_t base_snapshot_checksum, bool truncate);
 
   std::string dir_;
@@ -117,7 +114,6 @@ class Checkpoint {
   /// Checksum of the snapshot the current journal builds on (0 = none).
   std::uint64_t base_checksum_ = 0;
   std::ofstream journal_out_;
-  std::size_t records_appended_ = 0;
 };
 
 }  // namespace aalo::runtime

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/buffer.h"
+#include "net/connection.h"
 #include "net/protocol.h"
 #include "util/log.h"
 
@@ -51,7 +52,9 @@ void sendFrameBlocking(int fd, const net::Message& message) {
   writeAllBlocking(fd, frame.peek(), frame.readableBytes());
 }
 
-net::Message readFrameBlocking(int fd, int timeout_ms) {
+/// One reply frame. A length over net::kMaxFrameBytes is a corrupt stream:
+/// counted in `malformed` and thrown at once, before anything is buffered.
+net::Message readFrameBlocking(int fd, int timeout_ms, obs::Counter& malformed) {
   net::Buffer in;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
@@ -78,6 +81,10 @@ net::Message readFrameBlocking(int fd, int timeout_ms) {
   };
   needBytes(4);
   const std::uint32_t len = in.getU32();
+  if (len > net::kMaxFrameBytes) {
+    malformed.fetch_add(1);
+    throw std::runtime_error("AaloClient: reply frame over the size limit");
+  }
   needBytes(len);
   net::Buffer payload;
   payload.append(in.peek(), len);
@@ -111,7 +118,8 @@ net::Message AaloClient::call(const net::Message& request, bool expect_reply) {
       ensureConnected();
       sendFrameBlocking(fd_.get(), request);
       if (!expect_reply) return {};
-      return readFrameBlocking(fd_.get(), config_.rpc_timeout_ms);
+      return readFrameBlocking(fd_.get(), config_.rpc_timeout_ms,
+                               stats_.malformed_frames);
     } catch (const std::exception& e) {
       // Broken pipe, reset, timeout, or refused redial: tear down and
       // retry over a fresh connection — a restarting coordinator should

@@ -74,7 +74,7 @@ void Coordinator::registerMetrics() {
                                         {.first_bound = 1e-6, .num_bounds = 24});
   report_apply_ = &metrics_.histogram(
       "aalo_coordinator_report_apply_seconds",
-      "Receive batch with size reports: decode, fold into ScheduleState, journal",
+      "Per ingress pass with size reports: decode, fold into ScheduleState, journal",
       {.first_bound = 1e-7, .num_bounds = 24});
   broadcast_bytes_ = &metrics_.counter("aalo_coordinator_broadcast_bytes_total",
                                        "Schedule fan-out wire bytes incl. headers");
@@ -152,9 +152,6 @@ void Coordinator::start() {
     if (checkpoint_) writeCheckpointSnapshot(net::EventLoop::Clock::now());
     scheduleTick();
   }
-  if (!config_.metrics_dump_path.empty() && config_.metrics_dump_interval > 0) {
-    scheduleMetricsDump();
-  }
   thread_ = std::thread([this] { loop_.run(); });
   AALO_LOG_INFO << "coordinator " << (standby ? "(standby) " : "")
                 << "listening on 127.0.0.1:" << port_;
@@ -182,7 +179,6 @@ void Coordinator::stop() {
     checkpoint_->flushJournal();
     writeCheckpointSnapshot(net::EventLoop::Clock::now());
   }
-  dumpMetrics();  // Final snapshot so short runs still leave evidence.
 }
 
 void Coordinator::restoreFromCheckpoint() {
@@ -233,21 +229,6 @@ void Coordinator::writeCheckpointSnapshot(TimePoint now) {
                   << config_.checkpoint_dir;
   }
   last_checkpoint_ = now;
-}
-
-void Coordinator::scheduleMetricsDump() {
-  loop_.callAfter(toNanos(config_.metrics_dump_interval), [this] {
-    dumpMetrics();
-    if (running_.load(std::memory_order_relaxed)) scheduleMetricsDump();
-  });
-}
-
-void Coordinator::dumpMetrics() {
-  if (config_.metrics_dump_path.empty()) return;
-  if (!metrics_.dumpFiles(config_.metrics_dump_path)) {
-    AALO_LOG_WARN << "coordinator: failed to write metrics dump to "
-                  << config_.metrics_dump_path;
-  }
 }
 
 void Coordinator::scheduleTick() {
@@ -419,8 +400,7 @@ void Coordinator::onAcceptable() {
     peer.connection = std::make_unique<net::Connection>(
         loop_, std::move(fd),
         [this, key](net::Buffer& payload) { onMessage(key, payload); },
-        [this, key] { dropPeer(key); }, &conn_metrics_,
-        [this] { endReceiveBatch(); });
+        [this, key] { dropPeer(key); }, &conn_metrics_);
     if (config_.send_queue_max > 0) {
       // Coalescing (skip broadcasts at send_queue_max) is the soft limit;
       // the connection's hard close at 4x bounds worst-case memory even if
@@ -464,7 +444,11 @@ void Coordinator::armIngress() {
 
 void Coordinator::runIngressPass() {
   if (readable_.empty()) return;
+  // One clock read per pass: every frame it delivers takes it as `now`,
+  // and the pass's apply time runs from here.
   last_ingress_ = net::EventLoop::Clock::now();
+  in_pass_ = true;
+  pass_reports_ = false;
   stats_.ingress_passes.fetch_add(1, std::memory_order_relaxed);
   // By index: a read that closes its connection only drops the peer, and
   // readiness is signalled from the loop, never from inside a read.
@@ -473,6 +457,8 @@ void Coordinator::runIngressPass() {
     if (it != peers_.end()) it->second.connection->readNow();
   }
   readable_.clear();
+  in_pass_ = false;
+  if (pass_reports_) report_apply_->observe(elapsedSeconds(last_ingress_));
 }
 
 void Coordinator::dropPeer(std::uint64_t peer_key) {
@@ -540,22 +526,14 @@ void Coordinator::collectTombstones(TimePoint now) {
   tombstone_count_.store(state_.tombstoneCount(), std::memory_order_relaxed);
 }
 
-void Coordinator::endReceiveBatch() {
-  if (batch_reports_) report_apply_->observe(elapsedSeconds(batch_start_));
-  batch_start_ = {};
-  batch_reports_ = false;
-}
-
 void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
   const auto it = peers_.find(peer_key);
   if (it == peers_.end()) return;
   Peer& peer = *&it->second;
 
-  // One clock read per receive batch: its frames arrived in one read, so
-  // they share their arrival time, and the batch's apply time runs from
-  // here to endReceiveBatch().
-  if (batch_start_ == TimePoint{}) batch_start_ = net::EventLoop::Clock::now();
-  const TimePoint now = batch_start_;
+  // Daemon frames after the Hello arrive only in ingress passes, which
+  // read the clock once; the rest (Hello, client RPCs, standbys) are rare.
+  const TimePoint now = in_pass_ ? last_ingress_ : net::EventLoop::Clock::now();
 
   net::Message& message = inbound_;
   try {
@@ -568,9 +546,14 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
 
   switch (message.type) {
     case net::MessageType::kHello:
-      // From here on its reports are read in ingress passes.
-      peer.connection->coalesceReads(
-          [this, peer_key] { onDaemonReadable(peer_key); });
+      if (!peer.is_daemon) {
+        // From here on its frames are read in ingress passes, starting
+        // with those that arrived behind the Hello.
+        peer.connection->coalesceReads(
+            [this, peer_key] { onDaemonReadable(peer_key); });
+        readable_.push_back(peer_key);
+        armIngress();
+      }
       peer.is_daemon = true;
       peer.daemon_id = message.daemon_id;
       peer.last_report = now;
@@ -579,7 +562,7 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
       break;
     case net::MessageType::kSizeReport:
       if (peer.is_daemon) {
-        batch_reports_ = true;
+        pass_reports_ = true;
         peer.last_report = now;
         if (message.epoch > peer.echoed_epoch) {
           peer.echoed_epoch = message.epoch;

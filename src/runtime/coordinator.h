@@ -80,11 +80,6 @@ struct CoordinatorConfig {
   /// Collect an unregister tombstone after no report has mentioned the
   /// coflow for this many sync intervals. 0 keeps tombstones forever.
   int tombstone_gc_intervals = 50;
-  /// Observability: when non-empty, the metrics registry is written to
-  /// this path (Prometheus text; JSON alongside at `<path>.json`) every
-  /// metrics_dump_interval on the loop thread, plus once at stop().
-  std::string metrics_dump_path;
-  util::Seconds metrics_dump_interval = 1.0;
   /// High availability: when non-zero, start as a warm standby of the
   /// primary coordinator at 127.0.0.1:<standby_of>. The standby subscribes
   /// to the primary's broadcast stream (kFollowerSubscribe) and mirrors it
@@ -182,9 +177,6 @@ class Coordinator {
 
   void onAcceptable();
   void onMessage(std::uint64_t peer_key, net::Buffer& payload);
-  /// A peer connection's receive batch is over: observes the report apply
-  /// histogram once if the batch carried a size report.
-  void endReceiveBatch();
   /// A coalesced daemon connection's input is ready: read at once when
   /// the pass is due, else queue it for the pass timer.
   void onDaemonReadable(std::uint64_t peer_key);
@@ -193,7 +185,8 @@ class Coordinator {
   TimePoint ingressDue() const;
   /// Arms the pass timer for ingressDue() when daemons wait.
   void armIngress();
-  /// Reads every waiting daemon connection (no-op when none waits).
+  /// Reads every waiting daemon connection (no-op when none waits) and
+  /// times the pass into report_apply_ if it applied a size report.
   void runIngressPass();
   void dropPeer(std::uint64_t peer_key);
   void evictStalePeers(TimePoint now);
@@ -201,8 +194,6 @@ class Coordinator {
   void broadcastSchedule();
   void scheduleTick();
   void registerMetrics();
-  void scheduleMetricsDump();
-  void dumpMetrics();
   // --- checkpoint/restore (primary only) ---------------------------------
   void restoreFromCheckpoint();
   void writeCheckpointSnapshot(TimePoint now);
@@ -259,16 +250,14 @@ class Coordinator {
 
   // Report ingress (loop-thread-only). Every received frame, from peers
   // and from the primary alike, is decoded into inbound_, whose vectors
-  // keep their capacity. A receive batch (the frames of one read of a
-  // connection) reads the clock once when its first frame arrives, and
-  // endReceiveBatch() times it into report_apply_ if it carried a report.
+  // keep their capacity.
   net::Message inbound_;
-  TimePoint batch_start_{};  ///< {} between batches.
-  bool batch_reports_ = false;
   /// Daemons whose input is ready but unread, in readiness order; the
   /// next ingress pass reads them.
   std::vector<std::uint64_t> readable_;
   TimePoint last_ingress_{};  ///< Start of the last pass that read.
+  bool in_pass_ = false;       ///< An ingress pass is delivering frames.
+  bool pass_reports_ = false;  ///< The running pass applied a size report.
   TimePoint next_tick_{};     ///< Due time of the next tick ({} on a standby).
   bool ingress_armed_ = false;
 

@@ -24,9 +24,9 @@ std::chrono::nanoseconds toNanos(util::Seconds s) {
   return std::chrono::nanoseconds(static_cast<std::int64_t>(s * 1e9));
 }
 
+/// The jitter Rng's seed, derived from the daemon id: distinct daemons
+/// must not retry in lockstep after a shared outage.
 std::uint64_t backoffSeed(const DaemonConfig& config) {
-  if (config.reconnect_seed != 0) return config.reconnect_seed;
-  // Distinct daemons must not retry in lockstep after a shared outage.
   return config.daemon_id * 0x9E3779B97F4A7C15ull + 1;
 }
 

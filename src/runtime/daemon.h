@@ -73,9 +73,6 @@ struct DaemonConfig {
   /// Backoff ceiling: retry delays grow from reconnect_interval with
   /// decorrelated jitter up to this value.
   util::Seconds reconnect_max_backoff = 2.0;
-  /// Seed for the jitter Rng; 0 derives one from daemon_id so distinct
-  /// daemons never thunder in lockstep.
-  std::uint64_t reconnect_seed = 0;
   /// Flip to local-only mode after this many sync intervals without a
   /// schedule broadcast on an open socket. 0 disables stale detection.
   int stale_after_intervals = 25;

@@ -13,9 +13,8 @@
 namespace aalo::runtime {
 
 struct RobustnessStats {
-  /// Sharded relaxed-atomic counter (obs layer); same fetch_add/load
-  /// surface the call sites always used, now false-sharing-free and
-  /// attachable to an obs::Registry (see runtime/metrics.h).
+  /// Relaxed-atomic counter (obs layer), bumped by its component's loop
+  /// thread and attachable to an obs::Registry (see runtime/metrics.h).
   using Counter = obs::Counter;
 
   // Shared.

@@ -228,16 +228,15 @@ RestartTrace runRestartScenario(std::uint64_t seed) {
 
   DaemonConfig d1cfg;
   d1cfg.coordinator_port = coord_port;
-  d1cfg.daemon_id = 1;
+  // The ids seed the reconnect jitter: each chaos seed draws its own.
+  d1cfg.daemon_id = seed * 11 + 1;
   d1cfg.sync_interval = 0.005;
   d1cfg.reconnect_interval = 0.01;
   d1cfg.reconnect_max_backoff = 0.08;
-  d1cfg.reconnect_seed = seed * 11 + 1;
   d1cfg.dclas.first_threshold = 1 * util::kMB;
   DaemonConfig d2cfg = d1cfg;
   d2cfg.coordinator_port = proxy.port();
-  d2cfg.daemon_id = 2;
-  d2cfg.reconnect_seed = seed * 11 + 2;
+  d2cfg.daemon_id = seed * 11 + 2;
   Daemon d1(d1cfg);
   Daemon d2(d2cfg);
   d1.start();

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "sched/registry.h"
 
@@ -174,6 +175,18 @@ TEST(AaloCoordinatorCli, OutOfRangeStandbyOfIsAUsageError) {
 TEST(AaloCoordinatorCli, TrailingGarbageInDeltaIsAUsageError) {
   expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port 0 --delta 1x", "--delta");
   expectUsageErrorNaming(AALO_COORDINATOR_BIN, "--port 0 --delta 0", "--delta");
+}
+
+TEST(Fig14Cli, MalformedNumbersAreUsageErrors) {
+  // After a small valid run (one 100-daemon sweep point of 2 rounds), so a
+  // value still read leniently shows as a run that exits 0.
+  const std::string valid = "--json /dev/null --sweep-only --daemons 100 --rounds 2 ";
+  for (const auto& [args, flag] :
+       {std::pair{"--rounds abc", "--rounds"}, {"--rounds 0", "--rounds"},
+        {"--live-coflows x", "--live-coflows"}, {"--live-coflows -1", "--live-coflows"},
+        {"--daemons 100,x", "--daemons"}, {"--daemons -5", "--daemons"}}) {
+    expectUsageErrorNaming(AALO_FIG14_BIN, valid + args, flag);
+  }
 }
 
 TEST(AaloDaemonCli, OutOfRangeCoordinatorPortIsAUsageError) {

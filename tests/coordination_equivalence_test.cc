@@ -30,6 +30,7 @@
 #include "runtime/schedule_state.h"
 #include "tests/helpers.h"
 #include "tests/support/chaos.h"
+#include "tests/support/raw_daemon.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -38,6 +39,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
+using testing::RawDaemon;
 using testing::waitFor;
 
 // ---------------------------------------------------------------------------
@@ -360,46 +362,6 @@ TEST(CoordinationEquivalence, RestartedCoordinatorIsRetaughtByOneForcedResync) {
 // kSnapshotRequest, and folds that frame's entries — id, global bytes,
 // queue, ON bit, in wire order — into one digest. Epoch and fence depend
 // on timing and stay out. Any change to what a daemon is told moves it.
-
-/// A daemon reduced to its wire behaviour: Hello, raw size reports, and a
-/// log of every schedule frame it received. Pumped by the test thread.
-struct RawDaemon {
-  RawDaemon(net::EventLoop& loop, std::uint16_t port, std::uint64_t id)
-      : daemon_id(id),
-        connection(std::make_unique<net::Connection>(
-            loop, net::connectTcp(port),
-            [this](net::Buffer& payload) {
-              net::Message m = net::decodeMessage(payload);
-              if (m.type == net::MessageType::kScheduleUpdate) {
-                snapshots.push_back(std::move(m.schedule));
-              }
-            },
-            net::Connection::CloseHandler{})) {
-    net::Message hello;
-    hello.type = net::MessageType::kHello;
-    hello.daemon_id = daemon_id;
-    send(hello);
-  }
-
-  void send(const net::Message& m) {
-    net::Buffer out;
-    net::encodeMessage(m, out);
-    connection->sendFrame(out);
-  }
-
-  void report(const std::vector<net::CoflowSize>& sizes) {
-    net::Message m;
-    m.type = net::MessageType::kSizeReport;
-    m.daemon_id = daemon_id;
-    m.sizes = sizes;
-    send(m);
-  }
-
-  std::uint64_t daemon_id;
-  std::unique_ptr<net::Connection> connection;
-  std::vector<std::vector<net::ScheduleEntry>> snapshots;
-};
-
 TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
   CoordinatorConfig ccfg;
   ccfg.sync_interval = 0.005;
@@ -430,7 +392,7 @@ TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
   auto d1 = std::make_unique<RawDaemon>(loop, coordinator.port(), 1);
   auto d2 = std::make_unique<RawDaemon>(loop, coordinator.port(), 2);
   // Each daemon's first frame after Hello is its connect snapshot.
-  pumpUntil([&] { return !d1->snapshots.empty() && !d2->snapshots.empty(); });
+  pumpUntil([&] { return !d1->snapshots().empty() && !d2->snapshots().empty(); });
 
   std::uint64_t digest = 14695981039346656037ull;  // FNV-1a 64.
   const auto fold = [&](std::uint64_t word) {
@@ -441,12 +403,10 @@ TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
   };
   std::string transcript;
   const auto snapshotStep = [&](const char* step) {
-    const std::size_t seen = d1->snapshots.size();
-    net::Message request;
-    request.type = net::MessageType::kSnapshotRequest;
-    d1->send(request);
-    pumpUntil([&] { return d1->snapshots.size() > seen; });
-    const auto& entries = d1->snapshots.back();
+    const std::size_t seen = d1->snapshots().size();
+    d1->send(net::MessageType::kSnapshotRequest);
+    pumpUntil([&] { return d1->snapshots().size() > seen; });
+    const auto& entries = d1->snapshots().back()->schedule;
     transcript += std::string("\n") + step + ":";
     fold(entries.size());
     for (const auto& e : entries) {
@@ -469,11 +429,12 @@ TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
   pumpUntil([&] { return coordinator.registeredCoflows() == 4; });
   snapshotStep("register");
 
-  d1->report({{a, 5 * util::kMB}, {b, 50 * util::kMB}});
+  d1->send(net::MessageType::kSizeReport, {{a, 5 * util::kMB}, {b, 50 * util::kMB}});
   pumpUntil([&] { return sizeIs(a, 5 * util::kMB) && sizeIs(b, 50 * util::kMB); });
   snapshotStep("d1 reports");
 
-  d2->report({{a, 7 * util::kMB}, {c, 200 * util::kMB}, {d, 512 * util::kKB}});
+  d2->send(net::MessageType::kSizeReport,
+           {{a, 7 * util::kMB}, {c, 200 * util::kMB}, {d, 512 * util::kKB}});
   pumpUntil([&] {
     return sizeIs(a, 12 * util::kMB) && sizeIs(c, 200 * util::kMB) &&
            sizeIs(d, 512 * util::kKB);
@@ -485,7 +446,7 @@ TEST(CoordinationEquivalence, SingleLoopWireTranscriptIsPinned) {
   snapshotStep("unregister b");
 
   // A late report of the tombstoned coflow must stay filtered.
-  d1->report({{a, 6 * util::kMB}, {b, 60 * util::kMB}});
+  d1->send(net::MessageType::kSizeReport, {{a, 6 * util::kMB}, {b, 60 * util::kMB}});
   pumpUntil([&] { return sizeIs(a, 13 * util::kMB); });
   snapshotStep("late report of b");
 

@@ -350,7 +350,6 @@ TEST(HighAvailability, BackoffResetsOnlyAfterSyncedSchedule) {
   DaemonConfig dcfg = fastDaemon(port, 9);
   dcfg.reconnect_interval = 0.01;
   dcfg.reconnect_max_backoff = 0.5;
-  dcfg.reconnect_seed = 7;
   Daemon daemon(dcfg);
   daemon.start();
 

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -587,8 +588,10 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint32_t tag) {
   return out;
 }
 
-/// What a Connection delivered, checked against its ConnMetrics at every
-/// batch end: frames_in and bytes_in equal the totals delivered so far.
+/// What a Connection delivered, checked against its ConnMetrics.
+/// frames_in and bytes_in grow at the end of a batch, by its totals, so a
+/// frame that finds them equal to everything delivered before it starts a
+/// batch, and one that finds them behind is inside one.
 struct Receiver {
   ConnMetrics metrics;
   std::vector<std::vector<std::uint8_t>> frames;
@@ -599,15 +602,20 @@ struct Receiver {
     return Connection(
         loop, std::move(fd),
         [this](Buffer& p) {
+          if (metrics.frames_in.load() == frames.size()) {
+            ++batches;
+            EXPECT_EQ(metrics.bytes_in.load(), bytes);
+          }
           frames.emplace_back(p.peek(), p.peek() + p.readableBytes());
           bytes += 4 + p.readableBytes();
         },
-        {}, &metrics,
-        [this] {
-          ++batches;
-          EXPECT_EQ(metrics.frames_in.load(), frames.size());
-          EXPECT_EQ(metrics.bytes_in.load(), bytes);
-        });
+        {}, &metrics);
+  }
+
+  /// After a batch: the counters hold every frame and byte delivered.
+  void expectCounted() const {
+    EXPECT_EQ(metrics.frames_in.load(), frames.size());
+    EXPECT_EQ(metrics.bytes_in.load(), bytes);
   }
 };
 
@@ -642,6 +650,7 @@ TEST_F(ConnectionFixture, OneReadOfManyFramesIsOneInOrderBatch) {
   EXPECT_EQ(receiver.frames, sent);
   EXPECT_EQ(receiver.batches, 1);
   EXPECT_EQ(receiver.metrics.bytes_in.load(), wire.size());
+  receiver.expectCounted();
 }
 
 TEST_F(ConnectionFixture, FrameSplitAcrossReadsIsDeliveredWhole) {
@@ -745,6 +754,40 @@ TEST_F(ConnectionFixture, ReadNowDeliversFramesInOrderAndRearms) {
   server.readNow();
   ASSERT_EQ(receiver.frames.size(), sent.size() + 1);
   EXPECT_EQ(receiver.frames.back(), more);
+  receiver.expectCounted();
+}
+
+TEST_F(ConnectionFixture, CoalescingFromTheFrameHandlerLeavesTheRestForReadNow) {
+  EventLoop loop;
+  std::vector<std::vector<std::uint8_t>> got;
+  int ready = 0;
+  std::unique_ptr<Connection> server;
+  server = std::make_unique<Connection>(
+      loop, std::move(server_fd_),
+      [&](Buffer& p) {
+        got.emplace_back(p.peek(), p.peek() + p.readableBytes());
+        if (got.size() == 1) server->coalesceReads([&] { ++ready; });
+      },
+      Connection::CloseHandler{});
+  std::vector<std::vector<std::uint8_t>> sent;
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    sent.push_back(pattern(16, i));
+    const auto f = framed(sent.back());
+    wire.insert(wire.end(), f.begin(), f.end());
+  }
+  sendRaw(client_fd_.get(), loop, wire);  // One write: one read.
+  pump(loop, [&] { return !got.empty(); });
+  for (int i = 0; i < 5; ++i) loop.runOnce(std::chrono::milliseconds(2));
+  // The switch ended the batch; the rest waits without a notification.
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(ready, 0);
+  server->readNow();
+  EXPECT_EQ(got, sent);
+  // Watching again: the next bytes notify.
+  sendRaw(client_fd_.get(), loop, framed(pattern(8, 99)));
+  pump(loop, [&] { return ready == 1; });
+  EXPECT_EQ(got.size(), sent.size());
 }
 
 TEST_F(ConnectionFixture, ReadNowInsideTheReadyHandlerKeepsWatching) {

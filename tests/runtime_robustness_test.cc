@@ -3,9 +3,11 @@
 // report ingress, and the coordinator's cross-thread surfaces under churn
 // (these run under tsan with the rest of the "chaos" label).
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -21,13 +23,16 @@
 #include "runtime/coordinator.h"
 #include "runtime/daemon.h"
 #include "tests/helpers.h"
+#include "tests/support/raw_daemon.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
 namespace {
 
 using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
 
+using testing::RawDaemon;
 using testing::waitFor;
 
 /// How long a wait in this suite may take.
@@ -77,20 +82,8 @@ TEST(RuntimeRobustness, NonFiniteAndNegativeSizesAreRejectedAtIngress) {
   const auto b = client.registerCoflow();
 
   net::EventLoop loop;
-  net::Connection conn(loop, net::connectTcp(coordinator.port()),
-                       [](net::Buffer&) {}, {});
-  const auto send = [&](net::MessageType type,
-                        std::vector<net::CoflowSize> sizes) {
-    net::Message m;
-    m.type = type;
-    m.daemon_id = 1;
-    m.sizes = std::move(sizes);
-    net::Buffer out;
-    net::encodeMessage(m, out);
-    conn.sendFrame(out);
-  };
-  send(net::MessageType::kHello, {});
-  send(net::MessageType::kSizeReport, {{a, 20 * util::kMB}});
+  RawDaemon daemon(loop, coordinator.port(), 1);
+  daemon.send(net::MessageType::kSizeReport, {{a, 20 * util::kMB}});
   waitFor([&] {
     loop.runOnce(std::chrono::milliseconds(2));
     const auto global = coordinator.globalSizes();
@@ -99,10 +92,10 @@ TEST(RuntimeRobustness, NonFiniteAndNegativeSizesAreRejectedAtIngress) {
   const auto sizes_before = coordinator.globalSizes();
   const auto schedule_before = coordinator.scheduleSnapshot();
 
-  send(net::MessageType::kSizeReport,
-       {{a, std::numeric_limits<double>::quiet_NaN()},
-        {b, std::numeric_limits<double>::infinity()},
-        {a, -1e12}});
+  daemon.send(net::MessageType::kSizeReport,
+              {{a, std::numeric_limits<double>::quiet_NaN()},
+               {b, std::numeric_limits<double>::infinity()},
+               {a, -1e12}});
   waitFor([&] {
     loop.runOnce(std::chrono::milliseconds(2));
     return coordinator.stats().rejected_sizes.load() == 3;
@@ -122,10 +115,43 @@ double promSample(const std::string& text, const std::string& name) {
   return std::stod(text.substr(at + name.size() + 2));
 }
 
-// Report ingress is timed per receive batch, not per report: after N
+/// Report frames 1..n of one daemon, in absolute sizes so the last one
+/// wins: a dropped, re-applied or reordered report, or one that kept an
+/// earlier frame's sizes, leaves other totals than `finalSizesAreApplied`
+/// expects.
+std::vector<net::Message> reportBurst(std::uint64_t daemon_id, int n,
+                                      coflow::CoflowId a, coflow::CoflowId b) {
+  std::vector<net::Message> out(static_cast<std::size_t>(n));
+  for (int i = 1; i <= n; ++i) {
+    net::Message& m = out[static_cast<std::size_t>(i - 1)];
+    m.type = net::MessageType::kSizeReport;
+    m.daemon_id = daemon_id;
+    m.sizes = {{a, i * util::kMB}};
+    if (i % 7 == 0) m.sizes.push_back({b, i * 2 * util::kMB});
+  }
+  return out;
+}
+
+/// Pumps `loop` until the last of reportBurst(n)'s totals is applied,
+/// then checks both coflows' totals.
+void finalSizesAreApplied(net::EventLoop& loop, Coordinator& coordinator, int n,
+                          coflow::CoflowId a, coflow::CoflowId b) {
+  const double want_a = n * util::kMB;
+  const double want_b = (n / 7 * 7) * 2 * util::kMB;
+  waitFor([&] {
+    loop.runOnce(std::chrono::milliseconds(2));
+    const auto global = coordinator.globalSizes();
+    return global.contains(a) && global.at(a) == want_a;
+  }, kWait);
+  const auto global = coordinator.globalSizes();
+  EXPECT_EQ(global.at(a), want_a);
+  EXPECT_EQ(global.at(b), want_b);
+}
+
+// Report ingress is timed per ingress pass, not per report: after N
 // report frames the apply histogram holds at least one sample and at most
 // N, and every report was applied, in order.
-TEST(RuntimeRobustness, ReportApplyIsTimedOncePerReceiveBatch) {
+TEST(RuntimeRobustness, ReportApplyIsTimedOncePerIngressPass) {
   CoordinatorConfig ccfg = fastCoordinator();
   ccfg.liveness_timeout_intervals = 0;  // The raw daemon reports in bursts.
   ccfg.one_way_timeout_intervals = 0;
@@ -136,44 +162,84 @@ TEST(RuntimeRobustness, ReportApplyIsTimedOncePerReceiveBatch) {
   const auto b = client.registerCoflow();
 
   net::EventLoop loop;
-  net::Connection conn(loop, net::connectTcp(coordinator.port()),
-                       [](net::Buffer&) {}, {});
-  const auto send = [&](net::MessageType type,
-                        std::vector<net::CoflowSize> sizes) {
-    net::Message m;
-    m.type = type;
-    m.daemon_id = 1;
-    m.sizes = std::move(sizes);
-    net::Buffer out;
-    net::encodeMessage(m, out);
-    conn.sendFrame(out);
-  };
-  send(net::MessageType::kHello, {});
-  // Absolute sizes, so the last report wins: a dropped, re-applied or
-  // reordered report, or one that kept an earlier frame's sizes, leaves
-  // other totals behind.
+  RawDaemon daemon(loop, coordinator.port(), 1);
   constexpr int kReports = 300;
-  for (int i = 1; i <= kReports; ++i) {
-    std::vector<net::CoflowSize> sizes = {{a, i * util::kMB}};
-    if (i % 7 == 0) sizes.push_back({b, i * 2 * util::kMB});
-    send(net::MessageType::kSizeReport, std::move(sizes));
+  for (const net::Message& m : reportBurst(1, kReports, a, b)) {
+    daemon.send(m.type, m.sizes);
   }
-  const double want_a = kReports * util::kMB;
-  const double want_b = (kReports / 7 * 7) * 2 * util::kMB;
-  waitFor([&] {
-    loop.runOnce(std::chrono::milliseconds(2));
-    const auto global = coordinator.globalSizes();
-    return global.contains(a) && global.at(a) == want_a;
-  }, kWait);
-  const auto global = coordinator.globalSizes();
-  EXPECT_EQ(global.at(a), want_a);
-  EXPECT_EQ(global.at(b), want_b);
+  finalSizesAreApplied(loop, coordinator, kReports, a, b);
   const std::string text = coordinator.metrics().renderPrometheus();
-  const double batches =
+  const double passes =
       promSample(text, "aalo_coordinator_report_apply_seconds_count");
-  EXPECT_GE(batches, 1) << text;
-  EXPECT_LE(batches, kReports) << text;
+  EXPECT_GE(passes, 1) << text;
+  EXPECT_LE(passes, kReports) << text;
   coordinator.stop();
+}
+
+// Reports read in the same batch as their daemon's Hello wait for an
+// ingress pass too: every one is applied, by a pass, and timed.
+TEST(RuntimeRobustness, ReportsReadWithTheHelloAreAppliedByAPass) {
+  CoordinatorConfig ccfg = fastCoordinator();
+  ccfg.liveness_timeout_intervals = 0;
+  ccfg.one_way_timeout_intervals = 0;
+  Coordinator coordinator(ccfg);
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  const auto a = client.registerCoflow();
+  const auto b = client.registerCoflow();
+
+  net::EventLoop loop;
+  constexpr int kReports = 300;
+  RawDaemon daemon(loop, coordinator.port(), 1, reportBurst(1, kReports, a, b));
+  finalSizesAreApplied(loop, coordinator, kReports, a, b);
+  const std::string text = coordinator.metrics().renderPrometheus();
+  EXPECT_GE(promSample(text, "aalo_coordinator_ingress_passes_total"), 1) << text;
+  EXPECT_GE(promSample(text, "aalo_coordinator_report_apply_seconds_count"), 1)
+      << text;
+  coordinator.stop();
+}
+
+// A reply whose length is over the frame limit fails the attempt at once,
+// counted, instead of buffering what follows until the RPC timeout.
+TEST(RuntimeRobustness, OversizedReplyFrameFailsTheAttemptAtOnce) {
+  auto [listener, port] = net::listenTcp(0);
+  std::atomic<bool> done{false};
+  // A fake coordinator: answers the first request with the header of a
+  // frame one byte over the limit, then streams ~4 MB/s of junk until the
+  // client hangs up (the whole frame would take ~16 s).
+  std::thread fake([&, listener_fd = listener.get()] {
+    net::Fd conn;
+    while (!conn.valid() && !done) {
+      conn = net::acceptTcp(listener_fd);
+      std::this_thread::sleep_for(1ms);
+    }
+    std::uint8_t request[256];
+    while (!done && ::recv(conn.get(), request, sizeof(request), MSG_DONTWAIT) <= 0) {
+      std::this_thread::sleep_for(1ms);
+    }
+    net::Buffer header;
+    header.putU32(net::kMaxFrameBytes + 1);
+    const std::vector<std::uint8_t> junk(4096, 0x5a);
+    bool open = ::send(conn.get(), header.peek(), 4, MSG_NOSIGNAL) == 4;
+    while (open && !done) {
+      open = ::send(conn.get(), junk.data(), junk.size(),
+                    MSG_NOSIGNAL | MSG_DONTWAIT) >= 0 ||
+             errno == EAGAIN || errno == EWOULDBLOCK;
+      std::this_thread::sleep_for(1ms);
+    }
+  });
+
+  ClientConfig cfg;
+  cfg.coordinator_port = port;
+  cfg.max_rpc_attempts = 1;
+  cfg.rpc_timeout_ms = 5000;
+  AaloClient client(cfg);
+  const auto start = Clock::now();
+  EXPECT_THROW(client.registerCoflow(), std::runtime_error);
+  EXPECT_LT(Clock::now() - start, 1000ms);
+  EXPECT_EQ(client.stats().malformed_frames.load(), 1u);
+  done = true;
+  fake.join();
 }
 
 TEST(RuntimeRobustness, MultipleClientsGetDistinctIds) {
@@ -625,41 +691,6 @@ TEST(RuntimeRobustness, StopStartCyclesWithLiveDaemons) {
 }
 
 // --- coalesced report ingress ---------------------------------------------
-
-using Clock = std::chrono::steady_clock;
-
-/// A daemon played by hand on the test thread's loop: it sends raw frames
-/// and keeps every frame the coordinator sends it, decoded.
-class RawDaemon {
- public:
-  RawDaemon(net::EventLoop& loop, std::uint16_t port, std::uint64_t id)
-      : id_(id),
-        conn_(std::make_unique<net::Connection>(
-            loop, net::connectTcp(port),
-            [this](net::Buffer& p) { frames.push_back(net::decodeMessage(p)); },
-            nullptr)) {
-    send(net::MessageType::kHello);
-  }
-
-  void send(net::MessageType type, std::vector<net::CoflowSize> sizes = {}) {
-    net::Message m;
-    m.type = type;
-    m.daemon_id = id_;
-    m.epoch = frames.empty() ? 0 : frames.back().epoch;
-    m.sizes = std::move(sizes);
-    net::Buffer out;
-    net::encodeMessage(m, out);
-    conn_->sendFrame(out);
-  }
-  /// Closes the socket (a FIN: the coordinator sees it only by reading).
-  void disconnect() { conn_.reset(); }
-
-  std::vector<net::Message> frames;
-
- private:
-  std::uint64_t id_;
-  std::unique_ptr<net::Connection> conn_;
-};
 
 void pumpUntil(net::EventLoop& loop, auto done, std::chrono::milliseconds timeout = kWait) {
   waitFor([&] {

@@ -34,9 +34,11 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "cli_number.h"
+#include "metrics_dump.h"
 #include "runtime/coordinator.h"
 #include "util/log.h"
 #include "util/units.h"
@@ -68,6 +70,8 @@ void onSignal(int) { g_stop = true; }
 
 int main(int argc, char** argv) {
   runtime::CoordinatorConfig cfg;
+  std::string metrics_dump_path;
+  double metrics_interval = 1.0;
   for (int i = 1; i < argc; ++i) {
     auto needValue = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -113,9 +117,9 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--send-queue-max")) {
       cfg.send_queue_max = number("--send-queue-max", std::size_t{0});
     } else if (!std::strcmp(argv[i], "--metrics-dump")) {
-      cfg.metrics_dump_path = needValue("--metrics-dump");
+      metrics_dump_path = needValue("--metrics-dump");
     } else if (!std::strcmp(argv[i], "--metrics-interval")) {
-      cfg.metrics_dump_interval = number("--metrics-interval", 0.0);
+      metrics_interval = number("--metrics-interval", 0.0);
     } else if (!std::strcmp(argv[i], "--verbose")) {
       util::setLogLevel(util::LogLevel::kInfo);
     } else {
@@ -144,8 +148,13 @@ int main(int argc, char** argv) {
               util::formatBytes(cfg.dclas.first_threshold).c_str());
   std::fflush(stdout);
 
+  tools::MetricsDump dump(metrics_dump_path, metrics_interval);
+  auto next_status = std::chrono::steady_clock::now();
   while (!g_stop) {
-    std::this_thread::sleep_for(std::chrono::seconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    dump.tick(coordinator.metrics());
+    if (std::chrono::steady_clock::now() < next_status) continue;
+    next_status += std::chrono::seconds(1);
     const auto& stats = coordinator.stats();
     std::printf(
         "daemons=%zu coflows=%zu epoch=%llu tombstones=%zu evicted=%llu "
@@ -159,6 +168,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
   coordinator.stop();
+  dump.write(coordinator.metrics());
   std::printf("shut down cleanly\n");
   return 0;
 }

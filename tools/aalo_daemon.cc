@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "cli_number.h"
+#include "metrics_dump.h"
 #include "runtime/client.h"
 #include "runtime/daemon.h"
 #include "util/units.h"
@@ -140,8 +141,8 @@ int main(int argc, char** argv) {
     std::printf("registered %d synthetic coflows\n", synthetic);
   }
 
+  tools::MetricsDump dump(metrics_dump_path, metrics_interval);
   const auto start = std::chrono::steady_clock::now();
-  double next_dump = metrics_interval;
   while (!g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     for (std::size_t c = 0; c < ids.size(); ++c) {
@@ -151,11 +152,7 @@ int main(int argc, char** argv) {
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    if (!metrics_dump_path.empty() && metrics_interval > 0 &&
-        elapsed >= next_dump) {
-      daemon.metrics().dumpFiles(metrics_dump_path);
-      next_dump = elapsed + metrics_interval;
-    }
+    dump.tick(daemon.metrics());
     if (duration > 0 && elapsed >= duration) break;
     if (!ids.empty() && std::fmod(elapsed, 1.0) < 0.1) {
       std::printf("t=%.0fs epoch=%llu queues:", elapsed,
@@ -166,7 +163,7 @@ int main(int argc, char** argv) {
     }
   }
   daemon.stop();
-  if (!metrics_dump_path.empty()) daemon.metrics().dumpFiles(metrics_dump_path);
+  dump.write(daemon.metrics());
   const auto& dstats = daemon.stats();
   std::printf("reconnects=%llu stale_transitions=%llu old_epoch_ignored=%llu\n",
               static_cast<unsigned long long>(dstats.reconnect_attempts.load()),
