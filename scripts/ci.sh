@@ -192,7 +192,7 @@ run_asan() {
              sim_property_test workload_test cli_test
   (cd build-asan && ctest -L chaos --output-on-failure -j "$(nproc)")
   (cd build-asan && ctest \
-    -R 'EngineEquivalence|EngineFuzz|EngineExactPin|DClasQueueOracle' \
+    -R 'EngineEquivalence|EngineFuzz|EngineExactPin|EngineIdleBacklog|DClasQueueOracle' \
     --output-on-failure -j "$(nproc)")
   # Wire codec (frame decode bounds, zero-length appends), the seeded
   # mutational fuzz of golden schedule and report frames and of checkpoint

@@ -546,14 +546,25 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
 
   switch (message.type) {
     case net::MessageType::kHello:
-      if (!peer.is_daemon) {
-        // From here on its frames are read in ingress passes, starting
-        // with those that arrived behind the Hello.
-        peer.connection->coalesceReads(
-            [this, peer_key] { onDaemonReadable(peer_key); });
-        readable_.push_back(peer_key);
-        armIngress();
+      if (peer.is_daemon) {
+        // A connection says Hello once. A repeat under the same id is
+        // ignored. Under another id it would orphan the first id's sizes,
+        // so the connection is closed, which drops them.
+        stats_.repeated_hellos.fetch_add(1, std::memory_order_relaxed);
+        if (message.daemon_id != peer.daemon_id) {
+          AALO_LOG_WARN << "coordinator: daemon " << peer.daemon_id
+                        << " said Hello again as " << message.daemon_id
+                        << "; closing its connection";
+          dropPeer(peer_key);  // `peer` dangles from here on.
+        }
+        return;
       }
+      // From here on its frames are read in ingress passes, starting with
+      // those that arrived behind the Hello.
+      peer.connection->coalesceReads(
+          [this, peer_key] { onDaemonReadable(peer_key); });
+      readable_.push_back(peer_key);
+      armIngress();
       peer.is_daemon = true;
       peer.daemon_id = message.daemon_id;
       peer.last_report = now;

@@ -40,6 +40,8 @@ void registerRobustnessStats(obs::Registry& registry, const RobustnessStats& sta
          stats.rejected_sizes);
   attach("ingress_passes", "Ingress passes that read coalesced daemon connections",
          stats.ingress_passes);
+  attach("repeated_hellos", "Hellos on a connection that said one already",
+         stats.repeated_hellos);
   // Daemon.
   attach("reconnect_attempts", "Dial attempts after a loss",
          stats.reconnect_attempts);

@@ -37,6 +37,7 @@ struct RobustnessStats {
   Counter checkpoint_restore_failures{0};///< Corrupt/rejected checkpoint data.
   Counter rejected_sizes{0};  ///< Reported sizes dropped: NaN, inf or < 0.
   Counter ingress_passes{0};  ///< Coalesced passes that read daemon reports.
+  Counter repeated_hellos{0}; ///< Hellos on a connection that said one already.
 
   // Daemon.
   Counter reconnect_attempts{0};       ///< Dial attempts after a loss.

@@ -350,7 +350,7 @@ bool DClasScheduler::demandDrained(const fabric::ResidualCapacity& residual) con
   return true;
 }
 
-void DClasScheduler::allocateCoflowGainers(
+bool DClasScheduler::allocateCoflowGainers(
     const ActiveCoflow& group, fabric::ResidualCapacity& residual,
     std::vector<util::Rate>& rates,
     std::vector<std::pair<std::size_t, util::Rate>>* record) {
@@ -373,13 +373,14 @@ void DClasScheduler::allocateCoflowGainers(
       gainers_scratch_.push_back(group.flow_indices[j]);
     }
   }
-  if (gainers_scratch_.empty()) return;
+  if (gainers_scratch_.empty()) return false;
   const std::vector<util::Rate>& shares =
       fabric::maxMinAllocate(scratch_.demands, residual, scratch_);
   for (std::size_t k = 0; k < gainers_scratch_.size(); ++k) {
     rates[gainers_scratch_[k]] += shares[k];
     if (record != nullptr) record->emplace_back(gainers_scratch_[k], shares[k]);
   }
+  return true;
 }
 
 void DClasScheduler::fillQueue(const sim::SimView& view,
@@ -388,10 +389,17 @@ void DClasScheduler::fillQueue(const sim::SimView& view,
                                std::vector<util::Rate>& rates,
                                std::vector<std::pair<std::size_t, util::Rate>>* record) {
   for (const std::size_t ci : members) {
-    allocateCoflowGainers(*view.active_index->groupFor(ci), residual, rates, record);
     // A deep FIFO queue drains the residual after the first few coflows;
-    // the rest would be handed an empty residual — skip them.
-    if (demandDrained(residual)) return;
+    // the rest would be handed an empty residual — skip them. Only a fill
+    // can drain it: a coflow with no gainers leaves the residual as it
+    // was, so a check after it could only repeat an earlier `false` — or,
+    // on a fresh residual, find it drained already, when no later coflow
+    // has gainers either.
+    if (allocateCoflowGainers(*view.active_index->groupFor(ci), residual, rates,
+                              record) &&
+        demandDrained(residual)) {
+      return;
+    }
   }
 }
 

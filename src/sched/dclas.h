@@ -170,15 +170,17 @@ class DClasScheduler final : public sim::Scheduler {
   /// redistribution passes the residual is mostly drained, so restricting
   /// the water-filling to the few flows that can still gain (the rest
   /// would only receive FP dust) shrinks the dominant cost of a round.
-  /// Skips the max-min call entirely when no flow qualifies. With a
-  /// `record` sink, each rate increment is also appended to it so a clean
-  /// queue can replay them without re-running max-min.
-  void allocateCoflowGainers(
+  /// Skips the max-min call entirely when no flow qualifies, and returns
+  /// whether it ran one. With a `record` sink, each rate increment is also
+  /// appended to it so a clean queue can replay them without re-running
+  /// max-min.
+  bool allocateCoflowGainers(
       const ActiveCoflow& group, fabric::ResidualCapacity& residual,
       std::vector<util::Rate>& rates,
       std::vector<std::pair<std::size_t, util::Rate>>* record);
   /// Gives `members` (one queue, FIFO order) gainers-only max-min from
-  /// `residual`, one coflow after another, until the residual drains.
+  /// `residual`, one coflow after another, until the residual drains;
+  /// drain is checked after each coflow that filled.
   void fillQueue(const sim::SimView& view, const std::vector<std::size_t>& members,
                  fabric::ResidualCapacity& residual, std::vector<util::Rate>& rates,
                  std::vector<std::pair<std::size_t, util::Rate>>* record);

@@ -99,13 +99,16 @@ class Run {
   // Between installs slot_sent_ is the *canonical* attained service of
   // active flows — the arena column is synced at install rounds (before
   // the scheduler reads it) and at completions, which the scheduleEpoch
-  // contract already permits. Packing turns the per-round integration
-  // into contiguous, branch-light passes the compiler vectorizes.
+  // contract already permits.
   std::vector<util::Rate> slot_rate_;
   std::vector<util::Bytes> slot_sent_;
   std::vector<util::Bytes> slot_size_;
-  std::vector<util::Bytes> slot_delta_;
   std::vector<std::uint32_t> slot_coflow_;
+  // Busy slots, ascending: those whose installed rate is nonzero or whose
+  // remaining bytes are within slack. Every other slot is idle — it cannot
+  // change state before the next install — so the per-round passes visit
+  // only these. Rebuilt by each install; only the sweep shrinks it.
+  std::vector<std::uint32_t> busy_;
   bool installed_ = false;
   std::uint64_t installed_index_epoch_ = 0;
   std::uint64_t installed_sched_epoch_ = 0;
@@ -215,7 +218,6 @@ void Run::releaseFlow(std::size_t fi) {
     slot_rate_.push_back(flows_.rate[fi]);
     slot_sent_.push_back(flows_.sent_bytes[fi]);
     slot_size_.push_back(flows_.size_bytes[fi]);
-    slot_delta_.push_back(0.0);
     slot_coflow_.push_back(flows_.coflow_of[fi]);
     scheduler_.onFlowStarted(makeView(), fi);
   }
@@ -387,39 +389,53 @@ SimResult Run::executeLegacy() {
 //     per install by summing flow rates in group flow-index order —
 //     bitwise equal to the per-flow fallback sum in
 //     coflowAggregateRate().
-//  3. Slot-packed SoA state. Active flows' (rate, sent, size) live in
-//     dense arrays aligned with active_flows_, so the per-round
-//     O(active) passes — the t_next minimum, integration and the
-//     completion sweep — are contiguous loops instead of scattered
-//     arena reads. Integration is branch-light (min/add; rate-0 flows
-//     contribute an exact +0.0, bitwise identical to the legacy skip),
-//     followed by a scalar scatter of the deltas into per-coflow totals
-//     in the same order the legacy loop accumulates them.
+//  3. Slot-packed SoA state. Active flows' (rate, sent, size, coflow)
+//     live in dense arrays aligned with active_flows_, read through
+//     slot indices instead of scattered arena reads.
+//  4. Busy slots. D-CLAS serves FIFO within a queue, so most active
+//     flows of a busy fabric hold rate 0 behind their queue's head. A
+//     slot whose installed rate is 0 and whose remaining bytes exceed
+//     the slack is idle: its integration step is an exact +0.0 (the
+//     legacy skip), it cannot win the t_next minimum, and it fails both
+//     completion clauses — until the next install re-rates it. The
+//     install's copy-back pass lists the other slots in busy_ with one
+//     store per slot, and the t_next minimum, the fused integration
+//     (slot and coflow totals in one ascending pass, the legacy
+//     accumulation order), the completion sweep and the next install's
+//     attained-service sync visit busy_ only. Unlike a calendar of
+//     predicted completions, busy_ predicts nothing: it is the exact set
+//     the skipped passes could change.
 
 void Run::installAllocation(const SimView& view) {
   ++allocate_calls_;
   // Materialize attained service for the scheduler: slot_sent_ is the
   // canonical copy between installs (the legacy engine updates the
-  // per-flow field directly). rates_ needs no zeroing here — the rate
-  // copy-back loop below re-zeroes each entry as it reads it.
-  for (std::size_t k = 0; k < active_flows_.size(); ++k) {
+  // per-flow field directly). Only the slots busy since the last install
+  // can have moved; a slot released since was pushed from the arena.
+  // rates_ needs no zeroing here — the copy-back loop below re-zeroes
+  // each entry as it reads it.
+  for (const std::uint32_t k : busy_) {
     flows_.sent_bytes[active_flows_[k]] = slot_sent_[k];
   }
   scheduler_.allocate(view, rates_);
-  for (std::size_t k = 0; k < active_flows_.size(); ++k) {
+  const std::size_t n = active_flows_.size();
+  busy_.resize(n);
+  std::size_t busy = 0;
+  for (std::size_t k = 0; k < n; ++k) {
     const std::size_t fi = active_flows_[k];
     const util::Rate rate = std::max(0.0, rates_[fi]);
     // Re-zero in the same pass (the entry is already in cache) so the
     // next install skips a second scattered sweep over rates_.
     rates_[fi] = 0.0;
-    // slot_rate_[k] always mirrors flows_.rate[fi], so the dense slot
-    // read stands in for the scattered arena read.
-    if (rate != slot_rate_[k]) {
-      flows_.rate[fi] = rate;
-      slot_rate_[k] = rate;
-      ++rate_changes_;
-    }
+    // slot_rate_[k] always mirrors flows_.rate[fi]. Branch-free: store
+    // both, count a change, and keep k when the slot is busy.
+    rate_changes_ += rate != slot_rate_[k];
+    slot_rate_[k] = rate;
+    flows_.rate[fi] = rate;
+    busy_[busy] = static_cast<std::uint32_t>(k);
+    busy += (rate != 0.0) | (slot_size_[k] - slot_sent_[k] <= slackFor(slot_size_[k]));
   }
+  busy_.resize(busy);
   if (options_.verify_allocations) verifyAllocation();
 
   // Aggregates in group flow-index order: coflowAggregateRate()'s
@@ -439,11 +455,12 @@ void Run::installAllocation(const SimView& view) {
 
 void Run::sweepCompletions() {
   // Legacy-identical completion condition and iteration order (scan with
-  // swap-remove re-examination), over the slot-packed state. The slot
-  // arrays shadow active_flows_ element-for-element, so same-time
-  // completions are processed in the exact order the legacy scan visits
-  // them — the ordering contract documented in DESIGN.md section 7.
-  for (std::size_t k = 0; k < active_flows_.size();) {
+  // swap-remove re-examination), over the busy slots: the full scan never
+  // completes an idle slot, so the busy ones complete in the exact order
+  // the legacy scan visits them — the ordering contract documented in
+  // DESIGN.md section 7.
+  for (std::size_t i = 0; i < busy_.size();) {
+    const std::size_t k = busy_[i];
     const util::Bytes remaining = slot_size_[k] - slot_sent_[k];
     const util::Rate frate = slot_rate_[k];
     if (remaining <= slackFor(slot_size_[k]) ||
@@ -455,6 +472,17 @@ void Run::sweepCompletions() {
       flows_.done[fi] = 1;
       flows_.rate[fi] = 0;
       ++flow_completions_;
+      // The last slot moves into k. A busy mover is busy_'s last entry:
+      // drop that entry and re-examine k, as the full scan does. An idle
+      // mover cannot complete, so advance; busy_[i] then names an idle
+      // slot until the next install rebuilds the list — a harmless
+      // superset, since an idle slot is a no-op in every pass. Either way
+      // busy_ never holds an index at or past active_flows_.size().
+      if (busy_.back() == active_flows_.size() - 1) {
+        busy_.pop_back();
+      } else {
+        ++i;
+      }
       active_flows_[k] = active_flows_.back();
       active_flows_.pop_back();
       slot_rate_[k] = slot_rate_.back();
@@ -465,7 +493,6 @@ void Run::sweepCompletions() {
       slot_size_.pop_back();
       slot_coflow_[k] = slot_coflow_.back();
       slot_coflow_.pop_back();
-      slot_delta_.pop_back();
       active_index_.removeFlow(ci, fi);
       scheduler_.onFlowCompleted(makeView(), fi);
       CoflowState& c = coflows_[ci];
@@ -473,7 +500,7 @@ void Run::sweepCompletions() {
         finishCoflow(ci);
       }
     } else {
-      ++k;
+      ++i;
     }
   }
 }
@@ -513,13 +540,13 @@ SimResult Run::executeIncremental() {
     }
 
     // Earliest next state change: timeline arrival, flow completion, or
-    // scheduler wake-up — the legacy expression over the slot columns.
-    const std::size_t n = active_flows_.size();
+    // scheduler wake-up — the legacy expression over the busy slots (an
+    // idle slot's rate is 0, which the legacy loop skips).
     const util::Rate* __restrict rate = slot_rate_.data();
     const util::Bytes* __restrict size = slot_size_.data();
     util::Bytes* __restrict sent = slot_sent_.data();
     util::Seconds t_next = timeline_.empty() ? kInfTime : timeline_.top().time;
-    for (std::size_t k = 0; k < n; ++k) {
+    for (const std::uint32_t k : busy_) {
       if (rate[k] > util::kEps) {
         t_next = std::min(t_next, now_ + (size[k] - sent[k]) / rate[k]);
       }
@@ -533,20 +560,16 @@ SimResult Run::executeIncremental() {
     }
     t_next = std::max(t_next, now_);  // Guard against wake-ups in the past.
 
-    // Integrate: contiguous passes over the slot-packed state. Pass 1 is
-    // the vectorizable min/add; pass 2 scatters deltas into per-coflow
-    // totals in slot (= legacy scan) order. A rate-0 flow's delta is an
-    // exact +0.0 — bitwise identical to the legacy `continue`.
+    // Integrate the busy slots in one ascending pass: each step lands in
+    // the slot and then in its coflow's total, in slot (= legacy scan)
+    // order. The idle slots' steps are an exact +0.0, so skipping them
+    // matches the legacy `continue` bit for bit.
     const util::Seconds dt = t_next - now_;
     if (dt > 0) {
-      util::Bytes* __restrict delta = slot_delta_.data();
-      for (std::size_t k = 0; k < n; ++k) {
+      for (const std::uint32_t k : busy_) {
         const util::Bytes d = std::min(rate[k] * dt, size[k] - sent[k]);
         sent[k] += d;
-        delta[k] = d;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        coflows_[slot_coflow_[k]].sent += delta[k];
+        coflows_[slot_coflow_[k]].sent += d;
       }
     }
     now_ = t_next;

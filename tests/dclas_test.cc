@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "sched/dclas.h"
 #include "sched/fair.h"
@@ -281,6 +282,77 @@ TEST(DClasScheduler, AllocationIgnoresFutureSizes) {
     EXPECT_NEAR(cctOf(result, {0, 0}), 5.0, 1e-6)
         << "first coflow's fate depended on the other coflow's total size";
   }
+}
+
+// One allocation on a hand-built view in which queue 1's FIFO head has no
+// gainers while a later member does: every flow of the head c1 leaves
+// through ingress 0, which queue 0's c0 drains first (under strict
+// priority at once; under weighted sharing in the excess pass, which
+// hands c0 what queue 2 left of port 0). The residual is not drained
+// after c1, so the fill must go on to c2. Unit fabric, K = 3 queues at
+// thresholds 5 and 20 bytes, so the weighted shares are 1/2, 1/3 and 1/6.
+std::vector<util::Rate> headWithoutGainersRates(DClasConfig::QueuePolicy policy) {
+  const fabric::Fabric fabric(unitFabric(6));
+  std::vector<sim::CoflowState> coflows(4);
+  sim::FlowArena flows;
+  std::vector<std::size_t> active;
+  const auto add = [&](std::size_t c, coflow::PortId src, coflow::PortId dst) {
+    sim::FlowState f;
+    f.coflow_index = c;
+    f.src = src;
+    f.dst = dst;
+    f.size = 100;
+    f.started = true;
+    coflows[c].flow_indices.push_back(flows.push(f));
+    active.push_back(coflows[c].flow_indices.back());
+  };
+  const double sent[] = {0, 10, 12, 30};  // Queues 0, 1, 1, 2.
+  for (std::size_t c = 0; c < coflows.size(); ++c) {
+    coflows[c].id = {static_cast<coflow::JobId>(c), 0};
+    coflows[c].sent = sent[c];
+    coflows[c].released = true;
+  }
+  add(0, 0, 1);
+  add(0, 0, 2);
+  add(1, 0, 3);  // c1, queue 1's head: ingress 0 only.
+  add(1, 0, 4);
+  add(2, 5, 3);
+  add(2, 4, 2);
+  add(3, 2, 4);
+  sim::ActiveCoflowIndex index;
+  index.rebuild(flows, active);
+  sim::SimView view;
+  view.fabric = &fabric;
+  view.coflows = &coflows;
+  view.flows = &flows;
+  view.active_flows = &active;
+  view.active_index = &index;
+
+  DClasConfig cfg;
+  cfg.num_queues = 3;
+  cfg.first_threshold = 5;
+  cfg.exp_factor = 4;
+  cfg.policy = policy;
+  DClasScheduler dclas(cfg);
+  dclas.reset(fabric);
+  std::vector<util::Rate> rates(flows.size(), 0.0);
+  dclas.allocate(view, rates);
+  return rates;
+}
+
+// The rates are pinned bit for bit as the allocation computed them when
+// the drain check ran after every coflow; it now runs only after a
+// coflow that filled, and must not move a bit.
+TEST(DClasScheduler, HeadWithoutGainersRatesArePinned) {
+  const std::vector<util::Rate> weighted = {
+      0x1.5555555555555p-2, 0x1.5555555555555p-2,  // c0: 1/4 + 1/12 excess.
+      0x1.5555555555555p-3, 0x1.5555555555555p-3,  // c1: primary pass only.
+      0x1.aaaaaaaaaaaaap-1, 0x1.5555555555555p-1,  // c2: fills in the excess.
+      0x1.aaaaaaaaaaaaap-1};
+  const std::vector<util::Rate> strict = {0x1p-1, 0x1p-1, 0x0p+0, 0x0p+0,
+                                          0x1p+0, 0x1p-1, 0x1p+0};
+  EXPECT_EQ(headWithoutGainersRates(DClasConfig::QueuePolicy::kWeightedFair), weighted);
+  EXPECT_EQ(headWithoutGainersRates(DClasConfig::QueuePolicy::kStrictPriority), strict);
 }
 
 }  // namespace

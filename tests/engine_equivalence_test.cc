@@ -388,16 +388,8 @@ TEST(EngineFuzz, SubUlpRemainingCompletesInsteadOfSpinning) {
 // instance per (input, scheduler) keeps each run short under ctest -j.
 constexpr std::size_t kPinnedSchedulers = 20;  ///< testing::allSchedulers().size()
 
-void expectBitIdentical(const coflow::Workload& wl, util::Seconds delta,
-                        std::size_t index, const std::string& input) {
-  const fabric::FabricConfig fc{wl.num_ports, util::kGbps};
-  constexpr double kMegabyte = 1e6;
-  const auto legacy_scheds = testing::allSchedulers(wl, kMegabyte, delta);
-  const auto incr_scheds = testing::allSchedulers(wl, kMegabyte, delta);
-  ASSERT_EQ(legacy_scheds.size(), kPinnedSchedulers);
-  const std::string label = input + " / " + legacy_scheds[index]->name();
-  const auto legacy = runEngine(wl, fc, *legacy_scheds[index], false);
-  const auto incr = runEngine(wl, fc, *incr_scheds[index], true);
+void expectBitIdenticalResults(const sim::SimResult& legacy,
+                               const sim::SimResult& incr, const std::string& label) {
   EXPECT_EQ(legacy.allocation_rounds, incr.allocation_rounds) << label;
   EXPECT_EQ(legacy.makespan, incr.makespan) << label;
   EXPECT_EQ(legacy.rejected_coflows, incr.rejected_coflows) << label;
@@ -416,6 +408,19 @@ void expectBitIdentical(const coflow::Workload& wl, util::Seconds delta,
     EXPECT_EQ(legacy.jobs[i].comm_finish, incr.jobs[i].comm_finish)
         << label << " job " << i;
   }
+}
+
+void expectBitIdentical(const coflow::Workload& wl, util::Seconds delta,
+                        std::size_t index, const std::string& input) {
+  const fabric::FabricConfig fc{wl.num_ports, util::kGbps};
+  constexpr double kMegabyte = 1e6;
+  const auto legacy_scheds = testing::allSchedulers(wl, kMegabyte, delta);
+  const auto incr_scheds = testing::allSchedulers(wl, kMegabyte, delta);
+  ASSERT_EQ(legacy_scheds.size(), kPinnedSchedulers);
+  const std::string label = input + " / " + legacy_scheds[index]->name();
+  const auto legacy = runEngine(wl, fc, *legacy_scheds[index], false);
+  const auto incr = runEngine(wl, fc, *incr_scheds[index], true);
+  expectBitIdenticalResults(legacy, incr, label);
 }
 
 coflow::Workload facebookPinWorkload() {
@@ -448,6 +453,70 @@ TEST_P(EngineExactPin, GoldenTrace) {
 
 INSTANTIATE_TEST_SUITE_P(EveryScheduler, EngineExactPin,
                          ::testing::Range<std::size_t>(0, kPinnedSchedulers));
+
+/// Idle-heavy workload: bursts of coflows whose flows mostly cross two hot
+/// ingress and two hot egress ports, so a FIFO-within-queue schedule holds
+/// most active flows at rate 0 for many rounds behind their queue's head.
+/// Sub-slack flows (Workload rejects zero bytes) complete the round they
+/// are released, and later waves join coflows already waiting in the
+/// backlog. The engine's completion sweep then meets both kinds of slot
+/// moving into a completed one: a busy flow (all flows are busy under
+/// per-flow fair sharing, and a just-released sub-slack flow is busy) and
+/// an idle one (the backlog).
+coflow::Workload idleBacklogWorkload(std::uint64_t seed, int ports, int jobs) {
+  util::Rng rng(seed);
+  std::vector<coflow::JobSpec> out;
+  for (int j = 0; j < jobs; ++j) {
+    coflow::JobSpec job;
+    job.id = j;
+    job.arrival = 0.5 * static_cast<double>(rng.uniformInt(0, 7));
+    coflow::CoflowSpec spec;
+    spec.id = {j, 0};
+    const int flows = static_cast<int>(rng.uniformInt(2, 8));
+    for (int f = 0; f < flows; ++f) {
+      spec.flows.push_back(coflow::FlowSpec{
+          static_cast<coflow::PortId>(rng.chance(0.8) ? rng.uniformInt(0, 1)
+                                                      : rng.uniformInt(0, ports - 1)),
+          static_cast<coflow::PortId>(rng.chance(0.8) ? rng.uniformInt(2, 3)
+                                                      : rng.uniformInt(0, ports - 1)),
+          rng.chance(0.1) ? 1e-4 : rng.uniform(1.0, 20.0),
+          rng.chance(0.3) ? rng.uniform(0.5, 10.0) : 0.0});
+    }
+    job.coflows.push_back(std::move(spec));
+    out.push_back(std::move(job));
+  }
+  return testing::makeWorkload(ports, std::move(out));
+}
+
+class EngineIdleBacklog : public ::testing::TestWithParam<int> {};
+
+// Legacy against incremental at tolerance 0, for every scheduler (the
+// delayed D-CLAS variants take reuse rounds over the backlog) on flat and
+// rack fabrics.
+TEST_P(EngineIdleBacklog, EverySchedulerBitIdentical) {
+  const auto wl =
+      idleBacklogWorkload(8000 + static_cast<std::uint64_t>(GetParam()), 8, 40);
+  fabric::FabricConfig rack = testing::unitFabric(8);
+  rack.rack.ports_per_rack = 4;
+  rack.rack.oversubscription = 2.0;
+  for (const fabric::FabricConfig& fc : {testing::unitFabric(8), rack}) {
+    const auto legacy_scheds = testing::allSchedulers(wl);
+    const auto incr_scheds = testing::allSchedulers(wl);
+    ASSERT_EQ(legacy_scheds.size(), kPinnedSchedulers);
+    for (std::size_t s = 0; s < legacy_scheds.size(); ++s) {
+      const std::string label = legacy_scheds[s]->name() +
+                                (fc.rack.ports_per_rack > 0 ? " / rack" : " / flat");
+      const auto legacy = runEngine(wl, fc, *legacy_scheds[s], false);
+      const auto incr = runEngine(wl, fc, *incr_scheds[s], true);
+      expectBitIdenticalResults(legacy, incr, label);
+      if (s == 3 || s == 4) {  // The delayed D-CLAS variants.
+        EXPECT_GT(incr.reused_allocations, 0u) << label;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, EngineIdleBacklog, ::testing::Range(0, 3));
 
 // ---------------------------------------------------------------------------
 // D-CLAS incremental queue state vs full-rebuild oracle

@@ -115,6 +115,78 @@ double promSample(const std::string& text, const std::string& name) {
   return std::stod(text.substr(at + name.size() + 2));
 }
 
+/// Bytes the coordinator holds for `id`, 0 when it holds none.
+double heldBytes(Coordinator& coordinator, const coflow::CoflowId& id) {
+  const auto global = coordinator.globalSizes();
+  return global.contains(id) ? global.at(id) : 0.0;
+}
+
+/// A coordinator, one registered coflow, and daemon 1 on a raw connection
+/// that has reported 20 MB of it.
+struct OneReportingDaemon {
+  OneReportingDaemon()
+      : coordinator([] {
+          CoordinatorConfig ccfg = fastCoordinator();
+          ccfg.liveness_timeout_intervals = 0;  // The raw daemon reports once.
+          ccfg.one_way_timeout_intervals = 0;
+          return ccfg;
+        }()) {
+    coordinator.start();
+    AaloClient client(coordinator.port());
+    coflow = client.registerCoflow();
+    daemon = std::make_unique<RawDaemon>(loop, coordinator.port(), 1);
+    daemon->send(net::MessageType::kSizeReport, {{coflow, 20 * util::kMB}});
+    waitFor([&] {
+      loop.runOnce(std::chrono::milliseconds(2));
+      return heldBytes(coordinator, coflow) == 20 * util::kMB;
+    }, kWait);
+    EXPECT_EQ(coordinator.daemonCount(), 1u);
+  }
+  ~OneReportingDaemon() { coordinator.stop(); }
+
+  Coordinator coordinator;
+  coflow::CoflowId coflow;
+  net::EventLoop loop;
+  std::unique_ptr<RawDaemon> daemon;
+};
+
+// A connection says Hello once. A second Hello under the same id is
+// ignored and counted: the connection stays one daemon, so once it is
+// gone no daemon is counted and none of its bytes are held.
+TEST(RuntimeRobustness, RepeatedHelloUnderTheSameIdIsIgnored) {
+  OneReportingDaemon t;
+  t.daemon->hello(1);
+  waitFor([&] {
+    t.loop.runOnce(std::chrono::milliseconds(2));
+    return t.coordinator.stats().repeated_hellos.load() == 1;
+  }, kWait);
+  EXPECT_EQ(t.coordinator.daemonCount(), 1u);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 20 * util::kMB);
+  t.daemon->disconnect();
+  waitFor([&] { return t.coordinator.daemonCount() == 0; }, kWait);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 0.0);
+  EXPECT_EQ(promSample(t.coordinator.metrics().renderPrometheus(),
+                       "aalo_coordinator_repeated_hellos_total"),
+            1);
+}
+
+// A second Hello under another id would leave the first id's sizes held
+// for good: the coordinator counts it and closes the connection, which
+// drops them.
+TEST(RuntimeRobustness, RepeatedHelloUnderAnotherIdClosesTheConnection) {
+  OneReportingDaemon t;
+  t.daemon->hello(2);
+  waitFor([&] {
+    t.loop.runOnce(std::chrono::milliseconds(2));
+    return t.coordinator.stats().repeated_hellos.load() == 1 &&
+           t.coordinator.daemonCount() == 0;
+  }, kWait);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 0.0);
+  EXPECT_EQ(promSample(t.coordinator.metrics().renderPrometheus(),
+                       "aalo_coordinator_repeated_hellos_total"),
+            1);
+}
+
 /// Report frames 1..n of one daemon, in absolute sizes so the last one
 /// wins: a dropped, re-applied or reordered report, or one that kept an
 /// earlier frame's sizes, leaves other totals than `finalSizesAreApplied`

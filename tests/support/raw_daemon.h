@@ -56,6 +56,16 @@ class RawDaemon {
     conn_->sendFrame(out);
   }
 
+  /// Says Hello again on this connection, as daemon `id`.
+  void hello(std::uint64_t id) {
+    net::Message m;
+    m.type = net::MessageType::kHello;
+    m.daemon_id = id;
+    net::Buffer out;
+    net::encodeMessage(m, out);
+    conn_->sendFrame(out);
+  }
+
   /// Closes the socket (a FIN: the coordinator sees it only by reading).
   void disconnect() { conn_.reset(); }
 
