@@ -87,6 +87,9 @@ class Connection {
   bool closed() const { return closed_; }
   int fd() const { return fd_.get(); }
   std::size_t pendingBytes() const { return pending_bytes_; }
+  /// Received bytes not yet delivered as frames (a partial frame, or the
+  /// frames a coalesced connection holds until readNow()).
+  std::size_t bufferedBytes() const { return incoming_.readableBytes(); }
 
   /// Hard cap on queued-but-unsent bytes (0 = unlimited). A sendFrame that
   /// would push the queue past the cap closes the connection instead of

@@ -1,13 +1,16 @@
 #include "runtime/coordinator.h"
 
 #include <sys/epoll.h>
+#include <sys/ioctl.h>
 
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <sstream>
 #include <vector>
 
 #include "net/protocol.h"
+#include "runtime/daemon.h"
 #include "runtime/metrics.h"
 #include "util/log.h"
 
@@ -58,6 +61,16 @@ auto onLoopThread(net::EventLoop& loop, bool running, const F& compute) {
   return future.get();
 }
 
+/// Bytes received from the peer that the coordinator has not read: those
+/// its connection buffers plus those still in the socket. Tells "the
+/// daemon stopped sending" apart from "its reports were not read" when a
+/// daemon is evicted.
+std::size_t unreadBytes(const net::Connection& connection) {
+  int in_socket = 0;
+  if (::ioctl(connection.fd(), FIONREAD, &in_socket) != 0) in_socket = 0;
+  return connection.bufferedBytes() + static_cast<std::size_t>(in_socket);
+}
+
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorConfig config)
@@ -82,7 +95,7 @@ void Coordinator::registerMetrics() {
                                      "Broadcast encode buffers cleared in place");
   scratch_alloc_ = &metrics_.counter("aalo_coordinator_encode_scratch_alloc_total",
                                      "Broadcast encode buffers reallocated");
-  metrics_.attachGauge("aalo_coordinator_daemons", "Daemons currently connected",
+  metrics_.attachGauge("aalo_coordinator_daemons", "Daemon ids with a live owner",
                        [this] { return static_cast<double>(daemonCount()); });
   metrics_.attachGauge("aalo_coordinator_registered_coflows",
                        "Coflows currently registered",
@@ -111,7 +124,7 @@ bool Coordinator::isPrimary() const {
 }
 
 std::size_t Coordinator::daemonCount() const {
-  return daemon_count_.load(std::memory_order_relaxed);
+  return owner_count_.load(std::memory_order_relaxed);
 }
 
 std::size_t Coordinator::registeredCoflows() const {
@@ -135,6 +148,11 @@ void Coordinator::start() {
   const bool standby = config_.standby_of != 0;
   standby_active_.store(standby, std::memory_order_relaxed);
   if (!standby) restoreFromCheckpoint();
+  // No connection owns the ids whose sizes state_ holds yet.
+  unclaimed_.clear();
+  state_.forEachReport([this](std::uint64_t daemon_id, const coflow::CoflowId&,
+                              double) { unclaimed_.insert(daemon_id); });
+  unclaimed_since_ = net::EventLoop::Clock::now();
   auto [fd, port] = net::listenTcp(config_.port);
   listener_ = std::move(fd);
   port_ = port;
@@ -167,10 +185,11 @@ void Coordinator::stop() {
   // The loop thread is gone: destroy connections inline (their destructors
   // deregister from the now-idle loop).
   upstream_.reset();
+  // owners_ names keys in peers_: the ids lose their owners with the
+  // connections, and a later start() counts their sizes as unclaimed.
   peers_.clear();
-  // Connections whose EOF the loop never got to process would otherwise
-  // leave a stale daemon count behind after shutdown.
-  daemon_count_.store(0, std::memory_order_relaxed);
+  owners_.clear();
+  owner_count_.store(0, std::memory_order_relaxed);
   if (listener_.valid()) loop_.remove(listener_.get());
   listener_.reset();
   if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
@@ -465,18 +484,23 @@ void Coordinator::dropPeer(std::uint64_t peer_key) {
   const auto it = peers_.find(peer_key);
   if (it == peers_.end()) return;
   if (it->second.is_daemon) {
-    state_.dropDaemon(it->second.daemon_id);
-    daemon_count_.fetch_sub(1, std::memory_order_relaxed);
-    if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
-      checkpoint_->journalDropDaemon(it->second.daemon_id);
-      stats_.checkpoint_journal_records.fetch_add(1, std::memory_order_relaxed);
-    }
+    owners_.erase(it->second.daemon_id);
+    owner_count_.store(owners_.size(), std::memory_order_relaxed);
+    dropDaemonId(it->second.daemon_id);
   }
   // Defer destruction: we may be inside this connection's own callback
   // chain (close handler), or about to destroy it from the eviction pass.
   auto doomed = std::move(it->second.connection);
   peers_.erase(it);
   loop_.post([conn = std::shared_ptr<net::Connection>(std::move(doomed))] {});
+}
+
+void Coordinator::dropDaemonId(std::uint64_t daemon_id) {
+  state_.dropDaemon(daemon_id);
+  if (checkpoint_ && !standby_active_.load(std::memory_order_relaxed)) {
+    checkpoint_->journalDropDaemon(daemon_id);
+    stats_.checkpoint_journal_records.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void Coordinator::evictStalePeers(TimePoint now) {
@@ -488,6 +512,30 @@ void Coordinator::evictStalePeers(TimePoint now) {
       toNanos(config_.sync_interval * config_.liveness_timeout_intervals);
   const auto one_way_budget =
       toNanos(config_.sync_interval * config_.one_way_timeout_intervals);
+  // An id held since start() that no connection claimed is treated as a
+  // daemon whose last report came at start(), once its daemon, redialing
+  // at the default backoff, would have said Hello.
+  if (config_.liveness_timeout_intervals > 0 && !unclaimed_.empty() &&
+      now - unclaimed_since_ >
+          liveness_budget + toNanos(kDefaultReconnectMaxBackoff)) {
+    for (const std::uint64_t daemon_id : unclaimed_) {
+      stats_.daemons_evicted.fetch_add(1, std::memory_order_relaxed);
+      AALO_LOG_WARN << "coordinator: dropping daemon " << daemon_id
+                    << " (no connection claimed it since start)";
+      dropDaemonId(daemon_id);
+    }
+    unclaimed_.clear();
+  }
+  // Beside its cause, an eviction logs how long ago the daemon last
+  // reported and how many bytes it sent that were not read.
+  const auto lastHeard = [&](const Peer& peer) {
+    std::ostringstream out;
+    out << "last report "
+        << std::chrono::duration<double>(now - peer.last_report).count() /
+               config_.sync_interval
+        << " intervals ago, " << unreadBytes(*peer.connection) << " bytes unread";
+    return out.str();
+  };
   std::vector<std::uint64_t> evict;
   for (const auto& [key, peer] : peers_) {
     if (!peer.is_daemon) continue;
@@ -496,7 +544,7 @@ void Coordinator::evictStalePeers(TimePoint now) {
       stats_.daemons_evicted.fetch_add(1, std::memory_order_relaxed);
       AALO_LOG_WARN << "coordinator: evicting daemon " << peer.daemon_id
                     << " (no report for " << config_.liveness_timeout_intervals
-                    << " intervals)";
+                    << " intervals; " << lastHeard(peer) << ")";
       evict.push_back(key);
       continue;
     }
@@ -510,7 +558,7 @@ void Coordinator::evictStalePeers(TimePoint now) {
       stats_.one_way_evictions.fetch_add(1, std::memory_order_relaxed);
       AALO_LOG_WARN << "coordinator: evicting daemon " << peer.daemon_id
                     << " (epoch echo stuck at " << peer.echoed_epoch
-                    << "; one-way link)";
+                    << "; one-way link; " << lastHeard(peer) << ")";
       evict.push_back(key);
     }
   }
@@ -529,7 +577,7 @@ void Coordinator::collectTombstones(TimePoint now) {
 void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
   const auto it = peers_.find(peer_key);
   if (it == peers_.end()) return;
-  Peer& peer = *&it->second;
+  Peer& peer = it->second;
 
   // Daemon frames after the Hello arrive only in ingress passes, which
   // read the clock once; the rest (Hello, client RPCs, standbys) are rare.
@@ -569,10 +617,25 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
       peer.daemon_id = message.daemon_id;
       peer.last_report = now;
       peer.last_echo_advance = now;
-      daemon_count_.fetch_add(1, std::memory_order_relaxed);
+      unclaimed_.erase(message.daemon_id);
+      if (const auto owner = owners_.find(message.daemon_id);
+          owner != owners_.end()) {
+        // A live connection owns the id: the daemon redialed before its
+        // old connection was closed. The old connection closes as it would
+        // on its own, taking the id's sizes; this one's reports follow its
+        // Hello and re-teach them.
+        stats_.daemon_handovers.fetch_add(1, std::memory_order_relaxed);
+        AALO_LOG_WARN << "coordinator: daemon " << message.daemon_id
+                      << " said Hello on a new connection; closing its old one";
+        dropPeer(owner->second);
+      }
+      owners_.emplace(message.daemon_id, peer_key);
+      owner_count_.store(owners_.size(), std::memory_order_relaxed);
       break;
     case net::MessageType::kSizeReport:
-      if (peer.is_daemon) {
+      if (!peer.is_daemon) {
+        stats_.unowned_frames.fetch_add(1, std::memory_order_relaxed);
+      } else {
         pass_reports_ = true;
         peer.last_report = now;
         if (message.epoch > peer.echoed_epoch) {
@@ -667,6 +730,8 @@ void Coordinator::onMessage(std::uint64_t peer_key, net::Buffer& payload) {
       if (peer.is_daemon || peer.is_follower) {
         peer.needs_snapshot = true;
         stats_.snapshot_requests.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        stats_.unowned_frames.fetch_add(1, std::memory_order_relaxed);
       }
       break;
     case net::MessageType::kFollowerSubscribe:

@@ -24,9 +24,16 @@
 // RPCs and subscribed standbys stay readiness-driven.
 //
 // Fault tolerance (§3.2 hardening):
+//  * One owner per daemon id — a Hello claims its id for the connection.
+//    A Hello for an id another live connection owns closes the old
+//    connection first, which drops the id's sizes as any close does; the
+//    new connection's reports re-teach them.
 //  * Liveness eviction — a daemon whose reports stop for N·Δ is dropped
 //    (connection closed, its reported sizes discarded) so a hung machine
-//    cannot pin coflows in low-priority queues forever.
+//    cannot pin coflows in low-priority queues forever. Ids whose sizes
+//    were held at start() (restored from a checkpoint) and that no
+//    connection claims within the same budget plus a daemon's default
+//    redial ceiling are dropped the same way.
 //  * One-way-link detection — daemons echo the last schedule epoch they
 //    applied in every report; a daemon that keeps reporting but whose echo
 //    never advances has a dead receive path and is evicted the same way.
@@ -126,7 +133,8 @@ class Coordinator {
   /// True when this coordinator broadcasts (primary from the start, or a
   /// standby that has promoted).
   bool isPrimary() const;
-  /// Daemons currently connected (said Hello).
+  /// Daemon ids with a live owner: connections that said Hello, one per
+  /// id.
   std::size_t daemonCount() const;
   /// Coflows currently registered.
   std::size_t registeredCoflows() const;
@@ -161,6 +169,9 @@ class Coordinator {
 
   struct Peer {
     std::unique_ptr<net::Connection> connection;
+    /// Both set by the connection's Hello. A daemon peer owns `daemon_id`
+    /// (owners_ maps it to this peer) for as long as it is in peers_: a
+    /// Hello for the id from another connection drops this peer first.
     std::uint64_t daemon_id = 0;
     bool is_daemon = false;
     /// A subscribed warm standby: receives every broadcast like a daemon
@@ -188,7 +199,11 @@ class Coordinator {
   /// Reads every waiting daemon connection (no-op when none waits) and
   /// times the pass into report_apply_ if it applied a size report.
   void runIngressPass();
+  /// Closes the peer; a daemon takes its id and the id's sizes along
+  /// (dropDaemonId).
   void dropPeer(std::uint64_t peer_key);
+  /// Drops a daemon id's sizes from state_ and journals the drop.
+  void dropDaemonId(std::uint64_t daemon_id);
   void evictStalePeers(TimePoint now);
   void collectTombstones(TimePoint now);
   void broadcastSchedule();
@@ -213,12 +228,21 @@ class Coordinator {
   // Loop-thread-only state.
   std::unordered_map<std::uint64_t, Peer> peers_;
   std::uint64_t next_peer_key_ = 1;
-  /// Incrementally maintained global sizes + queue assignments + sorted
-  /// schedule; also stores the raw per-daemon reports (checkpoints write
-  /// those) and the tombstones of explicit unregisters: daemons keep reporting absolute local sizes for
-  /// completed coflows, and those must not resurface in schedules. A
-  /// tombstone is GC'd by collectTombstones once every live daemon has
-  /// stopped mentioning the coflow.
+  /// Daemon id -> key in peers_ of the connection that owns it: the one
+  /// record of which daemon ids are live.
+  std::unordered_map<std::uint64_t, std::uint64_t> owners_;
+  /// Ids whose sizes state_ held at start() (restored from a checkpoint,
+  /// or kept across stop() and start()) that no connection has claimed
+  /// yet. With liveness on, those still unclaimed a liveness budget plus
+  /// kDefaultReconnectMaxBackoff after `unclaimed_since_` are dropped.
+  std::unordered_set<std::uint64_t> unclaimed_;
+  TimePoint unclaimed_since_{};
+  /// Global sizes, queue assignments and the schedule, maintained as
+  /// reports arrive. It also holds each daemon id's raw reports (what
+  /// checkpoints write) and the tombstones of explicit unregisters:
+  /// daemons keep reporting absolute local sizes of completed coflows,
+  /// which must not resurface in schedules. collectTombstones drops a
+  /// tombstone once no live daemon has mentioned its coflow for M·Δ.
   ScheduleState state_;
   coflow::CoflowIdGenerator id_generator_;
   /// Broadcast scratch: schedule vectors and encode buffers reused across
@@ -231,7 +255,7 @@ class Coordinator {
   std::shared_ptr<net::Buffer> snapshot_scratch_;
 
   std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> daemon_count_{0};
+  std::atomic<std::size_t> owner_count_{0};  ///< owners_.size(), published.
   std::atomic<std::size_t> registered_count_{0};
   std::atomic<std::size_t> tombstone_count_{0};
   std::atomic<bool> running_{false};

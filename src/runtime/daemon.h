@@ -51,6 +51,12 @@
 
 namespace aalo::runtime {
 
+/// The default ceiling of a daemon's reconnect backoff: the longest a
+/// daemon at default settings waits between dials. A restarted
+/// coordinator holds restored daemon ids this long past its liveness
+/// budget, so their daemons can redial before the ids are dropped.
+inline constexpr util::Seconds kDefaultReconnectMaxBackoff = 2.0;
+
 struct DaemonConfig {
   std::uint16_t coordinator_port = 0;
   /// Ordered coordinator endpoints (primary first, then standbys), all on
@@ -72,7 +78,7 @@ struct DaemonConfig {
   util::Seconds reconnect_interval = 0.2;
   /// Backoff ceiling: retry delays grow from reconnect_interval with
   /// decorrelated jitter up to this value.
-  util::Seconds reconnect_max_backoff = 2.0;
+  util::Seconds reconnect_max_backoff = kDefaultReconnectMaxBackoff;
   /// Flip to local-only mode after this many sync intervals without a
   /// schedule broadcast on an open socket. 0 disables stale detection.
   int stale_after_intervals = 25;

@@ -42,6 +42,11 @@ void registerRobustnessStats(obs::Registry& registry, const RobustnessStats& sta
          stats.ingress_passes);
   attach("repeated_hellos", "Hellos on a connection that said one already",
          stats.repeated_hellos);
+  attach("daemon_handovers", "Hellos that took a daemon id from a live connection",
+         stats.daemon_handovers);
+  attach("unowned_frames",
+         "Size reports and snapshot requests from connections owning no daemon id",
+         stats.unowned_frames);
   // Daemon.
   attach("reconnect_attempts", "Dial attempts after a loss",
          stats.reconnect_attempts);

@@ -38,6 +38,10 @@ struct RobustnessStats {
   Counter rejected_sizes{0};  ///< Reported sizes dropped: NaN, inf or < 0.
   Counter ingress_passes{0};  ///< Coalesced passes that read daemon reports.
   Counter repeated_hellos{0}; ///< Hellos on a connection that said one already.
+  Counter daemon_handovers{0};  ///< Hellos that took an id from a live connection.
+  /// Size reports and snapshot requests dropped: the connection owns no
+  /// daemon id (and, for a snapshot request, did not subscribe).
+  Counter unowned_frames{0};
 
   // Daemon.
   Counter reconnect_attempts{0};       ///< Dial attempts after a loss.

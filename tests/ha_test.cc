@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/connection.h"
@@ -25,6 +26,7 @@
 #include "runtime/schedule_state.h"
 #include "tests/helpers.h"
 #include "tests/support/chaos.h"
+#include "tests/support/raw_daemon.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -240,6 +242,177 @@ TEST(HighAvailability, RestoreResumesBitIdenticalSchedule) {
             0u);
 
   daemon.stop();
+  restarted.stop();
+}
+
+/// What a checkpoint holds after daemon 7 reported 480 MB of `a` and
+/// daemon 42 reported 20 MB of `b`.
+struct TwoDaemonCheckpoint {
+  coflow::CoflowId a;
+  coflow::CoflowId b;
+  std::unordered_map<coflow::CoflowId, double> sizes;
+  std::vector<net::ScheduleEntry> schedule;
+};
+
+/// Writes a TwoDaemonCheckpoint to `dir` (a coordinator's graceful stop).
+TwoDaemonCheckpoint checkpointTwoDaemons(const std::string& dir) {
+  CoordinatorConfig cfg = fastCoordinator();
+  cfg.checkpoint_dir = dir;
+  cfg.liveness_timeout_intervals = 0;  // The raw daemons report once.
+  cfg.one_way_timeout_intervals = 0;
+  Coordinator coordinator(cfg);
+  coordinator.start();
+  AaloClient client(coordinator.port());
+  TwoDaemonCheckpoint out;
+  out.a = client.registerCoflow();
+  out.b = client.registerCoflow();
+  net::EventLoop loop;
+  testing::RawDaemon seven(loop, coordinator.port(), 7);
+  testing::RawDaemon forty_two(loop, coordinator.port(), 42);
+  seven.send(net::MessageType::kSizeReport, {{out.a, 480.0 * util::kMB}});
+  forty_two.send(net::MessageType::kSizeReport, {{out.b, 20.0 * util::kMB}});
+  waitFor([&] {
+    loop.runOnce(2ms);
+    out.sizes = coordinator.globalSizes();
+    return out.sizes[out.a] == 480.0 * util::kMB && out.sizes[out.b] == 20.0 * util::kMB;
+  });
+  out.schedule = coordinator.scheduleSnapshot();
+  coordinator.stop();
+  return out;
+}
+
+/// A coordinator restarting from `dir` with a liveness budget of 100·Δ
+/// (a raw daemon's keepalive, sent at each pump, is in time on a loaded
+/// host) and no periodic snapshot, so the start-time snapshot and the
+/// journal are what a crash would leave on disk. Its restored ids are
+/// held for that budget plus kDefaultReconnectMaxBackoff.
+CoordinatorConfig restartFrom(const std::string& dir) {
+  CoordinatorConfig cfg = fastCoordinator();
+  cfg.checkpoint_dir = dir;
+  cfg.checkpoint_interval = 3600;
+  cfg.liveness_timeout_intervals = 100;
+  cfg.one_way_timeout_intervals = 0;
+  return cfg;
+}
+
+// A restored daemon id that no connection claims within the liveness
+// budget plus a daemon's redial ceiling is dropped like an evicted
+// daemon, and the drop is journaled: neither the journal nor a later
+// restart brings its sizes back.
+TEST(HighAvailability, UnclaimedRestoredIdIsDroppedAndJournaled) {
+  const std::string dir = freshDir("unclaimed");
+  const TwoDaemonCheckpoint before = checkpointTwoDaemons(dir);
+  {
+    const CoordinatorConfig cfg = restartFrom(dir);
+    Coordinator restarted(cfg);
+    restarted.start();
+    EXPECT_EQ(restarted.globalSizes(), before.sizes);
+    net::EventLoop loop;
+    testing::RawDaemon seven(loop, restarted.port(), 7);  // 42 never returns.
+    waitFor([&] {
+      loop.runOnce(2ms);
+      seven.send(net::MessageType::kSizeReport);  // Keepalive.
+      return restarted.stats().daemons_evicted.load() == 1;
+    }, 10000ms);
+    // Read after the tick that dropped it, which flushed the journal.
+    const auto sizes = restarted.globalSizes();
+    EXPECT_EQ(sizes.at(before.a), 480.0 * util::kMB);
+    EXPECT_EQ(sizes.at(before.b), 0.0);
+    EXPECT_EQ(restarted.daemonCount(), 1u);
+
+    Checkpoint on_disk(dir);
+    ScheduleState replayed(cfg.dclas.thresholds(), cfg.max_on_coflows);
+    ASSERT_TRUE(on_disk.restore(replayed, cfg.dclas.thresholds(), cfg.max_on_coflows));
+    EXPECT_EQ(replayed.globalBytes(before.a), 480.0 * util::kMB);
+    EXPECT_EQ(replayed.globalBytes(before.b), 0.0);
+    restarted.stop();
+  }
+  CoordinatorConfig cfg = restartFrom(dir);
+  cfg.liveness_timeout_intervals = 0;
+  Coordinator again(cfg);
+  again.start();
+  const auto sizes = again.globalSizes();
+  EXPECT_EQ(sizes.at(before.a), 480.0 * util::kMB);
+  EXPECT_EQ(sizes.at(before.b), 0.0);
+  again.stop();
+}
+
+// Restored daemon ids that their daemons claim in time keep their sizes,
+// bit-identical, past the time an unclaimed id is held.
+TEST(HighAvailability, ClaimedRestoredIdsKeepTheirSizes) {
+  const std::string dir = freshDir("claimed");
+  const TwoDaemonCheckpoint before = checkpointTwoDaemons(dir);
+  const CoordinatorConfig cfg = restartFrom(dir);
+  Coordinator restarted(cfg);
+  restarted.start();
+  net::EventLoop loop;
+  testing::RawDaemon seven(loop, restarted.port(), 7);
+  testing::RawDaemon forty_two(loop, restarted.port(), 42);
+  // The rounds in which an unclaimed id is held, and a budget more.
+  const auto rounds = static_cast<std::uint64_t>(
+      2 * cfg.liveness_timeout_intervals +
+      kDefaultReconnectMaxBackoff / cfg.sync_interval);
+  const std::uint64_t start_epoch = restarted.epoch();
+  waitFor([&] {
+    loop.runOnce(2ms);
+    seven.send(net::MessageType::kSizeReport);  // Keepalives.
+    forty_two.send(net::MessageType::kSizeReport);
+    return restarted.epoch() >= start_epoch + rounds;
+  }, 30000ms);
+  EXPECT_EQ(restarted.stats().daemons_evicted.load(), 0u);
+  EXPECT_EQ(restarted.daemonCount(), 2u);
+  EXPECT_EQ(restarted.globalSizes(), before.sizes);
+  EXPECT_TRUE(sameSchedule(restarted.scheduleSnapshot(), before.schedule));
+  restarted.stop();
+}
+
+// Restored ids wait for their daemons. Real daemons at the default
+// reconnect settings redial a restarted coordinator (liveness on, at its
+// defaults) later than its liveness budget, since a daemon waits 0.2 s
+// before it redials; until both have said Hello, every read of the
+// restarted coordinator holds the restored sizes.
+TEST(HighAvailability, RestoredSizesWaitForDaemonsToRedial) {
+  const std::string dir = freshDir("redial");
+  CoordinatorConfig cfg;
+  cfg.checkpoint_dir = dir;
+  auto coordinator = std::make_unique<Coordinator>(cfg);
+  coordinator->start();
+  const std::uint16_t port = coordinator->port();
+  DaemonConfig seven_cfg;
+  seven_cfg.coordinator_port = port;
+  seven_cfg.daemon_id = 7;
+  DaemonConfig forty_two_cfg = seven_cfg;
+  forty_two_cfg.daemon_id = 42;
+  Daemon seven(seven_cfg);
+  Daemon forty_two(forty_two_cfg);
+  seven.start();
+  forty_two.start();
+  AaloClient client(port);
+  const auto a = client.registerCoflow();
+  const auto b = client.registerCoflow();
+  seven.reportBytes(a, 480.0 * util::kMB);
+  forty_two.reportBytes(b, 20.0 * util::kMB);
+  std::unordered_map<coflow::CoflowId, double> before;
+  waitFor([&] {
+    before = coordinator->globalSizes();
+    return before[a] == 480.0 * util::kMB && before[b] == 20.0 * util::kMB;
+  });
+  coordinator->stop();
+  coordinator.reset();
+  waitFor([&] { return !seven.connected() && !forty_two.connected(); });
+
+  CoordinatorConfig restart_cfg = cfg;
+  restart_cfg.port = port;  // Same endpoint so the daemons find it again.
+  Coordinator restarted(restart_cfg);
+  restarted.start();
+  waitFor([&] {
+    EXPECT_EQ(restarted.globalSizes(), before);
+    return restarted.daemonCount() == 2;
+  }, 10000ms);
+  EXPECT_EQ(restarted.stats().daemons_evicted.load(), 0u);
+
+  seven.stop();
+  forty_two.stop();
   restarted.stop();
 }
 

@@ -13,8 +13,11 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "net/connection.h"
@@ -24,6 +27,7 @@
 #include "runtime/daemon.h"
 #include "tests/helpers.h"
 #include "tests/support/raw_daemon.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 namespace aalo::runtime {
@@ -185,6 +189,67 @@ TEST(RuntimeRobustness, RepeatedHelloUnderAnotherIdClosesTheConnection) {
   EXPECT_EQ(promSample(t.coordinator.metrics().renderPrometheus(),
                        "aalo_coordinator_repeated_hellos_total"),
             1);
+}
+
+// Two connections say Hello as one daemon id, as a daemon that redials
+// before its old connection is closed does: the id has one owner, the
+// newer connection, and the older one is closed and counted. Its close
+// drops the old connection's sizes, as a close the coordinator saw first
+// would.
+TEST(RuntimeRobustness, TwoConnectionsOneIdCountOneDaemon) {
+  OneReportingDaemon t;
+  RawDaemon redialed(t.loop, t.coordinator.port(), 1);
+  waitFor([&] {
+    t.loop.runOnce(std::chrono::milliseconds(2));
+    return t.coordinator.stats().daemon_handovers.load() == 1;
+  }, kWait);
+  EXPECT_EQ(t.coordinator.daemonCount(), 1u);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 0.0);
+  const std::string text = t.coordinator.metrics().renderPrometheus();
+  EXPECT_EQ(promSample(text, "aalo_coordinator_daemons"), 1);
+  EXPECT_EQ(promSample(text, "aalo_coordinator_daemon_handovers_total"), 1);
+  redialed.disconnect();
+  waitFor([&] { return t.coordinator.daemonCount() == 0; }, kWait);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 0.0);
+}
+
+// The new owner's reports follow its Hello, so the handover's drop of A's
+// sizes comes first, and A's own close later drops nothing: B's 30 MB
+// survive it.
+TEST(RuntimeRobustness, TwoConnectionsOneIdKeepTheNewOwnersSizes) {
+  OneReportingDaemon t;  // A: daemon 1, 20 MB.
+  RawDaemon b(t.loop, t.coordinator.port(), 1);
+  b.send(net::MessageType::kSizeReport, {{t.coflow, 30 * util::kMB}});
+  waitFor([&] {
+    t.loop.runOnce(std::chrono::milliseconds(2));
+    return heldBytes(t.coordinator, t.coflow) == 30 * util::kMB;
+  }, kWait);
+  t.daemon->disconnect();
+  const std::uint64_t closed_at = t.coordinator.epoch();
+  waitFor([&] {
+    t.loop.runOnce(std::chrono::milliseconds(2));
+    return t.coordinator.epoch() >= closed_at + 3;
+  }, kWait);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 30 * util::kMB);
+  EXPECT_EQ(t.coordinator.daemonCount(), 1u);
+}
+
+// A size report or snapshot request from a connection that owns no
+// daemon id is dropped and counted.
+TEST(RuntimeRobustness, FramesOfAConnectionWithoutAnIdAreCounted) {
+  OneReportingDaemon t;
+  RawDaemon silent(t.loop, t.coordinator.port());
+  silent.send(net::MessageType::kSizeReport, {{t.coflow, 50 * util::kMB}});
+  silent.send(net::MessageType::kSnapshotRequest);
+  waitFor([&] {
+    t.loop.runOnce(std::chrono::milliseconds(2));
+    return t.coordinator.stats().unowned_frames.load() == 2;
+  }, kWait);
+  EXPECT_EQ(heldBytes(t.coordinator, t.coflow), 20 * util::kMB);
+  EXPECT_EQ(t.coordinator.stats().snapshot_requests.load(), 0u);
+  EXPECT_EQ(promSample(t.coordinator.metrics().renderPrometheus(),
+                       "aalo_coordinator_unowned_frames_total"),
+            2);
 }
 
 /// Report frames 1..n of one daemon, in absolute sizes so the last one
@@ -930,6 +995,282 @@ TEST(RuntimeRobustness, DeferredDaemonThatDisconnectsIsDroppedWithinOneDelta) {
   pumpUntil(loop, [&] { return coordinator.globalSizes().at(a) == 1 * util::kMB; });
   coordinator.stop();
 }
+
+// --- session fuzzer --------------------------------------------------------
+
+/// A seeded session of well-formed frames over raw connections, checked
+/// against a model of daemon-id ownership. Its ops: connect (with a Hello,
+/// a redial when the id was used before, or without one), a first Hello
+/// (a fresh id or one another connection holds), a repeated Hello (the
+/// same id or a foreign one), size reports, snapshot requests and
+/// disconnects. Liveness is off, so only the session decides who owns
+/// what. Every op that changes the model changes something the
+/// coordinator shows (sizes, daemon count or a counter), and the next op
+/// starts only once the coordinator shows the model's state, so frames of
+/// different connections reach it in op order.
+class SessionFuzz {
+ public:
+  explicit SessionFuzz(std::uint64_t seed)
+      : seed_(seed), rng_(seed), coordinator_([] {
+          CoordinatorConfig cfg = fastCoordinator();
+          cfg.liveness_timeout_intervals = 0;
+          cfg.one_way_timeout_intervals = 0;
+          return cfg;
+        }()) {
+    coordinator_.start();
+    AaloClient client(coordinator_.port());
+    for (int i = 0; i < 3; ++i) registered_.push_back(client.registerCoflow());
+    coflows_ = registered_;
+    coflows_.push_back({1000, 0});  // Reported, never registered: an orphan.
+  }
+  ~SessionFuzz() {
+    conns_.clear();
+    closing_.clear();
+    coordinator_.stop();
+  }
+
+  /// Runs `ops` random ops; false (after a failure that names the seed
+  /// and lists the ops) when the coordinator left the model.
+  bool run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      log_ << op << ": ";
+      step();
+      log_ << "\n";
+      if (!settle()) return false;
+    }
+    // Quiescent for good: a few more rounds change nothing.
+    const std::uint64_t epoch = coordinator_.epoch();
+    while (coordinator_.epoch() < epoch + 3) {
+      loop_.runOnce(std::chrono::milliseconds(1));
+    }
+    const std::string why = mismatch();
+    if (why.empty()) return true;
+    ADD_FAILURE() << "seed " << seed_ << " after the last op: " << why
+                  << "\nops:\n" << log_.str();
+    return false;
+  }
+
+ private:
+  /// A live raw connection and the daemon id it said Hello as.
+  struct Conn {
+    int name = 0;
+    std::unique_ptr<RawDaemon> raw;
+    std::optional<std::uint64_t> id;
+  };
+  static constexpr std::size_t kMaxConns = 6;
+  static constexpr int kIds = 4;  // Ids 0..3: small, so ids collide.
+
+  std::uint64_t anyId() { return static_cast<std::uint64_t>(rng_.uniformInt(0, kIds - 1)); }
+  Conn& anyConn() {
+    return *conns_[static_cast<std::size_t>(
+        rng_.uniformInt(0, static_cast<std::int64_t>(conns_.size()) - 1))];
+  }
+
+  void step() {
+    enum Op { kConnect, kHello, kReport, kSnapshotRequest, kDisconnect };
+    static constexpr double kWeights[] = {3, 2, 4, 1, 2};
+    auto op = static_cast<Op>(rng_.weightedIndex(kWeights));
+    if (conns_.empty()) op = kConnect;
+    if (op == kConnect && conns_.size() == kMaxConns) op = kDisconnect;
+    switch (op) {
+      case kConnect: connect(); break;
+      case kHello: hello(anyConn()); break;
+      case kReport: report(anyConn()); break;
+      case kSnapshotRequest: snapshotRequest(anyConn()); break;
+      case kDisconnect: disconnect(anyConn()); break;
+    }
+  }
+
+  void connect() {
+    auto conn = std::make_unique<Conn>();
+    conn->name = next_name_++;
+    Conn& c = *conn;
+    conns_.push_back(std::move(conn));
+    if (rng_.chance(0.3)) {
+      log_ << "c" << c.name << " connects without a Hello";
+      c.raw = std::make_unique<RawDaemon>(loop_, coordinator_.port());
+      return;
+    }
+    const std::uint64_t id = anyId();
+    log_ << "c" << c.name << " connects as " << id;
+    c.raw = std::make_unique<RawDaemon>(loop_, coordinator_.port(), id);
+    claim(c, id);
+  }
+
+  void hello(Conn& c) {
+    if (!c.id) {
+      const std::uint64_t id = anyId();
+      log_ << "c" << c.name << " says Hello as " << id;
+      c.raw->hello(id);
+      claim(c, id);
+      return;
+    }
+    // A repeated Hello: the same id is ignored, a foreign one closes the
+    // connection and drops its id's sizes.
+    const std::uint64_t id = rng_.chance(0.5) ? *c.id : anyId();
+    log_ << "c" << c.name << " (" << *c.id << ") says Hello again as " << id;
+    c.raw->hello(id);
+    ++repeated_hellos_;
+    if (id != *c.id) {
+      forget(*c.id);
+      closedByCoordinator(c);
+    }
+  }
+
+  /// `c` said Hello as `id`: it owns the id. When another connection
+  /// held it, that one is closed first, and the id's sizes go with it.
+  void claim(Conn& c, std::uint64_t id) {
+    c.id = id;
+    if (const auto owner = owners_.find(id); owner != owners_.end()) {
+      log_ << " (handover from c" << owner->second->name << ")";
+      ++handovers_;
+      closedByCoordinator(*owner->second);
+      forget(id);
+    }
+    owners_[id] = &c;
+  }
+
+  void report(Conn& c) {
+    std::vector<coflow::CoflowId> ids = coflows_;
+    rng_.shuffle(ids);
+    ids.resize(static_cast<std::size_t>(rng_.uniformInt(1, 3)));
+    std::vector<net::CoflowSize> sizes;
+    std::unordered_map<coflow::CoflowId, double>* held =
+        c.id ? &sizes_[*c.id] : nullptr;
+    for (const auto& id : ids) {
+      // Whole KBs: every sum the coordinator forms is exact. The first
+      // entry grows, so an applied report always shows.
+      double bytes = static_cast<double>(rng_.uniformInt(0, 64)) * util::kKB;
+      if (sizes.empty()) {
+        const double before = held && held->contains(id) ? held->at(id) : 0.0;
+        bytes = before + static_cast<double>(rng_.uniformInt(1, 16)) * util::kKB;
+      }
+      sizes.push_back({id, bytes});
+      if (held) (*held)[id] = bytes;
+    }
+    log_ << "c" << c.name << " reports";
+    for (const auto& s : sizes) log_ << " " << s.id.toString() << "=" << s.bytes;
+    if (!c.id) ++unowned_frames_;
+    c.raw->send(net::MessageType::kSizeReport, std::move(sizes));
+  }
+
+  void snapshotRequest(Conn& c) {
+    log_ << "c" << c.name << " asks for a snapshot";
+    c.raw->send(net::MessageType::kSnapshotRequest);
+    ++(c.id ? snapshot_requests_ : unowned_frames_);
+  }
+
+  void disconnect(Conn& c) {
+    log_ << "c" << c.name << " disconnects";
+    if (c.id) forget(*c.id);
+    std::erase_if(conns_, [&](const auto& conn) { return conn.get() == &c; });
+  }
+
+  /// The owner of `id` closed: the id and its sizes go.
+  void forget(std::uint64_t id) {
+    owners_.erase(id);
+    sizes_.erase(id);
+  }
+
+  /// The coordinator closes `c`. Its socket stays open until the op has
+  /// settled: closed at once, with broadcasts unread, it would reset the
+  /// connection, and the coordinator could see the reset before the
+  /// frame that makes it close.
+  void closedByCoordinator(Conn& c) {
+    const auto it = std::find_if(conns_.begin(), conns_.end(),
+                                 [&](const auto& conn) { return conn.get() == &c; });
+    closing_.push_back(std::move(*it));
+    conns_.erase(it);
+  }
+
+  std::unordered_map<coflow::CoflowId, double> expectedSizes() const {
+    std::unordered_map<coflow::CoflowId, double> out;
+    for (const auto& id : registered_) out[id] = 0;
+    for (const auto& [daemon, held] : sizes_) {
+      for (const auto& [id, bytes] : held) out[id] += bytes;
+    }
+    return out;
+  }
+
+  /// How the coordinator differs from the model; empty when it does not.
+  std::string mismatch() {
+    std::ostringstream why;
+    const auto dump = [&](const std::unordered_map<coflow::CoflowId, double>& m) {
+      std::ostringstream out;
+      for (const auto& id : coflows_) {
+        out << " " << id.toString() << "=";
+        if (m.contains(id)) {
+          out << m.at(id);
+        } else {
+          out << "-";
+        }
+      }
+      return out.str();
+    };
+    const auto global = coordinator_.globalSizes();
+    const auto expected = expectedSizes();
+    if (global != expected) {
+      why << "sizes" << dump(global) << ", model" << dump(expected) << "; ";
+    }
+    const auto expect = [&](const char* name, std::uint64_t got, std::uint64_t want) {
+      if (got != want) why << name << " " << got << ", model " << want << "; ";
+    };
+    const RobustnessStats& stats = coordinator_.stats();
+    expect("daemons", coordinator_.daemonCount(), owners_.size());
+    expect("repeated_hellos", stats.repeated_hellos.load(), repeated_hellos_);
+    expect("daemon_handovers", stats.daemon_handovers.load(), handovers_);
+    expect("unowned_frames", stats.unowned_frames.load(), unowned_frames_);
+    expect("snapshot_requests", stats.snapshot_requests.load(), snapshot_requests_);
+    expect("malformed_frames", stats.malformed_frames.load(), 0);
+    expect("daemons_evicted", stats.daemons_evicted.load(), 0);
+    return why.str();
+  }
+
+  /// Pumps until the coordinator shows the model's state.
+  bool settle() {
+    const auto deadline = Clock::now() + 10 * kWait;
+    for (std::string why = mismatch(); !why.empty(); why = mismatch()) {
+      if (Clock::now() > deadline) {
+        ADD_FAILURE() << "seed " << seed_ << ": " << why << "\nops:\n"
+                      << log_.str();
+        return false;
+      }
+      loop_.runOnce(std::chrono::milliseconds(1));
+    }
+    for (auto& c : conns_) c->raw->frames.clear();  // Broadcasts: unchecked.
+    closing_.clear();
+    return true;
+  }
+
+  std::uint64_t seed_;
+  util::Rng rng_;
+  Coordinator coordinator_;
+  net::EventLoop loop_;
+  std::vector<coflow::CoflowId> registered_;
+  std::vector<coflow::CoflowId> coflows_;
+  std::vector<std::unique_ptr<Conn>> conns_;
+  std::vector<std::unique_ptr<Conn>> closing_;
+  int next_name_ = 0;
+  // The model.
+  std::unordered_map<std::uint64_t, Conn*> owners_;
+  std::unordered_map<std::uint64_t, std::unordered_map<coflow::CoflowId, double>>
+      sizes_;  ///< Per owned id: its last absolute report of each coflow.
+  std::uint64_t repeated_hellos_ = 0;
+  std::uint64_t handovers_ = 0;
+  std::uint64_t unowned_frames_ = 0;
+  std::uint64_t snapshot_requests_ = 0;
+  std::ostringstream log_;
+};
+
+class RuntimeSessionFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RuntimeSessionFuzz, CoordinatorFollowsTheOwnerModel) {
+  SessionFuzz session(GetParam());
+  EXPECT_TRUE(session.run(200));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeSessionFuzz,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace aalo::runtime

@@ -1,7 +1,7 @@
 // A daemon reduced to its wire behaviour, for the coordinator suites: it
-// says Hello on connect, sends raw frames and keeps every frame the
-// coordinator sends it, decoded. It runs on the test thread's loop, which
-// the test pumps.
+// says Hello on connect (or, built without an id, only when told to),
+// sends raw frames and keeps every frame the coordinator sends it,
+// decoded. It runs on the test thread's loop, which the test pumps.
 #pragma once
 
 #include <poll.h>
@@ -37,10 +37,13 @@ class RawDaemon {
     appendFrame(wire, hello);
     for (const net::Message& m : behind_hello) appendFrame(wire, m);
     writeAll(fd.get(), wire);
-    conn_ = std::make_unique<net::Connection>(
-        loop, std::move(fd),
-        [this](net::Buffer& p) { frames.push_back(net::decodeMessage(p)); },
-        nullptr);
+    open(loop, std::move(fd));
+  }
+
+  /// Connects to the coordinator at `port` without a Hello: the
+  /// connection owns no daemon id until hello().
+  RawDaemon(net::EventLoop& loop, std::uint16_t port) : id_(0) {
+    open(loop, net::connectTcp(port));
   }
 
   /// Sends one frame of `type` from this daemon; it echoes the epoch of
@@ -56,7 +59,8 @@ class RawDaemon {
     conn_->sendFrame(out);
   }
 
-  /// Says Hello again on this connection, as daemon `id`.
+  /// Says Hello on this connection (again, unless built without an id),
+  /// as daemon `id`.
   void hello(std::uint64_t id) {
     net::Message m;
     m.type = net::MessageType::kHello;
@@ -81,6 +85,13 @@ class RawDaemon {
   std::vector<net::Message> frames;
 
  private:
+  void open(net::EventLoop& loop, net::Fd fd) {
+    conn_ = std::make_unique<net::Connection>(
+        loop, std::move(fd),
+        [this](net::Buffer& p) { frames.push_back(net::decodeMessage(p)); },
+        nullptr);
+  }
+
   static void appendFrame(net::Buffer& wire, const net::Message& m) {
     net::Buffer payload;
     net::encodeMessage(m, payload);
